@@ -40,7 +40,7 @@ pub(crate) fn detect(table: &Table, pfd: &Pfd, lhs: usize, rhs: usize) -> Vec<Vi
                 rhs,
                 &q.to_string(),
                 key.render(),
-                rows,
+                rows.iter().copied(),
             ));
         }
     }
@@ -66,7 +66,7 @@ fn detect_whole_column(table: &Table, pfd: &Pfd, lhs: usize, rhs: usize) -> Vec<
             rhs,
             "⊥",
             key.render(),
-            &blocks[&key],
+            blocks[&key].iter().copied(),
         ));
     }
     out
@@ -81,23 +81,29 @@ fn detect_whole_column(table: &Table, pfd: &Pfd, lhs: usize, rhs: usize) -> Vec<
 /// majority rows recorded as witnesses in row order. Both batch detection
 /// and the incremental `anmat-stream` engine call it so their violation
 /// sets agree exactly. The vote runs over interned ids; strings are only
-/// touched to break ties and to render evidence.
-pub fn flag_block_minority(
+/// touched to break ties and to render evidence. `rows` must be in
+/// ascending order; it is walked up to three times.
+pub fn flag_block_minority<I>(
     table: &Table,
     pfd: &Pfd,
     lhs: usize,
     rhs: usize,
     pattern_display: &str,
     key: &str,
-    rows: &[RowId],
-) -> Vec<Violation> {
-    if rows.len() < 2 {
+    rows: I,
+) -> Vec<Violation>
+where
+    I: IntoIterator<Item = RowId>,
+    I::IntoIter: Clone,
+{
+    let rows = rows.into_iter();
+    if rows.clone().nth(1).is_none() {
         return Vec::new();
     }
     // RHS distribution (ValueId::NULL = null RHS participates as a
     // violation candidate but never as majority).
     let mut counts: FxHashMap<ValueId, usize> = FxHashMap::default();
-    for &row in rows {
+    for row in rows.clone() {
         *counts.entry(table.cell_id(row, rhs)).or_insert(0) += 1;
     }
     let distinct_non_null = counts.keys().filter(|k| !k.is_null()).count();
@@ -112,13 +118,12 @@ pub fn flag_block_minority(
         return Vec::new(); // all RHS null: nothing to vote with
     };
     let witnesses: Vec<RowId> = rows
-        .iter()
-        .copied()
+        .clone()
         .filter(|&r| table.cell_id(r, rhs) == majority)
         .take(MAX_WITNESSES)
         .collect();
     let mut out = Vec::new();
-    for &row in rows {
+    for row in rows {
         if table.cell_id(row, rhs) == majority {
             continue;
         }
@@ -244,7 +249,7 @@ pub(crate) fn detect_bruteforce(
                 rhs,
                 &q.to_string(),
                 key.render(),
-                rows,
+                rows.iter().copied(),
             ));
         }
     }

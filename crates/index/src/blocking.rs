@@ -17,6 +17,7 @@
 //! and every map in this module hashes a 4-byte id instead of a string.
 
 use crate::inverted::{sort_rhs_counts, EntryStats};
+use crate::runs::Runs;
 use anmat_pattern::{CompiledConstrained, ConstrainedPattern, PatternEngine};
 use anmat_table::{RowId, RowIdRemap, Table, ValueId, ValuePool};
 use fxhash::FxHashMap;
@@ -116,12 +117,11 @@ impl BlockingIndex {
 /// when the removed value was the leader.
 #[derive(Debug, Clone, Default)]
 pub struct KeyBlock {
-    /// Rows in ascending `RowId` order (updates can re-insert an old id,
-    /// so inserts place at the sorted position — `O(1)` for the common
-    /// append case where the id is the largest yet).
-    rows: Vec<RowId>,
-    /// RHS cell per row, parallel to `rows` ([`ValueId::NULL`] = null RHS).
-    rhs: Vec<ValueId>,
+    /// `(row, rhs)` pairs in ascending `RowId` order ([`ValueId::NULL`] =
+    /// null RHS), stored as ascending runs: an append is `O(1)`, and a
+    /// removal or an update re-inserting an older id is
+    /// `O(log block + RUN_CAP)`, whatever the block's size.
+    entries: Runs<ValueId>,
     /// RHS value → row count (null tracked separately).
     counts: FxHashMap<ValueId, usize>,
     /// Rows whose RHS is null.
@@ -135,9 +135,8 @@ pub struct KeyBlock {
 
 impl KeyBlock {
     /// The rows of this block, in ascending row order.
-    #[must_use]
-    pub fn rows(&self) -> &[RowId] {
-        &self.rows
+    pub fn rows(&self) -> impl Iterator<Item = RowId> + Clone + '_ {
+        self.entries.rows()
     }
 
     /// `(row, rhs)` pairs in ascending row order.
@@ -147,19 +146,19 @@ impl KeyBlock {
 
     /// `(row, rhs id)` pairs in ascending row order (the `Copy` hot path).
     pub fn rows_with_rhs_ids(&self) -> impl Iterator<Item = (RowId, ValueId)> + '_ {
-        self.rows.iter().zip(&self.rhs).map(|(&r, &v)| (r, v))
+        self.entries.iter()
     }
 
     /// Number of rows.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.entries.len()
     }
 
     /// Is the block empty?
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.entries.len() == 0
     }
 
     /// The majority RHS value (most rows; ties break to the
@@ -190,26 +189,13 @@ impl KeyBlock {
             self.counts.iter().map(|(v, c)| (*v, *c)).collect();
         sort_rhs_counts(&mut rhs_counts);
         EntryStats {
-            support: self.rows.len(),
+            support: self.len(),
             rhs_counts,
         }
     }
 
     fn push(&mut self, row: RowId, rhs: ValueId) {
-        // Keep `rows` in ascending id order: appends land at the end in
-        // `O(1)`; an update re-inserting an older id pays a binary
-        // search + shift (`O(block)`, the same bound as a removal).
-        match self.rows.last() {
-            Some(&last) if last >= row => {
-                let pos = self.rows.partition_point(|&r| r < row);
-                self.rows.insert(pos, row);
-                self.rhs.insert(pos, rhs);
-            }
-            _ => {
-                self.rows.push(row);
-                self.rhs.push(rhs);
-            }
-        }
+        self.entries.insert(row, rhs);
         if rhs.is_null() {
             self.null_rhs += 1;
             return;
@@ -238,9 +224,7 @@ impl KeyBlock {
     /// count-desc/string-asc tie-break as inserts and batch detection)
     /// only when the removed value was the current leader.
     fn remove(&mut self, row: RowId) -> Option<ValueId> {
-        let pos = self.rows.binary_search(&row).ok()?;
-        self.rows.remove(pos);
-        let rhs = self.rhs.remove(pos);
+        let rhs = self.entries.remove(row)?;
         if rhs.is_null() {
             self.null_rhs -= 1;
             return Some(rhs);
@@ -266,29 +250,10 @@ impl KeyBlock {
     }
 
     /// Rewrite the block's row ids through a compaction remap. The RHS
-    /// column, counts, and majority are row-id-free and stay untouched;
-    /// monotonicity keeps `rows` ascending (and `rhs` stays parallel
-    /// because nothing is reordered).
+    /// values, counts, and majority are row-id-free and stay untouched;
+    /// monotonicity keeps the entries ascending.
     fn remap(&mut self, remap: &RowIdRemap) {
-        remap.remap_sorted_in_place(&mut self.rows);
-    }
-}
-
-/// Insert `row` into an ascending id list (`O(1)` for the append case).
-fn insert_sorted(rows: &mut Vec<RowId>, row: RowId) {
-    match rows.last() {
-        Some(&last) if last >= row => {
-            let pos = rows.partition_point(|&r| r < row);
-            rows.insert(pos, row);
-        }
-        _ => rows.push(row),
-    }
-}
-
-/// Remove `row` from an ascending id list (no-op if absent).
-fn remove_sorted(rows: &mut Vec<RowId>, row: RowId) {
-    if let Ok(pos) = rows.binary_search(&row) {
-        rows.remove(pos);
+        self.entries.remap(remap);
     }
 }
 
@@ -308,8 +273,9 @@ pub enum Placement {
 ///
 /// Rows arrive one at a time via [`BlockingPartition::insert`] and leave
 /// via [`BlockingPartition::remove`]; each op touches exactly one block
-/// (`O(1)` amortized for appends, `O(affected block)` for removals and
-/// out-of-order re-inserts — never `O(partition)`), and per-key
+/// (`O(1)` amortized for appends, `O(log block + RUN_CAP)` for removals
+/// and out-of-order re-inserts, since rows are kept as ascending runs of
+/// at most `RUN_CAP` = 1024 — never `O(block)`), and per-key
 /// [`EntryStats`] deltas are maintained as rows come and go. `None` as
 /// the keyer blocks on the whole LHS value (the wildcard-LHS fallback of
 /// variable detection).
@@ -328,8 +294,10 @@ pub struct BlockingPartition {
     /// allocates nothing beyond interning a genuinely new key.
     key_buf: String,
     blocks: FxHashMap<ValueId, KeyBlock>,
-    unmatched: Vec<RowId>,
-    null_rows: Vec<RowId>,
+    /// Rows whose LHS did not match, and rows with a null LHS, kept as
+    /// ascending runs like each block's rows.
+    unmatched: Runs<()>,
+    null_rows: Runs<()>,
     /// LHS value id → key memo: the per-`(pattern, ValueId)` memo that
     /// bounds capture extraction to once per distinct LHS value.
     key_cache: FxHashMap<ValueId, Option<ValueId>>,
@@ -382,8 +350,8 @@ impl BlockingPartition {
             engine,
             key_buf: String::new(),
             blocks: FxHashMap::default(),
-            unmatched: Vec::new(),
-            null_rows: Vec::new(),
+            unmatched: Runs::default(),
+            null_rows: Runs::default(),
             key_cache: FxHashMap::default(),
             key_evals: 0,
             key_lookups: 0,
@@ -403,12 +371,13 @@ impl BlockingPartition {
             .then(|| ValuePool::intern(key_buf))
     }
 
-    /// Insert one row (interned cells). Appends (nondecreasing `RowId`)
-    /// are `O(1)` amortized; re-inserting an older id — an update
-    /// landing back on its slot — pays the affected block's shift cost.
+    /// Insert one row (interned cells). Appends (increasing `RowId`) are
+    /// `O(1)` amortized; re-inserting an older id — an update landing
+    /// back on its slot — shifts entries within one run:
+    /// `O(log block + RUN_CAP)`.
     pub fn insert(&mut self, row: RowId, lhs: ValueId, rhs: ValueId) -> Placement {
         if lhs.is_null() {
-            insert_sorted(&mut self.null_rows, row);
+            self.null_rows.insert(row, ());
             return Placement::NullLhs;
         }
         let key = match &self.keyer {
@@ -427,7 +396,7 @@ impl BlockingPartition {
                 Placement::Block(k)
             }
             None => {
-                insert_sorted(&mut self.unmatched, row);
+                self.unmatched.insert(row, ());
                 Placement::Unmatched
             }
         }
@@ -435,11 +404,11 @@ impl BlockingPartition {
 
     /// Remove one row, given the LHS id it was inserted under — the exact
     /// inverse of [`BlockingPartition::insert`], same `Placement` answer.
-    /// Cost is `O(affected block)`; empty blocks are dropped so
+    /// Cost is `O(log block + RUN_CAP)`; empty blocks are dropped so
     /// [`BlockingPartition::freeze`] keeps agreeing with batch blocking.
     pub fn remove(&mut self, row: RowId, lhs: ValueId) -> Placement {
         if lhs.is_null() {
-            remove_sorted(&mut self.null_rows, row);
+            self.null_rows.remove(row);
             return Placement::NullLhs;
         }
         // The key cache is per distinct LHS value, so the entry from the
@@ -466,7 +435,7 @@ impl BlockingPartition {
                 Placement::Block(k)
             }
             None => {
-                remove_sorted(&mut self.unmatched, row);
+                self.unmatched.remove(row);
                 Placement::Unmatched
             }
         }
@@ -616,16 +585,14 @@ impl BlockingPartition {
         self.blocks.len()
     }
 
-    /// Rows whose LHS did not match the pattern.
-    #[must_use]
-    pub fn unmatched(&self) -> &[RowId] {
-        &self.unmatched
+    /// Rows whose LHS did not match the pattern, in ascending order.
+    pub fn unmatched(&self) -> impl Iterator<Item = RowId> + Clone + '_ {
+        self.unmatched.rows()
     }
 
-    /// Rows with a null LHS.
-    #[must_use]
-    pub fn null_rows(&self) -> &[RowId] {
-        &self.null_rows
+    /// Rows with a null LHS, in ascending order.
+    pub fn null_rows(&self) -> impl Iterator<Item = RowId> + Clone + '_ {
+        self.null_rows.rows()
     }
 
     /// Number of actual capture extractions performed. Bounded by the
@@ -657,8 +624,8 @@ impl BlockingPartition {
         for block in self.blocks.values_mut() {
             block.remap(remap);
         }
-        remap.remap_sorted_in_place(&mut self.unmatched);
-        remap.remap_sorted_in_place(&mut self.null_rows);
+        self.unmatched.remap(remap);
+        self.null_rows.remap(remap);
     }
 
     /// Snapshot into the batch [`Blocks`] shape (sorted keys), for parity
@@ -668,13 +635,13 @@ impl BlockingPartition {
         let mut blocks: Vec<(ValueId, Vec<RowId>)> = self
             .blocks
             .iter()
-            .map(|(k, b)| (*k, b.rows.clone()))
+            .map(|(k, b)| (*k, b.rows().collect()))
             .collect();
         blocks.sort_by_cached_key(|(k, _)| k.render());
         Blocks {
             blocks,
-            unmatched: self.unmatched.clone(),
-            null_rows: self.null_rows.clone(),
+            unmatched: self.unmatched().collect(),
+            null_rows: self.null_rows().collect(),
         }
     }
 }
@@ -811,8 +778,8 @@ mod tests {
         p.insert(1, id("x"), id("2"));
         p.insert(2, ValueId::NULL, id("3"));
         assert_eq!(p.block_count(), 1);
-        assert_eq!(p.block_by_str("x").unwrap().rows(), &[0, 1]);
-        assert_eq!(p.null_rows(), &[2]);
+        assert!(p.block_by_str("x").unwrap().rows().eq([0, 1]));
+        assert!(p.null_rows().eq([2]));
         let pairs: Vec<_> = p.block_by_str("x").unwrap().rows_with_rhs().collect();
         assert_eq!(pairs, vec![(0, Some("1")), (1, Some("2"))]);
     }
@@ -878,7 +845,7 @@ mod tests {
         p.insert(2, id("90003"), id("Los Angeles"));
         assert_eq!(p.remove(1, id("90002")), Placement::Block(id("900")));
         let block = p.block_by_str("900").unwrap();
-        assert_eq!(block.rows(), &[0, 2]);
+        assert!(block.rows().eq([0, 2]));
         assert_eq!(block.majority(), Some("Los Angeles"));
         assert!(block.is_consistent());
         let stats = block.stats();
@@ -900,8 +867,8 @@ mod tests {
         p.insert(2, id("abc"), id("z"));
         assert_eq!(p.remove(0, id("123")), Placement::Unmatched);
         assert_eq!(p.remove(1, ValueId::NULL), Placement::NullLhs);
-        assert!(p.unmatched().is_empty());
-        assert!(p.null_rows().is_empty());
+        assert_eq!(p.unmatched().count(), 0);
+        assert_eq!(p.null_rows().count(), 0);
         assert_eq!(p.block_count(), 1);
     }
 
@@ -916,7 +883,7 @@ mod tests {
         p.remove(2, id("k"));
         p.insert(2, id("k"), id("v2"));
         let block = p.block_by_str("k").unwrap();
-        assert_eq!(block.rows(), &[0, 1, 2, 3, 4]);
+        assert!(block.rows().eq([0, 1, 2, 3, 4]));
         let pairs: Vec<_> = block.rows_with_rhs().collect();
         assert_eq!(pairs[2], (2, Some("v2")));
         assert_eq!(block.majority(), Some("v1"));
@@ -1047,6 +1014,281 @@ mod tests {
             p.insert(2, id("k"), id(first));
             p.insert(3, id("k"), id(second));
             assert_eq!(p.block_by_str("k").unwrap().majority(), Some("b-tie"));
+        }
+    }
+
+    /// Multi-run coverage: one block driven through thousands of ops
+    /// that cross run boundaries, checked against a `BTreeMap` model of
+    /// the live rows. See `multi_run_block_matches_btreemap_model`.
+    mod multi_run {
+        use super::*;
+        use crate::runs::{MERGE_BELOW, RUN_CAP, SPLIT_AT};
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeMap;
+
+        /// Live rows: `RowId → (lhs, rhs)`.
+        type Model = BTreeMap<RowId, (ValueId, ValueId)>;
+
+        fn cases(default: u32) -> u32 {
+            std::env::var("PROPTEST_CASES")
+                .ok()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(default)
+        }
+
+        fn zip() -> ConstrainedPattern {
+            "[\\D{3}]\\D{2}".parse().unwrap()
+        }
+
+        /// A block-bound LHS (key `900`), an unmatched one, or a null.
+        fn lhs(rng: &mut StdRng) -> ValueId {
+            match rng.random_range(0..10) {
+                0 => id("mr-unmatched"),
+                1 => ValueId::NULL,
+                n => id(&format!("900{n:02}")),
+            }
+        }
+
+        /// A skewed RHS, so majorities hold for a while and then flip.
+        fn rhs(rng: &mut StdRng) -> ValueId {
+            match rng.random_range(0..8) {
+                0..=2 => id("mr-alpha"),
+                3..=5 => id("mr-beta"),
+                6 => id("mr-gamma"),
+                _ => ValueId::NULL,
+            }
+        }
+
+        fn block_rows(model: &Model) -> Vec<(RowId, ValueId)> {
+            model
+                .iter()
+                .filter(|(_, (lhs, _))| lhs.as_str().is_some_and(|s| s.starts_with("900")))
+                .map(|(&row, &(_, rhs))| (row, rhs))
+                .collect()
+        }
+
+        fn model_majority(rows: &[(RowId, ValueId)]) -> Option<ValueId> {
+            let mut counts: BTreeMap<&str, (usize, ValueId)> = BTreeMap::new();
+            for &(_, rhs) in rows {
+                if let Some(s) = rhs.as_str() {
+                    counts.entry(s).or_insert((0, rhs)).0 += 1;
+                }
+            }
+            // Most rows; ties go to the smaller string (first in order).
+            let mut best: Option<(usize, ValueId)> = None;
+            for &(count, rhs) in counts.values() {
+                if best.is_none_or(|(c, _)| count > c) {
+                    best = Some((count, rhs));
+                }
+            }
+            best.map(|(_, rhs)| rhs)
+        }
+
+        /// Same iteration, `len`, majority, and stats as the model, and
+        /// every run list structurally sound.
+        fn check(p: &BlockingPartition, model: &Model) {
+            let expected = block_rows(model);
+            match p.block(id("900")) {
+                None => assert!(expected.is_empty(), "block vanished early"),
+                Some(block) => {
+                    block.entries.assert_invariants();
+                    assert_eq!(block.len(), expected.len());
+                    assert!(block.rows_with_rhs_ids().eq(expected.iter().copied()));
+                    assert_eq!(block.majority_id(), model_majority(&expected));
+                    assert_eq!(block.stats().support, expected.len());
+                }
+            }
+            p.unmatched.assert_invariants();
+            p.null_rows.assert_invariants();
+            let rows_of = |want: Option<&str>| -> Vec<RowId> {
+                model
+                    .iter()
+                    .filter(|(_, (lhs, _))| lhs.as_str() == want)
+                    .map(|(&row, _)| row)
+                    .collect()
+            };
+            assert_eq!(
+                p.unmatched().collect::<Vec<_>>(),
+                rows_of(Some("mr-unmatched"))
+            );
+            assert_eq!(p.null_rows().collect::<Vec<_>>(), rows_of(None));
+        }
+
+        /// The table the model describes: slots `0..slots`, dead ones
+        /// tombstoned.
+        fn table_of(model: &Model, slots: usize) -> Table {
+            let mut table = Table::empty(Schema::new(["zip", "city"]).unwrap());
+            for row in 0..slots {
+                let (lhs, rhs) = model
+                    .get(&row)
+                    .copied()
+                    .unwrap_or((ValueId::NULL, ValueId::NULL));
+                table.push_id_row(vec![lhs, rhs]).unwrap();
+            }
+            for row in 0..slots {
+                if !model.contains_key(&row) {
+                    table.delete_row(row).unwrap();
+                }
+            }
+            table
+        }
+
+        /// `freeze()` parity with batch blocking over the same live rows.
+        fn check_freeze(p: &BlockingPartition, model: &Model, slots: usize) {
+            let batch = BlockingIndex::block(&table_of(model, slots), 0, &zip());
+            let frozen = p.freeze();
+            assert_eq!(frozen.blocks, batch.blocks);
+            assert_eq!(frozen.unmatched, batch.unmatched);
+            assert_eq!(frozen.null_rows, batch.null_rows);
+        }
+
+        fn block_runs(p: &BlockingPartition) -> usize {
+            p.block(id("900")).map_or(0, |b| b.entries.run_count())
+        }
+
+        fn insert(
+            p: &mut BlockingPartition,
+            model: &mut Model,
+            row: RowId,
+            l: ValueId,
+            r: ValueId,
+        ) {
+            p.insert(row, l, r);
+            model.insert(row, (l, r));
+        }
+
+        fn remove(p: &mut BlockingPartition, model: &mut Model, row: RowId) {
+            let (l, _) = model.remove(&row).expect("row is live");
+            p.remove(row, l);
+        }
+
+        /// Appends across three runs, then each structural path in turn:
+        /// an out-of-order insert splits a full run, thinning a run below
+        /// a quarter of the cap merges it, and draining a run that fits
+        /// nowhere drops it.
+        fn scripted(p: &mut BlockingPartition, model: &mut Model) -> usize {
+            let slots = RUN_CAP * 3;
+            for row in 0..slots {
+                let l = if row % 4 == 3 {
+                    id("mr-unmatched")
+                } else {
+                    id("90001")
+                };
+                insert(
+                    p,
+                    model,
+                    row,
+                    l,
+                    id(if row % 3 == 0 { "mr-beta" } else { "mr-alpha" }),
+                );
+            }
+            // 3/4 of the rows block: two full runs and a half-full one.
+            assert_eq!(block_runs(p), 3);
+            check(p, model);
+            // Row 3 moves from the unmatched list into the first, full
+            // run: it splits.
+            remove(p, model, 3);
+            insert(p, model, 3, id("90002"), id("mr-beta"));
+            assert_eq!(block_runs(p), 4);
+            check(p, model);
+            // The lower half holds `SPLIT_AT + 1` rows; thinning it below
+            // `MERGE_BELOW` merges it into the upper half.
+            let lowest: Vec<RowId> = block_rows(model).iter().map(|&(r, _)| r).collect();
+            let thin = SPLIT_AT + 1 - (MERGE_BELOW - 1);
+            for &row in &lowest[..thin - 1] {
+                remove(p, model, row);
+            }
+            assert_eq!(block_runs(p), 4);
+            remove(p, model, lowest[thin - 1]);
+            assert_eq!(block_runs(p), 3);
+            check(p, model);
+            // The last run fits into no neighbour: it shrinks in place
+            // until it empties, then drops.
+            let tail_len = (slots * 3 / 4) % RUN_CAP;
+            let highest: Vec<RowId> = block_rows(model).iter().rev().map(|&(r, _)| r).collect();
+            for &row in &highest[..tail_len] {
+                remove(p, model, row);
+            }
+            assert_eq!(block_runs(p), 2);
+            check(p, model);
+            check_freeze(p, model, slots);
+            slots
+        }
+
+        /// Random appends, removals, re-inserts of removed ids, and
+        /// in-place moves (remove + re-insert of the same id under a new
+        /// LHS and RHS, as an update does). Returns the new slot count.
+        fn random_ops(
+            p: &mut BlockingPartition,
+            model: &mut Model,
+            rng: &mut StdRng,
+            mut slots: usize,
+            ops: usize,
+        ) -> usize {
+            let mut removed: Vec<RowId> = Vec::new();
+            for step in 0..ops {
+                match rng.random_range(0..20) {
+                    0..=6 => {
+                        let (l, r) = (lhs(rng), rhs(rng));
+                        insert(p, model, slots, l, r);
+                        slots += 1;
+                    }
+                    7..=11 if !model.is_empty() => {
+                        let nth = rng.random_range(0..model.len());
+                        let row = *model.keys().nth(nth).unwrap();
+                        remove(p, model, row);
+                        removed.push(row);
+                    }
+                    12..=15 if !removed.is_empty() => {
+                        let row = removed.swap_remove(rng.random_range(0..removed.len()));
+                        let (l, r) = (lhs(rng), rhs(rng));
+                        insert(p, model, row, l, r);
+                    }
+                    _ if !model.is_empty() => {
+                        let nth = rng.random_range(0..model.len());
+                        let row = *model.keys().nth(nth).unwrap();
+                        remove(p, model, row);
+                        let (l, r) = (lhs(rng), rhs(rng));
+                        insert(p, model, row, l, r);
+                    }
+                    _ => {}
+                }
+                if step % 61 == 0 {
+                    check(p, model);
+                }
+            }
+            check(p, model);
+            check_freeze(p, model, slots);
+            slots
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(cases(3)))]
+
+            /// One block through thousands of in-order inserts,
+            /// out-of-order re-inserts, removals, and a compaction remap,
+            /// against a `BTreeMap` model of the live rows (the block's
+            /// share of it is a `RowId → rhs` map): same iteration,
+            /// `len`, and majority, `freeze()` parity with
+            /// [`BlockingIndex::block`], and the run invariant (non-empty,
+            /// within the cap, ascending, disjoint) after every check.
+            #[test]
+            fn multi_run_block_matches_btreemap_model(seed in any::<u64>()) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut p = BlockingPartition::new(Some(zip()));
+                let mut model = Model::new();
+                let slots = scripted(&mut p, &mut model);
+                let slots = random_ops(&mut p, &mut model, &mut rng, slots, 3000);
+                let remap = table_of(&model, slots).compact();
+                p.apply_remap(&remap);
+                model = model.into_iter().map(|(row, cells)| (remap.live_id(row), cells)).collect();
+                check(&p, &model);
+                check_freeze(&p, &model, remap.new_slots());
+                random_ops(&mut p, &mut model, &mut rng, remap.new_slots(), 2000);
+                prop_assert!(block_runs(&p) > 1, "the block must span several runs");
+            }
         }
     }
 }

@@ -41,6 +41,7 @@
 pub mod blocking;
 pub mod inverted;
 pub mod pattern_index;
+mod runs;
 pub mod trie;
 
 pub use blocking::{BlockingIndex, BlockingPartition, Blocks, KeyBlock, Placement};

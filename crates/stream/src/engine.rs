@@ -20,11 +20,14 @@
 //!   at most once per distinct LHS value) — a new row joins exactly one
 //!   block, and the block's asserted violations are updated along one of
 //!   three transition paths (see the private `BlockState`): `O(1)` for
-//!   the common arrivals, `O(affected block)` only on a majority flip,
-//!   with retractions flowing through the [`ViolationLedger`].
+//!   the common arrivals, `O(block)` only on a majority flip, with
+//!   retractions flowing through the [`ViolationLedger`].
 //!
-//! Per-insert cost is `O(tableau)` for constant tuples plus `O(1)`
-//! amortized for variable tuples — never `O(table)`.
+//! No op costs `O(table)`. A batch is validated in `O(batch)`
+//! (`validate_ops`). Per op, constant tuples cost `O(tableau)`; a
+//! variable tuple places or withdraws the row in `O(1)` for an append
+//! and `O(log block + run cap)` otherwise (blocks keep their rows as
+//! short ascending runs), plus the transition path above.
 
 use crate::drift::{DriftMonitor, DriftReport, RuleHealth};
 use anmat_core::detect::constant::violation_at;
@@ -212,66 +215,88 @@ pub(crate) fn apply_deltas(
     }
 }
 
-/// The table-shape of one [`RowOp`], for batch pre-validation.
-pub(crate) enum OpShape {
-    Insert { arity: usize },
-    Delete { row: RowId },
-    Update { row: RowId, arity: usize },
+/// A [`RowOp`] with its cells interned: what both engines validate,
+/// prime, and execute (and what the sharded engine ships to its workers
+/// — ids are `Copy`, so no string is cloned).
+#[derive(Debug, Clone)]
+pub(crate) enum IdOp {
+    Insert(Vec<ValueId>),
+    Delete(RowId),
+    Update(RowId, Vec<ValueId>),
 }
 
-impl OpShape {
-    pub(crate) fn of(op: &RowOp) -> OpShape {
+impl IdOp {
+    /// Intern one op's cells (one pool lock acquisition per record).
+    pub(crate) fn intern(op: RowOp) -> IdOp {
         match op {
-            RowOp::Insert(cells) => OpShape::Insert { arity: cells.len() },
-            RowOp::Delete(row) => OpShape::Delete { row: *row },
-            RowOp::Update(row, cells) => OpShape::Update {
-                row: *row,
-                arity: cells.len(),
-            },
+            RowOp::Insert(cells) => IdOp::Insert(ValuePool::intern_value_batch(&cells)),
+            RowOp::Delete(row) => IdOp::Delete(row),
+            RowOp::Update(row, cells) => IdOp::Update(row, ValuePool::intern_value_batch(&cells)),
+        }
+    }
+
+    /// The cells an insert or update brings in (`None` for a delete).
+    pub(crate) fn arriving(&self) -> Option<&[ValueId]> {
+        match self {
+            IdOp::Insert(cells) | IdOp::Update(_, cells) => Some(cells),
+            IdOp::Delete(_) => None,
         }
     }
 }
 
-/// Validate a whole op batch against a simulation of `table`'s live set
-/// (arity of every insert/update, liveness of every addressed row *at
-/// its point in the sequence*) before any op executes — the atomicity
-/// guarantee both engines give: a malformed op-log leaves the engine
-/// untouched.
-pub(crate) fn validate_shapes(
-    table: &Table,
-    shapes: impl IntoIterator<Item = OpShape>,
-) -> Result<(), TableError> {
+/// Validate a whole op batch against `table`'s live set as the batch
+/// itself evolves it (arity of every insert/update, liveness of every
+/// addressed row *at its point in the sequence*) before any op executes
+/// — the atomicity guarantee both engines give: a malformed op-log
+/// leaves the engine untouched.
+///
+/// `O(batch)`: only the batch's own effect is tracked (how many slots it
+/// appended, which slots it deleted); every other slot answers from
+/// [`Table::is_live`].
+pub(crate) fn validate_ops(table: &Table, ops: &[IdOp]) -> Result<(), TableError> {
     let arity = table.schema().arity();
-    let mut live: Vec<bool> = (0..table.row_count()).map(|r| table.is_live(r)).collect();
-    for shape in shapes {
-        match shape {
-            OpShape::Insert { arity: found } => {
-                if found != arity {
-                    return Err(TableError::ArityMismatch {
-                        row: live.len(),
-                        found,
-                        expected: arity,
-                    });
-                }
-                live.push(true);
+    let check_arity = |row: RowId, cells: &[ValueId]| {
+        if cells.len() == arity {
+            Ok(())
+        } else {
+            Err(TableError::ArityMismatch {
+                row,
+                found: cells.len(),
+                expected: arity,
+            })
+        }
+    };
+    // The batch's own effect so far: it appended slots `base..next_slot`
+    // and deleted the slots in `deleted`. Every other slot answers from
+    // the table.
+    let base = table.row_count();
+    let mut next_slot = base;
+    let mut deleted: FxHashSet<RowId> = FxHashSet::default();
+    let require_live = |next_slot: usize, deleted: &FxHashSet<RowId>, row: RowId| {
+        let live = if row < base {
+            table.is_live(row)
+        } else {
+            row < next_slot
+        };
+        if live && !deleted.contains(&row) {
+            Ok(())
+        } else {
+            Err(TableError::NoSuchRow { row })
+        }
+    };
+    for op in ops {
+        match op {
+            IdOp::Insert(cells) => {
+                check_arity(next_slot, cells)?;
+                next_slot += 1;
             }
-            OpShape::Delete { row } => {
-                if !live.get(row).copied().unwrap_or(false) {
-                    return Err(TableError::NoSuchRow { row });
-                }
-                live[row] = false;
+            &IdOp::Delete(row) => {
+                require_live(next_slot, &deleted, row)?;
+                deleted.insert(row);
             }
-            OpShape::Update { row, arity: found } => {
-                if found != arity {
-                    return Err(TableError::ArityMismatch {
-                        row,
-                        found,
-                        expected: arity,
-                    });
-                }
-                if !live.get(row).copied().unwrap_or(false) {
-                    return Err(TableError::NoSuchRow { row });
-                }
+            IdOp::Update(row, cells) => {
+                check_arity(*row, cells)?;
+                require_live(next_slot, &deleted, *row)?;
             }
         }
     }
@@ -1573,23 +1598,6 @@ impl StreamEngine {
         self.push_row(row.into_iter().map(Value::from_field).collect())
     }
 
-    /// Validate every row's arity before any row of a batch is ingested,
-    /// so a malformed batch leaves the engine untouched and no emitted
-    /// event is ever lost to an `Err`.
-    fn validate_batch_arity<T>(&self, rows: &[Vec<T>]) -> Result<(), TableError> {
-        let arity = self.table.schema().arity();
-        for (offset, row) in rows.iter().enumerate() {
-            if row.len() != arity {
-                return Err(TableError::ArityMismatch {
-                    row: self.table.row_count() + offset,
-                    found: row.len(),
-                    expected: arity,
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Ingest a batch of rows; returns the concatenated events.
     ///
     /// Atomic with respect to errors: every row's arity is validated
@@ -1599,27 +1607,10 @@ impl StreamEngine {
         &mut self,
         rows: impl IntoIterator<Item = Vec<Value>>,
     ) -> Result<Vec<LedgerEvent>, TableError> {
-        let _batch = obs::span!("engine.batch_ns");
-        let rows: Vec<Vec<Value>> = rows.into_iter().collect();
-        {
-            let _validate = obs::span!("engine.validate_ns");
-            self.validate_batch_arity(&rows)?;
-        }
-        let _apply = obs::span!("engine.apply_ns");
-        obs::counter!("engine.ops").add(rows.len() as u64);
-        // Intern once up front, then batch-classify each rule's caches
-        // over the batch's new distinct ids before any per-row work.
-        let rows: Vec<Vec<ValueId>> = rows
-            .iter()
-            .map(|r| ValuePool::intern_value_batch(r))
-            .collect();
-        self.prime_rules(&rows);
-        let mut events = Vec::new();
-        for row in rows {
-            events.extend(self.push_id_row(row).expect("arity pre-validated"));
-        }
-        obs::counter!("engine.events").add(events.len() as u64);
-        Ok(events)
+        self.run_ops(
+            rows.into_iter()
+                .map(|r| IdOp::Insert(ValuePool::intern_value_batch(&r))),
+        )
     }
 
     /// Ingest a batch of already-interned rows; returns the concatenated
@@ -1629,31 +1620,43 @@ impl StreamEngine {
         &mut self,
         rows: impl IntoIterator<Item = Vec<ValueId>>,
     ) -> Result<Vec<LedgerEvent>, TableError> {
-        let _batch = obs::span!("engine.batch_ns");
-        let rows: Vec<Vec<ValueId>> = rows.into_iter().collect();
-        {
-            let _validate = obs::span!("engine.validate_ns");
-            self.validate_batch_arity(&rows)?;
-        }
-        let _apply = obs::span!("engine.apply_ns");
-        obs::counter!("engine.ops").add(rows.len() as u64);
-        self.prime_rules(&rows);
-        let mut events = Vec::new();
-        for row in rows {
-            events.extend(self.push_id_row(row).expect("arity pre-validated"));
-        }
-        obs::counter!("engine.events").add(events.len() as u64);
-        Ok(events)
+        self.run_ops(rows.into_iter().map(IdOp::Insert))
     }
 
-    /// Batch-classify: prime every rule's per-distinct-value caches over
-    /// a batch's insert rows in one pass, ahead of the per-row loop (see
-    /// [`RuleState::prime_batch`] — count-neutral by construction).
-    fn prime_rules(&mut self, rows: &[Vec<ValueId>]) {
-        let refs: Vec<&[ValueId]> = rows.iter().map(Vec::as_slice).collect();
-        for rule in &mut self.rules {
-            rule.prime_batch(&refs);
+    /// The one batch path every batch entry point lowers to: intern
+    /// (lazily, as `ops` is collected), validate the whole batch,
+    /// batch-classify each rule's caches over the arriving rows (see
+    /// [`RuleState::prime_batch`] — count-neutral by construction), then
+    /// execute op by op on ids. The whole batch addresses one id space,
+    /// so the auto-compaction check waits until after the loop.
+    fn run_ops(
+        &mut self,
+        ops: impl IntoIterator<Item = IdOp>,
+    ) -> Result<Vec<LedgerEvent>, TableError> {
+        let _batch = obs::span!("engine.batch_ns");
+        let ops: Vec<IdOp> = ops.into_iter().collect();
+        {
+            let _validate = obs::span!("engine.validate_ns");
+            validate_ops(&self.table, &ops)?;
         }
+        let _apply = obs::span!("engine.apply_ns");
+        obs::counter!("engine.ops").add(ops.len() as u64);
+        let arriving: Vec<&[ValueId]> = ops.iter().filter_map(IdOp::arriving).collect();
+        for rule in &mut self.rules {
+            rule.prime_batch(&arriving);
+        }
+        let mut events = Vec::new();
+        for op in ops {
+            let batch = match op {
+                IdOp::Insert(cells) => self.push_id_row(cells),
+                IdOp::Delete(row) => self.delete_row_inner(row),
+                IdOp::Update(row, cells) => self.update_id_row(row, cells),
+            };
+            events.extend(batch.expect("ops pre-validated"));
+        }
+        self.maybe_compact();
+        obs::counter!("engine.events").add(events.len() as u64);
+        Ok(events)
     }
 
     /// Replay an existing table's *live* rows in row order (the table's
@@ -1700,8 +1703,9 @@ impl StreamEngine {
 
     /// Delete one live row; returns the retractions it causes (plus any
     /// creations where a block's majority flipped). Cost is
-    /// `O(tableau)` for constant tuples and `O(affected block)` for
-    /// variable tuples — never `O(table)`. The slot is tombstoned, so
+    /// `O(tableau)` for constant tuples and `O(log block + run cap)` for
+    /// variable tuples, plus `O(block)` only where the delete flips a
+    /// block's majority — never `O(table)`. The slot is tombstoned, so
     /// every other `RowId` stays valid — until auto-compaction (if
     /// enabled) crosses its threshold at the end of this call and
     /// renumbers; watch [`StreamEngine::epoch`].
@@ -1761,50 +1765,17 @@ impl StreamEngine {
 
     /// Apply a batch of [`RowOp`]s; returns the concatenated events.
     ///
-    /// Atomic with respect to errors, like the push-batch entry points:
-    /// the whole batch is validated against a simulation of the
-    /// engine's live set (arity of every insert/update, liveness of
-    /// every addressed row *at its point in the sequence*) before any
-    /// op executes, so a malformed op-log leaves the engine untouched.
+    /// Each record is interned once. Atomic with respect to errors, like
+    /// the push-batch entry points: the whole batch is validated (in
+    /// `O(batch)`) against the engine's live set as the batch evolves it
+    /// — arity of every insert/update, liveness of every addressed row
+    /// *at its point in the sequence* — before any op executes, so a
+    /// malformed op-log leaves the engine untouched.
     pub fn apply(
         &mut self,
         ops: impl IntoIterator<Item = RowOp>,
     ) -> Result<Vec<LedgerEvent>, TableError> {
-        let _batch = obs::span!("engine.batch_ns");
-        let ops: Vec<RowOp> = ops.into_iter().collect();
-        {
-            let _validate = obs::span!("engine.validate_ns");
-            validate_shapes(&self.table, ops.iter().map(OpShape::of))?;
-        }
-        let _apply = obs::span!("engine.apply_ns");
-        obs::counter!("engine.ops").add(ops.len() as u64);
-        // Batch-classify over the insert/update rows before any op
-        // executes (the per-op path below re-interns each cell, which is
-        // a pool hash hit once this pass has interned it).
-        let arriving: Vec<Vec<ValueId>> = ops
-            .iter()
-            .filter_map(|op| match op {
-                RowOp::Insert(cells) | RowOp::Update(_, cells) => {
-                    Some(ValuePool::intern_value_batch(cells))
-                }
-                RowOp::Delete(_) => None,
-            })
-            .collect();
-        self.prime_rules(&arriving);
-        let mut events = Vec::new();
-        for op in ops {
-            // Inner variants: the whole batch addresses one id space, so
-            // the auto-compaction check waits until after the loop.
-            let batch = match op {
-                RowOp::Insert(cells) => self.push_row(cells),
-                RowOp::Delete(row) => self.delete_row_inner(row),
-                RowOp::Update(row, cells) => self.update_row(row, cells),
-            };
-            events.extend(batch.expect("ops pre-validated"));
-        }
-        self.maybe_compact();
-        obs::counter!("engine.events").add(events.len() as u64);
-        Ok(events)
+        self.run_ops(ops.into_iter().map(IdOp::intern))
     }
 
     /// The ledger of live violations.
@@ -1928,6 +1899,9 @@ mod tests {
     use super::*;
     use anmat_core::{detect_all, PatternTuple, ViolationKind};
     use anmat_pattern::ConstrainedPattern;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn q(s: &str) -> ConstrainedPattern {
         s.parse().unwrap()
@@ -2381,6 +2355,120 @@ mod tests {
         match &after[0].kind {
             ViolationKind::Variable { witnesses, .. } => assert_eq!(witnesses, &vec![1]),
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// The reference validator [`validate_ops`] replaced: it copies the
+    /// liveness of every slot of the table, then simulates the batch on
+    /// the copy — `O(table)` per call.
+    fn validate_ops_full_copy(table: &Table, ops: &[IdOp]) -> Result<(), TableError> {
+        let arity = table.schema().arity();
+        let mut live: Vec<bool> = (0..table.row_count()).map(|r| table.is_live(r)).collect();
+        for op in ops {
+            match op {
+                IdOp::Insert(cells) => {
+                    if cells.len() != arity {
+                        return Err(TableError::ArityMismatch {
+                            row: live.len(),
+                            found: cells.len(),
+                            expected: arity,
+                        });
+                    }
+                    live.push(true);
+                }
+                &IdOp::Delete(row) => {
+                    if !live.get(row).copied().unwrap_or(false) {
+                        return Err(TableError::NoSuchRow { row });
+                    }
+                    live[row] = false;
+                }
+                IdOp::Update(row, cells) => {
+                    if cells.len() != arity {
+                        return Err(TableError::ArityMismatch {
+                            row: *row,
+                            found: cells.len(),
+                            expected: arity,
+                        });
+                    }
+                    if !live.get(*row).copied().unwrap_or(false) {
+                        return Err(TableError::NoSuchRow { row: *row });
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// A random op batch against `table`, biased towards the cases the
+    /// overlay must get right: rows this batch already deleted (double
+    /// deletes, update-after-delete), slots it inserted earlier, ids at
+    /// and past the end of the table, and the occasional wrong arity.
+    fn random_batch(rng: &mut StdRng, table: &Table) -> Vec<IdOp> {
+        let cells = |rng: &mut StdRng| {
+            let arity = if rng.random_bool(0.05) { 1 } else { 2 };
+            vec![ValuePool::intern("validator-cell"); arity]
+        };
+        let mut slots = table.row_count();
+        let mut touched: Vec<RowId> = Vec::new();
+        let mut ops = Vec::new();
+        for _ in 0..rng.random_range(1..24) {
+            let row = if !touched.is_empty() && rng.random_bool(0.4) {
+                touched[rng.random_range(0..touched.len())]
+            } else {
+                rng.random_range(0..slots + 3)
+            };
+            match rng.random_range(0..3) {
+                0 => {
+                    ops.push(IdOp::Insert(cells(rng)));
+                    touched.push(slots);
+                    slots += 1;
+                }
+                1 => {
+                    ops.push(IdOp::Delete(row));
+                    touched.push(row);
+                }
+                _ => ops.push(IdOp::Update(row, cells(rng))),
+            }
+        }
+        ops
+    }
+
+    proptest! {
+        /// The `O(batch)` overlay validator returns exactly the full-copy
+        /// reference's `Result` — same variant, same row, same arities —
+        /// on random batches over a table that already has tombstones.
+        /// Valid batches are applied, so the table keeps growing and
+        /// accruing tombstones between batches.
+        #[test]
+        fn overlay_validator_matches_full_copy(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut table = Table::empty(schema());
+            let cell = ValuePool::intern("validator-cell");
+            for row in 0..rng.random_range(0..40) {
+                table.push_id_row(vec![cell, cell]).unwrap();
+                if rng.random_bool(0.3) {
+                    table.delete_row(row).unwrap();
+                }
+            }
+            let mut outcomes = [0usize; 2];
+            for _ in 0..64 {
+                let ops = random_batch(&mut rng, &table);
+                let overlay = validate_ops(&table, &ops);
+                let reference = validate_ops_full_copy(&table, &ops);
+                prop_assert_eq!(format!("{overlay:?}"), format!("{reference:?}"));
+                outcomes[usize::from(overlay.is_ok())] += 1;
+                if overlay.is_ok() {
+                    for op in ops {
+                        match op {
+                            IdOp::Insert(cells) => drop(table.push_id_row(cells).unwrap()),
+                            IdOp::Delete(row) => table.delete_row(row).unwrap(),
+                            IdOp::Update(row, cells) => table.update_id_row(row, cells).unwrap(),
+                        }
+                    }
+                }
+            }
+            prop_assert!(outcomes[0] > 0, "no batch was rejected");
+            prop_assert!(outcomes[1] > 0, "no batch was accepted");
         }
     }
 }

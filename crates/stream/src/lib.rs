@@ -19,9 +19,12 @@
 //!   pattern match against the value, independent of table size.
 //!   Variable tuples maintain an incremental
 //!   [`BlockingPartition`](anmat_index::BlockingPartition): an insert or
-//!   removal touches exactly the affected key's block, and only that
-//!   block's violations are re-derived and diffed. Deletes and updates
-//!   are `O(affected block)`, never `O(table)`.
+//!   removal touches exactly the affected key's block, in
+//!   `O(log block + run cap)` (blocks keep their rows as short ascending
+//!   runs), and only that block's violations are diffed. `O(block)` work
+//!   happens only when the block's majority flips and its violations are
+//!   re-derived. A batch is validated in `O(batch)`, so no op costs
+//!   `O(table)`.
 //! * An update is delete+insert *fused on one slot*: the row keeps its
 //!   `RowId` (the table tombstones deleted slots rather than moving
 //!   rows, so ids embedded in violations and ledgers never dangle) and

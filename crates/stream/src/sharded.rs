@@ -28,7 +28,7 @@
 //!
 //! # The shard/merge protocol
 //!
-//! A batch of [`RowOp`]s is validated and interned **once** by the
+//! A batch of [`RowOp`]s is interned and validated **once** by the
 //! coordinator (one `ValuePool` lock acquisition per record via
 //! `intern_value_batch`), then fanned out over bounded channels as one
 //! shared `Arc` of id-ops (plus, in key mode, the per-op route table).
@@ -93,8 +93,8 @@
 
 use crate::drift::{DriftDelta, DriftMonitor, DriftReport, RuleHealth};
 use crate::engine::{
-    apply_deltas, should_compact, validate_shapes, CompactionStats, CompiledRule, Delta, DeltaSink,
-    EngineSnapshot, OpShape, RuleState, ShardBy, StreamConfig, TupleDeltas, TupleKeySlice,
+    apply_deltas, should_compact, validate_ops, CompactionStats, CompiledRule, Delta, DeltaSink,
+    EngineSnapshot, IdOp, RuleState, ShardBy, StreamConfig, TupleDeltas, TupleKeySlice,
 };
 use anmat_core::{LedgerEvent, Pfd, RhsCell, ViolationLedger};
 use anmat_index::BlockingPartition;
@@ -123,28 +123,6 @@ pub const KEY_SLOTS: usize = 128;
 /// scatters adjacent ids across slots.
 fn slot_of_raw(raw: u32) -> usize {
     (raw.wrapping_mul(0x9E37_79B9) >> 25) as usize
-}
-
-/// A [`RowOp`] with its cells already interned — what crosses the
-/// channel (ids are `Copy`; no string is cloned into a worker).
-#[derive(Debug, Clone)]
-enum IdOp {
-    Insert(Vec<ValueId>),
-    Delete(RowId),
-    Update(RowId, Vec<ValueId>),
-}
-
-impl IdOp {
-    fn shape(&self) -> OpShape {
-        match self {
-            IdOp::Insert(cells) => OpShape::Insert { arity: cells.len() },
-            IdOp::Delete(row) => OpShape::Delete { row: *row },
-            IdOp::Update(row, cells) => OpShape::Update {
-                row: *row,
-                arity: cells.len(),
-            },
-        }
-    }
 }
 
 /// One fanned-out batch: the interned ops plus (in key mode) the
@@ -403,14 +381,7 @@ impl Worker {
         // `RuleState::prime_batch`). In key mode only the owned LHS ids
         // are primed, so summing worker memos still matches the
         // single-threaded eval count.
-        let arriving: Vec<&[ValueId]> = batch
-            .ops
-            .iter()
-            .filter_map(|op| match op {
-                IdOp::Insert(cells) | IdOp::Update(_, cells) => Some(cells.as_slice()),
-                IdOp::Delete(_) => None,
-            })
-            .collect();
+        let arriving: Vec<&[ValueId]> = batch.ops.iter().filter_map(IdOp::arriving).collect();
         match self.mode {
             ShardBy::Rule => {
                 for (_, state) in &mut self.rules {
@@ -444,12 +415,7 @@ impl Worker {
                             if batch.insert_masks[op_idx * shards + me] & bit == 0 {
                                 return None;
                             }
-                            match op {
-                                IdOp::Insert(cells) | IdOp::Update(_, cells) => {
-                                    Some(cells.as_slice())
-                                }
-                                IdOp::Delete(_) => None,
-                            }
+                            op.arriving()
                         }));
                         state.prime_batch_key(&owned, &owns);
                     }
@@ -1306,8 +1272,9 @@ impl ShardedEngine {
     }
 
     /// Apply a batch of [`RowOp`]s; returns the concatenated events.
-    /// Atomic with respect to errors (validated against a simulation of
-    /// the live set before any op executes or is fanned out). This is
+    /// Atomic with respect to errors (validated once, in `O(batch)`,
+    /// against the live set as the batch evolves it, before any op
+    /// executes or is fanned out). This is
     /// the *synchronous* path: it submits, drains the pipeline, and
     /// concatenates — including any batches still pending from earlier
     /// [`ShardedEngine::submit`] calls, so mixing the two APIs never
@@ -1316,8 +1283,7 @@ impl ShardedEngine {
         &mut self,
         ops: impl IntoIterator<Item = RowOp>,
     ) -> Result<Vec<LedgerEvent>, TableError> {
-        let id_ops = self.intern_ops(ops)?;
-        self.run_id_ops(id_ops)
+        self.run_id_ops(ops.into_iter().map(IdOp::intern).collect())
     }
 
     /// Submit a batch into the pipeline; returns every batch that
@@ -1329,9 +1295,7 @@ impl ShardedEngine {
         &mut self,
         ops: impl IntoIterator<Item = RowOp>,
     ) -> Result<Vec<BatchEvents>, TableError> {
-        let id_ops = self.intern_ops(ops)?;
-        validate_shapes(&self.table, id_ops.iter().map(IdOp::shape))?;
-        self.submit_inner(id_ops);
+        self.submit_id_ops(ops.into_iter().map(IdOp::intern).collect())?;
         Ok(std::mem::take(&mut self.completed))
     }
 
@@ -1341,9 +1305,7 @@ impl ShardedEngine {
         &mut self,
         rows: impl IntoIterator<Item = Vec<ValueId>>,
     ) -> Result<Vec<BatchEvents>, TableError> {
-        let id_ops: Vec<IdOp> = rows.into_iter().map(IdOp::Insert).collect();
-        validate_shapes(&self.table, id_ops.iter().map(IdOp::shape))?;
-        self.submit_inner(id_ops);
+        self.submit_id_ops(rows.into_iter().map(IdOp::Insert).collect())?;
         Ok(std::mem::take(&mut self.completed))
     }
 
@@ -1365,30 +1327,25 @@ impl ShardedEngine {
         )
     }
 
-    /// Validate shapes and intern every record once, coordinator-side
-    /// (one pool lock acquisition per record); workers only ever see
-    /// `Copy` ids.
-    fn intern_ops(&self, ops: impl IntoIterator<Item = RowOp>) -> Result<Vec<IdOp>, TableError> {
-        let ops: Vec<RowOp> = ops.into_iter().collect();
-        validate_shapes(&self.table, ops.iter().map(OpShape::of))?;
-        Ok(ops
-            .into_iter()
-            .map(|op| match op {
-                RowOp::Insert(cells) => IdOp::Insert(ValuePool::intern_value_batch(&cells)),
-                RowOp::Delete(row) => IdOp::Delete(row),
-                RowOp::Update(row, cells) => {
-                    IdOp::Update(row, ValuePool::intern_value_batch(&cells))
-                }
-            })
-            .collect())
-    }
-
+    /// The synchronous path: submit one id-op batch (interned once,
+    /// coordinator-side — workers only ever see `Copy` ids), drain the
+    /// pipeline, and concatenate every completed batch's events.
     fn run_id_ops(&mut self, id_ops: Vec<IdOp>) -> Result<Vec<LedgerEvent>, TableError> {
-        validate_shapes(&self.table, id_ops.iter().map(IdOp::shape))?;
-        self.submit_inner(id_ops);
+        self.submit_id_ops(id_ops)?;
         self.drain_in_flight();
         let completed = std::mem::take(&mut self.completed);
         Ok(completed.into_iter().flat_map(|b| b.events).collect())
+    }
+
+    /// Validate an id-op batch (once, in `O(batch)`) against the
+    /// canonical table, then fan it out.
+    fn submit_id_ops(&mut self, id_ops: Vec<IdOp>) -> Result<(), TableError> {
+        {
+            let _validate = obs::span!("engine.validate_ns");
+            validate_ops(&self.table, &id_ops)?;
+        }
+        self.submit_inner(id_ops);
+        Ok(())
     }
 
     /// Fan a validated id-op batch out to every worker under a fresh

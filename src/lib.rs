@@ -37,10 +37,11 @@
 //! one-shot audit. When the data changes continuously, seed a
 //! [`StreamEngine`](stream::StreamEngine) with the confirmed rules
 //! instead and feed it [`RowOp`](table::RowOp)s — inserts, deletes, and
-//! in-place updates. Each op costs `O(tableau)` on the constant-PFD
-//! path and `O(affected block)` on the variable path, never `O(table)`,
-//! and the final state provably equals batch detection on the surviving
-//! rows, whatever the interleaving.
+//! in-place updates. No op costs `O(table)`: validation is `O(batch)`,
+//! the constant-PFD path is `O(tableau)` per op, and the variable path
+//! is `O(log block + run cap)` per op, with `O(block)` work only when a
+//! block's majority flips. The final state provably equals batch
+//! detection on the surviving rows, whatever the interleaving.
 //!
 //! ## Quickstart
 //!
