@@ -8,19 +8,21 @@
 //! in profiling and streaming detection collapses onto per-distinct-value
 //! work, so throughput should rise super-linearly as the ratio drops.
 //! The per-distinct cost itself is measured across all three pattern
-//! execution tiers — AST interpreter, bytecode VM, fused single-pass
-//! matcher — and a *field-length* sweep (8/64/512-byte fields) isolates
-//! the SWAR class-scan kernel against its byte-at-a-time scalar twin.
+//! matchers — the AST interpreter (the oracle), the bytecode VM (reached
+//! on these fusible patterns through `compile_unfused`), and the fused
+//! single-pass matcher production compiles them to — and a
+//! *field-length* sweep (8/64/512-byte fields) isolates the SWAR
+//! class-scan kernel against its byte-at-a-time scalar twin.
 
 use anmat_bench::criterion;
 use anmat_core::{report, PatternTuple, Pfd};
 use anmat_datagen::{names, phone, zipcity};
 use anmat_obs as obs;
 use anmat_pattern::{
-    scan, AsciiSet, CompiledConstrained, CompiledPattern, ConstrainedPattern, PatternEngine,
-    SymbolClass,
+    match_pattern, scan, AsciiSet, CompiledConstrained, CompiledPattern, ConstrainedPattern,
+    Pattern, SymbolClass,
 };
-use anmat_stream::{StreamConfig, StreamEngine};
+use anmat_stream::StreamEngine;
 use anmat_table::{Schema, Table, TableProfile};
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
 use std::time::Instant;
@@ -71,41 +73,76 @@ fn distinct_lhs(rows: usize, ratio: f64) -> Vec<String> {
     (0..distinct).map(|k| format!("9{k:04}")).collect()
 }
 
+/// The three matchers the eval columns compare, in column order.
+#[derive(Clone, Copy)]
+enum Tier {
+    /// The AST interpreter: `match_pattern` and `ConstrainedPattern::key`.
+    Interp,
+    /// The bytecode VM, via the unfused constructors.
+    Vm,
+    /// The fused matcher, via `compile` (what production runs).
+    Fused,
+}
+
+const TIERS: [Tier; 3] = [Tier::Interp, Tier::Vm, Tier::Fused];
+
+/// Mean ns per call of `f` over `reps` calls.
+fn ns_per_call(reps: usize, mut f: impl FnMut()) -> f64 {
+    let start = Instant::now();
+    for _ in 0..reps {
+        f();
+    }
+    start.elapsed().as_secs_f64() * 1e9 / reps as f64
+}
+
 /// ns per distinct value for the per-distinct work the memoized engines
 /// actually do once per new value: one constant-pattern match plus one
-/// blocking-key derivation, evaluated on the requested execution tier.
-/// The interp/vm/fused ratios are the tentpole's headline numbers.
-fn eval_ns_per_distinct(values: &[String], engine: PatternEngine) -> f64 {
-    let pattern = "9000\\D".parse().expect("pattern");
+/// blocking-key derivation, evaluated on `tier`. The interp/vm/fused
+/// ratios are the compiled tiers' headline numbers.
+fn eval_ns_per_distinct(values: &[String], tier: Tier) -> f64 {
+    let pattern: Pattern = "9000\\D".parse().expect("pattern");
     let keyer: ConstrainedPattern = "[\\D{3}]\\D{2}".parse().expect("q");
-    let cp = CompiledPattern::compile(&pattern);
-    let cq = CompiledConstrained::compile(&keyer);
-    assert!(
-        cp.is_fused() && cq.program().is_fused(),
-        "sweep patterns are fixed-width and must take the fused tier"
-    );
-    let mut key_buf = String::new();
     // Enough repetitions that the fast tiers still accumulate a
     // wall-clock signal well above timer noise.
     let reps = (500_000 / values.len()).max(1);
-    let total = (reps * values.len()) as f64;
-    let start = Instant::now();
-    for _ in 0..reps {
-        for v in values {
-            black_box(cp.matches_with(v, engine));
-            black_box(cq.key_into_with(v, &mut key_buf, engine));
+    let compiled = |cp: CompiledPattern, cq: CompiledConstrained| {
+        let mut key_buf = String::new();
+        ns_per_call(reps, || {
+            for v in values {
+                black_box(cp.matches(v));
+                black_box(cq.key_into(v, &mut key_buf));
+            }
+        })
+    };
+    let per_pass = match tier {
+        Tier::Interp => ns_per_call(reps, || {
+            for v in values {
+                black_box(match_pattern(&pattern, v));
+                black_box(keyer.key(v));
+            }
+        }),
+        Tier::Vm => compiled(
+            CompiledPattern::compile_unfused(&pattern),
+            CompiledConstrained::compile_unfused(&keyer),
+        ),
+        Tier::Fused => {
+            let (cp, cq) = (
+                CompiledPattern::compile(&pattern),
+                CompiledConstrained::compile(&keyer),
+            );
+            assert!(
+                cp.is_fused() && cq.program().is_fused(),
+                "sweep patterns are fixed-width and must take the fused tier"
+            );
+            compiled(cp, cq)
         }
-    }
-    start.elapsed().as_secs_f64() * 1e9 / total
+    };
+    per_pass / values.len() as f64
 }
 
 /// One timed full replay; returns (rows/s, pattern_evals).
-fn ingest_rate(table: &Table, rules: &[Pfd], engine: PatternEngine) -> (f64, usize) {
-    let config = StreamConfig {
-        pattern_engine: engine,
-        ..StreamConfig::default()
-    };
-    let mut engine = StreamEngine::with_config(table.schema().clone(), rules.to_vec(), config);
+fn ingest_rate(table: &Table, rules: &[Pfd]) -> (f64, usize) {
+    let mut engine = StreamEngine::new(table.schema().clone(), rules.to_vec());
     let start = Instant::now();
     engine.replay_table(table).expect("schema matches");
     let rate = table.row_count() as f64 / start.elapsed().as_secs_f64();
@@ -114,19 +151,25 @@ fn ingest_rate(table: &Table, rules: &[Pfd], engine: PatternEngine) -> (f64, usi
 }
 
 /// Per-field ns for an unbounded digit-run (`\D{1,}`) match on
-/// `len`-byte fields, per execution tier. The run scan *is* the whole
-/// field here, so this isolates the `AtLeast` scan loop the SWAR kernel
+/// `len`-byte fields, per matcher. The run scan *is* the whole field
+/// here, so this isolates the `AtLeast` scan loop the SWAR kernel
 /// accelerates.
-fn long_field_eval_ns(len: usize, engine: PatternEngine) -> f64 {
-    let pattern = "\\D{1,}".parse().expect("pattern");
-    let cp = CompiledPattern::compile(&pattern);
+fn long_field_eval_ns(len: usize, tier: Tier) -> f64 {
+    let pattern: Pattern = "\\D{1,}".parse().expect("pattern");
     let field = "7".repeat(len);
     let reps = (40_000_000 / len).max(1_000);
-    let start = Instant::now();
-    for _ in 0..reps {
-        black_box(cp.matches_with(black_box(&field), engine));
+    let compiled = |cp: CompiledPattern| {
+        ns_per_call(reps, || {
+            black_box(cp.matches(black_box(&field)));
+        })
+    };
+    match tier {
+        Tier::Interp => ns_per_call(reps, || {
+            black_box(match_pattern(&pattern, black_box(&field)));
+        }),
+        Tier::Vm => compiled(CompiledPattern::compile_unfused(&pattern)),
+        Tier::Fused => compiled(CompiledPattern::compile(&pattern)),
     }
-    start.elapsed().as_secs_f64() * 1e9 / reps as f64
 }
 
 /// Raw scan-kernel ns per `len`-byte field: the SWAR 8-bytes-per-step
@@ -136,34 +179,20 @@ fn scan_kernel_ns(len: usize) -> (f64, f64) {
     let field = "7".repeat(len);
     let bytes = field.as_bytes();
     let reps = (80_000_000 / len).max(1_000);
-    let swar = {
-        let start = Instant::now();
-        for _ in 0..reps {
-            black_box(scan::run_len(&set, black_box(bytes), 0, len));
-        }
-        start.elapsed().as_secs_f64() * 1e9 / reps as f64
-    };
-    let scalar = {
-        let start = Instant::now();
-        for _ in 0..reps {
-            black_box(scan::run_len_scalar(&set, black_box(bytes), 0, len));
-        }
-        start.elapsed().as_secs_f64() * 1e9 / reps as f64
-    };
+    let swar = ns_per_call(reps, || {
+        black_box(scan::run_len(&set, black_box(bytes), 0, len));
+    });
+    let scalar = ns_per_call(reps, || {
+        black_box(scan::run_len_scalar(&set, black_box(bytes), 0, len));
+    });
     (swar, scalar)
 }
 
-const TIERS: [PatternEngine; 3] = [
-    PatternEngine::Interp,
-    PatternEngine::Vm,
-    PatternEngine::Fused,
-];
-
 /// The machine-readable artifact (mirrors `BENCH_fig6.json`): for each
-/// distinct-ratio point, per-tier ingest rows/s and per-distinct eval
-/// ns; for each field length, per-tier `AtLeast`-scan eval ns plus the
-/// raw SWAR-vs-scalar kernel figures; and the end-of-run metrics
-/// registry of a default-engine replay (which carries
+/// distinct-ratio point, ingest rows/s and per-matcher per-distinct
+/// eval ns; for each field length, per-matcher `AtLeast`-scan eval ns
+/// plus the raw SWAR-vs-scalar kernel figures; and the end-of-run
+/// metrics registry of a stream replay (which carries
 /// `pattern.fused_evals` / `pattern.vm_evals` / `pattern.interp_evals`
 /// / `pattern.compile_ns`).
 fn write_fig3_json(rows: usize, sweep: &[SweepPoint], fields: &[FieldPoint]) {
@@ -182,27 +211,19 @@ fn write_fig3_json(rows: usize, sweep: &[SweepPoint], fields: &[FieldPoint]) {
         }
         points.push_str(&format!(
             "    {{\n      \"pct_distinct\": {},\n      \"distinct\": {},\n      \
-             \"pattern_evals\": {},\n      \"interp\": {{\n        \
-             \"ingest_rows_per_sec\": {:.0},\n        \"eval_ns_per_distinct\": {:.1}\n      \
-             }},\n      \"vm\": {{\n        \"ingest_rows_per_sec\": {:.0},\n        \
-             \"eval_ns_per_distinct\": {:.1}\n      }},\n      \
-             \"fused\": {{\n        \"ingest_rows_per_sec\": {:.0},\n        \
-             \"eval_ns_per_distinct\": {:.1}\n      }},\n      \
+             \"pattern_evals\": {},\n      \"ingest_rows_per_sec\": {:.0},\n      \
+             \"eval_ns_per_distinct\": {{ \"interp\": {:.1}, \"vm\": {:.1}, \"fused\": {:.1} }},\n      \
              \"fused_vs_vm_eval_speedup\": {:.2},\n      \
-             \"fused_vs_interp_eval_speedup\": {:.2},\n      \
-             \"fused_ingest_speedup\": {:.2}\n    }}",
+             \"fused_vs_interp_eval_speedup\": {:.2}\n    }}",
             p.pct,
             p.distinct,
             p.pattern_evals,
-            p.rows_per_sec[0],
+            p.rows_per_sec,
             p.eval_ns[0],
-            p.rows_per_sec[1],
             p.eval_ns[1],
-            p.rows_per_sec[2],
             p.eval_ns[2],
             p.eval_ns[1] / p.eval_ns[2],
             p.eval_ns[0] / p.eval_ns[2],
-            p.rows_per_sec[2] / p.rows_per_sec[0],
         ));
     }
     let mut field_points = String::new();
@@ -240,8 +261,8 @@ struct SweepPoint {
     pct: usize,
     distinct: usize,
     pattern_evals: usize,
+    rows_per_sec: f64,
     /// Indexed like [`TIERS`]: interp, vm, fused.
-    rows_per_sec: [f64; 3],
     eval_ns: [f64; 3],
 }
 
@@ -256,10 +277,7 @@ struct FieldPoint {
 fn bench_field_len_sweep() -> Vec<FieldPoint> {
     let mut out = Vec::new();
     for &len in &[8usize, 64, 512] {
-        let mut eval_ns = [0.0f64; 3];
-        for (i, &tier) in TIERS.iter().enumerate() {
-            eval_ns[i] = long_field_eval_ns(len, tier);
-        }
+        let eval_ns = TIERS.map(|tier| long_field_eval_ns(len, tier));
         let (swar_ns, scalar_ns) = scan_kernel_ns(len);
         println!(
             "── fig3 field-length artifact: {len:>3}-byte `\\D{{1,}}` field ──\n  \
@@ -291,24 +309,12 @@ fn bench_distinct_ratio_sweep(c: &mut Criterion) {
         let rules = sweep_rules();
         // Artifact: the memoization bound in action — pattern evaluations
         // per ingest stay at (tuples × distinct), not (tuples × rows) —
-        // plus the per-distinct cost itself across all three tiers.
+        // plus the per-distinct cost itself on all three matchers.
         let values = distinct_lhs(ROWS, ratio);
-        let mut eval_ns = [0.0f64; 3];
-        let mut rows_per_sec = [0.0f64; 3];
-        let mut evals = [0usize; 3];
-        for (i, &tier) in TIERS.iter().enumerate() {
-            eval_ns[i] = eval_ns_per_distinct(&values, tier);
-            let (rate, n) = ingest_rate(&table, &rules, tier);
-            rows_per_sec[i] = rate;
-            evals[i] = n;
-        }
-        assert!(
-            evals[1] == evals[0] && evals[2] == evals[0],
-            "execution tier must not change the eval count"
-        );
+        let eval_ns = TIERS.map(|tier| eval_ns_per_distinct(&values, tier));
+        let (rows_per_sec, evals) = ingest_rate(&table, &rules);
         println!(
-            "── fig3 sweep artifact: {pct}% distinct → {} pattern evals for {ROWS} rows ──",
-            evals[0]
+            "── fig3 sweep artifact: {pct}% distinct → {evals} pattern evals for {ROWS} rows ──"
         );
         println!(
             "  per-distinct eval: {:>7.1} ns interp / {:>6.1} ns vm / {:>6.1} ns fused \
@@ -319,18 +325,11 @@ fn bench_distinct_ratio_sweep(c: &mut Criterion) {
             eval_ns[1] / eval_ns[2],
             eval_ns[0] / eval_ns[2],
         );
-        println!(
-            "  full ingest      : {:>7.0} rows/s interp / {:>7.0} rows/s vm / \
-             {:>7.0} rows/s fused ({:.2}×)",
-            rows_per_sec[0],
-            rows_per_sec[1],
-            rows_per_sec[2],
-            rows_per_sec[2] / rows_per_sec[0],
-        );
+        println!("  full ingest      : {rows_per_sec:>7.0} rows/s");
         sweep.push(SweepPoint {
             pct,
             distinct: values.len(),
-            pattern_evals: evals[0],
+            pattern_evals: evals,
             rows_per_sec,
             eval_ns,
         });
@@ -343,24 +342,6 @@ fn bench_distinct_ratio_sweep(c: &mut Criterion) {
             |b, (t, rules)| {
                 b.iter(|| {
                     let mut engine = StreamEngine::new(t.schema().clone(), rules.to_vec());
-                    engine.replay_table(t).expect("schema matches");
-                    black_box(engine.ledger().live_count())
-                });
-            },
-        );
-        // The interpreter baseline on the identical workload — the
-        // criterion-tracked twin of the artifact's rows/s figures.
-        g.bench_with_input(
-            BenchmarkId::new("stream_ingest_interp", pct),
-            &(&table, &rules),
-            |b, (t, rules)| {
-                b.iter(|| {
-                    let config = StreamConfig {
-                        pattern_engine: PatternEngine::Interp,
-                        ..StreamConfig::default()
-                    };
-                    let mut engine =
-                        StreamEngine::with_config(t.schema().clone(), rules.to_vec(), config);
                     engine.replay_table(t).expect("schema matches");
                     black_box(engine.ledger().live_count())
                 });

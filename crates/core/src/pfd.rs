@@ -16,8 +16,8 @@
 //!
 //! A mixed tableau is allowed; [`Pfd::kind`] reports what it holds.
 
-use anmat_pattern::ConstrainedPattern;
-use anmat_table::Table;
+use anmat_pattern::{CompiledPattern, ConstrainedPattern};
+use anmat_table::{Table, ValueId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -31,28 +31,13 @@ pub enum LhsCell {
 }
 
 impl LhsCell {
-    /// Does a value satisfy this cell?
-    #[must_use]
-    pub fn admits(&self, value: &str) -> bool {
+    /// This cell's admission test as a compiled program (`None` for the
+    /// wildcard, which admits every value), for callers that match many
+    /// values against it.
+    pub(crate) fn compile(&self) -> Option<CompiledPattern> {
         match self {
-            LhsCell::Pattern(q) => q.matches(value),
-            LhsCell::Wildcard => true,
-        }
-    }
-
-    /// The blocking key of a value under this cell (whole value for `⊥`).
-    #[must_use]
-    pub fn key(&self, value: &str) -> Option<String> {
-        match self {
-            LhsCell::Pattern(q) => {
-                if q.has_constraint() {
-                    q.key(value)
-                } else {
-                    // Matches-only semantics: a single anonymous block.
-                    q.matches(value).then(String::new)
-                }
-            }
-            LhsCell::Wildcard => Some(value.to_string()),
+            LhsCell::Pattern(q) => Some(CompiledPattern::compile(q.embedded())),
+            LhsCell::Wildcard => None,
         }
     }
 }
@@ -171,16 +156,20 @@ impl Pfd {
         };
         let mut total = 0usize;
         let mut covered = 0usize;
-        // Admission depends only on the cell string: memoize per distinct
-        // interned value so each tableau pattern matches at most
-        // `distinct(column)` times.
-        let mut memo: fxhash::FxHashMap<anmat_table::ValueId, bool> = fxhash::FxHashMap::default();
+        // Admission depends only on the cell string: compile each tableau
+        // pattern once and memoize per distinct interned value, so each
+        // program matches at most `distinct(column)` times.
+        let programs: Vec<Option<CompiledPattern>> =
+            self.tableau.iter().map(|t| t.lhs.compile()).collect();
+        let mut memo: fxhash::FxHashMap<ValueId, bool> = fxhash::FxHashMap::default();
         for (_, v) in table.iter_column(col) {
             let Some(s) = v.as_str() else { continue };
             total += 1;
-            let admits = *memo
-                .entry(v)
-                .or_insert_with(|| self.tableau.iter().any(|t| t.lhs.admits(s)));
+            let admits = *memo.entry(v).or_insert_with(|| {
+                programs
+                    .iter()
+                    .any(|p| p.as_ref().is_none_or(|c| c.matches(s)))
+            });
             if admits {
                 covered += 1;
             }
@@ -327,16 +316,21 @@ mod tests {
     }
 
     #[test]
-    fn lhs_cell_keys() {
-        let cell = LhsCell::Pattern(q("[\\D{3}]\\D{2}"));
-        assert_eq!(cell.key("90001").as_deref(), Some("900"));
-        assert_eq!(cell.key("9000x"), None);
-        assert!(cell.admits("90001"));
-        let free = LhsCell::Pattern(q("\\D{5}"));
-        assert_eq!(free.key("90001").as_deref(), Some(""));
-        let wild = LhsCell::Wildcard;
-        assert_eq!(wild.key("anything").as_deref(), Some("anything"));
-        assert!(wild.admits(""));
+    fn lhs_cell_admission_and_keys() {
+        let zip = q("[\\D{3}]\\D{2}");
+        assert!(zip.matches("90001"));
+        assert_eq!(zip.key("90001").as_deref(), Some("900"));
+        assert_eq!(zip.key("9000x"), None);
+        assert_eq!(q("\\D{5}").key("90001").as_deref(), Some(""));
+        let program = LhsCell::Pattern(zip)
+            .compile()
+            .expect("a pattern cell compiles");
+        assert!(program.matches("90001"));
+        assert!(!program.matches("9000x"));
+        assert!(
+            LhsCell::Wildcard.compile().is_none(),
+            "⊥ admits every value"
+        );
     }
 
     #[test]

@@ -83,16 +83,20 @@ pub fn tableau_view(table: &Table, pfd: &Pfd) -> String {
             RhsCell::Constant(c) => c.clone(),
             RhsCell::Wildcard => "⊥".to_string(),
         };
-        // Per-tuple frequency, as in the Figure 4 display (admission
-        // memoized per distinct interned value).
+        // Per-tuple frequency, as in the Figure 4 display (the pattern
+        // compiled once, admission memoized per distinct interned value).
         let freq = lhs_col.map_or(0, |col| {
+            let program = t.lhs.compile();
             let mut memo: fxhash::FxHashMap<anmat_table::ValueId, bool> =
                 fxhash::FxHashMap::default();
             table
                 .iter_column(col)
                 .filter(|(_, v)| {
-                    v.as_str()
-                        .is_some_and(|s| *memo.entry(*v).or_insert_with(|| t.lhs.admits(s)))
+                    v.as_str().is_some_and(|s| {
+                        *memo
+                            .entry(*v)
+                            .or_insert_with(|| program.as_ref().is_none_or(|c| c.matches(s)))
+                    })
                 })
                 .count()
         });

@@ -18,7 +18,7 @@
 
 use crate::inverted::{sort_rhs_counts, EntryStats};
 use crate::runs::Runs;
-use anmat_pattern::{CompiledConstrained, ConstrainedPattern, PatternEngine};
+use anmat_pattern::{CompiledConstrained, ConstrainedPattern};
 use anmat_table::{RowId, RowIdRemap, Table, ValueId, ValuePool};
 use fxhash::FxHashMap;
 use std::sync::Arc;
@@ -83,15 +83,13 @@ impl BlockingIndex {
         // Capture extraction runs once per distinct LHS value id.
         let mut key_cache: FxHashMap<ValueId, Option<ValueId>> = FxHashMap::default();
         for (row, v) in table.iter_column(col) {
-            let Some(s) = v.as_str() else {
+            if v.is_null() {
                 null_rows.push(row);
                 continue;
-            };
-            let key = key_cache.entry(v).or_insert_with(|| {
-                compiled
-                    .key_into(s, &mut key_buf)
-                    .then(|| ValuePool::intern(&key_buf))
-            });
+            }
+            let key = key_cache
+                .entry(v)
+                .or_insert_with(|| derive_key(&compiled, &mut key_buf, v));
             match key {
                 Some(k) => map.entry(*k).or_default().push(row),
                 None => unmatched.push(row),
@@ -268,6 +266,13 @@ pub enum Placement {
     NullLhs,
 }
 
+/// Derive (and intern) the blocking key of `lhs` under `q` — one
+/// pattern evaluation. `None` = the value does not match.
+fn derive_key(q: &CompiledConstrained, key_buf: &mut String, lhs: ValueId) -> Option<ValueId> {
+    q.key_into(lhs.render(), key_buf)
+        .then(|| ValuePool::intern(key_buf))
+}
+
 /// An incrementally updatable blocking partition — the streaming
 /// counterpart of [`BlockingIndex::block`].
 ///
@@ -285,11 +290,6 @@ pub struct BlockingPartition {
     /// sharded engines compile each rule once; `None` blocks on the
     /// whole LHS value.
     keyer: Option<Arc<CompiledConstrained>>,
-    /// Which execution tier evaluates cache misses: fused-capable (the
-    /// default), the forced VM, or the AST interpreter (the measured
-    /// baseline). Either way extraction runs at most once per distinct
-    /// LHS value, so `key_evals` is invariant.
-    engine: PatternEngine,
     /// Key-string scratch reused across extractions, so a cache miss
     /// allocates nothing beyond interning a genuinely new key.
     key_buf: String,
@@ -314,26 +314,7 @@ impl BlockingPartition {
     /// the whole LHS value when `q` is `None`.
     #[must_use]
     pub fn new(q: Option<ConstrainedPattern>) -> BlockingPartition {
-        BlockingPartition::with_engine(q, PatternEngine::Fused)
-    }
-
-    /// An empty partition whose cache misses run on the AST interpreter
-    /// instead of the compiled tiers — the measured baseline for the
-    /// compiled-vs-interpreted comparison. Behaviour and eval counts are
-    /// identical; only the per-extraction cost differs.
-    #[must_use]
-    pub fn new_interpreted(q: Option<ConstrainedPattern>) -> BlockingPartition {
-        BlockingPartition::with_engine(q, PatternEngine::Interp)
-    }
-
-    /// An empty partition evaluating cache misses on an explicit
-    /// execution tier (compiling the keyer here).
-    #[must_use]
-    pub fn with_engine(q: Option<ConstrainedPattern>, engine: PatternEngine) -> BlockingPartition {
-        BlockingPartition::with_shared(
-            q.map(|q| Arc::new(CompiledConstrained::compile(&q))),
-            engine,
-        )
+        BlockingPartition::with_shared(q.map(|q| Arc::new(CompiledConstrained::compile(&q))))
     }
 
     /// An empty partition over an already-compiled, shared keyer — the
@@ -341,13 +322,9 @@ impl BlockingPartition {
     /// and every replica holds an `Arc` (so `pattern.compile_ns` counts
     /// one compile regardless of `--shards N`).
     #[must_use]
-    pub fn with_shared(
-        keyer: Option<Arc<CompiledConstrained>>,
-        engine: PatternEngine,
-    ) -> BlockingPartition {
+    pub fn with_shared(keyer: Option<Arc<CompiledConstrained>>) -> BlockingPartition {
         BlockingPartition {
             keyer,
-            engine,
             key_buf: String::new(),
             blocks: FxHashMap::default(),
             unmatched: Runs::default(),
@@ -358,17 +335,19 @@ impl BlockingPartition {
         }
     }
 
-    /// Derive the blocking key for `lhs` on the partition's execution
-    /// tier. Counts one eval (in the tier's `pattern.*_evals` counter)
-    /// either way.
-    fn derive_key(
-        q: &CompiledConstrained,
-        engine: PatternEngine,
-        key_buf: &mut String,
-        lhs: ValueId,
-    ) -> Option<ValueId> {
-        q.key_into_with(lhs.render(), key_buf, engine)
-            .then(|| ValuePool::intern(key_buf))
+    /// The blocking key of a non-null `lhs`, memoized per distinct LHS
+    /// value: one lookup per call on a keyed partition, one extraction
+    /// per uncached value. `None` = the value does not match; a
+    /// partition without a keyer blocks on the whole value.
+    fn cached_key(&mut self, lhs: ValueId) -> Option<ValueId> {
+        let Some(q) = &self.keyer else {
+            return Some(lhs);
+        };
+        self.key_lookups += 1;
+        *self.key_cache.entry(lhs).or_insert_with(|| {
+            self.key_evals += 1;
+            derive_key(q, &mut self.key_buf, lhs)
+        })
     }
 
     /// Insert one row (interned cells). Appends (increasing `RowId`) are
@@ -380,17 +359,7 @@ impl BlockingPartition {
             self.null_rows.insert(row, ());
             return Placement::NullLhs;
         }
-        let key = match &self.keyer {
-            Some(q) => {
-                self.key_lookups += 1;
-                *self.key_cache.entry(lhs).or_insert_with(|| {
-                    self.key_evals += 1;
-                    BlockingPartition::derive_key(q, self.engine, &mut self.key_buf, lhs)
-                })
-            }
-            None => Some(lhs),
-        };
-        match key {
+        match self.cached_key(lhs) {
             Some(k) => {
                 self.blocks.entry(k).or_default().push(row, rhs);
                 Placement::Block(k)
@@ -414,17 +383,7 @@ impl BlockingPartition {
         // The key cache is per distinct LHS value, so the entry from the
         // row's insert is still warm; a miss (possible only if the caller
         // never inserted this value) re-derives it.
-        let key = match &self.keyer {
-            Some(q) => {
-                self.key_lookups += 1;
-                *self.key_cache.entry(lhs).or_insert_with(|| {
-                    self.key_evals += 1;
-                    BlockingPartition::derive_key(q, self.engine, &mut self.key_buf, lhs)
-                })
-            }
-            None => Some(lhs),
-        };
-        match key {
+        match self.cached_key(lhs) {
             Some(k) => {
                 if let Some(block) = self.blocks.get_mut(&k) {
                     block.remove(row);
@@ -459,7 +418,7 @@ impl BlockingPartition {
                 continue;
             }
             self.key_evals += 1;
-            let key = BlockingPartition::derive_key(q, self.engine, &mut self.key_buf, lhs);
+            let key = derive_key(q, &mut self.key_buf, lhs);
             self.key_cache.insert(lhs, key);
         }
     }
@@ -478,16 +437,7 @@ impl BlockingPartition {
         if lhs.is_null() {
             return None;
         }
-        match &self.keyer {
-            Some(q) => {
-                self.key_lookups += 1;
-                *self.key_cache.entry(lhs).or_insert_with(|| {
-                    self.key_evals += 1;
-                    BlockingPartition::derive_key(q, self.engine, &mut self.key_buf, lhs)
-                })
-            }
-            None => Some(lhs),
-        }
+        self.cached_key(lhs)
     }
 
     /// Drop every key-cache entry whose LHS id *or* cached derived-key
@@ -817,23 +767,6 @@ mod tests {
         assert_eq!(lazy.key_lookups(), primed.key_lookups());
         let (a, b) = (lazy.freeze(), primed.freeze());
         assert_eq!(a.blocks, b.blocks);
-    }
-
-    #[test]
-    fn interpreted_mode_matches_compiled() {
-        let q: ConstrainedPattern = "[\\D{3}]\\D{2}".parse().unwrap();
-        let mut compiled = BlockingPartition::new(Some(q.clone()));
-        let mut interp = BlockingPartition::new_interpreted(Some(q));
-        for row in 0..100u32 {
-            let lhs = id(&format!("90{:03}", row % 7));
-            compiled.insert(row as RowId, lhs, id("LA"));
-            interp.insert(row as RowId, lhs, id("LA"));
-        }
-        assert_eq!(compiled.key_evals(), interp.key_evals());
-        assert_eq!(compiled.key_lookups(), interp.key_lookups());
-        let (a, b) = (compiled.freeze(), interp.freeze());
-        assert_eq!(a.blocks, b.blocks);
-        assert_eq!(a.unmatched, b.unmatched);
     }
 
     #[test]

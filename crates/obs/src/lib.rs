@@ -410,9 +410,14 @@ register!(histogram, Histogram);
 
 /// Resolve a [`Counter`] once per call site and cache the `&'static`
 /// handle in a site-local `OnceLock`.
+///
+/// The name must be a string literal: the cached handle belongs to the
+/// call site, so a name chosen at runtime would keep ticking whichever
+/// metric the site's first call resolved. Use [`counter()`] for
+/// runtime names.
 #[macro_export]
 macro_rules! counter {
-    ($name:expr) => {{
+    ($name:literal) => {{
         static SITE: ::std::sync::OnceLock<&'static $crate::Counter> = ::std::sync::OnceLock::new();
         *SITE.get_or_init(|| $crate::counter($name))
     }};
@@ -421,7 +426,7 @@ macro_rules! counter {
 /// Resolve a [`Gauge`] once per call site (see [`counter!`]).
 #[macro_export]
 macro_rules! gauge {
-    ($name:expr) => {{
+    ($name:literal) => {{
         static SITE: ::std::sync::OnceLock<&'static $crate::Gauge> = ::std::sync::OnceLock::new();
         *SITE.get_or_init(|| $crate::gauge($name))
     }};
@@ -430,7 +435,7 @@ macro_rules! gauge {
 /// Resolve a [`Histogram`] once per call site (see [`counter!`]).
 #[macro_export]
 macro_rules! histogram {
-    ($name:expr) => {{
+    ($name:literal) => {{
         static SITE: ::std::sync::OnceLock<&'static $crate::Histogram> =
             ::std::sync::OnceLock::new();
         *SITE.get_or_init(|| $crate::histogram($name))
@@ -441,7 +446,7 @@ macro_rules! histogram {
 /// records elapsed nanoseconds on drop.
 #[macro_export]
 macro_rules! span {
-    ($name:expr) => {
+    ($name:literal) => {
         $crate::Span::start($crate::histogram!($name))
     };
 }

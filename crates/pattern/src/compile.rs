@@ -25,12 +25,12 @@
 //!   ([`crate::vm`]) — no `Vec<char>` collection, no recursion, scratch
 //!   reused thread-locally.
 //!
-//! Which tier evaluates a value is picked per call via [`PatternEngine`]:
-//! `Fused` (the default) uses the fused matcher when the pattern proved
-//! fusible and the VM otherwise; `Vm` forces the VM; `Interp` forces the
-//! AST interpreter (the property-tested semantic oracle). The split is
-//! observable as the `pattern.fused_evals` / `pattern.vm_evals` /
-//! `pattern.interp_evals` counters, and compilation time itself lands in
+//! A program's tier is thus fixed when it is compiled; no caller picks
+//! one. The AST interpreter is the property-tested semantic oracle; at
+//! runtime it serves only inputs the compiled tiers' `u32` frame fields
+//! cannot address (≥ 4 GiB). Exactly one of the
+//! `pattern.fused_evals` / `pattern.vm_evals` / `pattern.interp_evals`
+//! counters ticks per evaluation, and compilation time itself lands in
 //! the `pattern.compile_ns` histogram.
 
 use crate::ast::Pattern;
@@ -41,61 +41,7 @@ use crate::scan::{self, ScanKind};
 use crate::symbol::SymbolClass;
 use crate::vm;
 use std::cell::RefCell;
-use std::fmt;
-use std::str::FromStr;
 use std::sync::OnceLock;
-
-/// Which execution tier evaluates pattern matches and key extractions.
-///
-/// All three tiers are semantically identical (property-tested); they
-/// differ only in cost. The taxonomy is observable through the
-/// `pattern.fused_evals` / `pattern.vm_evals` / `pattern.interp_evals`
-/// counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PatternEngine {
-    /// The AST interpreter — the semantic oracle. Slowest; kept for
-    /// baselines and differential testing.
-    Interp,
-    /// The bytecode VM — non-recursive backtracking over flat ops.
-    Vm,
-    /// Fused-capable (the default): backtrack-free patterns run on the
-    /// single-pass fused matcher, everything else on the VM.
-    #[default]
-    Fused,
-}
-
-impl PatternEngine {
-    /// The CLI spelling (`--pattern-engine {interp,vm,fused}`).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            PatternEngine::Interp => "interp",
-            PatternEngine::Vm => "vm",
-            PatternEngine::Fused => "fused",
-        }
-    }
-}
-
-impl fmt::Display for PatternEngine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for PatternEngine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<PatternEngine, String> {
-        match s {
-            "interp" | "interpreter" => Ok(PatternEngine::Interp),
-            "vm" => Ok(PatternEngine::Vm),
-            "fused" => Ok(PatternEngine::Fused),
-            other => Err(format!(
-                "unknown pattern engine {other:?} (expected interp, vm, or fused)"
-            )),
-        }
-    }
-}
 
 /// Precomputed ASCII membership set for one symbol class: bit `b` is set
 /// iff the class matches the character with code point `b` (`b < 128`).
@@ -352,8 +298,8 @@ impl Op {
 }
 
 /// A [`Pattern`] compiled to flat bytecode, with the fused-tier plan
-/// probed up front and the source AST retained for the `Interp` oracle
-/// tier.
+/// probed up front and the source AST retained for inputs too long for
+/// the compiled tiers.
 #[derive(Debug, Clone)]
 pub struct CompiledPattern {
     ops: Vec<Op>,
@@ -403,6 +349,18 @@ impl CompiledPattern {
         }
     }
 
+    /// [`CompiledPattern::compile`] without the fuse plan, so every
+    /// evaluation runs on the VM — the differential tests' and fig3's
+    /// way to reach the VM on a fusible pattern. Production code always
+    /// uses [`CompiledPattern::compile`].
+    #[must_use]
+    pub fn compile_unfused(pattern: &Pattern) -> CompiledPattern {
+        CompiledPattern {
+            fused: None,
+            ..CompiledPattern::compile(pattern)
+        }
+    }
+
     /// The compiled instruction sequence.
     #[must_use]
     pub fn ops(&self) -> &[Op] {
@@ -415,37 +373,21 @@ impl CompiledPattern {
         &self.source
     }
 
-    /// Did compilation prove the pattern backtrack-free (so the `Fused`
-    /// engine runs it on the single-pass matcher)?
+    /// Did compilation prove the pattern backtrack-free (so it runs on
+    /// the single-pass fused matcher)?
     #[must_use]
     pub fn is_fused(&self) -> bool {
         self.fused.is_some()
     }
 
     /// Does `s` match the pattern? (Anchored; identical to
-    /// [`Pattern::matches`].) Runs on the default fused-capable tier.
+    /// [`Pattern::matches`].)
     #[must_use]
     pub fn matches(&self, s: &str) -> bool {
-        self.matches_with(s, PatternEngine::Fused)
-    }
-
-    /// [`CompiledPattern::matches`] on an explicit tier. Exactly one
-    /// `pattern.{fused,vm,interp}_evals` counter ticks per call.
-    #[must_use]
-    pub fn matches_with(&self, s: &str, engine: PatternEngine) -> bool {
-        match self.pick(s, engine) {
-            PatternEngine::Interp => {
-                anmat_obs::counter!("pattern.interp_evals").incr();
-                crate::matcher::match_pattern(&self.source, s)
-            }
-            PatternEngine::Vm => {
-                anmat_obs::counter!("pattern.vm_evals").incr();
-                self.exec(s, None, false)
-            }
-            PatternEngine::Fused => {
-                anmat_obs::counter!("pattern.fused_evals").incr();
-                self.exec(s, None, true)
-            }
+        if self.runs_compiled(s) {
+            self.exec(s, None)
+        } else {
+            crate::matcher::match_pattern(&self.source, s)
         }
     }
 
@@ -454,54 +396,39 @@ impl CompiledPattern {
     /// (**character** indices on every tier and every input).
     #[must_use]
     pub fn spans(&self, s: &str) -> Option<MatchSpans> {
-        self.spans_with(s, PatternEngine::Fused)
-    }
-
-    /// [`CompiledPattern::spans`] on an explicit tier.
-    #[must_use]
-    pub fn spans_with(&self, s: &str, engine: PatternEngine) -> Option<MatchSpans> {
-        match self.pick(s, engine) {
-            PatternEngine::Interp => {
-                anmat_obs::counter!("pattern.interp_evals").incr();
-                crate::matcher::match_spans(&self.source, s)
-            }
-            tier => {
-                let fused = tier == PatternEngine::Fused;
-                anmat_obs::counter!(if fused {
-                    "pattern.fused_evals"
-                } else {
-                    "pattern.vm_evals"
-                })
-                .incr();
-                let mut spans = Vec::new();
-                self.exec(s, Some(&mut spans), fused).then(|| MatchSpans {
-                    spans: byte_spans_to_char(s, spans),
-                })
-            }
+        if !self.runs_compiled(s) {
+            return crate::matcher::match_spans(&self.source, s);
         }
+        let mut spans = Vec::new();
+        self.exec(s, Some(&mut spans)).then(|| MatchSpans {
+            spans: byte_spans_to_char(s, spans),
+        })
     }
 
-    /// Resolve the requested engine to the tier that will actually run:
-    /// `Fused` degrades to `Vm` for non-fusible programs, and inputs the
-    /// u32 frame fields cannot address (≥ 4 GiB — a correctness guard,
-    /// not a workload) take the oracle.
+    /// Does the compiled program evaluate `s`? If so, ticks the counter
+    /// of its compile-time tier; if not — `s` is too long for the u32
+    /// frame fields (≥ 4 GiB — a correctness guard, not a workload) —
+    /// the caller takes the oracle, which ticks `pattern.interp_evals`
+    /// itself. Each tier keeps its own counter call site, since the
+    /// macro caches one handle per site.
     #[inline]
-    fn pick(&self, s: &str, engine: PatternEngine) -> PatternEngine {
-        if engine == PatternEngine::Interp || s.len() >= u32::MAX as usize {
-            return PatternEngine::Interp;
+    fn runs_compiled(&self, s: &str) -> bool {
+        if s.len() >= u32::MAX as usize {
+            return false;
         }
-        if engine == PatternEngine::Fused && self.fused.is_some() {
-            PatternEngine::Fused
+        if self.fused.is_some() {
+            anmat_obs::counter!("pattern.fused_evals").incr();
         } else {
-            PatternEngine::Vm
+            anmat_obs::counter!("pattern.vm_evals").incr();
         }
+        true
     }
 
-    /// Run the compiled program (length screens included). `fused` must
-    /// only be set when [`CompiledPattern::is_fused`]. On success, spans
-    /// are **byte** offsets into `s`.
+    /// Run the compiled program (length screens included) on its tier:
+    /// the fused matcher when compilation planned one, the VM
+    /// otherwise. On success, spans are **byte** offsets into `s`.
     #[inline]
-    fn exec(&self, s: &str, spans: Option<&mut Vec<(usize, usize)>>, fused: bool) -> bool {
+    fn exec(&self, s: &str, spans: Option<&mut Vec<(usize, usize)>>) -> bool {
         let n = s.len();
         // Chars ≤ bytes, so a byte count below the char minimum screens
         // any input without counting chars.
@@ -512,22 +439,18 @@ impl CompiledPattern {
             if self.max_len.is_some_and(|max| n > max) {
                 return false;
             }
-            if fused {
-                let plan = self.fused.expect("fused implies a plan");
-                fuse::run_ascii(&self.ops, plan, s.as_bytes(), spans)
-            } else {
-                vm::run_ascii(&self.ops, s, spans)
+            match self.fused {
+                Some(plan) => fuse::run_ascii(&self.ops, plan, s.as_bytes(), spans),
+                None => vm::run_ascii(&self.ops, s, spans),
             }
         } else {
             let chars = s.chars().count();
             if chars < self.min_len || self.max_len.is_some_and(|max| chars > max) {
                 return false;
             }
-            if fused {
-                let plan = self.fused.expect("fused implies a plan");
-                fuse::run_utf8(&self.ops, plan, s, chars, spans)
-            } else {
-                vm::run_utf8(&self.ops, s, spans)
+            match self.fused {
+                Some(plan) => fuse::run_utf8(&self.ops, plan, s, chars, spans),
+                None => vm::run_utf8(&self.ops, s, spans),
             }
         }
     }
@@ -578,7 +501,19 @@ impl CompiledConstrained {
     /// Compile the keyer `q`.
     #[must_use]
     pub fn compile(q: &ConstrainedPattern) -> CompiledConstrained {
-        let program = CompiledPattern::compile(q.embedded());
+        CompiledConstrained::around(q, CompiledPattern::compile(q.embedded()))
+    }
+
+    /// [`CompiledConstrained::compile`] over
+    /// [`CompiledPattern::compile_unfused`]: every key extraction runs
+    /// on the VM. For differential tests and baselines only.
+    #[must_use]
+    pub fn compile_unfused(q: &ConstrainedPattern) -> CompiledConstrained {
+        CompiledConstrained::around(q, CompiledPattern::compile_unfused(q.embedded()))
+    }
+
+    /// The capture plan of `q` over its compiled embedded pattern.
+    fn around(q: &ConstrainedPattern, program: CompiledPattern) -> CompiledConstrained {
         let mut captures = Vec::new();
         let mut start = 0usize;
         for seg in q.segments() {
@@ -633,74 +568,56 @@ impl CompiledConstrained {
     /// Returns `false` (leaving `out` empty) if `s` does not match.
     /// Identical to [`ConstrainedPattern::key`] but allocation-free.
     pub fn key_into(&self, s: &str, out: &mut String) -> bool {
-        self.key_into_with(s, out, PatternEngine::Fused)
-    }
-
-    /// [`CompiledConstrained::key_into`] on an explicit tier. Exactly
-    /// one `pattern.{fused,vm,interp}_evals` counter ticks per call.
-    pub fn key_into_with(&self, s: &str, out: &mut String, engine: PatternEngine) -> bool {
         out.clear();
-        match self.program.pick(s, engine) {
-            PatternEngine::Interp => {
-                anmat_obs::counter!("pattern.interp_evals").incr();
-                match self.source.key(s) {
-                    Some(k) => {
-                        out.push_str(&k);
-                        true
-                    }
-                    None => false,
-                }
-            }
-            tier => {
-                let fused = tier == PatternEngine::Fused;
-                anmat_obs::counter!(if fused {
-                    "pattern.fused_evals"
-                } else {
-                    "pattern.vm_evals"
-                })
-                .incr();
-                if fused && s.is_ascii() {
-                    if let Some(slices) = &self.fixed_slices {
-                        // Fixed-width fast path: verify without span
-                        // capture, then slice at compile-time offsets.
-                        if !self.program.exec(s, None, true) {
-                            return false;
-                        }
-                        for (c, &(from, to)) in slices.iter().enumerate() {
-                            if c > 0 {
-                                out.push('\u{1F}');
-                            }
-                            out.push_str(&s[from..to]);
-                        }
-                        return true;
-                    }
-                }
-                KEY_SPANS.with(|buf| {
-                    let spans = &mut *buf.borrow_mut();
-                    if !self.program.exec(s, Some(spans), fused) {
-                        return false;
-                    }
-                    // Byte spans slice the key segments directly —
-                    // identical strings to the interpreter's char-index
-                    // captures, without the index conversion.
-                    for (c, &(start, end)) in self.captures.iter().enumerate() {
-                        if c > 0 {
-                            out.push('\u{1F}');
-                        }
-                        // Mirror `ConstrainedPattern::captures`: an empty
-                        // segment captures zero width at its boundary.
-                        let from = if start == end {
-                            spans.get(start).map_or(s.len(), |&(a, _)| a)
-                        } else {
-                            spans[start].0
-                        };
-                        let to = if start == end { from } else { spans[end - 1].1 };
-                        out.push_str(&s[from..to]);
-                    }
+        if !self.program.runs_compiled(s) {
+            return match self.source.key(s) {
+                Some(k) => {
+                    out.push_str(&k);
                     true
-                })
+                }
+                None => false,
+            };
+        }
+        if s.is_ascii() {
+            if let Some(slices) = &self.fixed_slices {
+                // Fixed-width fast path: verify without span capture,
+                // then slice at compile-time offsets.
+                if !self.program.exec(s, None) {
+                    return false;
+                }
+                for (c, &(from, to)) in slices.iter().enumerate() {
+                    if c > 0 {
+                        out.push('\u{1F}');
+                    }
+                    out.push_str(&s[from..to]);
+                }
+                return true;
             }
         }
+        KEY_SPANS.with(|buf| {
+            let spans = &mut *buf.borrow_mut();
+            if !self.program.exec(s, Some(spans)) {
+                return false;
+            }
+            // Byte spans slice the key segments directly — identical
+            // strings to the interpreter's char-index captures, without
+            // the index conversion.
+            for (c, &(start, end)) in self.captures.iter().enumerate() {
+                if c > 0 {
+                    out.push('\u{1F}');
+                }
+                // Mirror `ConstrainedPattern::captures`: an empty segment
+                // captures zero width at its boundary.
+                let from = if start == end {
+                    spans.get(start).map_or(s.len(), |&(a, _)| a)
+                } else {
+                    spans[start].0
+                };
+                let to = if start == end { from } else { spans[end - 1].1 };
+                out.push_str(&s[from..to]);
+            }
+            true
+        })
     }
 
     /// The blocking key of `s`, or `None` if it does not match —
@@ -725,11 +642,14 @@ mod tests {
         s.parse().unwrap()
     }
 
-    const ENGINES: [PatternEngine; 3] = [
-        PatternEngine::Interp,
-        PatternEngine::Vm,
-        PatternEngine::Fused,
-    ];
+    /// Both compiled tiers of `p`: as compiled (fused when fusible) and
+    /// forced onto the VM.
+    fn tiers(p: &Pattern) -> [(&'static str, CompiledPattern); 2] {
+        [
+            ("compiled", CompiledPattern::compile(p)),
+            ("vm", CompiledPattern::compile_unfused(p)),
+        ]
+    }
 
     #[test]
     fn ascii_set_matches_class_semantics() {
@@ -837,6 +757,8 @@ mod tests {
         // Two variable ops → needs the backtracking VM.
         assert!(!CompiledPattern::compile(&pat("\\LU\\LL*\\ \\A*")).is_fused());
         assert!(!CompiledPattern::compile(&pat("a*b*c")).is_fused());
+        // The unfused constructor never plans, fusible or not.
+        assert!(!CompiledPattern::compile_unfused(&pat("900\\D{2}")).is_fused());
     }
 
     #[test]
@@ -887,15 +809,11 @@ mod tests {
         ];
         for ps in patterns {
             let p = pat(ps);
-            let c = CompiledPattern::compile(&p);
+            let tiers = tiers(&p);
             for s in inputs {
                 let expected = match_pattern(&p, s);
-                for engine in ENGINES {
-                    assert_eq!(
-                        c.matches_with(s, engine),
-                        expected,
-                        "{ps:?} vs {s:?} on {engine}"
-                    );
+                for (tier, c) in &tiers {
+                    assert_eq!(c.matches(s), expected, "{ps:?} vs {s:?} on {tier}");
                 }
             }
         }
@@ -918,14 +836,9 @@ mod tests {
         ];
         for (ps, s) in cases {
             let p = pat(ps);
-            let c = CompiledPattern::compile(&p);
             let expected = match_spans(&p, s);
-            for engine in ENGINES {
-                assert_eq!(
-                    c.spans_with(s, engine),
-                    expected,
-                    "{ps:?} vs {s:?} on {engine}"
-                );
+            for (tier, c) in tiers(&p) {
+                assert_eq!(c.spans(s), expected, "{ps:?} vs {s:?} on {tier}");
             }
         }
     }
@@ -946,12 +859,13 @@ mod tests {
         ];
         for (qs, inputs) in cases {
             let q = cp(qs);
-            let c = CompiledConstrained::compile(&q);
+            let tiers = [
+                ("compiled", CompiledConstrained::compile(&q)),
+                ("vm", CompiledConstrained::compile_unfused(&q)),
+            ];
             for s in inputs {
-                for engine in ENGINES {
-                    let mut out = String::new();
-                    let hit = c.key_into_with(s, &mut out, engine);
-                    assert_eq!(hit.then_some(out), q.key(s), "{qs:?} vs {s:?} on {engine}");
+                for (tier, c) in &tiers {
+                    assert_eq!(c.key(s), q.key(s), "{qs:?} vs {s:?} on {tier}");
                 }
             }
         }
@@ -968,15 +882,5 @@ mod tests {
         assert!(buf.is_empty());
         assert!(c.key_into("85032", &mut buf));
         assert_eq!(buf, "850");
-    }
-
-    #[test]
-    fn engine_parsing() {
-        assert_eq!("interp".parse(), Ok(PatternEngine::Interp));
-        assert_eq!("vm".parse(), Ok(PatternEngine::Vm));
-        assert_eq!("fused".parse(), Ok(PatternEngine::Fused));
-        assert_eq!(PatternEngine::default(), PatternEngine::Fused);
-        assert!("jit".parse::<PatternEngine>().is_err());
-        assert_eq!(PatternEngine::Vm.to_string(), "vm");
     }
 }

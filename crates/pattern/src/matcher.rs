@@ -13,6 +13,11 @@
 //! spans are what [`ConstrainedPattern`](crate::ConstrainedPattern) uses to
 //! extract constrained captures — e.g. pulling `John` out of
 //! `John Charles` for `[\LU\LL*\ ]\A*`.
+//!
+//! This interpreter is the semantic oracle the compiled tiers
+//! ([`crate::compile`]) are tested against. Every evaluation counts one
+//! `pattern.interp_evals`, so a production path that reaches it shows up
+//! in the metrics.
 
 use crate::ast::Pattern;
 use std::cell::RefCell;
@@ -64,6 +69,7 @@ pub fn match_pattern(pattern: &Pattern, s: &str) -> bool {
 /// [`match_pattern`] over a pre-decoded character slice.
 #[must_use]
 pub fn match_chars(pattern: &Pattern, chars: &[char]) -> bool {
+    anmat_obs::counter!("pattern.interp_evals").incr();
     let n = chars.len();
     // Quick length screen.
     if n < pattern.min_len() {
@@ -137,6 +143,7 @@ pub fn match_spans(pattern: &Pattern, s: &str) -> Option<MatchSpans> {
 /// [`match_spans`] over a pre-decoded character slice.
 #[must_use]
 pub fn match_spans_chars(pattern: &Pattern, chars: &[char]) -> Option<MatchSpans> {
+    anmat_obs::counter!("pattern.interp_evals").incr();
     let n = chars.len();
     let m = pattern.len();
     if n < pattern.min_len() {

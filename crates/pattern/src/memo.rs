@@ -10,16 +10,15 @@
 //! layer; callers pass `ValueId::raw()`).
 //!
 //! One `MatchMemo` memoizes one pattern — embed one per tableau-tuple
-//! state, next to the `Pattern` it caches for. The memo also counts how
-//! many *real* evaluations it performed ([`MatchMemo::evals`]), which is
-//! the test hook asserting the "at most `distinct(column)` evaluations
-//! per pattern" guarantee.
+//! state, next to the [`CompiledPattern`] it caches for. The memo also
+//! counts how many *real* evaluations it performed
+//! ([`MatchMemo::evals`]), which is the test hook asserting the "at
+//! most `distinct(column)` evaluations per pattern" guarantee.
 
-use crate::ast::Pattern;
-use crate::compile::{CompiledPattern, PatternEngine};
+use crate::compile::CompiledPattern;
 use fxhash::FxHashMap;
 
-/// A `(interned value id) → matches?` cache for one [`Pattern`].
+/// A `(interned value id) → matches?` cache for one compiled pattern.
 #[derive(Debug, Clone, Default)]
 pub struct MatchMemo {
     cache: FxHashMap<u32, bool>,
@@ -34,53 +33,20 @@ impl MatchMemo {
         MatchMemo::default()
     }
 
-    /// Does `s` (interned as `id`) match `pattern`? Evaluates the pattern
-    /// only on the first sighting of `id`; afterwards this is a single
-    /// u32-keyed hash probe.
+    /// Does `s` (interned as `id`) match `program`? Evaluates the
+    /// program only on the first sighting of `id`; afterwards this is a
+    /// single u32-keyed hash probe.
     ///
-    /// The caller must pass the same `pattern` on every call (the memo
+    /// The caller must pass the same `program` on every call (the memo
     /// caches for exactly one pattern) and an `id` that canonically
     /// identifies `s` (equal ids ⇒ equal strings).
-    pub fn matches(&mut self, pattern: &Pattern, id: u32, s: &str) -> bool {
+    pub fn matches(&mut self, program: &CompiledPattern, id: u32, s: &str) -> bool {
         self.lookups += 1;
         if let Some(&hit) = self.cache.get(&id) {
             return hit;
         }
         self.evals += 1;
-        // The same taxonomy `CompiledPattern` reports: this miss runs the
-        // AST interpreter, so interpreted-mode engines are visible in the
-        // vm/interp split too.
-        anmat_obs::counter!("pattern.interp_evals").incr();
-        let result = pattern.matches(s);
-        self.cache.insert(id, result);
-        result
-    }
-
-    /// [`MatchMemo::matches`] with the miss evaluated on the compiled
-    /// program's default (fused-capable) tier instead of the AST
-    /// interpreter. Counting is identical, so the "at most
-    /// `distinct(column)` evaluations" invariant carries over unchanged;
-    /// `program` must be compiled from the same pattern on every call.
-    pub fn matches_compiled(&mut self, program: &CompiledPattern, id: u32, s: &str) -> bool {
-        self.matches_with(program, PatternEngine::Fused, id, s)
-    }
-
-    /// [`MatchMemo::matches_compiled`] on an explicit execution tier
-    /// (misses tick the corresponding `pattern.*_evals` counter; hits
-    /// touch no tier at all).
-    pub fn matches_with(
-        &mut self,
-        program: &CompiledPattern,
-        engine: PatternEngine,
-        id: u32,
-        s: &str,
-    ) -> bool {
-        self.lookups += 1;
-        if let Some(&hit) = self.cache.get(&id) {
-            return hit;
-        }
-        self.evals += 1;
-        let result = program.matches_with(s, engine);
+        let result = program.matches(s);
         self.cache.insert(id, result);
         result
     }
@@ -91,22 +57,14 @@ impl MatchMemo {
     /// [`MatchMemo::evals`] is invariant; [`MatchMemo::lookups`] does not
     /// advance (priming is not a query — the per-row probes that follow
     /// count as usual, and hit).
-    pub fn prime_compiled<'a, I>(&mut self, program: &CompiledPattern, ids: I)
-    where
-        I: IntoIterator<Item = (u32, &'a str)>,
-    {
-        self.prime_with(program, PatternEngine::Fused, ids);
-    }
-
-    /// [`MatchMemo::prime_compiled`] on an explicit execution tier.
-    pub fn prime_with<'a, I>(&mut self, program: &CompiledPattern, engine: PatternEngine, ids: I)
+    pub fn prime<'a, I>(&mut self, program: &CompiledPattern, ids: I)
     where
         I: IntoIterator<Item = (u32, &'a str)>,
     {
         for (id, s) in ids {
             if !self.cache.contains_key(&id) {
                 self.evals += 1;
-                let result = program.matches_with(s, engine);
+                let result = program.matches(s);
                 self.cache.insert(id, result);
             }
         }
@@ -186,10 +144,17 @@ impl MatchMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Pattern;
+
+    fn compiled(s: &str) -> (Pattern, CompiledPattern) {
+        let p: Pattern = s.parse().unwrap();
+        let c = CompiledPattern::compile(&p);
+        (p, c)
+    }
 
     #[test]
     fn memoizes_per_distinct_id() {
-        let p: Pattern = "900\\D{2}".parse().unwrap();
+        let (_, c) = compiled("900\\D{2}");
         let mut memo = MatchMemo::new();
         // 100 probes over 2 distinct ids: exactly 2 evaluations.
         for i in 0..100 {
@@ -199,53 +164,35 @@ mod tests {
                 (2, "10001")
             };
             let expected = id == 1;
-            assert_eq!(memo.matches(&p, id, s), expected);
+            assert_eq!(memo.matches(&c, id, s), expected);
         }
         assert_eq!(memo.evals(), 2);
+        assert_eq!(memo.lookups(), 100);
         assert_eq!(memo.len(), 2);
     }
 
     #[test]
     fn results_agree_with_direct_matching() {
-        let p: Pattern = "\\LU\\LL*".parse().unwrap();
+        let (p, c) = compiled("\\LU\\LL*");
         let mut memo = MatchMemo::new();
         for (id, s) in [(1u32, "John"), (2, "john"), (3, "J"), (4, "JOhn")] {
-            assert_eq!(memo.matches(&p, id, s), p.matches(s), "{s}");
+            assert_eq!(memo.matches(&c, id, s), p.matches(s), "{s}");
             // Second call: cached, same answer.
-            assert_eq!(memo.matches(&p, id, s), p.matches(s), "{s}");
+            assert_eq!(memo.matches(&c, id, s), p.matches(s), "{s}");
         }
         assert_eq!(memo.evals(), 4);
     }
 
     #[test]
-    fn compiled_and_interpreted_share_counting() {
-        let p: Pattern = "900\\D{2}".parse().unwrap();
-        let c = CompiledPattern::compile(&p);
-        let mut interp = MatchMemo::new();
-        let mut compiled = MatchMemo::new();
-        let probes = [(1u32, "90001"), (2, "10001"), (1, "90001"), (3, "900x1")];
-        for (id, s) in probes {
-            assert_eq!(
-                compiled.matches_compiled(&c, id, s),
-                interp.matches(&p, id, s),
-                "{s}"
-            );
-        }
-        assert_eq!(compiled.evals(), interp.evals());
-        assert_eq!(compiled.lookups(), interp.lookups());
-    }
-
-    #[test]
     fn prime_counts_like_lazy_misses() {
-        let p: Pattern = "\\D{5}".parse().unwrap();
-        let c = CompiledPattern::compile(&p);
+        let (_, c) = compiled("\\D{5}");
         let mut memo = MatchMemo::new();
-        memo.prime_compiled(&c, [(1u32, "90001"), (2, "1234"), (1, "90001")]);
+        memo.prime(&c, [(1u32, "90001"), (2, "1234"), (1, "90001")]);
         assert_eq!(memo.evals(), 2); // the duplicate id is skipped
         assert_eq!(memo.lookups(), 0);
         // Primed ids now hit; a fresh id still misses lazily.
-        assert!(memo.matches_compiled(&c, 1, "90001"));
-        assert!(!memo.matches_compiled(&c, 3, "12a45"));
+        assert!(memo.matches(&c, 1, "90001"));
+        assert!(!memo.matches(&c, 3, "12a45"));
         assert_eq!(memo.evals(), 3);
         assert_eq!(memo.lookups(), 2);
     }

@@ -12,15 +12,20 @@
 
 use anmat_pattern::{
     match_pattern, match_spans, CompiledConstrained, CompiledPattern, ConstrainedPattern, Element,
-    Pattern, PatternEngine, Quantifier, Segment, SymbolClass,
+    Pattern, Quantifier, Segment, SymbolClass,
 };
 use proptest::prelude::*;
 
-/// The compiled tiers under test, each checked against the interpreter.
-/// `Fused` routes through the single-pass matcher when the pattern has
-/// a fuse plan and falls back to the VM otherwise — exactly the
-/// production `pick` logic.
-const COMPILED_TIERS: [PatternEngine; 2] = [PatternEngine::Vm, PatternEngine::Fused];
+/// The compiled tiers under test, each checked against the interpreter:
+/// the program as production compiles it (the single-pass matcher when
+/// the pattern has a fuse plan, the VM otherwise) and the same program
+/// without its fuse plan, which forces the VM.
+fn compiled_tiers(p: &Pattern) -> [(&'static str, CompiledPattern); 2] {
+    [
+        ("vm", CompiledPattern::compile_unfused(p)),
+        ("compiled", CompiledPattern::compile(p)),
+    ]
+}
 
 /// Strategy: an arbitrary symbol class over a small printable alphabet.
 fn any_class() -> impl Strategy<Value = SymbolClass> {
@@ -153,12 +158,11 @@ fn any_constrained() -> impl Strategy<Value = ConstrainedPattern> {
 /// Assert match + span parity of every compiled tier against the
 /// interpreter on one (pattern, string) pair.
 fn assert_tiers_agree(p: &Pattern, s: &str) -> Result<(), String> {
-    let c = CompiledPattern::compile(p);
     let expect_match = match_pattern(p, s);
     let expect_spans = match_spans(p, s);
-    for tier in COMPILED_TIERS {
+    for (tier, c) in compiled_tiers(p) {
         prop_assert_eq!(
-            c.matches_with(s, tier),
+            c.matches(s),
             expect_match,
             "pattern {} on {:?} via {}",
             p,
@@ -166,7 +170,7 @@ fn assert_tiers_agree(p: &Pattern, s: &str) -> Result<(), String> {
             tier
         );
         prop_assert_eq!(
-            c.spans_with(s, tier),
+            c.spans(s),
             expect_spans.clone(),
             "pattern {} on {:?} via {}",
             p,
@@ -180,11 +184,14 @@ fn assert_tiers_agree(p: &Pattern, s: &str) -> Result<(), String> {
 /// Assert blocking-key parity of every compiled tier against the
 /// interpreter on one (keyer, string) pair.
 fn assert_keys_agree(q: &ConstrainedPattern, s: &str) -> Result<(), String> {
-    let c = CompiledConstrained::compile(q);
     let expect = q.key(s);
-    for tier in COMPILED_TIERS {
+    let tiers = [
+        ("vm", CompiledConstrained::compile_unfused(q)),
+        ("compiled", CompiledConstrained::compile(q)),
+    ];
+    for (tier, c) in tiers {
         let mut buf = String::new();
-        let got = c.key_into_with(s, &mut buf, tier).then(|| buf.clone());
+        let got = c.key_into(s, &mut buf).then(|| buf.clone());
         prop_assert_eq!(got, expect.clone(), "keyer {} on {:?} via {}", q, s, tier);
     }
     Ok(())

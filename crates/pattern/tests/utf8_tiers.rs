@@ -4,17 +4,17 @@
 //! parallelize within one binary) would make the counter deltas
 //! ambiguous.
 //!
-//! The contract under test is the tentpole's headline invariant: with
-//! the VM extended to full UTF-8, the interpreter is *never* consulted
-//! on the compiled tiers — `pattern.interp_evals` stays 0 on any input,
-//! ASCII or multibyte, under the default (fused-capable) engine, and
-//! every public-entry evaluation is attributed to exactly one tier.
+//! The contract under test: with the VM extended to full UTF-8, the
+//! interpreter is *never* consulted on the compiled tiers —
+//! `pattern.interp_evals` stays 0 on any input, ASCII or multibyte —
+//! and every public-entry evaluation is attributed to exactly the tier
+//! that ran it.
 
 use anmat_obs as obs;
-use anmat_pattern::{CompiledConstrained, CompiledPattern, ConstrainedPattern, PatternEngine};
+use anmat_pattern::{CompiledConstrained, CompiledPattern, ConstrainedPattern};
 use std::sync::Mutex;
 
-/// Serializes the two tests: both read deltas of the same process-wide
+/// Serializes the tests: all read deltas of the same process-wide
 /// counters, so interleaving them would corrupt each other's baselines.
 static RECORDER: Mutex<()> = Mutex::new(());
 
@@ -43,7 +43,7 @@ fn counters() -> (u64, u64, u64) {
 }
 
 #[test]
-fn default_engine_never_touches_the_interpreter() {
+fn compiled_tiers_never_touch_the_interpreter() {
     // A fused-eligible pattern, a VM-only pattern (two variable-width
     // ops), and a constrained keyer.
     let fused: CompiledPattern = CompiledPattern::compile(&"\\A{2}\\D{3}".parse().unwrap());
@@ -72,7 +72,7 @@ fn default_engine_never_touches_the_interpreter() {
     assert_eq!(
         after.2 - before.2,
         0,
-        "interp_evals must stay 0 under the default engine — no UTF-8 fallback"
+        "interp_evals must stay 0 on the compiled tiers — no UTF-8 fallback"
     );
     assert_eq!(
         after.0 - before.0,
@@ -88,22 +88,43 @@ fn default_engine_never_touches_the_interpreter() {
 }
 
 #[test]
-fn explicit_interp_engine_is_the_only_interpreter_client() {
-    let p = CompiledPattern::compile(&"\\A{2}\\D{3}".parse().unwrap());
+fn tier_counters_follow_each_evaluation() {
+    // Key extraction and span capture share one code path for both
+    // compiled tiers; each call must tick the counter of the tier that
+    // ran it, whichever tier the process happened to use first.
+    let vm = CompiledConstrained::compile(&"[\\A*]-\\A*".parse::<ConstrainedPattern>().unwrap());
+    let fused =
+        CompiledConstrained::compile(&"[\\D{3}]\\D{2}".parse::<ConstrainedPattern>().unwrap());
+    assert!(!vm.program().is_fused(), "two stars cannot fuse");
+    assert!(fused.program().is_fused(), "fixed width must fuse");
+
     let _serial = RECORDER.lock().unwrap();
     obs::Recorder::enable();
+    let mut buf = String::new();
     let before = counters();
-    for s in CORPUS {
-        std::hint::black_box(p.matches_with(s, PatternEngine::Interp));
+    for _ in 0..5 {
+        std::hint::black_box(vm.key_into("ab-cd", &mut buf));
     }
-    let after = counters();
+    for _ in 0..10 {
+        std::hint::black_box(fused.key_into("90001", &mut buf));
+    }
+    let keys = counters();
+    for _ in 0..5 {
+        std::hint::black_box(vm.program().spans("ab-cd"));
+    }
+    for _ in 0..10 {
+        std::hint::black_box(fused.program().spans("90001"));
+    }
+    let spans = counters();
     obs::Recorder::disable();
-    let n = CORPUS.len() as u64;
-    assert_eq!(after.2 - before.2, n, "interp tier ticks interp_evals");
+
+    assert_eq!(keys.1 - before.1, 5, "vm key extractions tick vm_evals");
     assert_eq!(
-        after.0 - before.0,
-        0,
-        "interp tier must not tick fused_evals"
+        keys.0 - before.0,
+        10,
+        "fused key extractions tick fused_evals"
     );
-    assert_eq!(after.1 - before.1, 0, "interp tier must not tick vm_evals");
+    assert_eq!(spans.1 - keys.1, 5, "vm span captures tick vm_evals");
+    assert_eq!(spans.0 - keys.0, 10, "fused span captures tick fused_evals");
+    assert_eq!(spans.2 - before.2, 0, "no call reaches the interpreter");
 }

@@ -38,7 +38,7 @@ use anmat_core::{
 };
 use anmat_index::{BlockingPartition, KeyBlock, Placement};
 use anmat_obs as obs;
-use anmat_pattern::{CompiledConstrained, CompiledPattern, MatchMemo, PatternEngine};
+use anmat_pattern::{CompiledConstrained, CompiledPattern, MatchMemo};
 use anmat_table::{
     ReclaimStats, RowId, RowIdRemap, RowOp, Schema, Table, TableError, TableSnapshot, Value,
     ValueId, ValuePool,
@@ -65,13 +65,6 @@ pub struct StreamConfig {
     /// space). `<= 0.0` (the default) disables auto-compaction;
     /// [`StreamEngine::compact`] stays available manually either way.
     pub compact_ratio: f64,
-    /// Which execution tier evaluates memo misses — fused-capable
-    /// compiled bytecode (the default), the forced bytecode VM, or the
-    /// AST interpreter (the measured baseline and the CLI's
-    /// `--pattern-engine interp` flag). Violations, events, and eval
-    /// counts are identical across tiers; only the per-distinct-value
-    /// evaluation cost differs.
-    pub pattern_engine: PatternEngine,
     /// Which axis the sharded engine partitions work on: whole rules
     /// (the default — each worker owns a disjoint rule subset) or hashed
     /// blocking keys (each worker owns a disjoint key range of *every*
@@ -119,7 +112,6 @@ impl Default for StreamConfig {
             max_violation_ratio: 0.3,
             shards: 1,
             compact_ratio: 0.0,
-            pattern_engine: PatternEngine::Fused,
             shard_by: ShardBy::Rule,
             run_ahead: 0,
             reclaim: false,
@@ -308,8 +300,7 @@ pub(crate) fn validate_ops(table: &Table, ops: &[IdOp]) -> Result<(), TableError
 struct ConstantTuple {
     /// The LHS pattern compiled to bytecode (`None` = wildcard: every
     /// non-null LHS), shared via `Arc` so a rule's programs are compiled
-    /// exactly once however many engines or shards hold its state. The
-    /// source AST rides inside for the interpreter tier.
+    /// exactly once however many engines or shards hold its state.
     compiled: Option<Arc<CompiledPattern>>,
     /// Per-`(pattern, ValueId)` match memo: the pattern is evaluated at
     /// most once per distinct LHS value, not once per row.
@@ -453,7 +444,6 @@ impl ConstantTuple {
         &mut self,
         table: &Table,
         pfd: &Pfd,
-        engine: PatternEngine,
         lhs: usize,
         rhs: usize,
         lhs_id: ValueId,
@@ -465,7 +455,7 @@ impl ConstantTuple {
             return false;
         };
         if let Some(c) = &self.compiled {
-            if !self.memo.matches_with(c, engine, lhs_id.raw(), value) {
+            if !self.memo.matches(c, lhs_id.raw(), value) {
                 return false;
             }
         }
@@ -621,9 +611,6 @@ pub(crate) struct RuleState {
     /// attribute (the rule is inert, exactly like batch detection).
     cols: Option<(usize, usize)>,
     tuples: Vec<TupleState>,
-    /// Which execution tier memo misses run on; see
-    /// [`StreamConfig::pattern_engine`].
-    engine: PatternEngine,
 }
 
 /// The deltas one *owned* tableau tuple produced for one op under
@@ -759,20 +746,15 @@ impl CompiledRule {
 impl RuleState {
     /// Seed a rule, compiling its programs here (the single-engine
     /// convenience over [`RuleState::seed_shared`]).
-    pub(crate) fn seed(pfd: Pfd, schema: &Schema, engine: PatternEngine) -> RuleState {
+    pub(crate) fn seed(pfd: Pfd, schema: &Schema) -> RuleState {
         let compiled = CompiledRule::compile(&pfd);
-        RuleState::seed_shared(pfd, schema, engine, &compiled)
+        RuleState::seed_shared(pfd, schema, &compiled)
     }
 
     /// Seed a rule around already-compiled shared programs — the sharded
     /// engine's path (compile once on the coordinator, seed on whichever
     /// worker owns the rule).
-    pub(crate) fn seed_shared(
-        pfd: Pfd,
-        schema: &Schema,
-        engine: PatternEngine,
-        compiled: &CompiledRule,
-    ) -> RuleState {
+    pub(crate) fn seed_shared(pfd: Pfd, schema: &Schema, compiled: &CompiledRule) -> RuleState {
         let cols = match (
             schema.index_of(&pfd.lhs_attr),
             schema.index_of(&pfd.rhs_attr),
@@ -800,7 +782,7 @@ impl RuleState {
                     }
                     (RhsCell::Wildcard, TupleProgram::Variable(keyer)) => {
                         TupleState::Variable(Box::new(VariableTuple {
-                            partition: BlockingPartition::with_shared(keyer.clone(), engine),
+                            partition: BlockingPartition::with_shared(keyer.clone()),
                             display,
                             blocks: FxHashMap::default(),
                         }))
@@ -809,12 +791,7 @@ impl RuleState {
                 }
             })
             .collect();
-        RuleState {
-            pfd,
-            cols,
-            tuples,
-            engine,
-        }
+        RuleState { pfd, cols, tuples }
     }
 
     /// Batch-classify: warm every tuple's per-distinct-value cache over
@@ -823,12 +800,8 @@ impl RuleState {
     /// exactly the one evaluation the lazy path would have paid on first
     /// sighting, so [`RuleState::pattern_evals`] is invariant — priming
     /// is a locality optimization (one program, one cache, no per-row
-    /// dispatch between evals), never extra work. No-op in interpreted
-    /// mode (the baseline keeps the per-row lazy shape).
+    /// dispatch between evals), never extra work.
     pub(crate) fn prime_batch(&mut self, rows: &[&[ValueId]]) {
-        if self.engine == PatternEngine::Interp {
-            return;
-        }
         let Some((lhs, _)) = self.cols else {
             return;
         };
@@ -836,9 +809,8 @@ impl RuleState {
             match tuple {
                 TupleState::Constant(ct) => {
                     if let Some(c) = &ct.compiled {
-                        ct.memo.prime_with(
+                        ct.memo.prime(
                             c,
-                            self.engine,
                             rows.iter().filter_map(|r| {
                                 let id = r[lhs];
                                 id.as_str().map(|s| (id.raw(), s))
@@ -872,17 +844,7 @@ impl RuleState {
         for tuple in &mut self.tuples {
             match tuple {
                 TupleState::Constant(ct) => {
-                    matched |= ct.process(
-                        table,
-                        &self.pfd,
-                        self.engine,
-                        lhs,
-                        rhs,
-                        lhs_id,
-                        row,
-                        false,
-                        sink,
-                    );
+                    matched |= ct.process(table, &self.pfd, lhs, rhs, lhs_id, row, false, sink);
                 }
                 TupleState::Variable(vt) => {
                     let Placement::Block(key) = vt.partition.insert(row, lhs_id, rhs_id) else {
@@ -919,17 +881,7 @@ impl RuleState {
                     // Rebuild the violation the arrival created (the
                     // check is the same id comparison; the memo makes
                     // the pattern free) and retract it.
-                    matched |= ct.process(
-                        table,
-                        &self.pfd,
-                        self.engine,
-                        lhs,
-                        rhs,
-                        lhs_id,
-                        row,
-                        true,
-                        sink,
-                    );
+                    matched |= ct.process(table, &self.pfd, lhs, rhs, lhs_id, row, true, sink);
                 }
                 TupleState::Variable(vt) => {
                     let Placement::Block(key) = vt.partition.remove(row, lhs_id) else {
@@ -943,13 +895,6 @@ impl RuleState {
         matched
     }
 
-    /// Key-granular [`RuleState::prime_batch`]: warm the constant
-    /// tuples' match memos over the *owned* LHS ids only. Variable
-    /// tuples are skipped entirely — in key mode the coordinator derives
-    /// (and memoizes) blocking keys, so worker partitions never run the
-    /// extractor. Each distinct LHS value is owned by exactly one
-    /// worker, so summing worker memos still yields the single-threaded
-    /// eval count.
     /// The rule's LHS column in the live schema (`None` = inert rule).
     /// Key-mode workers consult this to screen rules before any
     /// per-tuple work.
@@ -966,19 +911,22 @@ impl RuleState {
             .any(|t| matches!(t, TupleState::Constant(_)))
     }
 
+    /// Key-granular [`RuleState::prime_batch`]: warm the constant
+    /// tuples' match memos over the *owned* LHS ids only. Variable
+    /// tuples are skipped entirely — in key mode the coordinator derives
+    /// (and memoizes) blocking keys, so worker partitions never run the
+    /// extractor. Each distinct LHS value is owned by exactly one
+    /// worker, so summing worker memos still yields the single-threaded
+    /// eval count.
     pub(crate) fn prime_batch_key(&mut self, rows: &[&[ValueId]], owns: &impl Fn(ValueId) -> bool) {
-        if self.engine == PatternEngine::Interp {
-            return;
-        }
         let Some((lhs, _)) = self.cols else {
             return;
         };
         for tuple in &mut self.tuples {
             if let TupleState::Constant(ct) = tuple {
                 if let Some(c) = &ct.compiled {
-                    ct.memo.prime_with(
+                    ct.memo.prime(
                         c,
-                        self.engine,
                         rows.iter().filter_map(|r| {
                             let id = r[lhs];
                             if !owns(id) {
@@ -1033,17 +981,8 @@ impl RuleState {
                         continue;
                     }
                     let mut sink = DeltaSink::default();
-                    let matched = ct.process(
-                        table,
-                        &self.pfd,
-                        self.engine,
-                        lhs,
-                        rhs,
-                        lhs_id,
-                        row,
-                        false,
-                        &mut sink,
-                    );
+                    let matched =
+                        ct.process(table, &self.pfd, lhs, rhs, lhs_id, row, false, &mut sink);
                     if matched || !sink.deltas.is_empty() {
                         TupleDeltas::absorb(&mut pending, idx, matched, sink);
                     }
@@ -1096,17 +1035,8 @@ impl RuleState {
                         continue;
                     }
                     let mut sink = DeltaSink::default();
-                    let matched = ct.process(
-                        table,
-                        &self.pfd,
-                        self.engine,
-                        lhs,
-                        rhs,
-                        lhs_id,
-                        row,
-                        true,
-                        &mut sink,
-                    );
+                    let matched =
+                        ct.process(table, &self.pfd, lhs, rhs, lhs_id, row, true, &mut sink);
                     if matched || !sink.deltas.is_empty() {
                         TupleDeltas::absorb(&mut pending, idx, matched, sink);
                     }
@@ -1419,7 +1349,7 @@ impl StreamEngine {
         let drift = DriftMonitor::new(rules.len(), config.min_support, config.max_violation_ratio);
         let states = rules
             .into_iter()
-            .map(|pfd| RuleState::seed(pfd, &schema, config.pattern_engine))
+            .map(|pfd| RuleState::seed(pfd, &schema))
             .collect();
         let mut table = Table::empty(schema);
         if config.reclaim {
@@ -1572,21 +1502,20 @@ impl StreamEngine {
 
     /// Ingest one row; returns the violation events it caused (creations
     /// and retractions), in rule/tableau order with retractions first
-    /// within each affected block.
+    /// within each affected block. Like every row-level entry point,
+    /// this is a one-op [`StreamEngine::apply`].
     ///
     /// Each cell is interned exactly once here; everything downstream
     /// (blocking, memoized matching, agreement checks) operates on `Copy`
     /// ids.
     pub fn push_row(&mut self, row: Vec<Value>) -> Result<Vec<LedgerEvent>, TableError> {
-        let row_id = self.table.push_row(row)?;
-        Ok(self.process_row(row_id))
+        self.apply([RowOp::Insert(row)])
     }
 
     /// Ingest one row of already-interned ids — the clone-free ingest
     /// path (no string is copied, hashed, or even read).
     pub fn push_id_row(&mut self, row: Vec<ValueId>) -> Result<Vec<LedgerEvent>, TableError> {
-        let row_id = self.table.push_id_row(row)?;
-        Ok(self.process_row(row_id))
+        self.run_ops([IdOp::Insert(row)])
     }
 
     /// Ingest one row of raw strings (fields go through
@@ -1623,12 +1552,13 @@ impl StreamEngine {
         self.run_ops(rows.into_iter().map(IdOp::Insert))
     }
 
-    /// The one batch path every batch entry point lowers to: intern
-    /// (lazily, as `ops` is collected), validate the whole batch,
-    /// batch-classify each rule's caches over the arriving rows (see
-    /// [`RuleState::prime_batch`] — count-neutral by construction), then
-    /// execute op by op on ids. The whole batch addresses one id space,
-    /// so the auto-compaction check waits until after the loop.
+    /// The one path every entry point lowers to: intern (lazily, as
+    /// `ops` is collected), validate the whole batch (`validate_ops`,
+    /// the only validator), batch-classify each rule's caches over the
+    /// arriving rows (see [`RuleState::prime_batch`] — count-neutral by
+    /// construction), then execute op by op on ids. The whole batch
+    /// addresses one id space, so the auto-compaction check waits until
+    /// after the loop.
     fn run_ops(
         &mut self,
         ops: impl IntoIterator<Item = IdOp>,
@@ -1647,41 +1577,48 @@ impl StreamEngine {
         }
         let mut events = Vec::new();
         for op in ops {
-            let batch = match op {
-                IdOp::Insert(cells) => self.push_id_row(cells),
-                IdOp::Delete(row) => self.delete_row_inner(row),
-                IdOp::Update(row, cells) => self.update_id_row(row, cells),
-            };
-            events.extend(batch.expect("ops pre-validated"));
+            match op {
+                IdOp::Insert(cells) => {
+                    let row = self.table.push_id_row(cells).expect("ops pre-validated");
+                    self.process_row(row, &mut events);
+                }
+                IdOp::Delete(row) => {
+                    self.process_removal(row, &mut events);
+                    self.table.delete_row(row).expect("ops pre-validated");
+                }
+                IdOp::Update(row, cells) => {
+                    self.process_removal(row, &mut events);
+                    self.table
+                        .update_id_row(row, cells)
+                        .expect("ops pre-validated");
+                    self.process_row(row, &mut events);
+                }
+            }
         }
         self.maybe_compact();
         obs::counter!("engine.events").add(events.len() as u64);
         Ok(events)
     }
 
-    /// Replay an existing table's *live* rows in row order (the table's
-    /// schema must match the engine's; tombstoned slots are skipped, so
-    /// the replayed state matches batch detection on the survivors —
-    /// note the engine assigns fresh, dense slot ids). Clone-free: rows
-    /// are carried over as interned ids.
+    /// Replay an existing table's *live* rows in row order, as one
+    /// batch (the table's schema must match the engine's; tombstoned
+    /// slots are skipped, so the replayed state matches batch detection
+    /// on the survivors — note the engine assigns fresh, dense slot
+    /// ids). Clone-free: rows are carried over as interned ids.
     pub fn replay_table(&mut self, table: &Table) -> Result<Vec<LedgerEvent>, TableError> {
-        let mut events = Vec::new();
-        for r in table.iter_live() {
-            events.extend(self.push_id_row(table.row_ids(r))?);
-        }
-        Ok(events)
+        self.run_ops(table.iter_live().map(|r| IdOp::Insert(table.row_ids(r))))
     }
 
-    fn process_row(&mut self, row: RowId) -> Vec<LedgerEvent> {
-        let mut events = Vec::new();
+    /// Run every rule over the freshly written `row`, appending the
+    /// events it causes.
+    fn process_row(&mut self, row: RowId, events: &mut Vec<LedgerEvent>) {
         for (rule_idx, rule) in self.rules.iter_mut().enumerate() {
             let mut sink = DeltaSink::default();
             let matched = rule.process_insert(&self.table, row, &mut sink);
             self.drift
                 .observe(rule_idx, matched, sink.created, sink.retracted);
-            apply_deltas(&mut self.ledger, sink.deltas, &mut events);
+            apply_deltas(&mut self.ledger, sink.deltas, events);
         }
-        events
     }
 
     /// Withdraw one row from every rule's incremental state — the exact
@@ -1689,16 +1626,14 @@ impl StreamEngine {
     /// tombstoned (or overwritten), while the row's cells are still the
     /// ones its violations were built from, so every retraction is
     /// structurally identical to the event it cancels.
-    fn process_removal(&mut self, row: RowId) -> Vec<LedgerEvent> {
-        let mut events = Vec::new();
+    fn process_removal(&mut self, row: RowId, events: &mut Vec<LedgerEvent>) {
         for (rule_idx, rule) in self.rules.iter_mut().enumerate() {
             let mut sink = DeltaSink::default();
             let matched = rule.process_removal(&self.table, row, &mut sink);
             self.drift
                 .retire(rule_idx, matched, sink.created, sink.retracted);
-            apply_deltas(&mut self.ledger, sink.deltas, &mut events);
+            apply_deltas(&mut self.ledger, sink.deltas, events);
         }
-        events
     }
 
     /// Delete one live row; returns the retractions it causes (plus any
@@ -1710,21 +1645,7 @@ impl StreamEngine {
     /// enabled) crosses its threshold at the end of this call and
     /// renumbers; watch [`StreamEngine::epoch`].
     pub fn delete_row(&mut self, row: RowId) -> Result<Vec<LedgerEvent>, TableError> {
-        let events = self.delete_row_inner(row)?;
-        self.maybe_compact();
-        Ok(events)
-    }
-
-    /// The delete without the auto-compaction check — what batch
-    /// replay uses, so compaction can never strike in the middle of a
-    /// pre-validated op sequence.
-    fn delete_row_inner(&mut self, row: RowId) -> Result<Vec<LedgerEvent>, TableError> {
-        if !self.table.is_live(row) {
-            return Err(TableError::NoSuchRow { row });
-        }
-        let events = self.process_removal(row);
-        self.table.delete_row(row).expect("liveness checked");
-        Ok(events)
+        self.run_ops([IdOp::Delete(row)])
     }
 
     /// Update one live row in place — delete + insert *fused on one
@@ -1735,7 +1656,7 @@ impl StreamEngine {
         row: RowId,
         cells: Vec<Value>,
     ) -> Result<Vec<LedgerEvent>, TableError> {
-        self.update_id_row(row, cells.iter().map(ValuePool::intern_value).collect())
+        self.apply([RowOp::Update(row, cells)])
     }
 
     /// Update one live row with already-interned ids (the clone-free
@@ -1745,22 +1666,7 @@ impl StreamEngine {
         row: RowId,
         cells: Vec<ValueId>,
     ) -> Result<Vec<LedgerEvent>, TableError> {
-        if cells.len() != self.table.schema().arity() {
-            return Err(TableError::ArityMismatch {
-                row,
-                found: cells.len(),
-                expected: self.table.schema().arity(),
-            });
-        }
-        if !self.table.is_live(row) {
-            return Err(TableError::NoSuchRow { row });
-        }
-        let mut events = self.process_removal(row);
-        self.table
-            .update_id_row(row, cells)
-            .expect("arity and liveness checked");
-        events.extend(self.process_row(row));
-        Ok(events)
+        self.run_ops([IdOp::Update(row, cells)])
     }
 
     /// Apply a batch of [`RowOp`]s; returns the concatenated events.

@@ -99,7 +99,6 @@ use crate::engine::{
 use anmat_core::{LedgerEvent, Pfd, RhsCell, ViolationLedger};
 use anmat_index::BlockingPartition;
 use anmat_obs as obs;
-use anmat_pattern::PatternEngine;
 use anmat_table::{
     ReclaimStats, RowId, RowIdRemap, RowOp, Schema, Table, TableError, Value, ValueId, ValuePool,
 };
@@ -686,12 +685,7 @@ struct Router {
 }
 
 impl Router {
-    fn new(
-        rules: &[Pfd],
-        compiled: &[CompiledRule],
-        schema: &Schema,
-        engine: PatternEngine,
-    ) -> Router {
+    fn new(rules: &[Pfd], compiled: &[CompiledRule], schema: &Schema) -> Router {
         let rules = rules
             .iter()
             .zip(compiled)
@@ -706,7 +700,7 @@ impl Router {
                 let memos = programs
                     .variable_keyers()
                     .into_iter()
-                    .map(|keyer| BlockingPartition::with_shared(keyer, engine))
+                    .map(BlockingPartition::with_shared)
                     .collect();
                 (col, memos)
             })
@@ -919,8 +913,7 @@ impl ShardedEngine {
         // workers seed around the shared `Arc`s, so `pattern.compile_ns`
         // records one compile per rule regardless of the shard count.
         let compiled: Vec<CompiledRule> = rules.iter().map(CompiledRule::compile).collect();
-        let router = (shard_by == ShardBy::Key)
-            .then(|| Router::new(&rules, &compiled, &schema, config.pattern_engine));
+        let router = (shard_by == ShardBy::Key).then(|| Router::new(&rules, &compiled, &schema));
         let workers = (0..shards)
             .map(|shard| {
                 let states: Vec<(usize, RuleState)> = rules
@@ -933,15 +926,7 @@ impl ShardedEngine {
                         shard_by == ShardBy::Key || assignment[*rule] == shard
                     })
                     .map(|(rule, (pfd, programs))| {
-                        (
-                            rule,
-                            RuleState::seed_shared(
-                                pfd.clone(),
-                                &schema,
-                                config.pattern_engine,
-                                programs,
-                            ),
-                        )
+                        (rule, RuleState::seed_shared(pfd.clone(), &schema, programs))
                     })
                     .collect();
                 // Per-shard metric instances; the registered handles are

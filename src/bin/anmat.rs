@@ -77,15 +77,7 @@ fn usage() -> String {
      \x20                [--demote-drifted] [--violations F] [--min-support N]\n\
      \x20                [--compact-ratio R] [--reclaim] [--checkpoint]\n\
      \x20                [--stats-every N] [--metrics-out FILE]\n\
-     \x20                [--pattern-engine interp|vm|fused]\n\
-     \x20                (--pattern-engine picks the execution tier: `fused`\n\
-     \x20                — the default — runs backtrack-free patterns on the\n\
-     \x20                single-pass fused matcher and the rest on the\n\
-     \x20                bytecode VM; `vm` forces the VM; `interp` runs the\n\
-     \x20                AST interpreter — the measured baseline (also\n\
-     \x20                spelled --interpret); output is bit-for-bit\n\
-     \x20                identical across all three;\n\
-     \x20                drift thresholds: pass the values the rules were\n\
+     \x20                (drift thresholds: pass the values the rules were\n\
      \x20                discovered with; --shards N > 1 spreads rule state\n\
      \x20                over N worker threads, same output bit-for-bit;\n\
      \x20                --shard-by key hashes blocking keys across the\n\
@@ -115,15 +107,18 @@ fn usage() -> String {
         .to_string()
 }
 
-/// Pull `--flag value` out of an argument list; returns remaining args.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let idx = args.iter().position(|a| a == flag)?;
-    if idx + 1 >= args.len() {
-        return None;
+/// Pull `--flag value` out of an argument list. A flag given without a
+/// value (last, or followed by another `--flag`) is an error.
+fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
+    let Some(idx) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    if args.get(idx + 1).is_none_or(|v| v.starts_with("--")) {
+        return Err(format!("{flag} needs a value"));
     }
     let value = args.remove(idx + 1);
     args.remove(idx);
-    Some(value)
+    Ok(Some(value))
 }
 
 /// Pull a boolean `--flag`.
@@ -136,6 +131,23 @@ fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
     }
 }
 
+/// What remains once every known flag is taken must be exactly the
+/// command's positional arguments, one per entry of `names`: a leftover
+/// `--flag` (unknown, or given twice), a surplus argument, or a missing
+/// one is an error naming it.
+fn positionals(command: &str, args: Vec<String>, names: &[&str]) -> Result<Vec<String>, String> {
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(format!("{command}: unexpected flag `{flag}`"));
+    }
+    if let Some(extra) = args.get(names.len()) {
+        return Err(format!("{command}: unexpected argument `{extra}`"));
+    }
+    if let Some(name) = names.get(args.len()) {
+        return Err(format!("{command}: missing {name}"));
+    }
+    Ok(args)
+}
+
 fn dataset_name(path: &str) -> String {
     std::path::Path::new(path)
         .file_stem()
@@ -145,7 +157,7 @@ fn dataset_name(path: &str) -> String {
 }
 
 fn cmd_profile(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("profile: missing <data.csv>")?;
+    let path = &positionals("profile", args.to_vec(), &["<data.csv>"])?[0];
     let table = csv::read_path(path).map_err(|e| format!("reading {path}: {e}"))?;
     let profile = TableProfile::profile(&table);
     print!("{}", report::profiling_view(&table, &profile));
@@ -154,12 +166,12 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
 
 fn cmd_discover(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
-    let store_dir = take_flag(&mut args, "--store");
-    let coverage = take_flag(&mut args, "--coverage");
-    let violations = take_flag(&mut args, "--violations");
-    let min_support = take_flag(&mut args, "--min-support");
+    let store_dir = take_flag(&mut args, "--store")?;
+    let coverage = take_flag(&mut args, "--coverage")?;
+    let violations = take_flag(&mut args, "--violations")?;
+    let min_support = take_flag(&mut args, "--min-support")?;
     let paper_style = take_switch(&mut args, "--paper-style");
-    let path = args.first().ok_or("discover: missing <data.csv>")?;
+    let path = &positionals("discover", args, &["<data.csv>"])?[0];
     let table = csv::read_path(path).map_err(|e| format!("reading {path}: {e}"))?;
 
     let mut config = DiscoveryConfig {
@@ -211,10 +223,11 @@ fn cmd_discover(args: &[String]) -> Result<(), String> {
 
 fn cmd_rules(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
-    let dir = take_flag(&mut args, "--store").ok_or("rules: missing --store DIR")?;
-    let dataset = take_flag(&mut args, "--dataset").ok_or("rules: missing --dataset NAME")?;
-    let confirm = take_flag(&mut args, "--confirm");
-    let reject = take_flag(&mut args, "--reject");
+    let dir = take_flag(&mut args, "--store")?.ok_or("rules: missing --store DIR")?;
+    let dataset = take_flag(&mut args, "--dataset")?.ok_or("rules: missing --dataset NAME")?;
+    let confirm = take_flag(&mut args, "--confirm")?;
+    let reject = take_flag(&mut args, "--reject")?;
+    positionals("rules", args, &[])?;
     let store = RuleStore::open(&dir).map_err(|e| format!("opening store {dir}: {e}"))?;
 
     if let Some(n) = confirm {
@@ -293,11 +306,11 @@ fn load_rules(
 
 fn cmd_detect(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
-    let store_dir = take_flag(&mut args, "--store");
-    let rules_file = take_flag(&mut args, "--rules");
+    let store_dir = take_flag(&mut args, "--store")?;
+    let rules_file = take_flag(&mut args, "--rules")?;
     let confirmed_only = take_switch(&mut args, "--confirmed-only");
-    let repair_out = take_flag(&mut args, "--repair");
-    let path = args.first().ok_or("detect: missing <data.csv>")?;
+    let repair_out = take_flag(&mut args, "--repair")?;
+    let path = &positionals("detect", args, &["<data.csv>"])?[0];
     let mut table = csv::read_path(path).map_err(|e| format!("reading {path}: {e}"))?;
 
     let (pfds, _) = load_rules(
@@ -530,26 +543,16 @@ fn print_stats_line(engine: &mut AnyEngine, started: Instant, timing: bool) {
 
 fn cmd_stream(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
-    let store_dir = take_flag(&mut args, "--store");
-    let rules_file = take_flag(&mut args, "--rules");
-    let ops_file = take_flag(&mut args, "--ops");
+    let store_dir = take_flag(&mut args, "--store")?;
+    let rules_file = take_flag(&mut args, "--rules")?;
+    let ops_file = take_flag(&mut args, "--ops")?;
     let confirmed_only = take_switch(&mut args, "--confirmed-only");
     let quiet = take_switch(&mut args, "--quiet");
     let demote_drifted = take_switch(&mut args, "--demote-drifted");
     let reclaim = take_switch(&mut args, "--reclaim");
     let checkpoint = take_switch(&mut args, "--checkpoint");
-    let interpret = take_switch(&mut args, "--interpret");
-    let pattern_engine = match take_flag(&mut args, "--pattern-engine") {
-        Some(s) => s
-            .parse::<PatternEngine>()
-            .map_err(|e| format!("bad --pattern-engine: {e}"))?,
-        // --interpret survives as the baseline alias from before the
-        // three-tier flag existed.
-        None if interpret => PatternEngine::Interp,
-        None => PatternEngine::Fused,
-    };
-    let metrics_out = take_flag(&mut args, "--metrics-out");
-    let stats_every: Option<usize> = match take_flag(&mut args, "--stats-every") {
+    let metrics_out = take_flag(&mut args, "--metrics-out")?;
+    let stats_every: Option<usize> = match take_flag(&mut args, "--stats-every")? {
         Some(n) => Some(
             n.parse()
                 .ok()
@@ -558,7 +561,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         ),
         None => None,
     };
-    let batch: usize = match take_flag(&mut args, "--batch") {
+    let batch: usize = match take_flag(&mut args, "--batch")? {
         Some(n) => n
             .parse()
             .ok()
@@ -569,37 +572,36 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     // Drift thresholds: pass the values the rules were discovered with
     // (mirrors `discover`'s flags); defaults match StreamConfig.
     let mut stream_config = StreamConfig {
-        pattern_engine,
         reclaim,
         ..StreamConfig::default()
     };
-    if let Some(v) = take_flag(&mut args, "--violations") {
+    if let Some(v) = take_flag(&mut args, "--violations")? {
         stream_config.max_violation_ratio =
             v.parse().map_err(|_| format!("bad --violations `{v}`"))?;
     }
-    if let Some(s) = take_flag(&mut args, "--min-support") {
+    if let Some(s) = take_flag(&mut args, "--min-support")? {
         stream_config.min_support = s.parse().map_err(|_| format!("bad --min-support `{s}`"))?;
     }
-    if let Some(n) = take_flag(&mut args, "--shards") {
+    if let Some(n) = take_flag(&mut args, "--shards")? {
         stream_config.shards = n
             .parse()
             .ok()
             .filter(|&n| n > 0)
             .ok_or(format!("bad --shards `{n}` (want a positive integer)"))?;
     }
-    if let Some(axis) = take_flag(&mut args, "--shard-by") {
+    if let Some(axis) = take_flag(&mut args, "--shard-by")? {
         stream_config.shard_by = match axis.as_str() {
             "rule" => ShardBy::Rule,
             "key" => ShardBy::Key,
             other => return Err(format!("bad --shard-by `{other}` (want rule|key)")),
         };
     }
-    if let Some(n) = take_flag(&mut args, "--run-ahead") {
+    if let Some(n) = take_flag(&mut args, "--run-ahead")? {
         stream_config.run_ahead = n.parse().ok().ok_or(format!(
             "bad --run-ahead `{n}` (want a non-negative integer)"
         ))?;
     }
-    if let Some(r) = take_flag(&mut args, "--compact-ratio") {
+    if let Some(r) = take_flag(&mut args, "--compact-ratio")? {
         stream_config.compact_ratio =
             r.parse()
                 .ok()
@@ -614,7 +616,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     if checkpoint && store_dir.is_none() {
         return Err("--checkpoint needs --store DIR".into());
     }
-    let path = args.first().ok_or("stream: missing <data.csv>")?;
+    let path = &positionals("stream", args, &["<data.csv>"])?[0];
     // Timing output is wall-clock and thus nondeterministic; --quiet and
     // the ANMAT_NO_TIMING env hook (used by the CLI test suite, whose
     // assertions compare exact output) suppress it.
@@ -816,18 +818,16 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
             swept.bytes
         );
     }
-    // The three-way engine split (which execution tier actually ran the
-    // evals). Counters only move while the recorder is on, so the line
-    // is printed only then; it is deterministic for a given engine mode
-    // but naturally differs across --pattern-engine modes.
+    // The three-way tier split (which matcher actually ran the evals).
+    // Counters only move while the recorder is on, so the line is
+    // printed only then.
     if recording {
         let snap = obs::MetricsSnapshot::capture();
         println!(
-            "pattern tiers: {} fused / {} vm / {} interp eval(s), engine {}",
+            "pattern tiers: {} fused / {} vm / {} interp eval(s)",
             snap.counter("pattern.fused_evals").unwrap_or(0),
             snap.counter("pattern.vm_evals").unwrap_or(0),
-            snap.counter("pattern.interp_evals").unwrap_or(0),
-            stream_config.pattern_engine
+            snap.counter("pattern.interp_evals").unwrap_or(0)
         );
         // Pipelining summary, only when a run-ahead window was in play:
         // how deep the window actually ran (deterministic for a given

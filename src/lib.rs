@@ -88,7 +88,7 @@ pub mod prelude {
         ContextStyle, Detector, DiscoveryConfig, LedgerChange, LedgerEvent, LhsCell, PatternTuple,
         Pfd, PfdKind, RepairReport, RhsCell, Violation, ViolationKind, ViolationLedger,
     };
-    pub use anmat_pattern::{ConstrainedPattern, Pattern, PatternEngine};
+    pub use anmat_pattern::{ConstrainedPattern, Pattern};
     pub use anmat_stream::{
         BatchEvents, CompactionStats, DriftReport, EngineSnapshot, ShardBy, ShardedEngine,
         StreamConfig, StreamEngine,

@@ -386,6 +386,84 @@ fn zips_fixture(dir: &std::path::Path) -> (std::path::PathBuf, std::path::PathBu
     (csv, rules)
 }
 
+/// Every subcommand rejects what it does not recognise — an unknown or
+/// repeated flag (including the retired `--pattern-engine` and
+/// `--interpret`), a known flag missing its value, or a surplus
+/// positional — with exit code 1 and a message naming the argument,
+/// before doing any work.
+#[test]
+fn unknown_and_valueless_arguments_are_rejected() {
+    let dir = std::env::temp_dir().join(format!("anmat_cli_args_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (csv, rules) = zips_fixture(&dir);
+    let (csv, rules) = (csv.to_str().unwrap(), rules.to_str().unwrap());
+    let repair = dir.join("out.csv");
+    let repair = repair.to_str().unwrap();
+    let cases: [(&[&str], &str); 9] = [
+        (
+            &["stream", csv, "--rules", rules, "--bogus-flag"],
+            "unexpected flag `--bogus-flag`",
+        ),
+        (
+            &["detect", csv, "--rules", rules, "--repiar", repair],
+            "unexpected flag `--repiar`",
+        ),
+        (
+            &["stream", csv, "--rules", rules, "--batch"],
+            "--batch needs a value",
+        ),
+        (
+            &["stream", csv, "--batch", "--rules", rules],
+            "--batch needs a value",
+        ),
+        (
+            &["stream", csv, "--rules", rules, "--pattern-engine", "vm"],
+            "unexpected flag `--pattern-engine`",
+        ),
+        (
+            &["stream", csv, "--rules", rules, "--interpret"],
+            "unexpected flag `--interpret`",
+        ),
+        (
+            &["stream", csv, "extra.csv", "--rules", rules],
+            "unexpected argument `extra.csv`",
+        ),
+        (&["profile", csv, "--quiet"], "unexpected flag `--quiet`"),
+        (
+            &["stream", csv, "--rules", rules, "--rules", rules],
+            "unexpected flag `--rules`",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = anmat(args);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "`anmat {}` must exit 1",
+            args.join(" ")
+        );
+        assert!(
+            stderr(&out).contains(message),
+            "`anmat {}`: stderr must name the argument ({message}):\n{}",
+            args.join(" "),
+            stderr(&out)
+        );
+        assert!(
+            stdout(&out).is_empty(),
+            "`anmat {}` must fail before doing any work:\n{}",
+            args.join(" "),
+            stdout(&out)
+        );
+    }
+    assert!(
+        !std::path::Path::new(repair).exists(),
+        "no repair file written"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn stream_metrics_out_writes_parseable_registry_snapshot() {
     let dir = std::env::temp_dir().join(format!("anmat_cli_metrics_{}", std::process::id()));

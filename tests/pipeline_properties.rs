@@ -105,11 +105,17 @@ proptest! {
         for v in detect_all(&data.table, &pfds) {
             // Constant and variable PFDs over the same pair share the
             // embedded-FD string; the flagged value must match a tableau
-            // pattern of at least one of them.
+            // pattern of at least one of them (checked on the AST
+            // interpreter, independently of detection's compiled code).
             let admits = pfds
                 .iter()
                 .filter(|p| p.embedded_fd() == v.dependency)
-                .any(|p| p.tableau.iter().any(|t| t.lhs.admits(&v.lhs_value)));
+                .any(|p| {
+                    p.tableau.iter().any(|t| match &t.lhs {
+                        LhsCell::Pattern(q) => q.matches(&v.lhs_value),
+                        LhsCell::Wildcard => true,
+                    })
+                });
             prop_assert!(
                 admits,
                 "flagged value {:?} matches no tableau pattern of {}",
