@@ -1,9 +1,10 @@
 //! Error detection with PFDs (§3 of the paper).
 //!
-//! * **Constant PFDs** — scan the tuples matching `tp[A]` (via the
-//!   per-column [`PatternIndex`]) and flag those with `t[B] ≠ tp[B]`; the
-//!   suggested repair, "if we assume that the LHS value is correct", is
-//!   `tp[B]`.
+//! * **Constant PFDs** — scan the tuples matching `tp[A]` and flag those
+//!   with `t[B] ≠ tp[B]`; the suggested repair, "if we assume that the
+//!   LHS value is correct", is `tp[B]`. The per-column [`PatternIndex`]
+//!   finds the tuples by running `tp[A]`'s compiled matcher once per
+//!   distinct value in the range that starts with its literal prefix.
 //! * **Variable PFDs** — block rows by the constrained-capture key
 //!   (lossless for `≡_Q`), then within each block flag the rows whose RHS
 //!   disagrees with the block majority; the violation records the

@@ -8,7 +8,7 @@
 //! dependency).
 
 use crate::pfd::Pfd;
-use anmat_table::TableProfile;
+use anmat_table::{write_atomic, TableProfile};
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io;
@@ -80,11 +80,12 @@ impl RuleStore {
         self.root.join(format!("{safe}.json"))
     }
 
-    /// Persist a dataset record (overwrites).
+    /// Persist a dataset record, replacing any previous one whole
+    /// ([`write_atomic`]).
     pub fn save(&self, record: &DatasetRecord) -> io::Result<()> {
         let json = serde_json::to_string_pretty(record)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        fs::write(self.path_for(&record.name), json)
+        write_atomic(self.path_for(&record.name), json)
     }
 
     /// Load a dataset record by name.

@@ -8,16 +8,13 @@
 //!   support/confidence statistics that feed the decision function `f`;
 //! * [`pattern_index`] — the "index supporting regular expressions for
 //!   each column present on the LHS of the PFDs": distinct values are
-//!   bucketed by pattern signature, and a pattern lookup prunes whole
-//!   buckets via exact language-intersection tests before touching
-//!   individual values;
+//!   sorted once by string, and a pattern lookup runs its compiled
+//!   matcher over the range of values that start with the pattern's
+//!   literal prefix;
 //! * [`blocking`] — the blocking strategy (cf. BigDansing) that avoids the
 //!   quadratic tuple-pair enumeration for variable PFDs: rows are grouped
 //!   by their constrained-capture key, and pairs are enumerated within
 //!   blocks only.
-//!
-//! [`trie`] provides the character trie the pattern index uses to
-//! accelerate literal-prefix lookups.
 //!
 //! The inverted list and blocking structures are *incrementally
 //! updatable in both directions* — mutable streams, not just appends:
@@ -42,9 +39,7 @@ pub mod blocking;
 pub mod inverted;
 pub mod pattern_index;
 mod runs;
-pub mod trie;
 
 pub use blocking::{BlockingIndex, BlockingPartition, Blocks, KeyBlock, Placement};
 pub use inverted::{EntryStats, ExtractionMode, IndexSnapshot, InvertedIndex, Posting};
 pub use pattern_index::PatternIndex;
-pub use trie::CharTrie;

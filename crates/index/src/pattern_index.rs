@@ -7,40 +7,36 @@
 //!
 //! * deduplicates the column into distinct values with row postings
 //!   (low-cardinality columns collapse dramatically);
-//! * buckets distinct values by their class-exact pattern signature;
-//! * answers a pattern lookup by first testing each bucket's signature
-//!   against the query with exact language operations —
-//!   [`intersects`] to skip buckets wholesale,
-//!   [`contains`] to accept buckets wholesale —
-//!   and only match-testing individual values in the remaining buckets;
-//! * keeps a [`CharTrie`] so queries with a literal prefix (`900\D{2}`)
-//!   descend directly to the matching subtree.
+//! * sorts the distinct values once by string;
+//! * answers a pattern lookup by compiling the pattern once, narrowing the
+//!   sorted values to the range that starts with the pattern's literal
+//!   prefix (`900` for `900\D{2}`; the whole array when there is none)
+//!   with two binary searches, and running the compiled matcher on each
+//!   value in that range.
+//!
+//! The range is the only pruning. A compiled match costs tens of
+//! nanoseconds per distinct value, while an exact language test that
+//! could accept or reject a group of values at once (an NFA product)
+//! costs microseconds, more than matching the values it would decide at
+//! the table sizes batch detection sees.
 
-use crate::trie::CharTrie;
-use anmat_pattern::{
-    contains, intersects, match_pattern, signature, CompiledPattern, Pattern, PatternLevel,
-};
+use anmat_pattern::{match_pattern, CompiledPattern, Pattern, SymbolClass};
 use anmat_table::{RowId, Table, ValueId, ValuePool};
 use fxhash::FxHashMap;
-use std::collections::HashMap;
 
 /// An index over one column supporting pattern lookups.
 ///
 /// The column is deduplicated into interned distinct values
 /// ([`ValueId`]-keyed postings), so a pattern is ever matched against at
 /// most `distinct(column)` strings, and row-posting probes hash a 4-byte
-/// id.
+/// id. The index stores ids, not strings: an id that outlives its string
+/// fails loudly when resolved rather than dangling.
 #[derive(Debug)]
 pub struct PatternIndex {
     /// Distinct value → rows holding it.
     values: FxHashMap<ValueId, Vec<RowId>>,
-    /// Signature → distinct values in that bucket.
-    buckets: Vec<(Pattern, Vec<ValueId>)>,
-    /// Literal-prefix accelerator over distinct values (value → pseudo-row
-    /// = index into `distinct`).
-    trie: CharTrie,
-    /// Distinct values in insertion order (trie payload indirection).
-    distinct: Vec<ValueId>,
+    /// Distinct values in ascending string order.
+    sorted: Vec<ValueId>,
     /// Rows with a non-null value.
     pub indexed_rows: usize,
 }
@@ -58,25 +54,11 @@ impl PatternIndex {
             indexed_rows += 1;
             values.entry(v).or_default().push(row);
         }
-        let mut by_sig: HashMap<Pattern, Vec<ValueId>> = HashMap::new();
-        let mut distinct: Vec<ValueId> = Vec::with_capacity(values.len());
-        let mut trie = CharTrie::new();
         let mut sorted: Vec<ValueId> = values.keys().copied().collect();
         sorted.sort_by_cached_key(|v| v.render());
-        for v in sorted {
-            let s = v.render();
-            let sig = signature(s, PatternLevel::ClassExact);
-            by_sig.entry(sig).or_default().push(v);
-            trie.insert(s, distinct.len());
-            distinct.push(v);
-        }
-        let mut buckets: Vec<(Pattern, Vec<ValueId>)> = by_sig.into_iter().collect();
-        buckets.sort_by_key(|(a, _)| a.to_string());
         PatternIndex {
             values,
-            buckets,
-            trie,
-            distinct,
+            sorted,
             indexed_rows,
         }
     }
@@ -85,12 +67,6 @@ impl PatternIndex {
     #[must_use]
     pub fn distinct_count(&self) -> usize {
         self.values.len()
-    }
-
-    /// Number of signature buckets.
-    #[must_use]
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
     }
 
     /// Rows whose value matches `pattern`, sorted ascending.
@@ -113,42 +89,24 @@ impl PatternIndex {
             .collect()
     }
 
-    /// Interned distinct values matching `pattern`.
+    /// Interned distinct values matching `pattern`, in ascending string
+    /// order.
     #[must_use]
     pub fn matching_ids(&self, pattern: &Pattern) -> Vec<ValueId> {
-        let mut out = Vec::new();
-        // One compile amortized over every distinct value the screens
-        // fail to decide.
         let compiled = CompiledPattern::compile(pattern);
-        // Literal-prefix fast path: descend the trie, then verify.
         let prefix = literal_prefix(pattern);
-        if !prefix.is_empty() {
-            let mut ids: Vec<usize> = self.trie.rows_with_prefix(&prefix);
-            ids.sort_unstable();
-            for id in ids {
-                let v = self.distinct[id];
-                if compiled.matches(v.render()) {
-                    out.push(v);
-                }
-            }
-            return out;
-        }
-        for (sig, vals) in &self.buckets {
-            if !intersects(sig, pattern) {
-                continue; // no value with this signature can match
-            }
-            if contains(pattern, sig) {
-                // Every value with this signature matches.
-                out.extend_from_slice(vals);
-                continue;
-            }
-            for &v in vals {
-                if compiled.matches(v.render()) {
-                    out.push(v);
-                }
-            }
-        }
-        out
+        // Every match starts with `prefix`, and the values that do form
+        // one contiguous run of the sorted array.
+        let start = self
+            .sorted
+            .partition_point(|v| v.render() < prefix.as_str());
+        let run = &self.sorted[start..];
+        let len = run.partition_point(|v| v.render().starts_with(prefix.as_str()));
+        run[..len]
+            .iter()
+            .copied()
+            .filter(|v| compiled.matches(v.render()))
+            .collect()
     }
 
     /// Rows holding exactly `value`.
@@ -163,9 +121,9 @@ impl PatternIndex {
         self.values.get(&value).map_or(&[], Vec::as_slice)
     }
 
-    /// Full scan fallback (for the ablation benchmark): match every
-    /// distinct value with no bucket pruning (and no bytecode — this is
-    /// the pure-interpreter baseline).
+    /// Full scan fallback (the ablation benchmark's baseline and the
+    /// tests' oracle): match every distinct value with the AST
+    /// interpreter, with no prefix range and no compiled code.
     #[must_use]
     pub fn lookup_scan(&self, pattern: &Pattern) -> Vec<RowId> {
         let mut rows: Vec<RowId> = Vec::new();
@@ -185,8 +143,8 @@ fn literal_prefix(p: &Pattern) -> String {
     let mut out = String::new();
     for e in p.elements() {
         match (e.class, e.quant.interval()) {
-            (anmat_pattern::SymbolClass::Literal(c), (1, Some(1))) => out.push(c),
-            (anmat_pattern::SymbolClass::Literal(c), (min, _)) if min >= 1 => {
+            (SymbolClass::Literal(c), (1, Some(1))) => out.push(c),
+            (SymbolClass::Literal(c), (min, _)) if min >= 1 => {
                 out.push(c);
                 break; // repetition: only the first copy is certain
             }
@@ -229,8 +187,6 @@ mod tests {
         let idx = PatternIndex::build(&t, 0);
         assert_eq!(idx.indexed_rows, 7);
         assert_eq!(idx.distinct_count(), 6);
-        // Signatures: \D{5} (x4 values... 90001/90002/90003/60601), \D{3}-\D{2}, \LL{5}.
-        assert_eq!(idx.bucket_count(), 3);
     }
 
     #[test]

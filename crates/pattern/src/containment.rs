@@ -79,60 +79,6 @@ pub fn equivalent(a: &Pattern, b: &Pattern) -> bool {
     contains(a, b) && contains(b, a)
 }
 
-/// Do the two patterns match at least one common string
-/// (`L(a) ∩ L(b) ≠ ∅`)?
-///
-/// Exact, via BFS over the product of the two NFAs with the same
-/// alphabet-atom partition as [`contains`]. The pattern index uses this to
-/// prune signature buckets that cannot contain matches.
-#[must_use]
-pub fn intersects(a: &Pattern, b: &Pattern) -> bool {
-    // Length-interval screen.
-    let (amin, amax) = (a.min_len(), a.max_len());
-    let (bmin, bmax) = (b.min_len(), b.max_len());
-    if let Some(amax) = amax {
-        if amax < bmin {
-            return false;
-        }
-    }
-    if let Some(bmax) = bmax {
-        if bmax < amin {
-            return false;
-        }
-    }
-    let a = a.normalized();
-    let b = b.normalized();
-    let na = Nfa::compile(&a);
-    let nb = Nfa::compile(&b);
-    let atoms = alphabet_atoms(&[&a, &b]);
-    let start = (na.eps_closure(&[na.start]), nb.eps_closure(&[nb.start]));
-    let mut seen = std::collections::HashSet::new();
-    let mut queue = VecDeque::new();
-    queue.push_back(start);
-    while let Some((sa, sb)) = queue.pop_front() {
-        if !seen.insert((sa.clone(), sb.clone())) {
-            continue;
-        }
-        if na.accepts_set(&sa) && nb.accepts_set(&sb) {
-            return true;
-        }
-        for &c in &atoms {
-            let sa2 = na.step(&sa, c);
-            if sa2.is_empty() {
-                continue;
-            }
-            let sb2 = nb.step(&sb, c);
-            if sb2.is_empty() {
-                continue;
-            }
-            if !seen.contains(&(sa2.clone(), sb2.clone())) {
-                queue.push_back((sa2, sb2));
-            }
-        }
-    }
-    false
-}
-
 /// A chain-shaped NFA for one pattern.
 struct Nfa {
     start: usize,
@@ -511,28 +457,10 @@ mod tests {
     }
 
     #[test]
-    fn intersects_basic() {
-        assert!(intersects(&pat("\\D{5}"), &pat("900\\D{2}")));
-        assert!(!intersects(&pat("\\LL+"), &pat("\\D+")));
-        assert!(intersects(&pat("\\A*"), &pat("abc")));
-        assert!(!intersects(&pat("\\D{3}"), &pat("\\D{4}")));
-        // Shared literal region forces agreement.
-        assert!(intersects(&pat("ab\\D"), &pat("\\LL{2}5")));
-        assert!(!intersects(&pat("ab\\D"), &pat("\\LU\\LL5")));
-    }
-
-    #[test]
-    fn intersects_empty_pattern() {
-        assert!(intersects(&Pattern::empty(), &pat("\\A*")));
-        assert!(!intersects(&Pattern::empty(), &pat("\\A+")));
-    }
-
-    #[test]
     fn containment_implies_intersection_when_nonempty() {
         let p = pat("900\\D{2}");
         let q = pat("\\D{5}");
         assert!(contains(&q, &p));
-        assert!(intersects(&q, &p));
     }
 
     #[test]

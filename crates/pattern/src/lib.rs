@@ -66,7 +66,7 @@ pub mod vm;
 pub use ast::{Element, Pattern, Quantifier};
 pub use compile::{AsciiSet, ClassSet, CompiledConstrained, CompiledPattern, Op};
 pub use constrained::{ConstrainedPattern, Segment};
-pub use containment::{contains, equivalent, generalize_patterns, intersects};
+pub use containment::{contains, equivalent, generalize_patterns};
 pub use error::PatternError;
 pub use induce::{induce, loosen, signature, InduceConfig, PatternLevel};
 pub use matcher::{match_pattern, match_spans, MatchSpans};

@@ -12,13 +12,14 @@
 //! Records containing a quote fall back to an owned state machine whose
 //! scratch buffers are reused across records.
 
+use crate::atomic::write_atomic;
 use crate::error::TableError;
 use crate::pool::{ValueId, ValuePool};
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::value::NullPolicy;
 use anmat_obs as obs;
-use std::io::{BufReader, Read, Write};
+use std::io::{BufReader, Read};
 use std::path::Path;
 
 /// CSV parsing/writing options.
@@ -139,10 +140,9 @@ pub fn write_str_with(table: &Table, opts: CsvOptions) -> String {
     out
 }
 
-/// Write a table to a file.
+/// Write a table to a file, replacing it whole ([`write_atomic`]).
 pub fn write_path(table: &Table, path: impl AsRef<Path>) -> Result<(), TableError> {
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(write_str(table).as_bytes())?;
+    write_atomic(path, write_str(table))?;
     Ok(())
 }
 

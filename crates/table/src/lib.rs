@@ -19,8 +19,11 @@
 //!   of Figure 2, with token/char positions;
 //! * [`pool`] — the dictionary-encoding layer: a process-global string
 //!   interner ([`ValuePool`]) and the `Copy` cell handle ([`ValueId`])
-//!   every downstream index and engine keys on.
+//!   every downstream index and engine keys on;
+//! * [`atomic`] — [`write_atomic`], the temporary-file-and-rename write
+//!   every output file goes through.
 
+pub mod atomic;
 pub mod cow;
 pub mod csv;
 pub mod error;
@@ -31,6 +34,7 @@ pub mod table;
 pub mod tokenize;
 pub mod value;
 
+pub use atomic::write_atomic;
 pub use cow::CowVec;
 pub use error::TableError;
 pub use pool::{PoolFootprint, ReclaimStats, ValueId, ValuePool};

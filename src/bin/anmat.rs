@@ -25,6 +25,7 @@
 
 use anmat::obs;
 use anmat::prelude::*;
+use anmat::table::write_atomic;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -746,7 +747,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
             snap.epoch()
         );
         let out = format!("{dir}/{}.checkpoint.json", dataset_name(path));
-        std::fs::write(&out, json).map_err(|e| format!("writing {out}: {e}"))?;
+        write_atomic(&out, json).map_err(|e| format!("writing {out}: {e}"))?;
         println!(
             "checkpoint: epoch {}, {} live row(s), {} live violation(s) written to {out} \
              (copy-on-write snapshot; ingest may continue)",
@@ -879,7 +880,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     if let Some(out) = &metrics_out {
         engine.publish_metrics();
         let snap = obs::MetricsSnapshot::capture();
-        std::fs::write(out, snap.to_json()).map_err(|e| format!("writing {out}: {e}"))?;
+        write_atomic(out, snap.to_json()).map_err(|e| format!("writing {out}: {e}"))?;
         println!("metrics: full registry snapshot written to {out}");
     }
 

@@ -565,6 +565,58 @@ fn stream_metrics_out_writes_parseable_registry_snapshot() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Output files are replaced whole through a temporary file in the same
+/// directory, which is gone afterwards; a write that cannot land keeps
+/// the `writing PATH: …` error form and exit code 1.
+#[test]
+fn output_files_are_replaced_whole_and_failed_writes_are_errors() {
+    let dir = std::env::temp_dir().join(format!("anmat_cli_atomic_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (csv, rules) = zips_fixture(&dir);
+    let (csv, rules) = (csv.to_str().unwrap(), rules.to_str().unwrap());
+    let metrics = dir.join("metrics.json");
+    let repaired = dir.join("repaired.csv");
+    let stale = "x".repeat(1 << 16);
+    std::fs::write(&metrics, &stale).unwrap();
+    std::fs::write(&repaired, &stale).unwrap();
+
+    let m = metrics.to_str().unwrap();
+    let out = anmat(&["stream", csv, "--rules", rules, "--metrics-out", m]);
+    assert!(out.status.success(), "stream failed: {}", stderr(&out));
+    let text = std::fs::read_to_string(&metrics).unwrap();
+    serde_json::from_str::<serde::Value>(&text).expect("snapshot replaced whole");
+    let r = repaired.to_str().unwrap();
+    let out = anmat(&["detect", csv, "--rules", rules, "--repair", r]);
+    assert!(out.status.success(), "detect failed: {}", stderr(&out));
+    let text = std::fs::read_to_string(&repaired).unwrap();
+    assert!(
+        text.starts_with("zip,city\n") && !text.contains('x'),
+        "{text}"
+    );
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    assert_eq!(
+        names,
+        ["metrics.json", "repaired.csv", "rules.json", "zips.csv"],
+        "no temporary file left behind"
+    );
+
+    let target = dir.to_str().unwrap();
+    let out = anmat(&["stream", csv, "--rules", rules, "--metrics-out", target]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        stderr(&out).contains(&format!("writing {target}: ")),
+        "{}",
+        stderr(&out)
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn stream_stats_every_prints_periodic_deterministic_lines() {
     let dir = std::env::temp_dir().join(format!("anmat_cli_stats_{}", std::process::id()));
