@@ -1,4 +1,4 @@
-//! E14 — streaming ingest throughput: `StreamEngine` vs repeated batch
+//! E16 — streaming ingest throughput: `StreamEngine` vs repeated batch
 //! `detect_all`, for pure appends *and* mutation churn.
 //!
 //! The claim under test: incremental maintenance makes per-op cost
@@ -42,7 +42,7 @@ fn id_rows_of(table: &Table) -> Vec<Vec<ValueId>> {
 /// Shown for the full discovered rule set and for its constant-PFD
 /// subset (the path with a strict size-independence guarantee).
 fn marginal_cost_artifact(data: &Dataset, rules: &[Pfd]) {
-    println!("── E14 artifact: marginal per-row cost vs accumulated size ──");
+    println!("── E16 artifact: marginal per-row cost vs accumulated size ──");
     let constant_rules: Vec<Pfd> = rules
         .iter()
         .filter(|p| p.kind() == anmat_core::PfdKind::Constant)
@@ -129,7 +129,7 @@ fn churn_ops(data: &Dataset) -> Vec<RowOp> {
 /// with the ratio trigger, slots stay within 2× live for the whole run
 /// while the uncompacted twin's slot count grows with *history*.
 fn churn_memory_artifact(data: &Dataset, rules: &[Pfd], total_ops: usize) {
-    println!("── E14 artifact: sustained-churn memory (50% delete mix, {total_ops} ops) ──");
+    println!("── E16 artifact: sustained-churn memory (50% delete mix, {total_ops} ops) ──");
     let rows = rows_of(&data.table);
     for ratio in [0.0f64, 0.3] {
         let config = StreamConfig {
@@ -207,7 +207,7 @@ fn shard_sweep_artifact(data: &Dataset, rules: &[Pfd], rows: usize) {
     let ops = churn_ops(data);
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     println!(
-        "── E14 artifact: shard sweep (90/10 churn, {rows} rows, {} ops; \
+        "── E16 artifact: shard sweep (90/10 churn, {rows} rows, {} ops; \
          {} rule(s) shardable, {cores} core(s) available) ──",
         ops.len(),
         rules.len()
@@ -299,7 +299,7 @@ fn recorder_overhead_artifact(data: &Dataset, rules: &[Pfd]) -> (f64, f64, f64, 
     let raw = (off - on) / off * 100.0;
     let overhead = raw.max(0.0);
     println!(
-        "── E14 artifact: recorder overhead (90/10 churn, {} ops, both legs warmed, \
+        "── E16 artifact: recorder overhead (90/10 churn, {} ops, both legs warmed, \
          interleaved best-of-7) ──",
         ops.len()
     );
@@ -339,7 +339,7 @@ fn recorder_overhead_artifact(data: &Dataset, rules: &[Pfd]) -> (f64, f64, f64, 
 fn reclaim_churn_artifact(data: &Dataset, rules: &[Pfd], total_ops: usize) -> String {
     use anmat_table::ValuePool;
     println!(
-        "── E14 artifact: reclamation churn (high-cardinality city, 60/40 insert/delete \
+        "── E16 artifact: reclamation churn (high-cardinality city, 60/40 insert/delete \
          mix, {total_ops} ops, compact-ratio 0.3, interleaved best-of-3) ──"
     );
     let rows = rows_of(&data.table);
@@ -556,7 +556,7 @@ fn key_shard_sweep_artifact(data: &Dataset, discovered: &[Pfd], rows: usize) -> 
     let ops = churn_ops(data);
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     println!(
-        "── E14 artifact: key-granular shard sweep (single heavy variable rule, \
+        "── E16 artifact: key-granular shard sweep (single heavy variable rule, \
          90/10 churn, {rows} rows, {} ops, {cores} core(s) available) ──",
         ops.len()
     );

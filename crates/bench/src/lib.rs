@@ -1,10 +1,12 @@
 //! Shared fixtures for the benchmark harness.
 //!
-//! Every bench regenerates one table or figure of the paper (see the
-//! experiment index in `DESIGN.md`): it first *prints* the reproduced
+//! Every bench regenerates one table or figure of the paper, or one of
+//! this reproduction's own experiments: it first *prints* the reproduced
 //! artifact — discovered tableaux, detected errors, scaling series — then
-//! measures the relevant operation with Criterion. Paper-vs-measured notes
-//! live in `EXPERIMENTS.md`.
+//! measures the relevant operation with Criterion. Each bench's `//! E<n>`
+//! header names its experiment and the claim it checks, and the
+//! repository README quotes the measured figures next to the design
+//! they support. Run one with `cargo bench -p anmat-bench --bench NAME`.
 
 use anmat_core::{DiscoveryConfig, Pfd};
 use anmat_datagen::{Dataset, GenConfig};

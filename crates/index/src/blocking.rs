@@ -478,41 +478,8 @@ impl BlockingPartition {
         }
     }
 
-    /// Move out every block whose key satisfies `pred` — the partition's
-    /// half of the key-range migration protocol (a sharded engine
-    /// reassigning a hash range of keys to another worker). The extracted
-    /// `(key, block)` pairs re-install losslessly via
-    /// [`BlockingPartition::install_blocks`]; counters and the key cache
-    /// stay put (migration performs no pattern work, and routing state
-    /// lives with the coordinator).
-    pub fn extract_blocks_if(
-        &mut self,
-        mut pred: impl FnMut(ValueId) -> bool,
-    ) -> Vec<(ValueId, KeyBlock)> {
-        let mut out = Vec::new();
-        self.blocks.retain(|&key, block| {
-            if pred(key) {
-                out.push((key, std::mem::take(block)));
-                false
-            } else {
-                true
-            }
-        });
-        out
-    }
-
-    /// Install blocks previously moved out by
-    /// [`BlockingPartition::extract_blocks_if`]. Keys must not collide
-    /// with blocks already present (key ranges are disjoint across
-    /// workers by construction); a collision replaces the resident block.
-    pub fn install_blocks(&mut self, blocks: impl IntoIterator<Item = (ValueId, KeyBlock)>) {
-        for (key, block) in blocks {
-            self.blocks.insert(key, block);
-        }
-    }
-
-    /// Iterate the keys of all live blocks (arbitrary order) — the census
-    /// hook key-granular rebalancing uses to weigh hash ranges.
+    /// Iterate the keys of all live blocks (arbitrary order) — the ids a
+    /// string-reclamation sweep must keep alive.
     pub fn block_keys(&self) -> impl Iterator<Item = ValueId> + '_ {
         self.blocks.keys().copied()
     }

@@ -16,12 +16,11 @@
 //!   by their constrained-capture key, and pairs are enumerated within
 //!   blocks only.
 //!
-//! The inverted list and blocking structures are *incrementally
-//! updatable in both directions* — mutable streams, not just appends:
-//! [`InvertedIndex::insert_row`] / [`InvertedIndex::remove_row`] apply
-//! one row's deltas in `O(keys per row)` with exact per-key
-//! [`EntryStats`] increments and decrements (the hook for online
-//! re-discovery), and [`BlockingPartition::insert`] /
+//! The inverted list is built in one pass per candidate dependency
+//! ([`InvertedIndex::build`]), each row adding its per-key
+//! [`EntryStats`] deltas in `O(keys per row)`. The blocking partition is
+//! *incrementally updatable in both directions* — mutable streams, not
+//! just appends: [`BlockingPartition::insert`] /
 //! [`BlockingPartition::remove`] touch exactly the affected block, with
 //! an `O(1)` majority update per insert and a majority re-derivation
 //! only when a removal dethrones the leader — the substrate of the
@@ -41,5 +40,5 @@ pub mod pattern_index;
 mod runs;
 
 pub use blocking::{BlockingIndex, BlockingPartition, Blocks, KeyBlock, Placement};
-pub use inverted::{EntryStats, ExtractionMode, IndexSnapshot, InvertedIndex, Posting};
+pub use inverted::{EntryStats, ExtractionMode, InvertedIndex, Posting};
 pub use pattern_index::PatternIndex;

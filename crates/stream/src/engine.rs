@@ -57,7 +57,9 @@ pub struct StreamConfig {
     pub max_violation_ratio: f64,
     /// Worker shards for [`ShardedEngine`](crate::ShardedEngine)
     /// (`StreamEngine` itself is always single-threaded; `1` means "no
-    /// extra workers"). Clamped to the rule count at engine build.
+    /// extra workers"). Clamped at engine build: to the rule count under
+    /// [`ShardBy::Rule`], to [`KEY_SLOTS`](crate::KEY_SLOTS) under
+    /// [`ShardBy::Key`].
     pub shards: usize,
     /// Tombstone ratio (`dead slots / total slots`) above which the
     /// engine compacts automatically at the end of a mutation entry
@@ -100,7 +102,8 @@ pub enum ShardBy {
     Rule,
     /// Partition by blocking key: every worker holds every rule, but only
     /// processes tuples whose derived key (or constant-tuple LHS value)
-    /// hashes into the worker's slot range. The coordinator derives and
+    /// hashes into one of the worker's slots (slot `s` belongs to worker
+    /// `s % shards`, fixed at engine build). The coordinator derives and
     /// ships keys, so pattern work is still paid once per distinct value.
     Key,
 }
@@ -344,7 +347,7 @@ struct VariableTuple {
 /// 4. **off-window majority churn**: a majority row beyond the witness
 ///    window arrives or leaves — nothing moves (`O(1)`).
 #[derive(Debug, Default)]
-pub(crate) struct BlockState {
+struct BlockState {
     majority: Option<ValueId>,
     witnesses: Vec<RowId>,
     violations: Vec<Violation>,
@@ -602,8 +605,7 @@ enum TupleState {
 /// Rule state is fully self-contained (no ledger, no drift counters):
 /// [`RuleState::process_insert`] / [`RuleState::process_removal`] read a
 /// table and emit deltas, which is what lets a rule live on any worker
-/// thread — and migrate between them on rebalance — while the engines
-/// own the shared bookkeeping.
+/// thread while the engines own the shared bookkeeping.
 #[derive(Debug)]
 pub(crate) struct RuleState {
     pub(crate) pfd: Pfd,
@@ -671,30 +673,10 @@ impl TupleDeltas {
     }
 }
 
-/// One tuple's extractable per-key state — the payload of the key-range
-/// migration protocol (see [`RuleState::extract_keys`]).
-#[derive(Debug)]
-pub(crate) enum TupleKeySlice {
-    /// Constant tuple: `(lhs id, matched?)` memo entries.
-    Constant(Vec<(u32, bool)>),
-    /// Variable tuple: `(key, block, asserted context)` triples.
-    Variable(Vec<(ValueId, KeyBlock, BlockState)>),
-}
-
-impl TupleKeySlice {
-    /// Is there anything to migrate in this slice?
-    pub(crate) fn is_empty(&self) -> bool {
-        match self {
-            TupleKeySlice::Constant(entries) => entries.is_empty(),
-            TupleKeySlice::Variable(entries) => entries.is_empty(),
-        }
-    }
-}
-
 /// One rule's per-tuple compiled programs — compiled exactly once per
-/// rule and handed around as `Arc`s, so seeding rule state (on any
-/// engine, any shard, any rebalance) never recompiles and
-/// `pattern.compile_ns` counts each rule once regardless of `--shards N`.
+/// rule and handed around as `Arc`s, so seeding rule state on any
+/// engine or shard never recompiles and `pattern.compile_ns` counts
+/// each rule once regardless of `--shards N`.
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledRule {
     programs: Vec<TupleProgram>,
@@ -965,7 +947,7 @@ impl RuleState {
         };
         let lhs_id = table.cell_id(row, lhs);
         let rhs_id = table.cell_id(row, rhs);
-        // One slot-map probe covers every constant tuple: they all key
+        // One ownership probe covers every constant tuple: they all key
         // on the same LHS id.
         let const_owned = owns(lhs_id);
         // Consecutive owned tuples fuse into one entry; a tuple another
@@ -1059,69 +1041,6 @@ impl RuleState {
             }
         }
         TupleDeltas::flush(&mut pending, out);
-    }
-
-    /// Move out all per-key state whose key (`ValueId::raw`) satisfies
-    /// `give_up` — one [`TupleKeySlice`] per tuple, tableau order. The
-    /// key-range migration half of key-granular rebalancing: constant
-    /// tuples surrender memo entries (keyed by LHS id), variable tuples
-    /// surrender whole blocks with their asserted
-    /// majority/witness/violation context. Eval counters stay put on
-    /// both sides, so global eval tallies survive any rebalance.
-    pub(crate) fn extract_keys(&mut self, give_up: &dyn Fn(u32) -> bool) -> Vec<TupleKeySlice> {
-        self.tuples
-            .iter_mut()
-            .map(|tuple| match tuple {
-                TupleState::Constant(ct) => TupleKeySlice::Constant(ct.memo.extract_if(give_up)),
-                TupleState::Variable(vt) => {
-                    let blocks = vt.partition.extract_blocks_if(|k| give_up(k.raw()));
-                    TupleKeySlice::Variable(
-                        blocks
-                            .into_iter()
-                            .map(|(key, block)| {
-                                let state = vt.blocks.remove(&key).unwrap_or_default();
-                                (key, block, state)
-                            })
-                            .collect(),
-                    )
-                }
-            })
-            .collect()
-    }
-
-    /// Install per-key state previously moved out by
-    /// [`RuleState::extract_keys`] on another worker. `slices` must be
-    /// tuple-aligned (same tableau, same order) — guaranteed because
-    /// every key-mode worker seeds every rule from the same shared
-    /// [`CompiledRule`].
-    pub(crate) fn install_keys(&mut self, slices: Vec<TupleKeySlice>) {
-        for (tuple, slice) in self.tuples.iter_mut().zip(slices) {
-            match (tuple, slice) {
-                (TupleState::Constant(ct), TupleKeySlice::Constant(entries)) => {
-                    ct.memo.install(entries);
-                }
-                (TupleState::Variable(vt), TupleKeySlice::Variable(entries)) => {
-                    for (key, block, state) in entries {
-                        vt.partition.install_blocks([(key, block)]);
-                        vt.blocks.insert(key, state);
-                    }
-                }
-                _ => unreachable!("slice shape mirrors the tableau"),
-            }
-        }
-    }
-
-    /// Visit the key of every live block across this rule's variable
-    /// tuples — the census hook key-granular rebalancing weighs hash
-    /// ranges with.
-    pub(crate) fn for_each_block_key(&self, f: &mut dyn FnMut(ValueId)) {
-        for tuple in &self.tuples {
-            if let TupleState::Variable(vt) = tuple {
-                for key in vt.partition.block_keys() {
-                    f(key);
-                }
-            }
-        }
     }
 
     /// Apply a compaction [`RowIdRemap`] to this rule's incremental
@@ -1226,8 +1145,8 @@ impl RuleState {
             .sum()
     }
 
-    /// Blocks this rule currently maintains — the observed load figure
-    /// shard rebalancing distributes by.
+    /// Blocks this rule currently maintains — what `engine.blocks` and
+    /// the sharded engine's per-worker `shard.N.keys` gauges sum.
     pub(crate) fn block_count(&self) -> usize {
         self.tuples
             .iter()
@@ -1240,8 +1159,7 @@ impl RuleState {
 
     /// A-priori load estimate for a rule that has seen no data yet:
     /// variable tuples maintain whole block partitions, constant tuples
-    /// just a match memo — the seed weights the initial round-robin
-    /// shard assignment sorts by.
+    /// just a match memo — the weights rule-mode placement sorts by.
     pub(crate) fn estimated_weight(pfd: &Pfd) -> usize {
         pfd.tableau
             .iter()

@@ -60,7 +60,9 @@
 //!   **key-granular** ([`ShardBy::Key`] — blocking keys are hashed over
 //!   workers, so a single heavy rule's blocks spread across every
 //!   core; the coordinator derives each distinct key once and ships
-//!   routes with the batch). Each op batch is interned once, fanned out
+//!   routes with the batch). Placement is fixed when the engine is
+//!   built, on either axis, so no rule or key state ever moves between
+//!   workers. Each op batch is interned once, fanned out
 //!   over bounded channels, and per-shard deltas are merged back in
 //!   `(rule, tuple)` order into one coordinator-owned ledger. With
 //!   [`StreamConfig::run_ahead`]` > 0` the coordinator *pipelines*

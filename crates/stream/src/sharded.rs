@@ -14,17 +14,17 @@
 //! cost, but one heavy rule is capped at one core.
 //!
 //! **Key-granular** ([`ShardBy::Key`]): every worker holds every rule,
-//! but only the tuples whose *blocking key* hashes into the worker's
-//! slot range. The key space is split into [`KEY_SLOTS`] hash slots; a
-//! slot map (slot → worker) assigns each worker a disjoint key range,
-//! so a single rule's blocks spread over all cores. The coordinator
-//! derives every blocking key exactly once (memoized per distinct LHS
-//! value, so pattern work is still paid once per distinct value) and
-//! ships the routes with the batch; workers insert/remove by the
-//! pre-derived key and run the identical block-transition code. Because
-//! each worker owns whole blocks, block-majority re-derivation stays
-//! local — no cross-worker votes, only per-`(rule, tuple)` delta
-//! merging on the coordinator.
+//! but only the tuples whose *blocking key* hashes into one of the
+//! worker's slots. The key space is split into [`KEY_SLOTS`] hash slots
+//! and slot `s` belongs to worker `s % shards`, so each worker owns a
+//! disjoint set of keys and a single rule's blocks spread over all
+//! cores. The coordinator derives every blocking key exactly once
+//! (memoized per distinct LHS value, so pattern work is still paid once
+//! per distinct value) and ships the routes with the batch; workers
+//! insert/remove by the pre-derived key and run the identical
+//! block-transition code. Because each worker owns whole blocks,
+//! block-majority re-derivation stays local — no cross-worker votes,
+//! only per-`(rule, tuple)` delta merging on the coordinator.
 //!
 //! # The shard/merge protocol
 //!
@@ -60,21 +60,19 @@
 //! submission order ([`BatchEvents`] is the per-batch unit), so the
 //! event stream is byte-identical to `run_ahead = 0` — pipelining
 //! changes *when* the merge happens, never its order. Barriers
-//! (compaction, rebalance, stats gathering) drain the window first.
+//! (compaction, stats gathering) drain the window first.
 //! [`ShardedEngine::apply`] remains the synchronous path: submit, drain,
 //! concatenate.
 //!
-//! # Placement and rebalancing
+//! # Placement
 //!
-//! In rule mode, rules are assigned round-robin in descending order of
-//! an a-priori weight; [`ShardedEngine::rebalance`] redistributes by
-//! *observed* per-rule block counts, migrating whole rule states. In
-//! key mode the same call takes a per-slot block census and reassigns
-//! hash slots to workers heaviest-first; workers extract the per-key
-//! state (memo entries, blocks with their asserted context) for slots
-//! they lost and the coordinator re-installs it on the new owners.
-//! Either way the engine's observable behaviour is unchanged — only
-//! future load placement.
+//! Placement is fixed when the engine is built and never changes, so no
+//! state ever moves between workers. In rule mode,
+//! [`ShardedEngine::with_config`] deals the rules round-robin in
+//! descending order of an a-priori weight. In key mode a key belongs to
+//! the worker `owner_of` names: its hash slot modulo the worker count.
+//! Workers filter their share with that function and the coordinator
+//! builds its routing bitmasks with it, so the two always agree.
 //!
 //! # The epoch barrier
 //!
@@ -94,7 +92,7 @@
 use crate::drift::{DriftDelta, DriftMonitor, DriftReport, RuleHealth};
 use crate::engine::{
     apply_deltas, should_compact, validate_ops, CompactionStats, CompiledRule, Delta, DeltaSink,
-    EngineSnapshot, IdOp, RuleState, ShardBy, StreamConfig, TupleDeltas, TupleKeySlice,
+    EngineSnapshot, IdOp, RuleState, ShardBy, StreamConfig, TupleDeltas,
 };
 use anmat_core::{LedgerEvent, Pfd, RhsCell, ViolationLedger};
 use anmat_index::BlockingPartition;
@@ -109,11 +107,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Number of hash slots the key space is split into under
-/// [`ShardBy::Key`]. Slots are the unit of ownership and migration:
-/// each worker owns the slots the slot map assigns it, and rebalancing
-/// moves whole slots. 128 slots give fine-grained balancing headroom
-/// for any plausible worker count while keeping the census and the
-/// remap broadcast tiny.
+/// [`ShardBy::Key`]. Slots are the unit of ownership: slot `s` belongs
+/// to worker `s % shards` for the engine's whole lifetime (see
+/// `owner_of`), which is also why key mode clamps the worker count to
+/// this figure.
 pub const KEY_SLOTS: usize = 128;
 
 /// The hash slot a key (`ValueId::raw`) falls into: a Fibonacci
@@ -122,6 +119,12 @@ pub const KEY_SLOTS: usize = 128;
 /// scatters adjacent ids across slots.
 fn slot_of_raw(raw: u32) -> usize {
     (raw.wrapping_mul(0x9E37_79B9) >> 25) as usize
+}
+
+/// The worker that owns a key (`ValueId::raw`) under [`ShardBy::Key`]
+/// with `shards` workers — the one place key ownership is decided.
+fn owner_of(raw: u32, shards: usize) -> usize {
+    slot_of_raw(raw) % shards
 }
 
 /// One fanned-out batch: the interned ops plus (in key mode) the
@@ -142,8 +145,6 @@ struct RoutedBatch {
     ops: Vec<IdOp>,
     /// The tableau-wide variable-tuple count (`0` in rule mode).
     stride: usize,
-    /// Worker count, the per-op stride of the mask vectors.
-    shards: usize,
     /// Removal-phase routes, derived from each row's *pre-op* cells
     /// (deletes and the first half of updates).
     removal: Vec<Option<ValueId>>,
@@ -183,7 +184,6 @@ struct OpOutcome {
 
 /// Per-rule load/observability figures a worker reports on request.
 struct RuleStats {
-    rule: usize,
     blocks: usize,
     pattern_evals: usize,
     pattern_lookups: usize,
@@ -197,17 +197,6 @@ enum WorkerMsg {
         batch: Arc<RoutedBatch>,
     },
     Stats,
-    /// Rule-mode rebalance: hand every rule state back.
-    Extract,
-    /// Rule-mode rebalance: adopt these rule states.
-    Install(Vec<(usize, RuleState)>),
-    /// Key-mode census: per-slot block counts.
-    SlotCensus,
-    /// Key-mode rebalance: adopt the new slot map and hand back all
-    /// per-key state for slots this worker no longer owns.
-    Rekey(Arc<Vec<usize>>),
-    /// Key-mode rebalance: adopt per-key state extracted elsewhere.
-    InstallKeys(Vec<(usize, Vec<TupleKeySlice>)>),
     /// The epoch barrier: compact the replica and remap rule state with
     /// the coordinator's broadcast remap, then acknowledge.
     Compact(Arc<RowIdRemap>),
@@ -227,10 +216,6 @@ enum WorkerReply {
         outcomes: Vec<OpOutcome>,
     },
     Stats(Vec<RuleStats>),
-    Extracted(Vec<(usize, RuleState)>),
-    Installed,
-    SlotCensus(Vec<usize>),
-    Rekeyed(Vec<(usize, Vec<TupleKeySlice>)>),
     Compacted,
     /// The subset of a `ReclaimScan`'s candidates this worker vetoes.
     ReclaimVeto(Vec<u32>),
@@ -246,11 +231,10 @@ struct Worker {
     table: Table,
     rules: Vec<(usize, RuleState)>,
     shard: usize,
+    /// Worker count: with `shard`, fixes the keys this worker owns in
+    /// key mode (`owner_of`) and indexes the per-op rule bitmasks.
+    shards: usize,
     mode: ShardBy,
-    /// Key mode: slot → owning worker. Swapped atomically at rekey
-    /// barriers; the coordinator holds the same map for routing census
-    /// and migration, never for filtering (ownership is worker-side).
-    slot_map: Arc<Vec<usize>>,
     /// Rule → `(offset, len)` into each op's flat route vector (shared,
     /// immutable — the tableau never changes after seeding).
     layout: Arc<Vec<(usize, usize)>>,
@@ -278,53 +262,13 @@ impl Worker {
                 WorkerMsg::Stats => WorkerReply::Stats(
                     self.rules
                         .iter()
-                        .map(|(rule, state)| RuleStats {
-                            rule: *rule,
+                        .map(|(_, state)| RuleStats {
                             blocks: state.block_count(),
                             pattern_evals: state.pattern_evals(),
                             pattern_lookups: state.pattern_lookups(),
                         })
                         .collect(),
                 ),
-                WorkerMsg::Extract => WorkerReply::Extracted(std::mem::take(&mut self.rules)),
-                WorkerMsg::Install(mut rules) => {
-                    rules.sort_by_key(|(rule, _)| *rule);
-                    self.rules = rules;
-                    WorkerReply::Installed
-                }
-                WorkerMsg::SlotCensus => {
-                    let mut counts = vec![0usize; KEY_SLOTS];
-                    for (_, state) in &self.rules {
-                        state.for_each_block_key(&mut |key| {
-                            counts[slot_of_raw(key.raw())] += 1;
-                        });
-                    }
-                    WorkerReply::SlotCensus(counts)
-                }
-                WorkerMsg::Rekey(new_map) => {
-                    self.slot_map = Arc::clone(&new_map);
-                    let me = self.shard;
-                    let give_up = move |raw: u32| new_map[slot_of_raw(raw)] != me;
-                    let mut moved = Vec::new();
-                    for (rule, state) in &mut self.rules {
-                        let slices = state.extract_keys(&give_up);
-                        if slices.iter().any(|s| !s.is_empty()) {
-                            moved.push((*rule, slices));
-                        }
-                    }
-                    WorkerReply::Rekeyed(moved)
-                }
-                WorkerMsg::InstallKeys(bundle) => {
-                    for (rule, slices) in bundle {
-                        let (_, state) = self
-                            .rules
-                            .iter_mut()
-                            .find(|(r, _)| *r == rule)
-                            .expect("key-mode workers hold every rule");
-                        state.install_keys(slices);
-                    }
-                    WorkerReply::Installed
-                }
                 WorkerMsg::Compact(remap) => {
                     // The replica is op-for-op identical to the
                     // coordinator's table, so compacting it locally
@@ -388,14 +332,13 @@ impl Worker {
                 }
             }
             ShardBy::Key => {
-                let slot_map = &*self.slot_map;
-                let me = self.shard;
-                let owns = move |id: ValueId| slot_map[slot_of_raw(id.raw())] == me;
+                let (me, shards) = (self.shard, self.shards);
+                let owns = move |id: ValueId| owner_of(id.raw(), shards) == me;
                 // Mask-gated priming only pays off when the masks
                 // actually prune (several workers); at one shard every
                 // bit is set and rebuilding the row list per rule would
                 // just duplicate `arriving`.
-                if batch.insert_masks.is_empty() || batch.shards == 1 {
+                if batch.insert_masks.is_empty() || shards == 1 {
                     for (_, state) in &mut self.rules {
                         state.prime_batch_key(&arriving, &owns);
                     }
@@ -405,7 +348,6 @@ impl Worker {
                     // scanning only mask-flagged ops still shows the
                     // owner every row it must classify — the `owns`
                     // filter inside stays exact, evals don't double.
-                    let shards = batch.shards;
                     let mut owned: Vec<&[ValueId]> = Vec::with_capacity(arriving.len());
                     for (rule, state) in &mut self.rules {
                         let bit = 1u64 << *rule;
@@ -476,7 +418,7 @@ impl Worker {
                 } else {
                     (&batch.insert, &batch.insert_masks)
                 };
-                let mask = (!masks.is_empty()).then(|| masks[op_idx * batch.shards + self.shard]);
+                let mask = (!masks.is_empty()).then(|| masks[op_idx * self.shards + self.shard]);
                 self.phase_key(row, &all[start..start + batch.stride], mask, removal)
             }
         }
@@ -515,9 +457,8 @@ impl Worker {
         mask: Option<u64>,
         removal: bool,
     ) -> Vec<RuleDeltas> {
-        let slot_map = &*self.slot_map;
-        let me = self.shard;
-        let owns = move |id: ValueId| slot_map[slot_of_raw(id.raw())] == me;
+        let (me, shards) = (self.shard, self.shards);
+        let owns = move |id: ValueId| owner_of(id.raw(), shards) == me;
         let layout = &*self.layout;
         let mut out = Vec::new();
         let mut scratch = Vec::new();
@@ -579,25 +520,25 @@ impl Worker {
 }
 
 /// Fold one op-phase's ownership into the per-worker rule bitmasks
-/// (`masks[worker]`, bit `r` = rule `r` has owned work there): every
-/// `Some` route key names exactly one owning worker, and a rule with
-/// constant tuples additionally routes to the owner of the row's LHS id
-/// (`lhs_of` reads the phase-appropriate cells — pre-op for removal,
-/// arriving for insert).
+/// (`masks[worker]`, one entry per worker; bit `r` = rule `r` has owned
+/// work there): every `Some` route key names exactly one owning worker,
+/// and a rule with constant tuples additionally routes to the owner of
+/// the row's LHS id (`lhs_of` reads the phase-appropriate cells —
+/// pre-op for removal, arriving for insert).
 fn fill_masks(
     routes: &[Option<ValueId>],
     lhs_of: impl Fn(usize) -> ValueId,
     masks: &mut [u64],
     layout: &[(usize, usize)],
     const_cols: &[Option<usize>],
-    slot_map: &[usize],
 ) {
+    let shards = masks.len();
     for (rule, (offset, count)) in layout.iter().enumerate() {
         for key in routes[*offset..offset + count].iter().flatten() {
-            masks[slot_map[slot_of_raw(key.raw())]] |= 1 << rule;
+            masks[owner_of(key.raw(), shards)] |= 1 << rule;
         }
         if let Some(col) = const_cols[rule] {
-            masks[slot_map[slot_of_raw(lhs_of(col).raw())]] |= 1 << rule;
+            masks[owner_of(lhs_of(col).raw(), shards)] |= 1 << rule;
         }
     }
 }
@@ -794,8 +735,6 @@ pub struct ShardedEngine {
     /// The coordinator's canonical table (workers hold id replicas).
     table: Table,
     rules: Vec<Pfd>,
-    /// Rule index → shard index (rule mode; all zeros in key mode).
-    assignment: Vec<usize>,
     workers: Vec<WorkerHandle>,
     ledger: ViolationLedger,
     drift: DriftMonitor,
@@ -823,8 +762,6 @@ pub struct ShardedEngine {
     /// tuples (whose key-mode owner is decided by the row's LHS id) —
     /// what the coordinator needs to finish each worker's rule bitmask.
     const_cols: Vec<Option<usize>>,
-    /// Key mode: hash slot → owning worker (also held by every worker).
-    slot_map: Arc<Vec<usize>>,
     /// Epoch-tied string reclamation (see [`StreamConfig::reclaim`]).
     reclaim: bool,
     /// Lifetime pool reclamation by this engine's sweeps.
@@ -864,6 +801,11 @@ impl ShardedEngine {
     /// `config.run_ahead` the pipelining window. In key mode the worker
     /// count is clamped to `[1, KEY_SLOTS]` instead of the rule count —
     /// a single rule can use every core.
+    ///
+    /// Placement is decided here, once, for the engine's lifetime: in
+    /// rule mode each rule lives on the worker `assign_by_weight` deals
+    /// it to; in key mode every worker seeds every rule and keeps the
+    /// keys `owner_of` gives it.
     #[must_use]
     pub fn with_config(schema: Schema, rules: Vec<Pfd>, config: StreamConfig) -> ShardedEngine {
         let shard_by = config.shard_by;
@@ -871,12 +813,8 @@ impl ShardedEngine {
             ShardBy::Rule => config.shards.clamp(1, rules.len().max(1)),
             ShardBy::Key => config.shards.clamp(1, KEY_SLOTS),
         };
-        let assignment = match shard_by {
-            ShardBy::Rule => ShardedEngine::assign(&rules, shards),
-            ShardBy::Key => vec![0; rules.len()],
-        };
-        // Initial slot map: slots striped round-robin over workers.
-        let slot_map: Arc<Vec<usize>> = Arc::new((0..KEY_SLOTS).map(|s| s % shards).collect());
+        let weights: Vec<usize> = rules.iter().map(RuleState::estimated_weight).collect();
+        let rule_owner = ShardedEngine::assign_by_weight(&weights, shards);
         // Per-rule offsets into the flat per-op route vectors.
         let mut layout = Vec::with_capacity(rules.len());
         let mut offset = 0;
@@ -923,7 +861,7 @@ impl ShardedEngine {
                     .filter(|(rule, _)| {
                         // Key mode: every worker holds every rule
                         // (restricted to its key slots at runtime).
-                        shard_by == ShardBy::Key || assignment[*rule] == shard
+                        shard_by == ShardBy::Key || rule_owner[*rule] == shard
                     })
                     .map(|(rule, (pfd, programs))| {
                         (rule, RuleState::seed_shared(pfd.clone(), &schema, programs))
@@ -936,8 +874,8 @@ impl ShardedEngine {
                     table: Table::empty(schema.clone()),
                     rules: states,
                     shard,
+                    shards,
                     mode: shard_by,
-                    slot_map: Arc::clone(&slot_map),
                     layout: Arc::clone(&layout),
                     queue_depth,
                     batches: obs::counter(&format!("shard.{shard}.batches")),
@@ -972,7 +910,6 @@ impl ShardedEngine {
         ShardedEngine {
             table,
             rules,
-            assignment,
             workers,
             ledger: ViolationLedger::new(),
             drift,
@@ -987,7 +924,6 @@ impl ShardedEngine {
             route_stride: offset,
             layout,
             const_cols,
-            slot_map,
             reclaim: config.reclaim,
             reclaim_stats: ReclaimStats::default(),
             snap_pin: Arc::new(()),
@@ -1150,10 +1086,9 @@ impl ShardedEngine {
         self.compaction
     }
 
-    /// Round-robin over items sorted by descending weight (ties by
-    /// index): the heaviest items land on distinct shards first. Used
-    /// for both rule assignment (weights per rule) and key-slot
-    /// assignment (weights per hash slot).
+    /// Rule-mode placement: round-robin over the rules sorted by
+    /// descending weight (ties by index), so the heaviest rules land on
+    /// distinct shards first. Returns each rule's shard.
     fn assign_by_weight(weights: &[usize], shards: usize) -> Vec<usize> {
         let mut order: Vec<usize> = (0..weights.len()).collect();
         order.sort_by_key(|&rule| (std::cmp::Reverse(weights[rule]), rule));
@@ -1162,11 +1097,6 @@ impl ShardedEngine {
             assignment[rule] = pos % shards;
         }
         assignment
-    }
-
-    fn assign(rules: &[Pfd], shards: usize) -> Vec<usize> {
-        let weights: Vec<usize> = rules.iter().map(RuleState::estimated_weight).collect();
-        ShardedEngine::assign_by_weight(&weights, shards)
     }
 
     /// Number of worker shards.
@@ -1191,13 +1121,6 @@ impl ShardedEngine {
     #[must_use]
     pub fn pipeline_depth(&self) -> usize {
         self.in_flight.len()
-    }
-
-    /// The shard a rule currently lives on (rule mode; in key mode
-    /// every rule lives on every shard and this returns 0).
-    #[must_use]
-    pub fn rule_shard(&self, rule: usize) -> usize {
-        self.assignment[rule]
     }
 
     // ── ingest entry points (same surface as `StreamEngine`) ─────────
@@ -1358,7 +1281,6 @@ impl ShardedEngine {
                     let batch = Arc::new(RoutedBatch {
                         ops: id_ops,
                         stride: 0,
-                        shards: self.workers.len(),
                         removal: Vec::new(),
                         insert: Vec::new(),
                         removal_masks: Vec::new(),
@@ -1433,11 +1355,9 @@ impl ShardedEngine {
             table,
             layout,
             const_cols,
-            slot_map,
             ..
         } = self;
         let layout = &**layout;
-        let slot_map = &**slot_map;
         let router = router.as_mut().expect("key mode ships routes");
         let mut removal = Vec::with_capacity(id_ops.len() * stride);
         let mut insert = Vec::with_capacity(id_ops.len() * stride);
@@ -1457,7 +1377,6 @@ impl ShardedEngine {
                             &mut insert_masks[masks],
                             layout,
                             const_cols,
-                            slot_map,
                         );
                     }
                     table.push_id_cells(cells).expect("batch pre-validated");
@@ -1473,7 +1392,6 @@ impl ShardedEngine {
                             &mut removal_masks[masks],
                             layout,
                             const_cols,
-                            slot_map,
                         );
                     }
                     insert.resize(insert.len() + stride, None);
@@ -1489,7 +1407,6 @@ impl ShardedEngine {
                             &mut removal_masks[masks.clone()],
                             layout,
                             const_cols,
-                            slot_map,
                         );
                     }
                     table
@@ -1504,7 +1421,6 @@ impl ShardedEngine {
                             &mut insert_masks[masks],
                             layout,
                             const_cols,
-                            slot_map,
                         );
                     }
                 }
@@ -1513,7 +1429,6 @@ impl ShardedEngine {
         RoutedBatch {
             ops: id_ops,
             stride,
-            shards,
             removal,
             insert,
             removal_masks,
@@ -1627,146 +1542,6 @@ impl ShardedEngine {
             i = j;
         }
         entries.clear();
-    }
-
-    // ── rebalancing ──────────────────────────────────────────────────
-
-    /// Redistribute load across shards by *observed* block counts
-    /// (heaviest-first round-robin), after draining the pipeline. In
-    /// rule mode whole rule states migrate between workers with their
-    /// memos and partitions intact; in key mode hash slots are
-    /// reassigned and the affected per-key state (memo entries, blocks
-    /// with their asserted context) migrates. Either way the engine's
-    /// observable behaviour is unchanged — only future load placement.
-    pub fn rebalance(&mut self) {
-        if self.workers.len() <= 1 {
-            return;
-        }
-        self.drain_in_flight();
-        obs::counter!("shard.rebalances").incr();
-        match self.shard_by {
-            ShardBy::Rule => self.rebalance_rules(),
-            ShardBy::Key => self.rebalance_keys(),
-        }
-    }
-
-    fn rebalance_rules(&mut self) {
-        let stats: Vec<RuleStats> = self.gather_stats().into_iter().flatten().collect();
-        let mut weights = vec![0usize; self.rules.len()];
-        for s in &stats {
-            // Observed blocks, floored at 1 so data-free rules still
-            // spread instead of piling onto shard 0.
-            weights[s.rule] = s.blocks.max(1);
-        }
-        self.assignment = ShardedEngine::assign_by_weight(&weights, self.workers.len());
-        // Pull every rule state back, then re-install per the new map.
-        for worker in &self.workers {
-            worker.send(WorkerMsg::Extract);
-        }
-        let mut states: Vec<(usize, RuleState)> = Vec::with_capacity(self.rules.len());
-        for worker in &self.workers {
-            match worker.recv() {
-                WorkerReply::Extracted(mut s) => states.append(&mut s),
-                _ => unreachable!("worker replies in lockstep with requests"),
-            }
-        }
-        for (shard, worker) in self.workers.iter().enumerate() {
-            let assigned: Vec<(usize, RuleState)> = states
-                .extract_if(.., |(rule, _)| self.assignment[*rule] == shard)
-                .collect();
-            worker.send(WorkerMsg::Install(assigned));
-        }
-        for worker in &self.workers {
-            match worker.recv() {
-                WorkerReply::Installed => {}
-                _ => unreachable!("worker replies in lockstep with requests"),
-            }
-        }
-    }
-
-    /// Key-mode rebalance: census the per-slot block population, assign
-    /// slots to workers heaviest-first, and migrate the per-key state
-    /// of every slot that changed owner. Eval/lookup counters stay
-    /// where the work happened, so global tallies are unaffected.
-    fn rebalance_keys(&mut self) {
-        let shards = self.workers.len();
-        for worker in &self.workers {
-            worker.send(WorkerMsg::SlotCensus);
-        }
-        let mut counts = vec![0usize; KEY_SLOTS];
-        for worker in &self.workers {
-            match worker.recv() {
-                WorkerReply::SlotCensus(c) => {
-                    for (slot, n) in c.into_iter().enumerate() {
-                        counts[slot] += n;
-                    }
-                }
-                _ => unreachable!("worker replies in lockstep with requests"),
-            }
-        }
-        // Floor at 1 so empty slots still spread round-robin.
-        let weights: Vec<usize> = counts.iter().map(|&n| n.max(1)).collect();
-        let new_map = Arc::new(ShardedEngine::assign_by_weight(&weights, shards));
-        if *new_map == *self.slot_map {
-            return;
-        }
-        for worker in &self.workers {
-            worker.send(WorkerMsg::Rekey(Arc::clone(&new_map)));
-        }
-        let mut moved: Vec<(usize, Vec<TupleKeySlice>)> = Vec::new();
-        for worker in &self.workers {
-            match worker.recv() {
-                WorkerReply::Rekeyed(mut m) => moved.append(&mut m),
-                _ => unreachable!("worker replies in lockstep with requests"),
-            }
-        }
-        self.slot_map = Arc::clone(&new_map);
-        // Split each extracted slice by the new owner of its keys,
-        // keeping the per-rule slice vectors tuple-aligned (one slice
-        // per tableau tuple, possibly empty) as `install_keys` expects.
-        let mut bundles: Vec<Vec<(usize, Vec<TupleKeySlice>)>> =
-            (0..shards).map(|_| Vec::new()).collect();
-        for (rule, slices) in moved {
-            let mut per_shard: Vec<Vec<TupleKeySlice>> = (0..shards).map(|_| Vec::new()).collect();
-            for slice in slices {
-                match slice {
-                    TupleKeySlice::Constant(entries) => {
-                        let mut split: Vec<Vec<(u32, bool)>> =
-                            (0..shards).map(|_| Vec::new()).collect();
-                        for (id, hit) in entries {
-                            split[new_map[slot_of_raw(id)]].push((id, hit));
-                        }
-                        for (w, part) in split.into_iter().enumerate() {
-                            per_shard[w].push(TupleKeySlice::Constant(part));
-                        }
-                    }
-                    TupleKeySlice::Variable(entries) => {
-                        let mut split: Vec<Vec<_>> = (0..shards).map(|_| Vec::new()).collect();
-                        for entry in entries {
-                            let slot = slot_of_raw(entry.0.raw());
-                            split[new_map[slot]].push(entry);
-                        }
-                        for (w, part) in split.into_iter().enumerate() {
-                            per_shard[w].push(TupleKeySlice::Variable(part));
-                        }
-                    }
-                }
-            }
-            for (w, slices) in per_shard.into_iter().enumerate() {
-                if slices.iter().any(|s| !s.is_empty()) {
-                    bundles[w].push((rule, slices));
-                }
-            }
-        }
-        for (worker, bundle) in self.workers.iter().zip(bundles) {
-            worker.send(WorkerMsg::InstallKeys(bundle));
-        }
-        for worker in &self.workers {
-            match worker.recv() {
-                WorkerReply::Installed => {}
-                _ => unreachable!("worker replies in lockstep with requests"),
-            }
-        }
     }
 
     /// One stats round-trip per worker (pipeline drained first — stats
@@ -2075,32 +1850,6 @@ mod tests {
         }
         let got: Vec<_> = completed.into_iter().flat_map(|b| b.events).collect();
         assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn key_mode_rebalance_preserves_behaviour() {
-        let mut engine = key_engine(4, 0);
-        for i in 0..20 {
-            engine
-                .push_row(vec![
-                    Value::text(format!("{:05}", 90000 + i)),
-                    Value::text(if i % 5 == 0 { "Odd One" } else { "LA" }),
-                ])
-                .unwrap();
-        }
-        let live_before = engine.ledger().live_count();
-        let evals_before = engine.pattern_evals();
-        engine.rebalance();
-        // Nothing observable moved…
-        assert_eq!(engine.ledger().live_count(), live_before);
-        assert_eq!(engine.pattern_evals(), evals_before);
-        // …and the engine still processes correctly after migration: a
-        // fresh minority row in the (possibly migrated) block is
-        // flagged on arrival.
-        let events = engine
-            .push_row(vec![Value::text("90099"), Value::text("Odd One")])
-            .unwrap();
-        assert!(events.iter().any(|e| e.is_created()));
     }
 
     #[test]

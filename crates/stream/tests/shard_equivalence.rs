@@ -6,7 +6,7 @@
 //! eval/lookup counters as the single-threaded [`StreamEngine`] —
 //! bit-for-bit, regardless of the sharding axis (rule- or
 //! key-granular), shard count, run-ahead pipelining window, shard
-//! completion order, batch splits, or mid-stream rebalancing.
+//! completion order, or batch splits.
 //!
 //! Case count scales with `PROPTEST_CASES` (CI runs a dedicated
 //! elevated-cases step so the concurrency path gets real coverage on
@@ -181,7 +181,6 @@ fn check_spec(
     schema: &anmat_table::Schema,
     rules: &[Pfd],
     op_batches: &[Vec<RowOp>],
-    rebalance_at: Option<usize>,
     compaction: &CompactionPlan,
     base: StreamConfig,
     single: &StreamEngine,
@@ -201,9 +200,6 @@ fn check_spec(
     assert_eq!(sharded.run_ahead(), spec.run_ahead);
     let mut completed: Vec<BatchEvents> = Vec::new();
     for (k, batch) in op_batches.iter().enumerate() {
-        if rebalance_at == Some(k) {
-            sharded.rebalance();
-        }
         if spec.run_ahead == 0 {
             let events = sharded.apply(batch.clone()).expect("ops are valid");
             assert_eq!(
@@ -302,13 +298,12 @@ fn check_spec(
 }
 
 /// Feed identical batch sequences to the single-threaded engine and to
-/// every sharded configuration in `specs` (optionally rebalancing or
-/// compacting mid-stream), asserting the full determinism contract.
+/// every sharded configuration in `specs` (optionally compacting
+/// mid-stream), asserting the full determinism contract.
 fn assert_specs_equivalent(
     schema: &anmat_table::Schema,
     rules: &[Pfd],
     op_batches: &[Vec<RowOp>],
-    rebalance_at: Option<usize>,
     compaction: &CompactionPlan,
     specs: &[ShardSpec],
     context: &str,
@@ -320,16 +315,7 @@ fn assert_specs_equivalent(
     let (single, reference) = reference_run(schema, rules, op_batches, config, compaction, context);
     for &spec in specs {
         check_spec(
-            schema,
-            rules,
-            op_batches,
-            rebalance_at,
-            compaction,
-            config,
-            &single,
-            &reference,
-            spec,
-            context,
+            schema, rules, op_batches, compaction, config, &single, &reference, spec, context,
         );
     }
 }
@@ -340,19 +326,10 @@ fn assert_shard_equivalent(
     schema: &anmat_table::Schema,
     rules: &[Pfd],
     op_batches: &[Vec<RowOp>],
-    rebalance_at: Option<usize>,
     compaction: &CompactionPlan,
     context: &str,
 ) {
-    assert_specs_equivalent(
-        schema,
-        rules,
-        op_batches,
-        rebalance_at,
-        compaction,
-        &RULE_SPECS,
-        context,
-    );
+    assert_specs_equivalent(schema, rules, op_batches, compaction, &RULE_SPECS, context);
 }
 
 /// Like [`random_ops`] + [`batches`], but epoch-aware: the op stream is
@@ -429,7 +406,6 @@ fn check_dataset(table: &Table, seed: u64, churn: f64, context: &str) {
         table.schema(),
         &rules,
         &op_batches,
-        None,
         &CompactionPlan::default(),
         context,
     );
@@ -455,7 +431,6 @@ fn check_dataset_with_compaction(table: &Table, seed: u64, churn: f64, context: 
         table.schema(),
         &rules,
         &op_batches,
-        None,
         &plan,
         &format!("{context} + forced epoch barrier"),
     );
@@ -472,7 +447,6 @@ fn check_dataset_with_compaction(table: &Table, seed: u64, churn: f64, context: 
         table.schema(),
         &rules,
         &op_batches,
-        None,
         &plan,
         &format!("{context} + ratio 0.3 epochs"),
     );
@@ -527,29 +501,6 @@ fn replay_table_is_shard_equivalent() {
 }
 
 #[test]
-fn rebalancing_mid_stream_changes_nothing_observable() {
-    let config = GenConfig {
-        rows: 200,
-        seed: 0x12EBA,
-        error_rate: 0.05,
-    };
-    let data = names::generate(&config);
-    let rules = discover(&data.table, &discovery_config());
-    let ops = random_ops(&data.table, 7, 0.2);
-    let op_batches = batches(&ops, &[16]);
-    // Rebalance after roughly half the batches have flowed.
-    let mid = op_batches.len() / 2;
-    assert_shard_equivalent(
-        data.table.schema(),
-        &rules,
-        &op_batches,
-        Some(mid),
-        &CompactionPlan::default(),
-        "names + mid-stream rebalance",
-    );
-}
-
-#[test]
 fn mid_stream_compaction_is_shard_equivalent() {
     let config = GenConfig {
         rows: 200,
@@ -563,36 +514,6 @@ fn mid_stream_compaction_is_shard_equivalent() {
         "zipcity",
     );
     check_dataset_with_compaction(&names::generate(&config).table, 22, 0.3, "names");
-}
-
-#[test]
-fn compaction_composes_with_mid_stream_rebalance() {
-    // The two coordinated maneuvers — rule-state migration and the
-    // epoch barrier — in one run, rebalance first, barrier later.
-    let config = GenConfig {
-        rows: 160,
-        seed: 0xBA1A,
-        error_rate: 0.05,
-    };
-    let data = zipcity::generate(&config, zipcity::ZipTarget::City);
-    let rules = discover(&data.table, &discovery_config());
-    let probe = epoch_aware_batches(&data.table, 31, 0.3, &[12], CompactionPlan::default());
-    let barrier = (2 * probe.0.len()) / 3;
-    let mut plan = CompactionPlan {
-        force_after: Some(barrier),
-        ratio: 0.0,
-        expected_epochs: Vec::new(),
-    };
-    let (op_batches, epochs) = epoch_aware_batches(&data.table, 31, 0.3, &[12], plan.clone());
-    plan.expected_epochs = epochs;
-    assert_shard_equivalent(
-        data.table.schema(),
-        &rules,
-        &op_batches,
-        Some(op_batches.len() / 3),
-        &plan,
-        "zipcity + rebalance then epoch barrier",
-    );
 }
 
 /// The tentpole matrix: key-granular sharding (blocking keys hashed
@@ -626,7 +547,6 @@ fn key_sharding_and_pipelining_matrix_is_equivalent() {
         data.table.schema(),
         &rules,
         &op_batches,
-        None,
         &CompactionPlan::default(),
         &specs,
         "zipcity (key/pipeline matrix)",
@@ -659,18 +579,17 @@ fn single_heavy_rule_is_key_shard_equivalent() {
         data.table.schema(),
         &[rule],
         &op_batches,
-        None,
         &CompactionPlan::default(),
         &[ShardSpec::key(4, 0), ShardSpec::key(4, 4)],
         "zipcity single heavy rule",
     );
 }
 
-/// The coordinated maneuvers under the key axis: a mid-stream
-/// `rebalance()` (slot census → key-range migration) followed later by
-/// a forced compaction epoch barrier, with pipelining both off and on.
+/// The coordinated epoch barrier under the key axis: a forced
+/// compaction two thirds of the way through the stream, with pipelining
+/// both off and on — the only forced barrier the key axis runs.
 #[test]
-fn key_mode_rebalance_and_epoch_barrier_are_equivalent() {
+fn key_mode_forced_epoch_barrier_is_equivalent() {
     let config = GenConfig {
         rows: 160,
         seed: 0x5107,
@@ -691,14 +610,13 @@ fn key_mode_rebalance_and_epoch_barrier_are_equivalent() {
         data.table.schema(),
         &rules,
         &op_batches,
-        Some(op_batches.len() / 3),
         &plan,
         &[
             ShardSpec::key(2, 0),
             ShardSpec::key(4, 1),
             ShardSpec::key(4, 4),
         ],
-        "zipcity + key-mode rebalance then epoch barrier",
+        "zipcity + key-mode epoch barrier",
     );
 }
 
@@ -727,7 +645,6 @@ fn key_mode_ratio_epochs_are_equivalent() {
         data.table.schema(),
         &rules,
         &op_batches,
-        None,
         &plan,
         &[ShardSpec::key(2, 4), ShardSpec::key(4, 0)],
         "names + key-mode ratio epochs",
@@ -930,8 +847,7 @@ proptest! {
                 table.schema(),
                 &rules,
                 &op_batches,
-                None,
-                &CompactionPlan::default(),
+                                &CompactionPlan::default(),
                 context,
             );
         }
@@ -965,8 +881,7 @@ proptest! {
             table.schema(),
             &rules,
             &op_batches,
-            None,
-            &CompactionPlan::default(),
+                        &CompactionPlan::default(),
             &[ShardSpec::key(shards, run_ahead)],
             "zipcity (key property)",
         );
@@ -998,8 +913,7 @@ proptest! {
             table.schema(),
             &rules,
             &op_batches,
-            None,
-            &plan,
+                        &plan,
             "zipcity (ratio epochs property)",
         );
     }
