@@ -28,8 +28,15 @@
 //! variable tuple places or withdraws the row in `O(1)` for an append
 //! and `O(log block + run cap)` otherwise (blocks keep their rows as
 //! short ascending runs), plus the transition path above.
+//!
+//! The rule state runs in one of two layouts, fixed when the engine is
+//! built: inline on the calling thread when [`StreamConfig::shards`]
+//! clamps to one shard, or spread over worker threads
+//! ([`sharded`](crate::sharded)). Both run the same rule code against
+//! the same table states, so they return the same events.
 
 use crate::drift::{DriftMonitor, DriftReport, RuleHealth};
+use crate::sharded::{BatchEvents, Shards, KEY_SLOTS, MAX_RUN_AHEAD};
 use anmat_core::detect::constant::violation_at;
 use anmat_core::detect::variable::{flag_block_minority, minority_violation, MAX_WITNESSES};
 use anmat_core::discovery::DiscoveryConfig;
@@ -47,7 +54,7 @@ use fxhash::{FxHashMap, FxHashSet};
 use std::sync::Arc;
 
 /// Engine thresholds (the drift monitor's discovery-style knobs) plus
-/// the shard count the sharded engine and the CLI plumb through.
+/// the shard layout the CLI plumbs through.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamConfig {
     /// Rows a rule must match before drift is judged.
@@ -55,11 +62,10 @@ pub struct StreamConfig {
     /// Allowed violation ratio before a rule counts as drifted (mirrors
     /// `DiscoveryConfig::max_violation_ratio`).
     pub max_violation_ratio: f64,
-    /// Worker shards for [`ShardedEngine`](crate::ShardedEngine)
-    /// (`StreamEngine` itself is always single-threaded; `1` means "no
-    /// extra workers"). Clamped at engine build: to the rule count under
-    /// [`ShardBy::Rule`], to [`KEY_SLOTS`](crate::KEY_SLOTS) under
-    /// [`ShardBy::Key`].
+    /// Worker shards. Clamped at engine build: to the rule count under
+    /// [`ShardBy::Rule`], to [`KEY_SLOTS`] under
+    /// [`ShardBy::Key`]. One shard runs every rule inline on the calling
+    /// thread; more spread the rules over that many worker threads.
     pub shards: usize,
     /// Tombstone ratio (`dead slots / total slots`) above which the
     /// engine compacts automatically at the end of a mutation entry
@@ -67,18 +73,19 @@ pub struct StreamConfig {
     /// space). `<= 0.0` (the default) disables auto-compaction;
     /// [`StreamEngine::compact`] stays available manually either way.
     pub compact_ratio: f64,
-    /// Which axis the sharded engine partitions work on: whole rules
-    /// (the default — each worker owns a disjoint rule subset) or hashed
+    /// Which axis several shards partition work on: whole rules (the
+    /// default — each worker owns a disjoint rule subset) or hashed
     /// blocking keys (each worker owns a disjoint key range of *every*
-    /// rule, so a single heavy rule spreads across all cores). Ignored
-    /// by `StreamEngine`.
+    /// rule, so a single heavy rule spreads across all cores). One
+    /// shard runs inline, on either axis.
     pub shard_by: ShardBy,
-    /// Cross-batch pipelining window for the sharded engine: how many
+    /// Cross-batch pipelining window for several shards: how many
     /// submitted batches may be in flight (fanned out but not yet
-    /// merged) before the coordinator merges the oldest. `0` (the
-    /// default) restores the classic per-batch barrier. Merging is
-    /// always in submission order, so event order is unaffected.
-    /// Ignored by `StreamEngine`.
+    /// merged) before the coordinator merges the oldest, clamped to 64
+    /// at engine build. `0` (the default) restores the classic
+    /// per-batch barrier. Merging is always in submission order, so
+    /// event order is unaffected. One shard runs inline, where every
+    /// batch completes at once.
     pub run_ahead: usize,
     /// Tie string reclamation to the compaction epochs: the engine
     /// enables batch-granular [`ValuePool`] refcounting on its table and,
@@ -91,7 +98,7 @@ pub struct StreamConfig {
     pub reclaim: bool,
 }
 
-/// The sharded engine's work-partitioning axis (see
+/// The sharded layout's work-partitioning axis (see
 /// [`StreamConfig::shard_by`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardBy {
@@ -143,19 +150,11 @@ pub struct CompactionStats {
     pub reclaimed_slots: usize,
 }
 
-/// Should a table with this tombstone census compact under `ratio`?
-/// Shared by both engines so their auto-compaction points coincide —
-/// part of the sharded determinism contract.
-pub(crate) fn should_compact(ratio: f64, total_slots: usize, live_slots: usize) -> bool {
-    let dead = total_slots - live_slots;
-    ratio > 0.0 && dead > 0 && dead as f64 >= ratio * total_slots as f64
-}
-
 /// One violation assertion change produced by a rule's incremental
 /// state. Rule processing emits deltas into a [`DeltaSink`]; *applying*
 /// them to the refcounting [`ViolationLedger`] (which dedupes across
-/// rules) is the owning engine's job — inline for `StreamEngine`, at the
-/// merge step for `ShardedEngine`. This split is what lets rule state
+/// rules) is the engine's job — right away in the inline layout, at the
+/// merge step in the sharded one. This split is what lets rule state
 /// live on worker threads while the ledger stays in one place.
 #[derive(Debug, Clone)]
 pub(crate) enum Delta {
@@ -210,9 +209,9 @@ pub(crate) fn apply_deltas(
     }
 }
 
-/// A [`RowOp`] with its cells interned: what both engines validate,
-/// prime, and execute (and what the sharded engine ships to its workers
-/// — ids are `Copy`, so no string is cloned).
+/// A [`RowOp`] with its cells interned: what the engine validates,
+/// primes, and executes (and what the sharded layout ships to its
+/// workers — ids are `Copy`, so no string is cloned).
 #[derive(Debug, Clone)]
 pub(crate) enum IdOp {
     Insert(Vec<ValueId>),
@@ -242,8 +241,8 @@ impl IdOp {
 /// Validate a whole op batch against `table`'s live set as the batch
 /// itself evolves it (arity of every insert/update, liveness of every
 /// addressed row *at its point in the sequence*) before any op executes
-/// — the atomicity guarantee both engines give: a malformed op-log
-/// leaves the engine untouched.
+/// — the engine's atomicity guarantee: a malformed op-log leaves it
+/// untouched.
 ///
 /// `O(batch)`: only the batch's own effect is tracked (how many slots it
 /// appended, which slots it deleted); every other slot answers from
@@ -605,7 +604,7 @@ enum TupleState {
 /// Rule state is fully self-contained (no ledger, no drift counters):
 /// [`RuleState::process_insert`] / [`RuleState::process_removal`] read a
 /// table and emit deltas, which is what lets a rule live on any worker
-/// thread while the engines own the shared bookkeeping.
+/// thread while the engine owns the shared bookkeeping.
 #[derive(Debug)]
 pub(crate) struct RuleState {
     pub(crate) pfd: Pfd,
@@ -621,7 +620,7 @@ pub(crate) struct RuleState {
 /// In key mode a single rule's work for one row can land on several
 /// workers (one per tuple the row's keys hash to), so deltas come back
 /// per `(rule, tuple)` instead of per rule; the coordinator sorts the
-/// merged entries by that pair to reproduce the single-threaded sink
+/// merged entries by that pair to reproduce the inline sink
 /// order, then folds the `matched` bits and violation counts into one
 /// drift tally per rule.
 #[derive(Debug)]
@@ -629,11 +628,11 @@ pub(crate) struct TupleDeltas {
     /// Tableau index of the emitting tuple — when several consecutive
     /// owned tuples fuse into one entry, the first one's index (the
     /// fused deltas stay in tableau order internally, so sorting merged
-    /// entries by this tag still reproduces the single-threaded order).
+    /// entries by this tag still reproduces the inline order).
     pub(crate) tuple: usize,
     /// Did the row's LHS match this tuple (ORed across fused tuples)?
     pub(crate) matched: bool,
-    /// The violation deltas, in single-threaded emission order.
+    /// The violation deltas, in inline emission order.
     pub(crate) sink: DeltaSink,
 }
 
@@ -692,7 +691,7 @@ enum TupleProgram {
 impl CompiledRule {
     /// The compiled key extractors of this rule's *variable* tuples, in
     /// tableau order (`None` = wildcard LHS, which blocks on the whole
-    /// value). The coordinator of a key-granular sharded engine builds
+    /// value). The coordinator of a key-granular sharded layout builds
     /// its routing memos from these, sharing the same `Arc`s the worker
     /// states hold.
     pub(crate) fn variable_keyers(&self) -> Vec<Option<Arc<CompiledConstrained>>> {
@@ -898,7 +897,7 @@ impl RuleState {
     /// tuples are skipped entirely — in key mode the coordinator derives
     /// (and memoizes) blocking keys, so worker partitions never run the
     /// extractor. Each distinct LHS value is owned by exactly one
-    /// worker, so summing worker memos still yields the single-threaded
+    /// worker, so summing worker memos still yields the inline
     /// eval count.
     pub(crate) fn prime_batch_key(&mut self, rows: &[&[ValueId]], owns: &impl Fn(ValueId) -> bool) {
         let Some((lhs, _)) = self.cols else {
@@ -933,7 +932,7 @@ impl RuleState {
     /// Emits one [`TupleDeltas`] per owned tuple that matched (or
     /// produced deltas), tagged with the tuple's tableau index — the
     /// coordinator sorts merged entries by `(rule, tuple)` to reproduce
-    /// the single-threaded sink order exactly.
+    /// the inline sink order exactly.
     pub(crate) fn process_insert_key(
         &mut self,
         table: &Table,
@@ -1146,7 +1145,7 @@ impl RuleState {
     }
 
     /// Blocks this rule currently maintains — what `engine.blocks` and
-    /// the sharded engine's per-worker `shard.N.keys` gauges sum.
+    /// the sharded layout's per-worker `shard.N.keys` gauges sum.
     pub(crate) fn block_count(&self) -> usize {
         self.tuples
             .iter()
@@ -1172,9 +1171,29 @@ impl RuleState {
     }
 }
 
+/// Rule-state figures summed over a set of rules: blocks maintained,
+/// pattern evaluations, and memo lookups.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct Census {
+    pub(crate) blocks: usize,
+    pub(crate) evals: usize,
+    pub(crate) lookups: usize,
+}
+
+impl Census {
+    pub(crate) fn of<'a>(rules: impl IntoIterator<Item = &'a RuleState>) -> Census {
+        let mut census = Census::default();
+        for rule in rules {
+            census.blocks += rule.block_count();
+            census.evals += rule.pattern_evals();
+            census.lookups += rule.pattern_lookups();
+        }
+        census
+    }
+}
+
 /// A consistent copy-on-write view of a stream engine's observable
-/// state, frozen at a batch boundary (see [`StreamEngine::snapshot`] /
-/// [`ShardedEngine::snapshot`](crate::ShardedEngine::snapshot)).
+/// state, frozen at a batch boundary (see [`StreamEngine::snapshot`]).
 ///
 /// The table view shares storage chunks with the live engine (copied
 /// lazily, per chunk, on the engine's next write — never by the reader)
@@ -1196,24 +1215,6 @@ pub struct EngineSnapshot {
 }
 
 impl EngineSnapshot {
-    /// Capture a snapshot from the engine-internal pieces — shared by
-    /// [`StreamEngine::snapshot`] and the sharded engine (which freezes
-    /// its coordinator-owned canonical table and ledger behind the same
-    /// pipeline barrier its compactions use).
-    pub(crate) fn capture(
-        table: &Table,
-        ledger: &ViolationLedger,
-        pin: &Arc<()>,
-    ) -> EngineSnapshot {
-        obs::counter!("snapshot.engine_captures").incr();
-        EngineSnapshot {
-            table: table.snapshot(),
-            ledger: ledger.freeze(),
-            epoch: table.epoch(),
-            _pin: Arc::clone(pin),
-        }
-    }
-
     /// The frozen table view.
     #[must_use]
     pub fn table(&self) -> &Table {
@@ -1234,13 +1235,22 @@ impl EngineSnapshot {
     }
 }
 
-/// The incremental PFD violation engine (see the crate docs).
+/// The incremental PFD violation engine (see the crate docs). Its rules
+/// run inline on the calling thread or, with several shards, on worker
+/// threads (see [`sharded`](crate::sharded)); either way the events,
+/// ledger, health, drift report and counters are the same.
 #[derive(Debug)]
 pub struct StreamEngine {
+    /// The canonical table (sharded workers hold id replicas of it).
     table: Table,
-    rules: Vec<RuleState>,
+    /// The seeded rules, in index order.
+    rules: Vec<Pfd>,
+    /// Where the rule state lives.
+    layout: Layout,
     ledger: ViolationLedger,
     drift: DriftMonitor,
+    /// The next batch's sequence number (see [`BatchEvents::seq`]).
+    next_seq: u64,
     /// Auto-compaction threshold (see [`StreamConfig::compact_ratio`]).
     compact_ratio: f64,
     compaction: CompactionStats,
@@ -1254,34 +1264,70 @@ pub struct StreamEngine {
     snap_pin: Arc<()>,
 }
 
+/// Where an engine's rule state lives, fixed when it is built.
+#[derive(Debug)]
+enum Layout {
+    /// One shard: every rule runs on the calling thread.
+    Inline(Vec<RuleState>),
+    /// Several shards: worker threads hold the rule state.
+    Sharded(Shards),
+}
+
 impl StreamEngine {
-    /// An engine over `schema`, seeded with `rules`, default thresholds.
+    /// An engine over `schema`, seeded with `rules`, default thresholds
+    /// (one shard, so the rules run inline).
     #[must_use]
     pub fn new(schema: Schema, rules: Vec<Pfd>) -> StreamEngine {
         StreamEngine::with_config(schema, rules, StreamConfig::default())
     }
 
-    /// An engine with explicit drift thresholds.
+    /// An engine with explicit thresholds and shard layout. The shard
+    /// count is clamped to `[1, rule count]` under [`ShardBy::Rule`] and
+    /// to `[1, KEY_SLOTS]` under [`ShardBy::Key`]. One shard runs every
+    /// rule inline; more spawn that many worker threads, placed once for
+    /// the engine's lifetime, with `run_ahead` clamped to 64 (see
+    /// [`sharded`](crate::sharded)).
     #[must_use]
     pub fn with_config(schema: Schema, rules: Vec<Pfd>, config: StreamConfig) -> StreamEngine {
+        let shards = match config.shard_by {
+            ShardBy::Rule => config.shards.clamp(1, rules.len().max(1)),
+            ShardBy::Key => config.shards.clamp(1, KEY_SLOTS),
+        };
+        let layout = if shards == 1 {
+            Layout::Inline(
+                rules
+                    .iter()
+                    .map(|pfd| RuleState::seed(pfd.clone(), &schema))
+                    .collect(),
+            )
+        } else {
+            let run_ahead = config.run_ahead.min(MAX_RUN_AHEAD);
+            Layout::Sharded(Shards::new(
+                &schema,
+                &rules,
+                config.shard_by,
+                shards,
+                run_ahead,
+            ))
+        };
         let drift = DriftMonitor::new(rules.len(), config.min_support, config.max_violation_ratio);
-        let states = rules
-            .into_iter()
-            .map(|pfd| RuleState::seed(pfd, &schema))
-            .collect();
         let mut table = Table::empty(schema);
         if config.reclaim {
             // Batch-granular refcounting: the table retains each cell id
             // on insert and releases on delete/overwrite, recording ids
             // whose count hit zero as sweep candidates for the next
-            // compaction barrier.
+            // compaction barrier. Sharded workers' replicas are
+            // op-for-op content-identical to this table, so a cell id
+            // with no reference here has none there either.
             table.enable_refcounts();
         }
         StreamEngine {
             table,
-            rules: states,
+            rules,
+            layout,
             ledger: ViolationLedger::new(),
             drift,
+            next_seq: 0,
             compact_ratio: config.compact_ratio,
             compaction: CompactionStats::default(),
             reclaim: config.reclaim,
@@ -1294,12 +1340,17 @@ impl StreamEngine {
     /// [`RowIdRemap`] through every consumer — the remap protocol,
     /// end to end:
     ///
-    /// 1. [`Table::compact`] drops tombstoned slots and opens a new
+    /// 1. in-flight sharded batches merge, so the compaction point is a
+    ///    clean batch boundary;
+    /// 2. [`Table::compact`] drops tombstoned slots and opens a new
     ///    epoch;
-    /// 2. every rule's blocking partition and asserted block context
+    /// 3. every rule's blocking partition and asserted block context
     ///    translate in place (`RuleState::apply_remap` — no pattern
     ///    re-evaluation, [`StreamEngine::pattern_evals`] is invariant);
-    /// 3. the ledger rewrites its live violations and adopts the epoch
+    ///    sharded, the remap is broadcast and every worker compacts its
+    ///    replica (bit-identical by construction) and remaps its rules
+    ///    before acknowledging;
+    /// 4. the ledger rewrites its live violations and adopts the epoch
     ///    (event history stays verbatim; see
     ///    [`LedgerEvent::epoch`](anmat_core::LedgerEvent)).
     ///
@@ -1307,9 +1358,15 @@ impl StreamEngine {
     /// only coordinates change. Callers holding pre-compaction `RowId`s
     /// must translate them through the returned remap.
     pub fn compact(&mut self) -> RowIdRemap {
+        self.drain();
         let remap = self.table.compact();
-        for rule in &mut self.rules {
-            rule.apply_remap(&remap);
+        match &mut self.layout {
+            Layout::Inline(rules) => {
+                for rule in rules {
+                    rule.apply_remap(&remap);
+                }
+            }
+            Layout::Sharded(shards) => shards.compact(&remap),
         }
         self.ledger.remap(&remap);
         self.compaction.epochs += 1;
@@ -1331,13 +1388,16 @@ impl StreamEngine {
     ///    queued it;
     /// 2. **protection** — rule state holds ids beyond live cells
     ///    (constant RHS constants, derived block keys); see
-    ///    [`RuleState::collect_protected`].
+    ///    [`RuleState::collect_protected`]. Sharded, each worker vetoes
+    ///    the candidates its rules protect, and the union of the vetoes
+    ///    is the inline protected set, so both layouts free identical
+    ///    sets at identical boundaries.
     ///
-    /// Survivors are purged from every memo/key cache *before*
-    /// [`ValuePool::reclaim`] queues them for recycling, so no cache can
-    /// answer for a recycled id. While an [`EngineSnapshot`] is alive
-    /// the whole sweep defers — candidates simply stay queued in the
-    /// table for the next barrier.
+    /// Survivors are purged from every memo/key cache (the sharded
+    /// router's routing memos included) *before* [`ValuePool::reclaim`]
+    /// queues them for recycling, so no cache can answer for a recycled
+    /// id. While an [`EngineSnapshot`] is alive the whole sweep defers —
+    /// candidates simply stay queued in the table for the next barrier.
     fn sweep_reclaimable(&mut self) {
         if !self.reclaim {
             return;
@@ -1346,24 +1406,40 @@ impl StreamEngine {
             obs::counter!("pool.sweeps_deferred").incr();
             return;
         }
-        let candidates = self.table.take_reclaim_candidates();
+        let candidates: Vec<ValueId> = self
+            .table
+            .take_reclaim_candidates()
+            .into_iter()
+            .filter(|id| ValuePool::refcount(*id) == 0)
+            .collect();
         if candidates.is_empty() {
             return;
         }
-        let mut protected = FxHashSet::default();
-        for rule in &self.rules {
-            rule.collect_protected(&mut protected);
-        }
+        let protected = match &mut self.layout {
+            Layout::Inline(rules) => {
+                let mut protected = FxHashSet::default();
+                for rule in rules.iter() {
+                    rule.collect_protected(&mut protected);
+                }
+                protected
+            }
+            Layout::Sharded(shards) => shards.protected(&candidates),
+        };
         let doomed: Vec<ValueId> = candidates
             .into_iter()
-            .filter(|id| ValuePool::refcount(*id) == 0 && !protected.contains(&id.raw()))
+            .filter(|id| !protected.contains(&id.raw()))
             .collect();
         if doomed.is_empty() {
             return;
         }
         let dead: FxHashSet<u32> = doomed.iter().map(|id| id.raw()).collect();
-        for rule in &mut self.rules {
-            rule.purge_values(&dead);
+        match &mut self.layout {
+            Layout::Inline(rules) => {
+                for rule in rules {
+                    rule.purge_values(&dead);
+                }
+            }
+            Layout::Sharded(shards) => shards.purge(dead),
         }
         let stats = ValuePool::reclaim(doomed);
         self.reclaim_stats.strings += stats.strings;
@@ -1378,28 +1454,38 @@ impl StreamEngine {
 
     /// Freeze a consistent copy-on-write view of the engine's observable
     /// state — table and ledger — that stays valid while ingest
-    /// continues. Capture is `O(chunks + live violations)` handle
-    /// clones (no cell is copied); subsequent engine mutations pay one
-    /// chunk copy per first-touched chunk (`snapshot.cow_copies`).
+    /// continues. In-flight sharded batches merge first, so the view
+    /// sits at a clean batch boundary. Capture is
+    /// `O(chunks + live violations)` handle clones (no cell is copied);
+    /// subsequent engine mutations pay one chunk copy per first-touched
+    /// chunk (`snapshot.cow_copies`).
     ///
     /// While the snapshot is alive, reclamation sweeps defer (the
     /// snapshot resolves ids against the shared pool), so every id it
     /// holds stays resolvable for its whole lifetime.
     #[must_use]
-    pub fn snapshot(&self) -> EngineSnapshot {
-        EngineSnapshot::capture(&self.table, &self.ledger, &self.snap_pin)
+    pub fn snapshot(&mut self) -> EngineSnapshot {
+        self.drain();
+        obs::counter!("snapshot.engine_captures").incr();
+        EngineSnapshot {
+            table: self.table.snapshot(),
+            ledger: self.ledger.freeze(),
+            epoch: self.table.epoch(),
+            _pin: Arc::clone(&self.snap_pin),
+        }
     }
 
-    /// Auto-compaction hook: runs at the end of tombstoning entry
-    /// points (never mid-batch — a validated op batch addresses one id
-    /// space) when the tombstone ratio crosses
-    /// [`StreamConfig::compact_ratio`].
+    /// Auto-compaction hook, checked after every batch against the
+    /// canonical table (which the sharded layout advances at
+    /// submission), so both layouts compact at the same batch
+    /// boundaries whatever the pipelining window — never mid-batch,
+    /// since a validated op batch addresses one id space. Fires when
+    /// the tombstone ratio reaches [`StreamConfig::compact_ratio`].
     fn maybe_compact(&mut self) {
-        if should_compact(
-            self.compact_ratio,
-            self.table.row_count(),
-            self.table.live_rows(),
-        ) {
+        let slots = self.table.row_count();
+        let dead = slots - self.table.live_rows();
+        let ratio = self.compact_ratio;
+        if ratio > 0.0 && dead > 0 && dead as f64 >= ratio * slots as f64 {
             self.compact();
         }
     }
@@ -1416,6 +1502,35 @@ impl StreamEngine {
     #[must_use]
     pub fn compaction_stats(&self) -> CompactionStats {
         self.compaction
+    }
+
+    /// Number of worker shards (1 when the rules run inline).
+    #[must_use]
+    pub fn shard_count(&self) -> usize {
+        match &self.layout {
+            Layout::Inline(_) => 1,
+            Layout::Sharded(shards) => shards.count(),
+        }
+    }
+
+    /// The pipelining window (0 = classic per-batch barrier, and always
+    /// 0 inline).
+    #[must_use]
+    pub fn run_ahead(&self) -> usize {
+        match &self.layout {
+            Layout::Inline(_) => 0,
+            Layout::Sharded(shards) => shards.run_ahead(),
+        }
+    }
+
+    /// Batches currently in flight (submitted, not yet merged; always 0
+    /// inline).
+    #[must_use]
+    pub fn pipeline_depth(&self) -> usize {
+        match &self.layout {
+            Layout::Inline(_) => 0,
+            Layout::Sharded(shards) => shards.depth(),
+        }
     }
 
     /// Ingest one row; returns the violation events it caused (creations
@@ -1470,14 +1585,81 @@ impl StreamEngine {
         self.run_ops(rows.into_iter().map(IdOp::Insert))
     }
 
-    /// The one path every entry point lowers to: intern (lazily, as
-    /// `ops` is collected), validate the whole batch (`validate_ops`,
-    /// the only validator), batch-classify each rule's caches over the
-    /// arriving rows (see [`RuleState::prime_batch`] — count-neutral by
-    /// construction), then execute op by op on ids. The whole batch
-    /// addresses one id space, so the auto-compaction check waits until
-    /// after the loop.
+    /// Submit a batch of [`RowOp`]s; returns every batch that
+    /// *completed* as a consequence, in submission order. Inline, that
+    /// is this batch, at once. Sharded, it is possibly none while the
+    /// run-ahead window still has room, and possibly several, including
+    /// earlier submissions; call [`StreamEngine::flush`] to drain the
+    /// rest. Atomic with respect to errors like [`StreamEngine::apply`].
+    pub fn submit(
+        &mut self,
+        ops: impl IntoIterator<Item = RowOp>,
+    ) -> Result<Vec<BatchEvents>, TableError> {
+        self.submit_ops(ops.into_iter().map(IdOp::intern))
+    }
+
+    /// [`StreamEngine::submit`] for a batch of already-interned rows —
+    /// the CLI's clone-free replay path.
+    pub fn submit_id_batch(
+        &mut self,
+        rows: impl IntoIterator<Item = Vec<ValueId>>,
+    ) -> Result<Vec<BatchEvents>, TableError> {
+        self.submit_ops(rows.into_iter().map(IdOp::Insert))
+    }
+
+    /// Drain the pipeline: merge every in-flight batch and return all
+    /// completed-but-undelivered batches, in submission order (none
+    /// inline, where a batch completes when it is submitted).
+    pub fn flush(&mut self) -> Vec<BatchEvents> {
+        self.drain();
+        match &mut self.layout {
+            Layout::Inline(_) => Vec::new(),
+            Layout::Sharded(shards) => shards.take_completed(),
+        }
+    }
+
+    /// The synchronous path every row-level entry point lowers to: run
+    /// one batch and return its events — plus, sharded, those of any
+    /// batches still pending from earlier [`StreamEngine::submit`]
+    /// calls, so mixing the two APIs never drops events.
     fn run_ops(
+        &mut self,
+        ops: impl IntoIterator<Item = IdOp>,
+    ) -> Result<Vec<LedgerEvent>, TableError> {
+        let events = self.dispatch(ops)?;
+        self.drain();
+        Ok(match &mut self.layout {
+            Layout::Inline(_) => events,
+            Layout::Sharded(shards) => shards
+                .take_completed()
+                .into_iter()
+                .flat_map(|b| b.events)
+                .collect(),
+        })
+    }
+
+    /// [`StreamEngine::submit`]'s path: run one batch and hand back the
+    /// batches that completed.
+    fn submit_ops(
+        &mut self,
+        ops: impl IntoIterator<Item = IdOp>,
+    ) -> Result<Vec<BatchEvents>, TableError> {
+        let seq = self.next_seq;
+        let events = self.dispatch(ops)?;
+        Ok(match &mut self.layout {
+            Layout::Inline(_) => vec![BatchEvents { seq, events }],
+            Layout::Sharded(shards) => shards.take_completed(),
+        })
+    }
+
+    /// Intern (lazily, as `ops` is collected) and validate one batch
+    /// (`validate_ops`, the only validator), then run it under the next
+    /// sequence number. Inline, it runs to completion here and its
+    /// events come back. Sharded, it fans out, its events reach the
+    /// completed queue when it merges, and the returned `Vec` is empty.
+    /// The whole batch addresses one id space, so the auto-compaction
+    /// check waits until after it.
+    fn dispatch(
         &mut self,
         ops: impl IntoIterator<Item = IdOp>,
     ) -> Result<Vec<LedgerEvent>, TableError> {
@@ -1487,35 +1669,36 @@ impl StreamEngine {
             let _validate = obs::span!("engine.validate_ns");
             validate_ops(&self.table, &ops)?;
         }
-        let _apply = obs::span!("engine.apply_ns");
         obs::counter!("engine.ops").add(ops.len() as u64);
-        let arriving: Vec<&[ValueId]> = ops.iter().filter_map(IdOp::arriving).collect();
-        for rule in &mut self.rules {
-            rule.prime_batch(&arriving);
-        }
-        let mut events = Vec::new();
-        for op in ops {
-            match op {
-                IdOp::Insert(cells) => {
-                    let row = self.table.push_id_row(cells).expect("ops pre-validated");
-                    self.process_row(row, &mut events);
-                }
-                IdOp::Delete(row) => {
-                    self.process_removal(row, &mut events);
-                    self.table.delete_row(row).expect("ops pre-validated");
-                }
-                IdOp::Update(row, cells) => {
-                    self.process_removal(row, &mut events);
-                    self.table
-                        .update_id_row(row, cells)
-                        .expect("ops pre-validated");
-                    self.process_row(row, &mut events);
-                }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let events = match &mut self.layout {
+            Layout::Inline(rules) => {
+                let events = run_inline(
+                    rules,
+                    &mut self.table,
+                    &mut self.ledger,
+                    &mut self.drift,
+                    ops,
+                );
+                obs::counter!("engine.events").add(events.len() as u64);
+                events
             }
-        }
+            Layout::Sharded(shards) => {
+                shards.submit(seq, ops, &mut self.table, &mut self.ledger, &mut self.drift);
+                Vec::new()
+            }
+        };
         self.maybe_compact();
-        obs::counter!("engine.events").add(events.len() as u64);
         Ok(events)
+    }
+
+    /// Merge every in-flight sharded batch — the barrier in front of
+    /// compaction, snapshots, stats, and the synchronous path.
+    fn drain(&mut self) {
+        if let Layout::Sharded(shards) = &mut self.layout {
+            shards.drain(&mut self.ledger, &mut self.drift);
+        }
     }
 
     /// Replay an existing table's *live* rows in row order, as one
@@ -1525,33 +1708,6 @@ impl StreamEngine {
     /// ids). Clone-free: rows are carried over as interned ids.
     pub fn replay_table(&mut self, table: &Table) -> Result<Vec<LedgerEvent>, TableError> {
         self.run_ops(table.iter_live().map(|r| IdOp::Insert(table.row_ids(r))))
-    }
-
-    /// Run every rule over the freshly written `row`, appending the
-    /// events it causes.
-    fn process_row(&mut self, row: RowId, events: &mut Vec<LedgerEvent>) {
-        for (rule_idx, rule) in self.rules.iter_mut().enumerate() {
-            let mut sink = DeltaSink::default();
-            let matched = rule.process_insert(&self.table, row, &mut sink);
-            self.drift
-                .observe(rule_idx, matched, sink.created, sink.retracted);
-            apply_deltas(&mut self.ledger, sink.deltas, events);
-        }
-    }
-
-    /// Withdraw one row from every rule's incremental state — the exact
-    /// inverse of `process_row`. Called *before* the table slot is
-    /// tombstoned (or overwritten), while the row's cells are still the
-    /// ones its violations were built from, so every retraction is
-    /// structurally identical to the event it cancels.
-    fn process_removal(&mut self, row: RowId, events: &mut Vec<LedgerEvent>) {
-        for (rule_idx, rule) in self.rules.iter_mut().enumerate() {
-            let mut sink = DeltaSink::default();
-            let matched = rule.process_removal(&self.table, row, &mut sink);
-            self.drift
-                .retire(rule_idx, matched, sink.created, sink.retracted);
-            apply_deltas(&mut self.ledger, sink.deltas, events);
-        }
     }
 
     /// Delete one live row; returns the retractions it causes (plus any
@@ -1629,38 +1785,60 @@ impl StreamEngine {
 
     /// The seeded rules, in index order.
     pub fn rules(&self) -> impl Iterator<Item = &Pfd> {
-        self.rules.iter().map(|r| &r.pfd)
+        self.rules.iter()
+    }
+
+    /// Rule-state figures across the engine (sharded: pipeline drained,
+    /// one stats round-trip per worker, key router included), plus each
+    /// worker's block count (empty inline).
+    fn census(&mut self) -> (Census, Vec<usize>) {
+        self.drain();
+        match &mut self.layout {
+            Layout::Inline(rules) => (Census::of(rules.iter()), Vec::new()),
+            Layout::Sharded(shards) => shards.census(),
+        }
     }
 
     /// Total pattern evaluations performed across all rules — constant
     /// tuples' memoized matches plus variable tuples' capture
-    /// extractions. Bounded by `Σ_tuple distinct(LHS column)` regardless
-    /// of row count: the call-counting hook behind the "at most one
-    /// evaluation per (pattern, distinct value)" guarantee.
+    /// extractions (sharded, the key router's derivations included).
+    /// Bounded by `Σ_tuple distinct(LHS column)` regardless of row
+    /// count or layout: the call-counting hook behind the "at most one
+    /// evaluation per (pattern, distinct value)" guarantee. Drains the
+    /// pipeline.
     #[must_use]
-    pub fn pattern_evals(&self) -> usize {
-        self.rules.iter().map(RuleState::pattern_evals).sum()
+    pub fn pattern_evals(&mut self) -> usize {
+        self.census().0.evals
     }
 
     /// Total memo consultations (hits + misses) across all rules — the
     /// denominator for the memoization hit rate:
-    /// `1 − pattern_evals / pattern_lookups`.
+    /// `1 − pattern_evals / pattern_lookups`. Drains the pipeline.
     #[must_use]
-    pub fn pattern_lookups(&self) -> usize {
-        self.rules.iter().map(RuleState::pattern_lookups).sum()
+    pub fn pattern_lookups(&mut self) -> usize {
+        self.census().0.lookups
     }
 
     /// Publish the engine's derived state into the global metrics
     /// registry as gauges: table slots/live/bytes, pool bytes/strings,
-    /// memo lookup/eval totals, block counts, ledger totals, and
-    /// compaction counters.
+    /// memo lookup/eval totals, block counts (per worker too, as
+    /// `shard.N.keys`, when sharded), ledger totals, and compaction
+    /// counters.
     ///
     /// Pull-based by design: per-row hot paths never touch these — the
     /// caller (CLI summary, `--stats-every` ticks, benches) decides the
-    /// refresh cadence. A no-op while the recorder is disabled.
-    pub fn publish_metrics(&self) {
+    /// refresh cadence. Sharded, it drains the pipeline and round-trips
+    /// every worker, so it suits a stats tick, not a per-batch call. A
+    /// no-op while the recorder is disabled.
+    pub fn publish_metrics(&mut self) {
         if !obs::enabled() {
             return;
+        }
+        let (census, per_worker) = self.census();
+        for (shard, blocks) in per_worker.into_iter().enumerate() {
+            // How many key blocks each worker currently owns — flat in
+            // rule mode, the load-balance signal in key mode.
+            obs::gauge(&format!("shard.{shard}.keys")).set(blocks as i64);
         }
         let table = self.table.mem_footprint();
         obs::gauge!("table.slots").set(table.total_slots as i64);
@@ -1671,10 +1849,9 @@ impl StreamEngine {
         obs::gauge!("pool.strings").set(pool.strings as i64);
         obs::gauge!("pool.string_bytes").set(pool.string_bytes as i64);
         obs::gauge!("engine.rules").set(self.rules.len() as i64);
-        obs::gauge!("engine.blocks")
-            .set(self.rules.iter().map(RuleState::block_count).sum::<usize>() as i64);
-        obs::gauge!("memo.evals").set(self.pattern_evals() as i64);
-        obs::gauge!("memo.lookups").set(self.pattern_lookups() as i64);
+        obs::gauge!("engine.blocks").set(census.blocks as i64);
+        obs::gauge!("memo.evals").set(census.evals as i64);
+        obs::gauge!("memo.lookups").set(census.lookups as i64);
         obs::gauge!("ledger.live").set(self.ledger.live_count() as i64);
         obs::gauge!("ledger.created_total").set(self.ledger.created_total() as i64);
         obs::gauge!("ledger.retracted_total").set(self.ledger.retracted_total() as i64);
@@ -1711,10 +1888,73 @@ impl StreamEngine {
             .rules
             .iter()
             .enumerate()
-            .filter_map(|(i, r)| self.drift.judge(i, r.pfd.embedded_fd()))
+            .filter_map(|(i, pfd)| self.drift.judge(i, pfd.embedded_fd()))
             .collect();
         reports.sort_by_key(|r| r.rule);
         reports
+    }
+}
+
+/// The inline layout's batch (already validated): batch-classify each
+/// rule's caches over the arriving rows (see [`RuleState::prime_batch`]
+/// — count-neutral by construction), then execute op by op on ids.
+fn run_inline(
+    rules: &mut [RuleState],
+    table: &mut Table,
+    ledger: &mut ViolationLedger,
+    drift: &mut DriftMonitor,
+    ops: Vec<IdOp>,
+) -> Vec<LedgerEvent> {
+    let _apply = obs::span!("engine.apply_ns");
+    let arriving: Vec<&[ValueId]> = ops.iter().filter_map(IdOp::arriving).collect();
+    for rule in rules.iter_mut() {
+        rule.prime_batch(&arriving);
+    }
+    let mut events = Vec::new();
+    for op in ops {
+        match op {
+            IdOp::Insert(cells) => {
+                let row = table.push_id_row(cells).expect("ops pre-validated");
+                process(rules, table, ledger, drift, row, false, &mut events);
+            }
+            IdOp::Delete(row) => {
+                process(rules, table, ledger, drift, row, true, &mut events);
+                table.delete_row(row).expect("ops pre-validated");
+            }
+            IdOp::Update(row, cells) => {
+                process(rules, table, ledger, drift, row, true, &mut events);
+                table.update_id_row(row, cells).expect("ops pre-validated");
+                process(rules, table, ledger, drift, row, false, &mut events);
+            }
+        }
+    }
+    events
+}
+
+/// Run every rule over one row's arrival or, with `removal`, its
+/// departure, appending the events it causes. A removal runs *before*
+/// the slot is tombstoned (or overwritten), while the row's cells are
+/// still the ones its violations were built from, so every retraction
+/// is structurally identical to the event it cancels.
+fn process(
+    rules: &mut [RuleState],
+    table: &Table,
+    ledger: &mut ViolationLedger,
+    drift: &mut DriftMonitor,
+    row: RowId,
+    removal: bool,
+    events: &mut Vec<LedgerEvent>,
+) {
+    for (rule_idx, rule) in rules.iter_mut().enumerate() {
+        let mut sink = DeltaSink::default();
+        if removal {
+            let matched = rule.process_removal(table, row, &mut sink);
+            drift.retire(rule_idx, matched, sink.created, sink.retracted);
+        } else {
+            let matched = rule.process_insert(table, row, &mut sink);
+            drift.observe(rule_idx, matched, sink.created, sink.retracted);
+        }
+        apply_deltas(ledger, sink.deltas, events);
     }
 }
 

@@ -53,28 +53,29 @@
 //!   the denominator shrinks as matched rows are deleted — and flags
 //!   rules that decay below the discovery threshold, so they can be
 //!   demoted to `RuleStatus::Pending` for re-review.
-//! * [`ShardedEngine`] runs the same delta pipeline across worker
-//!   threads, on either of two axes ([`StreamConfig::shard_by`]):
-//!   **rule-granular** (each worker owns a disjoint rule subset — the
-//!   incremental state of different rules is mutually independent) or
-//!   **key-granular** ([`ShardBy::Key`] — blocking keys are hashed over
-//!   workers, so a single heavy rule's blocks spread across every
-//!   core; the coordinator derives each distinct key once and ships
-//!   routes with the batch). Placement is fixed when the engine is
-//!   built, on either axis, so no rule or key state ever moves between
-//!   workers. Each op batch is interned once, fanned out
+//! * With [`StreamConfig::shards`]` > 1` the same engine runs its delta
+//!   pipeline across worker threads, on either of two axes
+//!   ([`StreamConfig::shard_by`]): **rule-granular** (each worker owns a
+//!   disjoint rule subset — the incremental state of different rules is
+//!   mutually independent) or **key-granular** ([`ShardBy::Key`] —
+//!   blocking keys are hashed over workers, so a single heavy rule's
+//!   blocks spread across every core; the coordinator derives each
+//!   distinct key once and ships routes with the batch). One shard runs
+//!   every rule inline on the calling thread. Placement is fixed when
+//!   the engine is built, on either axis, so no rule or key state ever
+//!   moves between workers. Each op batch is interned once, fanned out
 //!   over bounded channels, and per-shard deltas are merged back in
-//!   `(rule, tuple)` order into one coordinator-owned ledger. With
+//!   `(rule, tuple)` order into the engine's one ledger. With
 //!   [`StreamConfig::run_ahead`]` > 0` the coordinator *pipelines*
-//!   batches: [`ShardedEngine::submit`] returns while workers run
-//!   ahead, and epoch-sequence-tagged merges happen strictly in
-//!   submission order ([`BatchEvents`]). The **determinism contract**:
-//!   for any op sequence, shard count, axis, and run-ahead window, the
-//!   event stream, ledger state, per-rule health, and drift report
-//!   are bit-for-bit identical to [`StreamEngine`]'s (property-tested in
+//!   batches: [`StreamEngine::submit`] returns while workers run ahead,
+//!   and epoch-sequence-tagged merges happen strictly in submission
+//!   order ([`BatchEvents`]). The **determinism contract**: for any op
+//!   sequence, shard count, axis, and run-ahead window, the event
+//!   stream, ledger state, per-rule health, and drift report are
+//!   bit-for-bit identical to the inline layout's (property-tested in
 //!   `tests/shard_equivalence.rs`). Cross-shard string traffic rides the
 //!   `ValuePool`, whose id→string resolution is lock-free. Compaction
-//!   runs as a coordinated **epoch barrier** ([`ShardedEngine::compact`]):
+//!   runs as a coordinated **epoch barrier** ([`StreamEngine::compact`]):
 //!   the pipeline drains, the coordinator compacts, broadcasts the
 //!   remap, and every worker remaps its replica and rule state before
 //!   the next batch flows — the equivalence contract holds across
@@ -116,7 +117,13 @@ pub mod sharded;
 
 pub use drift::{DriftMonitor, DriftReport, RuleHealth};
 pub use engine::{CompactionStats, EngineSnapshot, ShardBy, StreamConfig, StreamEngine};
-pub use sharded::{BatchEvents, ShardedEngine, KEY_SLOTS};
+pub use sharded::{BatchEvents, KEY_SLOTS};
+
+/// The former name of the sharded engine, now [`StreamEngine`] with
+/// [`StreamConfig::shards`]` > 1`. Kept only because the benchmark
+/// harness (`perfbench/harness/src/measure.rs`) still names it; the next
+/// change to the benchmark drops it.
+pub type ShardedEngine = StreamEngine;
 
 // Re-exported so downstream users of the engine's event stream don't need
 // a direct anmat-core dependency.

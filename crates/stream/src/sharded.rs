@@ -1,6 +1,14 @@
-//! Sharded execution of the incremental engine: rule (or key-range)
-//! state spread across worker threads, one deterministic merged event
-//! stream, with optional cross-batch pipelining.
+//! The sharded layout of [`StreamEngine`]: rule (or key-range) state
+//! spread across worker threads, one deterministic merged event stream,
+//! with optional cross-batch pipelining.
+//!
+//! [`StreamEngine::with_config`] picks the layout once. When
+//! [`StreamConfig::shards`] clamps to one worker, every rule runs inline
+//! on the calling thread. Otherwise the rules live on worker threads
+//! behind the crate-private `Shards`: the workers, the key router, the
+//! route layout and the run-ahead queue. The engine keeps the canonical
+//! table, ledger, drift monitor and compaction state once, in either
+//! layout, and lends them to `Shards` per call.
 //!
 //! # Two sharding axes
 //!
@@ -28,47 +36,47 @@
 //!
 //! # The shard/merge protocol
 //!
-//! A batch of [`RowOp`]s is interned and validated **once** by the
-//! coordinator (one `ValuePool` lock acquisition per record via
-//! `intern_value_batch`), then fanned out over bounded channels as one
-//! shared `Arc` of id-ops (plus, in key mode, the per-op route table).
-//! Each worker applies the ops *in order* to its own id-table replica
-//! (4-byte cells; the string bytes live once, in the process-global
-//! pool, whose `resolve` is lock-free) and runs its share of the
-//! `process_insert`/`process_removal` delta core against it — the exact
-//! code the single-threaded engine runs, against an identical table
-//! state at every op. Workers return, per op and per phase (removal,
-//! then insert), the deltas they produced, tagged `(rule, tuple)`.
+//! A batch of [`RowOp`](anmat_table::RowOp)s is interned and validated
+//! **once** by the coordinator (one `ValuePool` lock acquisition per
+//! record via `intern_value_batch`), then fanned out over bounded
+//! channels as one shared `Arc` of id-ops (plus, in key mode, the per-op
+//! route table). Each worker applies the ops *in order* to its own
+//! id-table replica (4-byte cells; the string bytes live once, in the
+//! process-global pool, whose `resolve` is lock-free) and runs its share
+//! of the `process_insert`/`process_removal` delta core against it — the
+//! exact code the inline layout runs, against an identical table state
+//! at every op. Workers return, per op and per phase (removal, then
+//! insert), the deltas they produced, tagged `(rule, tuple)`.
 //!
 //! The coordinator merges: for each op, phase by phase, deltas are
 //! ordered by **(global rule index, tableau tuple index)**, each rule's
 //! partial drift tallies are folded into one [`DriftDelta`]
 //! (`matched` ORs, counts add) and applied once, then the rule's deltas
 //! replay into the one ledger. That is the same ledger/drift call
-//! sequence `StreamEngine` performs, so cross-rule refcount dedup,
+//! sequence the inline layout performs, so cross-rule refcount dedup,
 //! event contents, and event *order* are bit-for-bit identical — the
 //! determinism contract `tests/shard_equivalence.rs` pins down for
-//! 1/2/4 shards on both axes against the single-threaded engine.
+//! 1/2/4 shards on both axes against the inline layout.
 //!
 //! # Cross-batch pipelining
 //!
-//! With `StreamConfig::run_ahead = N`, [`ShardedEngine::submit`] fans a
-//! batch out and returns without waiting: up to `N` batches may be in
-//! flight (fanned out but unmerged) while workers chew. Every batch is
-//! tagged with a monotone **epoch sequence number** at submission;
-//! replies carry it back, and the coordinator merges strictly in
-//! submission order ([`BatchEvents`] is the per-batch unit), so the
-//! event stream is byte-identical to `run_ahead = 0` — pipelining
-//! changes *when* the merge happens, never its order. Barriers
-//! (compaction, stats gathering) drain the window first.
-//! [`ShardedEngine::apply`] remains the synchronous path: submit, drain,
-//! concatenate.
+//! With `StreamConfig::run_ahead = N` (clamped to 64),
+//! [`StreamEngine::submit`] fans a batch out and returns without
+//! waiting: up to `N` batches may be in flight (fanned out but unmerged)
+//! while workers chew. Every batch is tagged with a monotone **epoch
+//! sequence number** at submission; replies carry it back, and the
+//! coordinator merges strictly in submission order ([`BatchEvents`] is
+//! the per-batch unit), so the event stream is byte-identical to
+//! `run_ahead = 0` — pipelining changes *when* the merge happens, never
+//! its order. Barriers (compaction, snapshots, stats gathering) drain
+//! the window first. [`StreamEngine::apply`] remains the synchronous
+//! path: submit, drain, concatenate.
 //!
 //! # Placement
 //!
 //! Placement is fixed when the engine is built and never changes, so no
 //! state ever moves between workers. In rule mode,
-//! [`ShardedEngine::with_config`] deals the rules round-robin in
+//! [`StreamEngine::with_config`] deals the rules round-robin in
 //! descending order of an a-priori weight. In key mode a key belongs to
 //! the worker `owner_of` names: its hash slot modulo the worker count.
 //! Workers filter their share with that function and the coordinator
@@ -77,7 +85,7 @@
 //! # The epoch barrier
 //!
 //! Tombstone compaction is the one maneuver that rewrites `RowId`s, so
-//! it runs as a coordinated barrier ([`ShardedEngine::compact`]): the
+//! it runs as a coordinated barrier ([`StreamEngine::compact`]): the
 //! pipeline drains, the coordinator compacts its canonical table,
 //! broadcasts the resulting `RowIdRemap`, and every worker compacts its
 //! own replica (bit-identical, asserted in debug builds) and remaps its
@@ -85,21 +93,25 @@
 //! acknowledging. No op batch ever straddles two id spaces — the
 //! auto-trigger (`StreamConfig::compact_ratio`) is checked after every
 //! *submitted* batch against the canonical table (which the coordinator
-//! advances at submission), the same boundaries the single-threaded
-//! engine uses, which is what keeps the equivalence contract alive
-//! across compactions.
+//! advances at submission), the same boundaries the inline layout uses,
+//! which is what keeps the equivalence contract alive across
+//! compactions.
+//!
+//! [`StreamEngine`]: crate::StreamEngine
+//! [`StreamEngine::with_config`]: crate::StreamEngine::with_config
+//! [`StreamEngine::submit`]: crate::StreamEngine::submit
+//! [`StreamEngine::apply`]: crate::StreamEngine::apply
+//! [`StreamEngine::compact`]: crate::StreamEngine::compact
+//! [`StreamConfig::shards`]: crate::StreamConfig::shards
 
-use crate::drift::{DriftDelta, DriftMonitor, DriftReport, RuleHealth};
+use crate::drift::{DriftDelta, DriftMonitor};
 use crate::engine::{
-    apply_deltas, should_compact, validate_ops, CompactionStats, CompiledRule, Delta, DeltaSink,
-    EngineSnapshot, IdOp, RuleState, ShardBy, StreamConfig, TupleDeltas,
+    apply_deltas, Census, CompiledRule, Delta, DeltaSink, IdOp, RuleState, ShardBy, TupleDeltas,
 };
 use anmat_core::{LedgerEvent, Pfd, RhsCell, ViolationLedger};
 use anmat_index::BlockingPartition;
 use anmat_obs as obs;
-use anmat_table::{
-    ReclaimStats, RowId, RowIdRemap, RowOp, Schema, Table, TableError, Value, ValueId, ValuePool,
-};
+use anmat_table::{RowId, RowIdRemap, Schema, Table, ValueId};
 use fxhash::FxHashSet;
 use std::collections::VecDeque;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -182,13 +194,6 @@ struct OpOutcome {
     insert: Vec<RuleDeltas>,
 }
 
-/// Per-rule load/observability figures a worker reports on request.
-struct RuleStats {
-    blocks: usize,
-    pattern_evals: usize,
-    pattern_lookups: usize,
-}
-
 enum WorkerMsg {
     Batch {
         /// The batch's epoch sequence number; echoed back in the reply
@@ -196,6 +201,7 @@ enum WorkerMsg {
         seq: u64,
         batch: Arc<RoutedBatch>,
     },
+    /// Report the worker's rule-state figures.
     Stats,
     /// The epoch barrier: compact the replica and remap rule state with
     /// the coordinator's broadcast remap, then acknowledge.
@@ -215,7 +221,7 @@ enum WorkerReply {
         seq: u64,
         outcomes: Vec<OpOutcome>,
     },
-    Stats(Vec<RuleStats>),
+    Stats(Census),
     Compacted,
     /// The subset of a `ReclaimScan`'s candidates this worker vetoes.
     ReclaimVeto(Vec<u32>),
@@ -259,16 +265,9 @@ impl Worker {
                         outcomes: self.process_batch(&batch),
                     }
                 }
-                WorkerMsg::Stats => WorkerReply::Stats(
-                    self.rules
-                        .iter()
-                        .map(|(_, state)| RuleStats {
-                            blocks: state.block_count(),
-                            pattern_evals: state.pattern_evals(),
-                            pattern_lookups: state.pattern_lookups(),
-                        })
-                        .collect(),
-                ),
+                WorkerMsg::Stats => {
+                    WorkerReply::Stats(Census::of(self.rules.iter().map(|(_, state)| state)))
+                }
                 WorkerMsg::Compact(remap) => {
                     // The replica is op-for-op identical to the
                     // coordinator's table, so compacting it locally
@@ -322,8 +321,8 @@ impl Worker {
         // Batch-classify each owned rule's caches over the batch's
         // insert/update rows before any per-row work (count-neutral; see
         // `RuleState::prime_batch`). In key mode only the owned LHS ids
-        // are primed, so summing worker memos still matches the
-        // single-threaded eval count.
+        // are primed, so summing worker memos still matches the inline
+        // eval count.
         let arriving: Vec<&[ValueId]> = batch.ops.iter().filter_map(IdOp::arriving).collect();
         match self.mode {
             ShardBy::Rule => {
@@ -334,11 +333,9 @@ impl Worker {
             ShardBy::Key => {
                 let (me, shards) = (self.shard, self.shards);
                 let owns = move |id: ValueId| owner_of(id.raw(), shards) == me;
-                // Mask-gated priming only pays off when the masks
-                // actually prune (several workers); at one shard every
-                // bit is set and rebuilding the row list per rule would
-                // just duplicate `arriving`.
-                if batch.insert_masks.is_empty() || shards == 1 {
+                // Without masks (more than 64 rules) every worker
+                // screens every arriving row.
+                if batch.insert_masks.is_empty() {
                     for (_, state) in &mut self.rules {
                         state.prime_batch_key(&arriving, &owns);
                     }
@@ -379,7 +376,7 @@ impl Worker {
                     }
                     IdOp::Delete(row) => {
                         // Removal runs against the pre-delete cells, as
-                        // in the single-threaded engine.
+                        // in the inline layout.
                         outcome.removal = self.phase(batch, op_idx, *row, true);
                         self.table
                             .delete_row(*row)
@@ -617,7 +614,7 @@ impl Drop for WorkerHandle {
 /// tuple (sharing the same compiled `Arc`s the worker states hold).
 /// Every distinct LHS value's key is derived exactly once here — the
 /// workers receive pre-derived routes and never run an extractor, which
-/// is what keeps the global eval count identical to single-threaded.
+/// is what keeps the global eval count identical to the inline layout's.
 struct Router {
     /// Per rule: LHS column (`None` = the rule's attributes are missing
     /// from this schema, i.e. the rule is inert) and per-variable-tuple
@@ -652,7 +649,7 @@ impl Router {
     /// Append one route per variable tuple of every rule for a row with
     /// these cells (the insert phase; counting mirrors
     /// `BlockingPartition::insert` exactly, so lookup tallies match the
-    /// single-threaded engine).
+    /// inline layout).
     fn routes_for_cells(&mut self, cells: &[ValueId], out: &mut Vec<Option<ValueId>>) {
         for (col, memos) in &mut self.rules {
             match col {
@@ -668,8 +665,7 @@ impl Router {
     }
 
     /// [`Router::routes_for_cells`] for a live row's current cells (the
-    /// removal phase — pre-op state, as the single-threaded engine
-    /// consults it).
+    /// removal phase — pre-op state, as the inline layout consults it).
     fn routes_for_row(&mut self, table: &Table, row: RowId, out: &mut Vec<Option<ValueId>>) {
         for (col, memos) in &mut self.rules {
             match col {
@@ -713,39 +709,30 @@ impl Router {
 }
 
 /// The merged event stream of one submitted batch, tagged with the
-/// batch's epoch sequence number (monotone from 0, one per submission
-/// — empty batches included). Batches complete strictly in `seq` order.
+/// batch's epoch sequence number (monotone from 0, one per batch —
+/// empty batches and synchronous calls included). Batches complete
+/// strictly in `seq` order.
 #[derive(Debug)]
 pub struct BatchEvents {
     /// The batch's submission sequence number.
     pub seq: u64,
     /// The batch's violation events, in rule/tableau order — identical
-    /// to what the single-threaded engine would have returned.
+    /// whichever layout ran the batch.
     pub events: Vec<LedgerEvent>,
 }
 
-/// The sharded incremental engine: same semantics as [`StreamEngine`]
-/// (bit-for-bit, including event order), rule processing spread over
-/// worker threads on either the rule or the blocking-key axis, with
-/// optional cross-batch pipelining. See the module docs for the
-/// shard/merge protocol.
-///
-/// [`StreamEngine`]: crate::StreamEngine
-pub struct ShardedEngine {
-    /// The coordinator's canonical table (workers hold id replicas).
-    table: Table,
-    rules: Vec<Pfd>,
+/// The sharded layout: worker threads holding the rule state on either
+/// the rule or the blocking-key axis, the key router, the route layout
+/// and the run-ahead queue. The engine lends its canonical table, ledger
+/// and drift monitor to each call that advances or merges a batch; see
+/// the module docs for the shard/merge protocol.
+pub(crate) struct Shards {
     workers: Vec<WorkerHandle>,
-    ledger: ViolationLedger,
-    drift: DriftMonitor,
-    /// Auto-compaction threshold (see [`StreamConfig::compact_ratio`]).
-    compact_ratio: f64,
-    compaction: CompactionStats,
     shard_by: ShardBy,
     /// Pipelining window: how many submitted batches may be unmerged.
     run_ahead: usize,
-    /// Next batch's epoch sequence number.
-    next_seq: u64,
+    /// Sequence number of the newest submitted batch.
+    newest: u64,
     /// Submitted-but-unmerged batches, oldest first: `(seq, op count)`.
     in_flight: VecDeque<(u64, usize)>,
     /// Merged batches not yet handed to the caller.
@@ -762,63 +749,74 @@ pub struct ShardedEngine {
     /// tuples (whose key-mode owner is decided by the row's LHS id) —
     /// what the coordinator needs to finish each worker's rule bitmask.
     const_cols: Vec<Option<usize>>,
-    /// Epoch-tied string reclamation (see [`StreamConfig::reclaim`]).
-    reclaim: bool,
-    /// Lifetime pool reclamation by this engine's sweeps.
-    reclaim_stats: ReclaimStats,
-    /// Snapshot pin — see `StreamEngine::snap_pin`.
-    snap_pin: Arc<()>,
 }
 
-impl std::fmt::Debug for ShardedEngine {
+impl std::fmt::Debug for Shards {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedEngine")
+        f.debug_struct("Shards")
             .field("shards", &self.workers.len())
             .field("shard_by", &self.shard_by)
             .field("run_ahead", &self.run_ahead)
-            .field("rules", &self.rules.len())
-            .field("rows", &self.table.row_count())
+            .field("in_flight", &self.in_flight.len())
             .finish_non_exhaustive()
     }
 }
 
-impl ShardedEngine {
-    /// An engine over `schema` with `shards` workers, default
-    /// thresholds (rule-granular, no pipelining). The worker count is
-    /// clamped to `[1, rule count]` — rule-granular sharding cannot use
-    /// more workers than rules.
-    #[must_use]
-    pub fn new(schema: Schema, rules: Vec<Pfd>, shards: usize) -> ShardedEngine {
-        let config = StreamConfig {
-            shards,
-            ..StreamConfig::default()
-        };
-        ShardedEngine::with_config(schema, rules, config)
-    }
+/// The most batches a sharded engine keeps in flight: `run_ahead` is
+/// clamped to this when the engine is built, which bounds the two
+/// preallocated channels per worker.
+pub(crate) const MAX_RUN_AHEAD: usize = 64;
 
-    /// An engine with explicit thresholds; `config.shards` sets the
-    /// worker count, `config.shard_by` the partitioning axis, and
-    /// `config.run_ahead` the pipelining window. In key mode the worker
-    /// count is clamped to `[1, KEY_SLOTS]` instead of the rule count —
-    /// a single rule can use every core.
-    ///
-    /// Placement is decided here, once, for the engine's lifetime: in
-    /// rule mode each rule lives on the worker `assign_by_weight` deals
-    /// it to; in key mode every worker seeds every rule and keeps the
-    /// keys `owner_of` gives it.
-    #[must_use]
-    pub fn with_config(schema: Schema, rules: Vec<Pfd>, config: StreamConfig) -> ShardedEngine {
-        let shard_by = config.shard_by;
-        let shards = match shard_by {
-            ShardBy::Rule => config.shards.clamp(1, rules.len().max(1)),
-            ShardBy::Key => config.shards.clamp(1, KEY_SLOTS),
-        };
+/// Rule-mode placement: round-robin over the rules sorted by descending
+/// weight (ties by index), so the heaviest rules land on distinct shards
+/// first. Returns each rule's shard.
+fn assign_by_weight(weights: &[usize], shards: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..weights.len()).collect();
+    order.sort_by_key(|&rule| (std::cmp::Reverse(weights[rule]), rule));
+    let mut assignment = vec![0; weights.len()];
+    for (pos, &rule) in order.iter().enumerate() {
+        assignment[rule] = pos % shards;
+    }
+    assignment
+}
+
+/// Advance the canonical table by a validated batch (rule mode, where
+/// no routes are derived along the way).
+fn apply_to_canonical(table: &mut Table, ops: &[IdOp]) {
+    for op in ops {
+        match op {
+            IdOp::Insert(cells) => {
+                table.push_id_cells(cells).expect("batch pre-validated");
+            }
+            IdOp::Delete(row) => table.delete_row(*row).expect("batch pre-validated"),
+            IdOp::Update(row, cells) => {
+                table
+                    .update_id_cells(*row, cells)
+                    .expect("batch pre-validated");
+            }
+        }
+    }
+}
+
+impl Shards {
+    /// Spawn `shards` workers (already clamped, at least 2) over
+    /// `schema` and seed their rule state. Placement is decided here,
+    /// once, for the engine's lifetime: in rule mode each rule lives on
+    /// the worker `assign_by_weight` deals it to; in key mode every
+    /// worker seeds every rule and keeps the keys `owner_of` gives it.
+    pub(crate) fn new(
+        schema: &Schema,
+        rules: &[Pfd],
+        shard_by: ShardBy,
+        shards: usize,
+        run_ahead: usize,
+    ) -> Shards {
         let weights: Vec<usize> = rules.iter().map(RuleState::estimated_weight).collect();
-        let rule_owner = ShardedEngine::assign_by_weight(&weights, shards);
+        let rule_owner = assign_by_weight(&weights, shards);
         // Per-rule offsets into the flat per-op route vectors.
         let mut layout = Vec::with_capacity(rules.len());
         let mut offset = 0;
-        for pfd in &rules {
+        for pfd in rules {
             let count = pfd
                 .tableau
                 .iter()
@@ -846,12 +844,11 @@ impl ShardedEngine {
                 }
             })
             .collect();
-        let drift = DriftMonitor::new(rules.len(), config.min_support, config.max_violation_ratio);
         // Compile every rule's programs exactly once, on the coordinator;
         // workers seed around the shared `Arc`s, so `pattern.compile_ns`
         // records one compile per rule regardless of the shard count.
         let compiled: Vec<CompiledRule> = rules.iter().map(CompiledRule::compile).collect();
-        let router = (shard_by == ShardBy::Key).then(|| Router::new(&rules, &compiled, &schema));
+        let router = (shard_by == ShardBy::Key).then(|| Router::new(rules, &compiled, schema));
         let workers = (0..shards)
             .map(|shard| {
                 let states: Vec<(usize, RuleState)> = rules
@@ -864,7 +861,7 @@ impl ShardedEngine {
                         shard_by == ShardBy::Key || rule_owner[*rule] == shard
                     })
                     .map(|(rule, (pfd, programs))| {
-                        (rule, RuleState::seed_shared(pfd.clone(), &schema, programs))
+                        (rule, RuleState::seed_shared(pfd.clone(), schema, programs))
                     })
                     .collect();
                 // Per-shard metric instances; the registered handles are
@@ -883,7 +880,7 @@ impl ShardedEngine {
                 };
                 // Bounded both ways, sized to the pipelining window:
                 // `run_ahead + 1` in-flight batches per worker.
-                let cap = config.run_ahead + 1;
+                let cap = run_ahead + 1;
                 let (msg_tx, msg_rx) = sync_channel::<WorkerMsg>(cap);
                 let (reply_tx, reply_rx) = sync_channel::<WorkerReply>(cap);
                 let thread = std::thread::Builder::new()
@@ -898,371 +895,54 @@ impl ShardedEngine {
                 }
             })
             .collect();
-        // Refcounting lives on the coordinator's canonical table only:
-        // worker replicas are op-for-op content-identical to it, so a
-        // cell id with no canonical reference has no replica reference
-        // either — one retain/release stream suffices for the whole
-        // engine.
-        let mut table = Table::empty(schema);
-        if config.reclaim {
-            table.enable_refcounts();
-        }
-        ShardedEngine {
-            table,
-            rules,
+        Shards {
             workers,
-            ledger: ViolationLedger::new(),
-            drift,
-            compact_ratio: config.compact_ratio,
-            compaction: CompactionStats::default(),
-            shard_by: config.shard_by,
-            run_ahead: config.run_ahead,
-            next_seq: 0,
+            shard_by,
+            run_ahead,
+            newest: 0,
             in_flight: VecDeque::new(),
             completed: Vec::new(),
             router,
             route_stride: offset,
             layout,
             const_cols,
-            reclaim: config.reclaim,
-            reclaim_stats: ReclaimStats::default(),
-            snap_pin: Arc::new(()),
         }
     }
 
-    /// Run one coordinated compaction epoch across the whole engine —
-    /// the sharded half of the remap protocol:
-    ///
-    /// 1. the pipeline drains (every in-flight batch merges), so the
-    ///    compaction point is a clean batch boundary;
-    /// 2. the coordinator compacts its canonical table, producing the
-    ///    epoch-stamped [`RowIdRemap`];
-    /// 3. the remap is broadcast; every worker compacts its own 4-byte
-    ///    replica (bit-identical by construction) and remaps its rules'
-    ///    partitions and asserted block context in place;
-    /// 4. the coordinator rewrites the ledger's live violations and
-    ///    adopts the epoch, then waits for every worker's acknowledgment
-    ///    — a full barrier, so no op batch ever straddles two id spaces.
-    ///
-    /// Like the single-threaded [`StreamEngine::compact`], the pass is
-    /// silent (no events, no drift movement, no pattern re-evaluation),
-    /// which is what keeps the shard-equivalence contract intact across
-    /// compactions triggered at identical batch boundaries.
-    ///
-    /// [`StreamEngine::compact`]: crate::StreamEngine::compact
-    pub fn compact(&mut self) -> RowIdRemap {
-        self.drain_in_flight();
-        obs::counter!("shard.epoch_barriers").incr();
-        let remap = Arc::new(self.table.compact());
-        for worker in &self.workers {
-            worker.send(WorkerMsg::Compact(Arc::clone(&remap)));
-        }
-        // The coordinator's share of the epoch overlaps the workers'.
-        self.ledger.remap(&remap);
-        self.compaction.epochs += 1;
-        self.compaction.reclaimed_slots += remap.reclaimed();
-        for worker in &self.workers {
-            match worker.recv() {
-                WorkerReply::Compacted => {}
-                _ => unreachable!("worker replies in lockstep with requests"),
-            }
-        }
-        self.sweep_reclaimable();
-        RowIdRemap::clone(&remap)
-    }
-
-    /// The sharded half of the string-reclamation barrier (no-op unless
-    /// [`StreamConfig::reclaim`]), layered on the compaction barrier —
-    /// by the time it runs the pipeline is drained and every worker has
-    /// acknowledged its compaction, so the whole engine sits at one
-    /// batch boundary. Two phases over the same channels:
-    ///
-    /// 1. **scan** — candidates (ids whose canonical refcount hit zero,
-    ///    filtered by a recheck) are broadcast; each worker vetoes the
-    ///    ones its rule state still needs, exactly mirroring the
-    ///    single-threaded protected-set filter (so both engines free
-    ///    identical sets at identical boundaries — the determinism
-    ///    contract extends to reclamation);
-    /// 2. **apply** — the surviving set is broadcast; workers purge
-    ///    their memo/key-cache entries, the coordinator purges its
-    ///    routing memos, and only then are the ids freed.
-    fn sweep_reclaimable(&mut self) {
-        if !self.reclaim {
-            return;
-        }
-        if Arc::strong_count(&self.snap_pin) > 1 {
-            obs::counter!("pool.sweeps_deferred").incr();
-            return;
-        }
-        let candidates: Vec<ValueId> = self
-            .table
-            .take_reclaim_candidates()
-            .into_iter()
-            .filter(|id| ValuePool::refcount(*id) == 0)
-            .collect();
-        if candidates.is_empty() {
-            return;
-        }
-        let scan = Arc::new(candidates);
-        for worker in &self.workers {
-            worker.send(WorkerMsg::ReclaimScan(Arc::clone(&scan)));
-        }
-        let mut vetoed = FxHashSet::default();
-        for worker in &self.workers {
-            match worker.recv() {
-                WorkerReply::ReclaimVeto(ids) => vetoed.extend(ids),
-                _ => unreachable!("worker replies in lockstep with requests"),
-            }
-        }
-        let doomed: Vec<ValueId> = scan
-            .iter()
-            .copied()
-            .filter(|id| !vetoed.contains(&id.raw()))
-            .collect();
-        if doomed.is_empty() {
-            return;
-        }
-        let dead: Arc<FxHashSet<u32>> = Arc::new(doomed.iter().map(|id| id.raw()).collect());
-        for worker in &self.workers {
-            worker.send(WorkerMsg::ReclaimApply(Arc::clone(&dead)));
-        }
-        for worker in &self.workers {
-            match worker.recv() {
-                WorkerReply::Reclaimed => {}
-                _ => unreachable!("worker replies in lockstep with requests"),
-            }
-        }
-        if let Some(router) = &mut self.router {
-            router.purge(&dead);
-        }
-        let stats = ValuePool::reclaim(doomed);
-        self.reclaim_stats.strings += stats.strings;
-        self.reclaim_stats.bytes += stats.bytes;
-    }
-
-    /// Lifetime pool reclamation this engine's sweeps performed.
-    #[must_use]
-    pub fn reclaim_stats(&self) -> ReclaimStats {
-        self.reclaim_stats
-    }
-
-    /// Freeze a consistent copy-on-write view of the engine's canonical
-    /// table and ledger — the same [`EngineSnapshot`] the
-    /// single-threaded engine produces, captured behind the engine's
-    /// pipeline barrier: in-flight batches merge first, so the view
-    /// sits at a clean batch boundary. Workers are untouched (their
-    /// replicas hold no observable state of their own) and ingest can
-    /// resume immediately; reclamation sweeps defer while the snapshot
-    /// is alive.
-    pub fn snapshot(&mut self) -> EngineSnapshot {
-        self.drain_in_flight();
-        EngineSnapshot::capture(&self.table, &self.ledger, &self.snap_pin)
-    }
-
-    /// Auto-compaction hook, checked after every submitted batch
-    /// against the canonical table (which the coordinator advances at
-    /// submission) — the same `should_compact` predicate at the same
-    /// boundaries as the single-threaded engine, so both compact at
-    /// identical points regardless of the pipelining window.
-    fn maybe_compact(&mut self) {
-        if should_compact(
-            self.compact_ratio,
-            self.table.row_count(),
-            self.table.live_rows(),
-        ) {
-            self.compact();
-        }
-    }
-
-    /// The engine's compaction epoch (0 until the first compaction).
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.table.epoch()
-    }
-
-    /// Lifetime compaction counters (epochs run, slots reclaimed).
-    #[must_use]
-    pub fn compaction_stats(&self) -> CompactionStats {
-        self.compaction
-    }
-
-    /// Rule-mode placement: round-robin over the rules sorted by
-    /// descending weight (ties by index), so the heaviest rules land on
-    /// distinct shards first. Returns each rule's shard.
-    fn assign_by_weight(weights: &[usize], shards: usize) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..weights.len()).collect();
-        order.sort_by_key(|&rule| (std::cmp::Reverse(weights[rule]), rule));
-        let mut assignment = vec![0; weights.len()];
-        for (pos, &rule) in order.iter().enumerate() {
-            assignment[rule] = pos % shards;
-        }
-        assignment
-    }
-
-    /// Number of worker shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
+    /// Number of worker threads.
+    pub(crate) fn count(&self) -> usize {
         self.workers.len()
     }
 
-    /// The work-partitioning axis this engine was built with.
-    #[must_use]
-    pub fn shard_by(&self) -> ShardBy {
-        self.shard_by
-    }
-
     /// The pipelining window (0 = classic per-batch barrier).
-    #[must_use]
-    pub fn run_ahead(&self) -> usize {
+    pub(crate) fn run_ahead(&self) -> usize {
         self.run_ahead
     }
 
     /// Batches currently in flight (submitted, not yet merged).
-    #[must_use]
-    pub fn pipeline_depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.in_flight.len()
     }
 
-    // ── ingest entry points (same surface as `StreamEngine`) ─────────
-
-    /// Ingest one row; returns the violation events it caused, in
-    /// rule/tableau order — identical to the single-threaded engine.
-    pub fn push_row(&mut self, row: Vec<Value>) -> Result<Vec<LedgerEvent>, TableError> {
-        self.apply([RowOp::Insert(row)])
-    }
-
-    /// Ingest one row of already-interned ids (clone-free fan-out).
-    pub fn push_id_row(&mut self, row: Vec<ValueId>) -> Result<Vec<LedgerEvent>, TableError> {
-        self.run_id_ops(vec![IdOp::Insert(row)])
-    }
-
-    /// Ingest a batch of rows; returns the concatenated events. Atomic
-    /// with respect to errors: the whole batch is validated before any
-    /// row is ingested.
-    pub fn push_batch(
-        &mut self,
-        rows: impl IntoIterator<Item = Vec<Value>>,
-    ) -> Result<Vec<LedgerEvent>, TableError> {
-        self.apply(rows.into_iter().map(RowOp::Insert))
-    }
-
-    /// Ingest a batch of already-interned rows; atomic like
-    /// [`ShardedEngine::push_batch`].
-    pub fn push_id_batch(
-        &mut self,
-        rows: impl IntoIterator<Item = Vec<ValueId>>,
-    ) -> Result<Vec<LedgerEvent>, TableError> {
-        self.run_id_ops(rows.into_iter().map(IdOp::Insert).collect())
-    }
-
-    /// Delete one live row; same contract as the single-threaded
-    /// engine's `delete_row`.
-    pub fn delete_row(&mut self, row: RowId) -> Result<Vec<LedgerEvent>, TableError> {
-        self.run_id_ops(vec![IdOp::Delete(row)])
-    }
-
-    /// Update one live row in place (delete + insert fused on one slot).
-    pub fn update_row(
-        &mut self,
-        row: RowId,
-        cells: Vec<Value>,
-    ) -> Result<Vec<LedgerEvent>, TableError> {
-        self.apply([RowOp::Update(row, cells)])
-    }
-
-    /// Update one live row with already-interned ids.
-    pub fn update_id_row(
-        &mut self,
-        row: RowId,
-        cells: Vec<ValueId>,
-    ) -> Result<Vec<LedgerEvent>, TableError> {
-        self.run_id_ops(vec![IdOp::Update(row, cells)])
-    }
-
-    /// Apply a batch of [`RowOp`]s; returns the concatenated events.
-    /// Atomic with respect to errors (validated once, in `O(batch)`,
-    /// against the live set as the batch evolves it, before any op
-    /// executes or is fanned out). This is
-    /// the *synchronous* path: it submits, drains the pipeline, and
-    /// concatenates — including any batches still pending from earlier
-    /// [`ShardedEngine::submit`] calls, so mixing the two APIs never
-    /// drops events.
-    pub fn apply(
-        &mut self,
-        ops: impl IntoIterator<Item = RowOp>,
-    ) -> Result<Vec<LedgerEvent>, TableError> {
-        self.run_id_ops(ops.into_iter().map(IdOp::intern).collect())
-    }
-
-    /// Submit a batch into the pipeline; returns every batch that
-    /// *completed* (merged, in submission order) as a consequence —
-    /// possibly none, while the run-ahead window still has room, and
-    /// possibly several, including earlier submissions. Call
-    /// [`ShardedEngine::flush`] to drain the rest.
-    pub fn submit(
-        &mut self,
-        ops: impl IntoIterator<Item = RowOp>,
-    ) -> Result<Vec<BatchEvents>, TableError> {
-        self.submit_id_ops(ops.into_iter().map(IdOp::intern).collect())?;
-        Ok(std::mem::take(&mut self.completed))
-    }
-
-    /// [`ShardedEngine::submit`] for a batch of already-interned rows —
-    /// the CLI's clone-free pipelined replay path.
-    pub fn submit_id_batch(
-        &mut self,
-        rows: impl IntoIterator<Item = Vec<ValueId>>,
-    ) -> Result<Vec<BatchEvents>, TableError> {
-        self.submit_id_ops(rows.into_iter().map(IdOp::Insert).collect())?;
-        Ok(std::mem::take(&mut self.completed))
-    }
-
-    /// Drain the pipeline: merge every in-flight batch and return all
-    /// completed-but-undelivered batches, in submission order.
-    pub fn flush(&mut self) -> Vec<BatchEvents> {
-        self.drain_in_flight();
+    /// Merged batches not yet handed to the caller, in submission order.
+    pub(crate) fn take_completed(&mut self) -> Vec<BatchEvents> {
         std::mem::take(&mut self.completed)
     }
 
-    /// Replay an existing table's *live* rows in row order (clone-free:
-    /// rows are carried over as interned ids, in one fan-out batch).
-    pub fn replay_table(&mut self, table: &Table) -> Result<Vec<LedgerEvent>, TableError> {
-        self.run_id_ops(
-            table
-                .iter_live()
-                .map(|r| IdOp::Insert(table.row_ids(r)))
-                .collect(),
-        )
-    }
-
-    /// The synchronous path: submit one id-op batch (interned once,
-    /// coordinator-side — workers only ever see `Copy` ids), drain the
-    /// pipeline, and concatenate every completed batch's events.
-    fn run_id_ops(&mut self, id_ops: Vec<IdOp>) -> Result<Vec<LedgerEvent>, TableError> {
-        self.submit_id_ops(id_ops)?;
-        self.drain_in_flight();
-        let completed = std::mem::take(&mut self.completed);
-        Ok(completed.into_iter().flat_map(|b| b.events).collect())
-    }
-
-    /// Validate an id-op batch (once, in `O(batch)`) against the
-    /// canonical table, then fan it out.
-    fn submit_id_ops(&mut self, id_ops: Vec<IdOp>) -> Result<(), TableError> {
-        {
-            let _validate = obs::span!("engine.validate_ns");
-            validate_ops(&self.table, &id_ops)?;
-        }
-        self.submit_inner(id_ops);
-        Ok(())
-    }
-
-    /// Fan a validated id-op batch out to every worker under a fresh
-    /// epoch sequence number, advance the canonical table, then trim
-    /// the pipeline to the run-ahead window (merging oldest-first).
-    fn submit_inner(&mut self, id_ops: Vec<IdOp>) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let op_count = id_ops.len();
+    /// Fan a validated batch out to every worker under sequence number
+    /// `seq`, advance the canonical `table`, then trim the pipeline to
+    /// the run-ahead window by merging oldest-first into `ledger` and
+    /// `drift`.
+    pub(crate) fn submit(
+        &mut self,
+        seq: u64,
+        ops: Vec<IdOp>,
+        table: &mut Table,
+        ledger: &mut ViolationLedger,
+        drift: &mut DriftMonitor,
+    ) {
+        self.newest = seq;
+        let op_count = ops.len();
         if op_count == 0 {
             // Empty batches keep the 1:1 batch ↔ seq mapping without a
             // round-trip: they complete immediately.
@@ -1273,92 +953,63 @@ impl ShardedEngine {
             return;
         }
         obs::counter!("shard.batches").incr();
-        obs::counter!("engine.ops").add(op_count as u64);
         {
             let _fanout = obs::span!("shard.fanout_ns");
             match self.shard_by {
                 ShardBy::Rule => {
                     let batch = Arc::new(RoutedBatch {
-                        ops: id_ops,
+                        ops,
                         stride: 0,
                         removal: Vec::new(),
                         insert: Vec::new(),
                         removal_masks: Vec::new(),
                         insert_masks: Vec::new(),
                     });
-                    for worker in &self.workers {
-                        worker.send(WorkerMsg::Batch {
-                            seq,
-                            batch: Arc::clone(&batch),
-                        });
-                    }
-                    // The coordinator's replica advances while the
-                    // workers chew.
-                    self.apply_to_canonical(&batch.ops);
+                    self.broadcast(seq, &batch);
+                    // The canonical table advances while the workers
+                    // chew.
+                    apply_to_canonical(table, &batch.ops);
                 }
                 ShardBy::Key => {
                     // Key derivation consults pre-op table state, so
                     // routing and the canonical apply interleave per op
                     // — then the routed batch fans out.
-                    let batch = Arc::new(self.route_and_apply(id_ops));
-                    for worker in &self.workers {
-                        worker.send(WorkerMsg::Batch {
-                            seq,
-                            batch: Arc::clone(&batch),
-                        });
-                    }
+                    let batch = Arc::new(self.route_and_apply(table, ops));
+                    self.broadcast(seq, &batch);
                 }
             }
         }
         self.in_flight.push_back((seq, op_count));
         obs::gauge!("pipeline.run_ahead").set(self.in_flight.len() as i64);
         while self.in_flight.len() > self.run_ahead {
-            self.merge_oldest();
+            self.merge_oldest(ledger, drift);
         }
-        self.maybe_compact();
     }
 
-    fn apply_to_canonical(&mut self, ops: &[IdOp]) {
-        for op in ops {
-            match op {
-                IdOp::Insert(cells) => {
-                    self.table
-                        .push_id_cells(cells)
-                        .expect("batch pre-validated");
-                }
-                IdOp::Delete(row) => {
-                    self.table.delete_row(*row).expect("batch pre-validated");
-                }
-                IdOp::Update(row, cells) => {
-                    self.table
-                        .update_id_cells(*row, cells)
-                        .expect("batch pre-validated");
-                }
-            }
+    fn broadcast(&self, seq: u64, batch: &Arc<RoutedBatch>) {
+        for worker in &self.workers {
+            worker.send(WorkerMsg::Batch {
+                seq,
+                batch: Arc::clone(batch),
+            });
         }
     }
 
     /// Key mode: derive each op's routes against pre-op table state
     /// while applying the ops to the canonical table in order — exactly
-    /// the state the single-threaded engine would consult (removal
-    /// routes from the pre-op row, insert routes from arriving cells).
-    fn route_and_apply(&mut self, id_ops: Vec<IdOp>) -> RoutedBatch {
+    /// the state the inline layout would consult (removal routes from
+    /// the pre-op row, insert routes from arriving cells).
+    fn route_and_apply(&mut self, table: &mut Table, id_ops: Vec<IdOp>) -> RoutedBatch {
         let stride = self.route_stride;
         let shards = self.workers.len();
         // Rule bitmasks only fit u64; beyond that workers screen
         // rules themselves (the slow path — fine, 64+ live rules is
         // far past anything discovery emits).
-        let exact = self.rules.len() <= 64;
+        let exact = self.layout.len() <= 64;
         let mask_len = if exact { id_ops.len() * shards } else { 0 };
-        let ShardedEngine {
-            router,
-            table,
-            layout,
-            const_cols,
-            ..
-        } = self;
-        let layout = &**layout;
-        let router = router.as_mut().expect("key mode ships routes");
+        let layout = &*self.layout;
+        let const_cols = &self.const_cols;
+        let router = self.router.as_mut().expect("key mode ships routes");
         let mut removal = Vec::with_capacity(id_ops.len() * stride);
         let mut insert = Vec::with_capacity(id_ops.len() * stride);
         let mut removal_masks = vec![0u64; mask_len];
@@ -1436,18 +1087,25 @@ impl ShardedEngine {
         }
     }
 
+    /// Merge every in-flight batch, oldest first.
+    pub(crate) fn drain(&mut self, ledger: &mut ViolationLedger, drift: &mut DriftMonitor) {
+        while !self.in_flight.is_empty() {
+            self.merge_oldest(ledger, drift);
+        }
+    }
+
     /// Merge the oldest in-flight batch: await every worker's reply for
     /// it (replies arrive in submission order on each FIFO channel,
     /// asserted via the echoed seq) and fold the outcomes into the
     /// ledger, drift monitor, and completed queue.
-    fn merge_oldest(&mut self) {
+    fn merge_oldest(&mut self, ledger: &mut ViolationLedger, drift: &mut DriftMonitor) {
         let Some((seq, op_count)) = self.in_flight.pop_front() else {
             return;
         };
         // How many younger batches were already submitted when this one
         // merges — 0 under the classic barrier, up to `run_ahead` when
         // the pipeline is saturated.
-        obs::histogram!("merge.lag_batches").record(self.next_seq - seq - 1);
+        obs::histogram!("merge.lag_batches").record(self.newest - seq);
         // Merge wait: how long the coordinator sits blocked on worker
         // replies after finishing its own share of the batch.
         let replies: Vec<Vec<OpOutcome>> = {
@@ -1463,257 +1121,176 @@ impl ShardedEngine {
                 })
                 .collect()
         };
-        let events = self.merge(op_count, replies);
+        let events = merge(op_count, replies, ledger, drift);
         obs::counter!("engine.events").add(events.len() as u64);
         obs::gauge!("pipeline.run_ahead").set(self.in_flight.len() as i64);
         self.completed.push(BatchEvents { seq, events });
     }
 
-    fn drain_in_flight(&mut self) {
-        while !self.in_flight.is_empty() {
-            self.merge_oldest();
-        }
-    }
-
-    /// Merge per-shard outcomes: for each op, removal phase then insert
-    /// phase, deltas ordered by `(global rule index, tableau tuple
-    /// index)` — the same ledger call sequence the single-threaded
-    /// engine performs, hence the same events in the same order.
-    fn merge(&mut self, op_count: usize, mut replies: Vec<Vec<OpOutcome>>) -> Vec<LedgerEvent> {
-        let _merge = obs::span!("shard.merge_ns");
-        let mut events = Vec::new();
-        let mut removal: Vec<RuleDeltas> = Vec::new();
-        let mut insert: Vec<RuleDeltas> = Vec::new();
-        for op in 0..op_count {
-            for shard in &mut replies {
-                let outcome = std::mem::take(&mut shard[op]);
-                removal.extend(outcome.removal);
-                insert.extend(outcome.insert);
-            }
-            self.merge_phase(&mut removal, true, &mut events);
-            self.merge_phase(&mut insert, false, &mut events);
-        }
-        events
-    }
-
-    /// Replay one phase's merged deltas: per rule (ascending), fold the
-    /// partial drift tallies — in key mode a rule's work for one row
-    /// spreads over several workers/tuples — apply the folded tally
-    /// once, then replay the rule's deltas in tableau-tuple order. In
-    /// rule mode each rule has exactly one entry and this reduces to
-    /// the classic per-rule replay.
-    /// `entries` is a reusable buffer: drained (and cleared) here so the
-    /// caller's allocation survives across ops.
-    fn merge_phase(
-        &mut self,
-        entries: &mut Vec<RuleDeltas>,
-        removal: bool,
-        events: &mut Vec<LedgerEvent>,
-    ) {
-        entries.sort_by_key(|d| (d.rule, d.tuple));
-        let mut i = 0;
-        while i < entries.len() {
-            let rule = entries[i].rule;
-            let mut tally = DriftDelta {
-                matched: false,
-                created: 0,
-                retracted: 0,
-            };
-            let mut j = i;
-            while j < entries.len() && entries[j].rule == rule {
-                let d = &entries[j];
-                tally.absorb(DriftDelta {
-                    matched: d.matched,
-                    created: d.created,
-                    retracted: d.retracted,
-                });
-                j += 1;
-            }
-            // The folded tally lands before any of the rule's deltas
-            // replay — same order the per-rule collection preserved.
-            if removal {
-                self.drift.retire_delta(rule, tally);
-            } else {
-                self.drift.observe_delta(rule, tally);
-            }
-            for entry in &mut entries[i..j] {
-                apply_deltas(&mut self.ledger, std::mem::take(&mut entry.deltas), events);
-            }
-            i = j;
-        }
-        entries.clear();
-    }
-
-    /// One stats round-trip per worker (pipeline drained first — stats
-    /// requests share the FIFO batch channel). Outer index = shard; in
-    /// key mode every worker reports every rule, so per-rule figures
-    /// are partial and must be summed across shards.
-    fn gather_stats(&mut self) -> Vec<Vec<RuleStats>> {
-        self.drain_in_flight();
+    /// Send one request to every worker and collect each reply. Requests
+    /// share the FIFO batch channel, so the pipeline must be drained
+    /// first.
+    fn round_trip(&self, request: impl Fn() -> WorkerMsg) -> Vec<WorkerReply> {
+        debug_assert!(self.in_flight.is_empty(), "drain before a round trip");
         for worker in &self.workers {
-            worker.send(WorkerMsg::Stats);
+            worker.send(request());
         }
-        self.workers
-            .iter()
-            .map(|worker| match worker.recv() {
-                WorkerReply::Stats(s) => s,
+        self.workers.iter().map(WorkerHandle::recv).collect()
+    }
+
+    /// The workers' share of a compaction epoch, after the caller has
+    /// drained the pipeline and compacted the canonical table: broadcast
+    /// the remap and wait until every worker has compacted its replica
+    /// and remapped its rules' partitions and asserted block context.
+    pub(crate) fn compact(&mut self, remap: &RowIdRemap) {
+        obs::counter!("shard.epoch_barriers").incr();
+        let remap = Arc::new(remap.clone());
+        for reply in self.round_trip(|| WorkerMsg::Compact(Arc::clone(&remap))) {
+            assert!(
+                matches!(reply, WorkerReply::Compacted),
+                "worker replies in lockstep with requests"
+            );
+        }
+    }
+
+    /// Reclamation phase 1: the candidates some worker's rule state
+    /// still needs. Rule mode partitions the rules and key mode each
+    /// rule's blocks, so the union of the workers' vetoes is exactly the
+    /// inline layout's protected set.
+    pub(crate) fn protected(&mut self, candidates: &[ValueId]) -> FxHashSet<u32> {
+        let scan = Arc::new(candidates.to_vec());
+        let mut vetoed = FxHashSet::default();
+        for reply in self.round_trip(|| WorkerMsg::ReclaimScan(Arc::clone(&scan))) {
+            match reply {
+                WorkerReply::ReclaimVeto(ids) => vetoed.extend(ids),
+                _ => unreachable!("worker replies in lockstep with requests"),
+            }
+        }
+        vetoed
+    }
+
+    /// Reclamation phase 2: every worker purges its memo and key-cache
+    /// entries for the dead ids, then the coordinator purges its routing
+    /// memos — all before the caller frees the ids.
+    pub(crate) fn purge(&mut self, dead: FxHashSet<u32>) {
+        let dead = Arc::new(dead);
+        for reply in self.round_trip(|| WorkerMsg::ReclaimApply(Arc::clone(&dead))) {
+            assert!(
+                matches!(reply, WorkerReply::Reclaimed),
+                "worker replies in lockstep with requests"
+            );
+        }
+        if let Some(router) = &mut self.router {
+            router.purge(&dead);
+        }
+    }
+
+    /// Rule-state figures summed over every worker plus the key router's
+    /// derivations (so eval and lookup totals equal the inline layout's),
+    /// and each worker's block count.
+    pub(crate) fn census(&mut self) -> (Census, Vec<usize>) {
+        let mut total = Census::default();
+        if let Some(router) = &self.router {
+            total.evals = router.key_evals();
+            total.lookups = router.key_lookups();
+        }
+        let per_worker = self
+            .round_trip(|| WorkerMsg::Stats)
+            .into_iter()
+            .map(|reply| match reply {
+                WorkerReply::Stats(census) => {
+                    total.blocks += census.blocks;
+                    total.evals += census.evals;
+                    total.lookups += census.lookups;
+                    census.blocks
+                }
                 _ => unreachable!("worker replies in lockstep with requests"),
             })
-            .collect()
-    }
-
-    // ── accessors (same surface as `StreamEngine`) ───────────────────
-
-    /// The ledger of live violations.
-    #[must_use]
-    pub fn ledger(&self) -> &ViolationLedger {
-        &self.ledger
-    }
-
-    /// The accumulated (canonical) table.
-    #[must_use]
-    pub fn table(&self) -> &Table {
-        &self.table
-    }
-
-    /// Row *slots* ingested so far (tombstoned ones included).
-    #[must_use]
-    pub fn row_count(&self) -> usize {
-        self.table.row_count()
-    }
-
-    /// Rows currently live (ingested minus deleted).
-    #[must_use]
-    pub fn live_rows(&self) -> usize {
-        self.table.live_rows()
-    }
-
-    /// The seeded rules, in index order.
-    pub fn rules(&self) -> impl Iterator<Item = &Pfd> {
-        self.rules.iter()
-    }
-
-    /// Total pattern evaluations across all shards, plus (in key mode)
-    /// the coordinator's key-derivation memos — bounded by
-    /// `Σ_tuple distinct(LHS column)`, exactly as in the single-threaded
-    /// engine: the memoization guarantee shards per rule in rule mode
-    /// and per distinct value in key mode. Drains the pipeline.
-    #[must_use]
-    pub fn pattern_evals(&mut self) -> usize {
-        let worker: usize = self
-            .gather_stats()
-            .iter()
-            .flatten()
-            .map(|s| s.pattern_evals)
-            .sum();
-        worker + self.router.as_ref().map_or(0, Router::key_evals)
-    }
-
-    /// Total memo consultations (hits + misses) across all shards and
-    /// the key router — together with [`ShardedEngine::pattern_evals`]
-    /// this yields the memo hit rate. Drains the pipeline.
-    #[must_use]
-    pub fn pattern_lookups(&mut self) -> usize {
-        let worker: usize = self
-            .gather_stats()
-            .iter()
-            .flatten()
-            .map(|s| s.pattern_lookups)
-            .sum();
-        worker + self.router.as_ref().map_or(0, Router::key_lookups)
-    }
-
-    /// Publish pull-based gauges into the global metrics registry.
-    ///
-    /// Same contract as [`StreamEngine::publish_metrics`]: cheap enough
-    /// for a stats tick but not for a per-batch call — this one drains
-    /// the pipeline and does a full `Stats` round-trip to every worker
-    /// for the memo and block figures, including per-shard
-    /// `shard.N.keys` block-ownership gauges. No-op while the recorder
-    /// is disabled.
-    ///
-    /// [`StreamEngine::publish_metrics`]: crate::StreamEngine::publish_metrics
-    pub fn publish_metrics(&mut self) {
-        if !obs::enabled() {
-            return;
-        }
-        let table = self.table.mem_footprint();
-        obs::gauge!("table.slots").set(table.total_slots as i64);
-        obs::gauge!("table.live").set(table.live_slots as i64);
-        obs::gauge!("table.bytes").set(table.bytes as i64);
-        let pool = ValuePool::mem_footprint();
-        obs::gauge!("pool.bytes").set(pool.bytes as i64);
-        obs::gauge!("pool.strings").set(pool.strings as i64);
-        obs::gauge!("pool.string_bytes").set(pool.string_bytes as i64);
-        obs::gauge!("engine.rules").set(self.rules.len() as i64);
-        let per_worker = self.gather_stats();
-        for (shard, stats) in per_worker.iter().enumerate() {
-            // How many key blocks each worker currently owns — flat in
-            // rule mode, the load-balance signal in key mode.
-            obs::gauge(&format!("shard.{shard}.keys"))
-                .set(stats.iter().map(|s| s.blocks).sum::<usize>() as i64);
-        }
-        let stats: Vec<&RuleStats> = per_worker.iter().flatten().collect();
-        obs::gauge!("engine.blocks").set(stats.iter().map(|s| s.blocks).sum::<usize>() as i64);
-        let router_evals = self.router.as_ref().map_or(0, Router::key_evals);
-        let router_lookups = self.router.as_ref().map_or(0, Router::key_lookups);
-        obs::gauge!("memo.evals")
-            .set((stats.iter().map(|s| s.pattern_evals).sum::<usize>() + router_evals) as i64);
-        obs::gauge!("memo.lookups")
-            .set((stats.iter().map(|s| s.pattern_lookups).sum::<usize>() + router_lookups) as i64);
-        obs::gauge!("ledger.live").set(self.ledger.live_count() as i64);
-        obs::gauge!("ledger.created_total").set(self.ledger.created_total() as i64);
-        obs::gauge!("ledger.retracted_total").set(self.ledger.retracted_total() as i64);
-        obs::gauge!("engine.compaction_epochs").set(self.compaction.epochs as i64);
-        obs::gauge!("engine.reclaimed_slots").set(self.compaction.reclaimed_slots as i64);
-        // Reclamation: same gauge set as the single-threaded engine
-        // (the `pool.*` figures are process-global either way).
-        obs::gauge!("pool.live_strings").set(ValuePool::live_strings() as i64);
-        let (freed_strings, freed_bytes) = ValuePool::reclaimed();
-        obs::gauge!("pool.freed_strings").set(freed_strings as i64);
-        obs::gauge!("pool.freed_bytes").set(freed_bytes as i64);
-        obs::gauge!("engine.reclaimed_strings").set(self.reclaim_stats.strings as i64);
-        obs::gauge!("engine.reclaimed_bytes").set(self.reclaim_stats.bytes as i64);
-    }
-
-    /// Streaming health counters for one rule.
-    #[must_use]
-    pub fn rule_health(&self, rule: usize) -> RuleHealth {
-        self.drift.health(rule)
-    }
-
-    /// Rules whose live confidence decayed below the discovery
-    /// threshold, in rule-index order — the same explicit ordering
-    /// contract as the single-threaded engine's `drift_report` (drift
-    /// state is coordinator-owned, so shard completion order cannot
-    /// reach it; the sort pins the contract against future gathering
-    /// changes).
-    #[must_use]
-    pub fn drift_report(&self) -> Vec<DriftReport> {
-        let mut reports: Vec<DriftReport> = self
-            .rules
-            .iter()
-            .enumerate()
-            .filter_map(|(i, pfd)| self.drift.judge(i, pfd.embedded_fd()))
             .collect();
-        reports.sort_by_key(|r| r.rule);
-        reports
+        (total, per_worker)
     }
 }
 
-impl Drop for ShardedEngine {
-    fn drop(&mut self) {
-        // Unmerged batches must be received before the worker handles
-        // close their channels, or a worker could exit mid-batch; the
-        // events are discarded (the caller chose not to flush).
-        self.drain_in_flight();
+/// Merge per-shard outcomes: for each op, removal phase then insert
+/// phase, deltas ordered by `(global rule index, tableau tuple index)`
+/// — the same ledger call sequence the inline layout performs, hence
+/// the same events in the same order.
+fn merge(
+    op_count: usize,
+    mut replies: Vec<Vec<OpOutcome>>,
+    ledger: &mut ViolationLedger,
+    drift: &mut DriftMonitor,
+) -> Vec<LedgerEvent> {
+    let _merge = obs::span!("shard.merge_ns");
+    let mut events = Vec::new();
+    let mut removal: Vec<RuleDeltas> = Vec::new();
+    let mut insert: Vec<RuleDeltas> = Vec::new();
+    for op in 0..op_count {
+        for shard in &mut replies {
+            let outcome = std::mem::take(&mut shard[op]);
+            removal.extend(outcome.removal);
+            insert.extend(outcome.insert);
+        }
+        merge_phase(&mut removal, true, ledger, drift, &mut events);
+        merge_phase(&mut insert, false, ledger, drift, &mut events);
     }
+    events
+}
+
+/// Replay one phase's merged deltas: per rule (ascending), fold the
+/// partial drift tallies — in key mode a rule's work for one row
+/// spreads over several workers/tuples — apply the folded tally once,
+/// then replay the rule's deltas in tableau-tuple order. In rule mode
+/// each rule has exactly one entry and this reduces to the classic
+/// per-rule replay. `entries` is a reusable buffer: drained (and
+/// cleared) here so the caller's allocation survives across ops.
+fn merge_phase(
+    entries: &mut Vec<RuleDeltas>,
+    removal: bool,
+    ledger: &mut ViolationLedger,
+    drift: &mut DriftMonitor,
+    events: &mut Vec<LedgerEvent>,
+) {
+    entries.sort_by_key(|d| (d.rule, d.tuple));
+    let mut i = 0;
+    while i < entries.len() {
+        let rule = entries[i].rule;
+        let mut tally = DriftDelta {
+            matched: false,
+            created: 0,
+            retracted: 0,
+        };
+        let mut j = i;
+        while j < entries.len() && entries[j].rule == rule {
+            let d = &entries[j];
+            tally.absorb(DriftDelta {
+                matched: d.matched,
+                created: d.created,
+                retracted: d.retracted,
+            });
+            j += 1;
+        }
+        // The folded tally lands before any of the rule's deltas
+        // replay — same order the per-rule collection preserved.
+        if removal {
+            drift.retire_delta(rule, tally);
+        } else {
+            drift.observe_delta(rule, tally);
+        }
+        for entry in &mut entries[i..j] {
+            apply_deltas(ledger, std::mem::take(&mut entry.deltas), events);
+        }
+        i = j;
+    }
+    entries.clear();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{StreamConfig, StreamEngine};
     use anmat_core::PatternTuple;
+    use anmat_table::{RowOp, TableError, Value};
 
     fn schema() -> Schema {
         Schema::new(["zip", "city"]).unwrap()
@@ -1728,20 +1305,27 @@ mod tests {
         )
     }
 
-    fn key_engine(shards: usize, run_ahead: usize) -> ShardedEngine {
-        let config = StreamConfig {
+    fn key_config(shards: usize, run_ahead: usize) -> StreamConfig {
+        StreamConfig {
             shards,
             shard_by: ShardBy::Key,
             run_ahead,
             ..StreamConfig::default()
-        };
-        ShardedEngine::with_config(schema(), vec![zip_variable_pfd()], config)
+        }
+    }
+
+    fn key_engine(shards: usize, run_ahead: usize) -> StreamEngine {
+        StreamEngine::with_config(
+            schema(),
+            vec![zip_variable_pfd()],
+            key_config(shards, run_ahead),
+        )
     }
 
     #[test]
     fn assignment_spreads_heaviest_first() {
         let weights = [1, 4, 4, 1, 2];
-        let a = ShardedEngine::assign_by_weight(&weights, 2);
+        let a = assign_by_weight(&weights, 2);
         // Sorted by weight desc, index asc: 1, 2, 4, 0, 3 → shards
         // 0, 1, 0, 1, 0.
         assert_eq!(a, vec![1, 0, 1, 0, 0]);
@@ -1749,10 +1333,20 @@ mod tests {
 
     #[test]
     fn shard_count_clamped_to_rules() {
-        let engine = ShardedEngine::new(schema(), vec![zip_variable_pfd()], 8);
-        assert_eq!(engine.shard_count(), 1);
-        let engine = ShardedEngine::new(schema(), vec![], 4);
-        assert_eq!(engine.shard_count(), 1);
+        // Every layout that clamps to one shard runs inline.
+        let rule_config = |shards| StreamConfig {
+            shards,
+            run_ahead: 4,
+            ..StreamConfig::default()
+        };
+        for engine in [
+            StreamEngine::with_config(schema(), vec![zip_variable_pfd()], rule_config(8)),
+            StreamEngine::with_config(schema(), vec![], rule_config(4)),
+            key_engine(1, 4),
+        ] {
+            assert_eq!(engine.shard_count(), 1);
+            assert_eq!(engine.run_ahead(), 0, "an inline layout has no pipeline");
+        }
     }
 
     #[test]
@@ -1760,12 +1354,31 @@ mod tests {
         // One rule, four workers: the whole point of the key axis.
         let engine = key_engine(4, 0);
         assert_eq!(engine.shard_count(), 4);
-        assert_eq!(engine.shard_by(), ShardBy::Key);
+    }
+
+    #[test]
+    fn run_ahead_is_clamped_to_the_channel_cap() {
+        let mut engine = key_engine(2, usize::MAX);
+        assert_eq!(engine.shard_count(), 2);
+        assert_eq!(engine.run_ahead(), MAX_RUN_AHEAD);
+        let mut completed = Vec::new();
+        for i in 0..3 {
+            let ops = [RowOp::Insert(vec![
+                Value::text(format!("9000{i}")),
+                Value::text(if i == 1 { "NY" } else { "LA" }),
+            ])];
+            completed.extend(engine.submit(ops).unwrap());
+        }
+        assert_eq!(engine.pipeline_depth(), 3, "the window holds every batch");
+        completed.extend(engine.flush());
+        let seqs: Vec<u64> = completed.iter().map(|b| b.seq).collect();
+        assert_eq!(seqs, [0, 1, 2]);
+        assert_eq!(engine.ledger().live_count(), 1);
     }
 
     #[test]
     fn empty_batch_is_a_no_op() {
-        let mut engine = ShardedEngine::new(schema(), vec![zip_variable_pfd()], 2);
+        let mut engine = key_engine(2, 0);
         let events = engine.apply([]).unwrap();
         assert!(events.is_empty());
         assert_eq!(engine.row_count(), 0);
@@ -1773,7 +1386,7 @@ mod tests {
 
     #[test]
     fn basic_flow_matches_expectations() {
-        let mut engine = ShardedEngine::new(schema(), vec![zip_variable_pfd()], 2);
+        let mut engine = key_engine(2, 0);
         assert!(engine
             .push_row(vec![Value::text("90001"), Value::text("Los Angeles")])
             .unwrap()
@@ -1808,19 +1421,13 @@ mod tests {
         assert!(events.iter().any(|e| !e.is_created()));
         assert!(engine.ledger().is_empty());
         // One block lives on exactly one worker; the eval count is the
-        // single-threaded figure (keys derived once, on the router).
+        // inline figure (keys derived once, on the router).
         assert_eq!(engine.pattern_evals(), 2);
     }
 
     #[test]
     fn pipelined_submissions_complete_in_order() {
-        let config = StreamConfig {
-            shards: 2,
-            shard_by: ShardBy::Key,
-            run_ahead: 4,
-            ..StreamConfig::default()
-        };
-        let mut engine = ShardedEngine::with_config(schema(), vec![zip_variable_pfd()], config);
+        let mut engine = key_engine(2, 4);
         let mut completed = Vec::new();
         for i in 0..8 {
             let ops = [RowOp::Insert(vec![
@@ -1854,7 +1461,7 @@ mod tests {
 
     #[test]
     fn coordinated_compaction_keeps_the_engine_consistent() {
-        let mut engine = ShardedEngine::new(schema(), vec![zip_variable_pfd()], 2);
+        let mut engine = key_engine(2, 0);
         for (i, city) in [
             "Los Angeles",
             "Los Angeles",
@@ -1888,11 +1495,10 @@ mod tests {
     #[test]
     fn auto_compaction_is_checked_at_batch_boundaries() {
         let config = StreamConfig {
-            shards: 2,
             compact_ratio: 0.4,
-            ..StreamConfig::default()
+            ..key_config(2, 0)
         };
-        let mut engine = ShardedEngine::with_config(schema(), vec![zip_variable_pfd()], config);
+        let mut engine = StreamEngine::with_config(schema(), vec![zip_variable_pfd()], config);
         let mut ops: Vec<RowOp> = (0..5)
             .map(|i| RowOp::Insert(vec![Value::text(format!("9000{i}")), Value::text("LA")]))
             .collect();
@@ -1906,7 +1512,7 @@ mod tests {
 
     #[test]
     fn invalid_ops_leave_the_engine_untouched() {
-        let mut engine = ShardedEngine::new(schema(), vec![zip_variable_pfd()], 2);
+        let mut engine = key_engine(2, 0);
         engine
             .push_row(vec![Value::text("90001"), Value::text("Los Angeles")])
             .unwrap();

@@ -2,7 +2,7 @@
 //! sweeps the [`ValuePool`] at its compaction barriers must be
 //! indistinguishable — events, ledger, resolved table content, per-rule
 //! health, drift — from a never-reclaiming twin fed the identical op
-//! stream, for both the single-threaded and the sharded engine. And
+//! stream, whether the rules run inline or on sharded workers. And
 //! copy-on-write snapshots must stay frozen while ingest (and
 //! compaction, and deferred reclamation) continue underneath them.
 //!
@@ -17,7 +17,7 @@
 //! id, and id identity was never part of the observable contract.
 
 use anmat_core::{PatternTuple, Pfd, Violation};
-use anmat_stream::{LedgerEvent, ShardBy, ShardedEngine, StreamConfig, StreamEngine};
+use anmat_stream::{LedgerEvent, ShardBy, StreamConfig, StreamEngine};
 use anmat_table::{RowOp, Schema, Table, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -179,28 +179,8 @@ fn observe(
 
 /// Run the script — several explicit compaction barriers, each a sweep
 /// opportunity — collecting the full observable record.
-fn run_single(config: StreamConfig, rules: Vec<Pfd>, script: &[Step]) -> (Observed, usize) {
+fn run(config: StreamConfig, rules: Vec<Pfd>, script: &[Step]) -> (Observed, usize) {
     let mut engine = StreamEngine::with_config(schema(), rules, config);
-    let mut events = Vec::new();
-    for step in script {
-        events.extend(engine.apply(step.ops.clone()).expect("valid ops"));
-        if step.compact {
-            engine.compact();
-        }
-    }
-    let health = (0..2).map(|i| engine.rule_health(i)).collect();
-    let observed = observe(
-        events,
-        engine.table(),
-        engine.ledger(),
-        health,
-        engine.drift_report(),
-    );
-    (observed, engine.reclaim_stats().strings)
-}
-
-fn run_sharded(config: StreamConfig, rules: Vec<Pfd>, script: &[Step]) -> (Observed, usize) {
-    let mut engine = ShardedEngine::with_config(schema(), rules, config);
     let mut events = Vec::new();
     for step in script {
         events.extend(engine.apply(step.ops.clone()).expect("valid ops"));
@@ -234,14 +214,14 @@ fn reclaim_twin_case(tag: &str, seed: u64) {
     // The twin runs FIRST and never reclaims (nor refcounts), so its
     // observables are collected before any sweep can free a string it
     // would still resolve.
-    let (twin, twin_freed) = run_single(base, rules(tag, TWIN_PREFIXES), &script);
+    let (twin, twin_freed) = run(base, rules(tag, TWIN_PREFIXES), &script);
     assert_eq!(twin_freed, 0, "twin must never reclaim");
 
     let reclaiming = StreamConfig {
         reclaim: true,
         ..base
     };
-    let (swept, freed) = run_single(reclaiming, rules(tag, TWIN_PREFIXES), &script);
+    let (swept, freed) = run(reclaiming, rules(tag, TWIN_PREFIXES), &script);
     assert!(
         freed > 0,
         "churn stranded unique strings, so the sweep must free some ({tag}, seed {seed})"
@@ -251,7 +231,7 @@ fn reclaim_twin_case(tag: &str, seed: u64) {
         "reclamation changed observable state ({tag}, seed {seed})"
     );
 
-    // Same contract across the sharded engine, both axes, pipelined.
+    // Same contract across sharded layouts, both axes, pipelined.
     for (shards, shard_by, run_ahead) in [(2, ShardBy::Rule, 0), (3, ShardBy::Key, 2)] {
         let config = StreamConfig {
             shards,
@@ -259,7 +239,7 @@ fn reclaim_twin_case(tag: &str, seed: u64) {
             run_ahead,
             ..reclaiming
         };
-        let (sharded, sharded_freed) = run_sharded(config, rules(tag, TWIN_PREFIXES), &script);
+        let (sharded, sharded_freed) = run(config, rules(tag, TWIN_PREFIXES), &script);
         assert!(
             sharded_freed > 0,
             "sharded sweep must free stranded strings ({tag}, seed {seed}, {shard_by:?})"
@@ -275,7 +255,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(12)))]
 
     /// The headline twin property: reclamation is observably invisible
-    /// on every engine flavour.
+    /// in every layout.
     #[test]
     fn churn_with_reclamation_matches_never_reclaiming_twin(seed in 0u64..4096) {
         reclaim_twin_case(&format!("rclA{seed}"), seed);
@@ -343,7 +323,7 @@ fn snapshot_stays_frozen_while_ingest_mutates() {
     );
 }
 
-/// The sharded engine's snapshot sits at a clean pipeline barrier and
+/// A sharded engine's snapshot sits at a clean pipeline barrier and
 /// behaves identically: frozen view, deferral, post-drop sweep.
 #[test]
 fn sharded_snapshot_stays_frozen_and_defers_sweeps() {
@@ -357,7 +337,7 @@ fn sharded_snapshot_stays_frozen_and_defers_sweeps() {
         run_ahead: 2,
         ..StreamConfig::default()
     };
-    let mut engine = ShardedEngine::with_config(schema(), rules(tag, prefixes), config);
+    let mut engine = StreamEngine::with_config(schema(), rules(tag, prefixes), config);
     let (head, tail) = script.split_at(script.len() / 2);
     for step in head {
         engine.apply(step.ops.clone()).expect("valid ops");

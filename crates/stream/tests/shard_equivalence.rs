@@ -1,12 +1,13 @@
-//! Shard-equivalence — the determinism contract of the sharded engine:
+//! Shard-equivalence — the determinism contract of the sharded layout:
 //! for every datagen dataset and random op interleavings, a
-//! [`ShardedEngine`] must produce the **same event stream, batch by
-//! batch** (contents *and* order), the same final ledger state, the
-//! same per-rule health, the same drift report, and the same pattern
-//! eval/lookup counters as the single-threaded [`StreamEngine`] —
-//! bit-for-bit, regardless of the sharding axis (rule- or
-//! key-granular), shard count, run-ahead pipelining window, shard
-//! completion order, or batch splits.
+//! [`StreamEngine`] built with several shards must produce the **same
+//! event stream, batch by batch** (contents *and* order), the same final
+//! ledger state, the same per-rule health, the same drift report, and
+//! the same pattern eval/lookup counters as the default single-shard
+//! engine, which runs every rule inline — bit-for-bit, regardless of
+//! the sharding axis (rule- or key-granular), shard count, run-ahead
+//! pipelining window, shard completion order, or batch splits. Specs
+//! that clamp to one shard drive the inline `submit`/`flush` path.
 //!
 //! Case count scales with `PROPTEST_CASES` (CI runs a dedicated
 //! elevated-cases step so the concurrency path gets real coverage on
@@ -14,7 +15,7 @@
 
 use anmat_core::{discover, DiscoveryConfig, Pfd};
 use anmat_datagen::{chembl, employee, names, phone, zipcity, GenConfig};
-use anmat_stream::{BatchEvents, ShardBy, ShardedEngine, StreamConfig, StreamEngine};
+use anmat_stream::{BatchEvents, ShardBy, StreamConfig, StreamEngine};
 use anmat_table::{RowId, RowOp, Table};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -75,6 +76,15 @@ fn batches(ops: &[RowOp], batch_sizes: &[usize]) -> Vec<Vec<RowOp>> {
     out
 }
 
+/// An engine with `shards` rule-granular workers (one runs inline).
+fn sharded_engine(schema: &anmat_table::Schema, rules: &[Pfd], shards: usize) -> StreamEngine {
+    let config = StreamConfig {
+        shards,
+        ..StreamConfig::default()
+    };
+    StreamEngine::with_config(schema.clone(), rules.to_vec(), config)
+}
+
 /// How compaction epochs interleave with the batch stream: forced
 /// barriers after given batch indices, and/or the engines' own
 /// `compact_ratio` trigger. Ops must then be generated epoch-aware
@@ -91,9 +101,9 @@ struct CompactionPlan {
     expected_epochs: Vec<u64>,
 }
 
-/// One sharded configuration under test: the sharding axis, worker
-/// count, and pipelining window. The determinism contract quantifies
-/// over all three.
+/// One shard layout under test: the sharding axis, worker count, and
+/// pipelining window. The determinism contract quantifies over all
+/// three.
 #[derive(Clone, Copy)]
 struct ShardSpec {
     shard_by: ShardBy,
@@ -135,11 +145,11 @@ impl ShardSpec {
 }
 
 /// The classic matrix the original suite ran: rule-granular sharding,
-/// 1/2/4 workers, no pipelining.
+/// 1/2/4 workers, no pipelining (one worker runs inline).
 const RULE_SPECS: [ShardSpec; 3] = [ShardSpec::rule(1), ShardSpec::rule(2), ShardSpec::rule(4)];
 
-/// The single-threaded reference run: per-batch event streams plus the
-/// engine itself, kept for final-state comparisons.
+/// The reference run on the default (inline) engine: per-batch event
+/// streams plus the engine itself, kept for final-state comparisons.
 fn reference_run(
     schema: &anmat_table::Schema,
     rules: &[Pfd],
@@ -170,12 +180,15 @@ fn reference_run(
     (single, reference)
 }
 
-/// Run one sharded configuration over the batch stream and assert the
-/// full determinism contract against the reference. `run_ahead == 0`
+/// Run one shard layout over the batch stream and assert the full
+/// determinism contract against the reference. `run_ahead == 0`
 /// exercises the blocking `apply` path (per-batch comparison inline);
 /// `run_ahead > 0` exercises the pipelined `submit`/`flush` path, where
 /// completed batches surface later — sequence tags must still come back
-/// in submission order with bit-identical per-batch event streams.
+/// in submission order with bit-identical per-batch event streams. A
+/// layout that clamps to one shard runs inline, where every submitted
+/// batch completes at once and the window reads 0. The reference is
+/// borrowed `&mut` because its eval counters drain a pipeline.
 #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 fn check_spec(
     schema: &anmat_table::Schema,
@@ -183,7 +196,7 @@ fn check_spec(
     op_batches: &[Vec<RowOp>],
     compaction: &CompactionPlan,
     base: StreamConfig,
-    single: &StreamEngine,
+    single: &mut StreamEngine,
     reference: &[Vec<anmat_stream::LedgerEvent>],
     spec: ShardSpec,
     context: &str,
@@ -195,9 +208,10 @@ fn check_spec(
         run_ahead: spec.run_ahead,
         ..base
     };
-    let mut sharded = ShardedEngine::with_config(schema.clone(), rules.to_vec(), config);
-    assert_eq!(sharded.shard_by(), spec.shard_by);
-    assert_eq!(sharded.run_ahead(), spec.run_ahead);
+    let mut sharded = StreamEngine::with_config(schema.clone(), rules.to_vec(), config);
+    if sharded.shard_count() > 1 {
+        assert_eq!(sharded.run_ahead(), spec.run_ahead);
+    }
     let mut completed: Vec<BatchEvents> = Vec::new();
     for (k, batch) in op_batches.iter().enumerate() {
         if spec.run_ahead == 0 {
@@ -297,9 +311,9 @@ fn check_spec(
     );
 }
 
-/// Feed identical batch sequences to the single-threaded engine and to
-/// every sharded configuration in `specs` (optionally compacting
-/// mid-stream), asserting the full determinism contract.
+/// Feed identical batch sequences to the reference engine and to every
+/// shard layout in `specs` (optionally compacting mid-stream), asserting
+/// the full determinism contract.
 fn assert_specs_equivalent(
     schema: &anmat_table::Schema,
     rules: &[Pfd],
@@ -312,10 +326,19 @@ fn assert_specs_equivalent(
         compact_ratio: compaction.ratio,
         ..StreamConfig::default()
     };
-    let (single, reference) = reference_run(schema, rules, op_batches, config, compaction, context);
+    let (mut single, reference) =
+        reference_run(schema, rules, op_batches, config, compaction, context);
     for &spec in specs {
         check_spec(
-            schema, rules, op_batches, compaction, config, &single, &reference, spec, context,
+            schema,
+            rules,
+            op_batches,
+            compaction,
+            config,
+            &mut single,
+            &reference,
+            spec,
+            context,
         );
     }
 }
@@ -414,7 +437,7 @@ fn check_dataset(table: &Table, seed: u64, churn: f64, context: &str) {
 /// The sharded half of the compaction acceptance criterion: with a
 /// coordinated epoch barrier mid-stream — forced, or triggered by
 /// `compact_ratio` — 1/2/4 shards stay bit-for-bit identical to the
-/// single-threaded engine, epochs and reclaimed-slot counts included.
+/// reference engine, epochs and reclaimed-slot counts included.
 fn check_dataset_with_compaction(table: &Table, seed: u64, churn: f64, context: &str) {
     let rules = discover(table, &discovery_config());
     // Forced barrier roughly mid-stream.
@@ -489,7 +512,7 @@ fn replay_table_is_shard_equivalent() {
     let mut single = StreamEngine::new(data.table.schema().clone(), rules.clone());
     let reference = single.replay_table(&data.table).expect("schema matches");
     for shards in [1usize, 2, 4] {
-        let mut sharded = ShardedEngine::new(data.table.schema().clone(), rules.clone(), shards);
+        let mut sharded = sharded_engine(data.table.schema(), &rules, shards);
         let events = sharded.replay_table(&data.table).expect("schema matches");
         assert_eq!(
             events, reference,
@@ -518,11 +541,11 @@ fn mid_stream_compaction_is_shard_equivalent() {
 
 /// The tentpole matrix: key-granular sharding (blocking keys hashed
 /// over workers) crossed with the run-ahead pipelining window. Every
-/// cell must be bit-for-bit indistinguishable from the single-threaded
-/// engine — per-batch events (in submission order under pipelining),
-/// ledger, health, drift, and the eval/lookup counters (the
-/// coordinator's route derivation plus worker-side evals must add up
-/// to exactly the single-threaded counts).
+/// cell must be bit-for-bit indistinguishable from the inline engine —
+/// per-batch events (in submission order under pipelining), ledger,
+/// health, drift, and the eval/lookup counters (the coordinator's route
+/// derivation plus worker-side evals must add up to exactly the inline
+/// counts).
 #[test]
 fn key_sharding_and_pipelining_matrix_is_equivalent() {
     let config = GenConfig {
@@ -623,8 +646,7 @@ fn key_mode_forced_epoch_barrier_is_equivalent() {
 /// Ratio-triggered compaction epochs under key-granular pipelined
 /// sharding: the auto-compaction check runs against the coordinator's
 /// canonical table at submit time, so the trigger fires at the same
-/// batch boundary as the single-threaded engine even while workers run
-/// ahead.
+/// batch boundary as the inline engine even while workers run ahead.
 #[test]
 fn key_mode_ratio_epochs_are_equivalent() {
     let config = GenConfig {
@@ -682,11 +704,11 @@ fn drift_report_is_rule_index_sorted_across_engines() {
     assert_eq!(
         single_report.iter().map(|d| d.rule).collect::<Vec<_>>(),
         vec![0, 1, 2],
-        "single-threaded drift report must be rule-index sorted"
+        "inline drift report must be rule-index sorted"
     );
 
     for shards in [2usize, 3] {
-        let mut sharded = ShardedEngine::new(schema.clone(), rules.clone(), shards);
+        let mut sharded = sharded_engine(&schema, &rules, shards);
         sharded.push_batch(rows.clone()).unwrap();
         let report = sharded.drift_report();
         assert_eq!(
@@ -708,7 +730,7 @@ fn anmat_pattern_unconstrained(p: &str) -> anmat_pattern::ConstrainedPattern {
 fn instrumented_run_is_bit_for_bit_identical() {
     // The observability contract: turning the metrics recorder on must
     // not perturb anything observable — event streams, ledger, health,
-    // drift — in either engine flavour. (The recorder flag is process
+    // drift — in either layout. (The recorder flag is process
     // global; flipping it here is harmless to concurrently running
     // tests precisely *because* of this contract.)
     use anmat_obs as obs;
@@ -725,7 +747,7 @@ fn instrumented_run_is_bit_for_bit_identical() {
 
     let run = || {
         let mut single = StreamEngine::new(data.table.schema().clone(), rules.clone());
-        let mut sharded = ShardedEngine::new(data.table.schema().clone(), rules.clone(), 2);
+        let mut sharded = sharded_engine(data.table.schema(), &rules, 2);
         let events: Vec<_> = op_batches
             .iter()
             .map(|batch| {
@@ -825,7 +847,7 @@ proptest! {
 
     /// The acceptance property: for random datasets, op interleavings,
     /// and batch splits, 1/2/4 shards are indistinguishable from the
-    /// single-threaded engine.
+    /// inline engine.
     #[test]
     fn random_interleavings_are_shard_equivalent(
         seed in 0u64..10_000,
@@ -856,7 +878,7 @@ proptest! {
     /// The key-granular/pipelined acceptance property: for random
     /// datasets, op interleavings, batch splits, shard counts, and
     /// run-ahead windows, key-mode sharding is indistinguishable from
-    /// the single-threaded engine — events per batch (in submission
+    /// the inline engine — events per batch (in submission
     /// order), ledger, health, drift, and eval/lookup counters.
     #[test]
     fn random_interleavings_are_key_shard_equivalent(

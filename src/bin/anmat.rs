@@ -380,121 +380,11 @@ fn parse_ops(text: &str) -> Result<Vec<RowOp>, String> {
     Ok(ops)
 }
 
-/// The two engine flavours behind `anmat stream`, dispatched on
-/// `--shards`: identical observable behaviour (the sharded engine's
-/// determinism contract), different execution.
-enum AnyEngine {
-    Single(StreamEngine),
-    Sharded(ShardedEngine),
-}
-
-impl AnyEngine {
-    /// Ingest one replay batch. The sharded engine goes through its
-    /// pipelined `submit` path — with `--run-ahead 0` that merges
-    /// synchronously (identical to the classic call), with a window it
-    /// returns whichever older batches completed; either way events
-    /// come back in submission order. Callers must [`AnyEngine::flush`]
-    /// at end of stream.
-    fn push_id_batch(&mut self, rows: Vec<Vec<ValueId>>) -> Result<Vec<LedgerEvent>, String> {
-        match self {
-            AnyEngine::Single(e) => e.push_id_batch(rows),
-            AnyEngine::Sharded(e) => e
-                .submit_id_batch(rows)
-                .map(|batches| batches.into_iter().flat_map(|b| b.events).collect()),
-        }
-        .map_err(|e| e.to_string())
-    }
-
-    /// Drain any pipelined batches still in flight; their events come
-    /// back in submission order. No-op for the single-threaded engine.
-    fn flush(&mut self) -> Vec<LedgerEvent> {
-        match self {
-            AnyEngine::Single(_) => Vec::new(),
-            AnyEngine::Sharded(e) => e.flush().into_iter().flat_map(|b| b.events).collect(),
-        }
-    }
-
-    fn apply(&mut self, ops: Vec<RowOp>) -> Result<Vec<LedgerEvent>, String> {
-        match self {
-            AnyEngine::Single(e) => e.apply(ops),
-            AnyEngine::Sharded(e) => e.apply(ops),
-        }
-        .map_err(|e| e.to_string())
-    }
-
-    fn ledger(&self) -> &ViolationLedger {
-        match self {
-            AnyEngine::Single(e) => e.ledger(),
-            AnyEngine::Sharded(e) => e.ledger(),
-        }
-    }
-
-    fn live_rows(&self) -> usize {
-        match self {
-            AnyEngine::Single(e) => e.live_rows(),
-            AnyEngine::Sharded(e) => e.live_rows(),
-        }
-    }
-
-    fn row_count(&self) -> usize {
-        match self {
-            AnyEngine::Single(e) => e.row_count(),
-            AnyEngine::Sharded(e) => e.row_count(),
-        }
-    }
-
-    fn drift_report(&self) -> Vec<DriftReport> {
-        match self {
-            AnyEngine::Single(e) => e.drift_report(),
-            AnyEngine::Sharded(e) => e.drift_report(),
-        }
-    }
-
-    fn compaction_stats(&self) -> CompactionStats {
-        match self {
-            AnyEngine::Single(e) => e.compaction_stats(),
-            AnyEngine::Sharded(e) => e.compaction_stats(),
-        }
-    }
-
-    fn mem_footprint(&self) -> MemFootprint {
-        match self {
-            AnyEngine::Single(e) => e.table().mem_footprint(),
-            AnyEngine::Sharded(e) => e.table().mem_footprint(),
-        }
-    }
-
-    fn publish_metrics(&mut self) {
-        match self {
-            AnyEngine::Single(e) => e.publish_metrics(),
-            AnyEngine::Sharded(e) => e.publish_metrics(),
-        }
-    }
-
-    /// Lifetime string reclamation by this engine's sweeps.
-    fn reclaim_stats(&self) -> ReclaimStats {
-        match self {
-            AnyEngine::Single(e) => e.reclaim_stats(),
-            AnyEngine::Sharded(e) => e.reclaim_stats(),
-        }
-    }
-
-    /// A copy-on-write snapshot of the table + ledger. The sharded
-    /// engine drains its pipeline first, so the view sits at a clean
-    /// epoch barrier on every replica.
-    fn snapshot(&mut self) -> EngineSnapshot {
-        match self {
-            AnyEngine::Single(e) => e.snapshot(),
-            AnyEngine::Sharded(e) => e.snapshot(),
-        }
-    }
-}
-
 /// One `stats:` line from the live metrics registry — the deterministic
 /// figures always, the wall-clock rate only when timing output is
 /// allowed (it is nondeterministic, so `--quiet`/`ANMAT_NO_TIMING`
 /// suppress it).
-fn print_stats_line(engine: &mut AnyEngine, started: Instant, timing: bool) {
+fn print_stats_line(engine: &mut StreamEngine, started: Instant, timing: bool) {
     // Note the stats round-trip drains the pipeline, so the figures are
     // a consistent point-in-time snapshot; `merge.lag_batches` still
     // records how deep the run-ahead window actually got.
@@ -639,57 +529,46 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         confirmed_only,
     )?;
     let rule_count = pfds.len();
-    let mut engine = if stream_config.shards > 1 {
-        AnyEngine::Sharded(ShardedEngine::with_config(
-            table.schema().clone(),
-            pfds,
-            stream_config,
-        ))
-    } else {
-        AnyEngine::Single(StreamEngine::with_config(
-            table.schema().clone(),
-            pfds,
-            stream_config,
-        ))
-    };
+    let mut engine = StreamEngine::with_config(table.schema().clone(), pfds, stream_config);
     // Report the *effective* worker count (the engine clamps --shards
     // to the rule count in rule mode, to the key-slot count in key
-    // mode) plus any non-default axis/pipelining choices.
-    let sharding = match &engine {
-        AnyEngine::Sharded(e) => {
-            let mut s = format!(", {} shard(s)", e.shard_count());
-            if e.shard_by() == ShardBy::Key {
-                s.push_str(" by key");
-            }
-            if e.run_ahead() > 0 {
-                s.push_str(&format!(", run-ahead {}", e.run_ahead()));
-            }
-            s
+    // mode; one shard runs inline and reports nothing) plus any
+    // non-default axis/pipelining choices.
+    let mut sharding = String::new();
+    if engine.shard_count() > 1 {
+        sharding = format!(", {} shard(s)", engine.shard_count());
+        if stream_config.shard_by == ShardBy::Key {
+            sharding.push_str(" by key");
         }
-        AnyEngine::Single(_) => String::new(),
-    };
+        if engine.run_ahead() > 0 {
+            sharding.push_str(&format!(", run-ahead {}", engine.run_ahead()));
+        }
+    }
     println!(
         "streaming {} row(s) from {path} through {rule_count} rule(s), batch size \
          {batch}{sharding}",
         table.row_count()
     );
     // Rows are already interned by the CSV read; stream them as ids so
-    // replay is clone-free.
+    // replay is clone-free. Every layout replays through `submit`: inline
+    // a batch completes at once; with a run-ahead window older batches
+    // complete as the window fills. Either way events come back in
+    // submission order. A batch never holds more than the table's rows,
+    // so neither does its buffer.
     let started = Instant::now();
     let replayed_rows = table.row_count();
-    let mut pending: Vec<Vec<ValueId>> = Vec::with_capacity(batch);
+    let capacity = batch.min(replayed_rows);
+    let mut pending: Vec<Vec<ValueId>> = Vec::with_capacity(capacity);
     let mut batches_done = 0usize;
     for r in 0..table.row_count() {
         pending.push(table.row_ids(r));
         if pending.len() == batch || r + 1 == table.row_count() {
-            let full = std::mem::replace(&mut pending, Vec::with_capacity(batch));
-            let events = engine
-                .push_id_batch(full)
+            let full = std::mem::replace(&mut pending, Vec::with_capacity(capacity));
+            let completed = engine
+                .submit_id_batch(full)
                 .map_err(|e| format!("row {r}: {e}"))?;
             if !quiet {
-                for event in &events {
-                    println!("{}", render_event(event));
-                }
+                print_events(&completed);
             }
             batches_done += 1;
             if stats_every.is_some_and(|every| batches_done.is_multiple_of(every)) {
@@ -702,9 +581,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     // whole stream.
     let tail = engine.flush();
     if !quiet {
-        for event in &tail {
-            println!("{}", render_event(event));
-        }
+        print_events(&tail);
     }
     // Elapsed replay time flows through the obs layer (the summary
     // reads it back out of the histogram), so it lands in --metrics-out
@@ -732,7 +609,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     }
 
     // Snapshot-backed checkpoint: the capture is O(chunks) chunk-handle
-    // clones behind the epoch barrier (the sharded engine drains its
+    // clones behind the epoch barrier (a sharded engine drains its
     // pipeline first), so a service would keep ingesting while the
     // serialization below reads the frozen view.
     if checkpoint {
@@ -778,7 +655,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     // the N workers holds one replica this size — compaction shrinks
     // all of them in lockstep. The line itself is shard-invariant, like
     // everything below the header.
-    let footprint = engine.mem_footprint();
+    let footprint = engine.table().mem_footprint();
     println!(
         "compaction: {} epoch(s) run, {} slot(s) reclaimed; table memory {} byte(s) \
          per table replica over {} slot(s) ({} live)",
@@ -833,22 +710,20 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         // Pipelining summary, only when a run-ahead window was in play:
         // how deep the window actually ran (deterministic for a given
         // batch size, unlike the wall-clock lines).
-        if let AnyEngine::Sharded(e) = &engine {
-            if e.run_ahead() > 0 {
-                if let Some(h) = snap.histogram("merge.lag_batches") {
-                    println!(
-                        "pipeline: run-ahead {}, {} merge(s), mean lag {:.2} batch(es), \
-                         max lag {}",
-                        e.run_ahead(),
-                        h.count,
-                        if h.count > 0 {
-                            h.sum as f64 / h.count as f64
-                        } else {
-                            0.0
-                        },
-                        h.max
-                    );
-                }
+        if engine.run_ahead() > 0 {
+            if let Some(h) = snap.histogram("merge.lag_batches") {
+                println!(
+                    "pipeline: run-ahead {}, {} merge(s), mean lag {:.2} batch(es), \
+                     max lag {}",
+                    engine.run_ahead(),
+                    h.count,
+                    if h.count > 0 {
+                        h.sum as f64 / h.count as f64
+                    } else {
+                        0.0
+                    },
+                    h.max
+                );
             }
         }
     }
@@ -919,6 +794,12 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+fn print_events(batches: &[BatchEvents]) {
+    for event in batches.iter().flat_map(|b| &b.events) {
+        println!("{}", render_event(event));
+    }
 }
 
 fn render_event(event: &LedgerEvent) -> String {

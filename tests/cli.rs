@@ -177,6 +177,86 @@ fn stream_shards_flag_is_output_invariant() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `--batch` larger than the table replays the whole table as one
+/// batch, exactly like `--batch <row count>`: the replay buffer is
+/// sized by the rows, not by the flag.
+#[test]
+fn stream_batch_beyond_the_row_count_replays_one_batch() {
+    let dir = std::env::temp_dir().join(format!("anmat_cli_bigbatch_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (csv, rules) = zips_fixture(&dir);
+    let (csv, rules) = (csv.to_str().unwrap(), rules.to_str().unwrap());
+    let strip_header =
+        |out: &Output| -> String { stdout(out).lines().skip(1).collect::<Vec<_>>().join("\n") };
+    let rows = anmat(&["stream", csv, "--rules", rules, "--batch", "4"]);
+    assert!(rows.status.success(), "stream failed: {}", stderr(&rows));
+    let max = anmat(&[
+        "stream",
+        csv,
+        "--rules",
+        rules,
+        "--batch",
+        "18446744073709551615",
+    ]);
+    assert!(
+        max.status.success(),
+        "huge --batch failed: {}",
+        stderr(&max)
+    );
+    assert_eq!(strip_header(&rows), strip_header(&max));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A run-ahead window beyond the cap is clamped when the engine is
+/// built (the header reports the clamped window), and pipelining never
+/// changes what is printed below the header.
+#[test]
+fn stream_run_ahead_beyond_the_cap_is_clamped() {
+    let dir = std::env::temp_dir().join(format!("anmat_cli_runahead_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (csv, rules) = zips_fixture(&dir);
+    let (csv, rules) = (csv.to_str().unwrap(), rules.to_str().unwrap());
+    let run = |run_ahead: &str| {
+        let out = anmat(&[
+            "stream",
+            csv,
+            "--rules",
+            rules,
+            "--shards",
+            "2",
+            "--shard-by",
+            "key",
+            "--run-ahead",
+            run_ahead,
+        ]);
+        assert!(
+            out.status.success(),
+            "--run-ahead {run_ahead} failed: {}",
+            stderr(&out)
+        );
+        stdout(&out)
+    };
+    let body = |text: &str| -> String {
+        text.lines()
+            .skip(1)
+            .filter(|l| !l.starts_with("pipeline:"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let barrier = run("0");
+    let clamped = run("18446744073709551615");
+    assert!(
+        clamped.lines().next().unwrap().ends_with(", run-ahead 64"),
+        "the header reports the clamped window:\n{clamped}"
+    );
+    assert_eq!(body(&barrier), body(&clamped));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn stream_ops_replays_mutations_and_reports_live_rows() {
     let dir = std::env::temp_dir().join(format!("anmat_cli_ops_{}", std::process::id()));
@@ -471,8 +551,9 @@ fn stream_metrics_out_writes_parseable_registry_snapshot() {
     std::fs::create_dir_all(&dir).unwrap();
     let (csv, rules) = zips_fixture(&dir);
     // Mutations so the ledger sees churn, sharded so per-shard metrics
-    // register. One rule clamps --shards 2 down to 1 shard — still the
-    // sharded engine, so `shard.0.*` families appear.
+    // register. Key mode keeps both workers for the one rule (rule mode
+    // would clamp it to one shard, which runs inline and registers no
+    // `shard.*` families).
     let ops = dir.join("fixes.ops");
     std::fs::write(&ops, "~,3,90004,Los Angeles\n-,0\n+,90005,Los Angeles\n").unwrap();
     let metrics = dir.join("metrics.json");
@@ -486,6 +567,8 @@ fn stream_metrics_out_writes_parseable_registry_snapshot() {
         ops.to_str().unwrap(),
         "--shards",
         "2",
+        "--shard-by",
+        "key",
         "--metrics-out",
         metrics.to_str().unwrap(),
     ]);
