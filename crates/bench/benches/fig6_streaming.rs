@@ -16,7 +16,7 @@ use anmat_bench::{criterion, experiment_config};
 use anmat_core::{detect_all, discover, Pfd};
 use anmat_datagen::{zipcity, Dataset};
 use anmat_obs as obs;
-use anmat_stream::{ShardBy, StreamConfig, StreamEngine};
+use anmat_stream::{StreamConfig, StreamEngine};
 use anmat_table::{RowOp, Table, Value, ValueId};
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -197,18 +197,18 @@ fn churn_memory_artifact(data: &Dataset, rules: &[Pfd], total_ops: usize) {
 }
 
 /// Shard-count sweep on the 90/10 churn workload: ops/s for the inline
-/// engine (one shard) and for 2/4/8 rule-granular workers.
-/// Rule processing is the parallel fraction, so the curve is bounded by
-/// the rule count *and* by the host's cores — both are printed so the
-/// artifact is interpretable wherever it was produced (a single-core
-/// container timeslices the workers and shows a flat line; the speedup
-/// materializes on multi-core hosts).
+/// engine (one shard) and for 2/4/8 keyed workers, each owning a share
+/// of every rule's blocking keys. Rule processing is the parallel
+/// fraction, so the curve is bounded by the host's cores — printed so
+/// the artifact is interpretable wherever it was produced (a
+/// single-core container timeslices the workers and shows a flat line;
+/// the speedup materializes on multi-core hosts).
 fn shard_sweep_artifact(data: &Dataset, rules: &[Pfd], rows: usize) {
     let ops = churn_ops(data);
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     println!(
         "── E16 artifact: shard sweep (90/10 churn, {rows} rows, {} ops; \
-         {} rule(s) shardable, {cores} core(s) available) ──",
+         {} rule(s), {cores} core(s) available) ──",
         ops.len(),
         rules.len()
     );
@@ -247,8 +247,7 @@ fn shard_sweep_artifact(data: &Dataset, rules: &[Pfd], rows: usize) {
 /// instrumented leg *faster* (−52%): the first leg pays pool interning,
 /// page-cache, and branch-predictor warmup that the second inherits for
 /// free. Both legs are therefore warmed explicitly (one untimed run in
-/// each recorder state), then timed with the same interleaved
-/// discipline the shard coordination legs use: 7 repetitions, leg
+/// each recorder state), then timed interleaved: 7 repetitions, leg
 /// order alternating forward/reverse per rep, each leg keeping its
 /// best time — so both recorder states sample the same mix of
 /// ambient-load windows instead of whole legs landing in different
@@ -523,26 +522,14 @@ fn reclaim_churn_artifact(data: &Dataset, rules: &[Pfd], total_ops: usize) -> St
     )
 }
 
-/// The tentpole artifact: key-granular sharding on a workload that
-/// rule-granular sharding *cannot* spread — one heavy variable rule
-/// (zip prefix → city), where `--shard-by rule` clamps to a single
-/// worker however many are requested. Key mode hashes blocking keys
-/// over all workers, so the sweep records the scaling the second axis
-/// opens. On a single-core container the workers timeslice, so the
-/// interesting figure there is coordination overhead: key-mode ×4 must
-/// stay within 15% of rule mode. The ≥2× multi-core scaling claim is
-/// recorded in the JSON artifact for verification on a multi-core
-/// host. Returns the artifact's JSON fragment.
-///
-/// The 1-core acceptance figure compares key ×4 against *rule ×4 on
-/// the full discovered rule set* — there both modes run four workers,
-/// each maintaining its table replica, so the replicated-apply cost
-/// cancels and the difference isolates what key mode adds:
-/// coordinator-side route derivation plus the per-key merge. The
-/// single-rule sweep cannot make that comparison honestly on one core,
-/// because rule mode clamps a one-rule workload to a single worker
-/// while key mode timeslices four.
-fn key_shard_sweep_artifact(data: &Dataset, discovered: &[Pfd], rows: usize) -> String {
+/// The keyed shard sweep on one heavy variable rule (zip prefix →
+/// city): the shards hash its blocking keys over every worker, so the
+/// sweep records how a single rule scales with workers. On a
+/// single-core container every extra worker is pure timeslicing, so the
+/// figures there measure coordination cost, not scaling; the core count
+/// is recorded so the artifact is read against it. Returns the
+/// artifact's JSON fragment.
+fn key_shard_sweep_artifact(data: &Dataset, rows: usize) -> String {
     use anmat_core::PatternTuple;
 
     let rule = Pfd::new(
@@ -557,7 +544,7 @@ fn key_shard_sweep_artifact(data: &Dataset, discovered: &[Pfd], rows: usize) -> 
     let ops = churn_ops(data);
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     println!(
-        "── E16 artifact: key-granular shard sweep (single heavy variable rule, \
+        "── E16 artifact: keyed shard sweep (single heavy variable rule, \
          90/10 churn, {rows} rows, {} ops, {cores} core(s) available) ──",
         ops.len()
     );
@@ -567,23 +554,8 @@ fn key_shard_sweep_artifact(data: &Dataset, discovered: &[Pfd], rows: usize) -> 
     // Best-of-3 per configuration: on a timesliced single-core box a
     // single pass is one scheduling roll of the dice, and the sweep's
     // point is capability, not one roll.
-    let timed_single = |rules: &[Pfd]| {
-        let mut best = 0.0f64;
-        for _ in 0..3 {
-            let mut engine = StreamEngine::new(data.table.schema().clone(), rules.to_vec());
-            let start = Instant::now();
-            for chunk in &chunks {
-                engine.apply(chunk.iter().cloned()).expect("ops are valid");
-            }
-            let rate = ops.len() as f64 / start.elapsed().as_secs_f64();
-            black_box(engine.ledger().live_count());
-            best = best.max(rate);
-        }
-        best
-    };
-    let timed_sharded = |rules: &[Pfd], shard_by: ShardBy, shards: usize, run_ahead: usize| {
+    let timed = |shards: usize, run_ahead: usize| {
         let config = StreamConfig {
-            shard_by,
             shards,
             run_ahead,
             ..StreamConfig::default()
@@ -591,7 +563,7 @@ fn key_shard_sweep_artifact(data: &Dataset, discovered: &[Pfd], rows: usize) -> 
         let mut best = 0.0f64;
         for _ in 0..3 {
             let mut engine =
-                StreamEngine::with_config(data.table.schema().clone(), rules.to_vec(), config);
+                StreamEngine::with_config(data.table.schema().clone(), heavy.clone(), config);
             let start = Instant::now();
             for chunk in &chunks {
                 black_box(engine.submit(chunk.iter().cloned()).expect("ops are valid"));
@@ -603,112 +575,35 @@ fn key_shard_sweep_artifact(data: &Dataset, discovered: &[Pfd], rows: usize) -> 
         }
         best
     };
-    timed_single(&heavy); // warm pool/caches outside every timed leg
-    let single = timed_single(&heavy);
+    timed(1, 0); // warm pool/caches outside every timed leg
+    let single = timed(1, 0);
     println!("  single-threaded          : {single:>9.0} ops/s");
-    let rule_x4_heavy = timed_sharded(&heavy, ShardBy::Rule, 4, 0);
-    println!(
-        "  rule mode ×4 (clamps to 1): {rule_x4_heavy:>9.0} ops/s ({:.2}× vs single — one \
-         rule, one worker)",
-        rule_x4_heavy / single
-    );
     let mut key_rates = Vec::new();
-    for shards in [1usize, 2, 4] {
-        let rate = timed_sharded(&heavy, ShardBy::Key, shards, 0);
+    for shards in [2usize, 4] {
+        let rate = timed(shards, 0);
         println!(
-            "  key mode ×{shards}               : {rate:>9.0} ops/s ({:.2}× vs single)",
+            "  keyed ×{shards}                 : {rate:>9.0} ops/s ({:.2}× vs single)",
             rate / single
         );
-        key_rates.push((shards, rate));
+        key_rates.push(rate);
     }
-    let key_x4_pipelined = timed_sharded(&heavy, ShardBy::Key, 4, 4);
+    let key_x4_pipelined = timed(4, 4);
     println!(
-        "  key mode ×4, run-ahead 4 : {key_x4_pipelined:>9.0} ops/s ({:.2}× vs single)",
+        "  keyed ×4, run-ahead 4    : {key_x4_pipelined:>9.0} ops/s ({:.2}× vs single)",
         key_x4_pipelined / single
-    );
-    let key_x4 = key_rates
-        .iter()
-        .find(|(s, _)| *s == 4)
-        .map_or(0.0, |&(_, r)| r);
-    // Coordination overhead, measured where it is actually isolated:
-    // the discovered multi-rule set, ×4 workers on both axes. On a
-    // timesliced 1-core box, sequential best-of-3 legs sample different
-    // ambient-load regimes and the comparison flaps by ±10%; instead the
-    // three legs are interleaved (alternating forward/reverse order each
-    // rep) and each keeps its best of 7, so every leg sees the same mix
-    // of load windows.
-    let timed_once = |shard_by: ShardBy, run_ahead: usize| {
-        let config = StreamConfig {
-            shard_by,
-            shards: 4,
-            run_ahead,
-            ..StreamConfig::default()
-        };
-        let mut engine =
-            StreamEngine::with_config(data.table.schema().clone(), discovered.to_vec(), config);
-        let start = Instant::now();
-        for chunk in &chunks {
-            black_box(engine.submit(chunk.iter().cloned()).expect("ops are valid"));
-        }
-        black_box(engine.flush());
-        let rate = ops.len() as f64 / start.elapsed().as_secs_f64();
-        black_box(engine.ledger().live_count());
-        rate
-    };
-    let coord_legs: [(ShardBy, usize); 3] =
-        [(ShardBy::Rule, 0), (ShardBy::Key, 0), (ShardBy::Key, 4)];
-    for (shard_by, run_ahead) in coord_legs {
-        timed_once(shard_by, run_ahead); // warm every leg before any timing
-    }
-    let mut coord_best = [0.0f64; 3];
-    for rep in 0..7 {
-        let order: Vec<usize> = if rep % 2 == 0 {
-            (0..3).collect()
-        } else {
-            (0..3).rev().collect()
-        };
-        for leg in order {
-            let (shard_by, run_ahead) = coord_legs[leg];
-            coord_best[leg] = coord_best[leg].max(timed_once(shard_by, run_ahead));
-        }
-    }
-    let [rule_x4_multi, key_x4_multi, key_x4_multi_pipe] = coord_best;
-    let best_key_multi = key_x4_multi.max(key_x4_multi_pipe);
-    let overhead_vs_rule = (rule_x4_multi - best_key_multi) / rule_x4_multi * 100.0;
-    println!(
-        "  coordination ({} discovered rules, 4 workers both axes): rule {rule_x4_multi:>9.0} \
-         ops/s vs key {key_x4_multi:>9.0} (run-ahead 4: {key_x4_multi_pipe:>9.0})",
-        discovered.len()
-    );
-    println!(
-        "  key ×4 coordination overhead vs rule ×4: {overhead_vs_rule:+.2}% \
-         (1-core acceptance bound 15%; interleaved best-of-7 legs; residual gap is the \
-         cache cost of spreading every rule's state over 4 timeslicing workers — \
-         ≥2× single-rule scaling expected on multi-core hosts)"
     );
     format!(
         "{{\n    \"rows\": {rows},\n    \"ops\": {},\n    \"cores\": {cores},\n    \
          \"single_rule\": {{\n      \"single_ops_per_sec\": {single:.0},\n      \
-         \"rule_mode_x4_ops_per_sec\": {rule_x4_heavy:.0},\n      \"key_mode_ops_per_sec\": \
-         {{ \"x1\": {:.0}, \"x2\": {:.0}, \"x4\": {key_x4:.0}, \"x4_run_ahead_4\": \
-         {key_x4_pipelined:.0} }}\n    }},\n    \"coordination\": {{\n      \
-         \"rule_count\": {},\n      \"rule_mode_x4_ops_per_sec\": {rule_x4_multi:.0},\n      \
-         \"key_mode_x4_ops_per_sec\": {key_x4_multi:.0},\n      \
-         \"key_mode_x4_run_ahead_4_ops_per_sec\": {key_x4_multi_pipe:.0},\n      \
-         \"key_x4_overhead_vs_rule_pct\": {overhead_vs_rule:.3}\n    }},\n    \
-         \"claim\": \"rule-granular sharding clamps a single heavy rule to one worker; \
-         key-granular sharding hashes its blocking keys over all workers and targets >=2x \
-         rule mode at 4 shards on a multi-core host. On a 1-core container every extra \
-         worker is pure timeslicing, so the acceptance figure is coordination overhead \
-         measured on the multi-rule workload where both axes run 4 workers (interleaved \
-         best-of-7 legs), target within 15% of rule x4. Runs land in the 7-21% band \
-         depending on ambient load; anything above 15% is the cache cost of replicating \
-         every rule's state across 4 timeslicing workers (rule mode keeps one hot worker \
-         per rule), a cost that vanishes when workers get real cores.\"\n  }}",
+         \"key_mode_ops_per_sec\": {{ \"x2\": {:.0}, \"x4\": {:.0}, \"x4_run_ahead_4\": \
+         {key_x4_pipelined:.0} }}\n    }},\n    \
+         \"claim\": \"keyed sharding hashes a single heavy rule's blocking keys over every \
+         worker, so the rule can use every core; the x2/x4 figures measure that scaling on \
+         this host's cores. On a 1-core container every extra worker is pure timeslicing, so \
+         there they measure coordination cost instead.\"\n  }}",
         ops.len(),
-        key_rates[0].1,
-        key_rates[1].1,
-        discovered.len(),
+        key_rates[0],
+        key_rates[1],
     )
 }
 
@@ -764,7 +659,7 @@ fn bench(c: &mut Criterion) {
     let small = dataset(10_000);
     let churn_rates = recorder_overhead_artifact(&small.0, &small.1);
     let reclaim_churn = reclaim_churn_artifact(&small.0, &small.1, 100_000);
-    let key_sweep = key_shard_sweep_artifact(&small.0, &small.1, 10_000);
+    let key_sweep = key_shard_sweep_artifact(&small.0, 10_000);
     write_fig6_json(&small.0, &small.1, churn_rates, &reclaim_churn, &key_sweep);
     shard_sweep_artifact(&small.0, &small.1, 10_000);
     shard_sweep_artifact(&big.0, &big.1, 100_000);
@@ -815,8 +710,8 @@ fn bench(c: &mut Criterion) {
             });
         });
         // The shard sweep on the same churn mix: scaling is bounded by
-        // min(shards, rules, cores) — see the artifact header for the
-        // host's figures. One shard is `stream_churn` itself.
+        // min(shards, cores) — see the artifact header for the host's
+        // figures. One shard is `stream_churn` itself.
         for shards in [2usize, 4, 8] {
             g.bench_with_input(
                 BenchmarkId::new("stream_churn_sharded", format!("{rows}r/{shards}s")),
@@ -838,11 +733,11 @@ fn bench(c: &mut Criterion) {
                 },
             );
         }
-        // The key axis on the same mix, pipelined: with the full rule
-        // set this doubles as a coordination-overhead regression check
-        // (key mode routes every op through the coordinator's keyers).
+        // The same mix through 4 shards, pipelined: a
+        // coordination-overhead regression check (every op routes
+        // through the coordinator's keyers).
         g.bench_with_input(
-            BenchmarkId::new("stream_churn_key_sharded", format!("{rows}r/4s")),
+            BenchmarkId::new("stream_churn_pipelined", format!("{rows}r/4s/ra4")),
             &ops,
             |b, ops| {
                 b.iter(|| {
@@ -850,7 +745,6 @@ fn bench(c: &mut Criterion) {
                         data.table.schema().clone(),
                         rules.to_vec(),
                         StreamConfig {
-                            shard_by: ShardBy::Key,
                             shards: 4,
                             run_ahead: 4,
                             ..StreamConfig::default()

@@ -13,8 +13,9 @@
 //!
 //! Blocking keys and RHS values are interned [`ValueId`]s: capture
 //! extraction (the hot cost) runs at most once per *distinct* LHS value
-//! — the per-`(pattern, ValueId)` memo the incremental engine relies on —
-//! and every map in this module hashes a 4-byte id instead of a string.
+//! — the per-`(pattern, ValueId)` [`KeyMemo`] that batch blocking and the
+//! incremental engine's key router share — and every map in this module
+//! hashes a 4-byte id instead of a string.
 
 use crate::inverted::{sort_rhs_counts, EntryStats};
 use crate::runs::Runs;
@@ -75,23 +76,17 @@ impl BlockingIndex {
     pub fn block(table: &Table, col: usize, q: &ConstrainedPattern) -> Blocks {
         // The compiled keyer pays one compile for at most
         // `distinct(column)` span-VM extractions.
-        let compiled = CompiledConstrained::compile(q);
-        let mut key_buf = String::new();
+        let mut memo = KeyMemo::new(Some(Arc::new(CompiledConstrained::compile(q))));
         let mut map: FxHashMap<ValueId, Vec<RowId>> = FxHashMap::default();
         let mut unmatched = Vec::new();
         let mut null_rows = Vec::new();
-        // Capture extraction runs once per distinct LHS value id.
-        let mut key_cache: FxHashMap<ValueId, Option<ValueId>> = FxHashMap::default();
         for (row, v) in table.iter_column(col) {
             if v.is_null() {
                 null_rows.push(row);
                 continue;
             }
-            let key = key_cache
-                .entry(v)
-                .or_insert_with(|| derive_key(&compiled, &mut key_buf, v));
-            match key {
-                Some(k) => map.entry(*k).or_default().push(row),
+            match memo.key(v) {
+                Some(k) => map.entry(k).or_default().push(row),
                 None => unmatched.push(row),
             }
         }
@@ -103,6 +98,120 @@ impl BlockingIndex {
             null_rows,
         }
     }
+}
+
+/// The blocking keys of one keyer, memoized per distinct LHS value: the
+/// per-`(pattern, ValueId)` memo that bounds capture extraction to once
+/// per distinct value. Batch blocking ([`BlockingIndex::block`]) and the
+/// streaming engine's key router both derive keys through it, so a
+/// [`BlockingPartition`] is only ever handed keys, never derives them.
+#[derive(Debug)]
+pub struct KeyMemo {
+    /// The keyer, pre-compiled to span bytecode and shared (`Arc`), so
+    /// an engine compiles each rule once however many memos hold it;
+    /// `None` blocks on the whole LHS value.
+    keyer: Option<Arc<CompiledConstrained>>,
+    /// Key-string scratch reused across extractions, so a miss allocates
+    /// nothing beyond interning a genuinely new key.
+    key_buf: String,
+    /// LHS value id → key (`None` = the value does not match).
+    cache: FxHashMap<ValueId, Option<ValueId>>,
+    /// Capture extractions performed (misses) — the call-counting hook
+    /// for the memoization guarantee.
+    evals: usize,
+    /// Memo consultations (hits + misses) — the denominator that turns
+    /// `evals` into a hit rate.
+    lookups: usize,
+}
+
+impl KeyMemo {
+    /// An empty memo for `keyer` (`None` blocks on the whole value).
+    #[must_use]
+    pub fn new(keyer: Option<Arc<CompiledConstrained>>) -> KeyMemo {
+        KeyMemo {
+            keyer,
+            key_buf: String::new(),
+            cache: FxHashMap::default(),
+            evals: 0,
+            lookups: 0,
+        }
+    }
+
+    /// The blocking key of `lhs`: `None` for a null LHS or a value the
+    /// keyer does not match, the value itself without a keyer. Under a
+    /// keyer, each call on a non-null value counts one lookup, and each
+    /// distinct uncached value one extraction.
+    pub fn key(&mut self, lhs: ValueId) -> Option<ValueId> {
+        if lhs.is_null() {
+            return None;
+        }
+        let Some(q) = &self.keyer else {
+            return Some(lhs);
+        };
+        self.lookups += 1;
+        *self.cache.entry(lhs).or_insert_with(|| {
+            self.evals += 1;
+            derive_key(q, &mut self.key_buf, lhs)
+        })
+    }
+
+    /// Batch-classify: derive and cache the key of every *uncached*
+    /// non-null id in one tight pass, ahead of the per-row lookups. Each
+    /// new distinct id costs exactly the one extraction the lazy path
+    /// would have paid on first sighting, so [`KeyMemo::evals`] is
+    /// invariant; [`KeyMemo::lookups`] does not advance (priming is not
+    /// a query — the per-row lookups that follow count as usual, and
+    /// hit).
+    pub fn prime<I>(&mut self, ids: I)
+    where
+        I: IntoIterator<Item = ValueId>,
+    {
+        let Some(q) = &self.keyer else { return };
+        for lhs in ids {
+            if lhs.is_null() || self.cache.contains_key(&lhs) {
+                continue;
+            }
+            self.evals += 1;
+            let key = derive_key(q, &mut self.key_buf, lhs);
+            self.cache.insert(lhs, key);
+        }
+    }
+
+    /// Drop every entry whose LHS id *or* cached key satisfies `dead`,
+    /// leaving the counters untouched.
+    ///
+    /// The reclamation hook: when the pool frees a string, its id is
+    /// recycled for a different string later. An entry keyed on a dead
+    /// LHS would answer for the wrong value, and an entry whose key died
+    /// would route a fresh row into a stale block — so the engine purges
+    /// both at the epoch barrier that reclaims them.
+    pub fn purge(&mut self, mut dead: impl FnMut(ValueId) -> bool) {
+        self.cache
+            .retain(|&lhs, key| !dead(lhs) && !key.is_some_and(&mut dead));
+    }
+
+    /// Capture extractions performed. Bounded by the number of distinct
+    /// non-null values looked up or primed — the memoization
+    /// guarantee's test hook.
+    #[must_use]
+    pub fn evals(&self) -> usize {
+        self.evals
+    }
+
+    /// Memo consultations (hits + misses). Together with
+    /// [`KeyMemo::evals`] this yields the hit rate the observability
+    /// layer reports.
+    #[must_use]
+    pub fn lookups(&self) -> usize {
+        self.lookups
+    }
+}
+
+/// Derive (and intern) the blocking key of `lhs` under `q` — one
+/// pattern evaluation. `None` = the value does not match.
+fn derive_key(q: &CompiledConstrained, key_buf: &mut String, lhs: ValueId) -> Option<ValueId> {
+    q.key_into(lhs.render(), key_buf)
+        .then(|| ValuePool::intern(key_buf))
 }
 
 /// One block of an incrementally maintained partition: the rows sharing a
@@ -255,221 +364,37 @@ impl KeyBlock {
     }
 }
 
-/// Where an inserted row landed in a [`BlockingPartition`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Placement {
-    /// The LHS matched; the row joined the block with this key.
-    Block(ValueId),
-    /// The LHS value did not match the pattern.
-    Unmatched,
-    /// The LHS cell was null.
-    NullLhs,
-}
-
-/// Derive (and intern) the blocking key of `lhs` under `q` — one
-/// pattern evaluation. `None` = the value does not match.
-fn derive_key(q: &CompiledConstrained, key_buf: &mut String, lhs: ValueId) -> Option<ValueId> {
-    q.key_into(lhs.render(), key_buf)
-        .then(|| ValuePool::intern(key_buf))
-}
-
 /// An incrementally updatable blocking partition — the streaming
-/// counterpart of [`BlockingIndex::block`].
+/// counterpart of [`BlockingIndex::block`], fed keys a [`KeyMemo`]
+/// derived.
 ///
-/// Rows arrive one at a time via [`BlockingPartition::insert`] and leave
-/// via [`BlockingPartition::remove`]; each op touches exactly one block
+/// Rows arrive via [`BlockingPartition::insert`] and leave via
+/// [`BlockingPartition::remove`]; each op touches exactly one block
 /// (`O(1)` amortized for appends, `O(log block + RUN_CAP)` for removals
 /// and out-of-order re-inserts, since rows are kept as ascending runs of
 /// at most `RUN_CAP` = 1024 — never `O(block)`), and per-key
-/// [`EntryStats`] deltas are maintained as rows come and go. `None` as
-/// the keyer blocks on the whole LHS value (the wildcard-LHS fallback of
-/// variable detection).
-#[derive(Debug)]
+/// [`EntryStats`] deltas are maintained as rows come and go. Rows whose
+/// LHS is null or does not match have no key and never reach a
+/// partition.
+#[derive(Debug, Clone, Default)]
 pub struct BlockingPartition {
-    /// The keyer, pre-compiled to span bytecode and shared (`Arc`) so
-    /// sharded engines compile each rule once; `None` blocks on the
-    /// whole LHS value.
-    keyer: Option<Arc<CompiledConstrained>>,
-    /// Key-string scratch reused across extractions, so a cache miss
-    /// allocates nothing beyond interning a genuinely new key.
-    key_buf: String,
     blocks: FxHashMap<ValueId, KeyBlock>,
-    /// Rows whose LHS did not match, and rows with a null LHS, kept as
-    /// ascending runs like each block's rows.
-    unmatched: Runs<()>,
-    null_rows: Runs<()>,
-    /// LHS value id → key memo: the per-`(pattern, ValueId)` memo that
-    /// bounds capture extraction to once per distinct LHS value.
-    key_cache: FxHashMap<ValueId, Option<ValueId>>,
-    /// Number of actual capture extractions performed (cache misses) —
-    /// the call-counting test hook for the memoization guarantee.
-    key_evals: usize,
-    /// Number of key-cache consultations (hits + misses) — the
-    /// denominator that turns `key_evals` into a hit rate.
-    key_lookups: usize,
 }
 
 impl BlockingPartition {
-    /// An empty partition keyed by the constrained captures of `q`, or by
-    /// the whole LHS value when `q` is `None`.
-    #[must_use]
-    pub fn new(q: Option<ConstrainedPattern>) -> BlockingPartition {
-        BlockingPartition::with_shared(q.map(|q| Arc::new(CompiledConstrained::compile(&q))))
-    }
-
-    /// An empty partition over an already-compiled, shared keyer — the
-    /// sharded engines' path, where each rule's keyer is compiled once
-    /// and every replica holds an `Arc` (so `pattern.compile_ns` counts
-    /// one compile regardless of `--shards N`).
-    #[must_use]
-    pub fn with_shared(keyer: Option<Arc<CompiledConstrained>>) -> BlockingPartition {
-        BlockingPartition {
-            keyer,
-            key_buf: String::new(),
-            blocks: FxHashMap::default(),
-            unmatched: Runs::default(),
-            null_rows: Runs::default(),
-            key_cache: FxHashMap::default(),
-            key_evals: 0,
-            key_lookups: 0,
-        }
-    }
-
-    /// The blocking key of a non-null `lhs`, memoized per distinct LHS
-    /// value: one lookup per call on a keyed partition, one extraction
-    /// per uncached value. `None` = the value does not match; a
-    /// partition without a keyer blocks on the whole value.
-    fn cached_key(&mut self, lhs: ValueId) -> Option<ValueId> {
-        let Some(q) = &self.keyer else {
-            return Some(lhs);
-        };
-        self.key_lookups += 1;
-        *self.key_cache.entry(lhs).or_insert_with(|| {
-            self.key_evals += 1;
-            derive_key(q, &mut self.key_buf, lhs)
-        })
-    }
-
-    /// Insert one row (interned cells). Appends (increasing `RowId`) are
-    /// `O(1)` amortized; re-inserting an older id — an update landing
-    /// back on its slot — shifts entries within one run:
+    /// Insert one row into the block of `key`. Appends (increasing
+    /// `RowId`) are `O(1)` amortized; re-inserting an older id — an
+    /// update landing back on its slot — shifts entries within one run:
     /// `O(log block + RUN_CAP)`.
-    pub fn insert(&mut self, row: RowId, lhs: ValueId, rhs: ValueId) -> Placement {
-        if lhs.is_null() {
-            self.null_rows.insert(row, ());
-            return Placement::NullLhs;
-        }
-        match self.cached_key(lhs) {
-            Some(k) => {
-                self.blocks.entry(k).or_default().push(row, rhs);
-                Placement::Block(k)
-            }
-            None => {
-                self.unmatched.insert(row, ());
-                Placement::Unmatched
-            }
-        }
-    }
-
-    /// Remove one row, given the LHS id it was inserted under — the exact
-    /// inverse of [`BlockingPartition::insert`], same `Placement` answer.
-    /// Cost is `O(log block + RUN_CAP)`; empty blocks are dropped so
-    /// [`BlockingPartition::freeze`] keeps agreeing with batch blocking.
-    pub fn remove(&mut self, row: RowId, lhs: ValueId) -> Placement {
-        if lhs.is_null() {
-            self.null_rows.remove(row);
-            return Placement::NullLhs;
-        }
-        // The key cache is per distinct LHS value, so the entry from the
-        // row's insert is still warm; a miss (possible only if the caller
-        // never inserted this value) re-derives it.
-        match self.cached_key(lhs) {
-            Some(k) => {
-                if let Some(block) = self.blocks.get_mut(&k) {
-                    block.remove(row);
-                    if block.is_empty() {
-                        self.blocks.remove(&k);
-                    }
-                }
-                Placement::Block(k)
-            }
-            None => {
-                self.unmatched.remove(row);
-                Placement::Unmatched
-            }
-        }
-    }
-
-    /// Batch-classify: derive and cache the blocking key for every
-    /// *uncached* non-null LHS id in one tight pass, ahead of per-row
-    /// inserts. Each new distinct id costs exactly the one extraction
-    /// the lazy path would have paid on first sighting, so
-    /// [`BlockingPartition::key_evals`] is invariant;
-    /// [`BlockingPartition::key_lookups`] does not advance (priming is
-    /// not a query — the per-row probes that follow count as usual, and
-    /// hit).
-    pub fn prime<I>(&mut self, ids: I)
-    where
-        I: IntoIterator<Item = ValueId>,
-    {
-        let Some(q) = &self.keyer else { return };
-        for lhs in ids {
-            if lhs.is_null() || self.key_cache.contains_key(&lhs) {
-                continue;
-            }
-            self.key_evals += 1;
-            let key = derive_key(q, &mut self.key_buf, lhs);
-            self.key_cache.insert(lhs, key);
-        }
-    }
-
-    /// Derive (and memoize) the blocking key for `lhs` without placing
-    /// any row — the coordinator-side *routing* hook for key-granular
-    /// sharding. Returns `None` for a null LHS or a non-matching value
-    /// (no block ⇒ nothing to route); a partition without a keyer blocks
-    /// on the whole value, so any non-null LHS routes to itself.
-    ///
-    /// Counting matches the lazy insert path exactly: one lookup per
-    /// call on a keyed partition, one eval per distinct uncached LHS —
-    /// so a router that sees the same LHS sequence as a single-threaded
-    /// partition reports identical `key_evals`.
-    pub fn key_for(&mut self, lhs: ValueId) -> Option<ValueId> {
-        if lhs.is_null() {
-            return None;
-        }
-        self.cached_key(lhs)
-    }
-
-    /// Drop every key-cache entry whose LHS id *or* cached derived-key
-    /// id satisfies `dead`, leaving counters and blocks untouched.
-    ///
-    /// The reclamation hook: when the pool frees a string, its id is
-    /// recycled for a different string later. A cache entry keyed on a
-    /// dead LHS would answer for the wrong value, and an entry whose
-    /// *derived key* died would route a fresh row into a stale block —
-    /// so the engine purges both at the epoch barrier that reclaims
-    /// them. Blocks themselves never hold dead ids: live blocks pin
-    /// their key and RHS ids through live table cells.
-    pub fn purge_cached_keys(&mut self, mut dead: impl FnMut(ValueId) -> bool) {
-        self.key_cache
-            .retain(|&lhs, key| !dead(lhs) && !key.is_some_and(&mut dead));
-    }
-
-    /// Insert one row under an externally derived `key`, bypassing the
-    /// keyer and the key cache entirely — the worker-side half of the
-    /// key-granular sharding split, where the coordinator has already
-    /// paid for (and memoized) the key via [`BlockingPartition::key_for`]
-    /// and ships it with the op. Performs zero pattern work, so
-    /// [`BlockingPartition::key_evals`] stays 0 on pure key-fed
-    /// partitions and the global eval tally matches single-threaded runs.
-    pub fn insert_with_key(&mut self, row: RowId, key: ValueId, rhs: ValueId) {
+    pub fn insert(&mut self, row: RowId, key: ValueId, rhs: ValueId) {
         self.blocks.entry(key).or_default().push(row, rhs);
     }
 
-    /// Remove one row from the block under an externally derived `key` —
-    /// the exact inverse of [`BlockingPartition::insert_with_key`].
-    /// Empty blocks are dropped, mirroring [`BlockingPartition::remove`].
-    pub fn remove_with_key(&mut self, row: RowId, key: ValueId) {
+    /// Remove one row from the block of `key` — the exact inverse of
+    /// [`BlockingPartition::insert`], in `O(log block + RUN_CAP)`. Empty
+    /// blocks are dropped, so [`BlockingPartition::freeze`] keeps
+    /// agreeing with batch blocking.
+    pub fn remove(&mut self, row: RowId, key: ValueId) {
         if let Some(block) = self.blocks.get_mut(&key) {
             block.remove(row);
             if block.is_empty() {
@@ -502,64 +427,28 @@ impl BlockingPartition {
         self.blocks.len()
     }
 
-    /// Rows whose LHS did not match the pattern, in ascending order.
-    pub fn unmatched(&self) -> impl Iterator<Item = RowId> + Clone + '_ {
-        self.unmatched.rows()
-    }
-
-    /// Rows with a null LHS, in ascending order.
-    pub fn null_rows(&self) -> impl Iterator<Item = RowId> + Clone + '_ {
-        self.null_rows.rows()
-    }
-
-    /// Number of actual capture extractions performed. Bounded by the
-    /// number of distinct non-null LHS values inserted — the memoization
-    /// guarantee's test hook.
-    #[must_use]
-    pub fn key_evals(&self) -> usize {
-        self.key_evals
-    }
-
-    /// Number of key-cache consultations (hits + misses). Together with
-    /// [`BlockingPartition::key_evals`] this yields the memo hit rate
-    /// the observability layer reports.
-    #[must_use]
-    pub fn key_lookups(&self) -> usize {
-        self.key_lookups
-    }
-
     /// Apply a compaction [`RowIdRemap`] in place — the partition's side
-    /// of the remap protocol.
-    ///
-    /// Block row lists, the unmatched list, and the null-LHS list are
-    /// rewritten through the remap (monotone, so all three stay
-    /// ascending). Everything value-keyed survives verbatim: the block
-    /// map's keys, RHS counts, majorities, the key cache, and —
-    /// critically — `key_evals`: compaction renumbers rows, it never
-    /// re-extracts a capture, so the memoization counter must not move.
+    /// of the remap protocol. Block row lists are rewritten through the
+    /// remap (monotone, so they stay ascending); the block map's keys,
+    /// RHS counts and majorities are row-id-free and survive verbatim.
     pub fn apply_remap(&mut self, remap: &RowIdRemap) {
         for block in self.blocks.values_mut() {
             block.remap(remap);
         }
-        self.unmatched.remap(remap);
-        self.null_rows.remap(remap);
     }
 
-    /// Snapshot into the batch [`Blocks`] shape (sorted keys), for parity
-    /// checks against [`BlockingIndex::block`].
+    /// Snapshot the blocks into the batch [`Blocks::blocks`] shape
+    /// (sorted keys), for parity checks against
+    /// [`BlockingIndex::block`].
     #[must_use]
-    pub fn freeze(&self) -> Blocks {
+    pub fn freeze(&self) -> Vec<(ValueId, Vec<RowId>)> {
         let mut blocks: Vec<(ValueId, Vec<RowId>)> = self
             .blocks
             .iter()
             .map(|(k, b)| (*k, b.rows().collect()))
             .collect();
         blocks.sort_by_cached_key(|(k, _)| k.render());
-        Blocks {
-            blocks,
-            unmatched: self.unmatched().collect(),
-            null_rows: self.null_rows().collect(),
-        }
+        blocks
     }
 }
 
@@ -590,6 +479,45 @@ mod tests {
 
     fn id(s: &str) -> ValueId {
         ValuePool::intern(s)
+    }
+
+    /// A partition fed through its own key memo — what the engine's key
+    /// router and one variable tuple's partition do together. Derefs to
+    /// the partition.
+    struct Keyed {
+        memo: KeyMemo,
+        partition: BlockingPartition,
+    }
+
+    impl Keyed {
+        fn new(q: Option<ConstrainedPattern>) -> Keyed {
+            Keyed {
+                memo: KeyMemo::new(q.map(|q| Arc::new(CompiledConstrained::compile(&q)))),
+                partition: BlockingPartition::default(),
+            }
+        }
+
+        /// Place a row by its LHS; returns its key (`None`: no block).
+        fn insert(&mut self, row: RowId, lhs: ValueId, rhs: ValueId) -> Option<ValueId> {
+            let key = self.memo.key(lhs)?;
+            self.partition.insert(row, key, rhs);
+            Some(key)
+        }
+
+        /// Withdraw a row placed under `lhs`; returns its key.
+        fn remove(&mut self, row: RowId, lhs: ValueId) -> Option<ValueId> {
+            let key = self.memo.key(lhs)?;
+            self.partition.remove(row, key);
+            Some(key)
+        }
+    }
+
+    impl std::ops::Deref for Keyed {
+        type Target = BlockingPartition;
+
+        fn deref(&self) -> &BlockingPartition {
+            &self.partition
+        }
     }
 
     #[test]
@@ -651,24 +579,18 @@ mod tests {
         let t = name_table();
         let q = q_first_name();
         let batch = BlockingIndex::block(&t, 0, &q);
-        let mut partition = BlockingPartition::new(Some(q.clone()));
+        let mut partition = Keyed::new(Some(q.clone()));
         for (row, v) in t.iter_column(0) {
             partition.insert(row, v, ValueId::NULL);
         }
-        let frozen = partition.freeze();
-        assert_eq!(frozen.blocks, batch.blocks);
-        assert_eq!(frozen.unmatched, batch.unmatched);
-        assert_eq!(frozen.null_rows, batch.null_rows);
+        assert_eq!(partition.freeze(), batch.blocks);
     }
 
     #[test]
     fn partition_tracks_rhs_deltas() {
         let q: ConstrainedPattern = "[\\D{3}]\\D{2}".parse().unwrap();
-        let mut p = BlockingPartition::new(Some(q));
-        assert_eq!(
-            p.insert(0, id("90001"), id("Los Angeles")),
-            Placement::Block(id("900"))
-        );
+        let mut p = Keyed::new(Some(q));
+        assert_eq!(p.insert(0, id("90001"), id("Los Angeles")), Some(id("900")));
         p.insert(1, id("90002"), id("Los Angeles"));
         p.insert(2, id("90003"), id("New York"));
         p.insert(3, id("90004"), ValueId::NULL);
@@ -690,13 +612,16 @@ mod tests {
 
     #[test]
     fn whole_value_partition() {
-        let mut p = BlockingPartition::new(None);
+        let mut p = Keyed::new(None);
         p.insert(0, id("x"), id("1"));
         p.insert(1, id("x"), id("2"));
-        p.insert(2, ValueId::NULL, id("3"));
+        assert_eq!(
+            p.insert(2, ValueId::NULL, id("3")),
+            None,
+            "a null LHS has no key"
+        );
         assert_eq!(p.block_count(), 1);
         assert!(p.block_by_str("x").unwrap().rows().eq([0, 1]));
-        assert!(p.null_rows().eq([2]));
         let pairs: Vec<_> = p.block_by_str("x").unwrap().rows_with_rhs().collect();
         assert_eq!(pairs, vec![(0, Some("1")), (1, Some("2"))]);
     }
@@ -704,23 +629,26 @@ mod tests {
     #[test]
     fn key_evals_bounded_by_distinct_values() {
         let q: ConstrainedPattern = "[\\D{3}]\\D{2}".parse().unwrap();
-        let mut p = BlockingPartition::new(Some(q));
+        let mut p = Keyed::new(Some(q));
         // 1000 rows over 10 distinct zips: capture extraction must run
         // exactly 10 times.
         for row in 0..1000 {
             let zip = format!("900{:02}", row % 10);
             p.insert(row, id(&zip), id("LA"));
         }
-        assert_eq!(p.key_evals(), 10);
+        assert_eq!(p.memo.evals(), 10);
+        assert_eq!(p.memo.lookups(), 1000);
     }
 
     #[test]
     fn prime_counts_like_lazy_misses() {
         let q: ConstrainedPattern = "[\\D{3}]\\D{2}".parse().unwrap();
-        let mut lazy = BlockingPartition::new(Some(q.clone()));
-        let mut primed = BlockingPartition::new(Some(q));
+        let mut lazy = Keyed::new(Some(q.clone()));
+        let mut primed = Keyed::new(Some(q));
         let zips: Vec<ValueId> = (0..10).map(|i| id(&format!("900{i:02}"))).collect();
-        primed.prime(zips.iter().copied().chain([ValueId::NULL, id("bad")]));
+        primed
+            .memo
+            .prime(zips.iter().copied().chain([ValueId::NULL, id("bad")]));
         for row in 0..1000u32 {
             let lhs = zips[(row % 10) as usize];
             lazy.insert(row as RowId, lhs, id("LA"));
@@ -729,21 +657,20 @@ mod tests {
         // Priming evaluated each distinct id once (plus the unmatched
         // one); the lazy twin pays the same evals for the zips on first
         // sighting. Lookup counts agree exactly.
-        assert_eq!(lazy.key_evals(), 10);
-        assert_eq!(primed.key_evals(), 11);
-        assert_eq!(lazy.key_lookups(), primed.key_lookups());
-        let (a, b) = (lazy.freeze(), primed.freeze());
-        assert_eq!(a.blocks, b.blocks);
+        assert_eq!(lazy.memo.evals(), 10);
+        assert_eq!(primed.memo.evals(), 11);
+        assert_eq!(lazy.memo.lookups(), primed.memo.lookups());
+        assert_eq!(lazy.freeze(), primed.freeze());
     }
 
     #[test]
     fn remove_is_inverse_of_insert() {
         let q: ConstrainedPattern = "[\\D{3}]\\D{2}".parse().unwrap();
-        let mut p = BlockingPartition::new(Some(q.clone()));
+        let mut p = Keyed::new(Some(q.clone()));
         p.insert(0, id("90001"), id("Los Angeles"));
         p.insert(1, id("90002"), id("New York"));
         p.insert(2, id("90003"), id("Los Angeles"));
-        assert_eq!(p.remove(1, id("90002")), Placement::Block(id("900")));
+        assert_eq!(p.remove(1, id("90002")), Some(id("900")));
         let block = p.block_by_str("900").unwrap();
         assert!(block.rows().eq([0, 2]));
         assert_eq!(block.majority(), Some("Los Angeles"));
@@ -759,24 +686,10 @@ mod tests {
     }
 
     #[test]
-    fn remove_tracks_unmatched_and_null_rows() {
-        let q = ConstrainedPattern::whole("\\LL+".parse().unwrap());
-        let mut p = BlockingPartition::new(Some(q));
-        p.insert(0, id("123"), id("x"));
-        p.insert(1, ValueId::NULL, id("y"));
-        p.insert(2, id("abc"), id("z"));
-        assert_eq!(p.remove(0, id("123")), Placement::Unmatched);
-        assert_eq!(p.remove(1, ValueId::NULL), Placement::NullLhs);
-        assert_eq!(p.unmatched().count(), 0);
-        assert_eq!(p.null_rows().count(), 0);
-        assert_eq!(p.block_count(), 1);
-    }
-
-    #[test]
     fn reinserting_an_old_row_id_keeps_row_order() {
         // An update = remove + re-insert on the same slot: the block's
         // row list must stay ascending so witnesses match batch order.
-        let mut p = BlockingPartition::new(None);
+        let mut p = Keyed::new(None);
         for row in 0..5 {
             p.insert(row, id("k"), id("v1"));
         }
@@ -791,7 +704,7 @@ mod tests {
 
     #[test]
     fn majority_reelected_after_leader_removal() {
-        let mut p = BlockingPartition::new(None);
+        let mut p = Keyed::new(None);
         p.insert(0, id("k"), id("alpha"));
         p.insert(1, id("k"), id("alpha"));
         p.insert(2, id("k"), id("alpha"));
@@ -811,7 +724,7 @@ mod tests {
 
     #[test]
     fn null_rhs_removal_decrements_without_vote_change() {
-        let mut p = BlockingPartition::new(None);
+        let mut p = Keyed::new(None);
         p.insert(0, id("k"), id("v"));
         p.insert(1, id("k"), ValueId::NULL);
         assert!(!p.block_by_str("k").unwrap().is_consistent());
@@ -829,7 +742,7 @@ mod tests {
     #[test]
     fn majority_tie_after_deletions_is_interning_order_independent() {
         for (first, second) in [("m-del-tie", "b-del-tie"), ("b-del-tie", "m-del-tie")] {
-            let mut p = BlockingPartition::new(None);
+            let mut p = Keyed::new(None);
             // 3 × first vs 2 × second: `first` leads outright.
             for (row, v) in [(0, first), (1, first), (2, first), (3, second), (4, second)] {
                 p.insert(row, id("k"), id(v));
@@ -870,33 +783,30 @@ mod tests {
         )
         .unwrap();
         let q: ConstrainedPattern = "[\\D{3}]\\D{2}".parse().unwrap();
-        let mut p = BlockingPartition::new(Some(q.clone()));
+        let mut p = Keyed::new(Some(q.clone()));
         for (row, v) in t.iter_column(0) {
             p.insert(row, v, t.cell_id(row, 1));
         }
-        // Delete rows 1 (a block member) and 3 (unmatched): partition
-        // first, then table, then compact + remap.
-        p.remove(1, t.cell_id(1, 0));
-        p.remove(3, t.cell_id(3, 0));
+        // Delete rows 1 (a block member) and 3 (unmatched, so no key):
+        // partition first, then table, then compact + remap.
+        assert_eq!(p.remove(1, t.cell_id(1, 0)), Some(id("900")));
+        assert_eq!(p.remove(3, t.cell_id(3, 0)), None);
         t.delete_row(1).unwrap();
         t.delete_row(3).unwrap();
-        let evals_before = p.key_evals();
+        let evals_before = p.memo.evals();
         let remap = t.compact();
-        p.apply_remap(&remap);
+        p.partition.apply_remap(&remap);
         assert_eq!(
-            p.key_evals(),
+            p.memo.evals(),
             evals_before,
             "remap must not re-extract captures"
         );
 
-        let mut fresh = BlockingPartition::new(Some(q));
+        let mut fresh = Keyed::new(Some(q));
         for (row, v) in t.iter_column(0) {
             fresh.insert(row, v, t.cell_id(row, 1));
         }
-        let (a, b) = (p.freeze(), fresh.freeze());
-        assert_eq!(a.blocks, b.blocks);
-        assert_eq!(a.unmatched, b.unmatched);
-        assert_eq!(a.null_rows, b.null_rows);
+        assert_eq!(p.freeze(), fresh.freeze());
         // Per-block stats survived the renumbering untouched.
         let block = p.block_by_str("900").unwrap();
         assert_eq!(block.majority(), Some("Los Angeles"));
@@ -908,7 +818,7 @@ mod tests {
         // A 2–2 tie must elect the lexicographically smaller string in
         // both arrival orders (and hence both interning orders).
         for (first, second) in [("m-tie", "b-tie"), ("b-tie", "m-tie")] {
-            let mut p = BlockingPartition::new(None);
+            let mut p = Keyed::new(None);
             p.insert(0, id("k"), id(first));
             p.insert(1, id("k"), id(second));
             p.insert(2, id("k"), id(first));
@@ -987,8 +897,8 @@ mod tests {
         }
 
         /// Same iteration, `len`, majority, and stats as the model, and
-        /// every run list structurally sound.
-        fn check(p: &BlockingPartition, model: &Model) {
+        /// the block's run list structurally sound.
+        fn check(p: &Keyed, model: &Model) {
             let expected = block_rows(model);
             match p.block(id("900")) {
                 None => assert!(expected.is_empty(), "block vanished early"),
@@ -1000,20 +910,6 @@ mod tests {
                     assert_eq!(block.stats().support, expected.len());
                 }
             }
-            p.unmatched.assert_invariants();
-            p.null_rows.assert_invariants();
-            let rows_of = |want: Option<&str>| -> Vec<RowId> {
-                model
-                    .iter()
-                    .filter(|(_, (lhs, _))| lhs.as_str() == want)
-                    .map(|(&row, _)| row)
-                    .collect()
-            };
-            assert_eq!(
-                p.unmatched().collect::<Vec<_>>(),
-                rows_of(Some("mr-unmatched"))
-            );
-            assert_eq!(p.null_rows().collect::<Vec<_>>(), rows_of(None));
         }
 
         /// The table the model describes: slots `0..slots`, dead ones
@@ -1036,30 +932,21 @@ mod tests {
         }
 
         /// `freeze()` parity with batch blocking over the same live rows.
-        fn check_freeze(p: &BlockingPartition, model: &Model, slots: usize) {
+        fn check_freeze(p: &Keyed, model: &Model, slots: usize) {
             let batch = BlockingIndex::block(&table_of(model, slots), 0, &zip());
-            let frozen = p.freeze();
-            assert_eq!(frozen.blocks, batch.blocks);
-            assert_eq!(frozen.unmatched, batch.unmatched);
-            assert_eq!(frozen.null_rows, batch.null_rows);
+            assert_eq!(p.freeze(), batch.blocks);
         }
 
-        fn block_runs(p: &BlockingPartition) -> usize {
+        fn block_runs(p: &Keyed) -> usize {
             p.block(id("900")).map_or(0, |b| b.entries.run_count())
         }
 
-        fn insert(
-            p: &mut BlockingPartition,
-            model: &mut Model,
-            row: RowId,
-            l: ValueId,
-            r: ValueId,
-        ) {
+        fn insert(p: &mut Keyed, model: &mut Model, row: RowId, l: ValueId, r: ValueId) {
             p.insert(row, l, r);
             model.insert(row, (l, r));
         }
 
-        fn remove(p: &mut BlockingPartition, model: &mut Model, row: RowId) {
+        fn remove(p: &mut Keyed, model: &mut Model, row: RowId) {
             let (l, _) = model.remove(&row).expect("row is live");
             p.remove(row, l);
         }
@@ -1068,7 +955,7 @@ mod tests {
         /// an out-of-order insert splits a full run, thinning a run below
         /// a quarter of the cap merges it, and draining a run that fits
         /// nowhere drops it.
-        fn scripted(p: &mut BlockingPartition, model: &mut Model) -> usize {
+        fn scripted(p: &mut Keyed, model: &mut Model) -> usize {
             let slots = RUN_CAP * 3;
             for row in 0..slots {
                 let l = if row % 4 == 3 {
@@ -1121,7 +1008,7 @@ mod tests {
         /// in-place moves (remove + re-insert of the same id under a new
         /// LHS and RHS, as an update does). Returns the new slot count.
         fn random_ops(
-            p: &mut BlockingPartition,
+            p: &mut Keyed,
             model: &mut Model,
             rng: &mut StdRng,
             mut slots: usize,
@@ -1177,12 +1064,12 @@ mod tests {
             #[test]
             fn multi_run_block_matches_btreemap_model(seed in any::<u64>()) {
                 let mut rng = StdRng::seed_from_u64(seed);
-                let mut p = BlockingPartition::new(Some(zip()));
+                let mut p = Keyed::new(Some(zip()));
                 let mut model = Model::new();
                 let slots = scripted(&mut p, &mut model);
                 let slots = random_ops(&mut p, &mut model, &mut rng, slots, 3000);
                 let remap = table_of(&model, slots).compact();
-                p.apply_remap(&remap);
+                p.partition.apply_remap(&remap);
                 model = model.into_iter().map(|(row, cells)| (remap.live_id(row), cells)).collect();
                 check(&p, &model);
                 check_freeze(&p, &model, remap.new_slots());

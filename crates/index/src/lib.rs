@@ -18,13 +18,16 @@
 //!
 //! The inverted list is built in one pass per candidate dependency
 //! ([`InvertedIndex::build`]), each row adding its per-key
-//! [`EntryStats`] deltas in `O(keys per row)`. The blocking partition is
-//! *incrementally updatable in both directions* — mutable streams, not
-//! just appends: [`BlockingPartition::insert`] /
+//! [`EntryStats`] deltas in `O(keys per row)`. Blocking keys are derived
+//! in one place, a [`KeyMemo`] per keyer: batch blocking and the
+//! `anmat-stream` engine's key router both memoize captures through it.
+//! The [`BlockingPartition`] that holds the blocks is handed those keys
+//! and is *incrementally updatable in both directions* — mutable
+//! streams, not just appends: [`BlockingPartition::insert`] /
 //! [`BlockingPartition::remove`] touch exactly the affected block, with
 //! an `O(1)` majority update per insert and a majority re-derivation
 //! only when a removal dethrones the leader — the substrate of the
-//! `anmat-stream` engine's variable-PFD delta pipeline.
+//! engine's variable-PFD delta pipeline.
 //!
 //! All three indexes key their maps on interned
 //! [`ValueId`](anmat_table::ValueId)s from the global
@@ -32,13 +35,13 @@
 //! under the vendored `FxHasher` rather than re-hashing strings, and
 //! per-value work (pattern matching, capture extraction) is bounded by
 //! the column's *distinct-value* count via id-keyed memos
-//! ([`BlockingPartition::key_evals`] counts the actual evaluations).
+//! ([`KeyMemo::evals`] counts the actual evaluations).
 
 pub mod blocking;
 pub mod inverted;
 pub mod pattern_index;
 mod runs;
 
-pub use blocking::{BlockingIndex, BlockingPartition, Blocks, KeyBlock, Placement};
+pub use blocking::{BlockingIndex, BlockingPartition, Blocks, KeyBlock, KeyMemo};
 pub use inverted::{EntryStats, ExtractionMode, InvertedIndex, Posting};
 pub use pattern_index::PatternIndex;

@@ -57,16 +57,15 @@ pub struct DriftReport {
 /// One rule's drift contribution for one op, as a mergeable partial
 /// tally.
 ///
-/// Key-granular sharding splits a single rule's work for one row across
-/// workers (one per tableau tuple the row lands on), so no worker sees
-/// the whole picture. Each emits a `DriftDelta`; the coordinator folds
-/// them with [`DriftDelta::absorb`] — `matched` is an OR (the row
-/// matched the rule iff *any* tuple matched), creations and retractions
-/// are sums — and applies the merged tally once per rule via
-/// [`DriftMonitor::observe_delta`] / [`DriftMonitor::retire_delta`].
-/// Folding partial tallies is exactly equivalent to the single-threaded
-/// `observe`/`retire` call for the op, which is what keeps sharded drift
-/// reports bit-for-bit identical.
+/// Sharding splits a single rule's work for one row across shards (one
+/// per tableau tuple the row lands on), so no shard sees the whole
+/// picture. Each tuple run yields a `DriftDelta`; the merge folds them
+/// with [`DriftDelta::absorb`] — `matched` is an OR (the row matched the
+/// rule iff *any* tuple matched), creations and retractions are sums —
+/// and applies the folded tally once per rule via
+/// [`DriftMonitor::observe`] / [`DriftMonitor::retire`]. Folding partial
+/// tallies is exactly equivalent to one call with the whole op's tally,
+/// which is what keeps sharded drift reports bit-for-bit identical.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DriftDelta {
     /// Did the row's LHS match at least one tableau tuple (on the
@@ -133,17 +132,6 @@ impl DriftMonitor {
             h.matched_rows = h.matched_rows.saturating_sub(1);
         }
         h.live_violations = (h.live_violations + created).saturating_sub(retracted);
-    }
-
-    /// [`DriftMonitor::observe`] from a merged partial tally — the
-    /// coordinator-side entry point for key-granular sharding.
-    pub fn observe_delta(&mut self, rule: usize, delta: DriftDelta) {
-        self.observe(rule, delta.matched, delta.created, delta.retracted);
-    }
-
-    /// [`DriftMonitor::retire`] from a merged partial tally.
-    pub fn retire_delta(&mut self, rule: usize, delta: DriftDelta) {
-        self.retire(rule, delta.matched, delta.created, delta.retracted);
     }
 
     /// Health counters for one rule.
@@ -273,7 +261,7 @@ mod tests {
                 created: c_b,
                 retracted: r_b,
             });
-            split.observe_delta(0, tally);
+            split.observe(0, tally.matched, tally.created, tally.retracted);
             single.observe(0, m_a || m_b, c_a + c_b, r_a + r_b);
         }
         assert_eq!(split.health(0), single.health(0));
@@ -284,7 +272,7 @@ mod tests {
             created: 0,
             retracted: 1,
         });
-        split.retire_delta(0, tally);
+        split.retire(0, tally.matched, tally.created, tally.retracted);
         single.retire(0, true, 0, 1);
         assert_eq!(split.health(0), single.health(0));
     }

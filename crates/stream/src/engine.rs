@@ -16,8 +16,11 @@
 //!   [`violation_at`] primitive the batch scan uses, costing a pattern
 //!   evaluation only on the first sighting of a distinct LHS value;
 //! * each **variable** tableau tuple keeps an incremental
-//!   [`BlockingPartition`] keyed by the constrained captures (extracted
-//!   at most once per distinct LHS value) — a new row joins exactly one
+//!   [`BlockingPartition`] keyed by the constrained captures. The engine
+//!   derives each row's keys in one place, its key router (one
+//!   [`KeyMemo`](anmat_index::KeyMemo) per variable tuple, so capture
+//!   extraction runs at most once per distinct LHS value), and hands
+//!   them to the rule state as *routes*. A new row joins exactly one
 //!   block, and the block's asserted violations are updated along one of
 //!   three transition paths (see the private `BlockState`): `O(1)` for
 //!   the common arrivals, `O(block)` only on a majority flip, with
@@ -29,23 +32,25 @@
 //! and `O(log block + run cap)` otherwise (blocks keep their rows as
 //! short ascending runs), plus the transition path above.
 //!
-//! The rule state runs in one of two layouts, fixed when the engine is
-//! built: inline on the calling thread when [`StreamConfig::shards`]
-//! clamps to one shard, or spread over worker threads
-//! ([`sharded`](crate::sharded)). Both run the same rule code against
-//! the same table states, so they return the same events.
+//! Every layout runs one rule processor, `RuleState::process`, through
+//! the crate-private `Shard`: every rule, restricted to the blocking keys
+//! it owns. When [`StreamConfig::shards`] clamps to one shard, the engine
+//! runs the one shard of one inline on the calling thread, against the
+//! canonical table; otherwise each worker thread runs one against its
+//! table replica ([`sharded`](crate::sharded)). Both fold their deltas
+//! through the same merge, so they return the same events.
 
 use crate::drift::{DriftMonitor, DriftReport, RuleHealth};
-use crate::sharded::{BatchEvents, Shards, KEY_SLOTS, MAX_RUN_AHEAD};
+use crate::sharded::{BatchEvents, Router, Shard, Shards, KEY_SLOTS, MAX_RUN_AHEAD};
 use anmat_core::detect::constant::violation_at;
 use anmat_core::detect::variable::{flag_block_minority, minority_violation, MAX_WITNESSES};
 use anmat_core::discovery::DiscoveryConfig;
 use anmat_core::{
     LedgerEvent, LedgerSnapshot, LhsCell, Pfd, RhsCell, Violation, ViolationKind, ViolationLedger,
 };
-use anmat_index::{BlockingPartition, KeyBlock, Placement};
+use anmat_index::{BlockingPartition, KeyBlock};
 use anmat_obs as obs;
-use anmat_pattern::{CompiledConstrained, CompiledPattern, MatchMemo};
+use anmat_pattern::{CompiledPattern, MatchMemo};
 use anmat_table::{
     ReclaimStats, RowId, RowIdRemap, RowOp, Schema, Table, TableError, TableSnapshot, Value,
     ValueId, ValuePool,
@@ -62,10 +67,10 @@ pub struct StreamConfig {
     /// Allowed violation ratio before a rule counts as drifted (mirrors
     /// `DiscoveryConfig::max_violation_ratio`).
     pub max_violation_ratio: f64,
-    /// Worker shards. Clamped at engine build: to the rule count under
-    /// [`ShardBy::Rule`], to [`KEY_SLOTS`] under
-    /// [`ShardBy::Key`]. One shard runs every rule inline on the calling
-    /// thread; more spread the rules over that many worker threads.
+    /// Worker shards, clamped to `[1, KEY_SLOTS]` at engine build
+    /// ([`KEY_SLOTS`]). One shard runs every rule inline on the calling
+    /// thread; more hash every rule's blocking keys over that many
+    /// worker threads.
     pub shards: usize,
     /// Tombstone ratio (`dead slots / total slots`) above which the
     /// engine compacts automatically at the end of a mutation entry
@@ -73,11 +78,10 @@ pub struct StreamConfig {
     /// space). `<= 0.0` (the default) disables auto-compaction;
     /// [`StreamEngine::compact`] stays available manually either way.
     pub compact_ratio: f64,
-    /// Which axis several shards partition work on: whole rules (the
-    /// default — each worker owns a disjoint rule subset) or hashed
-    /// blocking keys (each worker owns a disjoint key range of *every*
-    /// rule, so a single heavy rule spreads across all cores). One
-    /// shard runs inline, on either axis.
+    /// Read by nothing: every sharded layout partitions blocking keys.
+    /// Kept, with [`ShardBy`], only because the benchmark harness
+    /// (`perfbench/harness/src/measure.rs`) sets it; the next change to
+    /// the benchmark drops both.
     pub shard_by: ShardBy,
     /// Cross-batch pipelining window for several shards: how many
     /// submitted batches may be in flight (fanned out but not yet
@@ -98,20 +102,17 @@ pub struct StreamConfig {
     pub reclaim: bool,
 }
 
-/// The sharded layout's work-partitioning axis (see
-/// [`StreamConfig::shard_by`]).
+/// The sharded layout's work-partitioning axis, of which there is one:
+/// every layout hashes blocking keys over its shards (see
+/// [`sharded`](crate::sharded)). Kept, with [`StreamConfig::shard_by`],
+/// only because the benchmark harness (`perfbench/harness/src/measure.rs`)
+/// names it; the next change to the benchmark drops both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardBy {
-    /// Partition by rule: worker `w` owns a disjoint subset of rules and
-    /// evaluates them over a full table replica. Zero routing cost, but
-    /// one heavy rule is capped at one core.
-    #[default]
-    Rule,
-    /// Partition by blocking key: every worker holds every rule, but only
+    /// Partition by blocking key: every shard holds every rule, but only
     /// processes tuples whose derived key (or constant-tuple LHS value)
-    /// hashes into one of the worker's slots (slot `s` belongs to worker
-    /// `s % shards`, fixed at engine build). The coordinator derives and
-    /// ships keys, so pattern work is still paid once per distinct value.
+    /// hashes into one of its slots.
+    #[default]
     Key,
 }
 
@@ -122,7 +123,7 @@ impl Default for StreamConfig {
             max_violation_ratio: 0.3,
             shards: 1,
             compact_ratio: 0.0,
-            shard_by: ShardBy::Rule,
+            shard_by: ShardBy::Key,
             run_ahead: 0,
             reclaim: false,
         }
@@ -210,8 +211,8 @@ pub(crate) fn apply_deltas(
 }
 
 /// A [`RowOp`] with its cells interned: what the engine validates,
-/// primes, and executes (and what the sharded layout ships to its
-/// workers — ids are `Copy`, so no string is cloned).
+/// primes, routes, and executes (and what the sharded layout ships to
+/// its workers — ids are `Copy`, so no string is cloned).
 #[derive(Debug, Clone)]
 pub(crate) enum IdOp {
     Insert(Vec<ValueId>),
@@ -234,6 +235,34 @@ impl IdOp {
         match self {
             IdOp::Insert(cells) | IdOp::Update(_, cells) => Some(cells),
             IdOp::Delete(_) => None,
+        }
+    }
+
+    /// Apply this (validated) op to `table`, calling
+    /// `phase(table, row, removal)` around it: the removal phase before
+    /// a delete or an update overwrites the row, while its cells are
+    /// still the ones its violations were built from (so every
+    /// retraction is structurally identical to the delta it cancels),
+    /// and the insert phase once an insert or update has landed. Every
+    /// table an op batch advances — canonical or replica — goes through
+    /// here.
+    pub(crate) fn run(&self, table: &mut Table, mut phase: impl FnMut(&Table, RowId, bool)) {
+        match self {
+            IdOp::Insert(cells) => {
+                let row = table.push_id_cells(cells).expect("ops pre-validated");
+                phase(table, row, false);
+            }
+            &IdOp::Delete(row) => {
+                phase(table, row, true);
+                table.delete_row(row).expect("ops pre-validated");
+            }
+            IdOp::Update(row, cells) => {
+                phase(table, *row, true);
+                table
+                    .update_id_cells(*row, cells)
+                    .expect("ops pre-validated");
+                phase(table, *row, false);
+            }
         }
     }
 }
@@ -298,7 +327,7 @@ pub(crate) fn validate_ops(table: &Table, ops: &[IdOp]) -> Result<(), TableError
 }
 
 /// Incremental state for one constant tableau tuple.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct ConstantTuple {
     /// The LHS pattern compiled to bytecode (`None` = wildcard: every
     /// non-null LHS), shared via `Arc` so a rule's programs are compiled
@@ -315,9 +344,10 @@ struct ConstantTuple {
 }
 
 /// Incremental state for one variable tableau tuple.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct VariableTuple {
-    /// Blocks keyed by constrained capture (whole value for wildcard LHS).
+    /// Blocks keyed by constrained capture (whole value for wildcard
+    /// LHS), as the engine's key router derived them.
     partition: BlockingPartition,
     /// Display form for violation evidence.
     display: String,
@@ -345,7 +375,7 @@ struct VariableTuple {
 ///    violation (`O(live violations)` lookup);
 /// 4. **off-window majority churn**: a majority row beyond the witness
 ///    window arrives or leaves — nothing moves (`O(1)`).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct BlockState {
     majority: Option<ValueId>,
     witnesses: Vec<RowId>,
@@ -475,10 +505,7 @@ impl ConstantTuple {
 impl VariableTuple {
     /// Post-placement insert transition: `row` has just joined `key`'s
     /// block; update the block's asserted majority/witness/violation
-    /// context. Shared verbatim between rule-granular processing (where
-    /// the partition derived `key` itself) and key-granular processing
-    /// (where the coordinator shipped it) — one transition body is what
-    /// keeps the two modes bit-for-bit identical.
+    /// context.
     #[allow(clippy::too_many_arguments)]
     fn insert_transition(
         &mut self,
@@ -536,8 +563,7 @@ impl VariableTuple {
 
     /// Post-placement removal transition: `row` has just left `key`'s
     /// block — the exact inverse of
-    /// [`VariableTuple::insert_transition`], shared between both
-    /// sharding modes the same way.
+    /// [`VariableTuple::insert_transition`].
     #[allow(clippy::too_many_arguments)]
     fn removal_transition(
         &mut self,
@@ -592,7 +618,7 @@ impl VariableTuple {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum TupleState {
     Constant(ConstantTuple),
     /// Boxed: the partition + block maps dwarf the constant variant.
@@ -601,47 +627,56 @@ enum TupleState {
 
 /// One seeded rule with its resolved columns and per-tuple state.
 ///
-/// Rule state is fully self-contained (no ledger, no drift counters):
-/// [`RuleState::process_insert`] / [`RuleState::process_removal`] read a
-/// table and emit deltas, which is what lets a rule live on any worker
-/// thread while the engine owns the shared bookkeeping.
-#[derive(Debug)]
+/// Rule state is fully self-contained (no ledger, no drift counters, no
+/// key derivation): [`RuleState::process`] reads a table and the routes
+/// the engine's key router derived, and emits deltas — which is what
+/// lets a copy of it live on any worker thread while the engine owns the
+/// shared bookkeeping.
+#[derive(Debug, Clone)]
 pub(crate) struct RuleState {
-    pub(crate) pfd: Pfd,
-    /// `(lhs, rhs)` column indexes; `None` if the schema lacks either
-    /// attribute (the rule is inert, exactly like batch detection).
+    pfd: Pfd,
+    /// `(lhs, rhs)` column indexes, as the key router resolved them;
+    /// `None` if the schema lacks either attribute (the rule is inert,
+    /// exactly like batch detection).
     cols: Option<(usize, usize)>,
     tuples: Vec<TupleState>,
 }
 
-/// The deltas one *owned* tableau tuple produced for one op under
-/// key-granular processing, tagged with the tuple's tableau index.
+/// The deltas one rule's *owned* tableau tuples produced for one op
+/// phase, tagged `(rule, tuple)`.
 ///
-/// In key mode a single rule's work for one row can land on several
-/// workers (one per tuple the row's keys hash to), so deltas come back
-/// per `(rule, tuple)` instead of per rule; the coordinator sorts the
-/// merged entries by that pair to reproduce the inline sink
+/// A single rule's work for one row can land on several shards (one per
+/// tuple the row's keys hash to), so deltas come back per `(rule,
+/// tuple)`; the merge sorts entries by that pair to reproduce tableau
 /// order, then folds the `matched` bits and violation counts into one
 /// drift tally per rule.
 #[derive(Debug)]
 pub(crate) struct TupleDeltas {
+    /// Global index of the emitting rule.
+    pub(crate) rule: usize,
     /// Tableau index of the emitting tuple — when several consecutive
     /// owned tuples fuse into one entry, the first one's index (the
     /// fused deltas stay in tableau order internally, so sorting merged
-    /// entries by this tag still reproduces the inline order).
+    /// entries by this tag still reproduces tableau order).
     pub(crate) tuple: usize,
     /// Did the row's LHS match this tuple (ORed across fused tuples)?
     pub(crate) matched: bool,
-    /// The violation deltas, in inline emission order.
+    /// The violation deltas, in emission order.
     pub(crate) sink: DeltaSink,
 }
 
 impl TupleDeltas {
     /// Fold one more owned tuple's output into the running entry —
-    /// legal only while no *other* worker can emit an entry between the
-    /// fused tuples (the callers close the run at any tuple another
-    /// worker owns).
-    fn absorb(pending: &mut Option<TupleDeltas>, tuple: usize, matched: bool, sink: DeltaSink) {
+    /// legal only while no *other* shard can emit an entry between the
+    /// fused tuples (the caller closes the run at any tuple another
+    /// shard owns).
+    fn absorb(
+        pending: &mut Option<TupleDeltas>,
+        rule: usize,
+        tuple: usize,
+        matched: bool,
+        sink: DeltaSink,
+    ) {
         match pending {
             Some(p) => {
                 p.matched |= matched;
@@ -655,6 +690,7 @@ impl TupleDeltas {
             }
             None => {
                 *pending = Some(TupleDeltas {
+                    rule,
                     tuple,
                     matched,
                     sink,
@@ -663,7 +699,7 @@ impl TupleDeltas {
         }
     }
 
-    /// Close the current fusion run (another worker may own the next
+    /// Close the current fusion run (another shard may own the next
     /// tuple, so its entry must be sortable in between).
     fn flush(pending: &mut Option<TupleDeltas>, out: &mut Vec<TupleDeltas>) {
         if let Some(p) = pending.take() {
@@ -672,273 +708,106 @@ impl TupleDeltas {
     }
 }
 
-/// One rule's per-tuple compiled programs — compiled exactly once per
-/// rule and handed around as `Arc`s, so seeding rule state on any
-/// engine or shard never recompiles and `pattern.compile_ns` counts
-/// each rule once regardless of `--shards N`.
-#[derive(Debug, Clone)]
-pub(crate) struct CompiledRule {
-    programs: Vec<TupleProgram>,
-}
-
-/// The compiled program of one tableau tuple (`None` = wildcard LHS).
-#[derive(Debug, Clone)]
-enum TupleProgram {
-    Constant(Option<Arc<CompiledPattern>>),
-    Variable(Option<Arc<CompiledConstrained>>),
-}
-
-impl CompiledRule {
-    /// The compiled key extractors of this rule's *variable* tuples, in
-    /// tableau order (`None` = wildcard LHS, which blocks on the whole
-    /// value). The coordinator of a key-granular sharded layout builds
-    /// its routing memos from these, sharing the same `Arc`s the worker
-    /// states hold.
-    pub(crate) fn variable_keyers(&self) -> Vec<Option<Arc<CompiledConstrained>>> {
-        self.programs
-            .iter()
-            .filter_map(|p| match p {
-                TupleProgram::Variable(keyer) => Some(keyer.clone()),
-                TupleProgram::Constant(_) => None,
-            })
-            .collect()
-    }
-
-    /// Compile every tuple's LHS program for `pfd`.
-    pub(crate) fn compile(pfd: &Pfd) -> CompiledRule {
-        let programs = pfd
-            .tableau
-            .iter()
-            .map(|t| match (&t.rhs, &t.lhs) {
-                (RhsCell::Constant(_), LhsCell::Pattern(q)) => {
-                    TupleProgram::Constant(Some(Arc::new(CompiledPattern::compile(q.embedded()))))
-                }
-                (RhsCell::Constant(_), LhsCell::Wildcard) => TupleProgram::Constant(None),
-                (RhsCell::Wildcard, LhsCell::Pattern(q)) => {
-                    TupleProgram::Variable(Some(Arc::new(CompiledConstrained::compile(q))))
-                }
-                (RhsCell::Wildcard, LhsCell::Wildcard) => TupleProgram::Variable(None),
-            })
-            .collect();
-        CompiledRule { programs }
-    }
-}
-
 impl RuleState {
-    /// Seed a rule, compiling its programs here (the single-engine
-    /// convenience over [`RuleState::seed_shared`]).
-    pub(crate) fn seed(pfd: Pfd, schema: &Schema) -> RuleState {
-        let compiled = CompiledRule::compile(&pfd);
-        RuleState::seed_shared(pfd, schema, &compiled)
-    }
-
-    /// Seed a rule around already-compiled shared programs — the sharded
-    /// engine's path (compile once on the coordinator, seed on whichever
-    /// worker owns the rule).
-    pub(crate) fn seed_shared(pfd: Pfd, schema: &Schema, compiled: &CompiledRule) -> RuleState {
-        let cols = match (
-            schema.index_of(&pfd.lhs_attr),
-            schema.index_of(&pfd.rhs_attr),
-        ) {
-            (Some(lhs), Some(rhs)) => Some((lhs, rhs)),
-            _ => None,
-        };
+    /// Seed a rule over the columns the key router resolved for it,
+    /// compiling each constant tuple's LHS pattern once. The programs
+    /// are shared `Arc`s, so the copies a sharded layout hands its
+    /// workers never recompile, and `pattern.compile_ns` counts each
+    /// rule once regardless of `--shards N`.
+    pub(crate) fn seed(pfd: Pfd, cols: Option<(usize, usize)>) -> RuleState {
         let tuples = pfd
             .tableau
             .iter()
-            .zip(&compiled.programs)
-            .map(|(t, program)| {
+            .map(|t| {
                 let display = match &t.lhs {
                     LhsCell::Pattern(q) => q.to_string(),
                     LhsCell::Wildcard => "⊥".to_string(),
                 };
-                match (&t.rhs, program) {
-                    (RhsCell::Constant(expected), TupleProgram::Constant(c)) => {
-                        TupleState::Constant(ConstantTuple {
-                            compiled: c.clone(),
-                            memo: MatchMemo::new(),
-                            display,
-                            expected: ValuePool::intern(expected),
-                        })
-                    }
-                    (RhsCell::Wildcard, TupleProgram::Variable(keyer)) => {
-                        TupleState::Variable(Box::new(VariableTuple {
-                            partition: BlockingPartition::with_shared(keyer.clone()),
-                            display,
-                            blocks: FxHashMap::default(),
-                        }))
-                    }
-                    _ => unreachable!("CompiledRule::compile mirrors the tableau shape"),
+                match &t.rhs {
+                    RhsCell::Constant(expected) => TupleState::Constant(ConstantTuple {
+                        compiled: match &t.lhs {
+                            LhsCell::Pattern(q) => {
+                                Some(Arc::new(CompiledPattern::compile(q.embedded())))
+                            }
+                            LhsCell::Wildcard => None,
+                        },
+                        memo: MatchMemo::new(),
+                        display,
+                        expected: ValuePool::intern(expected),
+                    }),
+                    RhsCell::Wildcard => TupleState::Variable(Box::new(VariableTuple {
+                        partition: BlockingPartition::default(),
+                        display,
+                        blocks: FxHashMap::default(),
+                    })),
                 }
             })
             .collect();
         RuleState { pfd, cols, tuples }
     }
 
-    /// Batch-classify: warm every tuple's per-distinct-value cache over
-    /// the LHS cells of a batch's insert/update rows in one tight pass,
-    /// before any per-row work runs. Each *new* distinct id costs
-    /// exactly the one evaluation the lazy path would have paid on first
-    /// sighting, so [`RuleState::pattern_evals`] is invariant — priming
-    /// is a locality optimization (one program, one cache, no per-row
-    /// dispatch between evals), never extra work.
-    pub(crate) fn prime_batch(&mut self, rows: &[&[ValueId]]) {
+    /// Batch-classify: warm every constant tuple's match memo over the
+    /// LHS cells of a batch's insert/update rows — those `owns` accepts —
+    /// in one pass that resolves each value once for every tuple, before
+    /// any per-row work runs. Each *new* distinct id costs exactly the
+    /// one evaluation the lazy path would have paid on first sighting,
+    /// so [`RuleState::pattern_evals`] is invariant — priming is a
+    /// locality optimization (the batch's evaluations run together,
+    /// ahead of the per-row dispatch), never extra work. Each distinct
+    /// LHS value is owned by exactly one shard, so summing shards' memos
+    /// still yields the inline count. (Variable tuples have nothing to
+    /// prime: the key router derives their keys.)
+    pub(crate) fn prime_batch<'a>(
+        &mut self,
+        rows: impl IntoIterator<Item = &'a [ValueId]>,
+        owns: &impl Fn(ValueId) -> bool,
+    ) {
         let Some((lhs, _)) = self.cols else {
             return;
         };
-        for tuple in &mut self.tuples {
-            match tuple {
-                TupleState::Constant(ct) => {
-                    if let Some(c) = &ct.compiled {
-                        ct.memo.prime(
-                            c,
-                            rows.iter().filter_map(|r| {
-                                let id = r[lhs];
-                                id.as_str().map(|s| (id.raw(), s))
-                            }),
-                        );
-                    }
-                }
-                TupleState::Variable(vt) => {
-                    vt.partition.prime(rows.iter().map(|r| r[lhs]));
+        for row in rows {
+            let id = row[lhs];
+            if !owns(id) {
+                continue;
+            }
+            let Some(value) = id.as_str() else { continue };
+            for tuple in &mut self.tuples {
+                if let TupleState::Constant(ConstantTuple {
+                    compiled: Some(c),
+                    memo,
+                    ..
+                }) = tuple
+                {
+                    memo.prime(c, [(id.raw(), value)]);
                 }
             }
         }
     }
 
-    /// Incorporate one arrived row, emitting the violation deltas it
-    /// causes for this rule. Returns whether the row's LHS matched any
-    /// tableau tuple (the drift monitor's denominator bit); inert rules
-    /// (missing columns) return `false` without touching the sink.
-    pub(crate) fn process_insert(
-        &mut self,
-        table: &Table,
-        row: RowId,
-        sink: &mut DeltaSink,
-    ) -> bool {
-        let Some((lhs, rhs)) = self.cols else {
-            return false;
-        };
-        let lhs_id = table.cell_id(row, lhs);
-        let rhs_id = table.cell_id(row, rhs);
-        let mut matched = false;
-        for tuple in &mut self.tuples {
-            match tuple {
-                TupleState::Constant(ct) => {
-                    matched |= ct.process(table, &self.pfd, lhs, rhs, lhs_id, row, false, sink);
-                }
-                TupleState::Variable(vt) => {
-                    let Placement::Block(key) = vt.partition.insert(row, lhs_id, rhs_id) else {
-                        continue;
-                    };
-                    matched = true;
-                    vt.insert_transition(table, &self.pfd, lhs, rhs, rhs_id, key, row, sink);
-                }
-            }
-        }
-        matched
-    }
-
-    /// Withdraw one row from this rule's incremental state — the exact
-    /// inverse of [`RuleState::process_insert`]. Must run *before* the
-    /// table slot is tombstoned (or overwritten), while the row's cells
-    /// are still the ones its violations were built from, so every
-    /// retraction is structurally identical to the delta it cancels.
-    pub(crate) fn process_removal(
-        &mut self,
-        table: &Table,
-        row: RowId,
-        sink: &mut DeltaSink,
-    ) -> bool {
-        let Some((lhs, rhs)) = self.cols else {
-            return false;
-        };
-        let lhs_id = table.cell_id(row, lhs);
-        let rhs_id = table.cell_id(row, rhs);
-        let mut matched = false;
-        for tuple in &mut self.tuples {
-            match tuple {
-                TupleState::Constant(ct) => {
-                    // Rebuild the violation the arrival created (the
-                    // check is the same id comparison; the memo makes
-                    // the pattern free) and retract it.
-                    matched |= ct.process(table, &self.pfd, lhs, rhs, lhs_id, row, true, sink);
-                }
-                TupleState::Variable(vt) => {
-                    let Placement::Block(key) = vt.partition.remove(row, lhs_id) else {
-                        continue;
-                    };
-                    matched = true;
-                    vt.removal_transition(table, &self.pfd, lhs, rhs, rhs_id, key, row, sink);
-                }
-            }
-        }
-        matched
-    }
-
-    /// The rule's LHS column in the live schema (`None` = inert rule).
-    /// Key-mode workers consult this to screen rules before any
-    /// per-tuple work.
-    pub(crate) fn lhs_col(&self) -> Option<usize> {
-        self.cols.map(|(lhs, _)| lhs)
-    }
-
-    /// Whether the tableau holds any constant tuple — the only tuple
-    /// kind whose key-mode ownership is decided by the row's LHS id
-    /// rather than a coordinator-shipped route.
-    pub(crate) fn has_constant_tuples(&self) -> bool {
-        self.tuples
-            .iter()
-            .any(|t| matches!(t, TupleState::Constant(_)))
-    }
-
-    /// Key-granular [`RuleState::prime_batch`]: warm the constant
-    /// tuples' match memos over the *owned* LHS ids only. Variable
-    /// tuples are skipped entirely — in key mode the coordinator derives
-    /// (and memoizes) blocking keys, so worker partitions never run the
-    /// extractor. Each distinct LHS value is owned by exactly one
-    /// worker, so summing worker memos still yields the inline
-    /// eval count.
-    pub(crate) fn prime_batch_key(&mut self, rows: &[&[ValueId]], owns: &impl Fn(ValueId) -> bool) {
-        let Some((lhs, _)) = self.cols else {
-            return;
-        };
-        for tuple in &mut self.tuples {
-            if let TupleState::Constant(ct) = tuple {
-                if let Some(c) = &ct.compiled {
-                    ct.memo.prime(
-                        c,
-                        rows.iter().filter_map(|r| {
-                            let id = r[lhs];
-                            if !owns(id) {
-                                return None;
-                            }
-                            id.as_str().map(|s| (id.raw(), s))
-                        }),
-                    );
-                }
-            }
-        }
-    }
-
-    /// Key-granular [`RuleState::process_insert`]: incorporate one
-    /// arrived row, but only through the tuples this worker *owns* —
-    /// constant tuples whose LHS id satisfies `owns`, and variable
-    /// tuples whose coordinator-derived route key (one `Option<ValueId>`
-    /// per variable tuple, tableau order, in `routes`) satisfies it.
-    /// `None` routes (null or non-matching LHS) are skipped by every
-    /// worker: no block forms, so nothing observable depends on them.
+    /// Incorporate one row's arrival or, with `removal`, its departure —
+    /// but only through the tuples this shard *owns*: constant tuples
+    /// when `owns` accepts the row's LHS id, and variable tuples whose
+    /// route key (one `Option<ValueId>` per variable tuple, tableau
+    /// order, in `routes`) it accepts. `None` routes (null or
+    /// non-matching LHS) are skipped by every shard: no block forms, so
+    /// nothing observable depends on them. A removal must run *before*
+    /// the table slot is tombstoned (or overwritten), with routes derived
+    /// from the row's pre-op cells. Inert rules (missing columns) emit
+    /// nothing.
     ///
-    /// Emits one [`TupleDeltas`] per owned tuple that matched (or
-    /// produced deltas), tagged with the tuple's tableau index — the
-    /// coordinator sorts merged entries by `(rule, tuple)` to reproduce
-    /// the inline sink order exactly.
-    pub(crate) fn process_insert_key(
+    /// Appends to `out` one [`TupleDeltas`] per run of consecutive owned
+    /// tuples that matched (or produced deltas), tagged with `rule` and
+    /// the run's first tableau index — the merge sorts entries by that
+    /// pair to reproduce tableau order exactly.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn process(
         &mut self,
+        rule: usize,
         table: &Table,
         row: RowId,
         routes: &[Option<ValueId>],
         owns: &impl Fn(ValueId) -> bool,
+        removal: bool,
         out: &mut Vec<TupleDeltas>,
     ) {
         let Some((lhs, rhs)) = self.cols else {
@@ -950,10 +819,10 @@ impl RuleState {
         // on the same LHS id.
         let const_owned = owns(lhs_id);
         // Consecutive owned tuples fuse into one entry; a tuple another
-        // worker owns closes the run (its entry must sort in between),
+        // shard owns closes the run (its entry must sort in between),
         // while tuples nobody processes (`None` routes) fuse across.
         let mut pending: Option<TupleDeltas> = None;
-        let mut var_idx = 0;
+        let mut routes = routes.iter();
         for (idx, tuple) in self.tuples.iter_mut().enumerate() {
             match tuple {
                 TupleState::Constant(ct) => {
@@ -961,81 +830,37 @@ impl RuleState {
                         TupleDeltas::flush(&mut pending, out);
                         continue;
                     }
+                    // On removal this rebuilds the violation the arrival
+                    // created (the check is the same id comparison; the
+                    // memo makes the pattern free) and retracts it.
                     let mut sink = DeltaSink::default();
                     let matched =
-                        ct.process(table, &self.pfd, lhs, rhs, lhs_id, row, false, &mut sink);
+                        ct.process(table, &self.pfd, lhs, rhs, lhs_id, row, removal, &mut sink);
                     if matched || !sink.deltas.is_empty() {
-                        TupleDeltas::absorb(&mut pending, idx, matched, sink);
+                        TupleDeltas::absorb(&mut pending, rule, idx, matched, sink);
                     }
                 }
                 TupleState::Variable(vt) => {
-                    let route = routes[var_idx];
-                    var_idx += 1;
-                    let Some(key) = route else {
+                    let Some(&Some(key)) = routes.next() else {
                         continue;
                     };
                     if !owns(key) {
                         TupleDeltas::flush(&mut pending, out);
                         continue;
                     }
-                    vt.partition.insert_with_key(row, key, rhs_id);
                     let mut sink = DeltaSink::default();
-                    vt.insert_transition(table, &self.pfd, lhs, rhs, rhs_id, key, row, &mut sink);
-                    TupleDeltas::absorb(&mut pending, idx, true, sink);
-                }
-            }
-        }
-        TupleDeltas::flush(&mut pending, out);
-    }
-
-    /// Key-granular [`RuleState::process_removal`] — the exact inverse
-    /// of [`RuleState::process_insert_key`], with the same ownership and
-    /// routing contract (the coordinator derives removal routes from the
-    /// row's *pre-op* cells).
-    pub(crate) fn process_removal_key(
-        &mut self,
-        table: &Table,
-        row: RowId,
-        routes: &[Option<ValueId>],
-        owns: &impl Fn(ValueId) -> bool,
-        out: &mut Vec<TupleDeltas>,
-    ) {
-        let Some((lhs, rhs)) = self.cols else {
-            return;
-        };
-        let lhs_id = table.cell_id(row, lhs);
-        let rhs_id = table.cell_id(row, rhs);
-        let const_owned = owns(lhs_id);
-        let mut pending: Option<TupleDeltas> = None;
-        let mut var_idx = 0;
-        for (idx, tuple) in self.tuples.iter_mut().enumerate() {
-            match tuple {
-                TupleState::Constant(ct) => {
-                    if !const_owned {
-                        TupleDeltas::flush(&mut pending, out);
-                        continue;
+                    if removal {
+                        vt.partition.remove(row, key);
+                        vt.removal_transition(
+                            table, &self.pfd, lhs, rhs, rhs_id, key, row, &mut sink,
+                        );
+                    } else {
+                        vt.partition.insert(row, key, rhs_id);
+                        vt.insert_transition(
+                            table, &self.pfd, lhs, rhs, rhs_id, key, row, &mut sink,
+                        );
                     }
-                    let mut sink = DeltaSink::default();
-                    let matched =
-                        ct.process(table, &self.pfd, lhs, rhs, lhs_id, row, true, &mut sink);
-                    if matched || !sink.deltas.is_empty() {
-                        TupleDeltas::absorb(&mut pending, idx, matched, sink);
-                    }
-                }
-                TupleState::Variable(vt) => {
-                    let route = routes[var_idx];
-                    var_idx += 1;
-                    let Some(key) = route else {
-                        continue;
-                    };
-                    if !owns(key) {
-                        TupleDeltas::flush(&mut pending, out);
-                        continue;
-                    }
-                    vt.partition.remove_with_key(row, key);
-                    let mut sink = DeltaSink::default();
-                    vt.removal_transition(table, &self.pfd, lhs, rhs, rhs_id, key, row, &mut sink);
-                    TupleDeltas::absorb(&mut pending, idx, true, sink);
+                    TupleDeltas::absorb(&mut pending, rule, idx, true, sink);
                 }
             }
         }
@@ -1078,9 +903,10 @@ impl RuleState {
     ///   ids (transitively live via block rows today, listed
     ///   belt-and-braces so the invariant doesn't depend on it).
     ///
-    /// Memoized *negative* entries (keys for values that since left, the
-    /// match memo's misses) are deliberately not protected — they are
-    /// caches, purged by [`RuleState::purge_values`] instead.
+    /// Memoized *negative* entries (the match memo's misses, the key
+    /// router's keys for values that since left) are deliberately not
+    /// protected — they are caches, purged instead
+    /// ([`RuleState::purge_values`] and the router's own purge).
     pub(crate) fn collect_protected(&self, out: &mut FxHashSet<u32>) {
         for tuple in &self.tuples {
             match tuple {
@@ -1101,47 +927,38 @@ impl RuleState {
         }
     }
 
-    /// Drop every memoized entry keyed on (or caching) an id in `dead`,
-    /// ahead of the pool recycling those ids for different strings. See
-    /// [`MatchMemo::purge`] and
-    /// [`BlockingPartition::purge_cached_keys`] for why stale entries
-    /// would otherwise answer for the wrong value. Counters stay put —
-    /// a purge performs no pattern work.
+    /// Drop every match-memo entry keyed on an id in `dead`, ahead of
+    /// the pool recycling those ids for different strings (see
+    /// [`MatchMemo::purge`] for why a stale entry would otherwise answer
+    /// for the wrong value). Counters stay put — a purge performs no
+    /// pattern work.
     pub(crate) fn purge_values(&mut self, dead: &FxHashSet<u32>) {
         for tuple in &mut self.tuples {
-            match tuple {
-                TupleState::Constant(ct) => ct.memo.purge(|id| dead.contains(&id)),
-                TupleState::Variable(vt) => vt
-                    .partition
-                    .purge_cached_keys(|id| dead.contains(&id.raw())),
+            if let TupleState::Constant(ct) = tuple {
+                ct.memo.purge(|id| dead.contains(&id));
             }
         }
     }
 
-    /// Pattern evaluations this rule's memoized state performed —
-    /// constant tuples' match memos plus variable tuples' capture
-    /// extractions.
+    /// Pattern evaluations this rule's constant tuples' match memos
+    /// performed (the key router counts variable tuples' extractions).
     pub(crate) fn pattern_evals(&self) -> usize {
-        self.tuples
-            .iter()
-            .map(|t| match t {
-                TupleState::Constant(ct) => ct.memo.evals(),
-                TupleState::Variable(vt) => vt.partition.key_evals(),
-            })
-            .sum()
+        self.memos().map(MatchMemo::evals).sum()
     }
 
-    /// Memo consultations (hits + misses) across this rule's tuples —
-    /// the denominator that turns [`RuleState::pattern_evals`] into the
-    /// hit rate the observability layer reports.
+    /// Match-memo consultations (hits + misses) across this rule's
+    /// constant tuples — the denominator that turns
+    /// [`RuleState::pattern_evals`] into the hit rate the observability
+    /// layer reports.
     pub(crate) fn pattern_lookups(&self) -> usize {
-        self.tuples
-            .iter()
-            .map(|t| match t {
-                TupleState::Constant(ct) => ct.memo.lookups(),
-                TupleState::Variable(vt) => vt.partition.key_lookups(),
-            })
-            .sum()
+        self.memos().map(MatchMemo::lookups).sum()
+    }
+
+    fn memos(&self) -> impl Iterator<Item = &MatchMemo> {
+        self.tuples.iter().filter_map(|t| match t {
+            TupleState::Constant(ct) => Some(&ct.memo),
+            TupleState::Variable(_) => None,
+        })
     }
 
     /// Blocks this rule currently maintains — what `engine.blocks` and
@@ -1154,20 +971,6 @@ impl RuleState {
                 TupleState::Variable(vt) => vt.partition.block_count(),
             })
             .sum()
-    }
-
-    /// A-priori load estimate for a rule that has seen no data yet:
-    /// variable tuples maintain whole block partitions, constant tuples
-    /// just a match memo — the weights rule-mode placement sorts by.
-    pub(crate) fn estimated_weight(pfd: &Pfd) -> usize {
-        pfd.tableau
-            .iter()
-            .map(|t| match &t.rhs {
-                RhsCell::Wildcard => 4,
-                RhsCell::Constant(_) => 1,
-            })
-            .sum::<usize>()
-            .max(1)
     }
 }
 
@@ -1245,6 +1048,8 @@ pub struct StreamEngine {
     table: Table,
     /// The seeded rules, in index order.
     rules: Vec<Pfd>,
+    /// The one place blocking keys are derived, whatever the layout.
+    router: Router,
     /// Where the rule state lives.
     layout: Layout,
     ledger: ViolationLedger,
@@ -1267,9 +1072,9 @@ pub struct StreamEngine {
 /// Where an engine's rule state lives, fixed when it is built.
 #[derive(Debug)]
 enum Layout {
-    /// One shard: every rule runs on the calling thread.
-    Inline(Vec<RuleState>),
-    /// Several shards: worker threads hold the rule state.
+    /// One shard, which owns every key, on the calling thread.
+    Inline(Shard),
+    /// Several shards on worker threads.
     Sharded(Shards),
 }
 
@@ -1282,30 +1087,27 @@ impl StreamEngine {
     }
 
     /// An engine with explicit thresholds and shard layout. The shard
-    /// count is clamped to `[1, rule count]` under [`ShardBy::Rule`] and
-    /// to `[1, KEY_SLOTS]` under [`ShardBy::Key`]. One shard runs every
-    /// rule inline; more spawn that many worker threads, placed once for
-    /// the engine's lifetime, with `run_ahead` clamped to 64 (see
-    /// [`sharded`](crate::sharded)).
+    /// count is clamped to `[1, KEY_SLOTS]`. One shard runs every rule
+    /// inline; more spawn that many worker threads, each owning a fixed
+    /// share of every rule's blocking keys for the engine's lifetime,
+    /// with `run_ahead` clamped to 64 (see [`sharded`](crate::sharded)).
     #[must_use]
     pub fn with_config(schema: Schema, rules: Vec<Pfd>, config: StreamConfig) -> StreamEngine {
-        let shards = match config.shard_by {
-            ShardBy::Rule => config.shards.clamp(1, rules.len().max(1)),
-            ShardBy::Key => config.shards.clamp(1, KEY_SLOTS),
-        };
+        let shards = config.shards.clamp(1, KEY_SLOTS);
+        let router = Router::new(&rules, &schema);
+        let seeds: Vec<RuleState> = rules
+            .iter()
+            .zip(router.cols())
+            .map(|(pfd, &cols)| RuleState::seed(pfd.clone(), cols))
+            .collect();
         let layout = if shards == 1 {
-            Layout::Inline(
-                rules
-                    .iter()
-                    .map(|pfd| RuleState::seed(pfd.clone(), &schema))
-                    .collect(),
-            )
+            Layout::Inline(Shard::new(seeds, router.spans(), 0, 1))
         } else {
             let run_ahead = config.run_ahead.min(MAX_RUN_AHEAD);
             Layout::Sharded(Shards::new(
                 &schema,
-                &rules,
-                config.shard_by,
+                &seeds,
+                router.spans(),
                 shards,
                 run_ahead,
             ))
@@ -1324,6 +1126,7 @@ impl StreamEngine {
         StreamEngine {
             table,
             rules,
+            router,
             layout,
             ledger: ViolationLedger::new(),
             drift,
@@ -1346,10 +1149,10 @@ impl StreamEngine {
     ///    epoch;
     /// 3. every rule's blocking partition and asserted block context
     ///    translate in place (`RuleState::apply_remap` — no pattern
-    ///    re-evaluation, [`StreamEngine::pattern_evals`] is invariant);
-    ///    sharded, the remap is broadcast and every worker compacts its
-    ///    replica (bit-identical by construction) and remaps its rules
-    ///    before acknowledging;
+    ///    re-evaluation, [`StreamEngine::pattern_evals`] is invariant;
+    ///    the key router's memos hold no row ids); sharded, the remap is
+    ///    broadcast and every worker compacts its replica (bit-identical
+    ///    by construction) and remaps its rules before acknowledging;
     /// 4. the ledger rewrites its live violations and adopts the epoch
     ///    (event history stays verbatim; see
     ///    [`LedgerEvent::epoch`](anmat_core::LedgerEvent)).
@@ -1361,11 +1164,7 @@ impl StreamEngine {
         self.drain();
         let remap = self.table.compact();
         match &mut self.layout {
-            Layout::Inline(rules) => {
-                for rule in rules {
-                    rule.apply_remap(&remap);
-                }
-            }
+            Layout::Inline(shard) => shard.apply_remap(&remap),
             Layout::Sharded(shards) => shards.compact(&remap),
         }
         self.ledger.remap(&remap);
@@ -1388,13 +1187,14 @@ impl StreamEngine {
     ///    queued it;
     /// 2. **protection** — rule state holds ids beyond live cells
     ///    (constant RHS constants, derived block keys); see
-    ///    [`RuleState::collect_protected`]. Sharded, each worker vetoes
-    ///    the candidates its rules protect, and the union of the vetoes
-    ///    is the inline protected set, so both layouts free identical
-    ///    sets at identical boundaries.
+    ///    [`RuleState::collect_protected`]. Each shard vetoes the
+    ///    candidates its rules protect, and shards partition each rule's
+    ///    blocks, so the union of the vetoes is the same protected set
+    ///    in every layout, and every layout frees identical sets at
+    ///    identical boundaries.
     ///
-    /// Survivors are purged from every memo/key cache (the sharded
-    /// router's routing memos included) *before* [`ValuePool::reclaim`]
+    /// Survivors are purged from every match memo and the key router's
+    /// memos *before* [`ValuePool::reclaim`]
     /// queues them for recycling, so no cache can answer for a recycled
     /// id. While an [`EngineSnapshot`] is alive the whole sweep defers —
     /// candidates simply stay queued in the table for the next barrier.
@@ -1415,14 +1215,8 @@ impl StreamEngine {
         if candidates.is_empty() {
             return;
         }
-        let protected = match &mut self.layout {
-            Layout::Inline(rules) => {
-                let mut protected = FxHashSet::default();
-                for rule in rules.iter() {
-                    rule.collect_protected(&mut protected);
-                }
-                protected
-            }
+        let protected: FxHashSet<u32> = match &mut self.layout {
+            Layout::Inline(shard) => shard.veto(&candidates).into_iter().collect(),
             Layout::Sharded(shards) => shards.protected(&candidates),
         };
         let doomed: Vec<ValueId> = candidates
@@ -1433,12 +1227,9 @@ impl StreamEngine {
             return;
         }
         let dead: FxHashSet<u32> = doomed.iter().map(|id| id.raw()).collect();
+        self.router.purge(&dead);
         match &mut self.layout {
-            Layout::Inline(rules) => {
-                for rule in rules {
-                    rule.purge_values(&dead);
-                }
-            }
+            Layout::Inline(shard) => shard.purge(&dead),
             Layout::Sharded(shards) => shards.purge(dead),
         }
         let stats = ValuePool::reclaim(doomed);
@@ -1672,20 +1463,16 @@ impl StreamEngine {
         obs::counter!("engine.ops").add(ops.len() as u64);
         let seq = self.next_seq;
         self.next_seq += 1;
+        let (table, router) = (&mut self.table, &mut self.router);
+        let (ledger, drift) = (&mut self.ledger, &mut self.drift);
         let events = match &mut self.layout {
-            Layout::Inline(rules) => {
-                let events = run_inline(
-                    rules,
-                    &mut self.table,
-                    &mut self.ledger,
-                    &mut self.drift,
-                    ops,
-                );
+            Layout::Inline(shard) => {
+                let events = shard.run(ops, table, router, ledger, drift);
                 obs::counter!("engine.events").add(events.len() as u64);
                 events
             }
             Layout::Sharded(shards) => {
-                shards.submit(seq, ops, &mut self.table, &mut self.ledger, &mut self.drift);
+                shards.submit(seq, ops, table, router, ledger, drift);
                 Vec::new()
             }
         };
@@ -1788,20 +1575,23 @@ impl StreamEngine {
         self.rules.iter()
     }
 
-    /// Rule-state figures across the engine (sharded: pipeline drained,
-    /// one stats round-trip per worker, key router included), plus each
-    /// worker's block count (empty inline).
+    /// Rule-state figures across the engine, key router included
+    /// (sharded: pipeline drained, one stats round-trip per worker), plus
+    /// each worker's block count (empty inline).
     fn census(&mut self) -> (Census, Vec<usize>) {
         self.drain();
-        match &mut self.layout {
-            Layout::Inline(rules) => (Census::of(rules.iter()), Vec::new()),
+        let (mut census, per_worker) = match &mut self.layout {
+            Layout::Inline(shard) => (shard.census(), Vec::new()),
             Layout::Sharded(shards) => shards.census(),
-        }
+        };
+        census.evals += self.router.evals();
+        census.lookups += self.router.lookups();
+        (census, per_worker)
     }
 
     /// Total pattern evaluations performed across all rules — constant
-    /// tuples' memoized matches plus variable tuples' capture
-    /// extractions (sharded, the key router's derivations included).
+    /// tuples' memoized matches plus the key router's capture
+    /// extractions.
     /// Bounded by `Σ_tuple distinct(LHS column)` regardless of row
     /// count or layout: the call-counting hook behind the "at most one
     /// evaluation per (pattern, distinct value)" guarantee. Drains the
@@ -1836,8 +1626,8 @@ impl StreamEngine {
         }
         let (census, per_worker) = self.census();
         for (shard, blocks) in per_worker.into_iter().enumerate() {
-            // How many key blocks each worker currently owns — flat in
-            // rule mode, the load-balance signal in key mode.
+            // How many key blocks each worker currently owns — the
+            // load-balance signal.
             obs::gauge(&format!("shard.{shard}.keys")).set(blocks as i64);
         }
         let table = self.table.mem_footprint();
@@ -1892,69 +1682,6 @@ impl StreamEngine {
             .collect();
         reports.sort_by_key(|r| r.rule);
         reports
-    }
-}
-
-/// The inline layout's batch (already validated): batch-classify each
-/// rule's caches over the arriving rows (see [`RuleState::prime_batch`]
-/// — count-neutral by construction), then execute op by op on ids.
-fn run_inline(
-    rules: &mut [RuleState],
-    table: &mut Table,
-    ledger: &mut ViolationLedger,
-    drift: &mut DriftMonitor,
-    ops: Vec<IdOp>,
-) -> Vec<LedgerEvent> {
-    let _apply = obs::span!("engine.apply_ns");
-    let arriving: Vec<&[ValueId]> = ops.iter().filter_map(IdOp::arriving).collect();
-    for rule in rules.iter_mut() {
-        rule.prime_batch(&arriving);
-    }
-    let mut events = Vec::new();
-    for op in ops {
-        match op {
-            IdOp::Insert(cells) => {
-                let row = table.push_id_row(cells).expect("ops pre-validated");
-                process(rules, table, ledger, drift, row, false, &mut events);
-            }
-            IdOp::Delete(row) => {
-                process(rules, table, ledger, drift, row, true, &mut events);
-                table.delete_row(row).expect("ops pre-validated");
-            }
-            IdOp::Update(row, cells) => {
-                process(rules, table, ledger, drift, row, true, &mut events);
-                table.update_id_row(row, cells).expect("ops pre-validated");
-                process(rules, table, ledger, drift, row, false, &mut events);
-            }
-        }
-    }
-    events
-}
-
-/// Run every rule over one row's arrival or, with `removal`, its
-/// departure, appending the events it causes. A removal runs *before*
-/// the slot is tombstoned (or overwritten), while the row's cells are
-/// still the ones its violations were built from, so every retraction
-/// is structurally identical to the event it cancels.
-fn process(
-    rules: &mut [RuleState],
-    table: &Table,
-    ledger: &mut ViolationLedger,
-    drift: &mut DriftMonitor,
-    row: RowId,
-    removal: bool,
-    events: &mut Vec<LedgerEvent>,
-) {
-    for (rule_idx, rule) in rules.iter_mut().enumerate() {
-        let mut sink = DeltaSink::default();
-        if removal {
-            let matched = rule.process_removal(table, row, &mut sink);
-            drift.retire(rule_idx, matched, sink.created, sink.retracted);
-        } else {
-            let matched = rule.process_insert(table, row, &mut sink);
-            drift.observe(rule_idx, matched, sink.created, sink.retracted);
-        }
-        apply_deltas(ledger, sink.deltas, events);
     }
 }
 

@@ -18,8 +18,10 @@
 //! * Constant tableau tuples cost `O(tableau)` per op — a memoized
 //!   pattern match against the value, independent of table size.
 //!   Variable tuples maintain an incremental
-//!   [`BlockingPartition`](anmat_index::BlockingPartition): an insert or
-//!   removal touches exactly the affected key's block, in
+//!   [`BlockingPartition`](anmat_index::BlockingPartition), fed by the
+//!   engine's one key router, which derives each row's blocking keys
+//!   once through a [`KeyMemo`](anmat_index::KeyMemo) per tuple: an
+//!   insert or removal touches exactly the affected key's block, in
 //!   `O(log block + run cap)` (blocks keep their rows as short ascending
 //!   runs), and only that block's violations are diffed. `O(block)` work
 //!   happens only when the block's majority flips and its violations are
@@ -53,24 +55,23 @@
 //!   the denominator shrinks as matched rows are deleted — and flags
 //!   rules that decay below the discovery threshold, so they can be
 //!   demoted to `RuleStatus::Pending` for re-review.
-//! * With [`StreamConfig::shards`]` > 1` the same engine runs its delta
-//!   pipeline across worker threads, on either of two axes
-//!   ([`StreamConfig::shard_by`]): **rule-granular** (each worker owns a
-//!   disjoint rule subset — the incremental state of different rules is
-//!   mutually independent) or **key-granular** ([`ShardBy::Key`] —
-//!   blocking keys are hashed over workers, so a single heavy rule's
-//!   blocks spread across every core; the coordinator derives each
-//!   distinct key once and ships routes with the batch). One shard runs
-//!   every rule inline on the calling thread. Placement is fixed when
-//!   the engine is built, on either axis, so no rule or key state ever
-//!   moves between workers. Each op batch is interned once, fanned out
-//!   over bounded channels, and per-shard deltas are merged back in
-//!   `(rule, tuple)` order into the engine's one ledger. With
+//! * Every layout runs one rule processor through a shard: every rule,
+//!   restricted to the blocking keys the shard owns. One shard runs
+//!   inline on the calling thread and owns every key. With
+//!   [`StreamConfig::shards`]` > 1` the same engine runs its delta
+//!   pipeline across worker threads: blocking keys are hashed over the
+//!   workers, so a single heavy rule's blocks spread across every core,
+//!   and the coordinator derives each distinct key once and ships routes
+//!   with the batch. Key ownership is fixed when the engine is built, so
+//!   no state ever moves between workers. Each op batch is interned
+//!   once, fanned out over bounded channels, and per-shard deltas are
+//!   merged back in `(rule, tuple)` order into the engine's one ledger,
+//!   through the same fold the inline layout merges each op with. With
 //!   [`StreamConfig::run_ahead`]` > 0` the coordinator *pipelines*
 //!   batches: [`StreamEngine::submit`] returns while workers run ahead,
 //!   and epoch-sequence-tagged merges happen strictly in submission
 //!   order ([`BatchEvents`]). The **determinism contract**: for any op
-//!   sequence, shard count, axis, and run-ahead window, the event
+//!   sequence, shard count, and run-ahead window, the event
 //!   stream, ledger state, per-rule health, and drift report are
 //!   bit-for-bit identical to the inline layout's (property-tested in
 //!   `tests/shard_equivalence.rs`). Cross-shard string traffic rides the
@@ -121,8 +122,9 @@ pub use sharded::{BatchEvents, KEY_SLOTS};
 
 /// The former name of the sharded engine, now [`StreamEngine`] with
 /// [`StreamConfig::shards`]` > 1`. Kept only because the benchmark
-/// harness (`perfbench/harness/src/measure.rs`) still names it; the next
-/// change to the benchmark drops it.
+/// harness (`perfbench/harness/src/measure.rs`) still names it, like
+/// [`ShardBy`] and [`StreamConfig::shard_by`]; the next change to the
+/// benchmark drops all three.
 pub type ShardedEngine = StreamEngine;
 
 // Re-exported so downstream users of the engine's event stream don't need

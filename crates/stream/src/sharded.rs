@@ -1,62 +1,62 @@
-//! The sharded layout of [`StreamEngine`]: rule (or key-range) state
-//! spread across worker threads, one deterministic merged event stream,
-//! with optional cross-batch pipelining.
+//! Key-granular rule execution for every layout of [`StreamEngine`]: the
+//! engine's key router, the `Shard` that runs every rule over the keys
+//! it owns, and the worker threads of the sharded layout, with one
+//! deterministic merged event stream and optional cross-batch
+//! pipelining.
 //!
-//! [`StreamEngine::with_config`] picks the layout once. When
-//! [`StreamConfig::shards`] clamps to one worker, every rule runs inline
-//! on the calling thread. Otherwise the rules live on worker threads
-//! behind the crate-private `Shards`: the workers, the key router, the
-//! route layout and the run-ahead queue. The engine keeps the canonical
-//! table, ledger, drift monitor and compaction state once, in either
-//! layout, and lends them to `Shards` per call.
+//! [`StreamEngine::with_config`] picks the layout once. Either way the
+//! engine keeps the canonical table, ledger, drift monitor, compaction
+//! state and the one crate-private `Router` — per rule, the resolved
+//! columns and a [`KeyMemo`] per variable tuple — and runs its rules
+//! through `Shard`s, so there is one key path and one rule processor.
+//! When [`StreamConfig::shards`] clamps to one shard, the engine runs the
+//! one shard of one inline on the calling thread, against the canonical
+//! table, and merges each op phase at once. Otherwise the shards live on
+//! worker threads behind the crate-private `Shards` (the workers, the
+//! route layout and the run-ahead queue), each against its own table
+//! replica, and the engine lends its state to `Shards` per call.
 //!
-//! # Two sharding axes
+//! # Key ownership
 //!
-//! **Rule-granular** ([`ShardBy::Rule`], the default): every rule's
-//! incremental state (match memos, blocking partition, per-block
-//! assertions) is independent of every other rule's — the only
-//! cross-rule structures are the [`ViolationLedger`] (which refcounts
-//! identical violations asserted by different rules) and the
-//! [`DriftMonitor`]. Each worker owns a disjoint subset of the seeded
-//! rules and processes every op for exactly those rules. Zero routing
-//! cost, but one heavy rule is capped at one core.
-//!
-//! **Key-granular** ([`ShardBy::Key`]): every worker holds every rule,
-//! but only the tuples whose *blocking key* hashes into one of the
-//! worker's slots. The key space is split into [`KEY_SLOTS`] hash slots
-//! and slot `s` belongs to worker `s % shards`, so each worker owns a
-//! disjoint set of keys and a single rule's blocks spread over all
-//! cores. The coordinator derives every blocking key exactly once
-//! (memoized per distinct LHS value, so pattern work is still paid once
-//! per distinct value) and ships the routes with the batch; workers
-//! insert/remove by the pre-derived key and run the identical
-//! block-transition code. Because each worker owns whole blocks,
-//! block-majority re-derivation stays local — no cross-worker votes,
-//! only per-`(rule, tuple)` delta merging on the coordinator.
+//! Every shard holds every rule, but processes only the tuples whose
+//! *blocking key* hashes into one of its slots. The key space is split
+//! into [`KEY_SLOTS`] hash slots and slot `s` belongs to shard
+//! `s % shards` (`owner_of`), fixed when the engine is built: each shard
+//! owns a disjoint set of keys, a single rule's blocks spread over every
+//! worker, and no state ever moves between workers. Constant tuples
+//! belong to the shard that owns the row's LHS id; the one shard of one
+//! owns everything. The router derives every blocking key exactly once
+//! (memoized per distinct LHS value, so pattern work is paid once per
+//! distinct value) and hands the routes to the shards, which insert and
+//! remove by the pre-derived key and run the identical block-transition
+//! code. Because each shard owns whole blocks, block-majority
+//! re-derivation stays local — no cross-shard votes, only
+//! per-`(rule, tuple)` delta merging.
 //!
 //! # The shard/merge protocol
 //!
 //! A batch of [`RowOp`](anmat_table::RowOp)s is interned and validated
 //! **once** by the coordinator (one `ValuePool` lock acquisition per
-//! record via `intern_value_batch`), then fanned out over bounded
-//! channels as one shared `Arc` of id-ops (plus, in key mode, the per-op
-//! route table). Each worker applies the ops *in order* to its own
-//! id-table replica (4-byte cells; the string bytes live once, in the
-//! process-global pool, whose `resolve` is lock-free) and runs its share
-//! of the `process_insert`/`process_removal` delta core against it — the
-//! exact code the inline layout runs, against an identical table state
-//! at every op. Workers return, per op and per phase (removal, then
-//! insert), the deltas they produced, tagged `(rule, tuple)`.
+//! record via `intern_value_batch`), routed against the canonical table
+//! as it advances, then fanned out over bounded channels as one shared
+//! `Arc` of id-ops plus the per-op route table and per-worker rule
+//! bitmasks. Each worker applies the ops *in order* to its own id-table
+//! replica (4-byte cells; the string bytes live once, in the
+//! process-global pool, whose `resolve` is lock-free) and runs its shard
+//! against it — the exact code the inline layout runs, against an
+//! identical table state at every op. Workers return, per op and per
+//! phase (removal, then insert), the deltas they produced, tagged
+//! `(rule, tuple)`.
 //!
 //! The coordinator merges: for each op, phase by phase, deltas are
 //! ordered by **(global rule index, tableau tuple index)**, each rule's
 //! partial drift tallies are folded into one [`DriftDelta`]
 //! (`matched` ORs, counts add) and applied once, then the rule's deltas
-//! replay into the one ledger. That is the same ledger/drift call
-//! sequence the inline layout performs, so cross-rule refcount dedup,
+//! replay into the one ledger. The inline layout folds each of its
+//! phases through the same `merge_phase`, so cross-rule refcount dedup,
 //! event contents, and event *order* are bit-for-bit identical — the
 //! determinism contract `tests/shard_equivalence.rs` pins down for
-//! 1/2/4 shards on both axes against the inline layout.
+//! 1/2/4 shards and several run-ahead windows.
 //!
 //! # Cross-batch pipelining
 //!
@@ -66,21 +66,12 @@
 //! while workers chew. Every batch is tagged with a monotone **epoch
 //! sequence number** at submission; replies carry it back, and the
 //! coordinator merges strictly in submission order ([`BatchEvents`] is
-//! the per-batch unit), so the event stream is byte-identical to
-//! `run_ahead = 0` — pipelining changes *when* the merge happens, never
-//! its order. Barriers (compaction, snapshots, stats gathering) drain
-//! the window first. [`StreamEngine::apply`] remains the synchronous
-//! path: submit, drain, concatenate.
-//!
-//! # Placement
-//!
-//! Placement is fixed when the engine is built and never changes, so no
-//! state ever moves between workers. In rule mode,
-//! [`StreamEngine::with_config`] deals the rules round-robin in
-//! descending order of an a-priori weight. In key mode a key belongs to
-//! the worker `owner_of` names: its hash slot modulo the worker count.
-//! Workers filter their share with that function and the coordinator
-//! builds its routing bitmasks with it, so the two always agree.
+//! the per-batch unit; an empty batch queues behind the in-flight ones
+//! without a worker round-trip), so the event stream is byte-identical
+//! to `run_ahead = 0` — pipelining changes *when* the merge happens,
+//! never its order. Barriers (compaction, snapshots, stats gathering)
+//! drain the window first. [`StreamEngine::apply`] remains the
+//! synchronous path: submit, drain, concatenate.
 //!
 //! # The epoch barrier
 //!
@@ -105,12 +96,11 @@
 //! [`StreamConfig::shards`]: crate::StreamConfig::shards
 
 use crate::drift::{DriftDelta, DriftMonitor};
-use crate::engine::{
-    apply_deltas, Census, CompiledRule, Delta, DeltaSink, IdOp, RuleState, ShardBy, TupleDeltas,
-};
-use anmat_core::{LedgerEvent, Pfd, RhsCell, ViolationLedger};
-use anmat_index::BlockingPartition;
+use crate::engine::{apply_deltas, Census, IdOp, RuleState, TupleDeltas};
+use anmat_core::{LedgerEvent, LhsCell, Pfd, RhsCell, ViolationLedger};
+use anmat_index::KeyMemo;
 use anmat_obs as obs;
+use anmat_pattern::CompiledConstrained;
 use anmat_table::{RowId, RowIdRemap, Schema, Table, ValueId};
 use fxhash::FxHashSet;
 use std::collections::VecDeque;
@@ -118,44 +108,361 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Number of hash slots the key space is split into under
-/// [`ShardBy::Key`]. Slots are the unit of ownership: slot `s` belongs
-/// to worker `s % shards` for the engine's whole lifetime (see
-/// `owner_of`), which is also why key mode clamps the worker count to
-/// this figure.
+/// Number of hash slots the key space is split into. Slots are the unit
+/// of ownership: slot `s` belongs to shard `s % shards` for the engine's
+/// whole lifetime (see `owner_of`), which is also why the shard count is
+/// clamped to this figure.
 pub const KEY_SLOTS: usize = 128;
 
-/// The hash slot a key (`ValueId::raw`) falls into: a Fibonacci
-/// multiplicative hash taking the top 7 bits. Interned ids are dense
+/// The hash slot a key falls into: a Fibonacci multiplicative hash of
+/// `ValueId::raw` taking the top 7 bits. Interned ids are dense
 /// sequential integers, so taking the *high* bits of the product
 /// scatters adjacent ids across slots.
-fn slot_of_raw(raw: u32) -> usize {
-    (raw.wrapping_mul(0x9E37_79B9) >> 25) as usize
+fn slot_of(key: ValueId) -> usize {
+    (key.raw().wrapping_mul(0x9E37_79B9) >> 25) as usize
 }
 
-/// The worker that owns a key (`ValueId::raw`) under [`ShardBy::Key`]
-/// with `shards` workers — the one place key ownership is decided.
-fn owner_of(raw: u32, shards: usize) -> usize {
-    slot_of_raw(raw) % shards
+/// The shard that owns hash slot `slot` with `shards` shards — the one
+/// place key ownership is decided.
+fn owner_of(slot: usize, shards: usize) -> usize {
+    slot % shards
 }
 
-/// One fanned-out batch: the interned ops plus (in key mode) the
-/// coordinator-derived blocking-key routes, shared as one `Arc` across
-/// workers.
+/// Where one rule's routes sit in an op's route vector, and what its
+/// constant tuples key on.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RouteSpan {
+    /// Offset of the rule's routes: one per variable tuple, tableau
+    /// order.
+    offset: usize,
+    /// The rule's variable-tuple count.
+    len: usize,
+    /// The LHS column of a rule that is not inert and has constant
+    /// tuples: those belong to the shard that owns the row's LHS id.
+    const_col: Option<usize>,
+}
+
+impl RouteSpan {
+    /// The rule's share of an op's routes, and of the router's memos.
+    fn range(&self) -> std::ops::Range<usize> {
+        self.offset..self.offset + self.len
+    }
+}
+
+/// The engine's one key-derivation front end, built for every layout:
+/// per rule, the resolved columns and one [`KeyMemo`] per variable tuple
+/// (rule-major, tableau order). Every distinct LHS value's key is
+/// derived exactly once, here — rule state receives routes and never
+/// runs an extractor, which is what keeps the eval count identical in
+/// every layout.
+#[derive(Debug)]
+pub(crate) struct Router {
+    /// Per rule: `(lhs, rhs)` columns, `None` if the schema lacks either
+    /// attribute (the rule is inert, exactly like batch detection). The
+    /// rule state and the route spans both take this verdict.
+    cols: Vec<Option<(usize, usize)>>,
+    /// One memo per variable tuple of every rule; rule `r`'s are
+    /// `spans[r]`'s share.
+    memos: Vec<KeyMemo>,
+    spans: Arc<[RouteSpan]>,
+}
+
+impl Router {
+    /// Resolve every rule's columns in `schema` and compile each
+    /// variable tuple's keyer once.
+    pub(crate) fn new(rules: &[Pfd], schema: &Schema) -> Router {
+        let mut cols = Vec::with_capacity(rules.len());
+        let mut memos = Vec::new();
+        let mut spans = Vec::with_capacity(rules.len());
+        for pfd in rules {
+            let resolved = match (
+                schema.index_of(&pfd.lhs_attr),
+                schema.index_of(&pfd.rhs_attr),
+            ) {
+                (Some(lhs), Some(rhs)) => Some((lhs, rhs)),
+                _ => None,
+            };
+            let offset = memos.len();
+            let mut has_constant = false;
+            for t in &pfd.tableau {
+                match (&t.rhs, &t.lhs) {
+                    (RhsCell::Constant(_), _) => has_constant = true,
+                    (RhsCell::Wildcard, LhsCell::Pattern(q)) => memos.push(KeyMemo::new(Some(
+                        Arc::new(CompiledConstrained::compile(q)),
+                    ))),
+                    (RhsCell::Wildcard, LhsCell::Wildcard) => memos.push(KeyMemo::new(None)),
+                }
+            }
+            spans.push(RouteSpan {
+                offset,
+                len: memos.len() - offset,
+                const_col: resolved.filter(|_| has_constant).map(|(lhs, _)| lhs),
+            });
+            cols.push(resolved);
+        }
+        Router {
+            cols,
+            memos,
+            spans: spans.into(),
+        }
+    }
+
+    /// Each rule's resolved columns (`None` = inert), in rule order.
+    pub(crate) fn cols(&self) -> &[Option<(usize, usize)>] {
+        &self.cols
+    }
+
+    /// The route layout every shard slices its routes by.
+    pub(crate) fn spans(&self) -> Arc<[RouteSpan]> {
+        Arc::clone(&self.spans)
+    }
+
+    /// Routes per op phase: one per variable tuple of every rule.
+    fn stride(&self) -> usize {
+        self.memos.len()
+    }
+
+    /// Batch-classify every memo over a batch's arriving LHS ids before
+    /// any op is routed (count-neutral; see [`KeyMemo::prime`]).
+    fn prime(&mut self, ops: &[IdOp]) {
+        for (span, cols) in self.spans.iter().zip(&self.cols) {
+            let Some((lhs, _)) = *cols else { continue };
+            for memo in &mut self.memos[span.range()] {
+                memo.prime(
+                    ops.iter()
+                        .filter_map(IdOp::arriving)
+                        .map(|cells| cells[lhs]),
+                );
+            }
+        }
+    }
+
+    /// Append one route per variable tuple of every rule for `row`'s
+    /// current cells: the pre-op cells for a removal phase, the arrived
+    /// ones for an insert phase — exactly what the rule state consults.
+    fn route(&mut self, table: &Table, row: RowId, out: &mut Vec<Option<ValueId>>) {
+        for (span, cols) in self.spans.iter().zip(&self.cols) {
+            if span.len == 0 {
+                continue;
+            }
+            let memos = &mut self.memos[span.range()];
+            match *cols {
+                Some((lhs, _)) => {
+                    let id = table.cell_id(row, lhs);
+                    for memo in memos {
+                        out.push(memo.key(id));
+                    }
+                }
+                None => out.extend(std::iter::repeat_n(None, span.len)),
+            }
+        }
+    }
+
+    /// Drop every memo entry keyed on (or caching) a dead id — the
+    /// router's share of a reclamation barrier: a stale entry would
+    /// route a recycled id's rows into the wrong block.
+    pub(crate) fn purge(&mut self, dead: &FxHashSet<u32>) {
+        for memo in &mut self.memos {
+            memo.purge(|id| dead.contains(&id.raw()));
+        }
+    }
+
+    /// Capture extractions across every memo.
+    pub(crate) fn evals(&self) -> usize {
+        self.memos.iter().map(KeyMemo::evals).sum()
+    }
+
+    /// Memo consultations across every memo.
+    pub(crate) fn lookups(&self) -> usize {
+        self.memos.iter().map(KeyMemo::lookups).sum()
+    }
+}
+
+/// Every rule's incremental state, restricted to the tuples whose
+/// blocking key (or, for constant tuples, LHS id) falls in a slot
+/// `owner_of` gives this shard. The inline layout runs the one shard of
+/// one, which owns every slot, against the canonical table; each worker
+/// runs one against its replica.
+#[derive(Debug)]
+pub(crate) struct Shard {
+    /// Every rule's state, in rule-index order.
+    rules: Vec<RuleState>,
+    /// Which hash slots this shard owns.
+    owned: [bool; KEY_SLOTS],
+    /// This shard's index and the shard count: together they index the
+    /// coordinator's per-op rule bitmasks.
+    shard: usize,
+    shards: usize,
+    spans: Arc<[RouteSpan]>,
+}
+
+impl Shard {
+    /// Shard `shard` of `shards`, over freshly seeded rule state.
+    pub(crate) fn new(
+        rules: Vec<RuleState>,
+        spans: Arc<[RouteSpan]>,
+        shard: usize,
+        shards: usize,
+    ) -> Shard {
+        Shard {
+            rules,
+            owned: std::array::from_fn(|slot| owner_of(slot, shards) == shard),
+            shard,
+            shards,
+            spans,
+        }
+    }
+
+    /// The inline layout's batch (already validated): as the one shard
+    /// of one, run every op against the canonical `table`, routing each
+    /// phase through the engine's `router` and merging it into `ledger`
+    /// and `drift` at once, through the same fold that merges worker
+    /// replies. Priming first is count-neutral by construction.
+    pub(crate) fn run(
+        &mut self,
+        ops: Vec<IdOp>,
+        table: &mut Table,
+        router: &mut Router,
+        ledger: &mut ViolationLedger,
+        drift: &mut DriftMonitor,
+    ) -> Vec<LedgerEvent> {
+        let _apply = obs::span!("engine.apply_ns");
+        router.prime(&ops);
+        self.prime(&ops, &[]);
+        let (mut routes, mut entries, mut events) = (Vec::new(), Vec::new(), Vec::new());
+        for op in ops {
+            op.run(table, |table, row, removal| {
+                routes.clear();
+                router.route(table, row, &mut routes);
+                self.phase(table, &routes, None, row, removal, &mut entries);
+                merge_phase(&mut entries, removal, ledger, drift, &mut events);
+            });
+        }
+        events
+    }
+
+    /// Warm each rule's constant-tuple memos over the owned LHS ids of a
+    /// batch's arriving rows (count-neutral; see
+    /// `RuleState::prime_batch`). With the coordinator's per-op rule
+    /// bitmasks (`masks`, empty when there are none) a rule scans only
+    /// the ops flagged for it here: a rule with constant tuples always
+    /// has its bit set on the LHS id's owner, so the owner still sees
+    /// every row it must classify.
+    fn prime(&mut self, ops: &[IdOp], masks: &[u64]) {
+        let (shard, shards, owned) = (self.shard, self.shards, &self.owned);
+        let owns = |id: ValueId| owned[slot_of(id)];
+        for (rule, state) in self.rules.iter_mut().enumerate() {
+            if self.spans[rule].const_col.is_none() {
+                continue; // inert, or nothing but variable tuples
+            }
+            let rows = ops
+                .iter()
+                .enumerate()
+                .filter(|&(k, _)| masks.is_empty() || masks[k * shards + shard] >> rule & 1 == 1)
+                .filter_map(|(_, op)| op.arriving());
+            state.prime_batch(rows, &owns);
+        }
+    }
+
+    /// Run one phase of one op for this shard's share of every rule, in
+    /// ascending rule order, appending the deltas to `out`. `mask` is
+    /// the coordinator's exact rule bitmask for this shard and op phase;
+    /// without one (inline, or more than 64 rules) every rule is visited
+    /// and checks ownership tuple by tuple.
+    fn phase(
+        &mut self,
+        table: &Table,
+        routes: &[Option<ValueId>],
+        mask: Option<u64>,
+        row: RowId,
+        removal: bool,
+        out: &mut Vec<TupleDeltas>,
+    ) {
+        let (owned, spans) = (&self.owned, &*self.spans);
+        let owns = |id: ValueId| owned[slot_of(id)];
+        let mut visit = |rule: usize, state: &mut RuleState| {
+            state.process(
+                rule,
+                table,
+                row,
+                &routes[spans[rule].range()],
+                &owns,
+                removal,
+                out,
+            );
+        };
+        match mask {
+            // Visit exactly the rules routed here: bit `r` addresses
+            // `self.rules[r]` directly.
+            Some(mut mask) => {
+                while mask != 0 {
+                    let rule = mask.trailing_zeros() as usize;
+                    mask &= mask - 1;
+                    visit(rule, &mut self.rules[rule]);
+                }
+            }
+            None => {
+                for (rule, state) in self.rules.iter_mut().enumerate() {
+                    visit(rule, state);
+                }
+            }
+        }
+    }
+
+    /// The compaction epoch's share of this shard: remap every rule.
+    pub(crate) fn apply_remap(&mut self, remap: &RowIdRemap) {
+        for rule in &mut self.rules {
+            rule.apply_remap(remap);
+        }
+    }
+
+    /// Reclamation phase 1: the candidates this shard's rule state still
+    /// needs (constant RHS constants, block keys — see
+    /// `RuleState::collect_protected`). Shards partition each rule's
+    /// blocks, and constant tuples repeat on every shard, so the union
+    /// of the vetoes is the same in every layout.
+    pub(crate) fn veto(&self, candidates: &[ValueId]) -> Vec<u32> {
+        let mut protected = FxHashSet::default();
+        for rule in &self.rules {
+            rule.collect_protected(&mut protected);
+        }
+        candidates
+            .iter()
+            .map(|id| id.raw())
+            .filter(|raw| protected.contains(raw))
+            .collect()
+    }
+
+    /// Reclamation phase 2: purge every match-memo entry for the dead
+    /// ids.
+    pub(crate) fn purge(&mut self, dead: &FxHashSet<u32>) {
+        for rule in &mut self.rules {
+            rule.purge_values(dead);
+        }
+    }
+
+    /// Rule-state figures summed over this shard's rules.
+    pub(crate) fn census(&self) -> Census {
+        Census::of(&self.rules)
+    }
+}
+
+/// One fanned-out batch: the interned ops plus the coordinator-derived
+/// blocking-key routes, shared as one `Arc` across workers.
 ///
 /// Routes are one `Option<ValueId>` per variable tuple of every rule
-/// (tableau order, rule-major — sliced per rule via the shared layout),
+/// (tableau order, rule-major — sliced per rule by the route spans),
 /// flattened across ops at a fixed `stride` so the whole batch routes
 /// in two allocations: op `k`'s routes for a phase occupy
 /// `[k * stride, (k + 1) * stride)`. `None` means the op's LHS was null
 /// or did not match the tuple's key extractor: no block forms, every
 /// worker skips it. Phases an op never runs (the removal half of an
 /// insert, the insert half of a delete) hold `None` padding no worker
-/// reads. Both vectors are empty in rule mode.
+/// reads.
 #[derive(Debug)]
 struct RoutedBatch {
     ops: Vec<IdOp>,
-    /// The tableau-wide variable-tuple count (`0` in rule mode).
+    /// The tableau-wide variable-tuple count.
     stride: usize,
     /// Removal-phase routes, derived from each row's *pre-op* cells
     /// (deletes and the first half of updates).
@@ -168,30 +475,18 @@ struct RoutedBatch {
     /// worker's rule visits up front and workers iterate set bits
     /// instead of screening every rule per op. Exact, not conservative —
     /// a set bit is precisely "some per-tuple ownership check inside
-    /// `process_*_key` will pass". Empty when more than 64 rules are
-    /// live (workers fall back to screening) and in rule mode.
+    /// `RuleState::process` will pass". Empty when more than 64 rules
+    /// are live (workers then visit every rule).
     removal_masks: Vec<u64>,
     insert_masks: Vec<u64>,
-}
-
-/// Deltas one rule produced for one phase of one op, tagged with the
-/// emitting tableau tuple (always 0 in rule mode, where a rule's whole
-/// phase runs on one worker).
-struct RuleDeltas {
-    rule: usize,
-    tuple: usize,
-    matched: bool,
-    created: usize,
-    retracted: usize,
-    deltas: Vec<Delta>,
 }
 
 /// What one shard produced for one op: the removal phase (deletes and
 /// the first half of updates), then the insert phase.
 #[derive(Default)]
 struct OpOutcome {
-    removal: Vec<RuleDeltas>,
-    insert: Vec<RuleDeltas>,
+    removal: Vec<TupleDeltas>,
+    insert: Vec<TupleDeltas>,
 }
 
 enum WorkerMsg {
@@ -207,12 +502,10 @@ enum WorkerMsg {
     /// the coordinator's broadcast remap, then acknowledge.
     Compact(Arc<RowIdRemap>),
     /// Reclamation phase 1: report which of these candidate ids this
-    /// worker's rule state still needs (constant RHS constants, block
-    /// keys — see `RuleState::collect_protected`).
+    /// worker's rule state still needs (see `Shard::veto`).
     ReclaimScan(Arc<Vec<ValueId>>),
     /// Reclamation phase 2: these ids are about to be freed — purge
-    /// every memo/key-cache entry keyed on (or caching) one, then
-    /// acknowledge.
+    /// every match-memo entry keyed on one, then acknowledge.
     ReclaimApply(Arc<FxHashSet<u32>>),
 }
 
@@ -229,21 +522,10 @@ enum WorkerReply {
     Reclaimed,
 }
 
-/// One worker thread's state: its table replica and its rule states
-/// (a disjoint subset in rule mode; every rule in key mode, restricted
-/// to the owned key slots). Kept sorted by global rule index so per-op
-/// outcomes come out pre-ordered.
+/// One worker thread's state: its table replica and its shard.
 struct Worker {
     table: Table,
-    rules: Vec<(usize, RuleState)>,
-    shard: usize,
-    /// Worker count: with `shard`, fixes the keys this worker owns in
-    /// key mode (`owner_of`) and indexes the per-op rule bitmasks.
-    shards: usize,
-    mode: ShardBy,
-    /// Rule → `(offset, len)` into each op's flat route vector (shared,
-    /// immutable — the tableau never changes after seeding).
-    layout: Arc<Vec<(usize, usize)>>,
+    shard: Shard,
     /// Per-shard occupancy of the inbound bounded channel — the
     /// coordinator raises it on send, this worker lowers it on dequeue.
     queue_depth: &'static obs::Gauge,
@@ -265,9 +547,7 @@ impl Worker {
                         outcomes: self.process_batch(&batch),
                     }
                 }
-                WorkerMsg::Stats => {
-                    WorkerReply::Stats(Census::of(self.rules.iter().map(|(_, state)| state)))
-                }
+                WorkerMsg::Stats => WorkerReply::Stats(self.shard.census()),
                 WorkerMsg::Compact(remap) => {
                     // The replica is op-for-op identical to the
                     // coordinator's table, so compacting it locally
@@ -280,34 +560,14 @@ impl Worker {
                         remap.as_ref(),
                         "worker replica diverged from the coordinator's table"
                     );
-                    for (_, state) in &mut self.rules {
-                        state.apply_remap(&remap);
-                    }
+                    self.shard.apply_remap(&remap);
                     WorkerReply::Compacted
                 }
                 WorkerMsg::ReclaimScan(candidates) => {
-                    // Veto = candidates ∩ this worker's protected ids.
-                    // The union of vetoes across workers covers every
-                    // protected id of every rule on both axes: rule mode
-                    // partitions the rules, key mode partitions each
-                    // rule's blocks (constant tuples are replicated, so
-                    // their vetoes just repeat).
-                    let mut protected = FxHashSet::default();
-                    for (_, state) in &self.rules {
-                        state.collect_protected(&mut protected);
-                    }
-                    WorkerReply::ReclaimVeto(
-                        candidates
-                            .iter()
-                            .map(|id| id.raw())
-                            .filter(|raw| protected.contains(raw))
-                            .collect(),
-                    )
+                    WorkerReply::ReclaimVeto(self.shard.veto(&candidates))
                 }
                 WorkerMsg::ReclaimApply(dead) => {
-                    for (_, state) in &mut self.rules {
-                        state.purge_values(&dead);
-                    }
+                    self.shard.purge(&dead);
                     WorkerReply::Reclaimed
                 }
             };
@@ -317,202 +577,38 @@ impl Worker {
         }
     }
 
+    /// Replay a routed batch on the replica: prime (mask-gated), then
+    /// run each op's phases through the shard with the coordinator's
+    /// routes and bitmasks.
     fn process_batch(&mut self, batch: &RoutedBatch) -> Vec<OpOutcome> {
-        // Batch-classify each owned rule's caches over the batch's
-        // insert/update rows before any per-row work (count-neutral; see
-        // `RuleState::prime_batch`). In key mode only the owned LHS ids
-        // are primed, so summing worker memos still matches the inline
-        // eval count.
-        let arriving: Vec<&[ValueId]> = batch.ops.iter().filter_map(IdOp::arriving).collect();
-        match self.mode {
-            ShardBy::Rule => {
-                for (_, state) in &mut self.rules {
-                    state.prime_batch(&arriving);
-                }
-            }
-            ShardBy::Key => {
-                let (me, shards) = (self.shard, self.shards);
-                let owns = move |id: ValueId| owner_of(id.raw(), shards) == me;
-                // Without masks (more than 64 rules) every worker
-                // screens every arriving row.
-                if batch.insert_masks.is_empty() {
-                    for (_, state) in &mut self.rules {
-                        state.prime_batch_key(&arriving, &owns);
-                    }
-                } else {
-                    // Mask-gated priming: a rule with constant tuples
-                    // always has its bit set on the LHS id's owner, so
-                    // scanning only mask-flagged ops still shows the
-                    // owner every row it must classify — the `owns`
-                    // filter inside stays exact, evals don't double.
-                    let mut owned: Vec<&[ValueId]> = Vec::with_capacity(arriving.len());
-                    for (rule, state) in &mut self.rules {
-                        let bit = 1u64 << *rule;
-                        owned.clear();
-                        owned.extend(batch.ops.iter().enumerate().filter_map(|(op_idx, op)| {
-                            if batch.insert_masks[op_idx * shards + me] & bit == 0 {
-                                return None;
-                            }
-                            op.arriving()
-                        }));
-                        state.prime_batch_key(&owned, &owns);
-                    }
-                }
-            }
-        }
+        let shard = &mut self.shard;
+        shard.prime(&batch.ops, &batch.insert_masks);
+        let stride = batch.stride;
         batch
             .ops
             .iter()
             .enumerate()
-            .map(|(op_idx, op)| {
+            .map(|(k, op)| {
                 let mut outcome = OpOutcome::default();
-                match op {
-                    IdOp::Insert(cells) => {
-                        let row = self
-                            .table
-                            .push_id_cells(cells)
-                            .expect("coordinator validated the batch");
-                        outcome.insert = self.phase(batch, op_idx, row, false);
-                    }
-                    IdOp::Delete(row) => {
-                        // Removal runs against the pre-delete cells, as
-                        // in the inline layout.
-                        outcome.removal = self.phase(batch, op_idx, *row, true);
-                        self.table
-                            .delete_row(*row)
-                            .expect("coordinator validated the batch");
-                    }
-                    IdOp::Update(row, cells) => {
-                        outcome.removal = self.phase(batch, op_idx, *row, true);
-                        self.table
-                            .update_id_cells(*row, cells)
-                            .expect("coordinator validated the batch");
-                        outcome.insert = self.phase(batch, op_idx, *row, false);
-                    }
-                }
+                op.run(&mut self.table, |table, row, removal| {
+                    let (routes, masks, out) = if removal {
+                        (&batch.removal, &batch.removal_masks, &mut outcome.removal)
+                    } else {
+                        (&batch.insert, &batch.insert_masks, &mut outcome.insert)
+                    };
+                    let mask = (!masks.is_empty()).then(|| masks[k * shard.shards + shard.shard]);
+                    shard.phase(
+                        table,
+                        &routes[k * stride..(k + 1) * stride],
+                        mask,
+                        row,
+                        removal,
+                        out,
+                    );
+                });
                 outcome
             })
             .collect()
-    }
-
-    /// Run one phase of one op for this worker's share of the rules, in
-    /// ascending global rule order. No-op entries (unmatched, no
-    /// deltas) are dropped — they would be drift no-ops at the merge
-    /// anyway.
-    fn phase(
-        &mut self,
-        batch: &RoutedBatch,
-        op_idx: usize,
-        row: RowId,
-        removal: bool,
-    ) -> Vec<RuleDeltas> {
-        match self.mode {
-            ShardBy::Rule => self.phase_rule(row, removal),
-            ShardBy::Key => {
-                let start = op_idx * batch.stride;
-                let (all, masks) = if removal {
-                    (&batch.removal, &batch.removal_masks)
-                } else {
-                    (&batch.insert, &batch.insert_masks)
-                };
-                let mask = (!masks.is_empty()).then(|| masks[op_idx * self.shards + self.shard]);
-                self.phase_key(row, &all[start..start + batch.stride], mask, removal)
-            }
-        }
-    }
-
-    fn phase_rule(&mut self, row: RowId, removal: bool) -> Vec<RuleDeltas> {
-        let mut out = Vec::new();
-        for (rule, state) in &mut self.rules {
-            let mut sink = DeltaSink::default();
-            let matched = if removal {
-                state.process_removal(&self.table, row, &mut sink)
-            } else {
-                state.process_insert(&self.table, row, &mut sink)
-            };
-            if matched || sink.created > 0 || sink.retracted > 0 || !sink.deltas.is_empty() {
-                out.push(RuleDeltas {
-                    rule: *rule,
-                    tuple: 0,
-                    matched,
-                    created: sink.created,
-                    retracted: sink.retracted,
-                    deltas: sink.deltas,
-                });
-            }
-        }
-        out
-    }
-
-    /// `mask`: the coordinator's exact rule bitmask for this worker and
-    /// phase (`None` when masks are unavailable, i.e. more than 64 live
-    /// rules — then every rule is screened worker-side instead).
-    fn phase_key(
-        &mut self,
-        row: RowId,
-        routes: &[Option<ValueId>],
-        mask: Option<u64>,
-        removal: bool,
-    ) -> Vec<RuleDeltas> {
-        let (me, shards) = (self.shard, self.shards);
-        let owns = move |id: ValueId| owner_of(id.raw(), shards) == me;
-        let layout = &*self.layout;
-        let mut out = Vec::new();
-        let mut scratch = Vec::new();
-        if let Some(mask) = mask {
-            // Fast path: visit exactly the rules the coordinator routed
-            // here. Key-mode workers hold every rule in index order, so
-            // bit `r` addresses `self.rules[r]` directly.
-            let mut mask = mask;
-            while mask != 0 {
-                let rule = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                let (r, state) = &mut self.rules[rule];
-                debug_assert_eq!(*r, rule, "key-mode workers hold every rule in order");
-                let (offset, count) = layout[rule];
-                run_rule_key(
-                    state,
-                    &self.table,
-                    rule,
-                    row,
-                    &routes[offset..offset + count],
-                    &owns,
-                    removal,
-                    &mut scratch,
-                    &mut out,
-                );
-            }
-            return out;
-        }
-        let table = &self.table;
-        for (rule, state) in &mut self.rules {
-            let (offset, count) = layout[*rule];
-            let slice = &routes[offset..offset + count];
-            // Ownership screen: on a typical op this worker owns
-            // nothing for most rules, so decide that here — from the
-            // route slice and one slot probe of the constant-tuple LHS
-            // id (exactly the per-tuple checks `process_*_key` would
-            // repeat) — before any tableau walk or sink setup.
-            let var_owned = slice.iter().any(|r| r.is_some_and(&owns));
-            if !var_owned {
-                let Some(lhs) = state.lhs_col() else { continue };
-                if !state.has_constant_tuples() || !owns(table.cell_id(row, lhs)) {
-                    continue;
-                }
-            }
-            run_rule_key(
-                state,
-                table,
-                *rule,
-                row,
-                slice,
-                &owns,
-                removal,
-                &mut scratch,
-                &mut out,
-            );
-        }
-        out
     }
 }
 
@@ -526,49 +622,16 @@ fn fill_masks(
     routes: &[Option<ValueId>],
     lhs_of: impl Fn(usize) -> ValueId,
     masks: &mut [u64],
-    layout: &[(usize, usize)],
-    const_cols: &[Option<usize>],
+    spans: &[RouteSpan],
 ) {
     let shards = masks.len();
-    for (rule, (offset, count)) in layout.iter().enumerate() {
-        for key in routes[*offset..offset + count].iter().flatten() {
-            masks[owner_of(key.raw(), shards)] |= 1 << rule;
+    for (rule, span) in spans.iter().enumerate() {
+        for &key in routes[span.range()].iter().flatten() {
+            masks[owner_of(slot_of(key), shards)] |= 1 << rule;
         }
-        if let Some(col) = const_cols[rule] {
-            masks[owner_of(lhs_of(col).raw(), shards)] |= 1 << rule;
+        if let Some(col) = span.const_col {
+            masks[owner_of(slot_of(lhs_of(col)), shards)] |= 1 << rule;
         }
-    }
-}
-
-/// One rule's share of one key-mode phase: run the per-tuple processor
-/// and relabel its [`TupleDeltas`] with the global rule index.
-#[allow(clippy::too_many_arguments)]
-fn run_rule_key(
-    state: &mut RuleState,
-    table: &Table,
-    rule: usize,
-    row: RowId,
-    routes: &[Option<ValueId>],
-    owns: &impl Fn(ValueId) -> bool,
-    removal: bool,
-    scratch: &mut Vec<TupleDeltas>,
-    out: &mut Vec<RuleDeltas>,
-) {
-    scratch.clear();
-    if removal {
-        state.process_removal_key(table, row, routes, owns, scratch);
-    } else {
-        state.process_insert_key(table, row, routes, owns, scratch);
-    }
-    for td in scratch.drain(..) {
-        out.push(RuleDeltas {
-            rule,
-            tuple: td.tuple,
-            matched: td.matched,
-            created: td.sink.created,
-            retracted: td.sink.retracted,
-            deltas: td.sink.deltas,
-        });
     }
 }
 
@@ -609,105 +672,6 @@ impl Drop for WorkerHandle {
     }
 }
 
-/// The coordinator's key-derivation front-end for [`ShardBy::Key`]:
-/// per rule, the LHS column and one memoized key extractor per variable
-/// tuple (sharing the same compiled `Arc`s the worker states hold).
-/// Every distinct LHS value's key is derived exactly once here — the
-/// workers receive pre-derived routes and never run an extractor, which
-/// is what keeps the global eval count identical to the inline layout's.
-struct Router {
-    /// Per rule: LHS column (`None` = the rule's attributes are missing
-    /// from this schema, i.e. the rule is inert) and per-variable-tuple
-    /// routing memos, tableau order.
-    rules: Vec<(Option<usize>, Vec<BlockingPartition>)>,
-}
-
-impl Router {
-    fn new(rules: &[Pfd], compiled: &[CompiledRule], schema: &Schema) -> Router {
-        let rules = rules
-            .iter()
-            .zip(compiled)
-            .map(|(pfd, programs)| {
-                let col = match (
-                    schema.index_of(&pfd.lhs_attr),
-                    schema.index_of(&pfd.rhs_attr),
-                ) {
-                    (Some(lhs), Some(_)) => Some(lhs),
-                    _ => None,
-                };
-                let memos = programs
-                    .variable_keyers()
-                    .into_iter()
-                    .map(BlockingPartition::with_shared)
-                    .collect();
-                (col, memos)
-            })
-            .collect();
-        Router { rules }
-    }
-
-    /// Append one route per variable tuple of every rule for a row with
-    /// these cells (the insert phase; counting mirrors
-    /// `BlockingPartition::insert` exactly, so lookup tallies match the
-    /// inline layout).
-    fn routes_for_cells(&mut self, cells: &[ValueId], out: &mut Vec<Option<ValueId>>) {
-        for (col, memos) in &mut self.rules {
-            match col {
-                Some(c) => {
-                    let lhs = cells[*c];
-                    for memo in memos.iter_mut() {
-                        out.push(memo.key_for(lhs));
-                    }
-                }
-                None => out.extend(std::iter::repeat_n(None, memos.len())),
-            }
-        }
-    }
-
-    /// [`Router::routes_for_cells`] for a live row's current cells (the
-    /// removal phase — pre-op state, as the inline layout consults it).
-    fn routes_for_row(&mut self, table: &Table, row: RowId, out: &mut Vec<Option<ValueId>>) {
-        for (col, memos) in &mut self.rules {
-            match col {
-                Some(c) => {
-                    let lhs = table.cell_id(row, *c);
-                    for memo in memos.iter_mut() {
-                        out.push(memo.key_for(lhs));
-                    }
-                }
-                None => out.extend(std::iter::repeat_n(None, memos.len())),
-            }
-        }
-    }
-
-    /// Drop every routing-memo entry keyed on (or caching) a dead id —
-    /// the coordinator's share of a reclamation barrier. The routing
-    /// memos are the key-mode counterpart of the workers' key caches:
-    /// a stale entry would route a recycled id's rows into the wrong
-    /// block.
-    fn purge(&mut self, dead: &FxHashSet<u32>) {
-        for (_, memos) in &mut self.rules {
-            for memo in memos.iter_mut() {
-                memo.purge_cached_keys(|id| dead.contains(&id.raw()));
-            }
-        }
-    }
-
-    fn key_evals(&self) -> usize {
-        self.rules
-            .iter()
-            .flat_map(|(_, memos)| memos.iter().map(BlockingPartition::key_evals))
-            .sum()
-    }
-
-    fn key_lookups(&self) -> usize {
-        self.rules
-            .iter()
-            .flat_map(|(_, memos)| memos.iter().map(BlockingPartition::key_lookups))
-            .sum()
-    }
-}
-
 /// The merged event stream of one submitted batch, tagged with the
 /// batch's epoch sequence number (monotone from 0, one per batch —
 /// empty batches and synchronous calls included). Batches complete
@@ -721,41 +685,31 @@ pub struct BatchEvents {
     pub events: Vec<LedgerEvent>,
 }
 
-/// The sharded layout: worker threads holding the rule state on either
-/// the rule or the blocking-key axis, the key router, the route layout
-/// and the run-ahead queue. The engine lends its canonical table, ledger
-/// and drift monitor to each call that advances or merges a batch; see
-/// the module docs for the shard/merge protocol.
+/// The sharded layout: worker threads each running one [`Shard`] over
+/// its table replica, the route layout and the run-ahead queue. The
+/// engine lends its canonical table, key router, ledger and drift
+/// monitor to each call that advances or merges a batch; see the module
+/// docs for the shard/merge protocol.
 pub(crate) struct Shards {
     workers: Vec<WorkerHandle>,
-    shard_by: ShardBy,
     /// Pipelining window: how many submitted batches may be unmerged.
     run_ahead: usize,
     /// Sequence number of the newest submitted batch.
     newest: u64,
     /// Submitted-but-unmerged batches, oldest first: `(seq, op count)`.
+    /// An empty batch queues here too, so it completes in order, but no
+    /// worker ever sees it.
     in_flight: VecDeque<(u64, usize)>,
     /// Merged batches not yet handed to the caller.
     completed: Vec<BatchEvents>,
-    /// Key mode only: the coordinator's key-derivation memos.
-    router: Option<Router>,
-    /// Tableau-wide variable-tuple count — the per-op stride of the
-    /// flat route vectors (`0` in rule mode, where no routes ship).
-    route_stride: usize,
-    /// Rule → `(offset, len)` into the per-op route slice (the same
-    /// `Arc` every worker holds).
-    layout: Arc<Vec<(usize, usize)>>,
-    /// Key mode: per rule, the LHS column if the rule has constant
-    /// tuples (whose key-mode owner is decided by the row's LHS id) —
-    /// what the coordinator needs to finish each worker's rule bitmask.
-    const_cols: Vec<Option<usize>>,
+    /// The route layout (the same `Arc` every worker's shard holds).
+    spans: Arc<[RouteSpan]>,
 }
 
 impl std::fmt::Debug for Shards {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Shards")
             .field("shards", &self.workers.len())
-            .field("shard_by", &self.shard_by)
             .field("run_ahead", &self.run_ahead)
             .field("in_flight", &self.in_flight.len())
             .finish_non_exhaustive()
@@ -767,113 +721,25 @@ impl std::fmt::Debug for Shards {
 /// preallocated channels per worker.
 pub(crate) const MAX_RUN_AHEAD: usize = 64;
 
-/// Rule-mode placement: round-robin over the rules sorted by descending
-/// weight (ties by index), so the heaviest rules land on distinct shards
-/// first. Returns each rule's shard.
-fn assign_by_weight(weights: &[usize], shards: usize) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..weights.len()).collect();
-    order.sort_by_key(|&rule| (std::cmp::Reverse(weights[rule]), rule));
-    let mut assignment = vec![0; weights.len()];
-    for (pos, &rule) in order.iter().enumerate() {
-        assignment[rule] = pos % shards;
-    }
-    assignment
-}
-
-/// Advance the canonical table by a validated batch (rule mode, where
-/// no routes are derived along the way).
-fn apply_to_canonical(table: &mut Table, ops: &[IdOp]) {
-    for op in ops {
-        match op {
-            IdOp::Insert(cells) => {
-                table.push_id_cells(cells).expect("batch pre-validated");
-            }
-            IdOp::Delete(row) => table.delete_row(*row).expect("batch pre-validated"),
-            IdOp::Update(row, cells) => {
-                table
-                    .update_id_cells(*row, cells)
-                    .expect("batch pre-validated");
-            }
-        }
-    }
-}
-
 impl Shards {
     /// Spawn `shards` workers (already clamped, at least 2) over
-    /// `schema` and seed their rule state. Placement is decided here,
-    /// once, for the engine's lifetime: in rule mode each rule lives on
-    /// the worker `assign_by_weight` deals it to; in key mode every
-    /// worker seeds every rule and keeps the keys `owner_of` gives it.
+    /// `schema`, each holding a copy of every rule's freshly seeded
+    /// state (`seeds`) and keeping the keys `owner_of` gives it.
     pub(crate) fn new(
         schema: &Schema,
-        rules: &[Pfd],
-        shard_by: ShardBy,
+        seeds: &[RuleState],
+        spans: Arc<[RouteSpan]>,
         shards: usize,
         run_ahead: usize,
     ) -> Shards {
-        let weights: Vec<usize> = rules.iter().map(RuleState::estimated_weight).collect();
-        let rule_owner = assign_by_weight(&weights, shards);
-        // Per-rule offsets into the flat per-op route vectors.
-        let mut layout = Vec::with_capacity(rules.len());
-        let mut offset = 0;
-        for pfd in rules {
-            let count = pfd
-                .tableau
-                .iter()
-                .filter(|t| matches!(t.rhs, RhsCell::Wildcard))
-                .count();
-            layout.push((offset, count));
-            offset += count;
-        }
-        let layout = Arc::new(layout);
-        // Mirrors `RuleState::seed_shared`: a rule contributes constant
-        // tuples only when both its attributes resolve in the schema.
-        let const_cols: Vec<Option<usize>> = rules
-            .iter()
-            .map(|pfd| {
-                match (
-                    schema.index_of(&pfd.lhs_attr),
-                    schema.index_of(&pfd.rhs_attr),
-                ) {
-                    (Some(lhs), Some(_)) => pfd
-                        .tableau
-                        .iter()
-                        .any(|t| matches!(t.rhs, RhsCell::Constant(_)))
-                        .then_some(lhs),
-                    _ => None,
-                }
-            })
-            .collect();
-        // Compile every rule's programs exactly once, on the coordinator;
-        // workers seed around the shared `Arc`s, so `pattern.compile_ns`
-        // records one compile per rule regardless of the shard count.
-        let compiled: Vec<CompiledRule> = rules.iter().map(CompiledRule::compile).collect();
-        let router = (shard_by == ShardBy::Key).then(|| Router::new(rules, &compiled, schema));
         let workers = (0..shards)
             .map(|shard| {
-                let states: Vec<(usize, RuleState)> = rules
-                    .iter()
-                    .zip(&compiled)
-                    .enumerate()
-                    .filter(|(rule, _)| {
-                        // Key mode: every worker holds every rule
-                        // (restricted to its key slots at runtime).
-                        shard_by == ShardBy::Key || rule_owner[*rule] == shard
-                    })
-                    .map(|(rule, (pfd, programs))| {
-                        (rule, RuleState::seed_shared(pfd.clone(), schema, programs))
-                    })
-                    .collect();
                 // Per-shard metric instances; the registered handles are
                 // `&'static`, so they cross the thread boundary freely.
                 let queue_depth = obs::gauge(&format!("shard.{shard}.queue_depth"));
                 let worker = Worker {
                     table: Table::empty(schema.clone()),
-                    rules: states,
-                    shard,
-                    shards,
-                    mode: shard_by,
-                    layout: Arc::clone(&layout),
+                    shard: Shard::new(seeds.to_vec(), Arc::clone(&spans), shard, shards),
                     queue_depth,
                     batches: obs::counter(&format!("shard.{shard}.batches")),
                     busy_ns: obs::histogram(&format!("shard.{shard}.busy_ns")),
@@ -897,15 +763,11 @@ impl Shards {
             .collect();
         Shards {
             workers,
-            shard_by,
             run_ahead,
             newest: 0,
             in_flight: VecDeque::new(),
             completed: Vec::new(),
-            router,
-            route_stride: offset,
-            layout,
-            const_cols,
+            spans,
         }
     }
 
@@ -929,54 +791,31 @@ impl Shards {
         std::mem::take(&mut self.completed)
     }
 
-    /// Fan a validated batch out to every worker under sequence number
-    /// `seq`, advance the canonical `table`, then trim the pipeline to
-    /// the run-ahead window by merging oldest-first into `ledger` and
-    /// `drift`.
+    /// Route a validated batch through `router` while advancing the
+    /// canonical `table`, fan it out to every worker under sequence
+    /// number `seq`, then trim the pipeline to the run-ahead window by
+    /// merging oldest-first into `ledger` and `drift`. An empty batch
+    /// reaches no worker; it still queues, so it completes in order.
     pub(crate) fn submit(
         &mut self,
         seq: u64,
         ops: Vec<IdOp>,
         table: &mut Table,
+        router: &mut Router,
         ledger: &mut ViolationLedger,
         drift: &mut DriftMonitor,
     ) {
         self.newest = seq;
         let op_count = ops.len();
-        if op_count == 0 {
-            // Empty batches keep the 1:1 batch ↔ seq mapping without a
-            // round-trip: they complete immediately.
-            self.completed.push(BatchEvents {
-                seq,
-                events: Vec::new(),
-            });
-            return;
-        }
-        obs::counter!("shard.batches").incr();
-        {
+        if op_count > 0 {
+            obs::counter!("shard.batches").incr();
             let _fanout = obs::span!("shard.fanout_ns");
-            match self.shard_by {
-                ShardBy::Rule => {
-                    let batch = Arc::new(RoutedBatch {
-                        ops,
-                        stride: 0,
-                        removal: Vec::new(),
-                        insert: Vec::new(),
-                        removal_masks: Vec::new(),
-                        insert_masks: Vec::new(),
-                    });
-                    self.broadcast(seq, &batch);
-                    // The canonical table advances while the workers
-                    // chew.
-                    apply_to_canonical(table, &batch.ops);
-                }
-                ShardBy::Key => {
-                    // Key derivation consults pre-op table state, so
-                    // routing and the canonical apply interleave per op
-                    // — then the routed batch fans out.
-                    let batch = Arc::new(self.route_and_apply(table, ops));
-                    self.broadcast(seq, &batch);
-                }
+            let batch = Arc::new(self.route(table, router, ops));
+            for worker in &self.workers {
+                worker.send(WorkerMsg::Batch {
+                    seq,
+                    batch: Arc::clone(&batch),
+                });
             }
         }
         self.in_flight.push_back((seq, op_count));
@@ -986,105 +825,51 @@ impl Shards {
         }
     }
 
-    fn broadcast(&self, seq: u64, batch: &Arc<RoutedBatch>) {
-        for worker in &self.workers {
-            worker.send(WorkerMsg::Batch {
-                seq,
-                batch: Arc::clone(batch),
-            });
-        }
-    }
-
-    /// Key mode: derive each op's routes against pre-op table state
-    /// while applying the ops to the canonical table in order — exactly
-    /// the state the inline layout would consult (removal routes from
-    /// the pre-op row, insert routes from arriving cells).
-    fn route_and_apply(&mut self, table: &mut Table, id_ops: Vec<IdOp>) -> RoutedBatch {
-        let stride = self.route_stride;
+    /// Derive each op's routes against pre-op table state while applying
+    /// the ops to the canonical table in order — exactly the state the
+    /// inline layout consults (removal routes from the pre-op row,
+    /// insert routes from the arrived cells) — plus each worker's rule
+    /// bitmasks.
+    fn route(&self, table: &mut Table, router: &mut Router, ops: Vec<IdOp>) -> RoutedBatch {
+        router.prime(&ops);
+        let stride = router.stride();
         let shards = self.workers.len();
-        // Rule bitmasks only fit u64; beyond that workers screen
-        // rules themselves (the slow path — fine, 64+ live rules is
-        // far past anything discovery emits).
-        let exact = self.layout.len() <= 64;
-        let mask_len = if exact { id_ops.len() * shards } else { 0 };
-        let layout = &*self.layout;
-        let const_cols = &self.const_cols;
-        let router = self.router.as_mut().expect("key mode ships routes");
-        let mut removal = Vec::with_capacity(id_ops.len() * stride);
-        let mut insert = Vec::with_capacity(id_ops.len() * stride);
-        let mut removal_masks = vec![0u64; mask_len];
-        let mut insert_masks = vec![0u64; mask_len];
-        for (op_idx, op) in id_ops.iter().enumerate() {
-            let masks = op_idx * shards..(op_idx + 1) * shards;
-            match op {
-                IdOp::Insert(cells) => {
-                    removal.resize(removal.len() + stride, None);
-                    let base = insert.len();
-                    router.routes_for_cells(cells, &mut insert);
-                    if exact {
-                        fill_masks(
-                            &insert[base..],
-                            |c| cells[c],
-                            &mut insert_masks[masks],
-                            layout,
-                            const_cols,
-                        );
-                    }
-                    table.push_id_cells(cells).expect("batch pre-validated");
-                }
-                IdOp::Delete(row) => {
-                    let base = removal.len();
-                    router.routes_for_row(table, *row, &mut removal);
-                    if exact {
-                        // Pre-op cells — the tombstone lands after.
-                        fill_masks(
-                            &removal[base..],
-                            |c| table.cell_id(*row, c),
-                            &mut removal_masks[masks],
-                            layout,
-                            const_cols,
-                        );
-                    }
-                    insert.resize(insert.len() + stride, None);
-                    table.delete_row(*row).expect("batch pre-validated");
-                }
-                IdOp::Update(row, cells) => {
-                    let base = removal.len();
-                    router.routes_for_row(table, *row, &mut removal);
-                    if exact {
-                        fill_masks(
-                            &removal[base..],
-                            |c| table.cell_id(*row, c),
-                            &mut removal_masks[masks.clone()],
-                            layout,
-                            const_cols,
-                        );
-                    }
-                    table
-                        .update_id_cells(*row, cells)
-                        .expect("batch pre-validated");
-                    let base = insert.len();
-                    router.routes_for_cells(cells, &mut insert);
-                    if exact {
-                        fill_masks(
-                            &insert[base..],
-                            |c| cells[c],
-                            &mut insert_masks[masks],
-                            layout,
-                            const_cols,
-                        );
-                    }
-                }
-            }
-        }
-        RoutedBatch {
-            ops: id_ops,
+        // Rule bitmasks only fit u64; beyond that workers visit every
+        // rule (the slow path — fine, 64+ live rules is far past
+        // anything discovery emits).
+        let exact = self.spans.len() <= 64;
+        let mask_len = if exact { ops.len() * shards } else { 0 };
+        let mut batch = RoutedBatch {
+            ops: Vec::new(),
             stride,
-            removal,
-            insert,
-            removal_masks,
-            insert_masks,
+            removal: Vec::with_capacity(ops.len() * stride),
+            insert: Vec::with_capacity(ops.len() * stride),
+            removal_masks: vec![0u64; mask_len],
+            insert_masks: vec![0u64; mask_len],
+        };
+        for (k, op) in ops.iter().enumerate() {
+            op.run(table, |table, row, removal| {
+                let (routes, masks) = if removal {
+                    (&mut batch.removal, &mut batch.removal_masks)
+                } else {
+                    (&mut batch.insert, &mut batch.insert_masks)
+                };
+                router.route(table, row, routes);
+                if exact {
+                    fill_masks(
+                        &routes[k * stride..],
+                        |col| table.cell_id(row, col),
+                        &mut masks[k * shards..(k + 1) * shards],
+                        &self.spans,
+                    );
+                }
+            });
+            // A phase the op never ran is `None` padding.
+            batch.removal.resize((k + 1) * stride, None);
+            batch.insert.resize((k + 1) * stride, None);
         }
+        batch.ops = ops;
+        batch
     }
 
     /// Merge every in-flight batch, oldest first.
@@ -1097,11 +882,19 @@ impl Shards {
     /// Merge the oldest in-flight batch: await every worker's reply for
     /// it (replies arrive in submission order on each FIFO channel,
     /// asserted via the echoed seq) and fold the outcomes into the
-    /// ledger, drift monitor, and completed queue.
+    /// ledger, drift monitor, and completed queue. An empty batch
+    /// completes without a reply to wait for.
     fn merge_oldest(&mut self, ledger: &mut ViolationLedger, drift: &mut DriftMonitor) {
         let Some((seq, op_count)) = self.in_flight.pop_front() else {
             return;
         };
+        if op_count == 0 {
+            self.completed.push(BatchEvents {
+                seq,
+                events: Vec::new(),
+            });
+            return;
+        }
         // How many younger batches were already submitted when this one
         // merges — 0 under the classic barrier, up to `run_ahead` when
         // the pipeline is saturated.
@@ -1153,10 +946,8 @@ impl Shards {
         }
     }
 
-    /// Reclamation phase 1: the candidates some worker's rule state
-    /// still needs. Rule mode partitions the rules and key mode each
-    /// rule's blocks, so the union of the workers' vetoes is exactly the
-    /// inline layout's protected set.
+    /// Reclamation phase 1: the union of the workers' vetoes (see
+    /// `Shard::veto`).
     pub(crate) fn protected(&mut self, candidates: &[ValueId]) -> FxHashSet<u32> {
         let scan = Arc::new(candidates.to_vec());
         let mut vetoed = FxHashSet::default();
@@ -1169,9 +960,8 @@ impl Shards {
         vetoed
     }
 
-    /// Reclamation phase 2: every worker purges its memo and key-cache
-    /// entries for the dead ids, then the coordinator purges its routing
-    /// memos — all before the caller frees the ids.
+    /// Reclamation phase 2: every worker purges its match-memo entries
+    /// for the dead ids before the caller frees them.
     pub(crate) fn purge(&mut self, dead: FxHashSet<u32>) {
         let dead = Arc::new(dead);
         for reply in self.round_trip(|| WorkerMsg::ReclaimApply(Arc::clone(&dead))) {
@@ -1180,20 +970,12 @@ impl Shards {
                 "worker replies in lockstep with requests"
             );
         }
-        if let Some(router) = &mut self.router {
-            router.purge(&dead);
-        }
     }
 
-    /// Rule-state figures summed over every worker plus the key router's
-    /// derivations (so eval and lookup totals equal the inline layout's),
-    /// and each worker's block count.
+    /// Rule-state figures summed over every worker, and each worker's
+    /// block count.
     pub(crate) fn census(&mut self) -> (Census, Vec<usize>) {
         let mut total = Census::default();
-        if let Some(router) = &self.router {
-            total.evals = router.key_evals();
-            total.lookups = router.key_lookups();
-        }
         let per_worker = self
             .round_trip(|| WorkerMsg::Stats)
             .into_iter()
@@ -1212,9 +994,7 @@ impl Shards {
 }
 
 /// Merge per-shard outcomes: for each op, removal phase then insert
-/// phase, deltas ordered by `(global rule index, tableau tuple index)`
-/// — the same ledger call sequence the inline layout performs, hence
-/// the same events in the same order.
+/// phase, through [`merge_phase`].
 fn merge(
     op_count: usize,
     mut replies: Vec<Vec<OpOutcome>>,
@@ -1223,8 +1003,8 @@ fn merge(
 ) -> Vec<LedgerEvent> {
     let _merge = obs::span!("shard.merge_ns");
     let mut events = Vec::new();
-    let mut removal: Vec<RuleDeltas> = Vec::new();
-    let mut insert: Vec<RuleDeltas> = Vec::new();
+    let mut removal: Vec<TupleDeltas> = Vec::new();
+    let mut insert: Vec<TupleDeltas> = Vec::new();
     for op in 0..op_count {
         for shard in &mut replies {
             let outcome = std::mem::take(&mut shard[op]);
@@ -1237,50 +1017,40 @@ fn merge(
     events
 }
 
-/// Replay one phase's merged deltas: per rule (ascending), fold the
-/// partial drift tallies — in key mode a rule's work for one row
-/// spreads over several workers/tuples — apply the folded tally once,
-/// then replay the rule's deltas in tableau-tuple order. In rule mode
-/// each rule has exactly one entry and this reduces to the classic
-/// per-rule replay. `entries` is a reusable buffer: drained (and
-/// cleared) here so the caller's allocation survives across ops.
+/// Replay one op phase's deltas, from one shard or many: ordered by
+/// `(rule, tuple)`, per rule fold the partial drift tallies (a rule's
+/// work for one row can spread over several shards and tuples), apply
+/// the folded tally once, then replay the rule's deltas in tableau
+/// order — the same ledger and drift call sequence whatever the layout.
+/// `entries` is a reusable buffer: drained (and cleared) here so the
+/// caller's allocation survives across ops.
 fn merge_phase(
-    entries: &mut Vec<RuleDeltas>,
+    entries: &mut Vec<TupleDeltas>,
     removal: bool,
     ledger: &mut ViolationLedger,
     drift: &mut DriftMonitor,
     events: &mut Vec<LedgerEvent>,
 ) {
     entries.sort_by_key(|d| (d.rule, d.tuple));
-    let mut i = 0;
-    while i < entries.len() {
-        let rule = entries[i].rule;
-        let mut tally = DriftDelta {
-            matched: false,
-            created: 0,
-            retracted: 0,
-        };
-        let mut j = i;
-        while j < entries.len() && entries[j].rule == rule {
-            let d = &entries[j];
+    for group in entries.chunk_by_mut(|a, b| a.rule == b.rule) {
+        let mut tally = DriftDelta::default();
+        for d in group.iter() {
             tally.absorb(DriftDelta {
                 matched: d.matched,
-                created: d.created,
-                retracted: d.retracted,
+                created: d.sink.created,
+                retracted: d.sink.retracted,
             });
-            j += 1;
         }
-        // The folded tally lands before any of the rule's deltas
-        // replay — same order the per-rule collection preserved.
+        // The folded tally lands before any of the rule's deltas replay.
+        let rule = group[0].rule;
         if removal {
-            drift.retire_delta(rule, tally);
+            drift.retire(rule, tally.matched, tally.created, tally.retracted);
         } else {
-            drift.observe_delta(rule, tally);
+            drift.observe(rule, tally.matched, tally.created, tally.retracted);
         }
-        for entry in &mut entries[i..j] {
-            apply_deltas(ledger, std::mem::take(&mut entry.deltas), events);
+        for entry in group {
+            apply_deltas(ledger, std::mem::take(&mut entry.sink.deltas), events);
         }
-        i = j;
     }
     entries.clear();
 }
@@ -1305,60 +1075,38 @@ mod tests {
         )
     }
 
-    fn key_config(shards: usize, run_ahead: usize) -> StreamConfig {
+    fn config(shards: usize, run_ahead: usize) -> StreamConfig {
         StreamConfig {
             shards,
-            shard_by: ShardBy::Key,
             run_ahead,
             ..StreamConfig::default()
         }
     }
 
-    fn key_engine(shards: usize, run_ahead: usize) -> StreamEngine {
+    fn sharded(shards: usize, run_ahead: usize) -> StreamEngine {
         StreamEngine::with_config(
             schema(),
             vec![zip_variable_pfd()],
-            key_config(shards, run_ahead),
+            config(shards, run_ahead),
         )
     }
 
-    #[test]
-    fn assignment_spreads_heaviest_first() {
-        let weights = [1, 4, 4, 1, 2];
-        let a = assign_by_weight(&weights, 2);
-        // Sorted by weight desc, index asc: 1, 2, 4, 0, 3 → shards
-        // 0, 1, 0, 1, 0.
-        assert_eq!(a, vec![1, 0, 1, 0, 0]);
+    fn insert(zip: &str, city: &str) -> RowOp {
+        RowOp::Insert(vec![Value::text(zip), Value::text(city)])
     }
 
     #[test]
-    fn shard_count_clamped_to_rules() {
-        // Every layout that clamps to one shard runs inline.
-        let rule_config = |shards| StreamConfig {
-            shards,
-            run_ahead: 4,
-            ..StreamConfig::default()
-        };
-        for engine in [
-            StreamEngine::with_config(schema(), vec![zip_variable_pfd()], rule_config(8)),
-            StreamEngine::with_config(schema(), vec![], rule_config(4)),
-            key_engine(1, 4),
-        ] {
-            assert_eq!(engine.shard_count(), 1);
-            assert_eq!(engine.run_ahead(), 0, "an inline layout has no pipeline");
-        }
-    }
-
-    #[test]
-    fn key_mode_ignores_the_rule_clamp() {
-        // One rule, four workers: the whole point of the key axis.
-        let engine = key_engine(4, 0);
-        assert_eq!(engine.shard_count(), 4);
+    fn one_shard_runs_inline_and_more_ignore_the_rule_count() {
+        let inline = sharded(1, 4);
+        assert_eq!(inline.shard_count(), 1);
+        assert_eq!(inline.run_ahead(), 0, "an inline layout has no pipeline");
+        // One rule's blocks still spread over four workers.
+        assert_eq!(sharded(4, 0).shard_count(), 4);
     }
 
     #[test]
     fn run_ahead_is_clamped_to_the_channel_cap() {
-        let mut engine = key_engine(2, usize::MAX);
+        let mut engine = sharded(2, usize::MAX);
         assert_eq!(engine.shard_count(), 2);
         assert_eq!(engine.run_ahead(), MAX_RUN_AHEAD);
         let mut completed = Vec::new();
@@ -1378,15 +1126,30 @@ mod tests {
 
     #[test]
     fn empty_batch_is_a_no_op() {
-        let mut engine = key_engine(2, 0);
+        let mut engine = sharded(2, 0);
         let events = engine.apply([]).unwrap();
         assert!(events.is_empty());
         assert_eq!(engine.row_count(), 0);
     }
 
     #[test]
+    fn empty_batches_complete_in_submission_order() {
+        // An empty batch behind an in-flight one must wait its turn.
+        let mut engine = sharded(2, 4);
+        let mut completed = Vec::new();
+        completed.extend(engine.submit([insert("90001", "LA")]).unwrap());
+        completed.extend(engine.submit([]).unwrap());
+        completed.extend(engine.submit([insert("90002", "NY")]).unwrap());
+        completed.extend(engine.flush());
+        let seqs: Vec<u64> = completed.iter().map(|b| b.seq).collect();
+        assert_eq!(seqs, [0, 1, 2]);
+        assert!(completed[1].events.is_empty());
+        assert_eq!(engine.ledger().live_count(), 1);
+    }
+
+    #[test]
     fn basic_flow_matches_expectations() {
-        let mut engine = key_engine(2, 0);
+        let mut engine = sharded(2, 0);
         assert!(engine
             .push_row(vec![Value::text("90001"), Value::text("Los Angeles")])
             .unwrap()
@@ -1405,29 +1168,8 @@ mod tests {
     }
 
     #[test]
-    fn key_mode_basic_flow_matches_rule_mode() {
-        let mut engine = key_engine(4, 0);
-        assert!(engine
-            .push_row(vec![Value::text("90001"), Value::text("Los Angeles")])
-            .unwrap()
-            .is_empty());
-        let events = engine
-            .push_row(vec![Value::text("90002"), Value::text("New York")])
-            .unwrap();
-        assert_eq!(events.len(), 1);
-        assert!(events[0].is_created());
-        assert_eq!(engine.ledger().live_count(), 1);
-        let events = engine.delete_row(1).unwrap();
-        assert!(events.iter().any(|e| !e.is_created()));
-        assert!(engine.ledger().is_empty());
-        // One block lives on exactly one worker; the eval count is the
-        // inline figure (keys derived once, on the router).
-        assert_eq!(engine.pattern_evals(), 2);
-    }
-
-    #[test]
     fn pipelined_submissions_complete_in_order() {
-        let mut engine = key_engine(2, 4);
+        let mut engine = sharded(2, 4);
         let mut completed = Vec::new();
         for i in 0..8 {
             let ops = [RowOp::Insert(vec![
@@ -1444,7 +1186,7 @@ mod tests {
         let seqs: Vec<u64> = completed.iter().map(|b| b.seq).collect();
         assert_eq!(seqs, (0..8).collect::<Vec<u64>>());
         // Same events as the synchronous path on a fresh engine.
-        let mut sync = key_engine(2, 0);
+        let mut sync = sharded(2, 0);
         let mut expected = Vec::new();
         for i in 0..8 {
             expected.extend(
@@ -1461,7 +1203,7 @@ mod tests {
 
     #[test]
     fn coordinated_compaction_keeps_the_engine_consistent() {
-        let mut engine = key_engine(2, 0);
+        let mut engine = sharded(2, 0);
         for (i, city) in [
             "Los Angeles",
             "Los Angeles",
@@ -1496,7 +1238,7 @@ mod tests {
     fn auto_compaction_is_checked_at_batch_boundaries() {
         let config = StreamConfig {
             compact_ratio: 0.4,
-            ..key_config(2, 0)
+            ..config(2, 0)
         };
         let mut engine = StreamEngine::with_config(schema(), vec![zip_variable_pfd()], config);
         let mut ops: Vec<RowOp> = (0..5)
@@ -1512,7 +1254,7 @@ mod tests {
 
     #[test]
     fn invalid_ops_leave_the_engine_untouched() {
-        let mut engine = key_engine(2, 0);
+        let mut engine = sharded(2, 0);
         engine
             .push_row(vec![Value::text("90001"), Value::text("Los Angeles")])
             .unwrap();

@@ -2,7 +2,7 @@
 //! most `distinct(column)` pattern evaluations per tableau pattern,
 //! regardless of row count — asserted via the engine's call-counting
 //! hooks ([`StreamEngine::pattern_evals`], `MatchMemo::evals`,
-//! `BlockingPartition::key_evals`).
+//! `KeyMemo::evals`, summed over the engine's key router).
 
 use anmat_core::{PatternTuple, Pfd};
 use anmat_pattern::ConstrainedPattern;

@@ -17,7 +17,7 @@
 //! id, and id identity was never part of the observable contract.
 
 use anmat_core::{PatternTuple, Pfd, Violation};
-use anmat_stream::{LedgerEvent, ShardBy, StreamConfig, StreamEngine};
+use anmat_stream::{LedgerEvent, StreamConfig, StreamEngine};
 use anmat_table::{RowOp, Schema, Table, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -231,24 +231,21 @@ fn reclaim_twin_case(tag: &str, seed: u64) {
         "reclamation changed observable state ({tag}, seed {seed})"
     );
 
-    // Same contract across sharded layouts, both axes, pipelined.
-    for (shards, shard_by, run_ahead) in [(2, ShardBy::Rule, 0), (3, ShardBy::Key, 2)] {
-        let config = StreamConfig {
-            shards,
-            shard_by,
-            run_ahead,
-            ..reclaiming
-        };
-        let (sharded, sharded_freed) = run(config, rules(tag, TWIN_PREFIXES), &script);
-        assert!(
-            sharded_freed > 0,
-            "sharded sweep must free stranded strings ({tag}, seed {seed}, {shard_by:?})"
-        );
-        assert_eq!(
-            sharded, twin,
-            "sharded reclamation diverged ({tag}, seed {seed}, {shard_by:?})"
-        );
-    }
+    // Same contract across a sharded, pipelined layout.
+    let config = StreamConfig {
+        shards: 3,
+        run_ahead: 2,
+        ..reclaiming
+    };
+    let (sharded, sharded_freed) = run(config, rules(tag, TWIN_PREFIXES), &script);
+    assert!(
+        sharded_freed > 0,
+        "sharded sweep must free stranded strings ({tag}, seed {seed})"
+    );
+    assert_eq!(
+        sharded, twin,
+        "sharded reclamation diverged ({tag}, seed {seed})"
+    );
 }
 
 proptest! {
@@ -333,7 +330,6 @@ fn sharded_snapshot_stays_frozen_and_defers_sweeps() {
     let config = StreamConfig {
         reclaim: true,
         shards: 3,
-        shard_by: ShardBy::Key,
         run_ahead: 2,
         ..StreamConfig::default()
     };

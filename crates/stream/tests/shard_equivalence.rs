@@ -5,17 +5,18 @@
 //! ledger state, the same per-rule health, the same drift report, and
 //! the same pattern eval/lookup counters as the default single-shard
 //! engine, which runs every rule inline — bit-for-bit, regardless of
-//! the sharding axis (rule- or key-granular), shard count, run-ahead
-//! pipelining window, shard completion order, or batch splits. Specs
-//! that clamp to one shard drive the inline `submit`/`flush` path.
+//! shard count, run-ahead pipelining window, shard completion order, or
+//! batch splits. Specs that clamp to one shard drive the inline
+//! `submit`/`flush` path. Every layout derives keys through the same
+//! router, so the reference itself is pinned to batch `detect_all`.
 //!
 //! Case count scales with `PROPTEST_CASES` (CI runs a dedicated
 //! elevated-cases step so the concurrency path gets real coverage on
 //! every push).
 
-use anmat_core::{discover, DiscoveryConfig, Pfd};
+use anmat_core::{detect_all, discover, DiscoveryConfig, Pfd, Violation};
 use anmat_datagen::{chembl, employee, names, phone, zipcity, GenConfig};
-use anmat_stream::{BatchEvents, ShardBy, StreamConfig, StreamEngine};
+use anmat_stream::{BatchEvents, StreamConfig, StreamEngine};
 use anmat_table::{RowId, RowOp, Table};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -59,6 +60,19 @@ fn random_ops(source: &Table, seed: u64, churn: f64) -> Vec<RowOp> {
     ops
 }
 
+/// Violations in a canonical, comparable order (as `tests/mutations.rs`
+/// canonicalises them).
+fn canonical(mut violations: Vec<Violation>) -> Vec<String> {
+    violations.sort_by_key(|v| (v.row, v.dependency.clone()));
+    let mut keys: Vec<String> = violations
+        .iter()
+        .map(|v| serde_json::to_string(v).expect("violations serialize"))
+        .collect();
+    keys.sort();
+    keys.dedup();
+    keys
+}
+
 /// Split `ops` into batches whose sizes cycle through `batch_sizes`, so
 /// the sharded fan-out is exercised at several batch granularities in
 /// one run.
@@ -76,7 +90,7 @@ fn batches(ops: &[RowOp], batch_sizes: &[usize]) -> Vec<Vec<RowOp>> {
     out
 }
 
-/// An engine with `shards` rule-granular workers (one runs inline).
+/// An engine with `shards` workers (one runs inline).
 fn sharded_engine(schema: &anmat_table::Schema, rules: &[Pfd], shards: usize) -> StreamEngine {
     let config = StreamConfig {
         shards,
@@ -101,55 +115,35 @@ struct CompactionPlan {
     expected_epochs: Vec<u64>,
 }
 
-/// One shard layout under test: the sharding axis, worker count, and
-/// pipelining window. The determinism contract quantifies over all
-/// three.
+/// One shard layout under test: worker count and pipelining window.
+/// The determinism contract quantifies over both.
 #[derive(Clone, Copy)]
 struct ShardSpec {
-    shard_by: ShardBy,
     shards: usize,
     run_ahead: usize,
 }
 
 impl ShardSpec {
-    const fn rule(shards: usize) -> Self {
-        Self {
-            shard_by: ShardBy::Rule,
-            shards,
-            run_ahead: 0,
-        }
-    }
-
     const fn key(shards: usize, run_ahead: usize) -> Self {
-        Self {
-            shard_by: ShardBy::Key,
-            shards,
-            run_ahead,
-        }
-    }
-
-    const fn pipelined(self, run_ahead: usize) -> Self {
-        Self {
-            shard_by: self.shard_by,
-            shards: self.shards,
-            run_ahead,
-        }
+        Self { shards, run_ahead }
     }
 
     fn label(&self) -> String {
-        format!(
-            "{:?}×{} run-ahead {}",
-            self.shard_by, self.shards, self.run_ahead
-        )
+        format!("×{} run-ahead {}", self.shards, self.run_ahead)
     }
 }
 
-/// The classic matrix the original suite ran: rule-granular sharding,
-/// 1/2/4 workers, no pipelining (one worker runs inline).
-const RULE_SPECS: [ShardSpec; 3] = [ShardSpec::rule(1), ShardSpec::rule(2), ShardSpec::rule(4)];
+/// The classic matrix: 1/2/4 workers, no pipelining (one worker runs
+/// inline).
+const SPECS: [ShardSpec; 3] = [
+    ShardSpec::key(1, 0),
+    ShardSpec::key(2, 0),
+    ShardSpec::key(4, 0),
+];
 
 /// The reference run on the default (inline) engine: per-batch event
 /// streams plus the engine itself, kept for final-state comparisons.
+/// Its final ledger must equal batch `detect_all` over its table.
 fn reference_run(
     schema: &anmat_table::Schema,
     rules: &[Pfd],
@@ -177,6 +171,11 @@ fn reference_run(
             events
         })
         .collect();
+    assert_eq!(
+        canonical(single.ledger().snapshot()),
+        canonical(detect_all(single.table(), rules)),
+        "the reference ledger diverged from batch detection on {context}"
+    );
     (single, reference)
 }
 
@@ -203,7 +202,6 @@ fn check_spec(
 ) {
     let label = spec.label();
     let config = StreamConfig {
-        shard_by: spec.shard_by,
         shards: spec.shards,
         run_ahead: spec.run_ahead,
         ..base
@@ -343,8 +341,7 @@ fn assert_specs_equivalent(
     }
 }
 
-/// The original suite's entry point: rule-granular sharding at 1/2/4
-/// workers, no pipelining.
+/// The original suite's entry point: 1/2/4 workers, no pipelining.
 fn assert_shard_equivalent(
     schema: &anmat_table::Schema,
     rules: &[Pfd],
@@ -352,7 +349,7 @@ fn assert_shard_equivalent(
     compaction: &CompactionPlan,
     context: &str,
 ) {
-    assert_specs_equivalent(schema, rules, op_batches, compaction, &RULE_SPECS, context);
+    assert_specs_equivalent(schema, rules, op_batches, compaction, &SPECS, context);
 }
 
 /// Like [`random_ops`] + [`batches`], but epoch-aware: the op stream is
@@ -539,8 +536,8 @@ fn mid_stream_compaction_is_shard_equivalent() {
     check_dataset_with_compaction(&names::generate(&config).table, 22, 0.3, "names");
 }
 
-/// The tentpole matrix: key-granular sharding (blocking keys hashed
-/// over workers) crossed with the run-ahead pipelining window. Every
+/// The pipelining matrix: 1/2/4 workers (blocking keys hashed over
+/// them) crossed with the run-ahead pipelining window. Every
 /// cell must be bit-for-bit indistinguishable from the inline engine —
 /// per-batch events (in submission order under pipelining), ledger,
 /// health, drift, and the eval/lookup counters (the coordinator's route
@@ -563,9 +560,6 @@ fn key_sharding_and_pipelining_matrix_is_equivalent() {
             specs.push(ShardSpec::key(shards, run_ahead));
         }
     }
-    // Pipelining composes with the rule axis too.
-    specs.push(ShardSpec::rule(2).pipelined(4));
-    specs.push(ShardSpec::rule(4).pipelined(1));
     assert_specs_equivalent(
         data.table.schema(),
         &rules,
@@ -576,10 +570,8 @@ fn key_sharding_and_pipelining_matrix_is_equivalent() {
     );
 }
 
-/// A single heavy variable rule — the workload rule-granular sharding
-/// cannot spread (its clamp collapses to one worker). Key mode must
-/// keep all four workers *and* stay bit-for-bit equivalent, pipelined
-/// or not.
+/// A single heavy variable rule: its blocks spread over all four
+/// workers, which must stay bit-for-bit equivalent, pipelined or not.
 #[test]
 fn single_heavy_rule_is_key_shard_equivalent() {
     use anmat_core::PatternTuple;
@@ -608,9 +600,9 @@ fn single_heavy_rule_is_key_shard_equivalent() {
     );
 }
 
-/// The coordinated epoch barrier under the key axis: a forced
-/// compaction two thirds of the way through the stream, with pipelining
-/// both off and on — the only forced barrier the key axis runs.
+/// The coordinated epoch barrier under pipelining: a forced compaction
+/// two thirds of the way through the stream, with the run-ahead window
+/// both off and on.
 #[test]
 fn key_mode_forced_epoch_barrier_is_equivalent() {
     let config = GenConfig {
@@ -639,11 +631,11 @@ fn key_mode_forced_epoch_barrier_is_equivalent() {
             ShardSpec::key(4, 1),
             ShardSpec::key(4, 4),
         ],
-        "zipcity + key-mode epoch barrier",
+        "zipcity + pipelined epoch barrier",
     );
 }
 
-/// Ratio-triggered compaction epochs under key-granular pipelined
+/// Ratio-triggered compaction epochs under pipelined
 /// sharding: the auto-compaction check runs against the coordinator's
 /// canonical table at submit time, so the trigger fires at the same
 /// batch boundary as the inline engine even while workers run ahead.
@@ -669,7 +661,7 @@ fn key_mode_ratio_epochs_are_equivalent() {
         &op_batches,
         &plan,
         &[ShardSpec::key(2, 4), ShardSpec::key(4, 0)],
-        "names + key-mode ratio epochs",
+        "names + pipelined ratio epochs",
     );
 }
 
@@ -875,10 +867,9 @@ proptest! {
         }
     }
 
-    /// The key-granular/pipelined acceptance property: for random
-    /// datasets, op interleavings, batch splits, shard counts, and
-    /// run-ahead windows, key-mode sharding is indistinguishable from
-    /// the inline engine — events per batch (in submission
+    /// The pipelined acceptance property: for random datasets, op
+    /// interleavings, batch splits, shard counts, and run-ahead windows,
+    /// sharding is indistinguishable from the inline engine — events per batch (in submission
     /// order), ledger, health, drift, and eval/lookup counters.
     #[test]
     fn random_interleavings_are_key_shard_equivalent(

@@ -73,19 +73,18 @@ fn usage() -> String {
      \x20 anmat detect   <data.csv> (--store DIR | --rules FILE)\n\
      \x20                [--confirmed-only] [--repair OUT.csv]\n\
      \x20 anmat stream   <data.csv> (--store DIR | --rules FILE) [--batch N]\n\
-     \x20                [--shards N] [--shard-by rule|key] [--run-ahead N]\n\
+     \x20                [--shards N] [--run-ahead N]\n\
      \x20                [--ops FILE] [--confirmed-only] [--quiet]\n\
      \x20                [--demote-drifted] [--violations F] [--min-support N]\n\
      \x20                [--compact-ratio R] [--reclaim] [--checkpoint]\n\
      \x20                [--stats-every N] [--metrics-out FILE]\n\
      \x20                (drift thresholds: pass the values the rules were\n\
-     \x20                discovered with; --shards N > 1 spreads rule state\n\
-     \x20                over N worker threads, same output bit-for-bit;\n\
-     \x20                --shard-by key hashes blocking keys across the\n\
-     \x20                workers instead, so even one heavy rule uses every\n\
-     \x20                core; --run-ahead N lets workers run up to N\n\
+     \x20                discovered with; --shards N > 1 hashes every rule's\n\
+     \x20                blocking keys over N worker threads, so even one\n\
+     \x20                heavy rule uses every core, same output\n\
+     \x20                bit-for-bit; --run-ahead N lets workers run up to N\n\
      \x20                batches ahead of the merge — output is still\n\
-     \x20                bit-for-bit identical for any axis and window;\n\
+     \x20                bit-for-bit identical for any window;\n\
      \x20                --compact-ratio R reclaims tombstoned slots once\n\
      \x20                they exceed fraction R of the table, renumbering\n\
      \x20                rows via an epoch-stamped remap;\n\
@@ -480,13 +479,6 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
             .filter(|&n| n > 0)
             .ok_or(format!("bad --shards `{n}` (want a positive integer)"))?;
     }
-    if let Some(axis) = take_flag(&mut args, "--shard-by")? {
-        stream_config.shard_by = match axis.as_str() {
-            "rule" => ShardBy::Rule,
-            "key" => ShardBy::Key,
-            other => return Err(format!("bad --shard-by `{other}` (want rule|key)")),
-        };
-    }
     if let Some(n) = take_flag(&mut args, "--run-ahead")? {
         stream_config.run_ahead = n.parse().ok().ok_or(format!(
             "bad --run-ahead `{n}` (want a non-negative integer)"
@@ -531,15 +523,11 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     let rule_count = pfds.len();
     let mut engine = StreamEngine::with_config(table.schema().clone(), pfds, stream_config);
     // Report the *effective* worker count (the engine clamps --shards
-    // to the rule count in rule mode, to the key-slot count in key
-    // mode; one shard runs inline and reports nothing) plus any
-    // non-default axis/pipelining choices.
+    // to the key-slot count; one shard runs inline and reports nothing)
+    // plus any pipelining window.
     let mut sharding = String::new();
     if engine.shard_count() > 1 {
         sharding = format!(", {} shard(s)", engine.shard_count());
-        if stream_config.shard_by == ShardBy::Key {
-            sharding.push_str(" by key");
-        }
         if engine.run_ahead() > 0 {
             sharding.push_str(&format!(", run-ahead {}", engine.run_ahead()));
         }

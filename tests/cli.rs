@@ -227,8 +227,6 @@ fn stream_run_ahead_beyond_the_cap_is_clamped() {
             rules,
             "--shards",
             "2",
-            "--shard-by",
-            "key",
             "--run-ahead",
             run_ahead,
         ]);
@@ -467,10 +465,10 @@ fn zips_fixture(dir: &std::path::Path) -> (std::path::PathBuf, std::path::PathBu
 }
 
 /// Every subcommand rejects what it does not recognise — an unknown or
-/// repeated flag (including the retired `--pattern-engine` and
-/// `--interpret`), a known flag missing its value, or a surplus
-/// positional — with exit code 1 and a message naming the argument,
-/// before doing any work.
+/// repeated flag (including the retired `--pattern-engine`,
+/// `--interpret` and `--shard-by`), a known flag missing its value, or a
+/// surplus positional — with exit code 1 and a message naming the
+/// argument, before doing any work.
 #[test]
 fn unknown_and_valueless_arguments_are_rejected() {
     let dir = std::env::temp_dir().join(format!("anmat_cli_args_{}", std::process::id()));
@@ -480,7 +478,7 @@ fn unknown_and_valueless_arguments_are_rejected() {
     let (csv, rules) = (csv.to_str().unwrap(), rules.to_str().unwrap());
     let repair = dir.join("out.csv");
     let repair = repair.to_str().unwrap();
-    let cases: [(&[&str], &str); 9] = [
+    let cases: [(&[&str], &str); 10] = [
         (
             &["stream", csv, "--rules", rules, "--bogus-flag"],
             "unexpected flag `--bogus-flag`",
@@ -504,6 +502,10 @@ fn unknown_and_valueless_arguments_are_rejected() {
         (
             &["stream", csv, "--rules", rules, "--interpret"],
             "unexpected flag `--interpret`",
+        ),
+        (
+            &["stream", csv, "--rules", rules, "--shard-by", "key"],
+            "unexpected flag `--shard-by`",
         ),
         (
             &["stream", csv, "extra.csv", "--rules", rules],
@@ -551,9 +553,8 @@ fn stream_metrics_out_writes_parseable_registry_snapshot() {
     std::fs::create_dir_all(&dir).unwrap();
     let (csv, rules) = zips_fixture(&dir);
     // Mutations so the ledger sees churn, sharded so per-shard metrics
-    // register. Key mode keeps both workers for the one rule (rule mode
-    // would clamp it to one shard, which runs inline and registers no
-    // `shard.*` families).
+    // register: both workers share the one rule's blocking keys (one
+    // shard would run inline and register no `shard.*` families).
     let ops = dir.join("fixes.ops");
     std::fs::write(&ops, "~,3,90004,Los Angeles\n-,0\n+,90005,Los Angeles\n").unwrap();
     let metrics = dir.join("metrics.json");
@@ -567,8 +568,6 @@ fn stream_metrics_out_writes_parseable_registry_snapshot() {
         ops.to_str().unwrap(),
         "--shards",
         "2",
-        "--shard-by",
-        "key",
         "--metrics-out",
         metrics.to_str().unwrap(),
     ]);
