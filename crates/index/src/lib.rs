@@ -10,7 +10,10 @@
 //!   each column present on the LHS of the PFDs": distinct values are
 //!   sorted once by string, and a pattern lookup runs its compiled
 //!   matcher over the range of values that start with the pattern's
-//!   literal prefix;
+//!   literal prefix. Its streaming counterpart, [`TableauMemo`], maps
+//!   each distinct LHS value to the constant tableau tuples it matches,
+//!   evaluating on first sighting only the tuples whose literal prefix
+//!   the value starts with;
 //! * [`blocking`] — the blocking strategy (cf. BigDansing) that avoids the
 //!   quadratic tuple-pair enumeration for variable PFDs: rows are grouped
 //!   by their constrained-capture key, and pairs are enumerated within
@@ -35,7 +38,8 @@
 //! under the vendored `FxHasher` rather than re-hashing strings, and
 //! per-value work (pattern matching, capture extraction) is bounded by
 //! the column's *distinct-value* count via id-keyed memos
-//! ([`KeyMemo::evals`] counts the actual evaluations).
+//! ([`KeyMemo::evals`] and [`TableauMemo::evals`] count the actual
+//! evaluations).
 
 pub mod blocking;
 pub mod inverted;
@@ -44,4 +48,4 @@ mod runs;
 
 pub use blocking::{BlockingIndex, BlockingPartition, Blocks, KeyBlock, KeyMemo};
 pub use inverted::{EntryStats, ExtractionMode, InvertedIndex, Posting};
-pub use pattern_index::PatternIndex;
+pub use pattern_index::{PatternIndex, TableauMemo};

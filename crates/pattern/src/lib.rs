@@ -57,7 +57,6 @@ pub mod error;
 pub mod fuse;
 pub mod induce;
 pub mod matcher;
-pub mod memo;
 pub mod parser;
 pub mod scan;
 pub mod symbol;
@@ -70,6 +69,5 @@ pub use containment::{contains, equivalent, generalize_patterns};
 pub use error::PatternError;
 pub use induce::{induce, loosen, signature, InduceConfig, PatternLevel};
 pub use matcher::{match_pattern, match_spans, MatchSpans};
-pub use memo::MatchMemo;
 pub use scan::ScanKind;
 pub use symbol::SymbolClass;

@@ -10,11 +10,13 @@
 //!
 //! Per-rule state mirrors the batch detector's dispatch:
 //!
-//! * each **constant** tableau tuple keeps its (embedded) LHS pattern
-//!   behind a per-`(pattern, ValueId)` [`MatchMemo`] and its expected RHS
-//!   as an interned id — a new row is checked with the same
-//!   [`violation_at`] primitive the batch scan uses, costing a pattern
-//!   evaluation only on the first sighting of a distinct LHS value;
+//! * the **constant** tableau tuples share one [`TableauMemo`] per
+//!   rule, which maps each distinct LHS value to the tuples it matches
+//!   (usually none or one) and fills an entry on first sighting by
+//!   evaluating only the tuples whose literal prefix the value starts
+//!   with; each tuple keeps its expected RHS as an interned id, and a
+//!   matched row is checked with the same [`violation_at`] primitive the
+//!   batch scan uses;
 //! * each **variable** tableau tuple keeps an incremental
 //!   [`BlockingPartition`] keyed by the constrained captures. The engine
 //!   derives each row's keys in one place, its key router (one
@@ -26,11 +28,14 @@
 //!   the common arrivals, `O(block)` only on a majority flip, with
 //!   retractions flowing through the [`ViolationLedger`].
 //!
-//! No op costs `O(table)`. A batch is validated in `O(batch)`
-//! (`validate_ops`). Per op, constant tuples cost `O(tableau)`; a
-//! variable tuple places or withdraws the row in `O(1)` for an append
-//! and `O(log block + run cap)` otherwise (blocks keep their rows as
-//! short ascending runs), plus the transition path above.
+//! No op costs `O(table)`, and no op visits a constant tuple its row
+//! does not match. A batch is validated in `O(batch)` (`validate_ops`).
+//! Per op, a rule's constant tuples cost one memo probe plus the tuples
+//! matched, and a new distinct LHS value one pattern evaluation per
+//! candidate tuple; a variable tuple places or withdraws the row in
+//! `O(1)` for an append and `O(log block + run cap)` otherwise (blocks
+//! keep their rows as short ascending runs), plus the transition path
+//! above.
 //!
 //! Every layout runs one rule processor, `RuleState::process`, through
 //! the crate-private `Shard`: every rule, restricted to the blocking keys
@@ -48,9 +53,8 @@ use anmat_core::discovery::DiscoveryConfig;
 use anmat_core::{
     LedgerEvent, LedgerSnapshot, LhsCell, Pfd, RhsCell, Violation, ViolationKind, ViolationLedger,
 };
-use anmat_index::{BlockingPartition, KeyBlock};
+use anmat_index::{BlockingPartition, KeyBlock, TableauMemo};
 use anmat_obs as obs;
-use anmat_pattern::{CompiledPattern, MatchMemo};
 use anmat_table::{
     ReclaimStats, RowId, RowIdRemap, RowOp, Schema, Table, TableError, TableSnapshot, Value,
     ValueId, ValuePool,
@@ -326,16 +330,13 @@ pub(crate) fn validate_ops(table: &Table, ops: &[IdOp]) -> Result<(), TableError
     Ok(())
 }
 
-/// Incremental state for one constant tableau tuple.
+/// One constant tableau tuple: what a matched row is checked against.
+/// Which rows match is the rule's [`TableauMemo`]'s answer, so the tuple
+/// holds no pattern state of its own.
 #[derive(Debug, Clone)]
 struct ConstantTuple {
-    /// The LHS pattern compiled to bytecode (`None` = wildcard: every
-    /// non-null LHS), shared via `Arc` so a rule's programs are compiled
-    /// exactly once however many engines or shards hold its state.
-    compiled: Option<Arc<CompiledPattern>>,
-    /// Per-`(pattern, ValueId)` match memo: the pattern is evaluated at
-    /// most once per distinct LHS value, not once per row.
-    memo: MatchMemo,
+    /// Tableau index (the merge's sort tag).
+    tuple: usize,
     /// Display form for violation evidence (matches batch output).
     display: String,
     /// The expected RHS constant, interned (agreement checks are id
@@ -346,6 +347,8 @@ struct ConstantTuple {
 /// Incremental state for one variable tableau tuple.
 #[derive(Debug, Clone)]
 struct VariableTuple {
+    /// Tableau index (the merge's sort tag).
+    tuple: usize,
     /// Blocks keyed by constrained capture (whole value for wildcard
     /// LHS), as the engine's key router derived them.
     partition: BlockingPartition,
@@ -464,33 +467,23 @@ impl BlockState {
 }
 
 impl ConstantTuple {
-    /// One row against this tuple: the memoized pattern gate plus the
-    /// same `violation_at` primitive batch detection uses. Returns
-    /// whether the LHS matched; on a match with a disagreeing RHS the
-    /// violation is created (arrivals) or retracted (removals) into
+    /// One row whose LHS matched this tuple, through the same
+    /// `violation_at` primitive batch detection uses: a disagreeing RHS
+    /// creates the violation (arrivals) or retracts it (removals) into
     /// `sink`. Drift counts this rule's own assertion even when another
     /// rule already implied the same violation (the ledger refcounts
     /// those).
     #[allow(clippy::too_many_arguments)]
     fn process(
-        &mut self,
+        &self,
         table: &Table,
         pfd: &Pfd,
         lhs: usize,
         rhs: usize,
-        lhs_id: ValueId,
         row: RowId,
         removal: bool,
         sink: &mut DeltaSink,
-    ) -> bool {
-        let Some(value) = lhs_id.as_str() else {
-            return false;
-        };
-        if let Some(c) = &self.compiled {
-            if !self.memo.matches(c, lhs_id.raw(), value) {
-                return false;
-            }
-        }
+    ) {
         if let Some(v) = violation_at(table, pfd, &self.display, self.expected, lhs, rhs, row) {
             if removal {
                 sink.retract(v);
@@ -498,7 +491,6 @@ impl ConstantTuple {
                 sink.create(v);
             }
         }
-        true
     }
 }
 
@@ -618,13 +610,6 @@ impl VariableTuple {
     }
 }
 
-#[derive(Debug, Clone)]
-enum TupleState {
-    Constant(ConstantTuple),
-    /// Boxed: the partition + block maps dwarf the constant variant.
-    Variable(Box<VariableTuple>),
-}
-
 /// One seeded rule with its resolved columns and per-tuple state.
 ///
 /// Rule state is fully self-contained (no ledger, no drift counters, no
@@ -639,7 +624,13 @@ pub(crate) struct RuleState {
     /// `None` if the schema lacks either attribute (the rule is inert,
     /// exactly like batch detection).
     cols: Option<(usize, usize)>,
-    tuples: Vec<TupleState>,
+    /// Which constant tuples each distinct LHS value matches; member `m`
+    /// is `constants[m]`.
+    memo: TableauMemo,
+    /// The constant tuples, in tableau order.
+    constants: Vec<ConstantTuple>,
+    /// The variable tuples, in tableau order.
+    variables: Vec<VariableTuple>,
 }
 
 /// The deltas one rule's *owned* tableau tuples produced for one op
@@ -710,53 +701,57 @@ impl TupleDeltas {
 
 impl RuleState {
     /// Seed a rule over the columns the key router resolved for it,
-    /// compiling each constant tuple's LHS pattern once. The programs
-    /// are shared `Arc`s, so the copies a sharded layout hands its
-    /// workers never recompile, and `pattern.compile_ns` counts each
-    /// rule once regardless of `--shards N`.
+    /// compiling each constant tuple's LHS pattern once into the rule's
+    /// [`TableauMemo`]. The programs are shared `Arc`s, so the copies a
+    /// sharded layout hands its workers never recompile, and
+    /// `pattern.compile_ns` counts each rule once regardless of
+    /// `--shards N`.
     pub(crate) fn seed(pfd: Pfd, cols: Option<(usize, usize)>) -> RuleState {
-        let tuples = pfd
-            .tableau
-            .iter()
-            .map(|t| {
-                let display = match &t.lhs {
-                    LhsCell::Pattern(q) => q.to_string(),
-                    LhsCell::Wildcard => "⊥".to_string(),
-                };
-                match &t.rhs {
-                    RhsCell::Constant(expected) => TupleState::Constant(ConstantTuple {
-                        compiled: match &t.lhs {
-                            LhsCell::Pattern(q) => {
-                                Some(Arc::new(CompiledPattern::compile(q.embedded())))
-                            }
-                            LhsCell::Wildcard => None,
-                        },
-                        memo: MatchMemo::new(),
-                        display,
-                        expected: ValuePool::intern(expected),
-                    }),
-                    RhsCell::Wildcard => TupleState::Variable(Box::new(VariableTuple {
-                        partition: BlockingPartition::default(),
-                        display,
-                        blocks: FxHashMap::default(),
-                    })),
-                }
-            })
-            .collect();
-        RuleState { pfd, cols, tuples }
+        let mut constants = Vec::new();
+        let mut variables = Vec::new();
+        for (tuple, t) in pfd.tableau.iter().enumerate() {
+            let display = match &t.lhs {
+                LhsCell::Pattern(q) => q.to_string(),
+                LhsCell::Wildcard => "⊥".to_string(),
+            };
+            match &t.rhs {
+                RhsCell::Constant(expected) => constants.push(ConstantTuple {
+                    tuple,
+                    display,
+                    expected: ValuePool::intern(expected),
+                }),
+                RhsCell::Wildcard => variables.push(VariableTuple {
+                    tuple,
+                    partition: BlockingPartition::default(),
+                    display,
+                    blocks: FxHashMap::default(),
+                }),
+            }
+        }
+        let memo = TableauMemo::new(pfd.tableau.iter().filter_map(|t| match (&t.rhs, &t.lhs) {
+            (RhsCell::Constant(_), LhsCell::Pattern(q)) => Some(Some(q.embedded())),
+            (RhsCell::Constant(_), LhsCell::Wildcard) => Some(None),
+            (RhsCell::Wildcard, _) => None,
+        }));
+        RuleState {
+            pfd,
+            cols,
+            memo,
+            constants,
+            variables,
+        }
     }
 
-    /// Batch-classify: warm every constant tuple's match memo over the
-    /// LHS cells of a batch's insert/update rows — those `owns` accepts —
-    /// in one pass that resolves each value once for every tuple, before
-    /// any per-row work runs. Each *new* distinct id costs exactly the
-    /// one evaluation the lazy path would have paid on first sighting,
-    /// so [`RuleState::pattern_evals`] is invariant — priming is a
-    /// locality optimization (the batch's evaluations run together,
-    /// ahead of the per-row dispatch), never extra work. Each distinct
-    /// LHS value is owned by exactly one shard, so summing shards' memos
-    /// still yields the inline count. (Variable tuples have nothing to
-    /// prime: the key router derives their keys.)
+    /// Batch-classify: fill the rule's tableau memo for the LHS cells of
+    /// a batch's insert/update rows — those `owns` accepts — in one pass,
+    /// before any per-row work runs. Each *new* distinct id costs exactly
+    /// the evaluations the lazy path would have paid on first sighting
+    /// (one per candidate tuple), so [`RuleState::pattern_evals`] is
+    /// invariant — priming is a locality optimization (the batch's
+    /// evaluations run together, ahead of the per-row dispatch), never
+    /// extra work. Each distinct LHS value is owned by exactly one shard,
+    /// so summing shards' memos still yields the inline count. (Variable
+    /// tuples have nothing to prime: the key router derives their keys.)
     pub(crate) fn prime_batch<'a>(
         &mut self,
         rows: impl IntoIterator<Item = &'a [ValueId]>,
@@ -765,23 +760,8 @@ impl RuleState {
         let Some((lhs, _)) = self.cols else {
             return;
         };
-        for row in rows {
-            let id = row[lhs];
-            if !owns(id) {
-                continue;
-            }
-            let Some(value) = id.as_str() else { continue };
-            for tuple in &mut self.tuples {
-                if let TupleState::Constant(ConstantTuple {
-                    compiled: Some(c),
-                    memo,
-                    ..
-                }) = tuple
-                {
-                    memo.prime(c, [(id.raw(), value)]);
-                }
-            }
-        }
+        self.memo
+            .prime(rows.into_iter().map(|row| row[lhs]).filter(|&id| owns(id)));
     }
 
     /// Incorporate one row's arrival or, with `removal`, its departure —
@@ -794,6 +774,10 @@ impl RuleState {
     /// the table slot is tombstoned (or overwritten), with routes derived
     /// from the row's pre-op cells. Inert rules (missing columns) emit
     /// nothing.
+    ///
+    /// Constant tuples cost one memo probe for the whole rule: only the
+    /// tuples the row's LHS matches are visited, merged with the
+    /// variable tuples in tableau order.
     ///
     /// Appends to `out` one [`TupleDeltas`] per run of consecutive owned
     /// tuples that matched (or produced deltas), tagged with `rule` and
@@ -813,56 +797,69 @@ impl RuleState {
         let Some((lhs, rhs)) = self.cols else {
             return;
         };
+        let RuleState {
+            pfd,
+            memo,
+            constants,
+            variables,
+            ..
+        } = self;
         let lhs_id = table.cell_id(row, lhs);
         let rhs_id = table.cell_id(row, rhs);
-        // One ownership probe covers every constant tuple: they all key
-        // on the same LHS id.
+        // Constant tuples all key on the LHS id, so one ownership probe
+        // and one memo probe cover them.
         let const_owned = owns(lhs_id);
+        let mut matched = if const_owned {
+            memo.matches(lhs_id)
+        } else {
+            &[]
+        }
+        .iter()
+        .map(|&member| &constants[member as usize])
+        .peekable();
+        // On removal this rebuilds the violation the arrival created (the
+        // check is the same id comparison; the memo makes the pattern
+        // free) and retracts it.
+        let constant = |ct: &ConstantTuple, pending: &mut Option<TupleDeltas>| {
+            let mut sink = DeltaSink::default();
+            ct.process(table, pfd, lhs, rhs, row, removal, &mut sink);
+            TupleDeltas::absorb(pending, rule, ct.tuple, true, sink);
+        };
         // Consecutive owned tuples fuse into one entry; a tuple another
         // shard owns closes the run (its entry must sort in between),
-        // while tuples nobody processes (`None` routes) fuse across.
+        // while tuples nobody processes (`None` routes) and unmatched
+        // constant tuples fuse across.
         let mut pending: Option<TupleDeltas> = None;
         let mut routes = routes.iter();
-        for (idx, tuple) in self.tuples.iter_mut().enumerate() {
-            match tuple {
-                TupleState::Constant(ct) => {
-                    if !const_owned {
-                        TupleDeltas::flush(&mut pending, out);
-                        continue;
-                    }
-                    // On removal this rebuilds the violation the arrival
-                    // created (the check is the same id comparison; the
-                    // memo makes the pattern free) and retracts it.
-                    let mut sink = DeltaSink::default();
-                    let matched =
-                        ct.process(table, &self.pfd, lhs, rhs, lhs_id, row, removal, &mut sink);
-                    if matched || !sink.deltas.is_empty() {
-                        TupleDeltas::absorb(&mut pending, rule, idx, matched, sink);
-                    }
-                }
-                TupleState::Variable(vt) => {
-                    let Some(&Some(key)) = routes.next() else {
-                        continue;
-                    };
-                    if !owns(key) {
-                        TupleDeltas::flush(&mut pending, out);
-                        continue;
-                    }
-                    let mut sink = DeltaSink::default();
-                    if removal {
-                        vt.partition.remove(row, key);
-                        vt.removal_transition(
-                            table, &self.pfd, lhs, rhs, rhs_id, key, row, &mut sink,
-                        );
-                    } else {
-                        vt.partition.insert(row, key, rhs_id);
-                        vt.insert_transition(
-                            table, &self.pfd, lhs, rhs, rhs_id, key, row, &mut sink,
-                        );
-                    }
-                    TupleDeltas::absorb(&mut pending, rule, idx, true, sink);
-                }
+        for vt in variables.iter_mut() {
+            while let Some(ct) = matched.next_if(|ct| ct.tuple < vt.tuple) {
+                constant(ct, &mut pending);
             }
+            let Some(&Some(key)) = routes.next() else {
+                continue;
+            };
+            // A shard that does not own the constant tuples closes the
+            // run too: their owner may emit for one between this variable
+            // tuple and the previous.
+            let owned = owns(key);
+            if !owned || !const_owned {
+                TupleDeltas::flush(&mut pending, out);
+            }
+            if !owned {
+                continue;
+            }
+            let mut sink = DeltaSink::default();
+            if removal {
+                vt.partition.remove(row, key);
+                vt.removal_transition(table, pfd, lhs, rhs, rhs_id, key, row, &mut sink);
+            } else {
+                vt.partition.insert(row, key, rhs_id);
+                vt.insert_transition(table, pfd, lhs, rhs, rhs_id, key, row, &mut sink);
+            }
+            TupleDeltas::absorb(&mut pending, rule, vt.tuple, true, sink);
+        }
+        for ct in matched {
+            constant(ct, &mut pending);
         }
         TupleDeltas::flush(&mut pending, out);
     }
@@ -870,23 +867,18 @@ impl RuleState {
     /// Apply a compaction [`RowIdRemap`] to this rule's incremental
     /// state — the rule's side of the remap protocol.
     ///
-    /// Constant tuples hold no row references (their memo is keyed by
-    /// value id) and are untouched. Variable tuples remap their
+    /// Constant tuples hold no row references (the tableau memo is keyed
+    /// by value id) and are untouched. Variable tuples remap their
     /// partition's row lists and every block's asserted
     /// witnesses/violations in place. Nothing is re-derived and no
     /// pattern or capture evaluation runs, so
     /// [`RuleState::pattern_evals`] is invariant under remap — the
     /// protocol's cheapness guarantee, pinned by tests.
     pub(crate) fn apply_remap(&mut self, remap: &RowIdRemap) {
-        for tuple in &mut self.tuples {
-            match tuple {
-                TupleState::Constant(_) => {}
-                TupleState::Variable(vt) => {
-                    vt.partition.apply_remap(remap);
-                    for state in vt.blocks.values_mut() {
-                        state.apply_remap(remap);
-                    }
-                }
+        for vt in &mut self.variables {
+            vt.partition.apply_remap(remap);
+            for state in vt.blocks.values_mut() {
+                state.apply_remap(remap);
             }
         }
     }
@@ -903,73 +895,55 @@ impl RuleState {
     ///   ids (transitively live via block rows today, listed
     ///   belt-and-braces so the invariant doesn't depend on it).
     ///
-    /// Memoized *negative* entries (the match memo's misses, the key
-    /// router's keys for values that since left) are deliberately not
-    /// protected — they are caches, purged instead
-    /// ([`RuleState::purge_values`] and the router's own purge).
+    /// Memoized entries for values that since left (the tableau memo's,
+    /// the key router's) are deliberately not protected — they are
+    /// caches, purged instead ([`RuleState::purge_values`] and the
+    /// router's own purge).
     pub(crate) fn collect_protected(&self, out: &mut FxHashSet<u32>) {
-        for tuple in &self.tuples {
-            match tuple {
-                TupleState::Constant(ct) => {
-                    out.insert(ct.expected.raw());
-                }
-                TupleState::Variable(vt) => {
-                    for key in vt.partition.block_keys() {
-                        out.insert(key.raw());
-                    }
-                    for state in vt.blocks.values() {
-                        if let Some(majority) = state.majority {
-                            out.insert(majority.raw());
-                        }
-                    }
+        for ct in &self.constants {
+            out.insert(ct.expected.raw());
+        }
+        for vt in &self.variables {
+            for key in vt.partition.block_keys() {
+                out.insert(key.raw());
+            }
+            for state in vt.blocks.values() {
+                if let Some(majority) = state.majority {
+                    out.insert(majority.raw());
                 }
             }
         }
     }
 
-    /// Drop every match-memo entry keyed on an id in `dead`, ahead of
+    /// Drop every tableau-memo entry keyed on an id in `dead`, ahead of
     /// the pool recycling those ids for different strings (see
-    /// [`MatchMemo::purge`] for why a stale entry would otherwise answer
-    /// for the wrong value). Counters stay put — a purge performs no
-    /// pattern work.
+    /// [`TableauMemo::purge`] for why a stale entry would otherwise
+    /// answer for the wrong value). Counters stay put — a purge performs
+    /// no pattern work.
     pub(crate) fn purge_values(&mut self, dead: &FxHashSet<u32>) {
-        for tuple in &mut self.tuples {
-            if let TupleState::Constant(ct) = tuple {
-                ct.memo.purge(|id| dead.contains(&id));
-            }
-        }
+        self.memo.purge(|id| dead.contains(&id.raw()));
     }
 
-    /// Pattern evaluations this rule's constant tuples' match memos
-    /// performed (the key router counts variable tuples' extractions).
+    /// Pattern evaluations this rule's tableau memo performed (the key
+    /// router counts variable tuples' extractions).
     pub(crate) fn pattern_evals(&self) -> usize {
-        self.memos().map(MatchMemo::evals).sum()
+        self.memo.evals()
     }
 
-    /// Match-memo consultations (hits + misses) across this rule's
-    /// constant tuples — the denominator that turns
+    /// Tableau-memo consultations (hits + misses), one per owned row
+    /// phase with a non-null LHS — the denominator that turns
     /// [`RuleState::pattern_evals`] into the hit rate the observability
     /// layer reports.
     pub(crate) fn pattern_lookups(&self) -> usize {
-        self.memos().map(MatchMemo::lookups).sum()
-    }
-
-    fn memos(&self) -> impl Iterator<Item = &MatchMemo> {
-        self.tuples.iter().filter_map(|t| match t {
-            TupleState::Constant(ct) => Some(&ct.memo),
-            TupleState::Variable(_) => None,
-        })
+        self.memo.lookups()
     }
 
     /// Blocks this rule currently maintains — what `engine.blocks` and
     /// the sharded layout's per-worker `shard.N.keys` gauges sum.
     pub(crate) fn block_count(&self) -> usize {
-        self.tuples
+        self.variables
             .iter()
-            .map(|t| match t {
-                TupleState::Constant(_) => 0,
-                TupleState::Variable(vt) => vt.partition.block_count(),
-            })
+            .map(|vt| vt.partition.block_count())
             .sum()
     }
 }
@@ -1193,7 +1167,7 @@ impl StreamEngine {
     ///    in every layout, and every layout frees identical sets at
     ///    identical boundaries.
     ///
-    /// Survivors are purged from every match memo and the key router's
+    /// Survivors are purged from every tableau memo and the key router's
     /// memos *before* [`ValuePool::reclaim`]
     /// queues them for recycling, so no cache can answer for a recycled
     /// id. While an [`EngineSnapshot`] is alive the whole sweep defers —
@@ -1498,8 +1472,9 @@ impl StreamEngine {
     }
 
     /// Delete one live row; returns the retractions it causes (plus any
-    /// creations where a block's majority flipped). Cost is
-    /// `O(tableau)` for constant tuples and `O(log block + run cap)` for
+    /// creations where a block's majority flipped). Cost is one memo
+    /// probe plus the matched tuples for constant tuples and
+    /// `O(log block + run cap)` for
     /// variable tuples, plus `O(block)` only where the delete flips a
     /// block's majority — never `O(table)`. The slot is tombstoned, so
     /// every other `RowId` stays valid — until auto-compaction (if
@@ -1589,21 +1564,24 @@ impl StreamEngine {
         (census, per_worker)
     }
 
-    /// Total pattern evaluations performed across all rules — constant
-    /// tuples' memoized matches plus the key router's capture
+    /// Total pattern evaluations performed across all rules — the
+    /// tableau memos' candidate matches plus the key router's capture
     /// extractions.
     /// Bounded by `Σ_tuple distinct(LHS column)` regardless of row
-    /// count or layout: the call-counting hook behind the "at most one
-    /// evaluation per (pattern, distinct value)" guarantee. Drains the
-    /// pipeline.
+    /// count or layout, and for constant tuples by the candidates each
+    /// distinct value's literal prefix selects: the call-counting hook
+    /// behind the "at most one evaluation per (pattern, distinct value)"
+    /// guarantee. Drains the pipeline.
     #[must_use]
     pub fn pattern_evals(&mut self) -> usize {
         self.census().0.evals
     }
 
-    /// Total memo consultations (hits + misses) across all rules — the
-    /// denominator for the memoization hit rate:
-    /// `1 − pattern_evals / pattern_lookups`. Drains the pipeline.
+    /// Total memo consultations (hits + misses) across all rules — one
+    /// per rule with constant tuples and one per variable tuple for each
+    /// row phase with a non-null LHS; the denominator for the
+    /// memoization hit rate: `1 − pattern_evals / pattern_lookups`.
+    /// Drains the pipeline.
     #[must_use]
     pub fn pattern_lookups(&mut self) -> usize {
         self.census().0.lookups

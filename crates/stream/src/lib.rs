@@ -15,8 +15,11 @@
 //!   earlier ones (a late burst of agreeing rows can flip a block's
 //!   majority RHS, withdrawing what used to look like an error; a
 //!   delete can do the same in reverse).
-//! * Constant tableau tuples cost `O(tableau)` per op — a memoized
-//!   pattern match against the value, independent of table size.
+//! * A rule's constant tableau tuples cost one memo probe per op plus
+//!   the tuples the row's LHS matches, independent of table and tableau
+//!   size: a [`TableauMemo`](anmat_index::TableauMemo) per rule maps each
+//!   distinct LHS value to the tuples it matches, evaluating on first
+//!   sighting only those whose literal prefix the value starts with.
 //!   Variable tuples maintain an incremental
 //!   [`BlockingPartition`](anmat_index::BlockingPartition), fed by the
 //!   engine's one key router, which derives each row's blocking keys

@@ -433,7 +433,7 @@ impl Shard {
             .collect()
     }
 
-    /// Reclamation phase 2: purge every match-memo entry for the dead
+    /// Reclamation phase 2: purge every tableau-memo entry for the dead
     /// ids.
     pub(crate) fn purge(&mut self, dead: &FxHashSet<u32>) {
         for rule in &mut self.rules {
@@ -505,7 +505,7 @@ enum WorkerMsg {
     /// worker's rule state still needs (see `Shard::veto`).
     ReclaimScan(Arc<Vec<ValueId>>),
     /// Reclamation phase 2: these ids are about to be freed — purge
-    /// every match-memo entry keyed on one, then acknowledge.
+    /// every tableau-memo entry keyed on one, then acknowledge.
     ReclaimApply(Arc<FxHashSet<u32>>),
 }
 
@@ -960,7 +960,7 @@ impl Shards {
         vetoed
     }
 
-    /// Reclamation phase 2: every worker purges its match-memo entries
+    /// Reclamation phase 2: every worker purges its tableau-memo entries
     /// for the dead ids before the caller frees them.
     pub(crate) fn purge(&mut self, dead: FxHashSet<u32>) {
         let dead = Arc::new(dead);

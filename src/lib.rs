@@ -38,7 +38,9 @@
 //! [`StreamEngine`](stream::StreamEngine) with the confirmed rules
 //! instead and feed it [`RowOp`](table::RowOp)s — inserts, deletes, and
 //! in-place updates. No op costs `O(table)`: validation is `O(batch)`,
-//! the constant-PFD path is `O(tableau)` per op, and the variable path
+//! the constant-PFD path is one memo probe plus the matched tableau
+//! tuples per op (a new LHS value is evaluated only against the tuples
+//! whose literal prefix it starts with), and the variable path
 //! is `O(log block + run cap)` per op, with `O(block)` work only when a
 //! block's majority flips. The final state provably equals batch
 //! detection on the surviving rows, whatever the interleaving.
