@@ -196,52 +196,6 @@ fn churn_memory_artifact(data: &Dataset, rules: &[Pfd], total_ops: usize) {
     }
 }
 
-/// Shard-count sweep on the 90/10 churn workload: ops/s for the inline
-/// engine (one shard) and for 2/4/8 keyed workers, each owning a share
-/// of every rule's blocking keys. Rule processing is the parallel
-/// fraction, so the curve is bounded by the host's cores — printed so
-/// the artifact is interpretable wherever it was produced (a
-/// single-core container timeslices the workers and shows a flat line;
-/// the speedup materializes on multi-core hosts).
-fn shard_sweep_artifact(data: &Dataset, rules: &[Pfd], rows: usize) {
-    let ops = churn_ops(data);
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    println!(
-        "── E16 artifact: shard sweep (90/10 churn, {rows} rows, {} ops; \
-         {} rule(s), {cores} core(s) available) ──",
-        ops.len(),
-        rules.len()
-    );
-    let ops_per_sec = |secs: f64| ops.len() as f64 / secs;
-    let start = Instant::now();
-    let mut engine = StreamEngine::new(data.table.schema().clone(), rules.to_vec());
-    engine.apply(ops.iter().cloned()).expect("ops are valid");
-    let single = ops_per_sec(start.elapsed().as_secs_f64());
-    println!(
-        "  single-threaded   : {single:>9.0} ops/s ({} live violations)",
-        engine.ledger().live_count()
-    );
-    for shards in [2usize, 4, 8] {
-        let config = StreamConfig {
-            shards,
-            ..StreamConfig::default()
-        };
-        let mut engine =
-            StreamEngine::with_config(data.table.schema().clone(), rules.to_vec(), config);
-        let start = Instant::now();
-        engine.apply(ops.iter().cloned()).expect("ops are valid");
-        let rate = ops_per_sec(start.elapsed().as_secs_f64());
-        println!(
-            "  sharded ×{:<2}       : {rate:>9.0} ops/s ({:.2}× vs single-threaded, {} worker(s), \
-             {} live violations)",
-            shards,
-            rate / single,
-            engine.shard_count(),
-            engine.ledger().live_count()
-        );
-    }
-}
-
 /// Recorder-overhead check: the 90/10 churn workload with the metrics
 /// recorder off vs on. The naive off-then-on ordering once reported the
 /// instrumented leg *faster* (−52%): the first leg pays pool interning,
@@ -522,91 +476,6 @@ fn reclaim_churn_artifact(data: &Dataset, rules: &[Pfd], total_ops: usize) -> St
     )
 }
 
-/// The keyed shard sweep on one heavy variable rule (zip prefix →
-/// city): the shards hash its blocking keys over every worker, so the
-/// sweep records how a single rule scales with workers. On a
-/// single-core container every extra worker is pure timeslicing, so the
-/// figures there measure coordination cost, not scaling; the core count
-/// is recorded so the artifact is read against it. Returns the
-/// artifact's JSON fragment.
-fn key_shard_sweep_artifact(data: &Dataset, rows: usize) -> String {
-    use anmat_core::PatternTuple;
-
-    let rule = Pfd::new(
-        "Zip",
-        "zip",
-        "city",
-        vec![PatternTuple::variable(
-            "[\\D{3}]\\D{2}".parse().expect("static pattern"),
-        )],
-    );
-    let heavy = vec![rule];
-    let ops = churn_ops(data);
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    println!(
-        "── E16 artifact: keyed shard sweep (single heavy variable rule, \
-         90/10 churn, {rows} rows, {} ops, {cores} core(s) available) ──",
-        ops.len()
-    );
-    // Feed in 512-op chunks so run-ahead pipelining has batches to
-    // overlap (a single monolithic batch would serialize at the merge).
-    let chunks: Vec<Vec<RowOp>> = ops.chunks(512).map(<[RowOp]>::to_vec).collect();
-    // Best-of-3 per configuration: on a timesliced single-core box a
-    // single pass is one scheduling roll of the dice, and the sweep's
-    // point is capability, not one roll.
-    let timed = |shards: usize, run_ahead: usize| {
-        let config = StreamConfig {
-            shards,
-            run_ahead,
-            ..StreamConfig::default()
-        };
-        let mut best = 0.0f64;
-        for _ in 0..3 {
-            let mut engine =
-                StreamEngine::with_config(data.table.schema().clone(), heavy.clone(), config);
-            let start = Instant::now();
-            for chunk in &chunks {
-                black_box(engine.submit(chunk.iter().cloned()).expect("ops are valid"));
-            }
-            black_box(engine.flush());
-            let rate = ops.len() as f64 / start.elapsed().as_secs_f64();
-            black_box(engine.ledger().live_count());
-            best = best.max(rate);
-        }
-        best
-    };
-    timed(1, 0); // warm pool/caches outside every timed leg
-    let single = timed(1, 0);
-    println!("  single-threaded          : {single:>9.0} ops/s");
-    let mut key_rates = Vec::new();
-    for shards in [2usize, 4] {
-        let rate = timed(shards, 0);
-        println!(
-            "  keyed ×{shards}                 : {rate:>9.0} ops/s ({:.2}× vs single)",
-            rate / single
-        );
-        key_rates.push(rate);
-    }
-    let key_x4_pipelined = timed(4, 4);
-    println!(
-        "  keyed ×4, run-ahead 4    : {key_x4_pipelined:>9.0} ops/s ({:.2}× vs single)",
-        key_x4_pipelined / single
-    );
-    format!(
-        "{{\n    \"rows\": {rows},\n    \"ops\": {},\n    \"cores\": {cores},\n    \
-         \"single_rule\": {{\n      \"single_ops_per_sec\": {single:.0},\n      \
-         \"key_mode_ops_per_sec\": {{ \"x2\": {:.0}, \"x4\": {:.0}, \"x4_run_ahead_4\": \
-         {key_x4_pipelined:.0} }}\n    }},\n    \
-         \"claim\": \"keyed sharding hashes a single heavy rule's blocking keys over every \
-         worker, so the rule can use every core; the x2/x4 figures measure that scaling on \
-         this host's cores. On a 1-core container every extra worker is pure timeslicing, so \
-         there they measure coordination cost instead.\"\n  }}",
-        ops.len(),
-        key_rates[0],
-        key_rates[1],
-    )
-}
-
 /// The machine-readable artifact: ingest + churn throughput plus the
 /// full end-of-run metrics registry, as one JSON document. The metrics
 /// section is exactly what `anmat stream --metrics-out` writes, so
@@ -616,7 +485,6 @@ fn write_fig6_json(
     rules: &[Pfd],
     churn: (f64, f64, f64, f64),
     reclaim_churn: &str,
-    key_sweep: &str,
 ) {
     obs::Recorder::enable();
     let ids = id_rows_of(&data.table);
@@ -635,7 +503,6 @@ fn write_fig6_json(
          \"churn_ops_per_sec\": {{\n    \"uninstrumented\": {off:.0},\n    \
          \"instrumented\": {on:.0},\n    \"overhead_pct\": {overhead:.3},\n    \
          \"overhead_raw_pct\": {raw:.3}\n  }},\n  \"reclaim_churn\": {reclaim_churn},\n  \
-         \"key_shard_sweep\": {key_sweep},\n  \
          \"metrics\": {}\n}}\n",
         ids.len(),
         snapshot.to_json()
@@ -659,10 +526,7 @@ fn bench(c: &mut Criterion) {
     let small = dataset(10_000);
     let churn_rates = recorder_overhead_artifact(&small.0, &small.1);
     let reclaim_churn = reclaim_churn_artifact(&small.0, &small.1, 100_000);
-    let key_sweep = key_shard_sweep_artifact(&small.0, 10_000);
-    write_fig6_json(&small.0, &small.1, churn_rates, &reclaim_churn, &key_sweep);
-    shard_sweep_artifact(&small.0, &small.1, 10_000);
-    shard_sweep_artifact(&big.0, &big.1, 100_000);
+    write_fig6_json(&small.0, &small.1, churn_rates, &reclaim_churn);
     for (rows, (data, rules)) in [(10_000usize, &small), (100_000, &big)] {
         let prebuilt = rows_of(&data.table);
         let mut g = c.benchmark_group("fig6_streaming");
@@ -709,52 +573,6 @@ fn bench(c: &mut Criterion) {
                 black_box(engine.ledger().live_count())
             });
         });
-        // The shard sweep on the same churn mix: scaling is bounded by
-        // min(shards, cores) — see the artifact header for the host's
-        // figures. One shard is `stream_churn` itself.
-        for shards in [2usize, 4, 8] {
-            g.bench_with_input(
-                BenchmarkId::new("stream_churn_sharded", format!("{rows}r/{shards}s")),
-                &ops,
-                |b, ops| {
-                    b.iter(|| {
-                        let config = StreamConfig {
-                            shards,
-                            ..StreamConfig::default()
-                        };
-                        let mut engine = StreamEngine::with_config(
-                            data.table.schema().clone(),
-                            rules.to_vec(),
-                            config,
-                        );
-                        engine.apply(ops.iter().cloned()).expect("ops are valid");
-                        black_box(engine.ledger().live_count())
-                    });
-                },
-            );
-        }
-        // The same mix through 4 shards, pipelined: a
-        // coordination-overhead regression check (every op routes
-        // through the coordinator's keyers).
-        g.bench_with_input(
-            BenchmarkId::new("stream_churn_pipelined", format!("{rows}r/4s/ra4")),
-            &ops,
-            |b, ops| {
-                b.iter(|| {
-                    let mut engine = StreamEngine::with_config(
-                        data.table.schema().clone(),
-                        rules.to_vec(),
-                        StreamConfig {
-                            shards: 4,
-                            run_ahead: 4,
-                            ..StreamConfig::default()
-                        },
-                    );
-                    engine.apply(ops.iter().cloned()).expect("ops are valid");
-                    black_box(engine.ledger().live_count())
-                });
-            },
-        );
         g.throughput(Throughput::Elements(rows as u64));
         // The naive alternative: re-run batch detection after each of 100
         // appends of rows/100 (full per-append batch re-detection at 1:1

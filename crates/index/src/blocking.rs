@@ -14,7 +14,7 @@
 //! Blocking keys and RHS values are interned [`ValueId`]s: capture
 //! extraction (the hot cost) runs at most once per *distinct* LHS value
 //! — the per-`(pattern, ValueId)` [`KeyMemo`] that batch blocking and the
-//! incremental engine's key router share — and every map in this module
+//! incremental engine's variable tuples share — and every map in this module
 //! hashes a 4-byte id instead of a string.
 
 use crate::inverted::{sort_rhs_counts, EntryStats};
@@ -102,8 +102,8 @@ impl BlockingIndex {
 
 /// The blocking keys of one keyer, memoized per distinct LHS value: the
 /// per-`(pattern, ValueId)` memo that bounds capture extraction to once
-/// per distinct value. Batch blocking ([`BlockingIndex::block`]) and the
-/// streaming engine's key router both derive keys through it, so a
+/// per distinct value. Batch blocking ([`BlockingIndex::block`]) and each
+/// variable tuple of the streaming engine derive keys through it, so a
 /// [`BlockingPartition`] is only ever handed keys, never derives them.
 #[derive(Debug)]
 pub struct KeyMemo {
@@ -481,9 +481,8 @@ mod tests {
         ValuePool::intern(s)
     }
 
-    /// A partition fed through its own key memo — what the engine's key
-    /// router and one variable tuple's partition do together. Derefs to
-    /// the partition.
+    /// A partition fed through its own key memo — what one variable tuple
+    /// of the engine holds. Derefs to the partition.
     struct Keyed {
         memo: KeyMemo,
         partition: BlockingPartition,

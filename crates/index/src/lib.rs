@@ -22,8 +22,9 @@
 //! The inverted list is built in one pass per candidate dependency
 //! ([`InvertedIndex::build`]), each row adding its per-key
 //! [`EntryStats`] deltas in `O(keys per row)`. Blocking keys are derived
-//! in one place, a [`KeyMemo`] per keyer: batch blocking and the
-//! `anmat-stream` engine's key router both memoize captures through it.
+//! in one place, a [`KeyMemo`] per keyer: batch blocking and each
+//! variable tuple of the `anmat-stream` engine memoize captures through
+//! it.
 //! The [`BlockingPartition`] that holds the blocks is handed those keys
 //! and is *incrementally updatable in both directions* — mutable
 //! streams, not just appends: [`BlockingPartition::insert`] /

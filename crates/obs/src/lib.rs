@@ -24,7 +24,8 @@
 //! Metrics deliberately never feed back into the code they observe:
 //! recording cannot fail, cannot block, and returns no value a caller
 //! could branch on, so an instrumented run is bit-for-bit equivalent to
-//! an uninstrumented one (the shard-equivalence suite asserts this).
+//! an uninstrumented one (`anmat-stream`'s
+//! `instrumented_run_is_bit_for_bit_identical` asserts this).
 //!
 //! # Histograms
 //!
@@ -38,8 +39,7 @@
 //! # Naming
 //!
 //! Metric names are dot-separated families: `pool.*`, `table.*`,
-//! `index.*`, `engine.*`, `shard.*` (with per-shard instances like
-//! `shard.3.queue_depth`), and `ledger.*`. A name maps to exactly one
+//! `index.*`, `engine.*`, and `ledger.*`. A name maps to exactly one
 //! metric kind; re-registering under a different kind panics.
 //!
 //! # Example

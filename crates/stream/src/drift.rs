@@ -54,40 +54,6 @@ pub struct DriftReport {
     pub min_confidence: f64,
 }
 
-/// One rule's drift contribution for one op, as a mergeable partial
-/// tally.
-///
-/// Sharding splits a single rule's work for one row across shards (one
-/// per tableau tuple the row lands on), so no shard sees the whole
-/// picture. Each tuple run yields a `DriftDelta`; the merge folds them
-/// with [`DriftDelta::absorb`] — `matched` is an OR (the row matched the
-/// rule iff *any* tuple matched), creations and retractions are sums —
-/// and applies the folded tally once per rule via
-/// [`DriftMonitor::observe`] / [`DriftMonitor::retire`]. Folding partial
-/// tallies is exactly equivalent to one call with the whole op's tally,
-/// which is what keeps sharded drift reports bit-for-bit identical.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DriftDelta {
-    /// Did the row's LHS match at least one tableau tuple (on the
-    /// emitting worker)?
-    pub matched: bool,
-    /// Violations created by this op for this rule.
-    pub created: usize,
-    /// Violations retracted by this op for this rule.
-    pub retracted: usize,
-}
-
-impl DriftDelta {
-    /// Fold another partial tally into this one (`matched` ORs, counts
-    /// add). Commutative and associative, so merge order across workers
-    /// does not matter.
-    pub fn absorb(&mut self, other: DriftDelta) {
-        self.matched |= other.matched;
-        self.created += other.created;
-        self.retracted += other.retracted;
-    }
-}
-
 /// Incrementally maintained per-rule health, judged against the
 /// discovery thresholds.
 #[derive(Debug)]
@@ -234,47 +200,6 @@ mod tests {
         m.retire(0, true, 0, 1);
         assert!(m.drifted(&[]).is_empty());
         assert_eq!(m.health(0).live_violations, 0);
-    }
-
-    #[test]
-    fn merged_partial_tallies_equal_sequential_observes() {
-        // Two workers each see half of a rule's work for a stream of ops;
-        // folding their partial tallies must land on the same health as
-        // the single-threaded call sequence.
-        type WorkerObs = (bool, usize, usize);
-        let mut split = DriftMonitor::new(1, 2, 0.3);
-        let mut single = DriftMonitor::new(1, 2, 0.3);
-        let ops: &[(WorkerObs, WorkerObs)] = &[
-            ((true, 1, 0), (false, 0, 0)),
-            ((false, 0, 0), (true, 2, 1)),
-            ((true, 1, 0), (true, 0, 2)),
-            ((false, 0, 0), (false, 0, 0)),
-        ];
-        for &((m_a, c_a, r_a), (m_b, c_b, r_b)) in ops {
-            let mut tally = DriftDelta {
-                matched: m_a,
-                created: c_a,
-                retracted: r_a,
-            };
-            tally.absorb(DriftDelta {
-                matched: m_b,
-                created: c_b,
-                retracted: r_b,
-            });
-            split.observe(0, tally.matched, tally.created, tally.retracted);
-            single.observe(0, m_a || m_b, c_a + c_b, r_a + r_b);
-        }
-        assert_eq!(split.health(0), single.health(0));
-        // Retire side, same shape.
-        let mut tally = DriftDelta::default();
-        tally.absorb(DriftDelta {
-            matched: true,
-            created: 0,
-            retracted: 1,
-        });
-        split.retire(0, tally.matched, tally.created, tally.retracted);
-        single.retire(0, true, 0, 1);
-        assert_eq!(split.health(0), single.health(0));
     }
 
     #[test]

@@ -18,11 +18,9 @@
 //!   matched row is checked with the same [`violation_at`] primitive the
 //!   batch scan uses;
 //! * each **variable** tableau tuple keeps an incremental
-//!   [`BlockingPartition`] keyed by the constrained captures. The engine
-//!   derives each row's keys in one place, its key router (one
-//!   [`KeyMemo`](anmat_index::KeyMemo) per variable tuple, so capture
-//!   extraction runs at most once per distinct LHS value), and hands
-//!   them to the rule state as *routes*. A new row joins exactly one
+//!   [`BlockingPartition`] keyed by the constrained captures, which it
+//!   derives through its own [`KeyMemo`] (so capture extraction runs at
+//!   most once per distinct LHS value). A new row joins exactly one
 //!   block, and the block's asserted violations are updated along one of
 //!   three transition paths (see the private `BlockState`): `O(1)` for
 //!   the common arrivals, `O(block)` only on a majority flip, with
@@ -37,24 +35,23 @@
 //! keep their rows as short ascending runs), plus the transition path
 //! above.
 //!
-//! Every layout runs one rule processor, `RuleState::process`, through
-//! the crate-private `Shard`: every rule, restricted to the blocking keys
-//! it owns. When [`StreamConfig::shards`] clamps to one shard, the engine
-//! runs the one shard of one inline on the calling thread, against the
-//! canonical table; otherwise each worker thread runs one against its
-//! table replica ([`sharded`](crate::sharded)). Both fold their deltas
-//! through the same merge, so they return the same events.
+//! The engine holds one `RuleState` per rule and runs every op phase
+//! (the removal before a delete or update, the insert after an insert or
+//! update) rule by rule in index order on the calling thread. Each rule
+//! writes its creations and retractions straight into the one ledger, in
+//! tableau order, and the drift monitor then takes that rule's totals
+//! for the phase.
 
 use crate::drift::{DriftMonitor, DriftReport, RuleHealth};
-use crate::sharded::{BatchEvents, Router, Shard, Shards, KEY_SLOTS, MAX_RUN_AHEAD};
 use anmat_core::detect::constant::violation_at;
 use anmat_core::detect::variable::{flag_block_minority, minority_violation, MAX_WITNESSES};
 use anmat_core::discovery::DiscoveryConfig;
 use anmat_core::{
     LedgerEvent, LedgerSnapshot, LhsCell, Pfd, RhsCell, Violation, ViolationKind, ViolationLedger,
 };
-use anmat_index::{BlockingPartition, KeyBlock, TableauMemo};
+use anmat_index::{BlockingPartition, KeyBlock, KeyMemo, TableauMemo};
 use anmat_obs as obs;
+use anmat_pattern::CompiledConstrained;
 use anmat_table::{
     ReclaimStats, RowId, RowIdRemap, RowOp, Schema, Table, TableError, TableSnapshot, Value,
     ValueId, ValuePool,
@@ -62,8 +59,8 @@ use anmat_table::{
 use fxhash::{FxHashMap, FxHashSet};
 use std::sync::Arc;
 
-/// Engine thresholds (the drift monitor's discovery-style knobs) plus
-/// the shard layout the CLI plumbs through.
+/// Engine thresholds: the drift monitor's discovery-style knobs, the
+/// compaction trigger, and string reclamation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamConfig {
     /// Rows a rule must match before drift is judged.
@@ -71,10 +68,11 @@ pub struct StreamConfig {
     /// Allowed violation ratio before a rule counts as drifted (mirrors
     /// `DiscoveryConfig::max_violation_ratio`).
     pub max_violation_ratio: f64,
-    /// Worker shards, clamped to `[1, KEY_SLOTS]` at engine build
-    /// ([`KEY_SLOTS`]). One shard runs every rule inline on the calling
-    /// thread; more hash every rule's blocking keys over that many
-    /// worker threads.
+    /// Read by nothing: the engine runs every rule on the calling
+    /// thread. Kept, with [`StreamConfig::shard_by`] and
+    /// [`StreamConfig::run_ahead`], only because the benchmark harness
+    /// (`perfbench/harness/src/measure.rs`) sets it; the next change to
+    /// the benchmark drops all three.
     pub shards: usize,
     /// Tombstone ratio (`dead slots / total slots`) above which the
     /// engine compacts automatically at the end of a mutation entry
@@ -82,18 +80,11 @@ pub struct StreamConfig {
     /// space). `<= 0.0` (the default) disables auto-compaction;
     /// [`StreamEngine::compact`] stays available manually either way.
     pub compact_ratio: f64,
-    /// Read by nothing: every sharded layout partitions blocking keys.
-    /// Kept, with [`ShardBy`], only because the benchmark harness
-    /// (`perfbench/harness/src/measure.rs`) sets it; the next change to
-    /// the benchmark drops both.
+    /// Read by nothing, like [`StreamConfig::shards`], and kept for the
+    /// same reason.
     pub shard_by: ShardBy,
-    /// Cross-batch pipelining window for several shards: how many
-    /// submitted batches may be in flight (fanned out but not yet
-    /// merged) before the coordinator merges the oldest, clamped to 64
-    /// at engine build. `0` (the default) restores the classic
-    /// per-batch barrier. Merging is always in submission order, so
-    /// event order is unaffected. One shard runs inline, where every
-    /// batch completes at once.
+    /// Read by nothing, like [`StreamConfig::shards`], and kept for the
+    /// same reason.
     pub run_ahead: usize,
     /// Tie string reclamation to the compaction epochs: the engine
     /// enables batch-granular [`ValuePool`] refcounting on its table and,
@@ -106,16 +97,12 @@ pub struct StreamConfig {
     pub reclaim: bool,
 }
 
-/// The sharded layout's work-partitioning axis, of which there is one:
-/// every layout hashes blocking keys over its shards (see
-/// [`sharded`](crate::sharded)). Kept, with [`StreamConfig::shard_by`],
-/// only because the benchmark harness (`perfbench/harness/src/measure.rs`)
+/// The type of [`StreamConfig::shard_by`], which nothing reads. Kept only
+/// because the benchmark harness (`perfbench/harness/src/measure.rs`)
 /// names it; the next change to the benchmark drops both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardBy {
-    /// Partition by blocking key: every shard holds every rule, but only
-    /// processes tuples whose derived key (or constant-tuple LHS value)
-    /// hashes into one of its slots.
+    /// The one value.
     #[default]
     Key,
 }
@@ -155,70 +142,43 @@ pub struct CompactionStats {
     pub reclaimed_slots: usize,
 }
 
-/// One violation assertion change produced by a rule's incremental
-/// state. Rule processing emits deltas into a [`DeltaSink`]; *applying*
-/// them to the refcounting [`ViolationLedger`] (which dedupes across
-/// rules) is the engine's job — right away in the inline layout, at the
-/// merge step in the sharded one. This split is what lets rule state
-/// live on worker threads while the ledger stays in one place.
-#[derive(Debug, Clone)]
-pub(crate) enum Delta {
-    /// The rule now asserts this violation.
-    Create(Violation),
-    /// The rule withdraws this (previously asserted) violation.
-    Retract(Violation),
+/// The events of one batch, as [`StreamEngine::submit`] returns them.
+/// Kept, with `submit` and [`StreamEngine::flush`], only because the
+/// benchmark harness (`perfbench/harness/src/measure.rs`) still calls
+/// them; the next change to the benchmark drops all three.
+#[derive(Debug)]
+pub struct BatchEvents {
+    /// The batch's violation events, in rule/tableau order.
+    pub events: Vec<LedgerEvent>,
 }
 
-/// Ordered deltas for one rule × one op phase, with the assertion
-/// counts the drift monitor needs (counted per rule, independent of the
-/// ledger's cross-rule refcounting).
-#[derive(Debug, Default)]
-pub(crate) struct DeltaSink {
-    pub(crate) deltas: Vec<Delta>,
-    pub(crate) created: usize,
-    pub(crate) retracted: usize,
+/// Where one rule's op phase writes: each creation and retraction goes
+/// straight into the engine's ledger (which refcounts across rules, so
+/// only liveness changes come back as events), while the rule's own
+/// assertion counts accumulate for the drift monitor.
+struct Sink<'a> {
+    ledger: &'a mut ViolationLedger,
+    events: &'a mut Vec<LedgerEvent>,
+    created: usize,
+    retracted: usize,
 }
 
-impl DeltaSink {
+impl Sink<'_> {
     fn create(&mut self, v: Violation) {
         self.created += 1;
-        self.deltas.push(Delta::Create(v));
+        self.events.extend(self.ledger.create(v));
     }
 
-    fn retract(&mut self, v: Violation) {
+    fn retract(&mut self, v: &Violation) {
         self.retracted += 1;
-        self.deltas.push(Delta::Retract(v));
-    }
-}
-
-/// Replay a delta sequence into the ledger, collecting the events the
-/// ledger actually emits (refcount-only changes emit nothing).
-pub(crate) fn apply_deltas(
-    ledger: &mut ViolationLedger,
-    deltas: Vec<Delta>,
-    events: &mut Vec<LedgerEvent>,
-) {
-    for delta in deltas {
-        match delta {
-            Delta::Create(v) => {
-                if let Some(ev) = ledger.create(v) {
-                    events.push(ev);
-                }
-            }
-            Delta::Retract(v) => {
-                if let Some(ev) = ledger.retract(&v) {
-                    events.push(ev);
-                }
-            }
-        }
+        self.events.extend(self.ledger.retract(v));
     }
 }
 
 /// A [`RowOp`] with its cells interned: what the engine validates,
-/// primes, routes, and executes (and what the sharded layout ships to
-/// its workers — ids are `Copy`, so no string is cloned).
-#[derive(Debug, Clone)]
-pub(crate) enum IdOp {
+/// primes, and executes.
+#[derive(Debug)]
+enum IdOp {
     Insert(Vec<ValueId>),
     Delete(RowId),
     Update(RowId, Vec<ValueId>),
@@ -226,7 +186,7 @@ pub(crate) enum IdOp {
 
 impl IdOp {
     /// Intern one op's cells (one pool lock acquisition per record).
-    pub(crate) fn intern(op: RowOp) -> IdOp {
+    fn intern(op: RowOp) -> IdOp {
         match op {
             RowOp::Insert(cells) => IdOp::Insert(ValuePool::intern_value_batch(&cells)),
             RowOp::Delete(row) => IdOp::Delete(row),
@@ -235,7 +195,7 @@ impl IdOp {
     }
 
     /// The cells an insert or update brings in (`None` for a delete).
-    pub(crate) fn arriving(&self) -> Option<&[ValueId]> {
+    fn arriving(&self) -> Option<&[ValueId]> {
         match self {
             IdOp::Insert(cells) | IdOp::Update(_, cells) => Some(cells),
             IdOp::Delete(_) => None,
@@ -246,26 +206,23 @@ impl IdOp {
     /// `phase(table, row, removal)` around it: the removal phase before
     /// a delete or an update overwrites the row, while its cells are
     /// still the ones its violations were built from (so every
-    /// retraction is structurally identical to the delta it cancels),
-    /// and the insert phase once an insert or update has landed. Every
-    /// table an op batch advances — canonical or replica — goes through
-    /// here.
-    pub(crate) fn run(&self, table: &mut Table, mut phase: impl FnMut(&Table, RowId, bool)) {
+    /// retraction is structurally identical to the violation it
+    /// cancels), and the insert phase once an insert or update has
+    /// landed.
+    fn run(self, table: &mut Table, mut phase: impl FnMut(&Table, RowId, bool)) {
         match self {
             IdOp::Insert(cells) => {
-                let row = table.push_id_cells(cells).expect("ops pre-validated");
+                let row = table.push_id_row(cells).expect("ops pre-validated");
                 phase(table, row, false);
             }
-            &IdOp::Delete(row) => {
+            IdOp::Delete(row) => {
                 phase(table, row, true);
                 table.delete_row(row).expect("ops pre-validated");
             }
             IdOp::Update(row, cells) => {
-                phase(table, *row, true);
-                table
-                    .update_id_cells(*row, cells)
-                    .expect("ops pre-validated");
-                phase(table, *row, false);
+                phase(table, row, true);
+                table.update_id_row(row, cells).expect("ops pre-validated");
+                phase(table, row, false);
             }
         }
     }
@@ -280,7 +237,7 @@ impl IdOp {
 /// `O(batch)`: only the batch's own effect is tracked (how many slots it
 /// appended, which slots it deleted); every other slot answers from
 /// [`Table::is_live`].
-pub(crate) fn validate_ops(table: &Table, ops: &[IdOp]) -> Result<(), TableError> {
+fn validate_ops(table: &Table, ops: &[IdOp]) -> Result<(), TableError> {
     let arity = table.schema().arity();
     let check_arity = |row: RowId, cells: &[ValueId]| {
         if cells.len() == arity {
@@ -333,9 +290,9 @@ pub(crate) fn validate_ops(table: &Table, ops: &[IdOp]) -> Result<(), TableError
 /// One constant tableau tuple: what a matched row is checked against.
 /// Which rows match is the rule's [`TableauMemo`]'s answer, so the tuple
 /// holds no pattern state of its own.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ConstantTuple {
-    /// Tableau index (the merge's sort tag).
+    /// Tableau index (orders it among the rule's variable tuples).
     tuple: usize,
     /// Display form for violation evidence (matches batch output).
     display: String,
@@ -345,12 +302,14 @@ struct ConstantTuple {
 }
 
 /// Incremental state for one variable tableau tuple.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct VariableTuple {
-    /// Tableau index (the merge's sort tag).
+    /// Tableau index (orders it among the rule's constant tuples).
     tuple: usize,
+    /// Each distinct LHS value's blocking key, derived once.
+    keys: KeyMemo,
     /// Blocks keyed by constrained capture (whole value for wildcard
-    /// LHS), as the engine's key router derived them.
+    /// LHS), as `keys` derived them.
     partition: BlockingPartition,
     /// Display form for violation evidence.
     display: String,
@@ -378,7 +337,7 @@ struct VariableTuple {
 ///    violation (`O(live violations)` lookup);
 /// 4. **off-window majority churn**: a majority row beyond the witness
 ///    window arrives or leaves — nothing moves (`O(1)`).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct BlockState {
     majority: Option<ValueId>,
     witnesses: Vec<RowId>,
@@ -400,10 +359,10 @@ impl BlockState {
         display: &str,
         key: ValueId,
         block: &KeyBlock,
-        sink: &mut DeltaSink,
+        sink: &mut Sink,
     ) {
         for v in self.violations.drain(..) {
-            sink.retract(v);
+            sink.retract(&v);
         }
         self.majority = block.majority_id();
         self.witnesses = match self.majority {
@@ -427,10 +386,10 @@ impl BlockState {
     /// Swap in a new witness list, rewriting every asserted violation
     /// (each is retracted and re-created, since witnesses are part of
     /// its identity).
-    fn rewrite_witnesses(&mut self, witnesses: Vec<RowId>, sink: &mut DeltaSink) {
+    fn rewrite_witnesses(&mut self, witnesses: Vec<RowId>, sink: &mut Sink) {
         self.witnesses = witnesses;
         for v in &mut self.violations {
-            sink.retract(v.clone());
+            sink.retract(v);
             if let ViolationKind::Variable { witnesses, .. } = &mut v.kind {
                 witnesses.clone_from(&self.witnesses);
             }
@@ -440,24 +399,24 @@ impl BlockState {
 
     /// Retract the single violation asserted for `row`, if any — the
     /// minority-departure fast path.
-    fn retract_row(&mut self, row: RowId, sink: &mut DeltaSink) {
+    fn retract_row(&mut self, row: RowId, sink: &mut Sink) {
         if let Some(pos) = self.violations.iter().position(|v| v.row == row) {
             let v = self.violations.swap_remove(pos);
-            sink.retract(v);
+            sink.retract(&v);
         }
     }
 
     /// Retract everything (the block drained to empty).
-    fn drain(&mut self, sink: &mut DeltaSink) {
+    fn drain(&mut self, sink: &mut Sink) {
         for v in self.violations.drain(..) {
-            sink.retract(v);
+            sink.retract(&v);
         }
     }
 
     /// Rewrite the asserted context into a new id space — witnesses and
-    /// every asserted violation translate together, silently (no
-    /// deltas: nothing changed liveness). The majority value is
-    /// row-id-free and stays put.
+    /// every asserted violation translate together, silently (nothing
+    /// reaches the ledger: nothing changed liveness). The majority value
+    /// is row-id-free and stays put.
     fn apply_remap(&mut self, remap: &RowIdRemap) {
         remap.remap_sorted_in_place(&mut self.witnesses);
         for v in &mut self.violations {
@@ -469,10 +428,9 @@ impl BlockState {
 impl ConstantTuple {
     /// One row whose LHS matched this tuple, through the same
     /// `violation_at` primitive batch detection uses: a disagreeing RHS
-    /// creates the violation (arrivals) or retracts it (removals) into
-    /// `sink`. Drift counts this rule's own assertion even when another
-    /// rule already implied the same violation (the ledger refcounts
-    /// those).
+    /// creates the violation (arrivals) or retracts it (removals). Drift
+    /// counts this rule's own assertion even when another rule already
+    /// implied the same violation (the ledger refcounts those).
     #[allow(clippy::too_many_arguments)]
     fn process(
         &self,
@@ -482,11 +440,11 @@ impl ConstantTuple {
         rhs: usize,
         row: RowId,
         removal: bool,
-        sink: &mut DeltaSink,
+        sink: &mut Sink,
     ) {
         if let Some(v) = violation_at(table, pfd, &self.display, self.expected, lhs, rhs, row) {
             if removal {
-                sink.retract(v);
+                sink.retract(&v);
             } else {
                 sink.create(v);
             }
@@ -508,7 +466,7 @@ impl VariableTuple {
         rhs_id: ValueId,
         key: ValueId,
         row: RowId,
-        sink: &mut DeltaSink,
+        sink: &mut Sink,
     ) {
         let block = self.partition.block(key).expect("row just joined");
         let new_majority = block.majority_id();
@@ -566,7 +524,7 @@ impl VariableTuple {
         rhs_id: ValueId,
         key: ValueId,
         row: RowId,
-        sink: &mut DeltaSink,
+        sink: &mut Sink,
     ) {
         let Some(state) = self.blocks.get_mut(&key) else {
             return; // row never asserted into this block
@@ -612,17 +570,14 @@ impl VariableTuple {
 
 /// One seeded rule with its resolved columns and per-tuple state.
 ///
-/// Rule state is fully self-contained (no ledger, no drift counters, no
-/// key derivation): [`RuleState::process`] reads a table and the routes
-/// the engine's key router derived, and emits deltas — which is what
-/// lets a copy of it live on any worker thread while the engine owns the
-/// shared bookkeeping.
-#[derive(Debug, Clone)]
-pub(crate) struct RuleState {
+/// Rule state holds no ledger and no drift counters:
+/// [`RuleState::process`] reads the table and writes into a `Sink`,
+/// and the engine owns the shared bookkeeping.
+#[derive(Debug)]
+struct RuleState {
     pfd: Pfd,
-    /// `(lhs, rhs)` column indexes, as the key router resolved them;
-    /// `None` if the schema lacks either attribute (the rule is inert,
-    /// exactly like batch detection).
+    /// `(lhs, rhs)` column indexes; `None` if the schema lacks either
+    /// attribute (the rule is inert, exactly like batch detection).
     cols: Option<(usize, usize)>,
     /// Which constant tuples each distinct LHS value matches; member `m`
     /// is `constants[m]`.
@@ -633,80 +588,18 @@ pub(crate) struct RuleState {
     variables: Vec<VariableTuple>,
 }
 
-/// The deltas one rule's *owned* tableau tuples produced for one op
-/// phase, tagged `(rule, tuple)`.
-///
-/// A single rule's work for one row can land on several shards (one per
-/// tuple the row's keys hash to), so deltas come back per `(rule,
-/// tuple)`; the merge sorts entries by that pair to reproduce tableau
-/// order, then folds the `matched` bits and violation counts into one
-/// drift tally per rule.
-#[derive(Debug)]
-pub(crate) struct TupleDeltas {
-    /// Global index of the emitting rule.
-    pub(crate) rule: usize,
-    /// Tableau index of the emitting tuple — when several consecutive
-    /// owned tuples fuse into one entry, the first one's index (the
-    /// fused deltas stay in tableau order internally, so sorting merged
-    /// entries by this tag still reproduces tableau order).
-    pub(crate) tuple: usize,
-    /// Did the row's LHS match this tuple (ORed across fused tuples)?
-    pub(crate) matched: bool,
-    /// The violation deltas, in emission order.
-    pub(crate) sink: DeltaSink,
-}
-
-impl TupleDeltas {
-    /// Fold one more owned tuple's output into the running entry —
-    /// legal only while no *other* shard can emit an entry between the
-    /// fused tuples (the caller closes the run at any tuple another
-    /// shard owns).
-    fn absorb(
-        pending: &mut Option<TupleDeltas>,
-        rule: usize,
-        tuple: usize,
-        matched: bool,
-        sink: DeltaSink,
-    ) {
-        match pending {
-            Some(p) => {
-                p.matched |= matched;
-                p.sink.created += sink.created;
-                p.sink.retracted += sink.retracted;
-                if p.sink.deltas.is_empty() {
-                    p.sink.deltas = sink.deltas;
-                } else {
-                    p.sink.deltas.extend(sink.deltas);
-                }
-            }
-            None => {
-                *pending = Some(TupleDeltas {
-                    rule,
-                    tuple,
-                    matched,
-                    sink,
-                });
-            }
-        }
-    }
-
-    /// Close the current fusion run (another shard may own the next
-    /// tuple, so its entry must be sortable in between).
-    fn flush(pending: &mut Option<TupleDeltas>, out: &mut Vec<TupleDeltas>) {
-        if let Some(p) = pending.take() {
-            out.push(p);
-        }
-    }
-}
-
 impl RuleState {
-    /// Seed a rule over the columns the key router resolved for it,
-    /// compiling each constant tuple's LHS pattern once into the rule's
-    /// [`TableauMemo`]. The programs are shared `Arc`s, so the copies a
-    /// sharded layout hands its workers never recompile, and
-    /// `pattern.compile_ns` counts each rule once regardless of
-    /// `--shards N`.
-    pub(crate) fn seed(pfd: Pfd, cols: Option<(usize, usize)>) -> RuleState {
+    /// Seed a rule over the columns it names in `schema`, compiling each
+    /// constant tuple's LHS pattern once into the rule's [`TableauMemo`]
+    /// and each variable tuple's keyer once into its [`KeyMemo`].
+    fn seed(pfd: Pfd, schema: &Schema) -> RuleState {
+        let cols = match (
+            schema.index_of(&pfd.lhs_attr),
+            schema.index_of(&pfd.rhs_attr),
+        ) {
+            (Some(lhs), Some(rhs)) => Some((lhs, rhs)),
+            _ => None,
+        };
         let mut constants = Vec::new();
         let mut variables = Vec::new();
         for (tuple, t) in pfd.tableau.iter().enumerate() {
@@ -722,6 +615,10 @@ impl RuleState {
                 }),
                 RhsCell::Wildcard => variables.push(VariableTuple {
                     tuple,
+                    keys: KeyMemo::new(match &t.lhs {
+                        LhsCell::Pattern(q) => Some(Arc::new(CompiledConstrained::compile(q))),
+                        LhsCell::Wildcard => None,
+                    }),
                     partition: BlockingPartition::default(),
                     display,
                     blocks: FxHashMap::default(),
@@ -742,60 +639,46 @@ impl RuleState {
         }
     }
 
-    /// Batch-classify: fill the rule's tableau memo for the LHS cells of
-    /// a batch's insert/update rows — those `owns` accepts — in one pass,
-    /// before any per-row work runs. Each *new* distinct id costs exactly
-    /// the evaluations the lazy path would have paid on first sighting
-    /// (one per candidate tuple), so [`RuleState::pattern_evals`] is
+    /// Batch-classify: fill every variable tuple's key memo, then the
+    /// rule's tableau memo, for the LHS cells of a batch's insert/update
+    /// rows in one pass each, before any per-row work runs. Each *new*
+    /// distinct id costs exactly the evaluations the lazy path would have
+    /// paid on first sighting, so [`RuleState::pattern_evals`] is
     /// invariant — priming is a locality optimization (the batch's
     /// evaluations run together, ahead of the per-row dispatch), never
-    /// extra work. Each distinct LHS value is owned by exactly one shard,
-    /// so summing shards' memos still yields the inline count. (Variable
-    /// tuples have nothing to prime: the key router derives their keys.)
-    pub(crate) fn prime_batch<'a>(
-        &mut self,
-        rows: impl IntoIterator<Item = &'a [ValueId]>,
-        owns: &impl Fn(ValueId) -> bool,
-    ) {
+    /// extra work.
+    fn prime_batch(&mut self, ops: &[IdOp]) {
         let Some((lhs, _)) = self.cols else {
             return;
         };
-        self.memo
-            .prime(rows.into_iter().map(|row| row[lhs]).filter(|&id| owns(id)));
+        let lhs_ids = || {
+            ops.iter()
+                .filter_map(IdOp::arriving)
+                .map(|cells| cells[lhs])
+        };
+        for vt in &mut self.variables {
+            vt.keys.prime(lhs_ids());
+        }
+        self.memo.prime(lhs_ids());
     }
 
-    /// Incorporate one row's arrival or, with `removal`, its departure —
-    /// but only through the tuples this shard *owns*: constant tuples
-    /// when `owns` accepts the row's LHS id, and variable tuples whose
-    /// route key (one `Option<ValueId>` per variable tuple, tableau
-    /// order, in `routes`) it accepts. `None` routes (null or
-    /// non-matching LHS) are skipped by every shard: no block forms, so
-    /// nothing observable depends on them. A removal must run *before*
-    /// the table slot is tombstoned (or overwritten), with routes derived
-    /// from the row's pre-op cells. Inert rules (missing columns) emit
-    /// nothing.
+    /// Incorporate one row's arrival or, with `removal`, its departure,
+    /// writing the resulting creations and retractions into `sink` in
+    /// tableau order. A removal must run *before* the table slot is
+    /// tombstoned (or overwritten), so the row's pre-op cells are the
+    /// ones read. Inert rules (missing columns) emit nothing.
     ///
     /// Constant tuples cost one memo probe for the whole rule: only the
     /// tuples the row's LHS matches are visited, merged with the
-    /// variable tuples in tableau order.
+    /// variable tuples in tableau order. A variable tuple whose key memo
+    /// finds no key (null or non-matching LHS) forms no block and is
+    /// skipped.
     ///
-    /// Appends to `out` one [`TupleDeltas`] per run of consecutive owned
-    /// tuples that matched (or produced deltas), tagged with `rule` and
-    /// the run's first tableau index — the merge sorts entries by that
-    /// pair to reproduce tableau order exactly.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn process(
-        &mut self,
-        rule: usize,
-        table: &Table,
-        row: RowId,
-        routes: &[Option<ValueId>],
-        owns: &impl Fn(ValueId) -> bool,
-        removal: bool,
-        out: &mut Vec<TupleDeltas>,
-    ) {
+    /// Returns whether the row's LHS matched any tuple of the rule (what
+    /// the drift monitor counts as a matched row).
+    fn process(&mut self, table: &Table, row: RowId, removal: bool, sink: &mut Sink) -> bool {
         let Some((lhs, rhs)) = self.cols else {
-            return;
+            return false;
         };
         let RuleState {
             pfd,
@@ -806,75 +689,48 @@ impl RuleState {
         } = self;
         let lhs_id = table.cell_id(row, lhs);
         let rhs_id = table.cell_id(row, rhs);
-        // Constant tuples all key on the LHS id, so one ownership probe
-        // and one memo probe cover them.
-        let const_owned = owns(lhs_id);
-        let mut matched = if const_owned {
-            memo.matches(lhs_id)
-        } else {
-            &[]
-        }
-        .iter()
-        .map(|&member| &constants[member as usize])
-        .peekable();
+        let mut matched = memo
+            .matches(lhs_id)
+            .iter()
+            .map(|&member| &constants[member as usize])
+            .peekable();
+        let mut any = matched.peek().is_some();
         // On removal this rebuilds the violation the arrival created (the
         // check is the same id comparison; the memo makes the pattern
         // free) and retracts it.
-        let constant = |ct: &ConstantTuple, pending: &mut Option<TupleDeltas>| {
-            let mut sink = DeltaSink::default();
-            ct.process(table, pfd, lhs, rhs, row, removal, &mut sink);
-            TupleDeltas::absorb(pending, rule, ct.tuple, true, sink);
-        };
-        // Consecutive owned tuples fuse into one entry; a tuple another
-        // shard owns closes the run (its entry must sort in between),
-        // while tuples nobody processes (`None` routes) and unmatched
-        // constant tuples fuse across.
-        let mut pending: Option<TupleDeltas> = None;
-        let mut routes = routes.iter();
         for vt in variables.iter_mut() {
             while let Some(ct) = matched.next_if(|ct| ct.tuple < vt.tuple) {
-                constant(ct, &mut pending);
+                ct.process(table, pfd, lhs, rhs, row, removal, sink);
             }
-            let Some(&Some(key)) = routes.next() else {
+            let Some(key) = vt.keys.key(lhs_id) else {
                 continue;
             };
-            // A shard that does not own the constant tuples closes the
-            // run too: their owner may emit for one between this variable
-            // tuple and the previous.
-            let owned = owns(key);
-            if !owned || !const_owned {
-                TupleDeltas::flush(&mut pending, out);
-            }
-            if !owned {
-                continue;
-            }
-            let mut sink = DeltaSink::default();
+            any = true;
             if removal {
                 vt.partition.remove(row, key);
-                vt.removal_transition(table, pfd, lhs, rhs, rhs_id, key, row, &mut sink);
+                vt.removal_transition(table, pfd, lhs, rhs, rhs_id, key, row, sink);
             } else {
                 vt.partition.insert(row, key, rhs_id);
-                vt.insert_transition(table, pfd, lhs, rhs, rhs_id, key, row, &mut sink);
+                vt.insert_transition(table, pfd, lhs, rhs, rhs_id, key, row, sink);
             }
-            TupleDeltas::absorb(&mut pending, rule, vt.tuple, true, sink);
         }
         for ct in matched {
-            constant(ct, &mut pending);
+            ct.process(table, pfd, lhs, rhs, row, removal, sink);
         }
-        TupleDeltas::flush(&mut pending, out);
+        any
     }
 
     /// Apply a compaction [`RowIdRemap`] to this rule's incremental
     /// state — the rule's side of the remap protocol.
     ///
     /// Constant tuples hold no row references (the tableau memo is keyed
-    /// by value id) and are untouched. Variable tuples remap their
-    /// partition's row lists and every block's asserted
-    /// witnesses/violations in place. Nothing is re-derived and no
-    /// pattern or capture evaluation runs, so
+    /// by value id) and are untouched, as are the key memos. Variable
+    /// tuples remap their partition's row lists and every block's
+    /// asserted witnesses/violations in place. Nothing is re-derived and
+    /// no pattern or capture evaluation runs, so
     /// [`RuleState::pattern_evals`] is invariant under remap — the
     /// protocol's cheapness guarantee, pinned by tests.
-    pub(crate) fn apply_remap(&mut self, remap: &RowIdRemap) {
+    fn apply_remap(&mut self, remap: &RowIdRemap) {
         for vt in &mut self.variables {
             vt.partition.apply_remap(remap);
             for state in vt.blocks.values_mut() {
@@ -896,10 +752,9 @@ impl RuleState {
     ///   belt-and-braces so the invariant doesn't depend on it).
     ///
     /// Memoized entries for values that since left (the tableau memo's,
-    /// the key router's) are deliberately not protected — they are
-    /// caches, purged instead ([`RuleState::purge_values`] and the
-    /// router's own purge).
-    pub(crate) fn collect_protected(&self, out: &mut FxHashSet<u32>) {
+    /// the key memos') are deliberately not protected — they are caches,
+    /// purged instead ([`RuleState::purge_values`]).
+    fn collect_protected(&self, out: &mut FxHashSet<u32>) {
         for ct in &self.constants {
             out.insert(ct.expected.raw());
         }
@@ -915,57 +770,51 @@ impl RuleState {
         }
     }
 
-    /// Drop every tableau-memo entry keyed on an id in `dead`, ahead of
-    /// the pool recycling those ids for different strings (see
-    /// [`TableauMemo::purge`] for why a stale entry would otherwise
-    /// answer for the wrong value). Counters stay put — a purge performs
-    /// no pattern work.
-    pub(crate) fn purge_values(&mut self, dead: &FxHashSet<u32>) {
-        self.memo.purge(|id| dead.contains(&id.raw()));
+    /// Drop every tableau-memo and key-memo entry keyed on (or caching)
+    /// an id in `dead`, ahead of the pool recycling those ids for
+    /// different strings (see [`TableauMemo::purge`] and
+    /// [`KeyMemo::purge`] for why a stale entry would otherwise answer
+    /// for the wrong value). Counters stay put — a purge performs no
+    /// pattern work.
+    fn purge_values(&mut self, dead: &FxHashSet<u32>) {
+        let is_dead = |id: ValueId| dead.contains(&id.raw());
+        self.memo.purge(is_dead);
+        for vt in &mut self.variables {
+            vt.keys.purge(is_dead);
+        }
     }
 
-    /// Pattern evaluations this rule's tableau memo performed (the key
-    /// router counts variable tuples' extractions).
-    pub(crate) fn pattern_evals(&self) -> usize {
+    /// Pattern evaluations this rule performed: its tableau memo's
+    /// candidate matches plus its key memos' capture extractions.
+    fn pattern_evals(&self) -> usize {
         self.memo.evals()
+            + self
+                .variables
+                .iter()
+                .map(|vt| vt.keys.evals())
+                .sum::<usize>()
     }
 
-    /// Tableau-memo consultations (hits + misses), one per owned row
-    /// phase with a non-null LHS — the denominator that turns
-    /// [`RuleState::pattern_evals`] into the hit rate the observability
-    /// layer reports.
-    pub(crate) fn pattern_lookups(&self) -> usize {
+    /// Memo consultations (hits + misses): one per row phase with a
+    /// non-null LHS for the tableau memo (if the rule has constant
+    /// tuples) and for each variable tuple's key memo — the denominator
+    /// that turns [`RuleState::pattern_evals`] into the hit rate the
+    /// observability layer reports.
+    fn pattern_lookups(&self) -> usize {
         self.memo.lookups()
+            + self
+                .variables
+                .iter()
+                .map(|vt| vt.keys.lookups())
+                .sum::<usize>()
     }
 
-    /// Blocks this rule currently maintains — what `engine.blocks` and
-    /// the sharded layout's per-worker `shard.N.keys` gauges sum.
-    pub(crate) fn block_count(&self) -> usize {
+    /// Blocks this rule currently maintains.
+    fn block_count(&self) -> usize {
         self.variables
             .iter()
             .map(|vt| vt.partition.block_count())
             .sum()
-    }
-}
-
-/// Rule-state figures summed over a set of rules: blocks maintained,
-/// pattern evaluations, and memo lookups.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct Census {
-    pub(crate) blocks: usize,
-    pub(crate) evals: usize,
-    pub(crate) lookups: usize,
-}
-
-impl Census {
-    pub(crate) fn of<'a>(rules: impl IntoIterator<Item = &'a RuleState>) -> Census {
-        let mut census = Census::default();
-        for rule in rules {
-            census.blocks += rule.block_count();
-            census.evals += rule.pattern_evals();
-            census.lookups += rule.pattern_lookups();
-        }
-        census
     }
 }
 
@@ -1013,23 +862,14 @@ impl EngineSnapshot {
 }
 
 /// The incremental PFD violation engine (see the crate docs). Its rules
-/// run inline on the calling thread or, with several shards, on worker
-/// threads (see [`sharded`](crate::sharded)); either way the events,
-/// ledger, health, drift report and counters are the same.
+/// run on the calling thread.
 #[derive(Debug)]
 pub struct StreamEngine {
-    /// The canonical table (sharded workers hold id replicas of it).
     table: Table,
-    /// The seeded rules, in index order.
-    rules: Vec<Pfd>,
-    /// The one place blocking keys are derived, whatever the layout.
-    router: Router,
-    /// Where the rule state lives.
-    layout: Layout,
+    /// The seeded rules' state, in index order.
+    rules: Vec<RuleState>,
     ledger: ViolationLedger,
     drift: DriftMonitor,
-    /// The next batch's sequence number (see [`BatchEvents::seq`]).
-    next_seq: u64,
     /// Auto-compaction threshold (see [`StreamConfig::compact_ratio`]).
     compact_ratio: f64,
     compaction: CompactionStats,
@@ -1043,68 +883,34 @@ pub struct StreamEngine {
     snap_pin: Arc<()>,
 }
 
-/// Where an engine's rule state lives, fixed when it is built.
-#[derive(Debug)]
-enum Layout {
-    /// One shard, which owns every key, on the calling thread.
-    Inline(Shard),
-    /// Several shards on worker threads.
-    Sharded(Shards),
-}
-
 impl StreamEngine {
-    /// An engine over `schema`, seeded with `rules`, default thresholds
-    /// (one shard, so the rules run inline).
+    /// An engine over `schema`, seeded with `rules`, default thresholds.
     #[must_use]
     pub fn new(schema: Schema, rules: Vec<Pfd>) -> StreamEngine {
         StreamEngine::with_config(schema, rules, StreamConfig::default())
     }
 
-    /// An engine with explicit thresholds and shard layout. The shard
-    /// count is clamped to `[1, KEY_SLOTS]`. One shard runs every rule
-    /// inline; more spawn that many worker threads, each owning a fixed
-    /// share of every rule's blocking keys for the engine's lifetime,
-    /// with `run_ahead` clamped to 64 (see [`sharded`](crate::sharded)).
+    /// An engine with explicit thresholds.
     #[must_use]
     pub fn with_config(schema: Schema, rules: Vec<Pfd>, config: StreamConfig) -> StreamEngine {
-        let shards = config.shards.clamp(1, KEY_SLOTS);
-        let router = Router::new(&rules, &schema);
-        let seeds: Vec<RuleState> = rules
-            .iter()
-            .zip(router.cols())
-            .map(|(pfd, &cols)| RuleState::seed(pfd.clone(), cols))
-            .collect();
-        let layout = if shards == 1 {
-            Layout::Inline(Shard::new(seeds, router.spans(), 0, 1))
-        } else {
-            let run_ahead = config.run_ahead.min(MAX_RUN_AHEAD);
-            Layout::Sharded(Shards::new(
-                &schema,
-                &seeds,
-                router.spans(),
-                shards,
-                run_ahead,
-            ))
-        };
         let drift = DriftMonitor::new(rules.len(), config.min_support, config.max_violation_ratio);
+        let rules = rules
+            .into_iter()
+            .map(|pfd| RuleState::seed(pfd, &schema))
+            .collect();
         let mut table = Table::empty(schema);
         if config.reclaim {
             // Batch-granular refcounting: the table retains each cell id
             // on insert and releases on delete/overwrite, recording ids
             // whose count hit zero as sweep candidates for the next
-            // compaction barrier. Sharded workers' replicas are
-            // op-for-op content-identical to this table, so a cell id
-            // with no reference here has none there either.
+            // compaction barrier.
             table.enable_refcounts();
         }
         StreamEngine {
             table,
             rules,
-            router,
-            layout,
             ledger: ViolationLedger::new(),
             drift,
-            next_seq: 0,
             compact_ratio: config.compact_ratio,
             compaction: CompactionStats::default(),
             reclaim: config.reclaim,
@@ -1117,17 +923,13 @@ impl StreamEngine {
     /// [`RowIdRemap`] through every consumer — the remap protocol,
     /// end to end:
     ///
-    /// 1. in-flight sharded batches merge, so the compaction point is a
-    ///    clean batch boundary;
-    /// 2. [`Table::compact`] drops tombstoned slots and opens a new
+    /// 1. [`Table::compact`] drops tombstoned slots and opens a new
     ///    epoch;
-    /// 3. every rule's blocking partition and asserted block context
+    /// 2. every rule's blocking partitions and asserted block context
     ///    translate in place (`RuleState::apply_remap` — no pattern
     ///    re-evaluation, [`StreamEngine::pattern_evals`] is invariant;
-    ///    the key router's memos hold no row ids); sharded, the remap is
-    ///    broadcast and every worker compacts its replica (bit-identical
-    ///    by construction) and remaps its rules before acknowledging;
-    /// 4. the ledger rewrites its live violations and adopts the epoch
+    ///    the memos hold no row ids);
+    /// 3. the ledger rewrites its live violations and adopts the epoch
     ///    (event history stays verbatim; see
     ///    [`LedgerEvent::epoch`](anmat_core::LedgerEvent)).
     ///
@@ -1135,11 +937,9 @@ impl StreamEngine {
     /// only coordinates change. Callers holding pre-compaction `RowId`s
     /// must translate them through the returned remap.
     pub fn compact(&mut self) -> RowIdRemap {
-        self.drain();
         let remap = self.table.compact();
-        match &mut self.layout {
-            Layout::Inline(shard) => shard.apply_remap(&remap),
-            Layout::Sharded(shards) => shards.compact(&remap),
+        for rule in &mut self.rules {
+            rule.apply_remap(&remap);
         }
         self.ledger.remap(&remap);
         self.compaction.epochs += 1;
@@ -1161,17 +961,13 @@ impl StreamEngine {
     ///    queued it;
     /// 2. **protection** — rule state holds ids beyond live cells
     ///    (constant RHS constants, derived block keys); see
-    ///    [`RuleState::collect_protected`]. Each shard vetoes the
-    ///    candidates its rules protect, and shards partition each rule's
-    ///    blocks, so the union of the vetoes is the same protected set
-    ///    in every layout, and every layout frees identical sets at
-    ///    identical boundaries.
+    ///    [`RuleState::collect_protected`].
     ///
-    /// Survivors are purged from every tableau memo and the key router's
-    /// memos *before* [`ValuePool::reclaim`]
-    /// queues them for recycling, so no cache can answer for a recycled
-    /// id. While an [`EngineSnapshot`] is alive the whole sweep defers —
-    /// candidates simply stay queued in the table for the next barrier.
+    /// Survivors are purged from every tableau memo and key memo
+    /// *before* [`ValuePool::reclaim`] queues them for recycling, so no
+    /// cache can answer for a recycled id. While an [`EngineSnapshot`]
+    /// is alive the whole sweep defers — candidates simply stay queued
+    /// in the table for the next barrier.
     fn sweep_reclaimable(&mut self) {
         if !self.reclaim {
             return;
@@ -1189,10 +985,10 @@ impl StreamEngine {
         if candidates.is_empty() {
             return;
         }
-        let protected: FxHashSet<u32> = match &mut self.layout {
-            Layout::Inline(shard) => shard.veto(&candidates).into_iter().collect(),
-            Layout::Sharded(shards) => shards.protected(&candidates),
-        };
+        let mut protected = FxHashSet::default();
+        for rule in &self.rules {
+            rule.collect_protected(&mut protected);
+        }
         let doomed: Vec<ValueId> = candidates
             .into_iter()
             .filter(|id| !protected.contains(&id.raw()))
@@ -1201,10 +997,8 @@ impl StreamEngine {
             return;
         }
         let dead: FxHashSet<u32> = doomed.iter().map(|id| id.raw()).collect();
-        self.router.purge(&dead);
-        match &mut self.layout {
-            Layout::Inline(shard) => shard.purge(&dead),
-            Layout::Sharded(shards) => shards.purge(dead),
+        for rule in &mut self.rules {
+            rule.purge_values(&dead);
         }
         let stats = ValuePool::reclaim(doomed);
         self.reclaim_stats.strings += stats.strings;
@@ -1219,18 +1013,15 @@ impl StreamEngine {
 
     /// Freeze a consistent copy-on-write view of the engine's observable
     /// state — table and ledger — that stays valid while ingest
-    /// continues. In-flight sharded batches merge first, so the view
-    /// sits at a clean batch boundary. Capture is
-    /// `O(chunks + live violations)` handle clones (no cell is copied);
-    /// subsequent engine mutations pay one chunk copy per first-touched
-    /// chunk (`snapshot.cow_copies`).
+    /// continues. Capture is `O(chunks + live violations)` handle clones
+    /// (no cell is copied); subsequent engine mutations pay one chunk
+    /// copy per first-touched chunk (`snapshot.cow_copies`).
     ///
     /// While the snapshot is alive, reclamation sweeps defer (the
     /// snapshot resolves ids against the shared pool), so every id it
     /// holds stays resolvable for its whole lifetime.
     #[must_use]
-    pub fn snapshot(&mut self) -> EngineSnapshot {
-        self.drain();
+    pub fn snapshot(&self) -> EngineSnapshot {
         obs::counter!("snapshot.engine_captures").incr();
         EngineSnapshot {
             table: self.table.snapshot(),
@@ -1240,12 +1031,10 @@ impl StreamEngine {
         }
     }
 
-    /// Auto-compaction hook, checked after every batch against the
-    /// canonical table (which the sharded layout advances at
-    /// submission), so both layouts compact at the same batch
-    /// boundaries whatever the pipelining window — never mid-batch,
-    /// since a validated op batch addresses one id space. Fires when
-    /// the tombstone ratio reaches [`StreamConfig::compact_ratio`].
+    /// Auto-compaction hook, checked after every batch — never
+    /// mid-batch, since a validated op batch addresses one id space.
+    /// Fires when the tombstone ratio reaches
+    /// [`StreamConfig::compact_ratio`].
     fn maybe_compact(&mut self) {
         let slots = self.table.row_count();
         let dead = slots - self.table.live_rows();
@@ -1267,35 +1056,6 @@ impl StreamEngine {
     #[must_use]
     pub fn compaction_stats(&self) -> CompactionStats {
         self.compaction
-    }
-
-    /// Number of worker shards (1 when the rules run inline).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        match &self.layout {
-            Layout::Inline(_) => 1,
-            Layout::Sharded(shards) => shards.count(),
-        }
-    }
-
-    /// The pipelining window (0 = classic per-batch barrier, and always
-    /// 0 inline).
-    #[must_use]
-    pub fn run_ahead(&self) -> usize {
-        match &self.layout {
-            Layout::Inline(_) => 0,
-            Layout::Sharded(shards) => shards.run_ahead(),
-        }
-    }
-
-    /// Batches currently in flight (submitted, not yet merged; always 0
-    /// inline).
-    #[must_use]
-    pub fn pipeline_depth(&self) -> usize {
-        match &self.layout {
-            Layout::Inline(_) => 0,
-            Layout::Sharded(shards) => shards.depth(),
-        }
     }
 
     /// Ingest one row; returns the violation events it caused (creations
@@ -1350,81 +1110,31 @@ impl StreamEngine {
         self.run_ops(rows.into_iter().map(IdOp::Insert))
     }
 
-    /// Submit a batch of [`RowOp`]s; returns every batch that
-    /// *completed* as a consequence, in submission order. Inline, that
-    /// is this batch, at once. Sharded, it is possibly none while the
-    /// run-ahead window still has room, and possibly several, including
-    /// earlier submissions; call [`StreamEngine::flush`] to drain the
-    /// rest. Atomic with respect to errors like [`StreamEngine::apply`].
+    /// [`StreamEngine::apply`], with the events wrapped in the one
+    /// [`BatchEvents`] returned. Kept only for the benchmark harness;
+    /// see [`BatchEvents`].
     pub fn submit(
         &mut self,
         ops: impl IntoIterator<Item = RowOp>,
     ) -> Result<Vec<BatchEvents>, TableError> {
-        self.submit_ops(ops.into_iter().map(IdOp::intern))
+        Ok(vec![BatchEvents {
+            events: self.apply(ops)?,
+        }])
     }
 
-    /// [`StreamEngine::submit`] for a batch of already-interned rows —
-    /// the CLI's clone-free replay path.
-    pub fn submit_id_batch(
-        &mut self,
-        rows: impl IntoIterator<Item = Vec<ValueId>>,
-    ) -> Result<Vec<BatchEvents>, TableError> {
-        self.submit_ops(rows.into_iter().map(IdOp::Insert))
+    /// Returns nothing: every batch completes when it is submitted. Kept
+    /// only for the benchmark harness; see [`BatchEvents`].
+    #[must_use]
+    pub fn flush(&self) -> Vec<BatchEvents> {
+        Vec::new()
     }
 
-    /// Drain the pipeline: merge every in-flight batch and return all
-    /// completed-but-undelivered batches, in submission order (none
-    /// inline, where a batch completes when it is submitted).
-    pub fn flush(&mut self) -> Vec<BatchEvents> {
-        self.drain();
-        match &mut self.layout {
-            Layout::Inline(_) => Vec::new(),
-            Layout::Sharded(shards) => shards.take_completed(),
-        }
-    }
-
-    /// The synchronous path every row-level entry point lowers to: run
-    /// one batch and return its events — plus, sharded, those of any
-    /// batches still pending from earlier [`StreamEngine::submit`]
-    /// calls, so mixing the two APIs never drops events.
+    /// The path every entry point lowers to. Intern (lazily, as `ops` is
+    /// collected) and validate one batch (`validate_ops`, the only
+    /// validator), run it, and return its events. The whole batch
+    /// addresses one id space, so the auto-compaction check waits until
+    /// after it.
     fn run_ops(
-        &mut self,
-        ops: impl IntoIterator<Item = IdOp>,
-    ) -> Result<Vec<LedgerEvent>, TableError> {
-        let events = self.dispatch(ops)?;
-        self.drain();
-        Ok(match &mut self.layout {
-            Layout::Inline(_) => events,
-            Layout::Sharded(shards) => shards
-                .take_completed()
-                .into_iter()
-                .flat_map(|b| b.events)
-                .collect(),
-        })
-    }
-
-    /// [`StreamEngine::submit`]'s path: run one batch and hand back the
-    /// batches that completed.
-    fn submit_ops(
-        &mut self,
-        ops: impl IntoIterator<Item = IdOp>,
-    ) -> Result<Vec<BatchEvents>, TableError> {
-        let seq = self.next_seq;
-        let events = self.dispatch(ops)?;
-        Ok(match &mut self.layout {
-            Layout::Inline(_) => vec![BatchEvents { seq, events }],
-            Layout::Sharded(shards) => shards.take_completed(),
-        })
-    }
-
-    /// Intern (lazily, as `ops` is collected) and validate one batch
-    /// (`validate_ops`, the only validator), then run it under the next
-    /// sequence number. Inline, it runs to completion here and its
-    /// events come back. Sharded, it fans out, its events reach the
-    /// completed queue when it merges, and the returned `Vec` is empty.
-    /// The whole batch addresses one id space, so the auto-compaction
-    /// check waits until after it.
-    fn dispatch(
         &mut self,
         ops: impl IntoIterator<Item = IdOp>,
     ) -> Result<Vec<LedgerEvent>, TableError> {
@@ -1435,31 +1145,49 @@ impl StreamEngine {
             validate_ops(&self.table, &ops)?;
         }
         obs::counter!("engine.ops").add(ops.len() as u64);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let (table, router) = (&mut self.table, &mut self.router);
-        let (ledger, drift) = (&mut self.ledger, &mut self.drift);
-        let events = match &mut self.layout {
-            Layout::Inline(shard) => {
-                let events = shard.run(ops, table, router, ledger, drift);
-                obs::counter!("engine.events").add(events.len() as u64);
-                events
-            }
-            Layout::Sharded(shards) => {
-                shards.submit(seq, ops, table, router, ledger, drift);
-                Vec::new()
-            }
-        };
+        let events = self.run(ops);
+        obs::counter!("engine.events").add(events.len() as u64);
         self.maybe_compact();
         Ok(events)
     }
 
-    /// Merge every in-flight sharded batch — the barrier in front of
-    /// compaction, snapshots, stats, and the synchronous path.
-    fn drain(&mut self) {
-        if let Layout::Sharded(shards) = &mut self.layout {
-            shards.drain(&mut self.ledger, &mut self.drift);
+    /// Run a validated batch: prime every rule over the batch's arriving
+    /// LHS values (count-neutral by construction), then run each op's
+    /// phases through every rule in index order, with one drift call per
+    /// rule per phase carrying that phase's totals.
+    fn run(&mut self, ops: Vec<IdOp>) -> Vec<LedgerEvent> {
+        let _apply = obs::span!("engine.apply_ns");
+        for rule in &mut self.rules {
+            rule.prime_batch(&ops);
         }
+        let StreamEngine {
+            table,
+            rules,
+            ledger,
+            drift,
+            ..
+        } = self;
+        let mut events = Vec::new();
+        for op in ops {
+            op.run(table, |table, row, removal| {
+                for (index, rule) in rules.iter_mut().enumerate() {
+                    let mut sink = Sink {
+                        ledger: &mut *ledger,
+                        events: &mut events,
+                        created: 0,
+                        retracted: 0,
+                    };
+                    let matched = rule.process(table, row, removal, &mut sink);
+                    let (created, retracted) = (sink.created, sink.retracted);
+                    if removal {
+                        drift.retire(index, matched, created, retracted);
+                    } else {
+                        drift.observe(index, matched, created, retracted);
+                    }
+                }
+            });
+        }
+        events
     }
 
     /// Replay an existing table's *live* rows in row order, as one
@@ -1547,66 +1275,41 @@ impl StreamEngine {
 
     /// The seeded rules, in index order.
     pub fn rules(&self) -> impl Iterator<Item = &Pfd> {
-        self.rules.iter()
-    }
-
-    /// Rule-state figures across the engine, key router included
-    /// (sharded: pipeline drained, one stats round-trip per worker), plus
-    /// each worker's block count (empty inline).
-    fn census(&mut self) -> (Census, Vec<usize>) {
-        self.drain();
-        let (mut census, per_worker) = match &mut self.layout {
-            Layout::Inline(shard) => (shard.census(), Vec::new()),
-            Layout::Sharded(shards) => shards.census(),
-        };
-        census.evals += self.router.evals();
-        census.lookups += self.router.lookups();
-        (census, per_worker)
+        self.rules.iter().map(|rule| &rule.pfd)
     }
 
     /// Total pattern evaluations performed across all rules — the
-    /// tableau memos' candidate matches plus the key router's capture
+    /// tableau memos' candidate matches plus the key memos' capture
     /// extractions.
     /// Bounded by `Σ_tuple distinct(LHS column)` regardless of row
-    /// count or layout, and for constant tuples by the candidates each
-    /// distinct value's literal prefix selects: the call-counting hook
-    /// behind the "at most one evaluation per (pattern, distinct value)"
-    /// guarantee. Drains the pipeline.
+    /// count, and for constant tuples by the candidates each distinct
+    /// value's literal prefix selects: the call-counting hook behind the
+    /// "at most one evaluation per (pattern, distinct value)" guarantee.
     #[must_use]
-    pub fn pattern_evals(&mut self) -> usize {
-        self.census().0.evals
+    pub fn pattern_evals(&self) -> usize {
+        self.rules.iter().map(RuleState::pattern_evals).sum()
     }
 
     /// Total memo consultations (hits + misses) across all rules — one
     /// per rule with constant tuples and one per variable tuple for each
     /// row phase with a non-null LHS; the denominator for the
     /// memoization hit rate: `1 − pattern_evals / pattern_lookups`.
-    /// Drains the pipeline.
     #[must_use]
-    pub fn pattern_lookups(&mut self) -> usize {
-        self.census().0.lookups
+    pub fn pattern_lookups(&self) -> usize {
+        self.rules.iter().map(RuleState::pattern_lookups).sum()
     }
 
     /// Publish the engine's derived state into the global metrics
     /// registry as gauges: table slots/live/bytes, pool bytes/strings,
-    /// memo lookup/eval totals, block counts (per worker too, as
-    /// `shard.N.keys`, when sharded), ledger totals, and compaction
-    /// counters.
+    /// memo lookup/eval totals, block counts, ledger totals, and
+    /// compaction counters.
     ///
     /// Pull-based by design: per-row hot paths never touch these — the
     /// caller (CLI summary, `--stats-every` ticks, benches) decides the
-    /// refresh cadence. Sharded, it drains the pipeline and round-trips
-    /// every worker, so it suits a stats tick, not a per-batch call. A
-    /// no-op while the recorder is disabled.
-    pub fn publish_metrics(&mut self) {
+    /// refresh cadence. A no-op while the recorder is disabled.
+    pub fn publish_metrics(&self) {
         if !obs::enabled() {
             return;
-        }
-        let (census, per_worker) = self.census();
-        for (shard, blocks) in per_worker.into_iter().enumerate() {
-            // How many key blocks each worker currently owns — the
-            // load-balance signal.
-            obs::gauge(&format!("shard.{shard}.keys")).set(blocks as i64);
         }
         let table = self.table.mem_footprint();
         obs::gauge!("table.slots").set(table.total_slots as i64);
@@ -1617,9 +1320,10 @@ impl StreamEngine {
         obs::gauge!("pool.strings").set(pool.strings as i64);
         obs::gauge!("pool.string_bytes").set(pool.string_bytes as i64);
         obs::gauge!("engine.rules").set(self.rules.len() as i64);
-        obs::gauge!("engine.blocks").set(census.blocks as i64);
-        obs::gauge!("memo.evals").set(census.evals as i64);
-        obs::gauge!("memo.lookups").set(census.lookups as i64);
+        let blocks: usize = self.rules.iter().map(RuleState::block_count).sum();
+        obs::gauge!("engine.blocks").set(blocks as i64);
+        obs::gauge!("memo.evals").set(self.pattern_evals() as i64);
+        obs::gauge!("memo.lookups").set(self.pattern_lookups() as i64);
         obs::gauge!("ledger.live").set(self.ledger.live_count() as i64);
         obs::gauge!("ledger.created_total").set(self.ledger.created_total() as i64);
         obs::gauge!("ledger.retracted_total").set(self.ledger.retracted_total() as i64);
@@ -1653,8 +1357,7 @@ impl StreamEngine {
     #[must_use]
     pub fn drift_report(&self) -> Vec<DriftReport> {
         let mut reports: Vec<DriftReport> = self
-            .rules
-            .iter()
+            .rules()
             .enumerate()
             .filter_map(|(i, pfd)| self.drift.judge(i, pfd.embedded_fd()))
             .collect();
@@ -1998,6 +1701,36 @@ mod tests {
             Err(TableError::ArityMismatch { .. })
         ));
         assert_eq!(engine.live_rows(), 1);
+    }
+
+    #[test]
+    fn empty_batch_is_a_no_op() {
+        let mut engine = StreamEngine::new(schema(), vec![zip_variable_pfd()]);
+        assert!(engine.apply([]).unwrap().is_empty());
+        assert_eq!(engine.row_count(), 0);
+        assert_eq!(engine.pattern_lookups(), 0);
+    }
+
+    #[test]
+    fn submit_wraps_one_apply_and_flush_returns_nothing() {
+        let ops = || {
+            vec![
+                RowOp::Insert(vec![Value::text("90001"), Value::text("Los Angeles")]),
+                RowOp::Insert(vec![Value::text("90002"), Value::text("New York")]),
+                RowOp::Insert(vec![Value::text("90003"), Value::text("New York")]),
+                RowOp::Delete(1),
+            ]
+        };
+        let rules = || vec![zip_variable_pfd(), zip_constant_pfd()];
+        let mut twin = StreamEngine::new(schema(), rules());
+        let expected = twin.apply(ops()).unwrap();
+        assert!(expected.iter().any(|e| !e.is_created()), "{expected:?}");
+        let mut engine = StreamEngine::new(schema(), rules());
+        let batches = engine.submit(ops()).unwrap();
+        assert_eq!(batches.len(), 1, "one batch in, one batch out");
+        assert_eq!(batches[0].events, expected);
+        assert!(engine.flush().is_empty(), "nothing is ever in flight");
+        assert_eq!(engine.ledger().snapshot(), twin.ledger().snapshot());
     }
 
     #[test]

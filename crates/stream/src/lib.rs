@@ -21,9 +21,9 @@
 //!   distinct LHS value to the tuples it matches, evaluating on first
 //!   sighting only those whose literal prefix the value starts with.
 //!   Variable tuples maintain an incremental
-//!   [`BlockingPartition`](anmat_index::BlockingPartition), fed by the
-//!   engine's one key router, which derives each row's blocking keys
-//!   once through a [`KeyMemo`](anmat_index::KeyMemo) per tuple: an
+//!   [`BlockingPartition`](anmat_index::BlockingPartition), each tuple
+//!   deriving a row's blocking key once per distinct LHS value through
+//!   its own [`KeyMemo`](anmat_index::KeyMemo): an
 //!   insert or removal touches exactly the affected key's block, in
 //!   `O(log block + run cap)` (blocks keep their rows as short ascending
 //!   runs), and only that block's violations are diffed. `O(block)` work
@@ -58,32 +58,12 @@
 //!   the denominator shrinks as matched rows are deleted — and flags
 //!   rules that decay below the discovery threshold, so they can be
 //!   demoted to `RuleStatus::Pending` for re-review.
-//! * Every layout runs one rule processor through a shard: every rule,
-//!   restricted to the blocking keys the shard owns. One shard runs
-//!   inline on the calling thread and owns every key. With
-//!   [`StreamConfig::shards`]` > 1` the same engine runs its delta
-//!   pipeline across worker threads: blocking keys are hashed over the
-//!   workers, so a single heavy rule's blocks spread across every core,
-//!   and the coordinator derives each distinct key once and ships routes
-//!   with the batch. Key ownership is fixed when the engine is built, so
-//!   no state ever moves between workers. Each op batch is interned
-//!   once, fanned out over bounded channels, and per-shard deltas are
-//!   merged back in `(rule, tuple)` order into the engine's one ledger,
-//!   through the same fold the inline layout merges each op with. With
-//!   [`StreamConfig::run_ahead`]` > 0` the coordinator *pipelines*
-//!   batches: [`StreamEngine::submit`] returns while workers run ahead,
-//!   and epoch-sequence-tagged merges happen strictly in submission
-//!   order ([`BatchEvents`]). The **determinism contract**: for any op
-//!   sequence, shard count, and run-ahead window, the event
-//!   stream, ledger state, per-rule health, and drift report are
-//!   bit-for-bit identical to the inline layout's (property-tested in
-//!   `tests/shard_equivalence.rs`). Cross-shard string traffic rides the
-//!   `ValuePool`, whose id→string resolution is lock-free. Compaction
-//!   runs as a coordinated **epoch barrier** ([`StreamEngine::compact`]):
-//!   the pipeline drains, the coordinator compacts, broadcasts the
-//!   remap, and every worker remaps its replica and rule state before
-//!   the next batch flows — the equivalence contract holds across
-//!   compactions too.
+//! * The engine runs on the calling thread: each op phase (the removal
+//!   before a delete or update, the insert after an insert or update)
+//!   goes through every rule in index order, each rule writing its
+//!   creations and retractions straight into the one ledger in tableau
+//!   order, so event order is deterministic: rule index, then tableau
+//!   order.
 //!
 //! # Example
 //!
@@ -117,17 +97,18 @@
 
 pub mod drift;
 pub mod engine;
-pub mod sharded;
 
 pub use drift::{DriftMonitor, DriftReport, RuleHealth};
-pub use engine::{CompactionStats, EngineSnapshot, ShardBy, StreamConfig, StreamEngine};
-pub use sharded::{BatchEvents, KEY_SLOTS};
+pub use engine::{
+    BatchEvents, CompactionStats, EngineSnapshot, ShardBy, StreamConfig, StreamEngine,
+};
 
-/// The former name of the sharded engine, now [`StreamEngine`] with
-/// [`StreamConfig::shards`]` > 1`. Kept only because the benchmark
+/// Another name for [`StreamEngine`]. Kept only because the benchmark
 /// harness (`perfbench/harness/src/measure.rs`) still names it, like
-/// [`ShardBy`] and [`StreamConfig::shard_by`]; the next change to the
-/// benchmark drops all three.
+/// [`ShardBy`], the inert [`StreamConfig`] fields `shards`, `shard_by`
+/// and `run_ahead`, and the [`StreamEngine::submit`] and
+/// [`StreamEngine::flush`] shims; the next change to the benchmark drops
+/// them all.
 pub type ShardedEngine = StreamEngine;
 
 // Re-exported so downstream users of the engine's event stream don't need

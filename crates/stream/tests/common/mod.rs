@@ -1,7 +1,7 @@
 //! Helpers shared between the stream crate's integration-test binaries.
 
 /// Local proptest case count, overridable by `PROPTEST_CASES` (the CI
-/// shard-equivalence and churn-compaction steps elevate it); in-repo
+/// churn-compaction and pattern-tier steps elevate it); in-repo
 /// defaults stay small because each case runs discovery plus several
 /// full engines.
 pub fn cases(default: u32) -> u32 {

@@ -5,7 +5,7 @@
 //! their cost does not grow with the tableau. Asserted via the engine's
 //! call-counting hooks ([`StreamEngine::pattern_evals`] and
 //! [`StreamEngine::pattern_lookups`]: each rule's `TableauMemo` plus the
-//! `KeyMemo`s of the engine's key router).
+//! `KeyMemo` of each of its variable tuples).
 
 use anmat_core::{PatternTuple, Pfd};
 use anmat_pattern::ConstrainedPattern;

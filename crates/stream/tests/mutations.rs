@@ -12,10 +12,13 @@
 //! so batch detection sees exactly the tombstoned state the engine
 //! maintained incrementally — same `RowId`s, same survivors.
 
-use anmat_core::{detect_all, discover, DiscoveryConfig, Pfd, Violation, ViolationKind};
+use anmat_core::{
+    detect_all, discover, DiscoveryConfig, PatternTuple, Pfd, Violation, ViolationKind,
+};
 use anmat_datagen::{chembl, employee, names, phone, zipcity, GenConfig};
+use anmat_pattern::ConstrainedPattern;
 use anmat_stream::{StreamConfig, StreamEngine};
-use anmat_table::{RowId, RowOp, Table};
+use anmat_table::{RowId, RowOp, Schema, Table, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -68,6 +71,22 @@ fn random_ops(source: &Table, seed: u64, churn: f64) -> Vec<RowOp> {
         }
     }
     ops
+}
+
+/// Split `ops` into batches whose sizes cycle through `batch_sizes`, so
+/// one run exercises several batch granularities.
+fn batches(ops: &[RowOp], batch_sizes: &[usize]) -> Vec<Vec<RowOp>> {
+    let mut out = Vec::new();
+    let mut i = 0usize;
+    let mut size_idx = 0usize;
+    while i < ops.len() {
+        let size = batch_sizes[size_idx % batch_sizes.len()].max(1);
+        size_idx += 1;
+        let end = (i + size).min(ops.len());
+        out.push(ops[i..end].to_vec());
+        i = end;
+    }
+    out
 }
 
 /// Apply `ops` to a fresh engine and to a mirror table, then assert the
@@ -485,6 +504,146 @@ fn compaction_of_a_fully_drained_table_restarts_cleanly() {
         canonical(detect_all(engine.table(), &rules)),
     );
     assert!(engine.ledger().snapshot().iter().all(|v| v.row < n));
+}
+
+#[test]
+fn drift_report_is_rule_index_sorted_across_engines() {
+    // Three constant rules that all drift (every matching row violates):
+    // the report must come back [0, 1, 2].
+    let schema = Schema::new(["zip", "city"]).unwrap();
+    let rule = |expected: &str| {
+        Pfd::new(
+            "Zip",
+            "zip",
+            "city",
+            vec![PatternTuple::constant(
+                ConstrainedPattern::unconstrained("900\\D{2}".parse().unwrap()),
+                expected,
+            )],
+        )
+    };
+    let rules = vec![rule("Alpha"), rule("Beta"), rule("Gamma")];
+    let rows: Vec<Vec<Value>> = (0..12)
+        .map(|i| vec![Value::text(format!("900{i:02}")), Value::text("Delta")])
+        .collect();
+
+    let mut engine = StreamEngine::new(schema, rules);
+    engine.push_batch(rows).unwrap();
+    assert_eq!(
+        engine
+            .drift_report()
+            .iter()
+            .map(|d| d.rule)
+            .collect::<Vec<_>>(),
+        vec![0, 1, 2],
+        "drift report must be rule-index sorted"
+    );
+}
+
+#[test]
+fn instrumented_run_is_bit_for_bit_identical() {
+    // The observability contract: turning the metrics recorder on must
+    // not perturb anything observable — event streams, ledger, health,
+    // drift. (The recorder flag is process global; flipping it here is
+    // harmless to concurrently running tests precisely *because* of
+    // this contract.)
+    use anmat_obs as obs;
+
+    let config = GenConfig {
+        rows: 160,
+        seed: 0xB0B5,
+        error_rate: 0.05,
+    };
+    let data = zipcity::generate(&config, zipcity::ZipTarget::City);
+    let rules = discover(&data.table, &discovery_config());
+    let ops = random_ops(&data.table, 41, 0.25);
+    let op_batches = batches(&ops, &[1, 9, 32]);
+
+    let run = || {
+        let mut engine = StreamEngine::new(data.table.schema().clone(), rules.clone());
+        let events: Vec<_> = op_batches
+            .iter()
+            .map(|batch| engine.apply(batch.clone()).expect("ops are valid"))
+            .collect();
+        // Exercise the publish path too — reading gauges out of engine
+        // state must be as inert as the inline counters.
+        engine.publish_metrics();
+        let healths: Vec<_> = (0..rules.len()).map(|r| engine.rule_health(r)).collect();
+        (
+            events,
+            engine.ledger().snapshot(),
+            healths,
+            engine.drift_report(),
+        )
+    };
+
+    let baseline = run();
+    obs::Recorder::enable();
+    let instrumented = run();
+    obs::Recorder::disable();
+    assert_eq!(
+        baseline, instrumented,
+        "an active recorder must not change any observable engine state"
+    );
+    // And the recorder really was live during the second run: the
+    // engine-phase counters can only have moved while it was enabled.
+    let snap = obs::MetricsSnapshot::capture();
+    assert!(
+        snap.counter("engine.ops").unwrap_or(0) > 0,
+        "instrumented run must have recorded engine.ops"
+    );
+}
+
+#[test]
+fn batch_priming_is_observationally_neutral() {
+    // Batch priming warms every rule's per-distinct-value caches for a
+    // whole op batch before any op runs. It must change nothing
+    // observable — events, ledger, health, drift — and not even the
+    // eval/lookup counters: a twin engine that sees the same op stream
+    // one op per `apply` call is the reference.
+    let config = GenConfig {
+        rows: 180,
+        seed: 0xC0DE,
+        error_rate: 0.05,
+    };
+    for (table, context) in [
+        (
+            zipcity::generate(&config, zipcity::ZipTarget::City).table,
+            "zipcity",
+        ),
+        (names::generate(&config).table, "names"),
+    ] {
+        let rules = discover(&table, &discovery_config());
+        let ops = random_ops(&table, 51, 0.2);
+        let mut batched = StreamEngine::new(table.schema().clone(), rules.clone());
+        let mut single = StreamEngine::new(table.schema().clone(), rules.clone());
+        for (k, batch) in batches(&ops, &[1, 11, 40]).into_iter().enumerate() {
+            let mut expected = Vec::new();
+            for op in batch.iter().cloned() {
+                expected.extend(single.apply([op]).expect("ops are valid"));
+            }
+            let got = batched.apply(batch).expect("ops are valid");
+            assert_eq!(
+                got, expected,
+                "event stream diverged on {context} (batch {k})"
+            );
+        }
+        assert_eq!(batched.ledger().snapshot(), single.ledger().snapshot());
+        assert_eq!(
+            batched.pattern_evals(),
+            single.pattern_evals(),
+            "batch priming must be eval-count-neutral on {context}"
+        );
+        assert_eq!(
+            batched.pattern_lookups(),
+            single.pattern_lookups(),
+            "priming is not a lookup — per-row probe counts must agree on {context}"
+        );
+        for rule in 0..rules.len() {
+            assert_eq!(batched.rule_health(rule), single.rule_health(rule));
+        }
+        assert_eq!(batched.drift_report(), single.drift_report());
+    }
 }
 
 proptest! {

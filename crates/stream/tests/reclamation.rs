@@ -2,8 +2,7 @@
 //! sweeps the [`ValuePool`] at its compaction barriers must be
 //! indistinguishable — events, ledger, resolved table content, per-rule
 //! health, drift — from a never-reclaiming twin fed the identical op
-//! stream, whether the rules run inline or on sharded workers. And
-//! copy-on-write snapshots must stay frozen while ingest (and
+//! stream. And copy-on-write snapshots must stay frozen while ingest (and
 //! compaction, and deferred reclamation) continue underneath them.
 //!
 //! The pool is process-global and refcounts are shared, so every test
@@ -60,7 +59,7 @@ fn schema() -> Schema {
 /// so ops must be generated against the *post-remap* id space — the
 /// script bakes the barriers in and the generator tracks the
 /// renumbering, which is deterministic and identical across every
-/// engine flavour (the shard-equivalence contract covers compaction).
+/// engine flavour.
 struct Step {
     ops: Vec<RowOp>,
     compact: bool,
@@ -230,29 +229,12 @@ fn reclaim_twin_case(tag: &str, seed: u64) {
         swept, twin,
         "reclamation changed observable state ({tag}, seed {seed})"
     );
-
-    // Same contract across a sharded, pipelined layout.
-    let config = StreamConfig {
-        shards: 3,
-        run_ahead: 2,
-        ..reclaiming
-    };
-    let (sharded, sharded_freed) = run(config, rules(tag, TWIN_PREFIXES), &script);
-    assert!(
-        sharded_freed > 0,
-        "sharded sweep must free stranded strings ({tag}, seed {seed})"
-    );
-    assert_eq!(
-        sharded, twin,
-        "sharded reclamation diverged ({tag}, seed {seed})"
-    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(12)))]
 
-    /// The headline twin property: reclamation is observably invisible
-    /// in every layout.
+    /// The headline twin property: reclamation is observably invisible.
     #[test]
     fn churn_with_reclamation_matches_never_reclaiming_twin(seed in 0u64..4096) {
         reclaim_twin_case(&format!("rclA{seed}"), seed);
@@ -318,46 +300,4 @@ fn snapshot_stays_frozen_while_ingest_mutates() {
         engine.reclaim_stats().strings > freed_at_capture,
         "deferred candidates must sweep at the first unpinned barrier"
     );
-}
-
-/// A sharded engine's snapshot sits at a clean pipeline barrier and
-/// behaves identically: frozen view, deferral, post-drop sweep.
-#[test]
-fn sharded_snapshot_stays_frozen_and_defers_sweeps() {
-    let tag = "rclC";
-    let prefixes = ["600", "614", "627", "635", "642"];
-    let script = churn_script(tag, prefixes, 11, 80);
-    let config = StreamConfig {
-        reclaim: true,
-        shards: 3,
-        run_ahead: 2,
-        ..StreamConfig::default()
-    };
-    let mut engine = StreamEngine::with_config(schema(), rules(tag, prefixes), config);
-    let (head, tail) = script.split_at(script.len() / 2);
-    for step in head {
-        engine.apply(step.ops.clone()).expect("valid ops");
-        if step.compact {
-            engine.compact();
-        }
-    }
-
-    let snap = engine.snapshot();
-    let frozen_table = engine.table().clone();
-    let frozen_live = engine.ledger().snapshot();
-    let freed_at_capture = engine.reclaim_stats().strings;
-
-    for step in tail {
-        engine.apply(step.ops.clone()).expect("valid ops");
-        if step.compact {
-            engine.compact();
-        }
-    }
-    assert_eq!(engine.reclaim_stats().strings, freed_at_capture);
-    assert_eq!(snap.table(), &frozen_table);
-    assert_eq!(snap.ledger().snapshot(), frozen_live);
-
-    drop(snap);
-    engine.compact();
-    assert!(engine.reclaim_stats().strings > freed_at_capture);
 }

@@ -20,8 +20,9 @@
 //!   `ValueId` obtained anywhere in the process stays valid (and
 //!   resolvable) for the process lifetime. This is what lets
 //!   [`ValueId::as_str`] hand out `&'static str` without borrowing the
-//!   pool, and what makes `ValueId` `Send + Copy` — the prerequisite for
-//!   sharding rule state across threads without cloning string tables.
+//!   pool, and what makes `ValueId` `Send + Copy` — so ids cross
+//!   threads (parallel discovery, for one) without cloning string
+//!   tables.
 //! * For long-running, high-cardinality streams the leak is no longer
 //!   acceptable, so the pool supports **explicit reclamation**
 //!   ([`ValuePool::reclaim`]): a caller that can prove a set of ids is
@@ -53,9 +54,8 @@
 //!   watermark bounds check and two pointer chases (chunk, then the
 //!   published entry), with acquire loads pairing against the publishing
 //!   release stores. Resolution never blocks and is never blocked — not
-//!   by other resolvers, and not by concurrent interning. This is what
-//!   lets sharded stream workers render evidence strings on every thread
-//!   without contending on the pool.
+//!   by other resolvers, and not by concurrent interning, so threads
+//!   render strings without contending on the pool.
 //! * **string → id** (interning) keeps an `RwLock`ed hash map: lookups of
 //!   already-interned strings take the shared read lock; only a genuine
 //!   *miss* — the first sighting of a string — takes the write lock to
@@ -546,8 +546,7 @@ impl ValuePool {
     ///
     /// **Lock-free**: a relaxed watermark check plus two acquire pointer
     /// chases — no `RwLock` is touched, so resolution never blocks (and
-    /// is never blocked by) concurrent interning. This is the hot read
-    /// path every shard worker leans on.
+    /// is never blocked by) concurrent interning.
     ///
     /// # Panics
     /// Panics on [`ValueId::NULL`] (nulls have no string), on an id not

@@ -343,8 +343,7 @@ impl Table {
         let id = self.rows;
         self.rows += 1;
         self.live.push(true);
-        // `table.*` counters aggregate over every Table in the process —
-        // under sharding that includes each worker's replica.
+        // `table.*` counters aggregate over every Table in the process.
         obs::counter!("table.push").incr();
         Ok(id)
     }
@@ -365,31 +364,6 @@ impl Table {
                 ValuePool::retain(v);
             }
             col.push(v);
-        }
-        let id = self.rows;
-        self.rows += 1;
-        self.live.push(true);
-        obs::counter!("table.push").incr();
-        Ok(id)
-    }
-
-    /// [`Table::push_id_row`] from a borrowed slice — the sharded
-    /// engine's per-replica apply path, which would otherwise clone the
-    /// cell vector once per worker.
-    pub fn push_id_cells(&mut self, row: &[ValueId]) -> Result<RowId, TableError> {
-        if row.len() != self.schema.arity() {
-            return Err(TableError::ArityMismatch {
-                row: self.rows,
-                found: row.len(),
-                expected: self.schema.arity(),
-            });
-        }
-        let refcounted = self.refcounted;
-        for (col, v) in self.columns.iter_mut().zip(row) {
-            if refcounted {
-                ValuePool::retain(*v);
-            }
-            col.push(*v);
         }
         let id = self.rows;
         self.rows += 1;
@@ -468,23 +442,6 @@ impl Table {
         self.require_live(row)?;
         for (c, v) in cells.into_iter().enumerate() {
             self.overwrite_cell(row, c, v);
-        }
-        obs::counter!("table.update").incr();
-        Ok(())
-    }
-
-    /// [`Table::update_id_row`] from a borrowed slice.
-    pub fn update_id_cells(&mut self, row: RowId, cells: &[ValueId]) -> Result<(), TableError> {
-        if cells.len() != self.schema.arity() {
-            return Err(TableError::ArityMismatch {
-                row,
-                found: cells.len(),
-                expected: self.schema.arity(),
-            });
-        }
-        self.require_live(row)?;
-        for (c, v) in cells.iter().enumerate() {
-            self.overwrite_cell(row, c, *v);
         }
         obs::counter!("table.update").incr();
         Ok(())

@@ -1,9 +1,9 @@
-//! `ValuePool` concurrency smoke test — the contract the sharded stream
-//! engine leans on: many threads racing `intern` / `intern_batch` /
-//! `resolve` on overlapping strings must agree on one id per string,
-//! resolution must round-trip under contention, and the lock-free
-//! resolve path must keep making progress while writers hold the
-//! interning lock hot.
+//! `ValuePool` concurrency smoke test — the contract every multi-threaded
+//! pool user (parallel discovery, for one) leans on: many threads racing
+//! `intern` / `intern_batch` / `resolve` on overlapping strings must
+//! agree on one id per string, resolution must round-trip under
+//! contention, and the lock-free resolve path must keep making progress
+//! while writers hold the interning lock hot.
 
 use anmat_table::{Value, ValueId, ValuePool};
 use std::collections::HashMap;

@@ -73,18 +73,12 @@ fn usage() -> String {
      \x20 anmat detect   <data.csv> (--store DIR | --rules FILE)\n\
      \x20                [--confirmed-only] [--repair OUT.csv]\n\
      \x20 anmat stream   <data.csv> (--store DIR | --rules FILE) [--batch N]\n\
-     \x20                [--shards N] [--run-ahead N]\n\
      \x20                [--ops FILE] [--confirmed-only] [--quiet]\n\
      \x20                [--demote-drifted] [--violations F] [--min-support N]\n\
      \x20                [--compact-ratio R] [--reclaim] [--checkpoint]\n\
      \x20                [--stats-every N] [--metrics-out FILE]\n\
      \x20                (drift thresholds: pass the values the rules were\n\
-     \x20                discovered with; --shards N > 1 hashes every rule's\n\
-     \x20                blocking keys over N worker threads, so even one\n\
-     \x20                heavy rule uses every core, same output\n\
-     \x20                bit-for-bit; --run-ahead N lets workers run up to N\n\
-     \x20                batches ahead of the merge — output is still\n\
-     \x20                bit-for-bit identical for any window;\n\
+     \x20                discovered with;\n\
      \x20                --compact-ratio R reclaims tombstoned slots once\n\
      \x20                they exceed fraction R of the table, renumbering\n\
      \x20                rows via an epoch-stamped remap;\n\
@@ -383,10 +377,7 @@ fn parse_ops(text: &str) -> Result<Vec<RowOp>, String> {
 /// figures always, the wall-clock rate only when timing output is
 /// allowed (it is nondeterministic, so `--quiet`/`ANMAT_NO_TIMING`
 /// suppress it).
-fn print_stats_line(engine: &mut StreamEngine, started: Instant, timing: bool) {
-    // Note the stats round-trip drains the pipeline, so the figures are
-    // a consistent point-in-time snapshot; `merge.lag_batches` still
-    // records how deep the run-ahead window actually got.
+fn print_stats_line(engine: &StreamEngine, started: Instant, timing: bool) {
     engine.publish_metrics();
     let snap = obs::MetricsSnapshot::capture();
     let slots = snap.gauge("table.slots").unwrap_or(0);
@@ -411,15 +402,6 @@ fn print_stats_line(engine: &mut StreamEngine, started: Instant, timing: bool) {
             snap.gauge("pool.live_strings").unwrap_or(0),
             snap.gauge("pool.freed_bytes").unwrap_or(0)
         ));
-    }
-    if let Some(h) = snap.histogram("merge.lag_batches") {
-        if h.count > 0 {
-            line.push_str(&format!(
-                ", pipeline lag avg {:.2} batch(es) over {} merge(s)",
-                h.sum as f64 / h.count as f64,
-                h.count
-            ));
-        }
     }
     if timing {
         let secs = started.elapsed().as_secs_f64();
@@ -472,18 +454,6 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     if let Some(s) = take_flag(&mut args, "--min-support")? {
         stream_config.min_support = s.parse().map_err(|_| format!("bad --min-support `{s}`"))?;
     }
-    if let Some(n) = take_flag(&mut args, "--shards")? {
-        stream_config.shards = n
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or(format!("bad --shards `{n}` (want a positive integer)"))?;
-    }
-    if let Some(n) = take_flag(&mut args, "--run-ahead")? {
-        stream_config.run_ahead = n.parse().ok().ok_or(format!(
-            "bad --run-ahead `{n}` (want a non-negative integer)"
-        ))?;
-    }
     if let Some(r) = take_flag(&mut args, "--compact-ratio")? {
         stream_config.compact_ratio =
             r.parse()
@@ -522,27 +492,13 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     )?;
     let rule_count = pfds.len();
     let mut engine = StreamEngine::with_config(table.schema().clone(), pfds, stream_config);
-    // Report the *effective* worker count (the engine clamps --shards
-    // to the key-slot count; one shard runs inline and reports nothing)
-    // plus any pipelining window.
-    let mut sharding = String::new();
-    if engine.shard_count() > 1 {
-        sharding = format!(", {} shard(s)", engine.shard_count());
-        if engine.run_ahead() > 0 {
-            sharding.push_str(&format!(", run-ahead {}", engine.run_ahead()));
-        }
-    }
     println!(
-        "streaming {} row(s) from {path} through {rule_count} rule(s), batch size \
-         {batch}{sharding}",
+        "streaming {} row(s) from {path} through {rule_count} rule(s), batch size {batch}",
         table.row_count()
     );
     // Rows are already interned by the CSV read; stream them as ids so
-    // replay is clone-free. Every layout replays through `submit`: inline
-    // a batch completes at once; with a run-ahead window older batches
-    // complete as the window fills. Either way events come back in
-    // submission order. A batch never holds more than the table's rows,
-    // so neither does its buffer.
+    // replay is clone-free. A batch never holds more than the table's
+    // rows, so neither does its buffer.
     let started = Instant::now();
     let replayed_rows = table.row_count();
     let capacity = batch.min(replayed_rows);
@@ -552,24 +508,17 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         pending.push(table.row_ids(r));
         if pending.len() == batch || r + 1 == table.row_count() {
             let full = std::mem::replace(&mut pending, Vec::with_capacity(capacity));
-            let completed = engine
-                .submit_id_batch(full)
+            let events = engine
+                .push_id_batch(full)
                 .map_err(|e| format!("row {r}: {e}"))?;
             if !quiet {
-                print_events(&completed);
+                print_events(&events);
             }
             batches_done += 1;
             if stats_every.is_some_and(|every| batches_done.is_multiple_of(every)) {
-                print_stats_line(&mut engine, started, timing);
+                print_stats_line(&engine, started, timing);
             }
         }
-    }
-    // With --run-ahead > 0 the last few batches may still be in flight:
-    // drain them so their events print and the timing figure covers the
-    // whole stream.
-    let tail = engine.flush();
-    if !quiet {
-        print_events(&tail);
     }
     // Elapsed replay time flows through the obs layer (the summary
     // reads it back out of the histogram), so it lands in --metrics-out
@@ -590,16 +539,13 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         obs::histogram!("cli.apply_ns")
             .record(u64::try_from(ops_started.elapsed().as_nanos()).unwrap_or(u64::MAX));
         if !quiet {
-            for event in &events {
-                println!("{}", render_event(event));
-            }
+            print_events(&events);
         }
     }
 
     // Snapshot-backed checkpoint: the capture is O(chunks) chunk-handle
-    // clones behind the epoch barrier (a sharded engine drains its
-    // pipeline first), so a service would keep ingesting while the
-    // serialization below reads the frozen view.
+    // clones, so a service would keep ingesting while the serialization
+    // below reads the frozen view.
     if checkpoint {
         let dir = store_dir.as_deref().expect("validated before replay");
         let snap = engine.snapshot();
@@ -637,12 +583,9 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         engine.row_count() + compaction.reclaimed_slots
     );
     // Reclamation observability: epochs run, slots dropped, and the
-    // table's own memory. "Per table replica" states the scope exactly:
-    // the shared ValuePool is excluded (string bytes live once,
-    // process-wide), and under --shards the coordinator plus each of
-    // the N workers holds one replica this size — compaction shrinks
-    // all of them in lockstep. The line itself is shard-invariant, like
-    // everything below the header.
+    // table's own memory. The shared ValuePool is excluded (string bytes
+    // live once, process-wide); the next line counts it. The line keeps
+    // its historic "per table replica" wording so its format is stable.
     let footprint = engine.table().mem_footprint();
     println!(
         "compaction: {} epoch(s) run, {} slot(s) reclaimed; table memory {} byte(s) \
@@ -653,9 +596,8 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         footprint.total_slots,
         footprint.live_slots
     );
-    // The interning pool is process-global and shared by every replica,
-    // so unlike the table line it is counted once — and it is identical
-    // whatever --shards says (the coordinator interns once).
+    // The interning pool is process-global, shared with every other
+    // pool user in the process.
     let pool = ValuePool::mem_footprint();
     println!(
         "pool: {} byte(s) interned over {} string(s) ({} chunk, {} entry, {} string, \
@@ -695,25 +637,6 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
             snap.counter("pattern.vm_evals").unwrap_or(0),
             snap.counter("pattern.interp_evals").unwrap_or(0)
         );
-        // Pipelining summary, only when a run-ahead window was in play:
-        // how deep the window actually ran (deterministic for a given
-        // batch size, unlike the wall-clock lines).
-        if engine.run_ahead() > 0 {
-            if let Some(h) = snap.histogram("merge.lag_batches") {
-                println!(
-                    "pipeline: run-ahead {}, {} merge(s), mean lag {:.2} batch(es), \
-                     max lag {}",
-                    engine.run_ahead(),
-                    h.count,
-                    if h.count > 0 {
-                        h.sum as f64 / h.count as f64
-                    } else {
-                        0.0
-                    },
-                    h.max
-                );
-            }
-        }
     }
     if timing {
         // Both figures come back out of the obs registry rather than a
@@ -784,8 +707,8 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn print_events(batches: &[BatchEvents]) {
-    for event in batches.iter().flat_map(|b| &b.events) {
+fn print_events(events: &[LedgerEvent]) {
+    for event in events {
         println!("{}", render_event(event));
     }
 }

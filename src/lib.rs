@@ -92,7 +92,7 @@ pub mod prelude {
     };
     pub use anmat_pattern::{ConstrainedPattern, Pattern};
     pub use anmat_stream::{
-        BatchEvents, CompactionStats, DriftReport, EngineSnapshot, StreamConfig, StreamEngine,
+        CompactionStats, DriftReport, EngineSnapshot, StreamConfig, StreamEngine,
     };
     pub use anmat_table::{
         csv, MemFootprint, NullPolicy, ReclaimStats, RowId, RowIdRemap, RowOp, Schema, Table,

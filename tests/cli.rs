@@ -94,89 +94,6 @@ fn stream_replays_csv_and_reports_violations() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn stream_shards_flag_is_output_invariant() {
-    // `--shards N` spreads rule state over N workers; the determinism
-    // contract says every printed line below the header is identical.
-    let dir = std::env::temp_dir().join(format!("anmat_cli_shards_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let csv = dir.join("zips.csv");
-    std::fs::write(
-        &csv,
-        "zip,city\n90001,Los Angeles\n90002,Los Angeles\n90003,Los Angeles\n90004,New York\n",
-    )
-    .unwrap();
-    let rules = dir.join("rules.json");
-    let pfds = vec![
-        Pfd::new(
-            "Zip",
-            "zip",
-            "city",
-            vec![PatternTuple::variable(
-                "[\\D{3}]\\D{2}".parse::<ConstrainedPattern>().unwrap(),
-            )],
-        ),
-        Pfd::new(
-            "Zip",
-            "zip",
-            "city",
-            vec![PatternTuple::constant(
-                ConstrainedPattern::unconstrained("900\\D{2}".parse().unwrap()),
-                "Los Angeles",
-            )],
-        ),
-    ];
-    std::fs::write(&rules, serde_json::to_string(&pfds).unwrap()).unwrap();
-
-    let strip_header =
-        |text: String| -> String { text.lines().skip(1).collect::<Vec<_>>().join("\n") };
-    let base = anmat(&[
-        "stream",
-        csv.to_str().unwrap(),
-        "--rules",
-        rules.to_str().unwrap(),
-    ]);
-    assert!(base.status.success(), "stream failed: {}", stderr(&base));
-    let sharded = anmat(&[
-        "stream",
-        csv.to_str().unwrap(),
-        "--rules",
-        rules.to_str().unwrap(),
-        "--shards",
-        "2",
-    ]);
-    assert!(
-        sharded.status.success(),
-        "sharded stream failed: {}",
-        stderr(&sharded)
-    );
-    assert!(
-        stdout(&sharded).contains("2 shard(s)"),
-        "header advertises sharding:\n{}",
-        stdout(&sharded)
-    );
-    assert_eq!(
-        strip_header(stdout(&base)),
-        strip_header(stdout(&sharded)),
-        "sharded output must be bit-for-bit identical below the header"
-    );
-
-    // Bad shard counts are rejected up front.
-    let bad = anmat(&[
-        "stream",
-        csv.to_str().unwrap(),
-        "--rules",
-        rules.to_str().unwrap(),
-        "--shards",
-        "0",
-    ]);
-    assert!(!bad.status.success());
-    assert!(stderr(&bad).contains("bad --shards"));
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// `--batch` larger than the table replays the whole table as one
 /// batch, exactly like `--batch <row count>`: the replay buffer is
 /// sized by the rows, not by the flag.
@@ -205,52 +122,6 @@ fn stream_batch_beyond_the_row_count_replays_one_batch() {
         stderr(&max)
     );
     assert_eq!(strip_header(&rows), strip_header(&max));
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A run-ahead window beyond the cap is clamped when the engine is
-/// built (the header reports the clamped window), and pipelining never
-/// changes what is printed below the header.
-#[test]
-fn stream_run_ahead_beyond_the_cap_is_clamped() {
-    let dir = std::env::temp_dir().join(format!("anmat_cli_runahead_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let (csv, rules) = zips_fixture(&dir);
-    let (csv, rules) = (csv.to_str().unwrap(), rules.to_str().unwrap());
-    let run = |run_ahead: &str| {
-        let out = anmat(&[
-            "stream",
-            csv,
-            "--rules",
-            rules,
-            "--shards",
-            "2",
-            "--run-ahead",
-            run_ahead,
-        ]);
-        assert!(
-            out.status.success(),
-            "--run-ahead {run_ahead} failed: {}",
-            stderr(&out)
-        );
-        stdout(&out)
-    };
-    let body = |text: &str| -> String {
-        text.lines()
-            .skip(1)
-            .filter(|l| !l.starts_with("pipeline:"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    let barrier = run("0");
-    let clamped = run("18446744073709551615");
-    assert!(
-        clamped.lines().next().unwrap().ends_with(", run-ahead 64"),
-        "the header reports the clamped window:\n{clamped}"
-    );
-    assert_eq!(body(&barrier), body(&clamped));
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -466,7 +337,8 @@ fn zips_fixture(dir: &std::path::Path) -> (std::path::PathBuf, std::path::PathBu
 
 /// Every subcommand rejects what it does not recognise — an unknown or
 /// repeated flag (including the retired `--pattern-engine`,
-/// `--interpret` and `--shard-by`), a known flag missing its value, or a
+/// `--interpret`, `--shard-by`, `--shards` and `--run-ahead`), a known
+/// flag missing its value, or a
 /// surplus positional — with exit code 1 and a message naming the
 /// argument, before doing any work.
 #[test]
@@ -478,7 +350,7 @@ fn unknown_and_valueless_arguments_are_rejected() {
     let (csv, rules) = (csv.to_str().unwrap(), rules.to_str().unwrap());
     let repair = dir.join("out.csv");
     let repair = repair.to_str().unwrap();
-    let cases: [(&[&str], &str); 10] = [
+    let cases: [(&[&str], &str); 12] = [
         (
             &["stream", csv, "--rules", rules, "--bogus-flag"],
             "unexpected flag `--bogus-flag`",
@@ -506,6 +378,14 @@ fn unknown_and_valueless_arguments_are_rejected() {
         (
             &["stream", csv, "--rules", rules, "--shard-by", "key"],
             "unexpected flag `--shard-by`",
+        ),
+        (
+            &["stream", csv, "--rules", rules, "--shards", "2"],
+            "unexpected flag `--shards`",
+        ),
+        (
+            &["stream", csv, "--rules", rules, "--run-ahead", "4"],
+            "unexpected flag `--run-ahead`",
         ),
         (
             &["stream", csv, "extra.csv", "--rules", rules],
@@ -552,9 +432,7 @@ fn stream_metrics_out_writes_parseable_registry_snapshot() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let (csv, rules) = zips_fixture(&dir);
-    // Mutations so the ledger sees churn, sharded so per-shard metrics
-    // register: both workers share the one rule's blocking keys (one
-    // shard would run inline and register no `shard.*` families).
+    // Mutations so the ledger sees churn.
     let ops = dir.join("fixes.ops");
     std::fs::write(&ops, "~,3,90004,Los Angeles\n-,0\n+,90005,Los Angeles\n").unwrap();
     let metrics = dir.join("metrics.json");
@@ -566,8 +444,6 @@ fn stream_metrics_out_writes_parseable_registry_snapshot() {
         rules.to_str().unwrap(),
         "--ops",
         ops.to_str().unwrap(),
-        "--shards",
-        "2",
         "--metrics-out",
         metrics.to_str().unwrap(),
     ]);
@@ -603,14 +479,12 @@ fn stream_metrics_out_writes_parseable_registry_snapshot() {
     let gauges = keys(section("gauges"));
     let histograms = keys(section("histograms"));
     // One representative per instrumented family: pool, table,
-    // engine-phase, per-shard, ledger.
+    // engine-phase, ledger.
     for want in [
         "pool.intern.misses",
         "table.push",
         "table.delete",
         "engine.ops",
-        "shard.batches",
-        "shard.0.batches",
         "ledger.created",
         "ledger.retracted",
     ] {
@@ -625,19 +499,13 @@ fn stream_metrics_out_writes_parseable_registry_snapshot() {
         "table.live",
         "memo.evals",
         "ledger.live",
-        "shard.0.queue_depth",
     ] {
         assert!(
             gauges.iter().any(|k| k == want),
             "gauge `{want}` in {gauges:?}"
         );
     }
-    for want in [
-        "cli.replay_ns",
-        "cli.apply_ns",
-        "shard.merge_ns",
-        "shard.0.busy_ns",
-    ] {
+    for want in ["cli.replay_ns", "cli.apply_ns"] {
         assert!(
             histograms.iter().any(|k| k == want),
             "histogram `{want}` in {histograms:?}"
