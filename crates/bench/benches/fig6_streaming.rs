@@ -277,19 +277,19 @@ fn recorder_overhead_artifact(data: &Dataset, rules: &[Pfd]) -> (f64, f64, f64, 
 ///   under reclamation, while the no-reclaim twin's pool grows with
 ///   *history* (one stranded string per dead insert, forever);
 /// * **cheap sweep**: throughput cost ≤ 5%. The comparison is biased
-///   *against* the reclaim leg — it also pays refcount maintenance and
-///   the mid-run snapshot captures;
+///   *against* the reclaim leg — it also pays the mid-run snapshot
+///   captures;
 /// * **cheap snapshots**: capturing an `EngineSnapshot` mid-ingest is
 ///   microseconds — it clones chunk handles and the live-violation
 ///   map, `O(mutated chunks)`, never `O(rows)`.
 ///
 /// The two legs (and each repetition) mint disjoint city universes so
 /// pool deltas are attributable and the reclaim leg can never free a
-/// string another leg still resolves. Dataset strings are pinned with
-/// one explicit retain up front: the pool is process-global and later
-/// artifacts still resolve `data.table`'s ids, so the sweep must never
-/// consider them even if this engine's last copy of a zip dies.
-/// Returns the artifact's JSON fragment.
+/// string another leg still resolves. Each leg first loads the
+/// dataset's rows into its engine, untimed, and deletes only its own
+/// inserts: every dataset string then stays in a live cell, so the
+/// sweep's mark keeps it for the later artifacts that still resolve
+/// `data.table`'s ids. Returns the artifact's JSON fragment.
 fn reclaim_churn_artifact(data: &Dataset, rules: &[Pfd], total_ops: usize) -> String {
     use anmat_table::ValuePool;
     println!(
@@ -302,11 +302,6 @@ fn reclaim_churn_artifact(data: &Dataset, rules: &[Pfd], total_ops: usize) -> St
         .schema()
         .index_of("city")
         .expect("zipcity schema has a city column");
-    for r in 0..data.table.row_count() {
-        for id in data.table.row_ids(r) {
-            ValuePool::retain(id);
-        }
-    }
     struct Leg {
         ops_per_sec: f64,
         strings_added: usize,
@@ -324,6 +319,12 @@ fn reclaim_churn_artifact(data: &Dataset, rules: &[Pfd], total_ops: usize) -> St
         };
         let mut engine =
             StreamEngine::with_config(data.table.schema().clone(), rules.to_vec(), config);
+        engine
+            .push_id_batch(id_rows_of(&data.table))
+            .expect("schema matches");
+        // The dataset rows hold slots `0..base` for good: they are never
+        // deleted, and compaction keeps survivors in order.
+        let base = engine.row_count();
         let before = ValuePool::mem_footprint();
         let mut rng = StdRng::seed_from_u64(0x9E1C);
         let mut live: Vec<usize> = Vec::new();
@@ -352,7 +353,7 @@ fn reclaim_churn_artifact(data: &Dataset, rules: &[Pfd], total_ops: usize) -> St
             engine.apply(ops).expect("ops are valid");
             if engine.epoch() != epoch {
                 // Compaction renumbered the slots: refresh the id cache.
-                live = engine.table().iter_live().collect();
+                live = engine.table().iter_live().skip(base).collect();
             }
             batches += 1;
             if reclaim && batches % 64 == 0 {
@@ -372,7 +373,7 @@ fn reclaim_churn_artifact(data: &Dataset, rules: &[Pfd], total_ops: usize) -> St
         let after = ValuePool::mem_footprint();
         let mut seen = std::collections::HashSet::new();
         let mut live_string_bytes = 0usize;
-        for row in engine.table().iter_live() {
+        for row in engine.table().iter_live().skip(base) {
             for col in 0..engine.table().schema().arity() {
                 if let Some(s) = engine.table().cell_str(row, col) {
                     if seen.insert(s) {
@@ -385,7 +386,7 @@ fn reclaim_churn_artifact(data: &Dataset, rules: &[Pfd], total_ops: usize) -> St
             ops_per_sec: ops_budget as f64 / secs,
             strings_added: after.strings - before.strings,
             string_bytes_added: after.string_bytes - before.string_bytes,
-            live_rows: engine.live_rows(),
+            live_rows: engine.live_rows() - base,
             live_string_bytes,
             swept: engine.reclaim_stats(),
             snap_us,
@@ -438,7 +439,7 @@ fn reclaim_churn_artifact(data: &Dataset, rules: &[Pfd], total_ops: usize) -> St
     );
     println!(
         "  sweep cost : raw {raw_cost:+.2}% ({cost:.2}% clamped; acceptance bound 5%; \
-         reclaim leg also pays refcounts + {captures} snapshot capture(s))"
+         reclaim leg also pays {captures} snapshot capture(s))"
     );
     println!(
         "  snapshots  : {captures} capture(s) mid-ingest, mean {mean_us:.0} µs, \
@@ -458,8 +459,8 @@ fn reclaim_churn_artifact(data: &Dataset, rules: &[Pfd], total_ops: usize) -> St
          reclamation the pool keeps one stranded string per dead insert forever (growth \
          proportional to history), with --reclaim the epoch-tied sweep keeps pool string \
          bytes within 2x the bytes referenced by live rows, at <=5% throughput cost \
-         (interleaved best-of-3, reclaim leg additionally pays refcounts and mid-ingest \
-         snapshot captures); capturing a copy-on-write snapshot during ingest costs \
+         (interleaved best-of-3, reclaim leg additionally pays mid-ingest snapshot \
+         captures); capturing a copy-on-write snapshot during ingest costs \
          microseconds, O(mutated chunks), never O(rows)\"\n  }}",
         no_reclaim.ops_per_sec,
         no_reclaim.strings_added,

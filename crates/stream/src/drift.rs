@@ -10,8 +10,6 @@
 //! `RuleStatus::Pending` for human re-review instead of silently
 //! spraying false positives.
 
-use anmat_core::Pfd;
-
 /// Streaming health counters for one rule.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuleHealth {
@@ -123,22 +121,6 @@ impl DriftMonitor {
             min_confidence: self.min_confidence,
         })
     }
-
-    /// All drifted rules (see [`DriftMonitor::judge`]).
-    #[must_use]
-    pub fn drifted(&self, rules: &[Pfd]) -> Vec<DriftReport> {
-        (0..self.health.len())
-            .filter_map(|i| {
-                self.judge(
-                    i,
-                    rules
-                        .get(i)
-                        .map(Pfd::embedded_fd)
-                        .unwrap_or_else(|| format!("rule {i}")),
-                )
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -152,7 +134,7 @@ mod tests {
             m.observe(0, true, 0, 0);
         }
         m.observe(0, true, 1, 0); // one violation in 21 rows
-        assert!(m.drifted(&[]).is_empty());
+        assert!(m.judge(0, "a → b".into()).is_none());
         assert!(m.health(0).confidence() > 0.9);
     }
 
@@ -163,16 +145,18 @@ mod tests {
         for _ in 0..3 {
             m.observe(0, true, 1, 0);
         }
-        assert!(m.drifted(&[]).is_empty());
+        assert!(m.judge(0, "a → b".into()).is_none());
         // Two more matched rows cross min_support; confidence 0 < 0.7.
         for _ in 0..2 {
             m.observe(0, true, 1, 0);
         }
-        let drifted = m.drifted(&[]);
-        assert_eq!(drifted.len(), 1);
-        assert_eq!(drifted[0].rule, 0);
-        assert_eq!(drifted[0].live_violations, 5);
-        assert!(drifted[0].confidence < drifted[0].min_confidence);
+        let drifted = m.judge(0, "a → b".into()).expect("rule 0 drifted");
+        assert_eq!(drifted.rule, 0);
+        assert_eq!(drifted.dependency, "a → b");
+        assert_eq!(drifted.live_violations, 5);
+        assert!(drifted.confidence < drifted.min_confidence);
+        // Rule 1 never matched a row.
+        assert!(m.judge(1, "a → b".into()).is_none());
     }
 
     #[test]
@@ -185,20 +169,19 @@ mod tests {
         for _ in 0..2 {
             m.observe(0, true, 1, 0);
         }
-        assert!(m.drifted(&[]).is_empty());
+        assert!(m.judge(0, "a → b".into()).is_none());
         // Deleting 8 clean rows leaves 2 violations in 4 matched rows:
         // confidence 0.5 < 0.7 → drifted.
         for _ in 0..8 {
             m.retire(0, true, 0, 0);
         }
-        let drifted = m.drifted(&[]);
-        assert_eq!(drifted.len(), 1);
-        assert_eq!(drifted[0].matched_rows, 4);
-        assert!((drifted[0].confidence - 0.5).abs() < 1e-12);
+        let drifted = m.judge(0, "a → b".into()).expect("rule 0 drifted");
+        assert_eq!(drifted.matched_rows, 4);
+        assert!((drifted.confidence - 0.5).abs() < 1e-12);
         // Deleting the violating rows (their violations retract) heals it.
         m.retire(0, true, 0, 1);
         m.retire(0, true, 0, 1);
-        assert!(m.drifted(&[]).is_empty());
+        assert!(m.judge(0, "a → b".into()).is_none());
         assert_eq!(m.health(0).live_violations, 0);
     }
 
@@ -208,10 +191,10 @@ mod tests {
         for _ in 0..10 {
             m.observe(0, true, 1, 0);
         }
-        assert_eq!(m.drifted(&[]).len(), 1);
+        assert!(m.judge(0, "a → b".into()).is_some());
         // Majority flips retract the violations: health recovers.
         m.observe(0, true, 0, 10);
-        assert!(m.drifted(&[]).is_empty());
+        assert!(m.judge(0, "a → b".into()).is_none());
         assert_eq!(m.health(0).live_violations, 0);
     }
 }

@@ -87,13 +87,13 @@ pub struct StreamConfig {
     /// same reason.
     pub run_ahead: usize,
     /// Tie string reclamation to the compaction epochs: the engine
-    /// enables batch-granular [`ValuePool`] refcounting on its table and,
-    /// at the end of every compaction barrier, frees interned strings no
-    /// longer referenced by any live cell, blocking key, memo, or rule
-    /// state. `false` (the default) keeps the classic append-only pool
-    /// behaviour — nothing is ever freed. Reclamation is deferred (never
-    /// skipped) while an [`EngineSnapshot`] is alive, since snapshots
-    /// resolve ids against the shared pool.
+    /// records the cell ids each delete or update displaces and, at the
+    /// end of every compaction barrier, frees those that no live cell
+    /// and no rule state (constant RHS, block key) still holds. `false`
+    /// (the default) keeps the classic append-only pool behaviour —
+    /// nothing is ever freed. Reclamation is deferred (never skipped)
+    /// while an [`EngineSnapshot`] is alive, since snapshots resolve ids
+    /// against the shared pool.
     pub reclaim: bool,
 }
 
@@ -754,19 +754,13 @@ impl RuleState {
     /// Memoized entries for values that since left (the tableau memo's,
     /// the key memos') are deliberately not protected — they are caches,
     /// purged instead ([`RuleState::purge_values`]).
-    fn collect_protected(&self, out: &mut FxHashSet<u32>) {
+    fn collect_protected(&self, out: &mut FxHashSet<ValueId>) {
         for ct in &self.constants {
-            out.insert(ct.expected.raw());
+            out.insert(ct.expected);
         }
         for vt in &self.variables {
-            for key in vt.partition.block_keys() {
-                out.insert(key.raw());
-            }
-            for state in vt.blocks.values() {
-                if let Some(majority) = state.majority {
-                    out.insert(majority.raw());
-                }
-            }
+            out.extend(vt.partition.block_keys());
+            out.extend(vt.blocks.values().filter_map(|state| state.majority));
         }
     }
 
@@ -776,8 +770,8 @@ impl RuleState {
     /// [`KeyMemo::purge`] for why a stale entry would otherwise answer
     /// for the wrong value). Counters stay put — a purge performs no
     /// pattern work.
-    fn purge_values(&mut self, dead: &FxHashSet<u32>) {
-        let is_dead = |id: ValueId| dead.contains(&id.raw());
+    fn purge_values(&mut self, dead: &FxHashSet<ValueId>) {
+        let is_dead = |id: ValueId| dead.contains(&id);
         self.memo.purge(is_dead);
         for vt in &mut self.variables {
             vt.keys.purge(is_dead);
@@ -875,11 +869,15 @@ pub struct StreamEngine {
     compaction: CompactionStats,
     /// Epoch-tied string reclamation (see [`StreamConfig::reclaim`]).
     reclaim: bool,
+    /// The cell ids deletes and updates removed from the table since the
+    /// last sweep (recorded only while `reclaim` is on): the only ids a
+    /// sweep may free.
+    displaced: Vec<ValueId>,
     /// Lifetime pool reclamation by this engine's sweeps.
     reclaim_stats: ReclaimStats,
     /// Snapshot pin: every live [`EngineSnapshot`] clones this `Arc`, so
     /// `strong_count > 1` ⇔ a snapshot may still resolve ids — sweeps
-    /// defer (candidates stay queued in the table) until it drops.
+    /// defer (`displaced` stays queued) until it drops.
     snap_pin: Arc<()>,
 }
 
@@ -898,22 +896,15 @@ impl StreamEngine {
             .into_iter()
             .map(|pfd| RuleState::seed(pfd, &schema))
             .collect();
-        let mut table = Table::empty(schema);
-        if config.reclaim {
-            // Batch-granular refcounting: the table retains each cell id
-            // on insert and releases on delete/overwrite, recording ids
-            // whose count hit zero as sweep candidates for the next
-            // compaction barrier.
-            table.enable_refcounts();
-        }
         StreamEngine {
-            table,
+            table: Table::empty(schema),
             rules,
             ledger: ViolationLedger::new(),
             drift,
             compact_ratio: config.compact_ratio,
             compaction: CompactionStats::default(),
             reclaim: config.reclaim,
+            displaced: Vec::new(),
             reclaim_stats: ReclaimStats::default(),
             snap_pin: Arc::new(()),
         }
@@ -949,25 +940,22 @@ impl StreamEngine {
     }
 
     /// The string-reclamation half of the compaction barrier (no-op
-    /// unless [`StreamConfig::reclaim`]): free every interned string
-    /// whose last table reference died since the previous sweep, unless
-    /// rule state still needs it.
+    /// unless [`StreamConfig::reclaim`]): free every string the table
+    /// lost since the previous sweep, unless the engine still holds it.
     ///
-    /// The candidate set is exactly the ids the refcounting table
-    /// recorded at their last release, filtered twice at the barrier:
+    /// The candidates are the cell ids deletes and updates displaced.
+    /// The table was just compacted, so it holds only live rows; a mark
+    /// over its cells keeps every candidate that is still (or again) in
+    /// use, and [`RuleState::collect_protected`] keeps the ids rule
+    /// state holds beyond the cells (constant RHS values, derived block
+    /// keys). Each epoch costs `O(displaced ids + live cells)`, and no
+    /// write pays for it.
     ///
-    /// 1. **refcount recheck** — the string may have been re-inserted
-    ///    (same id: interning is idempotent) after the release that
-    ///    queued it;
-    /// 2. **protection** — rule state holds ids beyond live cells
-    ///    (constant RHS constants, derived block keys); see
-    ///    [`RuleState::collect_protected`].
-    ///
-    /// Survivors are purged from every tableau memo and key memo
-    /// *before* [`ValuePool::reclaim`] queues them for recycling, so no
+    /// What is left is purged from every tableau memo and key memo
+    /// *before* [`ValuePool::reclaim`] queues it for recycling, so no
     /// cache can answer for a recycled id. While an [`EngineSnapshot`]
-    /// is alive the whole sweep defers — candidates simply stay queued
-    /// in the table for the next barrier.
+    /// is alive the whole sweep defers — the displaced ids simply stay
+    /// queued for the next barrier.
     fn sweep_reclaimable(&mut self) {
         if !self.reclaim {
             return;
@@ -976,31 +964,28 @@ impl StreamEngine {
             obs::counter!("pool.sweeps_deferred").incr();
             return;
         }
-        let candidates: Vec<ValueId> = self
-            .table
-            .take_reclaim_candidates()
-            .into_iter()
-            .filter(|id| ValuePool::refcount(*id) == 0)
-            .collect();
-        if candidates.is_empty() {
+        let mut dead: FxHashSet<ValueId> = self.displaced.drain(..).collect();
+        if dead.is_empty() {
             return;
+        }
+        debug_assert_eq!(self.table.live_rows(), self.table.row_count());
+        for col in 0..self.table.column_count() {
+            for id in self.table.column(col) {
+                dead.remove(&id);
+            }
         }
         let mut protected = FxHashSet::default();
         for rule in &self.rules {
             rule.collect_protected(&mut protected);
         }
-        let doomed: Vec<ValueId> = candidates
-            .into_iter()
-            .filter(|id| !protected.contains(&id.raw()))
-            .collect();
-        if doomed.is_empty() {
+        dead.retain(|id| !protected.contains(id));
+        if dead.is_empty() {
             return;
         }
-        let dead: FxHashSet<u32> = doomed.iter().map(|id| id.raw()).collect();
         for rule in &mut self.rules {
             rule.purge_values(&dead);
         }
-        let stats = ValuePool::reclaim(doomed);
+        let stats = ValuePool::reclaim(dead);
         self.reclaim_stats.strings += stats.strings;
         self.reclaim_stats.bytes += stats.bytes;
     }
@@ -1165,11 +1150,18 @@ impl StreamEngine {
             rules,
             ledger,
             drift,
+            reclaim,
+            displaced,
             ..
         } = self;
         let mut events = Vec::new();
         for op in ops {
             op.run(table, |table, row, removal| {
+                if removal && *reclaim {
+                    // The row's cells are about to leave the table: the
+                    // next sweep's candidates.
+                    displaced.extend((0..table.column_count()).map(|col| table.cell_id(row, col)));
+                }
                 for (index, rule) in rules.iter_mut().enumerate() {
                     let mut sink = Sink {
                         ledger: &mut *ledger,

@@ -3,21 +3,23 @@
 //! indistinguishable — events, ledger, resolved table content, per-rule
 //! health, drift — from a never-reclaiming twin fed the identical op
 //! stream. And copy-on-write snapshots must stay frozen while ingest (and
-//! compaction, and deferred reclamation) continue underneath them.
+//! compaction, and deferred reclamation) continue underneath them. And
+//! the sweep's mark frees exactly the strings the engine no longer
+//! holds.
 //!
-//! The pool is process-global and refcounts are shared, so every test
-//! works in its own string universe: cities and constant-rule RHS carry
-//! a `rcl`-seed tag, and each test function draws zips from a disjoint
+//! The pool is process-global, and a sweep frees every string its own
+//! engine no longer holds, whoever else still does. So every test works
+//! in its own string universe: cities and constant-rule RHS carry a
+//! `rcl`-seed tag, and each test function draws zips from a disjoint
 //! 3-digit prefix bank. An id this file frees is therefore never
-//! resolved by a concurrently-running test, and a leaked refcount from
-//! a dropped engine can never block another case's sweep. Tables are
-//! compared by *resolved content* (strings, not raw ids): a string
-//! freed and later re-interned legitimately comes back under a recycled
-//! id, and id identity was never part of the observable contract.
+//! resolved by a concurrently-running test. Tables are compared by
+//! *resolved content* (strings, not raw ids): a string freed and later
+//! re-interned legitimately comes back under a recycled id, and id
+//! identity was never part of the observable contract.
 
 use anmat_core::{PatternTuple, Pfd, Violation};
 use anmat_stream::{LedgerEvent, StreamConfig, StreamEngine};
-use anmat_table::{RowOp, Schema, Table, Value};
+use anmat_table::{RowOp, Schema, Table, Value, ValuePool};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -198,9 +200,9 @@ fn run(config: StreamConfig, rules: Vec<Pfd>, script: &[Step]) -> (Observed, usi
     (observed, engine.reclaim_stats().strings)
 }
 
-/// Zip prefixes for the twin property. Disjoint from the snapshot
-/// tests' banks so a sweep here never frees a zip a concurrently
-/// running (non-refcounting) engine still resolves.
+/// Zip prefixes for the twin property. Disjoint from the other tests'
+/// banks so a sweep here never frees a zip a concurrently running
+/// engine still resolves.
 const TWIN_PREFIXES: [&str; 5] = ["900", "104", "117", "235", "462"];
 
 fn reclaim_twin_case(tag: &str, seed: u64) {
@@ -210,9 +212,9 @@ fn reclaim_twin_case(tag: &str, seed: u64) {
         ..StreamConfig::default()
     };
 
-    // The twin runs FIRST and never reclaims (nor refcounts), so its
-    // observables are collected before any sweep can free a string it
-    // would still resolve.
+    // The twin runs FIRST and never reclaims, so its observables are
+    // collected before any sweep can free a string it would still
+    // resolve.
     let (twin, twin_freed) = run(base, rules(tag, TWIN_PREFIXES), &script);
     assert_eq!(twin_freed, 0, "twin must never reclaim");
 
@@ -300,4 +302,100 @@ fn snapshot_stays_frozen_while_ingest_mutates() {
         engine.reclaim_stats().strings > freed_at_capture,
         "deferred candidates must sweep at the first unpinned barrier"
     );
+}
+
+/// The sweep's mark, case by case: the strings the deletes and updates
+/// displaced are freed exactly when no live cell and no rule state holds
+/// them any more.
+#[test]
+fn mark_frees_exactly_the_strings_nothing_holds() {
+    let tag = "rclC";
+    let prefixes = ["610", "623", "637", "648", "659"];
+    let config = StreamConfig {
+        reclaim: true,
+        ..StreamConfig::default()
+    };
+    let mut engine = StreamEngine::with_config(schema(), rules(tag, prefixes), config);
+    let row = |zip: &str, city: &str| vec![Value::text(zip), Value::text(city)];
+    engine
+        .apply(vec![
+            RowOp::Insert(row("61001", "rclC-self")),
+            RowOp::Insert(row("62301", "rclC-shared")),
+            RowOp::Insert(row("62302", "rclC-shared")),
+            RowOp::Insert(row("63701", "rclC-again")),
+            // The constant rule's expected RHS for `610xx`.
+            RowOp::Insert(row("61002", "rclC-LA")),
+            RowOp::Insert(row("64801", "rclC-city-648")),
+            // A city spelled like the live block key of `64801`.
+            RowOp::Insert(row("64802", "648")),
+            RowOp::Insert(row("65901", "rclC-gone-1")),
+            RowOp::Insert(row("65902", "rclC-gone-2")),
+            RowOp::Insert(row("62303", "rclC-old")),
+        ])
+        .expect("valid ops");
+    engine
+        .apply(vec![
+            // Rewritten to its own values.
+            RowOp::Update(0, row("61001", "rclC-self")),
+            // The other `rclC-shared` row stays.
+            RowOp::Delete(1),
+            // Deleted and re-inserted within the epoch.
+            RowOp::Delete(3),
+            RowOp::Insert(row("63702", "rclC-again")),
+            // Only rule state holds `rclC-LA` and `648` afterwards.
+            RowOp::Delete(4),
+            RowOp::Delete(6),
+            // Nothing holds these afterwards; block `659` drains.
+            RowOp::Delete(7),
+            RowOp::Delete(8),
+            // An update displaces the value it overwrites.
+            RowOp::Update(9, row("62303", "rclC-new")),
+        ])
+        .expect("valid ops");
+    assert_eq!(
+        engine.reclaim_stats().strings,
+        0,
+        "sweeps wait for the barrier"
+    );
+    engine.compact();
+
+    let freed = [
+        "62301",
+        "63701",
+        "61002",
+        "64802",
+        "65901",
+        "65902",
+        "rclC-gone-1",
+        "rclC-gone-2",
+        "rclC-old",
+    ];
+    let kept = [
+        "61001",
+        "rclC-self",
+        "rclC-shared",
+        "rclC-again",
+        "rclC-LA",
+        "648",
+    ];
+    assert_eq!(engine.reclaim_stats().strings, freed.len());
+    for s in freed {
+        assert_eq!(ValuePool::lookup(s), None, "`{s}` should be freed");
+    }
+    for s in kept {
+        assert!(ValuePool::lookup(s).is_some(), "`{s}` should survive");
+    }
+    // Every live cell still resolves, to what was written.
+    let want: Vec<(usize, Vec<Option<String>>)> = [
+        ("61001", "rclC-self"),
+        ("62302", "rclC-shared"),
+        ("64801", "rclC-city-648"),
+        ("62303", "rclC-new"),
+        ("63702", "rclC-again"),
+    ]
+    .iter()
+    .enumerate()
+    .map(|(slot, (zip, city))| (slot, vec![Some(zip.to_string()), Some(city.to_string())]))
+    .collect();
+    assert_eq!(resolved_rows(engine.table()).1, want);
 }

@@ -26,16 +26,15 @@
 //! * For long-running, high-cardinality streams the leak is no longer
 //!   acceptable, so the pool supports **explicit reclamation**
 //!   ([`ValuePool::reclaim`]): a caller that can prove a set of ids is
-//!   unreferenced (the stream engines prove it with batch-granular
-//!   refcounts swept at a compaction epoch barrier — see
-//!   `anmat_stream`) hands them back, their strings are unpublished and
-//!   freed, and the ids are recycled through a free list. Each recycling
-//!   bumps the id's **generation** ([`ValuePool::generation`]), so a
-//!   holder that stashed `(id, generation)` can detect staleness in
-//!   debug builds. Resolving a freed-and-not-yet-reused id panics
-//!   (fail-stop, never a dangle): the slot is nulled before the string
-//!   is dropped, and the drop itself is deferred one reclaim round as a
-//!   grace period for racing lock-free readers.
+//!   unreferenced hands them back, their strings are unpublished and
+//!   freed, and the ids are recycled through a free list. The stream
+//!   engine proves it with a mark at a compaction barrier: it hands
+//!   back the ids its deletes and updates displaced, less every id a
+//!   live cell or its rule state still holds (see `anmat_stream`).
+//!   Resolving a freed-and-not-yet-reused id panics (fail-stop, never a
+//!   dangle): the slot is nulled before the string is dropped, and the
+//!   drop itself is deferred one reclaim round as a grace period for
+//!   racing lock-free readers.
 //!
 //! Id `0` is reserved for the null cell ([`ValueId::NULL`]); real strings
 //! get ids from 1 upward in first-sighting order (or from the free list
@@ -64,10 +63,6 @@
 //!   whatever missed is interned under one write-lock acquisition — the
 //!   CSV ingest path pays two lock operations per *record*, not two per
 //!   cell.
-//! * **refcounts** ([`ValuePool::retain`]/[`ValuePool::release`]) live in
-//!   a third ladder of plain `AtomicU32` cells parallel to the store —
-//!   one relaxed RMW per call, no locks, no effect on intern/resolve.
-//!   Only refcount-participating tables pay for them.
 //!
 //! Publishing protocol (single writer at a time — the map write lock
 //! doubles as the store's append lock): write the entry pointer into its
@@ -89,10 +84,8 @@ use std::sync::{Mutex, OnceLock, RwLock};
 /// reclaim). Maintained unconditionally — [`ValuePool::mem_footprint`]
 /// must be exact whether or not the metrics recorder is on.
 static STRING_BYTES: AtomicUsize = AtomicUsize::new(0);
-/// Bytes of allocated chunk-ladder slot arrays (store + refcounts).
+/// Bytes of allocated chunk-ladder slot arrays.
 static CHUNK_BYTES: AtomicUsize = AtomicUsize::new(0);
-/// Bytes of allocated refcount-ladder arrays.
-static REF_BYTES: AtomicUsize = AtomicUsize::new(0);
 /// Distinct strings currently published (excludes the null placeholder;
 /// published − reclaimed).
 static LIVE_STRINGS: AtomicUsize = AtomicUsize::new(0);
@@ -312,64 +305,11 @@ fn store() -> &'static Store {
     STORE.get_or_init(Store::new)
 }
 
-/// The refcount ladder: `AtomicU32` cells parallel to the store's
-/// slots, allocated chunk-at-a-time on first touch. Retain/release are
-/// single relaxed RMWs — no locks, independent of intern/resolve.
-struct RefLadder {
-    chunks: [AtomicPtr<AtomicU32>; CHUNK_COUNT],
-}
-
-impl RefLadder {
-    fn new() -> RefLadder {
-        RefLadder {
-            chunks: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
-        }
-    }
-
-    /// The refcount cell for `id`, allocating the chunk if needed.
-    /// Callable from any thread (CAS-installed; the loser frees its
-    /// allocation).
-    fn cell(&self, id: u32) -> &AtomicU32 {
-        let (level, offset) = locate(id);
-        let mut chunk = self.chunks[level].load(Ordering::Acquire);
-        if chunk.is_null() {
-            let cap = 1usize << (level as u32 + FIRST_CHUNK_BITS);
-            let boxed: Box<[AtomicU32]> = (0..cap).map(|_| AtomicU32::new(0)).collect();
-            let fresh = Box::into_raw(boxed) as *mut AtomicU32;
-            match self.chunks[level].compare_exchange(
-                std::ptr::null_mut(),
-                fresh,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    REF_BYTES.fetch_add(cap * std::mem::size_of::<AtomicU32>(), Ordering::Relaxed);
-                    chunk = fresh;
-                }
-                Err(winner) => {
-                    // SAFETY: `fresh` was just allocated above and lost
-                    // the race unpublished — reconstitute and drop.
-                    drop(unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(fresh, cap)) });
-                    chunk = winner;
-                }
-            }
-        }
-        // SAFETY: in-bounds cell of a never-freed chunk.
-        unsafe { &*chunk.add(offset) }
-    }
-}
-
-fn refs() -> &'static RefLadder {
-    static REFS: OnceLock<RefLadder> = OnceLock::new();
-    REFS.get_or_init(RefLadder::new)
-}
-
-/// Reclamation bookkeeping: the free list of recycled ids, per-id
-/// generation tags, and allocations unpublished last round whose drop
-/// was deferred (grace period for racing lock-free readers).
+/// Reclamation bookkeeping: the free list of recycled ids and the
+/// allocations unpublished last round whose drop was deferred (grace
+/// period for racing lock-free readers).
 struct Reclaimer {
     free: Vec<u32>,
-    gens: FxHashMap<u32, u32>,
     deferred: Vec<(*mut Entry, *mut str)>,
 }
 
@@ -382,7 +322,6 @@ fn reclaimer() -> &'static Mutex<Reclaimer> {
     RECLAIMER.get_or_init(|| {
         Mutex::new(Reclaimer {
             free: Vec::new(),
-            gens: FxHashMap::default(),
             deferred: Vec::new(),
         })
     })
@@ -590,64 +529,29 @@ impl ValuePool {
         )
     }
 
-    /// Bump the refcount of a non-null id by one. A single relaxed RMW
-    /// on the refcount ladder — no locks, no interaction with
-    /// intern/resolve. Refcounts are a *caller protocol*: only tables
-    /// that opted into reclamation maintain them, and only
-    /// [`ValuePool::reclaim`] acts on them (indirectly, via the caller's
-    /// zero-candidate sweep).
-    pub fn retain(id: ValueId) {
-        if !id.is_null() {
-            refs().cell(id.0).fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Drop one reference from a non-null id. Returns `true` when this
-    /// release took the count to zero — the caller's cue to record the
-    /// id as a reclaim candidate (to be re-checked at the barrier; the
-    /// value may be retained again before then).
-    pub fn release(id: ValueId) -> bool {
-        if id.is_null() {
-            return false;
-        }
-        let prev = refs().cell(id.0).fetch_sub(1, Ordering::Relaxed);
-        debug_assert!(prev > 0, "ValueId({}) released below zero", id.0);
-        prev == 1
-    }
-
-    /// The current refcount of an id (0 for null). Relaxed read — only
-    /// meaningful at a quiescent barrier, which is exactly where the
-    /// sweep consults it.
-    #[must_use]
-    pub fn refcount(id: ValueId) -> u32 {
-        if id.is_null() {
-            0
-        } else {
-            refs().cell(id.0).load(Ordering::Relaxed)
-        }
-    }
-
-    /// Reclaim a set of ids the caller has proven unreferenced: each id
-    /// still zero-refcounted has its string unpublished from the
-    /// interning map, its store slot nulled (so a stale resolve panics
-    /// instead of dangling), its id pushed onto the free list for
-    /// recycling, and its generation tag bumped. The string and entry
-    /// allocations are dropped at the *next* reclaim call — a one-round
-    /// grace period for lock-free readers that raced the unpublish.
+    /// Reclaim a set of ids the caller has proven unreferenced: each
+    /// id has its string unpublished from the interning map, its store
+    /// slot nulled (so a stale resolve panics instead of dangling), and
+    /// its id pushed onto the free list for recycling. The string and
+    /// entry allocations are dropped at the *next* reclaim call — a
+    /// one-round grace period for lock-free readers that raced the
+    /// unpublish.
     ///
-    /// Returns how many strings (and payload bytes) were actually
-    /// reclaimed; ids that were re-retained since the caller recorded
-    /// them, already reclaimed, or never interned are skipped.
+    /// Returns how many strings (and payload bytes) were reclaimed. Every
+    /// id given is freed, except null ids, ids already reclaimed and ids
+    /// never interned.
     ///
     /// # Contract
-    /// The caller must guarantee no other holder of these ids remains —
-    /// the stream engines prove it with table-granular refcounts swept
-    /// behind a compaction epoch barrier, protecting rule constants and
-    /// live blocking keys explicitly. Reclaiming an id another engine
-    /// still references leads to panics (or, for a reader racing two
-    /// consecutive barriers, undefined behaviour) — which is why
-    /// reclamation is opt-in per engine and the opting engine's value
-    /// space must be disjoint from other pool users in the process.
+    /// The caller must be the sole holder of these ids. The stream engine
+    /// proves it for its own state with a mark over its live cells and
+    /// rule state at a compaction barrier; nothing enforces it for other
+    /// pool users, and reclaiming an id another table still references
+    /// leads to panics (or, for a reader racing two consecutive barriers,
+    /// undefined behaviour). Hence reclamation is opt-in per engine, and
+    /// the opting engine's value space must be disjoint from other pool
+    /// users in the process. A pool owned by the engine would enforce the
+    /// contract; it waits until the benchmark harness stops loading ids
+    /// from the global pool.
     pub fn reclaim(ids: impl IntoIterator<Item = ValueId>) -> ReclaimStats {
         let mut map = map().write().expect("value pool poisoned");
         let mut rec = reclaimer().lock().expect("pool reclaimer poisoned");
@@ -665,12 +569,9 @@ impl ValuePool {
         let mut stats = ReclaimStats::default();
         for vid in ids {
             let id = vid.raw();
-            if vid.is_null() || ValuePool::refcount(vid) != 0 {
-                continue;
-            }
             let entry = store().take(id);
             if entry.is_null() {
-                continue; // never interned, or already reclaimed
+                continue; // null, never interned, or already reclaimed
             }
             // SAFETY: `entry` was just unpublished by this sole writer;
             // the pointed-to Entry stays valid until dropped from the
@@ -682,7 +583,6 @@ impl ValuePool {
             rec.deferred
                 .push((entry, std::ptr::from_ref::<str>(s).cast_mut()));
             rec.free.push(id);
-            *rec.gens.entry(id).or_insert(0) += 1;
         }
         FREE_HINT.store(rec.free.len(), Ordering::Relaxed);
         MAP_CAPACITY.store(map.capacity(), Ordering::Relaxed);
@@ -696,46 +596,33 @@ impl ValuePool {
         stats
     }
 
-    /// The generation tag of an id: how many times it has been reclaimed
-    /// (0 for never-reclaimed ids). A holder that stashes
-    /// `(id, generation)` at acquisition can assert the id still means
-    /// the same string — the debug-build staleness check the reclaim
-    /// protocol promises.
-    #[must_use]
-    pub fn generation(id: ValueId) -> u32 {
-        let rec = reclaimer().lock().expect("pool reclaimer poisoned");
-        rec.gens.get(&id.raw()).copied().unwrap_or(0)
-    }
-
     /// Measure the pool's resident memory — the interned-string cost the
     /// table's own [`crate::MemFootprint`] deliberately excludes (ids are
     /// shared across all tables, so the pool is accounted once per
-    /// process, not per replica).
+    /// process, not per table).
     ///
     /// Counts every owned allocation: the chunk-ladder slot arrays, the
-    /// published `Entry` cells, the live string bytes themselves, the
-    /// refcount ladder, and the string → id map (its bucket array
-    /// estimated from a mirrored capacity). **Lock-free** — every figure
-    /// is an atomic read, so snapshotting never contends with interning.
+    /// published `Entry` cells, the live string bytes themselves, and the
+    /// string → id map (its bucket array estimated from a mirrored
+    /// capacity). **Lock-free** — every figure is an atomic read, so
+    /// snapshotting never contends with interning.
     #[must_use]
     pub fn mem_footprint() -> PoolFootprint {
         let strings = LIVE_STRINGS.load(Ordering::Relaxed);
         let chunk_bytes = CHUNK_BYTES.load(Ordering::Relaxed);
         let entry_bytes = strings * std::mem::size_of::<Entry>();
         let string_bytes = STRING_BYTES.load(Ordering::Relaxed);
-        let ref_bytes = REF_BYTES.load(Ordering::Relaxed);
         // Swiss-table layout: one (key, value) slot plus one control
         // byte per bucket of capacity.
         let map_bytes =
             MAP_CAPACITY.load(Ordering::Relaxed) * (std::mem::size_of::<(&'static str, u32)>() + 1);
         PoolFootprint {
-            bytes: chunk_bytes + entry_bytes + string_bytes + map_bytes + ref_bytes,
+            bytes: chunk_bytes + entry_bytes + string_bytes + map_bytes,
             strings,
             chunk_bytes,
             entry_bytes,
             string_bytes,
             map_bytes,
-            ref_bytes,
             reclaimed_strings: RECLAIMED_STRINGS.load(Ordering::Relaxed),
             reclaimed_bytes: RECLAIMED_BYTES.load(Ordering::Relaxed),
         }
@@ -758,8 +645,6 @@ pub struct PoolFootprint {
     pub string_bytes: usize,
     /// The string → id interning map (estimated from capacity).
     pub map_bytes: usize,
-    /// The refcount ladder (allocated only when reclamation is in use).
-    pub ref_bytes: usize,
     /// Cumulative strings reclaimed over the process lifetime.
     pub reclaimed_strings: usize,
     /// Cumulative string payload bytes reclaimed over the process
@@ -864,26 +749,6 @@ mod tests {
     }
 
     #[test]
-    fn mem_footprint_accounts_growth() {
-        let before = ValuePool::mem_footprint();
-        assert_eq!(
-            before.bytes,
-            before.chunk_bytes
-                + before.entry_bytes
-                + before.string_bytes
-                + before.map_bytes
-                + before.ref_bytes
-        );
-        let payload = "footprint-probe-with-a-reasonably-long-payload";
-        let _ = ValuePool::intern(payload);
-        let after = ValuePool::mem_footprint();
-        assert_eq!(after.strings, before.strings + 1);
-        assert!(after.string_bytes >= before.string_bytes + payload.len());
-        assert!(after.bytes > before.bytes);
-        assert!(after.chunk_bytes >= 64 * std::mem::size_of::<Slot>());
-    }
-
-    #[test]
     fn intern_value_batch_maps_nulls() {
         let values = vec![Value::text("vb-x"), Value::Null, Value::text("vb-y")];
         let ids = ValuePool::intern_value_batch(&values);
@@ -892,74 +757,6 @@ mod tests {
         assert!(ids[1].is_null());
         assert_eq!(ids[0], ValuePool::intern("vb-x"));
         assert_eq!(ids[2], ValuePool::intern("vb-y"));
-    }
-
-    #[test]
-    fn retain_release_roundtrip() {
-        let id = ValuePool::intern("refcount-probe");
-        ValuePool::retain(id);
-        ValuePool::retain(id);
-        assert_eq!(ValuePool::refcount(id), 2);
-        assert!(!ValuePool::release(id));
-        assert!(ValuePool::release(id), "last release reports zero");
-        assert_eq!(ValuePool::refcount(id), 0);
-        // Null ids are inert on every refcount path.
-        ValuePool::retain(ValueId::NULL);
-        assert!(!ValuePool::release(ValueId::NULL));
-        assert_eq!(ValuePool::refcount(ValueId::NULL), 0);
-    }
-
-    #[test]
-    fn reclaim_frees_recycles_and_tags() {
-        // Strings unique to this test: the reclaim contract demands the
-        // caller's value space be disjoint from other pool users.
-        let a = ValuePool::intern("rcl-pool-test-aaaa");
-        let b = ValuePool::intern("rcl-pool-test-bbbb");
-        ValuePool::retain(a);
-        ValuePool::retain(b);
-        let live_before = ValuePool::live_strings();
-        let gen_before = ValuePool::generation(a);
-
-        // A still-retained id must survive a reclaim attempt.
-        let none = ValuePool::reclaim([a]);
-        assert_eq!(none.strings, 0);
-        assert_eq!(ValuePool::resolve(a), "rcl-pool-test-aaaa");
-
-        ValuePool::release(a);
-        ValuePool::release(b);
-        let stats = ValuePool::reclaim([a, b]);
-        assert_eq!(stats.strings, 2);
-        assert_eq!(stats.bytes, "rcl-pool-test-aaaa".len() * 2);
-        assert_eq!(ValuePool::live_strings(), live_before - 2);
-        assert_eq!(ValuePool::generation(a), gen_before + 1);
-        // The string is gone from the map and the slot is fail-stop.
-        assert_eq!(ValuePool::lookup("rcl-pool-test-aaaa"), None);
-        assert!(std::panic::catch_unwind(|| ValuePool::resolve(a)).is_err());
-        // Double reclaim is a no-op.
-        assert_eq!(ValuePool::reclaim([a]).strings, 0);
-
-        // Re-interning recycles a freed id (watermark does not grow).
-        let len_before = ValuePool::len();
-        let a2 = ValuePool::intern("rcl-pool-test-cccc");
-        assert_eq!(ValuePool::len(), len_before);
-        assert!(a2 == a || a2 == b, "freed id recycled");
-        assert_eq!(ValuePool::resolve(a2), "rcl-pool-test-cccc");
-    }
-
-    #[test]
-    fn footprint_tracks_reclamation() {
-        let s = "rcl-footprint-probe-string-payload";
-        let id = ValuePool::intern(s);
-        ValuePool::retain(id);
-        ValuePool::release(id);
-        let before = ValuePool::mem_footprint();
-        let stats = ValuePool::reclaim([id]);
-        assert_eq!(stats.strings, 1);
-        let after = ValuePool::mem_footprint();
-        assert_eq!(after.strings, before.strings - 1);
-        assert_eq!(after.string_bytes, before.string_bytes - s.len());
-        assert_eq!(after.reclaimed_strings, before.reclaimed_strings + 1);
-        assert_eq!(after.reclaimed_bytes, before.reclaimed_bytes + s.len());
     }
 }
 

@@ -19,14 +19,9 @@
 //! reports, `detect_all` cross-checks, and serde checkpoints read the
 //! snapshot while ingest continues.
 //!
-//! Tables can also opt into **cell refcounting**
-//! ([`Table::enable_refcounts`]): every live cell holds one
-//! [`ValuePool::retain`] per occurrence, released on delete/overwrite.
-//! Ids whose release dropped the count to zero accumulate as *reclaim
-//! candidates* ([`Table::take_reclaim_candidates`]) for the engine's
-//! epoch-tied pool sweep. A tombstoned slot's cells stay *readable*
-//! (evidence rendering) but are no longer retained — the engine only
-//! sweeps at a post-compaction barrier, when no tombstones exist.
+//! Pool strings are reclaimed by a table's owner, not by the table: the
+//! stream engine marks the ids its table's cells hold at a compaction
+//! barrier, when no tombstones exist.
 //!
 //! Tables are *mutable streams*: besides appends, [`Table::delete_row`]
 //! tombstones a slot and [`Table::update_row`] overwrites one in place.
@@ -187,7 +182,7 @@ pub enum RowOp {
 /// column pair) and detection (scan one column, probe another); the
 /// dictionary encoding makes each scan touch 4-byte `Copy` ids, with
 /// string resolution deferred to per-distinct-value work.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     schema: Schema,
     columns: Vec<CowVec<ValueId>>,
@@ -199,39 +194,7 @@ pub struct Table {
     /// Compaction epoch: 0 at construction, bumped by every
     /// [`Table::compact`]. `RowId`s are only comparable within an epoch.
     epoch: u64,
-    /// Does every live cell hold a [`ValuePool`] refcount?
-    refcounted: bool,
-    /// Ids whose [`ValuePool::release`] here dropped the shared count to
-    /// zero — reclaim candidates, drained by the engine at the barrier.
-    reclaim: Vec<ValueId>,
 }
-
-/// A clone of a [`Table`] shares every storage chunk and does *not*
-/// inherit refcount participation: the clone did not retain its cells,
-/// so it must not release them either. Use
-/// [`Table::enable_refcounts`] on the clone to opt it in (it retains
-/// its own counts).
-impl Clone for Table {
-    fn clone(&self) -> Table {
-        self.clone_data()
-    }
-}
-
-/// Equality is over the *data* — schema, cells, tombstones, epoch —
-/// never over refcount bookkeeping, so a refcounted engine table and
-/// its never-refcounting twin compare equal when their contents agree.
-impl PartialEq for Table {
-    fn eq(&self, other: &Table) -> bool {
-        self.schema == other.schema
-            && self.rows == other.rows
-            && self.dead == other.dead
-            && self.epoch == other.epoch
-            && self.live == other.live
-            && self.columns == other.columns
-    }
-}
-
-impl Eq for Table {}
 
 /// A frozen, read-only view of a [`Table`] captured by
 /// [`Table::snapshot`].
@@ -275,24 +238,6 @@ impl Table {
             live: CowVec::new(),
             dead: 0,
             epoch: 0,
-            refcounted: false,
-            reclaim: Vec::new(),
-        }
-    }
-
-    /// The data-preserving clone behind both `Clone` and
-    /// [`Table::snapshot`]: shares every chunk, drops refcount
-    /// bookkeeping (see the `Clone` impl for why).
-    fn clone_data(&self) -> Table {
-        Table {
-            schema: self.schema.clone(),
-            columns: self.columns.clone(),
-            rows: self.rows,
-            live: self.live.clone(),
-            dead: self.dead,
-            epoch: self.epoch,
-            refcounted: false,
-            reclaim: Vec::new(),
         }
     }
 
@@ -333,11 +278,7 @@ impl Table {
             });
         }
         let ids = ValuePool::intern_value_batch(&row);
-        let refcounted = self.refcounted;
         for (col, id) in self.columns.iter_mut().zip(ids) {
-            if refcounted {
-                ValuePool::retain(id);
-            }
             col.push(id);
         }
         let id = self.rows;
@@ -358,11 +299,7 @@ impl Table {
                 expected: self.schema.arity(),
             });
         }
-        let refcounted = self.refcounted;
         for (col, v) in self.columns.iter_mut().zip(row) {
-            if refcounted {
-                ValuePool::retain(v);
-            }
             col.push(v);
         }
         let id = self.rows;
@@ -375,22 +312,10 @@ impl Table {
     /// Tombstone one live row. The slot (and its last cell contents)
     /// remains addressable — `RowId`s held elsewhere stay valid — but
     /// live-row iteration and [`Table::live_rows`] no longer see it.
-    ///
-    /// Under refcounting the row's cells are released *now* (tombstoned
-    /// cells stay readable but no longer pin pool strings); the engine
-    /// only sweeps after compaction, when tombstones are gone.
     pub fn delete_row(&mut self, row: RowId) -> Result<(), TableError> {
         self.require_live(row)?;
         self.live.set(row, false);
         self.dead += 1;
-        if self.refcounted {
-            for c in 0..self.columns.len() {
-                let id = self.columns[c].get(row);
-                if ValuePool::release(id) {
-                    self.reclaim.push(id);
-                }
-            }
-        }
         obs::counter!("table.delete").incr();
         Ok(())
     }
@@ -406,28 +331,11 @@ impl Table {
         }
         self.require_live(row)?;
         let ids = ValuePool::intern_value_batch(&cells);
-        for (c, id) in ids.into_iter().enumerate() {
-            self.overwrite_cell(row, c, id);
+        for (col, id) in self.columns.iter_mut().zip(ids) {
+            col.set(row, id);
         }
         obs::counter!("table.update").incr();
         Ok(())
-    }
-
-    /// Overwrite one cell id, maintaining refcounts when enabled:
-    /// retain-new *before* release-old, so overwriting a cell with its
-    /// own value never produces a transient zero (a false reclaim
-    /// candidate).
-    fn overwrite_cell(&mut self, row: RowId, col: usize, id: ValueId) {
-        if self.refcounted {
-            ValuePool::retain(id);
-            let old = self.columns[col].get(row);
-            self.columns[col].set(row, id);
-            if ValuePool::release(old) {
-                self.reclaim.push(old);
-            }
-        } else {
-            self.columns[col].set(row, id);
-        }
     }
 
     /// Overwrite one live row with already-interned ids.
@@ -440,8 +348,8 @@ impl Table {
             });
         }
         self.require_live(row)?;
-        for (c, v) in cells.into_iter().enumerate() {
-            self.overwrite_cell(row, c, v);
+        for (col, v) in self.columns.iter_mut().zip(cells) {
+            col.set(row, v);
         }
         obs::counter!("table.update").incr();
         Ok(())
@@ -547,7 +455,7 @@ impl Table {
 
     /// Overwrite one cell (used by error injection and repair).
     pub fn set_cell(&mut self, row: RowId, col: usize, v: Value) {
-        self.overwrite_cell(row, col, ValuePool::intern_value(&v));
+        self.columns[col].set(row, ValuePool::intern_value(&v));
     }
 
     /// Materialize one row as owned [`Value`]s.
@@ -682,7 +590,7 @@ impl Table {
     pub fn snapshot(&self) -> TableSnapshot {
         obs::counter!("snapshot.table_captures").incr();
         TableSnapshot {
-            inner: self.clone_data(),
+            inner: self.clone(),
         }
     }
 
@@ -695,38 +603,6 @@ impl Table {
             .map(CowVec::shared_chunks)
             .sum::<usize>()
             + self.live.shared_chunks()
-    }
-
-    /// Opt this table into cell refcounting: every *live* cell takes one
-    /// [`ValuePool::retain`] (tombstoned cells stay unretained, matching
-    /// [`Table::delete_row`]'s release-at-delete discipline), and every
-    /// later mutation maintains the counts. Idempotent.
-    pub fn enable_refcounts(&mut self) {
-        if self.refcounted {
-            return;
-        }
-        self.refcounted = true;
-        for col in &self.columns {
-            for (r, id) in col.iter().enumerate() {
-                if self.live.get(r) {
-                    ValuePool::retain(id);
-                }
-            }
-        }
-    }
-
-    /// Is cell refcounting enabled?
-    #[must_use]
-    pub fn is_refcounted(&self) -> bool {
-        self.refcounted
-    }
-
-    /// Drain the accumulated reclaim candidates: ids whose release
-    /// *here* dropped the shared pool count to zero. The engine rechecks
-    /// each against the live refcount (and its own protected set) at the
-    /// compaction barrier before sweeping.
-    pub fn take_reclaim_candidates(&mut self) -> Vec<ValueId> {
-        std::mem::take(&mut self.reclaim)
     }
 }
 
@@ -795,8 +671,6 @@ impl Deserialize for Table {
             live: live.into_iter().collect(),
             dead,
             epoch: repr.epoch,
-            refcounted: false,
-            reclaim: Vec::new(),
         })
     }
 }
@@ -1210,77 +1084,5 @@ mod tests {
         let json = serde_json::to_string(snap.table()).unwrap();
         let back: Table = serde_json::from_str(&json).unwrap();
         assert_eq!(back, *snap.table());
-    }
-
-    #[test]
-    fn refcounts_follow_cell_occurrences() {
-        // Unique strings: the pool is process-global, so refcount
-        // assertions are only meaningful on values no other test interns.
-        let schema = Schema::new(["k", "v"]).unwrap();
-        let mut t = Table::empty(schema);
-        t.enable_refcounts();
-        assert!(t.is_refcounted());
-        t.push_row(vec![
-            Value::text("rcl-table-k1"),
-            Value::text("rcl-table-shared"),
-        ])
-        .unwrap();
-        t.push_row(vec![
-            Value::text("rcl-table-k2"),
-            Value::text("rcl-table-shared"),
-        ])
-        .unwrap();
-        let k1 = t.cell_id(0, 0);
-        let shared = t.cell_id(0, 1);
-        assert_eq!(ValuePool::refcount(k1), 1);
-        assert_eq!(ValuePool::refcount(shared), 2);
-        // Same-value overwrite: count unchanged, no false candidate.
-        t.set_cell(0, 1, Value::text("rcl-table-shared"));
-        assert_eq!(ValuePool::refcount(shared), 2);
-        assert!(t.take_reclaim_candidates().is_empty());
-        // Delete releases the row's cells; k1 hits zero and becomes a
-        // candidate, the shared value stays pinned by row 1.
-        t.delete_row(0).unwrap();
-        assert_eq!(ValuePool::refcount(k1), 0);
-        assert_eq!(ValuePool::refcount(shared), 1);
-        let cand = t.take_reclaim_candidates();
-        assert!(cand.contains(&k1));
-        assert!(!cand.contains(&shared));
-        // Update releases the old cell and retains the new one.
-        t.update_row(
-            1,
-            vec![Value::text("rcl-table-k3"), Value::text("rcl-table-v3")],
-        )
-        .unwrap();
-        assert_eq!(ValuePool::refcount(shared), 0);
-        let k2 = ValuePool::lookup("rcl-table-k2").unwrap();
-        assert_eq!(ValuePool::refcount(k2), 0);
-        let cand = t.take_reclaim_candidates();
-        assert!(cand.contains(&shared) && cand.contains(&k2));
-        assert_eq!(ValuePool::refcount(t.cell_id(1, 0)), 1);
-    }
-
-    #[test]
-    fn clone_does_not_inherit_refcounting() {
-        let schema = Schema::new(["k"]).unwrap();
-        let mut t = Table::empty(schema);
-        t.enable_refcounts();
-        t.push_row(vec![Value::text("rcl-table-clone")]).unwrap();
-        let id = t.cell_id(0, 0);
-        assert_eq!(ValuePool::refcount(id), 1);
-        // The clone shares the data but holds no retains of its own —
-        // deleting in the clone must not disturb the original's count.
-        let mut c = t.clone();
-        assert!(!c.is_refcounted());
-        assert_eq!(t, c);
-        c.delete_row(0).unwrap();
-        assert_eq!(ValuePool::refcount(id), 1);
-        assert!(c.take_reclaim_candidates().is_empty());
-        // Opting the clone in retains its own (live) cells.
-        let mut c2 = t.clone();
-        c2.enable_refcounts();
-        assert_eq!(ValuePool::refcount(id), 2);
-        c2.delete_row(0).unwrap();
-        assert_eq!(ValuePool::refcount(id), 1);
     }
 }

@@ -525,6 +525,9 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     // snapshots too.
     obs::histogram!("cli.replay_ns")
         .record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
+    // The engine now holds every row: with `--reclaim` it must be the
+    // only holder of its strings, and the base columns need not live on.
+    drop(table);
 
     let mut applied_ops = 0usize;
     if let Some(path) = ops_file {
@@ -584,12 +587,11 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     );
     // Reclamation observability: epochs run, slots dropped, and the
     // table's own memory. The shared ValuePool is excluded (string bytes
-    // live once, process-wide); the next line counts it. The line keeps
-    // its historic "per table replica" wording so its format is stable.
+    // live once, process-wide); the next line counts it.
     let footprint = engine.table().mem_footprint();
     println!(
         "compaction: {} epoch(s) run, {} slot(s) reclaimed; table memory {} byte(s) \
-         per table replica over {} slot(s) ({} live)",
+         over {} slot(s) ({} live)",
         compaction.epochs,
         compaction.reclaimed_slots,
         footprint.bytes,

@@ -684,6 +684,23 @@ fn stream_without_rules_source_fails() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The `pool:` summary line's byte total equals the sum of the four
+/// parts it prints (chunk, entry, string and map bytes).
+fn assert_pool_line_adds_up(text: &str) {
+    let line = text
+        .lines()
+        .find(|l| l.starts_with("pool: "))
+        .unwrap_or_else(|| panic!("no pool line:\n{text}"));
+    let numbers: Vec<usize> = line
+        .split(|c: char| !c.is_ascii_digit())
+        .filter(|t| !t.is_empty())
+        .map(|t| t.parse().unwrap())
+        .collect();
+    // total, strings, then the four parts.
+    assert_eq!(numbers.len(), 6, "{line}");
+    assert_eq!(numbers[0], numbers[2..].iter().sum::<usize>(), "{line}");
+}
+
 /// `--reclaim` sweeps stranded strings at the compaction barrier and is
 /// output-invariant below the header; `--checkpoint` writes a
 /// snapshot-backed JSON checkpoint into the store.
@@ -760,6 +777,8 @@ fn stream_reclaim_is_output_invariant_and_checkpoint_writes_json() {
         stderr(&swept)
     );
     let text = stdout(&swept);
+    assert_pool_line_adds_up(&stdout(&plain));
+    assert_pool_line_adds_up(&text);
     assert!(
         text.contains("reclaim: ") && !text.contains("reclaim: 0 string(s)"),
         "the sweep must free the stranded unique cities:\n{text}"
