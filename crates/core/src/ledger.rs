@@ -9,11 +9,21 @@
 //! same violation; it stays live until the last implier retracts it) and
 //! running created/retracted totals for monitoring.
 //!
-//! Identity is *structural*: two violations are the same ledger entry iff
-//! their serialized forms agree (dependency, row, evidence, witnesses,
-//! repair — everything). The incremental engine retracts exactly the
-//! objects it previously created, so structural identity is both precise
-//! and cheap.
+//! Identity is *structural equality*: two violations are the same ledger
+//! entry iff they are equal field for field (dependency, row, evidence,
+//! witnesses, repair — everything). The live map is keyed by the
+//! [`Violation`] itself under its derived `Ord`, so nothing is serialized
+//! on a write path: a create or a retract is one ordered lookup (a create
+//! clones the violation only when it is new), and each live violation is
+//! held once. The incremental engine retracts exactly the objects it
+//! previously created, so structural identity is both precise and cheap.
+//!
+//! Two orders are visible. [`ViolationLedger::live`] iterates in the
+//! derived `Ord` order of the map. [`ViolationLedger::snapshot`] sorts
+//! like [`crate::detect_all`] output, by `(row, dependency)`, and breaks
+//! the remaining ties by the violations' JSON text. That order is part of
+//! what `anmat stream --checkpoint` writes, so it does not follow the
+//! derived `Ord`.
 //!
 //! The ledger also participates in the **compaction remap protocol**:
 //! when the backing table compacts (renumbering `RowId`s),
@@ -27,6 +37,7 @@
 use crate::detect::Violation;
 use anmat_obs as obs;
 use anmat_table::RowIdRemap;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -72,8 +83,8 @@ impl LedgerEvent {
     }
 }
 
-/// The set of currently live violations, keyed structurally, with
-/// reference counts and lifetime counters.
+/// The set of currently live violations, keyed by the violation itself,
+/// with reference counts and lifetime counters.
 ///
 /// The live map sits behind an [`Arc`], so [`ViolationLedger::freeze`]
 /// captures a consistent snapshot in `O(1)`; the first mutation after a
@@ -81,9 +92,8 @@ impl LedgerEvent {
 /// further mutation is back to in-place cost.
 #[derive(Debug, Default, Clone)]
 pub struct ViolationLedger {
-    /// Canonical serialization → (refcount, violation). A `BTreeMap`
-    /// keeps iteration deterministic.
-    live: Arc<BTreeMap<String, (usize, Violation)>>,
+    /// Violation → refcount. A `BTreeMap` keeps iteration deterministic.
+    live: Arc<BTreeMap<Violation, usize>>,
     created_total: usize,
     retracted_total: usize,
     /// Compaction epoch stamped onto emitted events; follows the backing
@@ -116,6 +126,8 @@ impl std::ops::Deref for LedgerSnapshot {
     }
 }
 
+/// The JSON text of a violation: [`ViolationLedger::snapshot`]'s last
+/// tie-break, and nothing else.
 fn canonical_key(v: &Violation) -> String {
     serde_json::to_string(v).expect("violations serialize infallibly")
 }
@@ -140,7 +152,7 @@ impl ViolationLedger {
 
     /// The live map, for mutation — copies it first if a snapshot still
     /// shares it.
-    fn live_mut(&mut self) -> &mut BTreeMap<String, (usize, Violation)> {
+    fn live_mut(&mut self) -> &mut BTreeMap<Violation, usize> {
         if Arc::strong_count(&self.live) > 1 {
             obs::counter!("snapshot.map_copies").incr();
         }
@@ -150,41 +162,41 @@ impl ViolationLedger {
     /// Record a violation. Returns the `Created` event if it was not
     /// already live (otherwise only the reference count grows).
     pub fn create(&mut self, violation: Violation) -> Option<LedgerEvent> {
-        let key = canonical_key(&violation);
-        let entry = self
-            .live_mut()
-            .entry(key)
-            .or_insert_with(|| (0, violation.clone()));
-        entry.0 += 1;
-        if entry.0 == 1 {
-            self.created_total += 1;
-            obs::counter!("ledger.created").incr();
-            Some(LedgerEvent {
-                epoch: self.epoch,
-                change: LedgerChange::Created(violation),
-            })
-        } else {
-            None
-        }
+        let violation = match self.live_mut().entry(violation) {
+            Entry::Occupied(mut refcount) => {
+                *refcount.get_mut() += 1;
+                return None;
+            }
+            Entry::Vacant(slot) => {
+                let violation = slot.key().clone();
+                slot.insert(1);
+                violation
+            }
+        };
+        self.created_total += 1;
+        obs::counter!("ledger.created").incr();
+        Some(LedgerEvent {
+            epoch: self.epoch,
+            change: LedgerChange::Created(violation),
+        })
     }
 
     /// Withdraw a violation. Returns the `Retracted` event once the last
     /// reference is gone; `None` if other rules still imply it (or it was
     /// never live).
     pub fn retract(&mut self, violation: &Violation) -> Option<LedgerEvent> {
-        let key = canonical_key(violation);
         // Peek before touching the map so a retract of a never-live
         // violation doesn't force a COW copy under a snapshot.
-        if !self.live.contains_key(&key) {
+        if !self.live.contains_key(violation) {
             return None;
         }
         let live = self.live_mut();
-        let entry = live.get_mut(&key)?;
-        entry.0 -= 1;
-        if entry.0 > 0 {
+        let refcount = live.get_mut(violation)?;
+        *refcount -= 1;
+        if *refcount > 0 {
             return None;
         }
-        let (_, v) = live.remove(&key).expect("entry exists");
+        let (v, _) = live.remove_entry(violation).expect("entry exists");
         self.retracted_total += 1;
         obs::counter!("ledger.retracted").incr();
         Some(LedgerEvent {
@@ -209,37 +221,44 @@ impl ViolationLedger {
     /// violation's liveness changed; only its coordinates did. Event
     /// history stays verbatim (see [`LedgerEvent::epoch`]). Reference
     /// counts survive: the remap is injective on live rows and touches
-    /// nothing else, so distinct entries stay distinct.
+    /// nothing else, so distinct entries stay distinct. It is also
+    /// monotone, so the remapped keys keep their order: `collect` finds
+    /// them already sorted and bulk-loads the new tree.
     pub fn remap(&mut self, remap: &RowIdRemap) {
         self.epoch = remap.epoch();
-        let old = std::mem::take(self.live_mut());
-        let live = Arc::make_mut(&mut self.live);
-        for (_, (refcount, mut v)) in old {
-            v.remap(remap);
-            let key = canonical_key(&v);
-            let prev = live.insert(key, (refcount, v));
-            debug_assert!(prev.is_none(), "remap is injective on live violations");
-        }
+        let live = self.live_mut();
+        let count = live.len();
+        *live = std::mem::take(live)
+            .into_iter()
+            .map(|(mut v, refcount)| {
+                v.remap(remap);
+                (v, refcount)
+            })
+            .collect();
+        debug_assert_eq!(live.len(), count, "remap is injective on live violations");
     }
 
-    /// The live violations, in deterministic (serialized-key) order.
+    /// The live violations, in the derived `Ord` order of [`Violation`]
+    /// (dependency, attributes, row, …). For `detect_all`'s order use
+    /// [`ViolationLedger::snapshot`].
     pub fn live(&self) -> impl Iterator<Item = &Violation> {
-        self.live.values().map(|(_, v)| v)
+        self.live.keys()
     }
 
     /// The live violations sorted like [`crate::detect_all`] output:
-    /// `(row, dependency)` first, then canonical form for total order.
+    /// `(row, dependency)` first, then the violations' JSON text for a
+    /// total order. The JSON tie-break is the only serialization the
+    /// ledger does, and only on ties.
     #[must_use]
     pub fn snapshot(&self) -> Vec<Violation> {
-        let mut out: Vec<(&String, &Violation)> =
-            self.live.iter().map(|(k, (_, v))| (k, v)).collect();
-        out.sort_by(|(ka, a), (kb, b)| {
+        let mut out: Vec<&Violation> = self.live.keys().collect();
+        out.sort_by(|a, b| {
             a.row
                 .cmp(&b.row)
                 .then_with(|| a.dependency.cmp(&b.dependency))
-                .then_with(|| ka.cmp(kb))
+                .then_with(|| canonical_key(a).cmp(&canonical_key(b)))
         });
-        out.into_iter().map(|(_, v)| v.clone()).collect()
+        out.into_iter().cloned().collect()
     }
 
     /// Number of currently live violations.
@@ -363,6 +382,27 @@ mod tests {
         ledger.create(violation(1, "A"));
         let rows: Vec<usize> = ledger.snapshot().iter().map(|v| v.row).collect();
         assert_eq!(rows, vec![1, 1, 5]);
+    }
+
+    #[test]
+    fn snapshot_breaks_row_and_dependency_ties_by_json_text() {
+        // One row, one dependency: a constant violation and two variable
+        // ones whose witness lists order one way as numbers ([9] < [10])
+        // and the other way as JSON text ("[10]" < "[9]").
+        let constant = violation(4, "Los Angeles");
+        let nine = variable_violation(4, vec![9]);
+        let ten = variable_violation(4, vec![10]);
+        let mut ledger = ViolationLedger::new();
+        for v in [&nine, &constant, &ten] {
+            ledger.create(v.clone());
+        }
+        assert_eq!(
+            ledger.snapshot(),
+            vec![constant.clone(), ten.clone(), nine.clone()]
+        );
+        // `live()` follows the derived order instead.
+        let live: Vec<&Violation> = ledger.live().collect();
+        assert_eq!(live, vec![&constant, &nine, &ten]);
     }
 
     #[test]

@@ -67,15 +67,21 @@ impl<T: Copy> CowVec<T> {
     pub fn push(&mut self, v: T) {
         if self.len & MASK == 0 {
             // Let the tail chunk's capacity grow naturally (4 → 4096) so
-            // small vectors don't pay a full chunk and `capacity_bytes`
-            // shrinks honestly on compaction rebuilds.
+            // small vectors don't pay a full chunk.
             self.chunks.push(Arc::new(Vec::new()));
         }
         let tail = self.chunks.last_mut().expect("chunk pushed above");
         if Arc::strong_count(tail) > 1 {
             obs::counter!("snapshot.cow_copies").incr();
         }
-        Arc::make_mut(tail).push(v);
+        let tail = Arc::make_mut(tail);
+        // A tail sized to fit (by `collect`, or by `make_mut` copying a
+        // shared chunk) grows by doubling like any other, but never past
+        // one chunk.
+        if tail.len() == tail.capacity() && tail.len() > CHUNK / 2 {
+            tail.reserve_exact(CHUNK - tail.len());
+        }
+        tail.push(v);
         self.len += 1;
     }
 
@@ -148,11 +154,24 @@ impl<T: Copy> CowVec<T> {
     }
 }
 
+/// Fills each chunk in place, with the chunk boundaries `push` would
+/// give: full chunks hold exactly `4096` elements and the tail chunk is
+/// sized to fit, so a compaction rebuild holds no spare capacity.
 impl<T: Copy> FromIterator<T> for CowVec<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> CowVec<T> {
         let mut out = CowVec::new();
+        let mut chunk = Vec::with_capacity(CHUNK);
         for v in iter {
-            out.push(v);
+            chunk.push(v);
+            if chunk.len() == CHUNK {
+                out.chunks.push(Arc::new(chunk));
+                chunk = Vec::with_capacity(CHUNK);
+            }
+        }
+        out.len = out.chunks.len() * CHUNK + chunk.len();
+        if !chunk.is_empty() {
+            chunk.shrink_to_fit();
+            out.chunks.push(Arc::new(chunk));
         }
         out
     }
@@ -214,6 +233,46 @@ mod tests {
         assert_eq!(a, b);
         let c = a.clone();
         assert_eq!(a, c);
+    }
+
+    #[test]
+    fn collect_matches_pushes_and_holds_no_more() {
+        for n in [0, 1, 5, 4_095, 4_096, 4_097, 10_000] {
+            let collected: CowVec<u32> = (0..n).collect();
+            let mut pushed = CowVec::new();
+            for i in 0..n {
+                pushed.push(i);
+            }
+            // Equality compares chunk by chunk: same elements, same
+            // chunk boundaries.
+            assert_eq!(collected, pushed, "{n} elements");
+            assert!(collected.capacity_bytes() <= pushed.capacity_bytes());
+        }
+        // Flags (one byte each) too: their tail starts at 8, not 4.
+        let flags: CowVec<bool> = (0..100).map(|i| i % 3 == 0).collect();
+        let mut pushed = CowVec::new();
+        for i in 0..100 {
+            pushed.push(i % 3 == 0);
+        }
+        assert_eq!(flags, pushed);
+        assert!(flags.capacity_bytes() < pushed.capacity_bytes());
+    }
+
+    #[test]
+    fn a_tail_sized_to_fit_grows_to_one_chunk_and_no_further() {
+        let mut collected: CowVec<u32> = (0..3_000).collect();
+        let mut copied: CowVec<u32> = CowVec::new();
+        for i in 0..3_000 {
+            copied.push(i);
+        }
+        let snap = copied.clone();
+        for i in 3_000..CHUNK as u32 {
+            collected.push(i);
+            copied.push(i);
+        }
+        assert_eq!(collected.chunks[0].capacity(), CHUNK);
+        assert_eq!(copied.chunks[0].capacity(), CHUNK);
+        assert_eq!(snap.len(), 3_000);
     }
 
     #[test]

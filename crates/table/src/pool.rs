@@ -94,9 +94,11 @@ static RECLAIMED_STRINGS: AtomicUsize = AtomicUsize::new(0);
 /// Cumulative bytes of string payload reclaimed over the process
 /// lifetime.
 static RECLAIMED_BYTES: AtomicUsize = AtomicUsize::new(0);
-/// The interning map's bucket capacity, mirrored out of the `RwLock` so
-/// [`ValuePool::mem_footprint`] never takes the lock. Updated by every
-/// path that holds the write lock (capacity only changes there).
+/// The interning map's capacity, mirrored out of the `RwLock` so
+/// [`ValuePool::mem_footprint`] never takes the lock. A high-water mark,
+/// raised by every path that inserts: `HashMap::remove` lowers
+/// `capacity()` without freeing a bucket, and nothing shrinks the map,
+/// so the largest capacity seen is what the map still holds.
 static MAP_CAPACITY: AtomicUsize = AtomicUsize::new(0);
 /// Lock-free hint: number of ids parked on the free list (so intern
 /// misses skip the reclaimer mutex entirely until a reclaim happens).
@@ -386,7 +388,7 @@ impl ValuePool {
         }
         obs::counter!("pool.intern.misses").incr();
         let id = publish(&mut map, s);
-        MAP_CAPACITY.store(map.capacity(), Ordering::Relaxed);
+        MAP_CAPACITY.fetch_max(map.capacity(), Ordering::Relaxed);
         ValueId(id)
     }
 
@@ -463,7 +465,7 @@ impl ValuePool {
                     }
                 };
             }
-            MAP_CAPACITY.store(map.capacity(), Ordering::Relaxed);
+            MAP_CAPACITY.fetch_max(map.capacity(), Ordering::Relaxed);
         }
         // One add per record, not per cell — the batch entry points stay
         // two lock operations and two counter bumps per record.
@@ -585,7 +587,6 @@ impl ValuePool {
             rec.free.push(id);
         }
         FREE_HINT.store(rec.free.len(), Ordering::Relaxed);
-        MAP_CAPACITY.store(map.capacity(), Ordering::Relaxed);
         STRING_BYTES.fetch_sub(stats.bytes, Ordering::Relaxed);
         LIVE_STRINGS.fetch_sub(stats.strings, Ordering::Relaxed);
         RECLAIMED_STRINGS.fetch_add(stats.strings, Ordering::Relaxed);
@@ -603,9 +604,9 @@ impl ValuePool {
     ///
     /// Counts every owned allocation: the chunk-ladder slot arrays, the
     /// published `Entry` cells, the live string bytes themselves, and the
-    /// string → id map (its bucket array estimated from a mirrored
-    /// capacity). **Lock-free** — every figure is an atomic read, so
-    /// snapshotting never contends with interning.
+    /// string → id map (its bucket array estimated from the largest
+    /// capacity it has had). **Lock-free** — every figure is an atomic
+    /// read, so snapshotting never contends with interning.
     #[must_use]
     pub fn mem_footprint() -> PoolFootprint {
         let strings = LIVE_STRINGS.load(Ordering::Relaxed);
@@ -643,7 +644,8 @@ pub struct PoolFootprint {
     pub entry_bytes: usize,
     /// The live string payloads themselves.
     pub string_bytes: usize,
-    /// The string → id interning map (estimated from capacity).
+    /// The string → id interning map (estimated from its high-water
+    /// capacity: reclaiming frees no bucket).
     pub map_bytes: usize,
     /// Cumulative strings reclaimed over the process lifetime.
     pub reclaimed_strings: usize,

@@ -59,4 +59,13 @@ fn footprint_and_reclaim_are_exact() {
     assert_eq!(after.string_bytes, before.string_bytes - s.len());
     assert_eq!(after.reclaimed_strings, before.reclaimed_strings + 1);
     assert_eq!(after.reclaimed_bytes, before.reclaimed_bytes + s.len());
+
+    // Removing strings frees no bucket of the map, so a sweep leaves its
+    // byte count where it was, though `HashMap::capacity` falls.
+    let ids: Vec<ValueId> = (0..20_000)
+        .map(|i| ValuePool::intern(&format!("rcl-map-probe-{i:05}")))
+        .collect();
+    let before = ValuePool::mem_footprint();
+    assert_eq!(ValuePool::reclaim(ids).strings, 20_000);
+    assert_eq!(ValuePool::mem_footprint().map_bytes, before.map_bytes);
 }
