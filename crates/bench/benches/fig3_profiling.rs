@@ -23,7 +23,7 @@ use anmat_pattern::{
     Pattern, SymbolClass,
 };
 use anmat_stream::StreamEngine;
-use anmat_table::{Schema, Table, TableProfile};
+use anmat_table::{Op, Schema, Table, TableProfile};
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
 use std::time::Instant;
 
@@ -144,6 +144,14 @@ fn eval_ns_per_distinct(values: &[String], tier: Tier) -> f64 {
 /// spread, not one shot.
 const INGEST_REPLAYS: usize = 7;
 
+/// Insert `table`'s live rows, in row order, into `engine` as one batch
+/// of interned ids.
+fn replay(engine: &mut StreamEngine, table: &Table) {
+    engine
+        .apply(table.iter_live().map(|r| Op::Insert(table.row_ids(r))))
+        .expect("schema matches");
+}
+
 /// Ingest rows/s over [`INGEST_REPLAYS`] full replays, each into a fresh
 /// engine.
 struct IngestSpread {
@@ -161,7 +169,7 @@ fn ingest_rate(table: &Table, rules: &[Pfd]) -> (IngestSpread, usize) {
     for _ in 0..INGEST_REPLAYS {
         let mut engine = StreamEngine::new(table.schema().clone(), rules.to_vec());
         let start = Instant::now();
-        engine.replay_table(table).expect("schema matches");
+        replay(&mut engine, table);
         rates.push(table.row_count() as f64 / start.elapsed().as_secs_f64());
         black_box(engine.ledger().live_count());
         evals = engine.pattern_evals();
@@ -226,7 +234,7 @@ fn write_fig3_json(rows: usize, sweep: &[SweepPoint], fields: &[FieldPoint]) {
     let table = distinct_ratio_table(rows, 0.10);
     let rules = sweep_rules();
     let mut engine = StreamEngine::new(table.schema().clone(), rules);
-    engine.replay_table(&table).expect("schema matches");
+    replay(&mut engine, &table);
     engine.publish_metrics();
     let snapshot = obs::MetricsSnapshot::capture();
     obs::Recorder::disable();
@@ -378,7 +386,7 @@ fn bench_distinct_ratio_sweep(c: &mut Criterion) {
             |b, (t, rules)| {
                 b.iter(|| {
                     let mut engine = StreamEngine::new(t.schema().clone(), rules.to_vec());
-                    engine.replay_table(t).expect("schema matches");
+                    replay(&mut engine, t);
                     black_box(engine.ledger().live_count())
                 });
             },

@@ -17,7 +17,7 @@ use anmat_core::{detect_all, discover, Pfd};
 use anmat_datagen::{zipcity, Dataset};
 use anmat_obs as obs;
 use anmat_stream::{StreamConfig, StreamEngine};
-use anmat_table::{RowOp, Table, Value, ValueId};
+use anmat_table::{Op, RowOp, Table, Value, ValueId};
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -53,11 +53,11 @@ fn marginal_cost_artifact(data: &Dataset, rules: &[Pfd]) {
         for &prefix in &[10_000usize, 100_000] {
             let mut engine = StreamEngine::new(data.table.schema().clone(), rules.to_vec());
             for row in rows.iter().take(prefix - 1_000).cloned() {
-                engine.push_row(row).expect("schema matches");
+                engine.apply([RowOp::Insert(row)]).expect("schema matches");
             }
             let start = Instant::now();
             for row in rows.iter().skip(prefix - 1_000).take(1_000).cloned() {
-                engine.push_row(row).expect("schema matches");
+                engine.apply([RowOp::Insert(row)]).expect("schema matches");
             }
             let per_row = start.elapsed().as_secs_f64() * 1e9 / 1_000.0;
             println!(
@@ -73,7 +73,7 @@ fn marginal_cost_artifact(data: &Dataset, rules: &[Pfd]) {
     for &prefix in &[10_000usize, 100_000] {
         let mut engine = StreamEngine::new(data.table.schema().clone(), rules.to_vec());
         for row in rows.iter().take(prefix).cloned() {
-            engine.push_row(row).expect("schema matches");
+            engine.apply([RowOp::Insert(row)]).expect("schema matches");
         }
         let start = Instant::now();
         for i in 0..1_000 {
@@ -82,12 +82,14 @@ fn marginal_cost_artifact(data: &Dataset, rules: &[Pfd]) {
             let target = (i * 97) % (prefix / 2);
             if i % 2 == 0 {
                 // Deletes address the lower half of the slots …
-                engine.delete_row(target).expect("target is live");
+                engine.apply([Op::Delete(target)]).expect("target is live");
             } else {
                 // … updates the upper half, so the two never collide.
                 let slot = target + prefix / 2;
                 let donor = engine.table().row(prefix / 2);
-                engine.update_row(slot, donor).expect("target is live");
+                engine
+                    .apply([RowOp::Update(slot, donor)])
+                    .expect("target is live");
             }
         }
         let per_op = start.elapsed().as_secs_f64() * 1e9 / 1_000.0;
@@ -320,7 +322,7 @@ fn reclaim_churn_artifact(data: &Dataset, rules: &[Pfd], total_ops: usize) -> St
         let mut engine =
             StreamEngine::with_config(data.table.schema().clone(), rules.to_vec(), config);
         engine
-            .push_id_batch(id_rows_of(&data.table))
+            .apply(id_rows_of(&data.table).into_iter().map(Op::Insert))
             .expect("schema matches");
         // The dataset rows hold slots `0..base` for good: they are never
         // deleted, and compaction keeps survivors in order.
@@ -492,7 +494,7 @@ fn write_fig6_json(
     let mut engine = StreamEngine::new(data.table.schema().clone(), rules.to_vec());
     let start = Instant::now();
     for row in ids.iter().cloned() {
-        engine.push_id_row(row).expect("schema matches");
+        engine.apply([Op::Insert(row)]).expect("schema matches");
     }
     let ingest = ids.len() as f64 / start.elapsed().as_secs_f64();
     engine.publish_metrics();
@@ -539,14 +541,14 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| {
                     let mut engine = StreamEngine::new(data.table.schema().clone(), rules.to_vec());
                     for row in prebuilt.iter().cloned() {
-                        engine.push_row(row).expect("schema matches");
+                        engine.apply([RowOp::Insert(row)]).expect("schema matches");
                     }
                     black_box(engine.ledger().live_count())
                 });
             },
         );
-        // The clone-free path: rows arrive as interned ids (what
-        // `replay_table` and the CLI stream command use).
+        // The clone-free path: rows arrive as interned ids (what the CLI
+        // stream command's CSV replay uses).
         let prebuilt_ids = id_rows_of(&data.table);
         g.bench_with_input(
             BenchmarkId::new("stream_ingest_ids", rows),
@@ -555,7 +557,7 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| {
                     let mut engine = StreamEngine::new(data.table.schema().clone(), rules.to_vec());
                     for row in prebuilt_ids.iter().cloned() {
-                        engine.push_id_row(row).expect("schema matches");
+                        engine.apply([Op::Insert(row)]).expect("schema matches");
                     }
                     black_box(engine.ledger().live_count())
                 });

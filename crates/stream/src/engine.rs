@@ -1,12 +1,13 @@
 //! The incremental violation engine.
 //!
-//! Ingest is *interned end-to-end*: [`StreamEngine::push_row`] interns
-//! each cell once into the global `ValuePool` (and
-//! [`StreamEngine::push_id_row`] skips even that), after which every
-//! per-rule check operates on `Copy` `ValueId`s — agreement checks are
-//! id comparisons and pattern matching is memoized per distinct value,
-//! so per-row marginal cost depends on the column's *distinct-value*
-//! profile, not its row count.
+//! Ingest is *interned end-to-end*: [`StreamEngine::apply`] takes
+//! [`Op`]s whose cells are already interned `ValueId`s (the op-log
+//! reader and the CSV reader intern each cell once; a [`RowOp`] is
+//! interned as the batch is collected), after which every per-rule
+//! check operates on `Copy` ids — agreement checks are id comparisons
+//! and pattern matching is memoized per distinct value, so per-row
+//! marginal cost depends on the column's *distinct-value* profile, not
+//! its row count.
 //!
 //! Per-rule state mirrors the batch detector's dispatch:
 //!
@@ -53,8 +54,8 @@ use anmat_index::{BlockingPartition, KeyBlock, KeyMemo, TableauMemo};
 use anmat_obs as obs;
 use anmat_pattern::CompiledConstrained;
 use anmat_table::{
-    ReclaimStats, RowId, RowIdRemap, RowOp, Schema, Table, TableError, TableSnapshot, Value,
-    ValueId, ValuePool,
+    Op, ReclaimStats, RowId, RowIdRemap, RowOp, Schema, Table, TableError, TableSnapshot, ValueId,
+    ValuePool,
 };
 use fxhash::{FxHashMap, FxHashSet};
 use std::sync::Arc;
@@ -75,9 +76,10 @@ pub struct StreamConfig {
     /// the benchmark drops all three.
     pub shards: usize,
     /// Tombstone ratio (`dead slots / total slots`) above which the
-    /// engine compacts automatically at the end of a mutation entry
-    /// point (never mid-batch: op batches are validated against one id
-    /// space). `<= 0.0` (the default) disables auto-compaction;
+    /// engine compacts automatically at the end of an
+    /// [`StreamEngine::apply`] batch (never mid-batch: a batch is
+    /// validated against one id space). `<= 0.0` (the default) disables
+    /// auto-compaction;
     /// [`StreamEngine::compact`] stays available manually either way.
     pub compact_ratio: f64,
     /// Read by nothing, like [`StreamConfig::shards`], and kept for the
@@ -145,7 +147,8 @@ pub struct CompactionStats {
 /// The events of one batch, as [`StreamEngine::submit`] returns them.
 /// Kept, with `submit` and [`StreamEngine::flush`], only because the
 /// benchmark harness (`perfbench/harness/src/measure.rs`) still calls
-/// them; the next change to the benchmark drops all three.
+/// them; the next change to the benchmark (ROADMAP item 5) drops all
+/// three.
 #[derive(Debug)]
 pub struct BatchEvents {
     /// The batch's violation events, in rule/tableau order.
@@ -175,59 +178,6 @@ impl Sink<'_> {
     }
 }
 
-/// A [`RowOp`] with its cells interned: what the engine validates,
-/// primes, and executes.
-#[derive(Debug)]
-enum IdOp {
-    Insert(Vec<ValueId>),
-    Delete(RowId),
-    Update(RowId, Vec<ValueId>),
-}
-
-impl IdOp {
-    /// Intern one op's cells (one pool lock acquisition per record).
-    fn intern(op: RowOp) -> IdOp {
-        match op {
-            RowOp::Insert(cells) => IdOp::Insert(ValuePool::intern_value_batch(&cells)),
-            RowOp::Delete(row) => IdOp::Delete(row),
-            RowOp::Update(row, cells) => IdOp::Update(row, ValuePool::intern_value_batch(&cells)),
-        }
-    }
-
-    /// The cells an insert or update brings in (`None` for a delete).
-    fn arriving(&self) -> Option<&[ValueId]> {
-        match self {
-            IdOp::Insert(cells) | IdOp::Update(_, cells) => Some(cells),
-            IdOp::Delete(_) => None,
-        }
-    }
-
-    /// Apply this (validated) op to `table`, calling
-    /// `phase(table, row, removal)` around it: the removal phase before
-    /// a delete or an update overwrites the row, while its cells are
-    /// still the ones its violations were built from (so every
-    /// retraction is structurally identical to the violation it
-    /// cancels), and the insert phase once an insert or update has
-    /// landed.
-    fn run(self, table: &mut Table, mut phase: impl FnMut(&Table, RowId, bool)) {
-        match self {
-            IdOp::Insert(cells) => {
-                let row = table.push_id_row(cells).expect("ops pre-validated");
-                phase(table, row, false);
-            }
-            IdOp::Delete(row) => {
-                phase(table, row, true);
-                table.delete_row(row).expect("ops pre-validated");
-            }
-            IdOp::Update(row, cells) => {
-                phase(table, row, true);
-                table.update_id_row(row, cells).expect("ops pre-validated");
-                phase(table, row, false);
-            }
-        }
-    }
-}
-
 /// Validate a whole op batch against `table`'s live set as the batch
 /// itself evolves it (arity of every insert/update, liveness of every
 /// addressed row *at its point in the sequence*) before any op executes
@@ -237,7 +187,7 @@ impl IdOp {
 /// `O(batch)`: only the batch's own effect is tracked (how many slots it
 /// appended, which slots it deleted); every other slot answers from
 /// [`Table::is_live`].
-fn validate_ops(table: &Table, ops: &[IdOp]) -> Result<(), TableError> {
+fn validate_ops(table: &Table, ops: &[Op]) -> Result<(), TableError> {
     let arity = table.schema().arity();
     let check_arity = |row: RowId, cells: &[ValueId]| {
         if cells.len() == arity {
@@ -270,15 +220,15 @@ fn validate_ops(table: &Table, ops: &[IdOp]) -> Result<(), TableError> {
     };
     for op in ops {
         match op {
-            IdOp::Insert(cells) => {
+            Op::Insert(cells) => {
                 check_arity(next_slot, cells)?;
                 next_slot += 1;
             }
-            &IdOp::Delete(row) => {
+            &Op::Delete(row) => {
                 require_live(next_slot, &deleted, row)?;
                 deleted.insert(row);
             }
-            IdOp::Update(row, cells) => {
+            Op::Update(row, cells) => {
                 check_arity(*row, cells)?;
                 require_live(next_slot, &deleted, *row)?;
             }
@@ -647,14 +597,15 @@ impl RuleState {
     /// invariant — priming is a locality optimization (the batch's
     /// evaluations run together, ahead of the per-row dispatch), never
     /// extra work.
-    fn prime_batch(&mut self, ops: &[IdOp]) {
+    fn prime_batch(&mut self, ops: &[Op]) {
         let Some((lhs, _)) = self.cols else {
             return;
         };
         let lhs_ids = || {
-            ops.iter()
-                .filter_map(IdOp::arriving)
-                .map(|cells| cells[lhs])
+            ops.iter().filter_map(|op| match op {
+                Op::Insert(cells) | Op::Update(_, cells) => Some(cells[lhs]),
+                Op::Delete(_) => None,
+            })
         };
         for vt in &mut self.variables {
             vt.keys.prime(lhs_ids());
@@ -1043,88 +994,38 @@ impl StreamEngine {
         self.compaction
     }
 
-    /// Ingest one row; returns the violation events it caused (creations
-    /// and retractions), in rule/tableau order with retractions first
-    /// within each affected block. Like every row-level entry point,
-    /// this is a one-op [`StreamEngine::apply`].
+    /// Apply a batch of ops — the engine's one write entry. Returns the
+    /// batch's violation events (creations and retractions): op by op,
+    /// and within each op phase in rule/tableau order, retractions first
+    /// within each affected block.
     ///
-    /// Each cell is interned exactly once here; everything downstream
-    /// (blocking, memoized matching, agreement checks) operates on `Copy`
-    /// ids.
-    pub fn push_row(&mut self, row: Vec<Value>) -> Result<Vec<LedgerEvent>, TableError> {
-        self.apply([RowOp::Insert(row)])
-    }
-
-    /// Ingest one row of already-interned ids — the clone-free ingest
-    /// path (no string is copied, hashed, or even read).
-    pub fn push_id_row(&mut self, row: Vec<ValueId>) -> Result<Vec<LedgerEvent>, TableError> {
-        self.run_ops([IdOp::Insert(row)])
-    }
-
-    /// Ingest one row of raw strings (fields go through
-    /// [`Value::from_field`]).
-    pub fn push_str_row<'a>(
-        &mut self,
-        row: impl IntoIterator<Item = &'a str>,
-    ) -> Result<Vec<LedgerEvent>, TableError> {
-        self.push_row(row.into_iter().map(Value::from_field).collect())
-    }
-
-    /// Ingest a batch of rows; returns the concatenated events.
+    /// `ops` are [`Op`]s, whose cells are already interned (what the
+    /// op-log reader yields), or anything that converts into one: a
+    /// [`RowOp`] is interned one pool batch per record as the batch is
+    /// collected. Everything downstream (blocking, memoized matching,
+    /// agreement checks) operates on `Copy` ids.
     ///
-    /// Atomic with respect to errors: every row's arity is validated
-    /// before any row is ingested, so a malformed batch leaves the
-    /// engine untouched and no emitted event is ever lost to an `Err`.
-    pub fn push_batch(
+    /// Atomic with respect to errors: the whole batch is validated (in
+    /// `O(batch)`, `validate_ops`) against the engine's live set as the
+    /// batch evolves it — arity of every insert/update, liveness of
+    /// every addressed row *at its point in the sequence* — before any
+    /// op executes, so a malformed batch leaves the engine untouched and
+    /// no emitted event is ever lost to an `Err`.
+    ///
+    /// A delete tombstones its slot and an update is delete + insert
+    /// *fused on one slot*, so every other `RowId` stays valid. No op
+    /// costs `O(table)`: one memo probe plus the matched tuples for
+    /// constant tuples, `O(log block + run cap)` for variable tuples,
+    /// plus `O(block)` only where an op flips a block's majority. The
+    /// whole batch addresses one id space, so the auto-compaction check
+    /// ([`StreamConfig::compact_ratio`]) waits until after it; a
+    /// compaction renumbers the slots, so watch [`StreamEngine::epoch`].
+    pub fn apply(
         &mut self,
-        rows: impl IntoIterator<Item = Vec<Value>>,
-    ) -> Result<Vec<LedgerEvent>, TableError> {
-        self.run_ops(
-            rows.into_iter()
-                .map(|r| IdOp::Insert(ValuePool::intern_value_batch(&r))),
-        )
-    }
-
-    /// Ingest a batch of already-interned rows; returns the concatenated
-    /// events. Atomic with respect to errors like
-    /// [`StreamEngine::push_batch`].
-    pub fn push_id_batch(
-        &mut self,
-        rows: impl IntoIterator<Item = Vec<ValueId>>,
-    ) -> Result<Vec<LedgerEvent>, TableError> {
-        self.run_ops(rows.into_iter().map(IdOp::Insert))
-    }
-
-    /// [`StreamEngine::apply`], with the events wrapped in the one
-    /// [`BatchEvents`] returned. Kept only for the benchmark harness;
-    /// see [`BatchEvents`].
-    pub fn submit(
-        &mut self,
-        ops: impl IntoIterator<Item = RowOp>,
-    ) -> Result<Vec<BatchEvents>, TableError> {
-        Ok(vec![BatchEvents {
-            events: self.apply(ops)?,
-        }])
-    }
-
-    /// Returns nothing: every batch completes when it is submitted. Kept
-    /// only for the benchmark harness; see [`BatchEvents`].
-    #[must_use]
-    pub fn flush(&self) -> Vec<BatchEvents> {
-        Vec::new()
-    }
-
-    /// The path every entry point lowers to. Intern (lazily, as `ops` is
-    /// collected) and validate one batch (`validate_ops`, the only
-    /// validator), run it, and return its events. The whole batch
-    /// addresses one id space, so the auto-compaction check waits until
-    /// after it.
-    fn run_ops(
-        &mut self,
-        ops: impl IntoIterator<Item = IdOp>,
+        ops: impl IntoIterator<Item = impl Into<Op>>,
     ) -> Result<Vec<LedgerEvent>, TableError> {
         let _batch = obs::span!("engine.batch_ns");
-        let ops: Vec<IdOp> = ops.into_iter().collect();
+        let ops: Vec<Op> = ops.into_iter().map(Into::into).collect();
         {
             let _validate = obs::span!("engine.validate_ns");
             validate_ops(&self.table, &ops)?;
@@ -1136,108 +1037,95 @@ impl StreamEngine {
         Ok(events)
     }
 
+    /// [`StreamEngine::apply`] over inserts of already-interned rows.
+    /// Kept only because the benchmark harness
+    /// (`perfbench/harness/src/measure.rs`) calls it; the next change to
+    /// the benchmark (ROADMAP item 5) deletes it.
+    pub fn push_id_batch(
+        &mut self,
+        rows: impl IntoIterator<Item = Vec<ValueId>>,
+    ) -> Result<Vec<LedgerEvent>, TableError> {
+        self.apply(rows.into_iter().map(Op::Insert))
+    }
+
+    /// [`StreamEngine::apply`], with the events wrapped in the one
+    /// [`BatchEvents`] returned. Kept only because the benchmark harness
+    /// (`perfbench/harness/src/measure.rs`) calls it; the next change to
+    /// the benchmark (ROADMAP item 5) deletes it.
+    pub fn submit(
+        &mut self,
+        ops: impl IntoIterator<Item = RowOp>,
+    ) -> Result<Vec<BatchEvents>, TableError> {
+        Ok(vec![BatchEvents {
+            events: self.apply(ops)?,
+        }])
+    }
+
+    /// Returns nothing: every batch completes when it is applied. Kept
+    /// only because the benchmark harness
+    /// (`perfbench/harness/src/measure.rs`) calls it; the next change to
+    /// the benchmark (ROADMAP item 5) deletes it.
+    #[must_use]
+    pub fn flush(&self) -> Vec<BatchEvents> {
+        Vec::new()
+    }
+
     /// Run a validated batch: prime every rule over the batch's arriving
-    /// LHS values (count-neutral by construction), then run each op's
-    /// phases through every rule in index order, with one drift call per
-    /// rule per phase carrying that phase's totals.
-    fn run(&mut self, ops: Vec<IdOp>) -> Vec<LedgerEvent> {
+    /// LHS values (count-neutral by construction), then execute each op
+    /// on the table between its two phases: the removal phase before a
+    /// delete or an update overwrites the row, while its cells are still
+    /// the ones its violations were built from (so every retraction is
+    /// structurally identical to the violation it cancels), and the
+    /// insert phase once an insert or update has landed.
+    fn run(&mut self, ops: Vec<Op>) -> Vec<LedgerEvent> {
         let _apply = obs::span!("engine.apply_ns");
         for rule in &mut self.rules {
             rule.prime_batch(&ops);
         }
-        let StreamEngine {
-            table,
-            rules,
-            ledger,
-            drift,
-            reclaim,
-            displaced,
-            ..
-        } = self;
         let mut events = Vec::new();
         for op in ops {
-            op.run(table, |table, row, removal| {
-                if removal && *reclaim {
-                    // The row's cells are about to leave the table: the
-                    // next sweep's candidates.
-                    displaced.extend((0..table.column_count()).map(|col| table.cell_id(row, col)));
-                }
-                for (index, rule) in rules.iter_mut().enumerate() {
-                    let mut sink = Sink {
-                        ledger: &mut *ledger,
-                        events: &mut events,
-                        created: 0,
-                        retracted: 0,
-                    };
-                    let matched = rule.process(table, row, removal, &mut sink);
-                    let (created, retracted) = (sink.created, sink.retracted);
-                    if removal {
-                        drift.retire(index, matched, created, retracted);
-                    } else {
-                        drift.observe(index, matched, created, retracted);
-                    }
-                }
-            });
+            let (removed, arrives) = match op {
+                Op::Insert(_) => (None, true),
+                Op::Delete(row) => (Some(row), false),
+                Op::Update(row, _) => (Some(row), true),
+            };
+            if let Some(row) = removed {
+                self.phase(row, true, &mut events);
+            }
+            let row = self.table.apply(op).expect("ops pre-validated");
+            if arrives {
+                self.phase(row, false, &mut events);
+            }
         }
         events
     }
 
-    /// Replay an existing table's *live* rows in row order, as one
-    /// batch (the table's schema must match the engine's; tombstoned
-    /// slots are skipped, so the replayed state matches batch detection
-    /// on the survivors — note the engine assigns fresh, dense slot
-    /// ids). Clone-free: rows are carried over as interned ids.
-    pub fn replay_table(&mut self, table: &Table) -> Result<Vec<LedgerEvent>, TableError> {
-        self.run_ops(table.iter_live().map(|r| IdOp::Insert(table.row_ids(r))))
-    }
-
-    /// Delete one live row; returns the retractions it causes (plus any
-    /// creations where a block's majority flipped). Cost is one memo
-    /// probe plus the matched tuples for constant tuples and
-    /// `O(log block + run cap)` for
-    /// variable tuples, plus `O(block)` only where the delete flips a
-    /// block's majority — never `O(table)`. The slot is tombstoned, so
-    /// every other `RowId` stays valid — until auto-compaction (if
-    /// enabled) crosses its threshold at the end of this call and
-    /// renumbers; watch [`StreamEngine::epoch`].
-    pub fn delete_row(&mut self, row: RowId) -> Result<Vec<LedgerEvent>, TableError> {
-        self.run_ops([IdOp::Delete(row)])
-    }
-
-    /// Update one live row in place — delete + insert *fused on one
-    /// slot*, so the caller gets a single event batch (old assertions
-    /// retracted, new ones created) and the row keeps its `RowId`.
-    pub fn update_row(
-        &mut self,
-        row: RowId,
-        cells: Vec<Value>,
-    ) -> Result<Vec<LedgerEvent>, TableError> {
-        self.apply([RowOp::Update(row, cells)])
-    }
-
-    /// Update one live row with already-interned ids (the clone-free
-    /// counterpart of [`StreamEngine::update_row`]).
-    pub fn update_id_row(
-        &mut self,
-        row: RowId,
-        cells: Vec<ValueId>,
-    ) -> Result<Vec<LedgerEvent>, TableError> {
-        self.run_ops([IdOp::Update(row, cells)])
-    }
-
-    /// Apply a batch of [`RowOp`]s; returns the concatenated events.
-    ///
-    /// Each record is interned once. Atomic with respect to errors, like
-    /// the push-batch entry points: the whole batch is validated (in
-    /// `O(batch)`) against the engine's live set as the batch evolves it
-    /// — arity of every insert/update, liveness of every addressed row
-    /// *at its point in the sequence* — before any op executes, so a
-    /// malformed op-log leaves the engine untouched.
-    pub fn apply(
-        &mut self,
-        ops: impl IntoIterator<Item = RowOp>,
-    ) -> Result<Vec<LedgerEvent>, TableError> {
-        self.run_ops(ops.into_iter().map(IdOp::intern))
+    /// One op phase of `row` — its departure (`removal`) or its arrival —
+    /// through every rule in index order, with one drift call per rule
+    /// carrying that phase's totals.
+    fn phase(&mut self, row: RowId, removal: bool, events: &mut Vec<LedgerEvent>) {
+        let table = &self.table;
+        if removal && self.reclaim {
+            // The row's cells are about to leave the table: the next
+            // sweep's candidates.
+            self.displaced
+                .extend((0..table.column_count()).map(|col| table.cell_id(row, col)));
+        }
+        for (index, rule) in self.rules.iter_mut().enumerate() {
+            let mut sink = Sink {
+                ledger: &mut self.ledger,
+                events: &mut *events,
+                created: 0,
+                retracted: 0,
+            };
+            let matched = rule.process(table, row, removal, &mut sink);
+            let (created, retracted) = (sink.created, sink.retracted);
+            if removal {
+                self.drift.retire(index, matched, created, retracted);
+            } else {
+                self.drift.observe(index, matched, created, retracted);
+            }
+        }
     }
 
     /// The ledger of live violations.
@@ -1363,6 +1251,7 @@ mod tests {
     use super::*;
     use anmat_core::{detect_all, PatternTuple, ViolationKind};
     use anmat_pattern::ConstrainedPattern;
+    use anmat_table::Value;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1396,35 +1285,34 @@ mod tests {
         Schema::new(["zip", "city"]).unwrap()
     }
 
+    /// Insert one row of raw strings (fields read as `Value::from_field`
+    /// reads them); returns its events.
+    fn insert(engine: &mut StreamEngine, row: [&str; 2]) -> Vec<LedgerEvent> {
+        engine
+            .apply([RowOp::Insert(row.map(Value::from_field).to_vec())])
+            .unwrap()
+    }
+
     #[test]
     fn constant_violation_on_arrival() {
         let mut engine = StreamEngine::new(schema(), vec![zip_constant_pfd()]);
-        assert!(engine
-            .push_str_row(["90001", "Los Angeles"])
-            .unwrap()
-            .is_empty());
-        let events = engine.push_str_row(["90004", "New York"]).unwrap();
+        assert!(insert(&mut engine, ["90001", "Los Angeles"]).is_empty());
+        let events = insert(&mut engine, ["90004", "New York"]);
         assert_eq!(events.len(), 1);
         assert!(events[0].is_created());
         assert_eq!(events[0].violation().row, 1);
         // Non-matching zips are ignored.
-        assert!(engine
-            .push_str_row(["10001", "New York"])
-            .unwrap()
-            .is_empty());
+        assert!(insert(&mut engine, ["10001", "New York"]).is_empty());
         assert_eq!(engine.ledger().live_count(), 1);
     }
 
     #[test]
     fn variable_violation_needs_a_block_peer() {
         let mut engine = StreamEngine::new(schema(), vec![zip_variable_pfd()]);
-        assert!(engine
-            .push_str_row(["90001", "Los Angeles"])
-            .unwrap()
-            .is_empty());
+        assert!(insert(&mut engine, ["90001", "Los Angeles"]).is_empty());
         // Second row disagrees: 1–1 tie, lexicographic majority wins and
         // the other row is flagged.
-        let events = engine.push_str_row(["90002", "New York"]).unwrap();
+        let events = insert(&mut engine, ["90002", "New York"]);
         assert_eq!(events.len(), 1);
         assert!(events[0].is_created());
     }
@@ -1432,14 +1320,14 @@ mod tests {
     #[test]
     fn majority_flip_retracts_and_reflags() {
         let mut engine = StreamEngine::new(schema(), vec![zip_variable_pfd()]);
-        engine.push_str_row(["90001", "Los Angeles"]).unwrap();
-        engine.push_str_row(["90002", "New York"]).unwrap();
+        insert(&mut engine, ["90001", "Los Angeles"]);
+        insert(&mut engine, ["90002", "New York"]);
         // Tie broken lexicographically: majority "Los Angeles", row 1
         // flagged.
         assert_eq!(engine.ledger().snapshot()[0].row, 1);
         // Two more New York rows flip the majority: row 1's violation is
         // retracted, row 0 becomes the minority.
-        let events = engine.push_str_row(["90003", "New York"]).unwrap();
+        let events = insert(&mut engine, ["90003", "New York"]);
         let retractions: Vec<_> = events.iter().filter(|e| !e.is_created()).collect();
         assert_eq!(retractions.len(), 1);
         assert_eq!(retractions[0].violation().row, 1);
@@ -1466,7 +1354,7 @@ mod tests {
         ];
         let mut engine = StreamEngine::new(schema(), rules.clone());
         for row in rows {
-            engine.push_str_row(row).unwrap();
+            insert(&mut engine, row);
         }
         let batch = detect_all(engine.table(), &rules);
         let mut streamed = engine.ledger().snapshot();
@@ -1487,7 +1375,7 @@ mod tests {
             vec![PatternTuple::variable(q("[\\A*]"))],
         );
         let mut engine = StreamEngine::new(schema(), vec![pfd]);
-        assert!(engine.push_str_row(["90001", "LA"]).unwrap().is_empty());
+        assert!(insert(&mut engine, ["90001", "LA"]).is_empty());
         assert_eq!(engine.rule_health(0).matched_rows, 0);
     }
 
@@ -1513,7 +1401,7 @@ mod tests {
         let mut engine = StreamEngine::with_config(schema(), vec![zip_constant_pfd()], config);
         for i in 0..10 {
             let zip = format!("900{i:02}");
-            engine.push_str_row([zip.as_str(), "San Diego"]).unwrap();
+            insert(&mut engine, [zip.as_str(), "San Diego"]);
         }
         let report = engine.drift_report();
         assert_eq!(report.len(), 1);
@@ -1530,10 +1418,10 @@ mod tests {
         // majority flip retracts them.
         let rules = vec![zip_variable_pfd(), zip_variable_pfd()];
         let mut engine = StreamEngine::new(schema(), rules);
-        engine.push_str_row(["90001", "Los Angeles"]).unwrap();
-        engine.push_str_row(["90002", "New York"]).unwrap();
-        engine.push_str_row(["90003", "New York"]).unwrap();
-        engine.push_str_row(["90004", "New York"]).unwrap();
+        insert(&mut engine, ["90001", "Los Angeles"]);
+        insert(&mut engine, ["90002", "New York"]);
+        insert(&mut engine, ["90003", "New York"]);
+        insert(&mut engine, ["90004", "New York"]);
         assert_eq!(engine.ledger().live_count(), 1);
         let (h0, h1) = (engine.rule_health(0), engine.rule_health(1));
         assert_eq!(h0, h1, "identical rules must report identical health");
@@ -1542,26 +1430,24 @@ mod tests {
     }
 
     #[test]
-    fn push_batch_is_atomic_on_arity_error() {
+    fn insert_batch_is_atomic_on_arity_error() {
         let mut engine = StreamEngine::new(schema(), vec![zip_constant_pfd()]);
         let bad_batch = vec![
-            vec![Value::from_field("90001"), Value::from_field("New York")],
-            vec![Value::from_field("oops")], // wrong arity
+            RowOp::Insert(vec![Value::text("90001"), Value::text("New York")]),
+            RowOp::Insert(vec![Value::text("oops")]), // wrong arity
         ];
-        assert!(engine.push_batch(bad_batch).is_err());
+        assert!(engine.apply(bad_batch).is_err());
         // Nothing from the batch was ingested: no rows, no silent events.
         assert_eq!(engine.row_count(), 0);
         assert!(engine.ledger().is_empty());
     }
 
     #[test]
-    fn push_batch_concatenates_events() {
+    fn insert_batch_concatenates_events() {
         let mut engine = StreamEngine::new(schema(), vec![zip_constant_pfd()]);
-        let rows: Vec<Vec<Value>> = [["90001", "New York"], ["90002", "Boston"]]
-            .iter()
-            .map(|r| r.iter().map(|s| Value::from_field(s)).collect())
-            .collect();
-        let events = engine.push_batch(rows).unwrap();
+        let rows = [["90001", "New York"], ["90002", "Boston"]]
+            .map(|r| RowOp::Insert(r.map(Value::text).to_vec()));
+        let events = engine.apply(rows).unwrap();
         assert_eq!(events.len(), 2);
         assert_eq!(engine.row_count(), 2);
     }
@@ -1569,10 +1455,10 @@ mod tests {
     #[test]
     fn delete_retracts_constant_violation() {
         let mut engine = StreamEngine::new(schema(), vec![zip_constant_pfd()]);
-        engine.push_str_row(["90001", "Los Angeles"]).unwrap();
-        engine.push_str_row(["90004", "New York"]).unwrap();
+        insert(&mut engine, ["90001", "Los Angeles"]);
+        insert(&mut engine, ["90004", "New York"]);
         assert_eq!(engine.ledger().live_count(), 1);
-        let events = engine.delete_row(1).unwrap();
+        let events = engine.apply([Op::Delete(1)]).unwrap();
         assert_eq!(events.len(), 1);
         assert!(!events[0].is_created());
         assert_eq!(events[0].violation().row, 1);
@@ -1587,15 +1473,15 @@ mod tests {
     #[test]
     fn delete_of_majority_rows_flips_the_block() {
         let mut engine = StreamEngine::new(schema(), vec![zip_variable_pfd()]);
-        engine.push_str_row(["90001", "Los Angeles"]).unwrap();
-        engine.push_str_row(["90002", "New York"]).unwrap();
-        engine.push_str_row(["90003", "New York"]).unwrap();
+        insert(&mut engine, ["90001", "Los Angeles"]);
+        insert(&mut engine, ["90002", "New York"]);
+        insert(&mut engine, ["90003", "New York"]);
         // Majority "New York"; row 0 is the minority.
         assert_eq!(engine.ledger().snapshot()[0].row, 0);
         // Deleting both New York rows flips the majority to Los
         // Angeles: row 0's violation retracts, nothing remains to flag.
-        engine.delete_row(1).unwrap();
-        let events = engine.delete_row(2).unwrap();
+        engine.apply([Op::Delete(1)]).unwrap();
+        let events = engine.apply([Op::Delete(2)]).unwrap();
         assert!(events.iter().any(|e| !e.is_created()));
         assert!(engine.ledger().is_empty());
         assert_eq!(engine.live_rows(), 1);
@@ -1604,18 +1490,18 @@ mod tests {
     #[test]
     fn delete_errors_are_safe() {
         let mut engine = StreamEngine::new(schema(), vec![zip_variable_pfd()]);
-        engine.push_str_row(["90001", "Los Angeles"]).unwrap();
+        insert(&mut engine, ["90001", "Los Angeles"]);
         assert!(matches!(
-            engine.delete_row(7),
+            engine.apply([Op::Delete(7)]),
             Err(TableError::NoSuchRow { row: 7 })
         ));
-        engine.delete_row(0).unwrap();
+        engine.apply([Op::Delete(0)]).unwrap();
         assert!(matches!(
-            engine.delete_row(0),
+            engine.apply([Op::Delete(0)]),
             Err(TableError::NoSuchRow { row: 0 })
         ));
         assert!(matches!(
-            engine.update_row(0, vec![Value::text("x"), Value::text("y")]),
+            engine.apply([RowOp::Update(0, vec![Value::text("x"), Value::text("y")])]),
             Err(TableError::NoSuchRow { row: 0 })
         ));
     }
@@ -1623,15 +1509,18 @@ mod tests {
     #[test]
     fn update_fuses_delete_and_insert_on_one_slot() {
         let mut engine = StreamEngine::new(schema(), vec![zip_variable_pfd()]);
-        engine.push_str_row(["90001", "Los Angeles"]).unwrap();
-        engine.push_str_row(["90002", "Los Angeles"]).unwrap();
-        engine.push_str_row(["90003", "New York"]).unwrap();
+        insert(&mut engine, ["90001", "Los Angeles"]);
+        insert(&mut engine, ["90002", "Los Angeles"]);
+        insert(&mut engine, ["90003", "New York"]);
         // Row 2 is the minority.
         assert_eq!(engine.ledger().snapshot()[0].row, 2);
         // Correcting it in place retracts the violation in the same
         // event batch; the slot keeps its id.
         let events = engine
-            .update_row(2, vec![Value::text("90003"), Value::text("Los Angeles")])
+            .apply([RowOp::Update(
+                2,
+                vec![Value::text("90003"), Value::text("Los Angeles")],
+            )])
             .unwrap();
         assert!(events.iter().any(|e| !e.is_created()));
         assert!(engine.ledger().is_empty());
@@ -1640,7 +1529,10 @@ mod tests {
         assert_eq!(engine.table().cell_str(2, 1), Some("Los Angeles"));
         // And making it wrong again re-creates a fresh violation.
         let events = engine
-            .update_row(2, vec![Value::text("90003"), Value::text("Boston")])
+            .apply([RowOp::Update(
+                2,
+                vec![Value::text("90003"), Value::text("Boston")],
+            )])
             .unwrap();
         assert!(events.iter().any(LedgerEvent::is_created));
         assert_eq!(engine.ledger().live_count(), 1);
@@ -1668,7 +1560,7 @@ mod tests {
     #[test]
     fn apply_is_atomic_on_invalid_ops() {
         let mut engine = StreamEngine::new(schema(), vec![zip_variable_pfd()]);
-        engine.push_str_row(["90001", "Los Angeles"]).unwrap();
+        insert(&mut engine, ["90001", "Los Angeles"]);
         // The second op deletes a row the first op already deleted.
         let bad = vec![RowOp::Delete(0), RowOp::Delete(0)];
         assert!(matches!(
@@ -1698,7 +1590,7 @@ mod tests {
     #[test]
     fn empty_batch_is_a_no_op() {
         let mut engine = StreamEngine::new(schema(), vec![zip_variable_pfd()]);
-        assert!(engine.apply([]).unwrap().is_empty());
+        assert!(engine.apply(Vec::<Op>::new()).unwrap().is_empty());
         assert_eq!(engine.row_count(), 0);
         assert_eq!(engine.pattern_lookups(), 0);
     }
@@ -1734,10 +1626,10 @@ mod tests {
             ("90003", "Los Angeles"),
             ("90004", "New York"), // flagged by both rules
         ] {
-            engine.push_str_row([zip, city]).unwrap();
+            insert(&mut engine, [zip, city]);
         }
-        engine.delete_row(0).unwrap();
-        engine.delete_row(2).unwrap();
+        engine.apply([Op::Delete(0)]).unwrap();
+        engine.apply([Op::Delete(2)]).unwrap();
         let evals_before = engine.pattern_evals();
         let remap = engine.compact();
         // Survivors 1, 3 → 0, 1; no pattern work was repeated.
@@ -1765,7 +1657,7 @@ mod tests {
         assert_eq!(streamed, batch);
         // The engine keeps working in the new id space: deleting the
         // remapped minority row retracts both rules' violations.
-        let events = engine.delete_row(1).unwrap();
+        let events = engine.apply([Op::Delete(1)]).unwrap();
         assert!(events.iter().all(|e| !e.is_created()));
         assert_eq!(events.iter().map(|e| e.epoch).max(), Some(1));
         assert!(engine.ledger().is_empty());
@@ -1781,17 +1673,17 @@ mod tests {
         let mut engine = StreamEngine::with_config(schema(), vec![zip_variable_pfd()], config);
         for i in 0..8 {
             let zip = format!("900{i:02}");
-            engine.push_str_row([zip.as_str(), "Los Angeles"]).unwrap();
+            insert(&mut engine, [zip.as_str(), "Los Angeles"]);
         }
         // Three deletes: 3/8 < 0.5, no compaction yet.
         for row in 0..3 {
-            engine.delete_row(row).unwrap();
+            engine.apply([Op::Delete(row)]).unwrap();
         }
         assert_eq!(engine.epoch(), 0);
         assert_eq!(engine.row_count(), 8);
         // Fourth delete crosses 4/8 >= 0.5: compaction runs at the end
         // of the call, slots shrink to the live rows.
-        engine.delete_row(3).unwrap();
+        engine.apply([Op::Delete(3)]).unwrap();
         assert_eq!(engine.epoch(), 1);
         assert_eq!(engine.row_count(), 4);
         assert_eq!(engine.live_rows(), 4);
@@ -1834,7 +1726,7 @@ mod tests {
             ("90002", "Los Angeles"),
             ("90003", "New York"),
         ] {
-            engine.push_str_row([zip, city]).unwrap();
+            insert(&mut engine, [zip, city]);
         }
         let before = engine.ledger().snapshot();
         match &before[0].kind {
@@ -1842,7 +1734,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         // Deleting witness row 0 must rewrite the evidence, not dangle.
-        let events = engine.delete_row(0).unwrap();
+        let events = engine.apply([Op::Delete(0)]).unwrap();
         assert_eq!(events.len(), 2, "retract + re-create with new witnesses");
         let after = engine.ledger().snapshot();
         assert_eq!(after.len(), 1);
@@ -1855,12 +1747,12 @@ mod tests {
     /// The reference validator [`validate_ops`] replaced: it copies the
     /// liveness of every slot of the table, then simulates the batch on
     /// the copy — `O(table)` per call.
-    fn validate_ops_full_copy(table: &Table, ops: &[IdOp]) -> Result<(), TableError> {
+    fn validate_ops_full_copy(table: &Table, ops: &[Op]) -> Result<(), TableError> {
         let arity = table.schema().arity();
         let mut live: Vec<bool> = (0..table.row_count()).map(|r| table.is_live(r)).collect();
         for op in ops {
             match op {
-                IdOp::Insert(cells) => {
+                Op::Insert(cells) => {
                     if cells.len() != arity {
                         return Err(TableError::ArityMismatch {
                             row: live.len(),
@@ -1870,13 +1762,13 @@ mod tests {
                     }
                     live.push(true);
                 }
-                &IdOp::Delete(row) => {
+                &Op::Delete(row) => {
                     if !live.get(row).copied().unwrap_or(false) {
                         return Err(TableError::NoSuchRow { row });
                     }
                     live[row] = false;
                 }
-                IdOp::Update(row, cells) => {
+                Op::Update(row, cells) => {
                     if cells.len() != arity {
                         return Err(TableError::ArityMismatch {
                             row: *row,
@@ -1897,7 +1789,7 @@ mod tests {
     /// overlay must get right: rows this batch already deleted (double
     /// deletes, update-after-delete), slots it inserted earlier, ids at
     /// and past the end of the table, and the occasional wrong arity.
-    fn random_batch(rng: &mut StdRng, table: &Table) -> Vec<IdOp> {
+    fn random_batch(rng: &mut StdRng, table: &Table) -> Vec<Op> {
         let cells = |rng: &mut StdRng| {
             let arity = if rng.random_bool(0.05) { 1 } else { 2 };
             vec![ValuePool::intern("validator-cell"); arity]
@@ -1913,15 +1805,15 @@ mod tests {
             };
             match rng.random_range(0..3) {
                 0 => {
-                    ops.push(IdOp::Insert(cells(rng)));
+                    ops.push(Op::Insert(cells(rng)));
                     touched.push(slots);
                     slots += 1;
                 }
                 1 => {
-                    ops.push(IdOp::Delete(row));
+                    ops.push(Op::Delete(row));
                     touched.push(row);
                 }
-                _ => ops.push(IdOp::Update(row, cells(rng))),
+                _ => ops.push(Op::Update(row, cells(rng))),
             }
         }
         ops
@@ -1953,11 +1845,7 @@ mod tests {
                 outcomes[usize::from(overlay.is_ok())] += 1;
                 if overlay.is_ok() {
                     for op in ops {
-                        match op {
-                            IdOp::Insert(cells) => drop(table.push_id_row(cells).unwrap()),
-                            IdOp::Delete(row) => table.delete_row(row).unwrap(),
-                            IdOp::Update(row, cells) => table.update_id_row(row, cells).unwrap(),
-                        }
+                        table.apply(op).unwrap();
                     }
                 }
             }

@@ -7,14 +7,14 @@
 //!
 //! * [`StreamEngine`] is seeded with confirmed [`Pfd`]s (from a
 //!   `RuleStore` or straight from discovery) and consumes
-//!   [`RowOp`](anmat_table::RowOp)s — [`StreamEngine::push_row`] /
-//!   [`StreamEngine::push_batch`] for appends,
-//!   [`StreamEngine::delete_row`] / [`StreamEngine::update_row`] for
-//!   mutations, [`StreamEngine::apply`] for a mixed op batch — emitting
-//!   [`LedgerEvent`]s: newly created violations *and retractions* of
-//!   earlier ones (a late burst of agreeing rows can flip a block's
-//!   majority RHS, withdrawing what used to look like an error; a
-//!   delete can do the same in reverse).
+//!   [`Op`](anmat_table::Op)s — inserts, deletes and in-place updates
+//!   over interned cells, as the op-log reader
+//!   ([`anmat_table::oplog`]) yields them — through one write entry,
+//!   [`StreamEngine::apply`], which validates each batch whole before
+//!   any op runs. It emits [`LedgerEvent`]s: newly created violations
+//!   *and retractions* of earlier ones (a late burst of agreeing rows
+//!   can flip a block's majority RHS, withdrawing what used to look
+//!   like an error; a delete can do the same in reverse).
 //! * A rule's constant tableau tuples cost one memo probe per op plus
 //!   the tuples the row's LHS matches, independent of table and tableau
 //!   size: a [`TableauMemo`](anmat_index::TableauMemo) per rule maps each
@@ -70,7 +70,7 @@
 //! ```
 //! use anmat_stream::StreamEngine;
 //! use anmat_core::{Pfd, PatternTuple};
-//! use anmat_table::Schema;
+//! use anmat_table::{oplog, Op, Schema};
 //!
 //! // λ5: rows sharing a 3-digit zip prefix must share a city.
 //! let pfd = Pfd::new(
@@ -82,17 +82,16 @@
 //! let schema = Schema::new(["zip", "city"]).unwrap();
 //! let mut engine = StreamEngine::new(schema, vec![pfd]);
 //!
-//! for row in [
-//!     ["90001", "Los Angeles"],
-//!     ["90002", "Los Angeles"],
-//!     ["90004", "New York"], // ← flagged on arrival
-//! ] {
-//!     let events = engine.push_str_row(row).unwrap();
-//!     for e in &events {
-//!         println!("{e:?}");
-//!     }
-//! }
+//! let log = "+,90001,Los Angeles\n+,90002,Los Angeles\n+,90004,New York\n";
+//! let events = engine.apply(oplog::parse(log).unwrap()).unwrap();
+//! // Row 2 is flagged on arrival.
+//! assert_eq!(events.len(), 1);
 //! assert_eq!(engine.ledger().live_count(), 1);
+//!
+//! // Deleting it retracts the violation.
+//! let events = engine.apply([Op::Delete(2)]).unwrap();
+//! assert!(!events[0].is_created());
+//! assert!(engine.ledger().is_empty());
 //! ```
 
 pub mod drift;
@@ -106,9 +105,9 @@ pub use engine::{
 /// Another name for [`StreamEngine`]. Kept only because the benchmark
 /// harness (`perfbench/harness/src/measure.rs`) still names it, like
 /// [`ShardBy`], the inert [`StreamConfig`] fields `shards`, `shard_by`
-/// and `run_ahead`, and the [`StreamEngine::submit`] and
-/// [`StreamEngine::flush`] shims; the next change to the benchmark drops
-/// them all.
+/// and `run_ahead`, and the [`StreamEngine::push_id_batch`],
+/// [`StreamEngine::submit`] and [`StreamEngine::flush`] shims; the next
+/// change to the benchmark (ROADMAP item 5) drops them all.
 pub type ShardedEngine = StreamEngine;
 
 // Re-exported so downstream users of the engine's event stream don't need

@@ -6,7 +6,7 @@
 use anmat_core::{detect_all, discover, DiscoveryConfig, PatternTuple, Pfd, Violation};
 use anmat_datagen::{chembl, employee, names, phone, zipcity, GenConfig};
 use anmat_stream::StreamEngine;
-use anmat_table::Table;
+use anmat_table::{Op, RowOp, Table};
 use proptest::prelude::*;
 
 fn discovery_config() -> DiscoveryConfig {
@@ -29,10 +29,18 @@ fn canonical(mut violations: Vec<Violation>) -> Vec<String> {
     keys
 }
 
+/// Insert `table`'s live rows, in row order, as one batch of interned
+/// ids.
+fn replay(engine: &mut StreamEngine, table: &Table) {
+    engine
+        .apply(table.iter_live().map(|r| Op::Insert(table.row_ids(r))))
+        .expect("schema matches");
+}
+
 /// Replay `table` through a fresh engine and compare against batch.
 fn assert_equivalent(table: &Table, rules: &[Pfd], context: &str) {
     let mut engine = StreamEngine::new(table.schema().clone(), rules.to_vec());
-    engine.replay_table(table).expect("schema matches");
+    replay(&mut engine, table);
     let streamed = canonical(engine.ledger().snapshot());
     let batch = canonical(detect_all(table, rules));
     assert_eq!(
@@ -129,17 +137,17 @@ proptest! {
         let rules = discover(&data.table, &discovery_config());
 
         let mut row_by_row = StreamEngine::new(data.table.schema().clone(), rules.clone());
-        row_by_row.replay_table(&data.table).unwrap();
+        replay(&mut row_by_row, &data.table);
 
         let mut batched = StreamEngine::new(data.table.schema().clone(), rules);
         let mut pending = Vec::new();
         for r in 0..data.table.row_count() {
-            pending.push(data.table.row(r));
+            pending.push(RowOp::Insert(data.table.row(r)));
             if pending.len() == k {
-                batched.push_batch(std::mem::take(&mut pending)).unwrap();
+                batched.apply(std::mem::take(&mut pending)).unwrap();
             }
         }
-        batched.push_batch(pending).unwrap();
+        batched.apply(pending).unwrap();
 
         prop_assert_eq!(
             canonical(row_by_row.ledger().snapshot()),

@@ -10,10 +10,18 @@
 use anmat_core::{PatternTuple, Pfd};
 use anmat_pattern::ConstrainedPattern;
 use anmat_stream::StreamEngine;
-use anmat_table::{Schema, ValuePool};
+use anmat_table::{Op, RowOp, Schema, Value, ValuePool};
 
 fn schema() -> Schema {
     Schema::new(["zip", "city"]).unwrap()
+}
+
+/// Insert one row of raw strings (fields read as `Value::from_field`
+/// reads them).
+fn insert(engine: &mut StreamEngine, row: [&str; 2]) {
+    engine
+        .apply([RowOp::Insert(row.map(Value::from_field).to_vec())])
+        .unwrap();
 }
 
 fn constant_rule() -> Pfd {
@@ -48,7 +56,7 @@ fn constant_pattern_evaluated_once_per_distinct_value() {
     let mut engine = StreamEngine::new(schema(), vec![constant_rule()]);
     for row in 0..ROWS {
         let zip = format!("90{:03}", row % DISTINCT);
-        engine.push_str_row([zip.as_str(), "Los Angeles"]).unwrap();
+        insert(&mut engine, [zip.as_str(), "Los Angeles"]);
     }
     assert_eq!(
         engine.pattern_evals(),
@@ -66,7 +74,7 @@ fn variable_capture_extracted_once_per_distinct_value() {
     let mut engine = StreamEngine::new(schema(), vec![variable_rule()]);
     for row in 0..ROWS {
         let zip = format!("90{:03}", row % DISTINCT);
-        engine.push_str_row([zip.as_str(), "Los Angeles"]).unwrap();
+        insert(&mut engine, [zip.as_str(), "Los Angeles"]);
     }
     assert_eq!(
         engine.pattern_evals(),
@@ -84,11 +92,11 @@ fn mixed_rules_bounded_by_distinct_times_tuples() {
     let mut engine = StreamEngine::new(schema(), vec![constant_rule(), variable_rule()]);
     for row in 0..ROWS {
         if row % 100 == 0 {
-            engine.push_str_row(["", "Los Angeles"]).unwrap(); // null LHS
+            insert(&mut engine, ["", "Los Angeles"]); // null LHS
             continue;
         }
         let zip = format!("90{:03}", row % DISTINCT);
-        engine.push_str_row([zip.as_str(), "Los Angeles"]).unwrap();
+        insert(&mut engine, [zip.as_str(), "Los Angeles"]);
     }
     assert_eq!(
         engine.pattern_evals(),
@@ -129,7 +137,7 @@ fn constant_tuple_cost_is_flat_in_tableau_size() {
             })
             .collect();
         for batch in rows.chunks(256) {
-            engine.push_id_batch(batch.iter().cloned()).unwrap();
+            engine.apply(batch.iter().cloned().map(Op::Insert)).unwrap();
         }
         assert_eq!(engine.pattern_evals(), VALUES, "evals at k = {k}");
         assert_eq!(engine.pattern_lookups(), VALUES, "lookups at k = {k}");

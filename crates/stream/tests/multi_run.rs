@@ -150,7 +150,7 @@ impl Ops {
 
 fn run(engine: &mut StreamEngine, mirror: &mut Table, ops: Vec<RowOp>) {
     for op in &ops {
-        mirror.apply(op.clone()).expect("ops are valid");
+        mirror.apply(op.clone().into()).expect("ops are valid");
     }
     for batch in ops.chunks(256) {
         engine.apply(batch.to_vec()).expect("ops are valid");

@@ -18,7 +18,7 @@ use anmat_core::{
 use anmat_datagen::{chembl, employee, names, phone, zipcity, GenConfig};
 use anmat_pattern::ConstrainedPattern;
 use anmat_stream::{StreamConfig, StreamEngine};
-use anmat_table::{RowId, RowOp, Schema, Table, Value};
+use anmat_table::{Op, RowId, RowOp, Schema, Table, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -98,7 +98,7 @@ fn assert_mutation_equivalent(source: &Table, rules: &[Pfd], ops: &[RowOp], cont
 
     let mut mirror = Table::empty(source.schema().clone());
     for op in ops {
-        mirror.apply(op.clone()).expect("ops are valid");
+        mirror.apply(op.clone().into()).expect("ops are valid");
     }
     assert_eq!(
         engine.table(),
@@ -130,7 +130,13 @@ fn assert_mutation_equivalent(source: &Table, rules: &[Pfd], ops: &[RowOp], cont
     // counts, live violation tallies, and hence confidence, per rule.
     let survivors = mirror.filter_rows(|_| true);
     let mut replay = StreamEngine::new(survivors.schema().clone(), rules.to_vec());
-    replay.replay_table(&survivors).expect("schema matches");
+    replay
+        .apply(
+            survivors
+                .iter_live()
+                .map(|r| Op::Insert(survivors.row_ids(r))),
+        )
+        .expect("schema matches");
     for i in 0..rules.len() {
         let (mutated, replayed) = (engine.rule_health(i), replay.rule_health(i));
         assert_eq!(
@@ -204,7 +210,7 @@ fn delete_everything_then_start_over() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    #![proptest_config(ProptestConfig::with_cases(cases(6)))]
 
     /// The tentpole acceptance property: any seeded op interleaving over
     /// a seeded dataset converges to batch detection on the survivors —
@@ -523,12 +529,15 @@ fn drift_report_is_rule_index_sorted_across_engines() {
         )
     };
     let rules = vec![rule("Alpha"), rule("Beta"), rule("Gamma")];
-    let rows: Vec<Vec<Value>> = (0..12)
-        .map(|i| vec![Value::text(format!("900{i:02}")), Value::text("Delta")])
-        .collect();
+    let rows = (0..12).map(|i| {
+        RowOp::Insert(vec![
+            Value::text(format!("900{i:02}")),
+            Value::text("Delta"),
+        ])
+    });
 
     let mut engine = StreamEngine::new(schema, rules);
-    engine.push_batch(rows).unwrap();
+    engine.apply(rows).unwrap();
     assert_eq!(
         engine
             .drift_report()

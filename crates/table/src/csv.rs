@@ -72,7 +72,7 @@ pub fn read_str_with(input: &str, opts: CsvOptions) -> Result<Table, TableError>
         match records.next_record()? {
             Some(rec) => {
                 let schema = Schema::new((0..rec.len()).map(|i| format!("c{i}")))?;
-                first_data = Some(intern_record(&rec, policy));
+                first_data = Some(intern_fields(rec.iter(), policy));
                 schema
             }
             None => Schema::new(Vec::<String>::new())?,
@@ -83,7 +83,7 @@ pub fn read_str_with(input: &str, opts: CsvOptions) -> Result<Table, TableError>
         table.push_id_row(ids)?;
     }
     while let Some(rec) = records.next_record()? {
-        let ids = intern_record(&rec, policy);
+        let ids = intern_fields(rec.iter(), policy);
         table.push_id_row(ids)?;
     }
     Ok(table)
@@ -91,9 +91,11 @@ pub fn read_str_with(input: &str, opts: CsvOptions) -> Result<Table, TableError>
 
 /// Intern one record's fields as a single pool batch, mapping
 /// policy-null fields to [`ValueId::NULL`] without touching the pool.
-fn intern_record(rec: &RecordView<'_>, policy: &NullPolicy) -> Vec<ValueId> {
-    let fields: Vec<Option<&str>> = rec
-        .iter()
+pub(crate) fn intern_fields<'a>(
+    fields: impl Iterator<Item = &'a str>,
+    policy: &NullPolicy,
+) -> Vec<ValueId> {
+    let fields: Vec<Option<&str>> = fields
         .map(|f| if policy.is_null(f) { None } else { Some(f) })
         .collect();
     ValuePool::intern_opt_batch(&fields)
@@ -153,10 +155,12 @@ pub fn read_from(reader: impl Read, opts: CsvOptions) -> Result<Table, TableErro
     read_str_with(&buf, opts)
 }
 
-/// Parse CSV text into raw records of fields (no header handling, no
-/// value conversion). Public so op-log style formats — each record an
-/// op code plus fields, as in `anmat stream --ops` — can reuse the
-/// RFC-4180 quoting rules instead of naive comma splitting.
+/// Parse CSV text into raw records of owned fields (no header handling,
+/// no value conversion). The op-log reader ([`crate::oplog`]) walks the
+/// borrowed [`RawRecords`] instead; this owned form is kept only because
+/// the benchmark harness (`perfbench/harness/src/measure.rs`) still
+/// parses its op-log with it, and the next change to the benchmark
+/// (ROADMAP item 5) deletes it.
 pub fn parse_raw_records(input: &str, delimiter: char) -> Result<Vec<Vec<String>>, TableError> {
     let mut reader = parse_raw_records_borrowed(input, delimiter);
     let mut records = Vec::new();

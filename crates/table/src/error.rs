@@ -2,7 +2,8 @@
 
 use std::fmt;
 
-/// Errors from table construction, CSV parsing, and column access.
+/// Errors from table construction, CSV and op-log parsing, and column
+/// access.
 #[derive(Debug)]
 pub enum TableError {
     /// A row had a different arity than the schema.
@@ -36,6 +37,13 @@ pub enum TableError {
         /// Human-readable description.
         reason: String,
     },
+    /// A malformed op-log record (see [`crate::oplog`]).
+    OpLog {
+        /// 1-based record number (blank lines are not records).
+        record: usize,
+        /// Human-readable description.
+        reason: String,
+    },
     /// Underlying I/O failure.
     Io(std::io::Error),
 }
@@ -54,6 +62,7 @@ impl fmt::Display for TableError {
             TableError::UnknownColumn { name } => write!(f, "unknown column `{name}`"),
             TableError::DuplicateColumn { name } => write!(f, "duplicate column `{name}`"),
             TableError::Csv { line, reason } => write!(f, "CSV error at line {line}: {reason}"),
+            TableError::OpLog { record, reason } => write!(f, "op-log record {record}: {reason}"),
             TableError::Io(e) => write!(f, "I/O error: {e}"),
         }
     }

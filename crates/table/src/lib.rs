@@ -7,10 +7,15 @@
 //! * [`Value`] / [`Schema`] / [`Table`] — a columnar, string-centric
 //!   relational store (PFDs operate on cell *strings*, so cells are text
 //!   with an explicit null marker; typed interpretation happens at
-//!   profiling time); tables are mutable streams — [`RowOp`]
-//!   insert/delete/update with tombstoned slots and stable `RowId`s;
+//!   profiling time); tables are mutable streams — [`Op`]
+//!   insert/delete/update over interned cells, executed by
+//!   [`Table::apply`], with tombstoned slots and stable `RowId`s
+//!   ([`RowOp`] is the same op over owned values, which `Op::from`
+//!   interns);
 //! * [`csv`] — an RFC-4180 CSV reader/writer (quoting, embedded
 //!   separators/newlines, escaped quotes);
+//! * [`oplog`] — the op-log reader behind `anmat stream --ops`: one
+//!   [`Op`] per CSV record, its cells interned from borrowed records;
 //! * [`profile`] — the data profiler behind Figure 3: inferred column
 //!   types, distinct/null statistics, and per-level pattern histograms; it
 //!   also implements the `CandidateDependencies` pruning of the discovery
@@ -27,6 +32,7 @@ pub mod atomic;
 pub mod cow;
 pub mod csv;
 pub mod error;
+pub mod oplog;
 pub mod pool;
 pub mod profile;
 pub mod schema;
@@ -40,7 +46,7 @@ pub use error::TableError;
 pub use pool::{PoolFootprint, ReclaimStats, ValueId, ValuePool};
 pub use profile::{ColumnProfile, InferredType, PatternHistogram, TableProfile};
 pub use schema::Schema;
-pub use table::{MemFootprint, RowId, RowIdRemap, RowOp, Table, TableBuilder, TableSnapshot};
+pub use table::{MemFootprint, Op, RowId, RowIdRemap, RowOp, Table, TableSnapshot};
 pub use tokenize::{
     for_each_ngram, for_each_prefix, for_each_token, ngrams, prefixes, tokenize, NGram, Token,
 };

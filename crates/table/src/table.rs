@@ -23,18 +23,19 @@
 //! stream engine marks the ids its table's cells hold at a compaction
 //! barrier, when no tombstones exist.
 //!
-//! Tables are *mutable streams*: besides appends, [`Table::delete_row`]
-//! tombstones a slot and [`Table::update_row`] overwrites one in place.
-//! Slot identity is preserved — a deleted row keeps its `RowId` (and its
-//! last cell contents stay readable for evidence rendering), so row ids
-//! held by indexes, violations, and ledgers never dangle. Live-row
-//! iteration ([`Table::iter_column`], [`Table::iter_pair`],
-//! [`Table::iter_live`]) skips tombstones, so batch discovery/detection
-//! over a mutated table see exactly the surviving rows;
-//! [`Table::row_count`] counts slots and [`Table::live_rows`] counts
-//! survivors. The three mutations are reified as [`RowOp`] — the delta
-//! currency the whole pipeline (table → index → ledger → stream → CLI)
-//! speaks.
+//! Tables are *mutable streams*: besides appends, an [`Op`] deletes a
+//! row (tombstoning its slot) or updates one in place, and
+//! [`Table::apply`] executes it. Slot identity is preserved — a deleted
+//! row keeps its `RowId` (and its last cell contents stay readable for
+//! evidence rendering), so row ids held by indexes, violations, and
+//! ledgers never dangle. Live-row iteration ([`Table::iter_column`],
+//! [`Table::iter_pair`], [`Table::iter_live`]) skips tombstones, so
+//! batch discovery/detection over a mutated table see exactly the
+//! surviving rows; [`Table::row_count`] counts slots and
+//! [`Table::live_rows`] counts survivors. [`Op`] is the one op type from
+//! bytes to engine: the op-log reader ([`crate::oplog`]) yields it,
+//! [`Table::apply`] executes it, and the stream engine maintains
+//! violations over it.
 //!
 //! Tombstones accumulate under sustained churn, so tables also support
 //! **compaction epochs**: [`Table::compact`] drops every tombstoned
@@ -159,13 +160,27 @@ pub struct MemFootprint {
     pub live_slots: usize,
 }
 
-/// One mutation of a table — the delta currency of the whole pipeline.
+/// One mutation of a table, over interned cells — the delta currency of
+/// the whole pipeline.
 ///
 /// An append-only stream is the special case where every op is
-/// [`RowOp::Insert`]. [`Table::apply`] executes one op;
+/// [`Op::Insert`]. [`Table::apply`] executes one op;
 /// `StreamEngine::apply` (in `anmat-stream`) executes a batch while
 /// maintaining violations incrementally. An update is delete+insert
 /// *fused on one slot*: the row keeps its `RowId`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Op {
+    /// Append a new row.
+    Insert(Vec<ValueId>),
+    /// Tombstone an existing live row.
+    Delete(RowId),
+    /// Overwrite an existing live row's cells in place.
+    Update(RowId, Vec<ValueId>),
+}
+
+/// An [`Op`] whose cells are owned [`Value`]s, for callers that build
+/// ops from values rather than reading an op-log; [`Op::from`] interns
+/// it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RowOp {
     /// Append a new row.
@@ -174,6 +189,18 @@ pub enum RowOp {
     Delete(RowId),
     /// Overwrite an existing live row's cells in place.
     Update(RowId, Vec<Value>),
+}
+
+impl From<RowOp> for Op {
+    /// Intern the op's cells, one [`ValuePool::intern_value_batch`] per
+    /// record.
+    fn from(op: RowOp) -> Op {
+        match op {
+            RowOp::Insert(cells) => Op::Insert(ValuePool::intern_value_batch(&cells)),
+            RowOp::Delete(row) => Op::Delete(row),
+            RowOp::Update(row, cells) => Op::Update(row, ValuePool::intern_value_batch(&cells)),
+        }
+    }
 }
 
 /// A columnar table: one `Vec<ValueId>` per column, all equal length.
@@ -269,42 +296,23 @@ impl Table {
 
     /// Append one row, interning the whole record into the [`ValuePool`]
     /// with one lock acquisition ([`ValuePool::intern_value_batch`]).
+    /// Arity is checked before anything is interned.
     pub fn push_row(&mut self, row: Vec<Value>) -> Result<RowId, TableError> {
-        if row.len() != self.schema.arity() {
-            return Err(TableError::ArityMismatch {
-                row: self.rows,
-                found: row.len(),
-                expected: self.schema.arity(),
-            });
-        }
-        let ids = ValuePool::intern_value_batch(&row);
-        for (col, id) in self.columns.iter_mut().zip(ids) {
-            col.push(id);
-        }
-        let id = self.rows;
-        self.rows += 1;
-        self.live.push(true);
-        // `table.*` counters aggregate over every Table in the process.
-        obs::counter!("table.push").incr();
-        Ok(id)
+        self.check_arity(self.rows, row.len())?;
+        self.push_id_row(ValuePool::intern_value_batch(&row))
     }
 
     /// Append one row of already-interned ids — the clone-free ingest
     /// path (no string is copied, hashed, or even read).
     pub fn push_id_row(&mut self, row: Vec<ValueId>) -> Result<RowId, TableError> {
-        if row.len() != self.schema.arity() {
-            return Err(TableError::ArityMismatch {
-                row: self.rows,
-                found: row.len(),
-                expected: self.schema.arity(),
-            });
-        }
+        self.check_arity(self.rows, row.len())?;
         for (col, v) in self.columns.iter_mut().zip(row) {
             col.push(v);
         }
         let id = self.rows;
         self.rows += 1;
         self.live.push(true);
+        // `table.*` counters aggregate over every Table in the process.
         obs::counter!("table.push").incr();
         Ok(id)
     }
@@ -320,54 +328,40 @@ impl Table {
         Ok(())
     }
 
-    /// Overwrite one live row's cells in place (slot identity preserved).
-    pub fn update_row(&mut self, row: RowId, cells: Vec<Value>) -> Result<(), TableError> {
-        if cells.len() != self.schema.arity() {
-            return Err(TableError::ArityMismatch {
-                row,
-                found: cells.len(),
-                expected: self.schema.arity(),
-            });
-        }
-        self.require_live(row)?;
-        let ids = ValuePool::intern_value_batch(&cells);
-        for (col, id) in self.columns.iter_mut().zip(ids) {
-            col.set(row, id);
-        }
-        obs::counter!("table.update").incr();
-        Ok(())
-    }
-
-    /// Overwrite one live row with already-interned ids.
-    pub fn update_id_row(&mut self, row: RowId, cells: Vec<ValueId>) -> Result<(), TableError> {
-        if cells.len() != self.schema.arity() {
-            return Err(TableError::ArityMismatch {
-                row,
-                found: cells.len(),
-                expected: self.schema.arity(),
-            });
-        }
-        self.require_live(row)?;
-        for (col, v) in self.columns.iter_mut().zip(cells) {
-            col.set(row, v);
-        }
-        obs::counter!("table.update").incr();
-        Ok(())
-    }
-
-    /// Execute one [`RowOp`]. Returns the affected `RowId` (the fresh
-    /// slot for an insert, the addressed slot otherwise).
-    pub fn apply(&mut self, op: RowOp) -> Result<RowId, TableError> {
+    /// Execute one [`Op`] — the table's op executor. Returns the affected
+    /// `RowId` (the fresh slot for an insert, the addressed slot
+    /// otherwise). An update overwrites the row's cells in place (slot
+    /// identity preserved); its arity and the row's liveness are checked
+    /// before anything is written.
+    pub fn apply(&mut self, op: Op) -> Result<RowId, TableError> {
         match op {
-            RowOp::Insert(cells) => self.push_row(cells),
-            RowOp::Delete(row) => {
+            Op::Insert(cells) => self.push_id_row(cells),
+            Op::Delete(row) => {
                 self.delete_row(row)?;
                 Ok(row)
             }
-            RowOp::Update(row, cells) => {
-                self.update_row(row, cells)?;
+            Op::Update(row, cells) => {
+                self.check_arity(row, cells.len())?;
+                self.require_live(row)?;
+                for (col, v) in self.columns.iter_mut().zip(cells) {
+                    col.set(row, v);
+                }
+                obs::counter!("table.update").incr();
                 Ok(row)
             }
+        }
+    }
+
+    fn check_arity(&self, row: RowId, found: usize) -> Result<(), TableError> {
+        let expected = self.schema.arity();
+        if found == expected {
+            Ok(())
+        } else {
+            Err(TableError::ArityMismatch {
+                row,
+                found,
+                expected,
+            })
         }
     }
 
@@ -675,44 +669,6 @@ impl Deserialize for Table {
     }
 }
 
-/// Incremental builder used by generators and the CSV reader.
-#[derive(Debug)]
-pub struct TableBuilder {
-    table: Table,
-}
-
-impl TableBuilder {
-    /// Start building with a schema.
-    #[must_use]
-    pub fn new(schema: Schema) -> TableBuilder {
-        TableBuilder {
-            table: Table::empty(schema),
-        }
-    }
-
-    /// Append one row of pre-built values.
-    pub fn row(&mut self, row: Vec<Value>) -> Result<&mut Self, TableError> {
-        self.table.push_row(row)?;
-        Ok(self)
-    }
-
-    /// Append one row of raw strings.
-    pub fn str_row<'a, F>(&mut self, row: F) -> Result<&mut Self, TableError>
-    where
-        F: IntoIterator<Item = &'a str>,
-    {
-        self.table
-            .push_row(row.into_iter().map(Value::from_field).collect())?;
-        Ok(self)
-    }
-
-    /// Finish building.
-    #[must_use]
-    pub fn build(self) -> Table {
-        self.table
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -730,6 +686,11 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    /// An update of `row` to two text cells.
+    fn update(row: RowId, cells: [&str; 2]) -> Op {
+        RowOp::Update(row, cells.map(Value::text).to_vec()).into()
     }
 
     #[test]
@@ -805,17 +766,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_chains() {
-        let schema = Schema::new(["name", "gender"]).unwrap();
-        let mut b = TableBuilder::new(schema);
-        b.str_row(["John Charles", "M"]).unwrap();
-        b.str_row(["Susan Orlean", "F"]).unwrap();
-        let t = b.build();
-        assert_eq!(t.row_count(), 2);
-        assert_eq!(t.cell_str(1, 1), Some("F"));
-    }
-
-    #[test]
     fn serde_roundtrip() {
         let t = zip_table();
         let json = serde_json::to_string(&t).unwrap();
@@ -864,7 +814,7 @@ mod tests {
             Err(TableError::NoSuchRow { row: 99 })
         ));
         assert!(matches!(
-            t.update_row(0, vec![Value::text("x"), Value::text("y")]),
+            t.apply(update(0, ["x", "y"])),
             Err(TableError::NoSuchRow { row: 0 })
         ));
     }
@@ -872,15 +822,14 @@ mod tests {
     #[test]
     fn update_overwrites_in_place() {
         let mut t = zip_table();
-        t.update_row(3, vec![Value::text("90004"), Value::text("Los Angeles")])
-            .unwrap();
+        t.apply(update(3, ["90004", "Los Angeles"])).unwrap();
         assert_eq!(t.cell_str(3, 1), Some("Los Angeles"));
         assert_eq!(t.cell_id(3, 1), t.cell_id(0, 1));
         assert_eq!(t.row_count(), 4);
         assert_eq!(t.live_rows(), 4);
         // Arity is checked before anything is written.
         assert!(matches!(
-            t.update_row(3, vec![Value::text("oops")]),
+            t.apply(RowOp::Update(3, vec![Value::text("oops")]).into()),
             Err(TableError::ArityMismatch { .. })
         ));
         assert_eq!(t.cell_str(3, 0), Some("90004"));
@@ -897,7 +846,7 @@ mod tests {
             RowOp::Delete(0),
         ];
         for op in ops {
-            t.apply(op).unwrap();
+            t.apply(op.into()).unwrap();
         }
         assert_eq!(t.row_count(), 3);
         assert_eq!(t.live_rows(), 2);
@@ -1061,8 +1010,7 @@ mod tests {
         let mut t = zip_table();
         let snap = t.snapshot();
         assert_eq!(*snap.table(), t);
-        t.update_row(0, vec![Value::text("99999"), Value::text("Boston")])
-            .unwrap();
+        t.apply(update(0, ["99999", "Boston"])).unwrap();
         t.delete_row(1).unwrap();
         t.push_row(vec![Value::text("90005"), Value::text("Chicago")])
             .unwrap();

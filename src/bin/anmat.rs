@@ -17,15 +17,15 @@
 //! optionally writes a repaired copy of the data. `stream` replays the
 //! CSV as an append stream through the incremental engine, printing
 //! violations (and retractions) as rows arrive — the online-monitoring
-//! scenario the demo GUI hints at. With `--ops FILE` it then replays a
-//! *mutation* op-log against the accumulated state: one op per record,
-//! `+,cell,…` inserts a row, `-,rowid` deletes one, `~,rowid,cell,…`
-//! updates one in place (RFC-4180 quoting, row ids as printed in event
-//! lines).
+//! scenario the demo GUI hints at. With `--ops FILE` it then applies a
+//! *mutation* op-log (read by [`oplog::parse`]) to the accumulated
+//! state as one atomic batch: one op per record, `+,cell,…` inserts a
+//! row, `-,rowid` deletes one, `~,rowid,cell,…` updates one in place
+//! (RFC-4180 quoting, row ids as printed in event lines).
 
 use anmat::obs;
 use anmat::prelude::*;
-use anmat::table::write_atomic;
+use anmat::table::{write_atomic, TableError};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -94,7 +94,8 @@ fn usage() -> String {
      \x20                full metrics registry as JSON at exit; timing\n\
      \x20                lines are suppressed by --quiet or ANMAT_NO_TIMING=1)\n\
      \n\
-     OP-LOG (--ops FILE; one op per CSV record):\n\
+     OP-LOG (--ops FILE; one op per CSV record, applied after the CSV\n\
+     replay as one atomic batch: --batch sizes only the replay):\n\
      \x20 +,cell,…        insert a row\n\
      \x20 -,rowid         delete the row in that slot\n\
      \x20 ~,rowid,cell,…  update the row in place (slot id preserved)\n"
@@ -328,51 +329,6 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parse an op-log (see `usage`): each CSV record is one [`RowOp`].
-fn parse_ops(text: &str) -> Result<Vec<RowOp>, String> {
-    let records = csv::parse_raw_records(text, ',').map_err(|e| format!("parsing op-log: {e}"))?;
-    let mut ops = Vec::with_capacity(records.len());
-    for (i, record) in records.into_iter().enumerate() {
-        let line = i + 1;
-        let Some((code, rest)) = record.split_first() else {
-            continue;
-        };
-        let cells = |fields: &[String]| -> Vec<Value> {
-            fields.iter().map(|f| Value::from_field(f)).collect()
-        };
-        let rowid = |field: &String| -> Result<RowId, String> {
-            field
-                .parse()
-                .map_err(|_| format!("op-log record {line}: bad row id `{field}`"))
-        };
-        match code.as_str() {
-            "+" => ops.push(RowOp::Insert(cells(rest))),
-            "-" => match rest {
-                [id] => ops.push(RowOp::Delete(rowid(id)?)),
-                _ => {
-                    return Err(format!(
-                        "op-log record {line}: `-` wants exactly one row id"
-                    ))
-                }
-            },
-            "~" => match rest.split_first() {
-                Some((id, cells_rest)) => ops.push(RowOp::Update(rowid(id)?, cells(cells_rest))),
-                None => {
-                    return Err(format!(
-                        "op-log record {line}: `~` wants a row id and cells"
-                    ))
-                }
-            },
-            other => {
-                return Err(format!(
-                    "op-log record {line}: unknown op `{other}` (want `+`, `-` or `~`)"
-                ))
-            }
-        }
-    }
-    Ok(ops)
-}
-
 /// One `stats:` line from the live metrics registry — the deterministic
 /// figures always, the wall-clock rate only when timing output is
 /// allowed (it is nondeterministic, so `--quiet`/`ANMAT_NO_TIMING`
@@ -502,15 +458,13 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     let started = Instant::now();
     let replayed_rows = table.row_count();
     let capacity = batch.min(replayed_rows);
-    let mut pending: Vec<Vec<ValueId>> = Vec::with_capacity(capacity);
+    let mut pending: Vec<Op> = Vec::with_capacity(capacity);
     let mut batches_done = 0usize;
     for r in 0..table.row_count() {
-        pending.push(table.row_ids(r));
+        pending.push(Op::Insert(table.row_ids(r)));
         if pending.len() == batch || r + 1 == table.row_count() {
             let full = std::mem::replace(&mut pending, Vec::with_capacity(capacity));
-            let events = engine
-                .push_id_batch(full)
-                .map_err(|e| format!("row {r}: {e}"))?;
+            let events = engine.apply(full).map_err(|e| format!("row {r}: {e}"))?;
             if !quiet {
                 print_events(&events);
             }
@@ -532,7 +486,13 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     let mut applied_ops = 0usize;
     if let Some(path) = ops_file {
         let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
-        let ops = parse_ops(&text)?;
+        let ops = oplog::parse(&text).map_err(|e| match e {
+            TableError::Csv { .. } => format!("parsing op-log: {e}"),
+            e => e.to_string(),
+        })?;
+        // The ops hold interned ids, not text: free the log before they
+        // run.
+        drop(text);
         applied_ops = ops.len();
         println!("applying {} op(s) from {path}", ops.len());
         let ops_started = Instant::now();

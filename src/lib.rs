@@ -36,8 +36,10 @@
 //! `detect_all` recomputes the violation set from scratch — right for a
 //! one-shot audit. When the data changes continuously, seed a
 //! [`StreamEngine`](stream::StreamEngine) with the confirmed rules
-//! instead and feed it [`RowOp`](table::RowOp)s — inserts, deletes, and
-//! in-place updates. No op costs `O(table)`: validation is `O(batch)`,
+//! instead and feed it [`Op`](table::Op)s — inserts, deletes, and
+//! in-place updates, as [`oplog`](table::oplog) reads them from an
+//! op-log — through [`StreamEngine::apply`](stream::StreamEngine::apply).
+//! No op costs `O(table)`: validation is `O(batch)`,
 //! the constant-PFD path is one memo probe plus the matched tableau
 //! tuples per op (a new LHS value is evaluated only against the tuples
 //! whose literal prefix it starts with), and the variable path
@@ -95,7 +97,7 @@ pub mod prelude {
         CompactionStats, DriftReport, EngineSnapshot, StreamConfig, StreamEngine,
     };
     pub use anmat_table::{
-        csv, MemFootprint, NullPolicy, ReclaimStats, RowId, RowIdRemap, RowOp, Schema, Table,
-        TableProfile, Value, ValueId, ValuePool,
+        csv, oplog, MemFootprint, NullPolicy, Op, ReclaimStats, RowId, RowIdRemap, RowOp, Schema,
+        Table, TableProfile, Value, ValueId, ValuePool,
     };
 }

@@ -286,28 +286,86 @@ fn stream_ops_rejects_malformed_logs() {
     )];
     std::fs::write(&rules, serde_json::to_string(&pfds).unwrap()).unwrap();
 
-    for (ops_text, want) in [
-        ("?,1\n", "unknown op"),
-        ("-,notanumber\n", "bad row id"),
-        ("-,7\n", "out of range or already deleted"),
-        ("-,0\n-,0\n", "out of range or already deleted"),
-    ] {
-        let ops = dir.join("bad.ops");
+    let ops = dir.join("bad.ops");
+    let run = |ops_text: &[u8]| {
         std::fs::write(&ops, ops_text).unwrap();
-        let out = anmat(&[
+        anmat(&[
             "stream",
             csv.to_str().unwrap(),
             "--rules",
             rules.to_str().unwrap(),
             "--ops",
             ops.to_str().unwrap(),
-        ]);
-        assert!(!out.status.success(), "`{ops_text}` must fail");
-        assert!(
-            stderr(&out).contains(want),
-            "`{ops_text}` should report `{want}`, got: {}",
-            stderr(&out)
-        );
+        ])
+    };
+    let unknown = "op-log record 1: unknown op `?` (want `+`, `-` or `~`)";
+    let utf8 = format!(
+        "reading {}: stream did not contain valid UTF-8",
+        ops.display()
+    );
+    // The whole stderr line for each log. Syntax errors name the record
+    // (blank lines are not records) or, for CSV errors, the line; arity
+    // and liveness errors come from validating the batch against the
+    // table (the base CSV holds slots 0 and 1).
+    for (ops_text, want) in [
+        (&b"?,1\n"[..], unknown),
+        (
+            b"-,notanumber\n",
+            "op-log record 1: bad row id `notanumber`",
+        ),
+        (
+            b"-,99999999999999999999\n",
+            "op-log record 1: bad row id `99999999999999999999`",
+        ),
+        (b"-\n", "op-log record 1: `-` wants exactly one row id"),
+        (b"-,1,2\n", "op-log record 1: `-` wants exactly one row id"),
+        (b"~\n", "op-log record 1: `~` wants a row id and cells"),
+        (
+            b"~,1\n",
+            "applying ops: row 1 has 0 fields, schema expects 2",
+        ),
+        (b"+\n", "applying ops: row 2 has 0 fields, schema expects 2"),
+        (
+            b"+,90003\n",
+            "applying ops: row 2 has 1 fields, schema expects 2",
+        ),
+        (
+            b"+,90003,LA,extra\n",
+            "applying ops: row 2 has 3 fields, schema expects 2",
+        ),
+        (
+            b"-,7\n",
+            "applying ops: row 7 is out of range or already deleted",
+        ),
+        (
+            b"-,0\n-,0\n",
+            "applying ops: row 0 is out of range or already deleted",
+        ),
+        (
+            b"+,\"x\n",
+            "parsing op-log: CSV error at line 2: unterminated quoted field",
+        ),
+        (
+            b"+,a\"b,c\n",
+            "parsing op-log: CSV error at line 1: quote inside unquoted field",
+        ),
+        (
+            b"+,\"x\"y,c\n",
+            "parsing op-log: CSV error at line 1: unexpected `y` after closing quote",
+        ),
+        (b"+,\xff\xfe,c\n", &utf8),
+        (
+            b"+,\"a\nb\",c\n?\n",
+            "op-log record 2: unknown op `?` (want `+`, `-` or `~`)",
+        ),
+        // The reader stops at the first malformed record in file order:
+        // the unknown op wins over the unterminated quote after it.
+        (b"?,1\n+,\"x\n", unknown),
+    ] {
+        let out = run(ops_text);
+        let shown = String::from_utf8_lossy(ops_text);
+        assert!(!out.status.success(), "`{shown}` must fail");
+        assert_eq!(stderr(&out), format!("error: {want}\n"), "log `{shown}`");
     }
 
     let _ = std::fs::remove_dir_all(&dir);
