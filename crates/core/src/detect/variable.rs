@@ -25,11 +25,11 @@ pub(crate) fn detect(table: &Table, pfd: &Pfd, lhs: usize, rhs: usize) -> Vec<Vi
         let RhsCell::Wildcard = &tuple.rhs else {
             continue;
         };
-        let LhsCell::Pattern(q) = &tuple.lhs else {
-            // A wildcard LHS variable tuple is a plain FD on the whole
-            // column; blocking key = whole value.
-            out.extend(detect_whole_column(table, pfd, lhs, rhs));
-            continue;
+        // A wildcard LHS is a plain FD on the whole column: each block is
+        // one value.
+        let (q, display) = match &tuple.lhs {
+            LhsCell::Pattern(q) => (Some(q), q.to_string()),
+            LhsCell::Wildcard => (None, "⊥".to_string()),
         };
         let blocks = BlockingIndex::block(table, lhs, q);
         for (key, rows) in &blocks.blocks {
@@ -38,36 +38,11 @@ pub(crate) fn detect(table: &Table, pfd: &Pfd, lhs: usize, rhs: usize) -> Vec<Vi
                 pfd,
                 lhs,
                 rhs,
-                &q.to_string(),
+                &display,
                 key.render(),
                 rows.iter().copied(),
             ));
         }
-    }
-    out
-}
-
-/// Blocking on the whole value (wildcard-LHS fallback).
-fn detect_whole_column(table: &Table, pfd: &Pfd, lhs: usize, rhs: usize) -> Vec<Violation> {
-    let mut blocks: FxHashMap<ValueId, Vec<RowId>> = FxHashMap::default();
-    for (row, v) in table.iter_column(lhs) {
-        if !v.is_null() {
-            blocks.entry(v).or_default().push(row);
-        }
-    }
-    let mut keys: Vec<ValueId> = blocks.keys().copied().collect();
-    keys.sort_by_cached_key(|k| k.render());
-    let mut out = Vec::new();
-    for key in keys {
-        out.extend(flag_block_minority(
-            table,
-            pfd,
-            lhs,
-            rhs,
-            "⊥",
-            key.render(),
-            blocks[&key].iter().copied(),
-        ));
     }
     out
 }

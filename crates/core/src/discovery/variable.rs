@@ -239,7 +239,7 @@ fn evaluate(
     q: &ConstrainedPattern,
     config: &DiscoveryConfig,
 ) -> bool {
-    let blocks = BlockingIndex::block(table, lhs, q);
+    let blocks = BlockingIndex::block(table, lhs, Some(q));
     let non_null = blocks.matched_rows() + blocks.unmatched.len();
     if non_null == 0 {
         return false;

@@ -71,12 +71,13 @@ pub struct BlockingIndex;
 
 impl BlockingIndex {
     /// Group the rows of column `col` by their constrained-capture key
-    /// under `q`.
+    /// under `q`, or by their whole value when `q` is `None` (a wildcard
+    /// LHS).
     #[must_use]
-    pub fn block(table: &Table, col: usize, q: &ConstrainedPattern) -> Blocks {
+    pub fn block(table: &Table, col: usize, q: Option<&ConstrainedPattern>) -> Blocks {
         // The compiled keyer pays one compile for at most
         // `distinct(column)` span-VM extractions.
-        let mut memo = KeyMemo::new(Some(Arc::new(CompiledConstrained::compile(q))));
+        let mut memo = KeyMemo::new(q.map(|q| Arc::new(CompiledConstrained::compile(q))));
         let mut map: FxHashMap<ValueId, Vec<RowId>> = FxHashMap::default();
         let mut unmatched = Vec::new();
         let mut null_rows = Vec::new();
@@ -521,7 +522,7 @@ mod tests {
 
     #[test]
     fn blocks_group_by_first_name() {
-        let blocks = BlockingIndex::block(&name_table(), 0, &q_first_name());
+        let blocks = BlockingIndex::block(&name_table(), 0, Some(&q_first_name()));
         assert_eq!(blocks.block_count(), 2);
         assert_eq!(blocks.blocks[0].0.as_str(), Some("John "));
         assert_eq!(blocks.blocks[0].1, vec![0, 1]);
@@ -533,7 +534,7 @@ mod tests {
 
     #[test]
     fn pair_counts() {
-        let blocks = BlockingIndex::block(&name_table(), 0, &q_first_name());
+        let blocks = BlockingIndex::block(&name_table(), 0, Some(&q_first_name()));
         // 2 blocks of 2 rows: 1 pair each.
         assert_eq!(blocks.pair_count(), 2);
         // Brute force over 4 matched rows: 6 pairs.
@@ -546,7 +547,7 @@ mod tests {
         let schema = Schema::new(["zip"]).unwrap();
         let t = Table::from_str_rows(schema, [["90001"], ["90002"], ["90101"], ["60601"]]).unwrap();
         let q: ConstrainedPattern = "[\\D{3}]\\D{2}".parse().unwrap();
-        let blocks = BlockingIndex::block(&t, 0, &q);
+        let blocks = BlockingIndex::block(&t, 0, Some(&q));
         let keys: Vec<&str> = blocks.blocks.iter().map(|(k, _)| k.render()).collect();
         assert_eq!(keys, vec!["606", "900", "901"]);
         assert_eq!(blocks.blocks[1].1, vec![0, 1]);
@@ -557,7 +558,7 @@ mod tests {
         let schema = Schema::new(["x"]).unwrap();
         let t = Table::from_str_rows(schema, [["ab"], ["ab"], ["ab"]]).unwrap();
         let q = ConstrainedPattern::whole("\\LL+".parse().unwrap());
-        let blocks = BlockingIndex::block(&t, 0, &q);
+        let blocks = BlockingIndex::block(&t, 0, Some(&q));
         assert_eq!(blocks.block_count(), 1);
         assert_eq!(blocks.blocks[0].1.len(), 3);
         assert_eq!(blocks.pair_count(), 3);
@@ -568,7 +569,7 @@ mod tests {
         let schema = Schema::new(["x"]).unwrap();
         let t = Table::from_str_rows(schema, [["123"], ["456"]]).unwrap();
         let q = ConstrainedPattern::whole("\\LL+".parse().unwrap());
-        let blocks = BlockingIndex::block(&t, 0, &q);
+        let blocks = BlockingIndex::block(&t, 0, Some(&q));
         assert_eq!(blocks.block_count(), 0);
         assert_eq!(blocks.unmatched.len(), 2);
     }
@@ -577,7 +578,7 @@ mod tests {
     fn partition_matches_batch_blocking() {
         let t = name_table();
         let q = q_first_name();
-        let batch = BlockingIndex::block(&t, 0, &q);
+        let batch = BlockingIndex::block(&t, 0, Some(&q));
         let mut partition = Keyed::new(Some(q.clone()));
         for (row, v) in t.iter_column(0) {
             partition.insert(row, v, ValueId::NULL);
@@ -932,7 +933,7 @@ mod tests {
 
         /// `freeze()` parity with batch blocking over the same live rows.
         fn check_freeze(p: &Keyed, model: &Model, slots: usize) {
-            let batch = BlockingIndex::block(&table_of(model, slots), 0, &zip());
+            let batch = BlockingIndex::block(&table_of(model, slots), 0, Some(&zip()));
             assert_eq!(p.freeze(), batch.blocks);
         }
 

@@ -99,12 +99,6 @@ impl EntryStats {
         self.rhs_counts.first().and_then(|(v, _)| v.as_str())
     }
 
-    /// The most frequent full RHS value as an interned id.
-    #[must_use]
-    pub fn dominant_rhs_id(&self) -> Option<ValueId> {
-        self.rhs_counts.first().map(|(v, _)| *v)
-    }
-
     /// Confidence of the dominant RHS: `max_count / support`.
     #[must_use]
     pub fn confidence(&self) -> f64 {

@@ -89,15 +89,6 @@ impl PatternIndex {
         rows
     }
 
-    /// Distinct values matching `pattern`.
-    #[must_use]
-    pub fn matching_values(&self, pattern: &Pattern) -> Vec<&'static str> {
-        self.matching_ids(pattern)
-            .into_iter()
-            .map(ValueId::render)
-            .collect()
-    }
-
     /// Interned distinct values matching `pattern`, in ascending string
     /// order.
     #[must_use]

@@ -44,16 +44,18 @@
 //!   re-evaluation and zero events. Each [`LedgerEvent`] carries the
 //!   epoch it was emitted in, so event history stays valid verbatim
 //!   across renumberings. Memory is thereby proportional to *live*
-//!   rows, not to history (`tests/mutations.rs` pins the whole
-//!   protocol: compacted runs are observably identical to uncompacted
-//!   ones modulo the remap, and slots stay within 2× live rows at
-//!   ratio 0.3).
+//!   rows, not to history (`tests/harness.rs` pins the whole protocol
+//!   after every step: compacted runs are observably identical to a
+//!   never-compacting twin modulo the remap, and slots stay within 2×
+//!   live rows at ratio 0.3 —
+//!   `forced_and_ratio_triggered_compaction_are_invisible`).
 //! * Violation semantics are *identical to batch*: the engine calls the
 //!   same `flag_block_minority` / `violation_at` primitives as
 //!   `detect_all`, so any interleaving of inserts/deletes/updates ends
 //!   in exactly the batch violation set over the surviving rows
-//!   (property-tested in `tests/equivalence.rs` for appends and
-//!   `tests/mutations.rs` for random op interleavings).
+//!   (property-tested after every step by `tests/harness.rs`:
+//!   `datagen_replay_equals_batch_at_any_batch_split` for appends,
+//!   `any_script_matches_the_model` for random op interleavings).
 //! * A [`DriftMonitor`] tracks per-rule confidence on the live stream —
 //!   the denominator shrinks as matched rows are deleted — and flags
 //!   rules that decay below the discovery threshold, so they can be

@@ -59,7 +59,7 @@ pub fn read_str(input: &str) -> Result<Table, TableError> {
 /// [`Table::push_id_row`], so no intermediate `Vec<Vec<String>>` — and
 /// for unquoted input no owned field at all — is materialized.
 pub fn read_str_with(input: &str, opts: CsvOptions) -> Result<Table, TableError> {
-    let mut records = parse_raw_records_borrowed(input, opts.delimiter);
+    let mut records = RawRecords::new(input, opts.delimiter);
     let policy = &opts.null_policy;
     let mut first_data: Option<Vec<ValueId>> = None;
     let schema = if opts.has_header {
@@ -162,18 +162,12 @@ pub fn read_from(reader: impl Read, opts: CsvOptions) -> Result<Table, TableErro
 /// parses its op-log with it, and the next change to the benchmark
 /// (ROADMAP item 5) deletes it.
 pub fn parse_raw_records(input: &str, delimiter: char) -> Result<Vec<Vec<String>>, TableError> {
-    let mut reader = parse_raw_records_borrowed(input, delimiter);
+    let mut reader = RawRecords::new(input, delimiter);
     let mut records = Vec::new();
     while let Some(rec) = reader.next_record()? {
         records.push(rec.iter().map(str::to_string).collect());
     }
     Ok(records)
-}
-
-/// Streaming record reader whose fields borrow the input buffer — the
-/// allocation-free ingest front-end. See [`RawRecords`].
-pub fn parse_raw_records_borrowed(input: &str, delimiter: char) -> RawRecords<'_> {
-    RawRecords::new(input, delimiter)
 }
 
 /// Streaming CSV record reader yielding borrowed fields.
@@ -734,7 +728,7 @@ mod tests {
 
     #[test]
     fn unquoted_records_are_borrowed() {
-        let mut r = parse_raw_records_borrowed("a,b\n1,2\n\"q\",3\n4,5\n", ',');
+        let mut r = RawRecords::new("a,b\n1,2\n\"q\",3\n4,5\n", ',');
         let mut paths = Vec::new();
         while let Some(rec) = r.next_record().unwrap() {
             paths.push((
@@ -755,7 +749,7 @@ mod tests {
 
     #[test]
     fn non_ascii_delimiter_uses_fallback() {
-        let mut r = parse_raw_records_borrowed("a┃b\n1┃2\n", '┃');
+        let mut r = RawRecords::new("a┃b\n1┃2\n", '┃');
         let mut all = Vec::new();
         while let Some(rec) = r.next_record().unwrap() {
             assert!(!rec.is_borrowed());
@@ -767,7 +761,7 @@ mod tests {
     #[test]
     fn borrowed_fields_alias_the_input() {
         let input = "zip,city\n90001,Los Angeles\n";
-        let mut r = parse_raw_records_borrowed(input, ',');
+        let mut r = RawRecords::new(input, ',');
         r.next_record().unwrap(); // header
         {
             let rec = r.next_record().unwrap().unwrap();
