@@ -33,10 +33,7 @@ pub(crate) fn detect(
             // Live rows only: tombstoned slots can no longer violate.
             LhsCell::Wildcard => table.iter_live().collect(),
         };
-        let pattern_display = match &tuple.lhs {
-            LhsCell::Pattern(q) => q.to_string(),
-            LhsCell::Wildcard => "⊥".to_string(),
-        };
+        let pattern_display = tuple.lhs.to_string();
         for row in rows {
             out.extend(violation_at(
                 table,
@@ -54,12 +51,13 @@ pub(crate) fn detect(
 
 /// Check one row against one constant tableau tuple.
 ///
-/// The single source of truth for constant-tuple semantics (shared with
-/// the incremental `anmat-stream` engine): a non-null LHS row whose RHS
-/// differs from `expected` is a violation; the suggested repair assumes
-/// the LHS is correct and sets the RHS to `tp[B]`. The caller guarantees
-/// the row's LHS matches the tuple pattern. The agreement check is an
-/// interned-id comparison, so the hot path never touches string bytes.
+/// Batch detection's statement of constant-tuple semantics (the
+/// incremental `anmat-stream` engine asserts the same rows, held equal by
+/// its harness): a non-null LHS row whose RHS differs from `expected` is a
+/// violation; the suggested repair assumes the LHS is correct and sets
+/// the RHS to `tp[B]`. The caller guarantees the row's LHS matches the
+/// tuple pattern. The agreement check is an interned-id comparison, so
+/// the hot path never touches string bytes.
 #[must_use]
 pub fn violation_at(
     table: &Table,

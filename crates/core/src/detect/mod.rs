@@ -98,24 +98,6 @@ impl Violation {
         out
     }
 
-    /// Rewrite every row reference (flagged row, witnesses, repair
-    /// target) through a compaction [`RowIdRemap`] — the violation's
-    /// side of the remap protocol. All referenced rows are live by
-    /// construction (deleting any of them retracts or rewrites the
-    /// violation first), so the translation is total; witness lists
-    /// stay ascending because the remap is monotone.
-    ///
-    /// [`RowIdRemap`]: anmat_table::RowIdRemap
-    pub fn remap(&mut self, remap: &anmat_table::RowIdRemap) {
-        self.row = remap.live_id(self.row);
-        if let ViolationKind::Variable { witnesses, .. } = &mut self.kind {
-            remap.remap_sorted_in_place(witnesses);
-        }
-        if let Some(repair) = &mut self.repair {
-            repair.row = remap.live_id(repair.row);
-        }
-    }
-
     /// The cells of the violation as `(row, attr)` pairs — four cells for
     /// a minimal variable-PFD violation, as in the paper's
     /// `(r3[name], r3[gender], r4[name], r4[gender])` example.
@@ -215,15 +197,81 @@ pub fn detect_pfd(table: &Table, pfd: &Pfd) -> Vec<Violation> {
 }
 
 /// Run a set of PFDs over a table, sharing per-column indexes.
+///
+/// The result is a set: two rules (or two tuples) that imply the same
+/// violation report it once, as the stream engine's ledger holds it once.
+/// It is sorted stably by `(row, dependency)`, and within each such run
+/// the first occurrence of every distinct violation is kept.
 #[must_use]
 pub fn detect_all(table: &Table, pfds: &[Pfd]) -> Vec<Violation> {
     let mut detector = Detector::new(table);
-    let mut out: Vec<Violation> = pfds.iter().flat_map(|p| detector.detect(p)).collect();
-    out.sort_by(|a, b| {
+    let mut found: Vec<Violation> = pfds.iter().flat_map(|p| detector.detect(p)).collect();
+    found.sort_by(|a, b| {
         a.row
             .cmp(&b.row)
             .then_with(|| a.dependency.cmp(&b.dependency))
     });
-    out.dedup();
+    // Equal violations share `(row, dependency)`, so duplicates can only
+    // sit in one run, though not always next to each other.
+    let mut out: Vec<Violation> = Vec::with_capacity(found.len());
+    let mut run = 0;
+    for v in found {
+        if out
+            .last()
+            .is_some_and(|last| (last.row, &last.dependency) != (v.row, &v.dependency))
+        {
+            run = out.len();
+        }
+        if !out[run..].contains(&v) {
+            out.push(v);
+        }
+    }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pfd::PatternTuple;
+    use anmat_pattern::ConstrainedPattern;
+    use anmat_table::Schema;
+
+    #[test]
+    fn overlapping_rules_report_each_violation_once() {
+        // The repeated constant rule implies the same violation as the
+        // first, and the variable rule's violation of the same row sits
+        // between the two in the `(row, dependency)` run.
+        let constant = Pfd::new(
+            "Zip",
+            "zip",
+            "city",
+            vec![PatternTuple::constant(
+                ConstrainedPattern::unconstrained("900\\D{2}".parse().unwrap()),
+                "Los Angeles",
+            )],
+        );
+        let variable = Pfd::new(
+            "Zip",
+            "zip",
+            "city",
+            vec![PatternTuple::variable("[\\D{3}]\\D{2}".parse().unwrap())],
+        );
+        let table = Table::from_str_rows(
+            Schema::new(["zip", "city"]).unwrap(),
+            [
+                ["90001", "Los Angeles"],
+                ["90002", "Los Angeles"],
+                ["90003", "New York"],
+            ],
+        )
+        .unwrap();
+        let rules = [constant.clone(), variable.clone(), constant.clone()];
+        let violations = detect_all(&table, &rules);
+        assert_eq!(violations.len(), 2, "{violations:#?}");
+        // Today's order: each distinct violation at its first occurrence.
+        let once = detect_all(&table, &[constant, variable]);
+        assert_eq!(violations, once);
+        assert!(matches!(violations[0].kind, ViolationKind::Constant { .. }));
+        assert!(matches!(violations[1].kind, ViolationKind::Variable { .. }));
+    }
 }

@@ -27,10 +27,11 @@ pub(crate) fn detect(table: &Table, pfd: &Pfd, lhs: usize, rhs: usize) -> Vec<Vi
         };
         // A wildcard LHS is a plain FD on the whole column: each block is
         // one value.
-        let (q, display) = match &tuple.lhs {
-            LhsCell::Pattern(q) => (Some(q), q.to_string()),
-            LhsCell::Wildcard => (None, "⊥".to_string()),
+        let q = match &tuple.lhs {
+            LhsCell::Pattern(q) => Some(q),
+            LhsCell::Wildcard => None,
         };
+        let display = tuple.lhs.to_string();
         let blocks = BlockingIndex::block(table, lhs, q);
         for (key, rows) in &blocks.blocks {
             out.extend(flag_block_minority(
@@ -49,15 +50,17 @@ pub(crate) fn detect(table: &Table, pfd: &Pfd, lhs: usize, rhs: usize) -> Vec<Vi
 
 /// Flag the minority rows of one block.
 ///
-/// This is the single source of truth for variable-PFD block semantics:
+/// This is batch detection's statement of variable-PFD block semantics:
 /// majority vote over non-null RHS values (ties break to the
 /// lexicographically smallest value, independent of interning order),
 /// null RHS rows flagged but never voting, up to [`MAX_WITNESSES`]
-/// majority rows recorded as witnesses in row order. Both batch detection
-/// and the incremental `anmat-stream` engine call it so their violation
-/// sets agree exactly. The vote runs over interned ids; strings are only
-/// touched to break ties and to render evidence. `rows` must be in
-/// ascending order; it is walked up to three times.
+/// majority rows recorded as witnesses in row order. The incremental
+/// `anmat-stream` engine maintains the same vote per block (its blocking
+/// partitions use the same tie-break) and asserts the same rows; the
+/// stream harness holds the two equal after every step. The vote runs
+/// over interned ids; strings are only touched to break ties and to
+/// render evidence. `rows` must be in ascending order; it is walked up
+/// to three times.
 pub fn flag_block_minority<I>(
     table: &Table,
     pfd: &Pfd,
@@ -102,61 +105,29 @@ where
         if table.cell_id(row, rhs) == majority {
             continue;
         }
-        out.push(minority_violation(
-            table,
-            pfd,
-            lhs,
-            rhs,
-            pattern_display,
-            key,
-            majority.render(),
-            &witnesses,
+        let (found, majority) = (table.cell_str(row, rhs), majority.render());
+        out.push(Violation {
+            dependency: pfd.embedded_fd(),
+            lhs_attr: pfd.lhs_attr.clone(),
+            rhs_attr: pfd.rhs_attr.clone(),
             row,
-        ));
+            lhs_value: table.cell_str(row, lhs).unwrap_or_default().to_string(),
+            kind: ViolationKind::Variable {
+                pattern: pattern_display.to_string(),
+                key: key.to_string(),
+                majority: majority.to_string(),
+                found: found.map(str::to_string),
+                witnesses: witnesses.clone(),
+            },
+            repair: Some(Repair {
+                row,
+                attr: pfd.rhs_attr.clone(),
+                from: found.map(str::to_string),
+                to: majority.to_string(),
+            }),
+        });
     }
     out
-}
-
-/// Build the violation for one block-minority row.
-///
-/// Shared by [`flag_block_minority`] and the incremental engine's fast
-/// path (append a minority row to a block whose majority and witnesses
-/// are unchanged), so both construct bit-identical violations.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn minority_violation(
-    table: &Table,
-    pfd: &Pfd,
-    lhs: usize,
-    rhs: usize,
-    pattern_display: &str,
-    key: &str,
-    majority: &str,
-    witnesses: &[RowId],
-    row: RowId,
-) -> Violation {
-    let found = table.cell_str(row, rhs);
-    let lhs_value = table.cell_str(row, lhs).unwrap_or_default().to_string();
-    Violation {
-        dependency: pfd.embedded_fd(),
-        lhs_attr: pfd.lhs_attr.clone(),
-        rhs_attr: pfd.rhs_attr.clone(),
-        row,
-        lhs_value,
-        kind: ViolationKind::Variable {
-            pattern: pattern_display.to_string(),
-            key: key.to_string(),
-            majority: majority.to_string(),
-            found: found.map(str::to_string),
-            witnesses: witnesses.to_vec(),
-        },
-        repair: Some(Repair {
-            row,
-            attr: pfd.rhs_attr.clone(),
-            from: found.map(str::to_string),
-            to: majority.to_string(),
-        }),
-    }
 }
 
 /// Quadratic pair enumeration (the paper's brute-force description), for

@@ -5,54 +5,78 @@
 //! New rows can both **create** violations and **retract** earlier ones —
 //! a late burst of agreeing rows can flip a block's majority RHS, turning
 //! yesterday's "error" into today's consensus — so the ledger tracks
-//! every live violation with a reference count (two rules can imply the
-//! same violation; it stays live until the last implier retracts it) and
+//! every live violation with a reference count (two rules can make the
+//! same assertion; it stays live until the last one retracts it) and
 //! running created/retracted totals for monitoring.
 //!
-//! Identity is *structural equality*: two violations are the same ledger
-//! entry iff they are equal field for field (dependency, row, evidence,
-//! witnesses, repair — everything). The live map is keyed by the
-//! [`Violation`] itself under its derived `Ord`, so nothing is serialized
-//! on a write path: a create or a retract is one ordered lookup (a create
-//! clones the violation only when it is new), and each live violation is
-//! held once. The incremental engine retracts exactly the objects it
-//! previously created, so structural identity is both precise and cheap.
+//! # Identity is the assertion
+//!
+//! A violation flags one cell (§3 of the paper): the flagged row's RHS,
+//! which should hold the constant tuple's `tp[B]` or the block majority.
+//! Its identity is what it asserts, held as ids in an [`Assertion`]: the
+//! tuple's [`TupleSignature`] (attributes, kind, pattern display; an
+//! index into the ledger's deduplicated signature table), the block key,
+//! the value the cell should hold, the flagged row, and the row's LHS
+//! and found values. The live set holds a packed 24-byte form of it, so a
+//! create or a retract is a lookup in an ordered set and allocates
+//! nothing but the event; only an assertion more than one tuple makes
+//! (overlapping rules) also keeps a reference count beside it.
+//!
+//! Witnesses and the repair are *evidence*, not identity. The repair
+//! follows from the assertion (set the flagged cell to the value it
+//! should hold), and the witnesses — the block's first
+//! [`MAX_WITNESSES`] majority rows — are kept once per block, only while
+//! a live violation cites the block, and kept current by
+//! [`ViolationLedger::refresh_witnesses`] without any event. So a
+//! witness leaving (a retention window expiring a block's oldest rows)
+//! changes no violation's liveness. A full [`Violation`] is built only
+//! where one is shown: [`ViolationLedger::render`] and
+//! [`ViolationLedger::snapshot`]. An event carries its violation's
+//! identity as owned strings, with an empty witness list, so it stays
+//! readable after the ids it was built from are reclaimed.
 //!
 //! Two orders are visible. [`ViolationLedger::live`] iterates in the
-//! derived `Ord` order of the map. [`ViolationLedger::snapshot`] sorts
-//! like [`crate::detect_all`] output, by `(row, dependency)`, and breaks
-//! the remaining ties by the violations' JSON text. That order is part of
-//! what `anmat stream --checkpoint` writes, so it does not follow the
-//! derived `Ord`.
+//! derived `Ord` order of [`Assertion`] (signature, block, expected
+//! value, row, …). [`ViolationLedger::snapshot`] sorts like
+//! [`crate::detect_all`] output, by `(row, dependency)`, and breaks the
+//! remaining ties by the violations' JSON text. That order is part of
+//! what `anmat stream --checkpoint` writes.
 //!
 //! The ledger also participates in the **compaction remap protocol**:
 //! when the backing table compacts (renumbering `RowId`s),
-//! [`ViolationLedger::remap`] rewrites every live violation's row
-//! references in place and adopts the remap's epoch. Event *history* is
-//! never rewritten — each [`LedgerEvent`] carries the
+//! [`ViolationLedger::remap`] rewrites every live assertion's row and
+//! every block's witnesses in place and adopts the remap's epoch. Event
+//! *history* is never rewritten — each [`LedgerEvent`] carries the
 //! [`epoch`](LedgerEvent::epoch) it was emitted in, so a consumer
 //! replaying an event log knows which id space every row reference
 //! lives in, and replay stays bit-exact across compactions.
 
-use crate::detect::Violation;
+use crate::detect::variable::MAX_WITNESSES;
+use crate::detect::{Repair, Violation, ViolationKind};
+use crate::pfd::{PatternTuple, Pfd, RhsCell};
 use anmat_obs as obs;
-use anmat_table::RowIdRemap;
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use anmat_table::{RowId, RowIdRemap, ValueId};
+use fxhash::FxHashMap;
+use std::collections::{btree_map, hash_map, BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// What happened to a violation's liveness.
+/// What a liveness change is about.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LedgerChange {
     /// A violation became live.
     Created(Violation),
     /// A previously live violation was withdrawn (e.g. the block majority
-    /// flipped, or its witnesses changed).
+    /// flipped, or the flagged row left).
     Retracted(Violation),
 }
 
 /// A change to the set of live violations, stamped with the compaction
 /// epoch it was emitted in.
+///
+/// The violation is the assertion's identity, rendered when the event was
+/// emitted: every field but the witnesses, which are evidence that moves
+/// without events (see the module docs), so its witness list is empty
+/// and a retraction equals the creation it cancels.
 ///
 /// Row ids inside the change are meaningful relative to `epoch`: a
 /// compaction renumbers rows, remaps the *live* set silently (no
@@ -68,7 +92,7 @@ pub struct LedgerEvent {
 }
 
 impl LedgerEvent {
-    /// The violation the event concerns.
+    /// The violation the event concerns (its identity; no witnesses).
     #[must_use]
     pub fn violation(&self) -> &Violation {
         match &self.change {
@@ -83,17 +107,175 @@ impl LedgerEvent {
     }
 }
 
-/// The set of currently live violations, keyed by the violation itself,
-/// with reference counts and lifetime counters.
+/// What a tableau tuple contributes to every violation it asserts: its
+/// rule's attributes, its kind and its LHS pattern's display form.
+/// Tuples with equal signatures over the same rows assert equal
+/// violations, which is how two rules share a ledger entry.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TupleSignature {
+    dependency: String,
+    lhs_attr: String,
+    rhs_attr: String,
+    pattern: String,
+    variable: bool,
+}
+
+impl TupleSignature {
+    /// The signature of `tuple`, one of `pfd`'s tableau tuples.
+    #[must_use]
+    pub fn of(pfd: &Pfd, tuple: &PatternTuple) -> TupleSignature {
+        TupleSignature {
+            dependency: pfd.embedded_fd(),
+            lhs_attr: pfd.lhs_attr.clone(),
+            rhs_attr: pfd.rhs_attr.clone(),
+            pattern: tuple.lhs.to_string(),
+            variable: matches!(tuple.rhs, RhsCell::Wildcard),
+        }
+    }
+}
+
+/// Index of a [`TupleSignature`] in one ledger's signature table
+/// ([`ViolationLedger::signature`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct SignatureId(u32);
+
+/// What one violation asserts, as ids: the identity the ledger keys on.
 ///
-/// The live map sits behind an [`Arc`], so [`ViolationLedger::freeze`]
+/// Every id names a value the engine keeps alive while the violation is
+/// live — the flagged row's own cells, the rule's constant, the block's
+/// key and majority — so an assertion in the ledger always renders.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Assertion {
+    /// The asserting tuple's signature.
+    pub signature: SignatureId,
+    /// The block key of a variable tuple; [`ValueId::NULL`] for a
+    /// constant tuple.
+    pub key: ValueId,
+    /// The value the flagged cell should hold: the constant tuple's
+    /// `tp[B]`, or the block majority.
+    pub expected: ValueId,
+    /// The flagged row.
+    pub row: RowId,
+    /// The flagged row's LHS value.
+    pub lhs: ValueId,
+    /// The flagged row's RHS value ([`ValueId::NULL`] for a null cell).
+    pub found: ValueId,
+}
+
+/// An [`Assertion`] as the live map keys it: 24 bytes, with the row id
+/// narrowed to `u32` like the blocking partitions' runs. Field order
+/// keeps the derived order of [`Assertion`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+struct Packed {
+    signature: u32,
+    key: ValueId,
+    expected: ValueId,
+    row: u32,
+    lhs: ValueId,
+    found: ValueId,
+}
+
+fn narrow(row: RowId) -> u32 {
+    u32::try_from(row).expect("row ids fit in u32")
+}
+
+impl From<&Assertion> for Packed {
+    fn from(a: &Assertion) -> Packed {
+        Packed {
+            signature: a.signature.0,
+            key: a.key,
+            expected: a.expected,
+            row: narrow(a.row),
+            lhs: a.lhs,
+            found: a.found,
+        }
+    }
+}
+
+impl Packed {
+    fn unpack(&self) -> Assertion {
+        Assertion {
+            signature: SignatureId(self.signature),
+            key: self.key,
+            expected: self.expected,
+            row: self.row as RowId,
+            lhs: self.lhs,
+            found: self.found,
+        }
+    }
+
+    /// The block this assertion cites evidence from.
+    fn block(&self) -> Block {
+        (self.signature, self.key, self.expected)
+    }
+}
+
+/// A block as evidence is keyed: signature, block key, majority. The
+/// majority is part of it because the witnesses are the majority's rows.
+type Block = (u32, ValueId, ValueId);
+
+/// A block's evidence: its first [`MAX_WITNESSES`] majority rows, and how
+/// many live violations cite them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Evidence {
+    witnesses: [u32; MAX_WITNESSES],
+    len: u8,
+    cited: u32,
+}
+
+impl Evidence {
+    fn new(rows: impl IntoIterator<Item = RowId>) -> Evidence {
+        let mut evidence = Evidence {
+            witnesses: [0; MAX_WITNESSES],
+            len: 0,
+            cited: 0,
+        };
+        evidence.set(rows);
+        evidence
+    }
+
+    /// Replace the witnesses with the first [`MAX_WITNESSES`] of `rows`.
+    fn set(&mut self, rows: impl IntoIterator<Item = RowId>) {
+        self.len = 0;
+        for (slot, row) in self.witnesses.iter_mut().zip(rows) {
+            *slot = narrow(row);
+            self.len += 1;
+        }
+    }
+
+    fn rows(&self) -> impl Iterator<Item = RowId> + '_ {
+        self.witnesses[..usize::from(self.len)]
+            .iter()
+            .map(|&r| r as RowId)
+    }
+}
+
+/// The ledger's mutable state, shared with frozen views until the next
+/// write: the live assertions with their reference counts, and the
+/// evidence of every block a live violation cites.
+#[derive(Debug, Default, Clone)]
+struct Live {
+    /// Every live assertion.
+    assertions: BTreeSet<Packed>,
+    /// References beyond the first, for the assertions more than one
+    /// tuple makes (overlapping rules); the rest, nearly all, have no
+    /// entry and cost the set's 24 bytes alone.
+    extra_refs: FxHashMap<Packed, u32>,
+    evidence: BTreeMap<Block, Evidence>,
+}
+
+/// The set of currently live violations, keyed by what each asserts,
+/// with reference counts, per-block evidence and lifetime counters.
+///
+/// The live state sits behind an [`Arc`], so [`ViolationLedger::freeze`]
 /// captures a consistent snapshot in `O(1)`; the first mutation after a
-/// capture copies the map once (map-granular copy-on-write) and every
-/// further mutation is back to in-place cost.
+/// capture copies it once (copy-on-write) and every further mutation is
+/// back to in-place cost.
 #[derive(Debug, Default, Clone)]
 pub struct ViolationLedger {
-    /// Violation → refcount. A `BTreeMap` keeps iteration deterministic.
-    live: Arc<BTreeMap<Violation, usize>>,
+    /// The deduplicated tuple signatures assertions name.
+    signatures: Arc<Vec<TupleSignature>>,
+    live: Arc<Live>,
     created_total: usize,
     retracted_total: usize,
     /// Compaction epoch stamped onto emitted events; follows the backing
@@ -102,7 +284,7 @@ pub struct ViolationLedger {
 }
 
 /// A frozen, read-only view of a [`ViolationLedger`] captured by
-/// [`ViolationLedger::freeze`] — shares the live map with the ledger
+/// [`ViolationLedger::freeze`] — shares the live state with the ledger
 /// until the ledger next mutates. Derefs to [`ViolationLedger`], so the
 /// whole read API (`live`, `snapshot`, counters) works on it.
 #[derive(Debug, Clone)]
@@ -139,9 +321,31 @@ impl ViolationLedger {
         ViolationLedger::default()
     }
 
+    /// The id assertions use to name `signature`: an existing entry of
+    /// the signature table if an equal signature was registered before,
+    /// a new one otherwise.
+    pub fn signature(&mut self, signature: TupleSignature) -> SignatureId {
+        let position = self.signatures.iter().position(|s| *s == signature);
+        let index = position.unwrap_or_else(|| {
+            let signatures = Arc::make_mut(&mut self.signatures);
+            signatures.push(signature);
+            signatures.len() - 1
+        });
+        SignatureId(u32::try_from(index).expect("signature ids fit in u32"))
+    }
+
+    fn signature_of(&self, id: SignatureId) -> &TupleSignature {
+        &self.signatures[id.0 as usize]
+    }
+
     /// Capture a copy-on-write snapshot: `O(1)` — the handle shares the
-    /// live map until this ledger next mutates (which pays one map
-    /// copy, counted as `snapshot.map_copies`).
+    /// live state until this ledger next mutates (which pays one copy,
+    /// counted as `snapshot.map_copies`).
+    ///
+    /// The snapshot renders its assertions through the value pool, so it
+    /// must not outlive a reclamation sweep that frees their strings:
+    /// take it through `anmat_stream::StreamEngine::snapshot`, which
+    /// defers sweeps while the snapshot lives.
     #[must_use]
     pub fn freeze(&self) -> LedgerSnapshot {
         obs::counter!("snapshot.ledger_captures").incr();
@@ -150,59 +354,111 @@ impl ViolationLedger {
         }
     }
 
-    /// The live map, for mutation — copies it first if a snapshot still
-    /// shares it.
-    fn live_mut(&mut self) -> &mut BTreeMap<Violation, usize> {
+    /// The live state, for mutation — copies it first if a snapshot
+    /// still shares it.
+    fn live_mut(&mut self) -> &mut Live {
         if Arc::strong_count(&self.live) > 1 {
             obs::counter!("snapshot.map_copies").incr();
         }
         Arc::make_mut(&mut self.live)
     }
 
-    /// Record a violation. Returns the `Created` event if it was not
+    /// Record an assertion. Returns the `Created` event if it was not
     /// already live (otherwise only the reference count grows).
-    pub fn create(&mut self, violation: Violation) -> Option<LedgerEvent> {
-        let violation = match self.live_mut().entry(violation) {
-            Entry::Occupied(mut refcount) => {
-                *refcount.get_mut() += 1;
-                return None;
-            }
-            Entry::Vacant(slot) => {
-                let violation = slot.key().clone();
-                slot.insert(1);
-                violation
-            }
-        };
+    ///
+    /// `witnesses` yields the block's majority rows in row order; it is
+    /// called only when a variable assertion is the first live violation
+    /// to cite its block, and only its first [`MAX_WITNESSES`] rows are
+    /// kept.
+    pub fn create<I>(
+        &mut self,
+        assertion: Assertion,
+        witnesses: impl FnOnce() -> I,
+    ) -> Option<LedgerEvent>
+    where
+        I: IntoIterator<Item = RowId>,
+    {
+        let packed = Packed::from(&assertion);
+        let variable = self.signature_of(assertion.signature).variable;
+        let live = self.live_mut();
+        if !live.assertions.insert(packed) {
+            *live.extra_refs.entry(packed).or_default() += 1;
+            return None;
+        }
+        if variable {
+            let evidence = live.evidence.entry(packed.block());
+            evidence.or_insert_with(|| Evidence::new(witnesses())).cited += 1;
+        }
         self.created_total += 1;
         obs::counter!("ledger.created").incr();
         Some(LedgerEvent {
             epoch: self.epoch,
-            change: LedgerChange::Created(violation),
+            change: LedgerChange::Created(self.identity(&assertion)),
         })
     }
 
-    /// Withdraw a violation. Returns the `Retracted` event once the last
-    /// reference is gone; `None` if other rules still imply it (or it was
+    /// Withdraw an assertion. Returns the `Retracted` event once the last
+    /// reference is gone; `None` if other rules still make it (or it was
     /// never live).
-    pub fn retract(&mut self, violation: &Violation) -> Option<LedgerEvent> {
+    pub fn retract(&mut self, assertion: &Assertion) -> Option<LedgerEvent> {
+        let packed = Packed::from(assertion);
         // Peek before touching the map so a retract of a never-live
-        // violation doesn't force a COW copy under a snapshot.
-        if !self.live.contains_key(violation) {
+        // assertion doesn't force a copy under a snapshot.
+        if !self.live.assertions.contains(&packed) {
             return None;
         }
+        let variable = self.signature_of(assertion.signature).variable;
         let live = self.live_mut();
-        let refcount = live.get_mut(violation)?;
-        *refcount -= 1;
-        if *refcount > 0 {
+        if let hash_map::Entry::Occupied(mut extra) = live.extra_refs.entry(packed) {
+            *extra.get_mut() -= 1;
+            if *extra.get() == 0 {
+                extra.remove();
+            }
             return None;
         }
-        let (v, _) = live.remove_entry(violation).expect("entry exists");
+        live.assertions.remove(&packed);
+        if variable {
+            let btree_map::Entry::Occupied(mut evidence) = live.evidence.entry(packed.block())
+            else {
+                unreachable!("a live variable assertion cites its block's evidence");
+            };
+            evidence.get_mut().cited -= 1;
+            if evidence.get().cited == 0 {
+                evidence.remove();
+            }
+        }
         self.retracted_total += 1;
         obs::counter!("ledger.retracted").incr();
         Some(LedgerEvent {
             epoch: self.epoch,
-            change: LedgerChange::Retracted(v),
+            change: LedgerChange::Retracted(self.identity(assertion)),
         })
+    }
+
+    /// Bring a block's witnesses up to date after a majority row came or
+    /// went: if a live violation cites the block of `signature`, `key`
+    /// and `majority`, its witnesses become the first [`MAX_WITNESSES`]
+    /// rows `witnesses` yields (which is not called otherwise). Emits no
+    /// event — witnesses are evidence, not identity — and writes only
+    /// when they changed.
+    pub fn refresh_witnesses<I>(
+        &mut self,
+        signature: SignatureId,
+        key: ValueId,
+        majority: ValueId,
+        witnesses: impl FnOnce() -> I,
+    ) where
+        I: IntoIterator<Item = RowId>,
+    {
+        let block = (signature.0, key, majority);
+        let Some(current) = self.live.evidence.get(&block) else {
+            return;
+        };
+        let mut fresh = *current;
+        fresh.set(witnesses());
+        if fresh != *current {
+            self.live_mut().evidence.insert(block, fresh);
+        }
     }
 
     /// The ledger's current compaction epoch (0 before any
@@ -212,9 +468,9 @@ impl ViolationLedger {
         self.epoch
     }
 
-    /// Apply a compaction [`RowIdRemap`]: rewrite every *live*
-    /// violation's row references (flagged row, witnesses, repair
-    /// target) into the new id space and adopt the remap's epoch.
+    /// Apply a compaction [`RowIdRemap`]: rewrite every live assertion's
+    /// row and every block's witnesses into the new id space and adopt
+    /// the remap's epoch.
     ///
     /// Deliberately silent — no `Created`/`Retracted` events are
     /// emitted and the lifetime counters do not move, because no
@@ -227,50 +483,118 @@ impl ViolationLedger {
     pub fn remap(&mut self, remap: &RowIdRemap) {
         self.epoch = remap.epoch();
         let live = self.live_mut();
-        let count = live.len();
-        *live = std::mem::take(live)
+        let moved = |mut key: Packed| {
+            key.row = narrow(remap.live_id(key.row as RowId));
+            key
+        };
+        let count = live.assertions.len();
+        live.assertions = std::mem::take(&mut live.assertions)
             .into_iter()
-            .map(|(mut v, refcount)| {
-                v.remap(remap);
-                (v, refcount)
-            })
+            .map(moved)
             .collect();
-        debug_assert_eq!(live.len(), count, "remap is injective on live violations");
+        debug_assert_eq!(
+            live.assertions.len(),
+            count,
+            "remap is injective on live rows"
+        );
+        live.extra_refs = std::mem::take(&mut live.extra_refs)
+            .into_iter()
+            .map(|(key, refs)| (moved(key), refs))
+            .collect();
+        for evidence in live.evidence.values_mut() {
+            let rows: Vec<RowId> = evidence.rows().map(|r| remap.live_id(r)).collect();
+            evidence.set(rows);
+        }
     }
 
-    /// The live violations, in the derived `Ord` order of [`Violation`]
-    /// (dependency, attributes, row, …). For `detect_all`'s order use
-    /// [`ViolationLedger::snapshot`].
-    pub fn live(&self) -> impl Iterator<Item = &Violation> {
-        self.live.keys()
+    /// The live assertions, in their derived `Ord` order (signature,
+    /// block key, expected value, row, …). Nothing is rendered; for
+    /// violations use [`ViolationLedger::snapshot`] or
+    /// [`ViolationLedger::render`].
+    pub fn live(&self) -> impl Iterator<Item = Assertion> + '_ {
+        self.live.assertions.iter().map(Packed::unpack)
     }
 
-    /// The live violations sorted like [`crate::detect_all`] output:
-    /// `(row, dependency)` first, then the violations' JSON text for a
-    /// total order. The JSON tie-break is the only serialization the
-    /// ledger does, and only on ties.
+    /// The violation `assertion` stands for, as batch detection reports
+    /// it: witnesses (the cited block's current evidence) and repair
+    /// included.
+    #[must_use]
+    pub fn render(&self, assertion: &Assertion) -> Violation {
+        let mut v = self.identity(assertion);
+        if let ViolationKind::Variable { witnesses, .. } = &mut v.kind {
+            let block = Packed::from(assertion).block();
+            if let Some(evidence) = self.live.evidence.get(&block) {
+                witnesses.extend(evidence.rows());
+            }
+        }
+        v
+    }
+
+    /// An assertion rendered with an empty witness list: what events
+    /// carry.
+    fn identity(&self, a: &Assertion) -> Violation {
+        let signature = self.signature_of(a.signature);
+        let found = a.found.as_str().map(str::to_string);
+        let expected = a.expected.render().to_string();
+        let pattern = signature.pattern.clone();
+        let kind = if signature.variable {
+            ViolationKind::Variable {
+                pattern,
+                key: a.key.render().to_string(),
+                majority: expected.clone(),
+                found: found.clone(),
+                witnesses: Vec::new(),
+            }
+        } else {
+            ViolationKind::Constant {
+                pattern,
+                expected: expected.clone(),
+                found: found.clone(),
+            }
+        };
+        Violation {
+            dependency: signature.dependency.clone(),
+            lhs_attr: signature.lhs_attr.clone(),
+            rhs_attr: signature.rhs_attr.clone(),
+            row: a.row,
+            lhs_value: a.lhs.render().to_string(),
+            kind,
+            repair: Some(Repair {
+                row: a.row,
+                attr: signature.rhs_attr.clone(),
+                from: found,
+                to: expected,
+            }),
+        }
+    }
+
+    /// The live violations, rendered ([`ViolationLedger::render`]) and
+    /// sorted like [`crate::detect_all`] output: `(row, dependency)`
+    /// first, then the violations' JSON text for a total order. The JSON
+    /// tie-break is the only serialization the ledger does, and only on
+    /// ties.
     #[must_use]
     pub fn snapshot(&self) -> Vec<Violation> {
-        let mut out: Vec<&Violation> = self.live.keys().collect();
+        let mut out: Vec<Violation> = self.live().map(|a| self.render(&a)).collect();
         out.sort_by(|a, b| {
             a.row
                 .cmp(&b.row)
                 .then_with(|| a.dependency.cmp(&b.dependency))
                 .then_with(|| canonical_key(a).cmp(&canonical_key(b)))
         });
-        out.into_iter().cloned().collect()
+        out
     }
 
     /// Number of currently live violations.
     #[must_use]
     pub fn live_count(&self) -> usize {
-        self.live.len()
+        self.live.assertions.len()
     }
 
     /// Is the ledger empty?
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.live.assertions.is_empty()
     }
 
     /// Violations ever created (distinct live transitions).
@@ -289,72 +613,123 @@ impl ViolationLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect::{Violation, ViolationKind};
+    use crate::pfd::PatternTuple;
+    use anmat_pattern::ConstrainedPattern;
+    use anmat_table::ValuePool;
 
-    fn violation(row: usize, expected: &str) -> Violation {
-        Violation {
-            dependency: "zip → city".into(),
-            lhs_attr: "zip".into(),
-            rhs_attr: "city".into(),
+    fn zip_pfd(tableau: Vec<PatternTuple>) -> Pfd {
+        Pfd::new("Zip", "zip", "city", tableau)
+    }
+
+    fn constant_signature() -> TupleSignature {
+        let tuple = PatternTuple::constant(
+            ConstrainedPattern::unconstrained("900\\D{2}".parse().unwrap()),
+            "Los Angeles",
+        );
+        TupleSignature::of(&zip_pfd(vec![tuple.clone()]), &tuple)
+    }
+
+    fn variable_signature() -> TupleSignature {
+        let tuple = PatternTuple::variable("[\\D{3}]\\D{2}".parse().unwrap());
+        TupleSignature::of(&zip_pfd(vec![tuple.clone()]), &tuple)
+    }
+
+    /// A ledger with the constant (id 0) and variable (id 1) zip
+    /// signatures registered.
+    fn ledger() -> (ViolationLedger, SignatureId, SignatureId) {
+        let mut ledger = ViolationLedger::new();
+        let constant = ledger.signature(constant_signature());
+        let variable = ledger.signature(variable_signature());
+        (ledger, constant, variable)
+    }
+
+    fn id(s: &str) -> ValueId {
+        ValuePool::intern(s)
+    }
+
+    fn constant(signature: SignatureId, row: RowId, expected: &str) -> Assertion {
+        Assertion {
+            signature,
+            key: ValueId::NULL,
+            expected: id(expected),
             row,
-            lhs_value: "90004".into(),
-            kind: ViolationKind::Constant {
-                pattern: "900\\D{2}".into(),
-                expected: expected.into(),
-                found: Some("New York".into()),
-            },
-            repair: None,
+            lhs: id("90004"),
+            found: id("New York"),
         }
+    }
+
+    fn variable(signature: SignatureId, row: RowId) -> Assertion {
+        Assertion {
+            signature,
+            key: id("900"),
+            expected: id("Los Angeles"),
+            row,
+            lhs: id("90004"),
+            found: id("New York"),
+        }
+    }
+
+    fn no_witnesses() -> Vec<RowId> {
+        Vec::new()
     }
 
     #[test]
     fn create_and_retract_roundtrip() {
-        let mut ledger = ViolationLedger::new();
-        let v = violation(3, "Los Angeles");
-        let created = ledger.create(v.clone()).expect("fresh violation");
+        let (mut ledger, c, _) = ledger();
+        let a = constant(c, 3, "Los Angeles");
+        let created = ledger.create(a, no_witnesses).expect("fresh violation");
         assert!(created.is_created());
         assert_eq!(created.epoch, 0, "pre-compaction events carry epoch 0");
+        assert_eq!(created.violation().row, 3);
         assert_eq!(ledger.live_count(), 1);
-        let retracted = ledger.retract(&v).expect("was live");
+        let retracted = ledger.retract(&a).expect("was live");
         assert!(!retracted.is_created());
-        assert!(matches!(retracted.change, LedgerChange::Retracted(_)));
+        assert_eq!(retracted.violation(), created.violation());
         assert!(ledger.is_empty());
         assert_eq!(ledger.created_total(), 1);
         assert_eq!(ledger.retracted_total(), 1);
     }
 
     #[test]
+    fn equal_signatures_share_an_id() {
+        let (mut ledger, c, v) = ledger();
+        assert_ne!(c, v);
+        assert_eq!(ledger.signature(constant_signature()), c);
+        assert_eq!(ledger.signature(variable_signature()), v);
+    }
+
+    #[test]
     fn refcount_suppresses_duplicate_events() {
-        let mut ledger = ViolationLedger::new();
-        let v = violation(3, "Los Angeles");
-        assert!(ledger.create(v.clone()).is_some());
-        // A second rule implying the identical violation: no new event.
-        assert!(ledger.create(v.clone()).is_none());
+        let (mut ledger, c, _) = ledger();
+        let a = constant(c, 3, "Los Angeles");
+        assert!(ledger.create(a, no_witnesses).is_some());
+        // A second rule making the identical assertion: no new event.
+        assert!(ledger.create(a, no_witnesses).is_none());
         assert_eq!(ledger.live_count(), 1);
         // First retraction leaves it live; the second removes it.
-        assert!(ledger.retract(&v).is_none());
+        assert!(ledger.retract(&a).is_none());
         assert_eq!(ledger.live_count(), 1);
-        assert!(ledger.retract(&v).is_some());
+        assert!(ledger.retract(&a).is_some());
         assert!(ledger.is_empty());
     }
 
     #[test]
     fn retract_unknown_is_noop() {
-        let mut ledger = ViolationLedger::new();
-        assert!(ledger.retract(&violation(9, "X")).is_none());
+        let (mut ledger, c, _) = ledger();
+        assert!(ledger.retract(&constant(c, 9, "X")).is_none());
         assert_eq!(ledger.retracted_total(), 0);
     }
 
     #[test]
     fn double_retract_is_a_noop() {
-        let mut ledger = ViolationLedger::new();
-        let v = violation(3, "Los Angeles");
-        ledger.create(v.clone());
-        assert!(ledger.retract(&v).is_some());
-        // A second retraction of the same violation must change nothing:
+        let (mut ledger, c, _) = ledger();
+        let a = constant(c, 3, "Los Angeles");
+        ledger.create(a, no_witnesses);
+        assert!(ledger.retract(&a).is_some());
+        // A second retraction of the same assertion must change nothing:
         // no event, no counter movement, no underflow.
-        assert!(ledger.retract(&v).is_none());
-        assert!(ledger.retract(&v).is_none());
+        assert!(ledger.retract(&a).is_none());
+        assert!(ledger.retract(&a).is_none());
         assert_eq!(ledger.retracted_total(), 1);
         assert_eq!(ledger.created_total(), 1);
         assert!(ledger.is_empty());
@@ -362,60 +737,139 @@ mod tests {
 
     #[test]
     fn retract_then_recreate_yields_a_fresh_event() {
-        let mut ledger = ViolationLedger::new();
-        let v = violation(3, "Los Angeles");
-        assert!(ledger.create(v.clone()).is_some_and(|e| e.is_created()));
-        ledger.retract(&v).unwrap();
+        let (mut ledger, c, _) = ledger();
+        let a = constant(c, 3, "Los Angeles");
+        assert!(ledger
+            .create(a, no_witnesses)
+            .is_some_and(|e| e.is_created()));
+        ledger.retract(&a).unwrap();
         // Re-creating after a full retraction is a new lifecycle: a
         // fresh Created event, and both lifetime counters advance.
-        assert!(ledger.create(v.clone()).is_some_and(|e| e.is_created()));
+        assert!(ledger
+            .create(a, no_witnesses)
+            .is_some_and(|e| e.is_created()));
         assert_eq!(ledger.created_total(), 2);
         assert_eq!(ledger.retracted_total(), 1);
         assert_eq!(ledger.live_count(), 1);
     }
 
     #[test]
+    fn render_builds_the_violation_batch_detection_reports() {
+        let (mut ledger, c, v) = ledger();
+        let event = ledger.create(variable(v, 4), || [0, 1, 2, 3, 5]).unwrap();
+        ledger.create(constant(c, 4, "Los Angeles"), no_witnesses);
+        let want = Violation {
+            dependency: "zip → city".into(),
+            lhs_attr: "zip".into(),
+            rhs_attr: "city".into(),
+            row: 4,
+            lhs_value: "90004".into(),
+            kind: ViolationKind::Variable {
+                pattern: "[\\D{3}]\\D{2}".into(),
+                key: "900".into(),
+                majority: "Los Angeles".into(),
+                found: Some("New York".into()),
+                witnesses: vec![0, 1, 2, 3],
+            },
+            repair: Some(Repair {
+                row: 4,
+                attr: "city".into(),
+                from: Some("New York".into()),
+                to: "Los Angeles".into(),
+            }),
+        };
+        assert_eq!(ledger.render(&variable(v, 4)), want);
+        // The event names the identity: everything but the witnesses.
+        let mut identity = want.clone();
+        if let ViolationKind::Variable { witnesses, .. } = &mut identity.kind {
+            witnesses.clear();
+        }
+        assert_eq!(event.violation(), &identity);
+        let constant = ledger.render(&constant(c, 4, "Los Angeles"));
+        assert!(matches!(
+            constant.kind,
+            ViolationKind::Constant { ref expected, .. } if expected == "Los Angeles"
+        ));
+        assert_eq!(constant.repair.unwrap().to, "Los Angeles");
+    }
+
+    #[test]
+    fn witnesses_are_evidence_not_identity() {
+        let (mut ledger, _, v) = ledger();
+        ledger.create(variable(v, 4), || [0, 1]);
+        // The first citing violation fixed the evidence; later ones reuse
+        // it without calling their closure.
+        ledger.create(variable(v, 6), || -> Vec<RowId> { unreachable!() });
+        let (created, retracted) = (ledger.created_total(), ledger.retracted_total());
+        // A witness leaves: the block's evidence moves, silently.
+        let (key, majority) = (id("900"), id("Los Angeles"));
+        ledger.refresh_witnesses(v, key, majority, || [1, 2]);
+        let witnesses = |ledger: &ViolationLedger| {
+            ledger
+                .snapshot()
+                .into_iter()
+                .map(|v| match v.kind {
+                    ViolationKind::Variable { witnesses, .. } => witnesses,
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(witnesses(&ledger), vec![vec![1, 2], vec![1, 2]]);
+        assert_eq!(
+            (ledger.created_total(), ledger.retracted_total()),
+            (created, retracted)
+        );
+        // Once no violation cites the block, its evidence goes: a refresh
+        // finds nothing to update, and the next violation supplies anew.
+        ledger.retract(&variable(v, 4));
+        ledger.retract(&variable(v, 6));
+        ledger.refresh_witnesses(v, key, majority, || -> Vec<RowId> { unreachable!() });
+        ledger.create(variable(v, 4), || [7]);
+        assert_eq!(witnesses(&ledger), vec![vec![7]]);
+    }
+
+    #[test]
     fn snapshot_sorted_by_row_then_dependency() {
-        let mut ledger = ViolationLedger::new();
-        ledger.create(violation(5, "A"));
-        ledger.create(violation(1, "B"));
-        ledger.create(violation(1, "A"));
+        let (mut ledger, c, _) = ledger();
+        ledger.create(constant(c, 5, "A"), no_witnesses);
+        ledger.create(constant(c, 1, "B"), no_witnesses);
+        ledger.create(constant(c, 1, "A"), no_witnesses);
         let rows: Vec<usize> = ledger.snapshot().iter().map(|v| v.row).collect();
         assert_eq!(rows, vec![1, 1, 5]);
     }
 
     #[test]
     fn snapshot_breaks_row_and_dependency_ties_by_json_text() {
-        // One row, one dependency: a constant violation and two variable
-        // ones whose witness lists order one way as numbers ([9] < [10])
-        // and the other way as JSON text ("[10]" < "[9]").
-        let constant = violation(4, "Los Angeles");
-        let nine = variable_violation(4, vec![9]);
-        let ten = variable_violation(4, vec![10]);
-        let mut ledger = ViolationLedger::new();
-        for v in [&nine, &constant, &ten] {
-            ledger.create(v.clone());
+        // One row, one dependency: a variable violation and two constant
+        // ones whose expected values order one way as ids (interned
+        // first, `zeta…` is smaller) and the other way as JSON text.
+        let zeta = "zeta-snapshot-tie";
+        let alpha = "alpha-snapshot-tie";
+        id(zeta);
+        id(alpha);
+        let (mut ledger, c, v) = ledger();
+        let (z, a, var) = (constant(c, 4, zeta), constant(c, 4, alpha), variable(v, 4));
+        for assertion in [var, z, a] {
+            ledger.create(assertion, || [1]);
         }
-        assert_eq!(
-            ledger.snapshot(),
-            vec![constant.clone(), ten.clone(), nine.clone()]
-        );
+        let snapshot = ledger.snapshot();
+        let rendered = [a, z, var].map(|x| ledger.render(&x));
+        assert_eq!(snapshot, rendered);
         // `live()` follows the derived order instead.
-        let live: Vec<&Violation> = ledger.live().collect();
-        assert_eq!(live, vec![&constant, &nine, &ten]);
+        assert_eq!(ledger.live().collect::<Vec<_>>(), vec![z, a, var]);
     }
 
     #[test]
     fn distinct_violations_tracked_separately() {
-        let mut ledger = ViolationLedger::new();
-        ledger.create(violation(3, "Los Angeles"));
-        ledger.create(violation(3, "San Diego"));
+        let (mut ledger, c, _) = ledger();
+        ledger.create(constant(c, 3, "Los Angeles"), no_witnesses);
+        ledger.create(constant(c, 3, "San Diego"), no_witnesses);
         assert_eq!(ledger.live_count(), 2);
     }
 
     /// A remap built from a real table compaction: slots 0 and 2 die, so
     /// survivors 1, 3, 4 become 0, 1, 2.
-    fn sample_remap() -> anmat_table::RowIdRemap {
+    fn sample_remap() -> RowIdRemap {
         use anmat_table::{Schema, Table, Value};
         let mut t = Table::empty(Schema::new(["a"]).unwrap());
         for i in 0..5 {
@@ -426,34 +880,11 @@ mod tests {
         t.compact()
     }
 
-    fn variable_violation(row: usize, witnesses: Vec<usize>) -> Violation {
-        Violation {
-            dependency: "zip → city".into(),
-            lhs_attr: "zip".into(),
-            rhs_attr: "city".into(),
-            row,
-            lhs_value: "90004".into(),
-            kind: ViolationKind::Variable {
-                pattern: "[\\D{3}]\\D{2}".into(),
-                key: "900".into(),
-                majority: "Los Angeles".into(),
-                found: Some("New York".into()),
-                witnesses,
-            },
-            repair: Some(crate::detect::Repair {
-                row,
-                attr: "city".into(),
-                from: Some("New York".into()),
-                to: "Los Angeles".into(),
-            }),
-        }
-    }
-
     #[test]
     fn remap_rewrites_live_rows_witnesses_and_repairs() {
-        let mut ledger = ViolationLedger::new();
-        ledger.create(variable_violation(4, vec![1, 3]));
-        ledger.create(violation(3, "Los Angeles"));
+        let (mut ledger, c, v) = ledger();
+        ledger.create(variable(v, 4), || [1, 3]);
+        ledger.create(constant(c, 3, "Los Angeles"), no_witnesses);
         ledger.remap(&sample_remap());
         assert_eq!(ledger.epoch(), 1);
         let snap = ledger.snapshot();
@@ -476,14 +907,13 @@ mod tests {
 
     #[test]
     fn remap_preserves_refcounts_and_stamps_later_events() {
-        let mut ledger = ViolationLedger::new();
-        let v = violation(3, "Los Angeles");
-        ledger.create(v.clone());
-        ledger.create(v.clone()); // second implier: refcount 2
+        let (mut ledger, c, _) = ledger();
+        let a = constant(c, 3, "Los Angeles");
+        ledger.create(a, no_witnesses);
+        ledger.create(a, no_witnesses); // second implier: refcount 2
         ledger.remap(&sample_remap());
         // Retracting once keeps it live (refcount survived the remap) …
-        let mut moved = violation(1, "Los Angeles");
-        moved.repair = v.repair.clone();
+        let moved = constant(c, 1, "Los Angeles");
         assert!(ledger.retract(&moved).is_none());
         assert_eq!(ledger.live_count(), 1);
         // … and the final retraction's event carries the new epoch.
@@ -491,28 +921,32 @@ mod tests {
         assert_eq!(ev.epoch, 1);
         assert!(!ev.is_created());
         // New creations are stamped with the adopted epoch too.
-        let ev = ledger.create(violation(0, "X")).expect("fresh");
+        let ev = ledger
+            .create(constant(c, 0, "X"), no_witnesses)
+            .expect("fresh");
         assert_eq!(ev.epoch, 1);
     }
 
     #[test]
     fn freeze_is_isolated_from_later_mutation() {
-        let mut ledger = ViolationLedger::new();
-        ledger.create(violation(1, "A"));
+        let (mut ledger, c, v) = ledger();
+        ledger.create(constant(c, 1, "A"), no_witnesses);
+        ledger.create(variable(v, 4), || [1]);
         let snap = ledger.freeze();
-        assert_eq!(snap.live_count(), 1);
+        let frozen = snap.snapshot();
+        assert_eq!(snap.live_count(), 2);
         // Mutate the live ledger every way it can move: create, retract,
-        // remap. The frozen view must not see any of it.
-        ledger.create(violation(3, "B"));
-        ledger.retract(&violation(1, "A"));
+        // refresh, remap. The frozen view must not see any of it.
+        ledger.create(constant(c, 3, "B"), no_witnesses);
+        ledger.retract(&constant(c, 1, "A"));
+        ledger.refresh_witnesses(v, id("900"), id("Los Angeles"), || [3]);
         ledger.remap(&sample_remap());
-        assert_eq!(snap.live_count(), 1);
-        assert_eq!(snap.ledger().snapshot()[0].row, 1);
+        assert_eq!(snap.snapshot(), frozen);
         assert_eq!(snap.epoch(), 0);
-        assert_eq!(snap.created_total(), 1);
+        assert_eq!(snap.created_total(), 2);
         assert_eq!(snap.retracted_total(), 0);
         // The live ledger moved on.
-        assert_eq!(ledger.live_count(), 1);
+        assert_eq!(ledger.live_count(), 2);
         assert_eq!(ledger.epoch(), 1);
         assert_eq!(ledger.snapshot()[0].row, 1, "old row 3 compacts to 1");
         assert_eq!(ledger.retracted_total(), 1);

@@ -25,20 +25,20 @@
 //!
 //! # Streaming architecture
 //!
-//! Detection is factored so batch and incremental execution share one
-//! semantic core. [`detect::constant::violation_at`] decides a single
-//! `(row, constant tuple)` pair and
-//! [`detect::variable::flag_block_minority`] resolves a single block by
-//! majority vote; `detect_all` drives them across a whole table, while
-//! the `anmat-stream` crate's `StreamEngine` drives them per arriving
-//! row against incrementally maintained `anmat-index` structures. The
-//! [`ledger`] module holds the streaming side's state: a
-//! [`ViolationLedger`] of live violations with reference counts and
-//! retraction support, because an append can *withdraw* an earlier
-//! violation (a late run of agreeing rows flips a block's majority RHS).
-//! The shared primitives are what make the stream/batch equivalence
-//! property — replay any table row-by-row and end in exactly the
-//! `detect_all` violation set — hold by construction.
+//! Batch detection and incremental maintenance share one semantics.
+//! [`detect::constant::violation_at`] decides a single `(row, constant
+//! tuple)` pair and [`detect::variable::flag_block_minority`] resolves a
+//! single block by majority vote; `detect_all` drives them across a whole
+//! table. The `anmat-stream` crate's `StreamEngine` applies the same
+//! rules per arriving row against incrementally maintained `anmat-index`
+//! structures and records what each violation asserts, as ids, in the
+//! [`ledger`] module's [`ViolationLedger`]: live violations with
+//! reference counts and retraction support, because an append can
+//! *withdraw* an earlier violation (a late run of agreeing rows flips a
+//! block's majority RHS). The ledger renders a [`Violation`] — witnesses
+//! and repair included — only when one is shown, and the stream harness
+//! holds the rendered ledger equal to `detect_all` after every step of
+//! random op scripts.
 //!
 //! # Quickstart
 //!
@@ -77,7 +77,10 @@ pub use detect::{
     Violation, ViolationKind,
 };
 pub use discovery::{discover, discover_pair, ContextStyle, DiscoveryConfig};
-pub use ledger::{LedgerChange, LedgerEvent, LedgerSnapshot, ViolationLedger};
+pub use ledger::{
+    Assertion, LedgerChange, LedgerEvent, LedgerSnapshot, SignatureId, TupleSignature,
+    ViolationLedger,
+};
 pub use pfd::{LhsCell, PatternTuple, Pfd, PfdKind, RhsCell};
 
 /// Convenient glob-import surface.
@@ -88,7 +91,10 @@ pub mod prelude {
         Violation, ViolationKind,
     };
     pub use crate::discovery::{discover, discover_pair, ContextStyle, DiscoveryConfig};
-    pub use crate::ledger::{LedgerChange, LedgerEvent, LedgerSnapshot, ViolationLedger};
+    pub use crate::ledger::{
+        Assertion, LedgerChange, LedgerEvent, LedgerSnapshot, SignatureId, TupleSignature,
+        ViolationLedger,
+    };
     pub use crate::pfd::{LhsCell, PatternTuple, Pfd, PfdKind, RhsCell};
     pub use crate::report;
     pub use crate::store::{DatasetRecord, RuleStatus, RuleStore, StoredRule};

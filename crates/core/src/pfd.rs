@@ -190,27 +190,43 @@ impl Pfd {
     pub fn variable_tuples(&self) -> impl Iterator<Item = &PatternTuple> {
         self.tableau.iter().filter(|t| !t.is_constant())
     }
+
+    /// Tableau tuple `i` in paper syntax:
+    /// `[name = John\ \A*] → [gender = M]`.
+    ///
+    /// # Panics
+    /// Panics if the tableau has no tuple `i`.
+    #[must_use]
+    pub fn tuple_text(&self, i: usize) -> String {
+        let t = &self.tableau[i];
+        let rhs = match &t.rhs {
+            RhsCell::Constant(c) => format!(" = {c}"),
+            RhsCell::Wildcard => String::new(),
+        };
+        format!("[{} = {}] → [{}{rhs}]", self.lhs_attr, t.lhs, self.rhs_attr)
+    }
+}
+
+impl fmt::Display for LhsCell {
+    /// The pattern's display form, or `⊥` for the wildcard — the form
+    /// violation evidence names a tuple by.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LhsCell::Pattern(q) => write!(f, "{q}"),
+            LhsCell::Wildcard => write!(f, "⊥"),
+        }
+    }
 }
 
 impl fmt::Display for Pfd {
     /// Paper syntax, one tableau tuple per line:
     /// `Name ([name = John\ \A*] → [gender = M])`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, t) in self.tableau.iter().enumerate() {
+        for i in 0..self.tableau.len() {
             if i > 0 {
                 writeln!(f)?;
             }
-            write!(f, "{} ([{} = ", self.relation, self.lhs_attr)?;
-            match &t.lhs {
-                LhsCell::Pattern(q) => write!(f, "{q}")?,
-                LhsCell::Wildcard => write!(f, "⊥")?,
-            }
-            write!(f, "] → [{}", self.rhs_attr)?;
-            match &t.rhs {
-                RhsCell::Constant(c) => write!(f, " = {c}")?,
-                RhsCell::Wildcard => {}
-            }
-            write!(f, "])")?;
+            write!(f, "{} ({})", self.relation, self.tuple_text(i))?;
         }
         Ok(())
     }

@@ -26,10 +26,16 @@
 //!   its own [`KeyMemo`](anmat_index::KeyMemo): an
 //!   insert or removal touches exactly the affected key's block, in
 //!   `O(log block + run cap)` (blocks keep their rows as short ascending
-//!   runs), and only that block's violations are diffed. `O(block)` work
+//!   runs), and moves at most the row's own violation. `O(block)` work
 //!   happens only when the block's majority flips and its violations are
 //!   re-derived. A batch is validated in `O(batch)`, so no op costs
 //!   `O(table)`.
+//! * The ledger holds each live violation as an
+//!   [`Assertion`](anmat_core::Assertion) of ids (about 50 bytes of heap
+//!   each, bounded by `tests/violation_heap.rs`), and keeps witnesses as
+//!   evidence once per block: a witness leaving moves no violation and
+//!   emits no event. A full violation, witnesses and repair included, is
+//!   rendered only where one is shown ([`ViolationLedger::snapshot`]).
 //! * An update is delete+insert *fused on one slot*: the row keeps its
 //!   `RowId` (the table tombstones deleted slots rather than moving
 //!   rows, so ids embedded in violations and ledgers never dangle) and
@@ -39,8 +45,8 @@
 //!   [`StreamConfig::compact_ratio`] trigger, checked at batch
 //!   boundaries) drops dead slots and threads the resulting
 //!   [`RowIdRemap`](anmat_table::RowIdRemap) through every consumer —
-//!   blocking partitions, asserted block context, and the ledger's live
-//!   violations all translate in place, with zero pattern
+//!   blocking partitions, and the ledger's live assertions and block
+//!   witnesses all translate in place, with zero pattern
 //!   re-evaluation and zero events. Each [`LedgerEvent`] carries the
 //!   epoch it was emitted in, so event history stays valid verbatim
 //!   across renumberings. Memory is thereby proportional to *live*
@@ -49,17 +55,21 @@
 //!   never-compacting twin modulo the remap, and slots stay within 2×
 //!   live rows at ratio 0.3 —
 //!   `forced_and_ratio_triggered_compaction_are_invisible`).
-//! * Violation semantics are *identical to batch*: the engine calls the
-//!   same `flag_block_minority` / `violation_at` primitives as
-//!   `detect_all`, so any interleaving of inserts/deletes/updates ends
-//!   in exactly the batch violation set over the surviving rows
-//!   (property-tested after every step by `tests/harness.rs`:
-//!   `datagen_replay_equals_batch_at_any_batch_split` for appends,
-//!   `any_script_matches_the_model` for random op interleavings).
-//! * A [`DriftMonitor`] tracks per-rule confidence on the live stream —
-//!   the denominator shrinks as matched rows are deleted — and flags
-//!   rules that decay below the discovery threshold, so they can be
-//!   demoted to `RuleStatus::Pending` for re-review.
+//! * Violation semantics are *identical to batch*: a constant tuple
+//!   flags a matched row whose RHS differs from its constant, and a
+//!   variable tuple the rows of a block whose RHS differs from the
+//!   block's majority, exactly as `detect_all`'s `violation_at` and
+//!   `flag_block_minority` do, so any interleaving of
+//!   inserts/deletes/updates ends in exactly the batch violation set
+//!   over the surviving rows (property-tested after every step by
+//!   `tests/harness.rs`: `datagen_replay_equals_batch_at_any_batch_split`
+//!   for appends, `any_script_matches_the_model` for random op
+//!   interleavings).
+//! * Each tableau tuple keeps its own [`TupleHealth`] on the live stream
+//!   — the denominator shrinks as matched rows are deleted — and a
+//!   [`DriftMonitor`] reports tuples that decay below the discovery
+//!   threshold, so their rules can be demoted to `RuleStatus::Pending`
+//!   for re-review.
 //! * The engine runs on the calling thread: each op phase (the removal
 //!   before a delete or update, the insert after an insert or update)
 //!   goes through every rule in index order, each rule writing its
@@ -99,7 +109,7 @@
 pub mod drift;
 pub mod engine;
 
-pub use drift::{DriftMonitor, DriftReport, RuleHealth};
+pub use drift::{DriftMonitor, DriftReport, TupleHealth};
 pub use engine::{
     BatchEvents, CompactionStats, EngineSnapshot, ShardBy, StreamConfig, StreamEngine,
 };

@@ -634,12 +634,15 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
 
     let drifted = engine.drift_report();
     if !drifted.is_empty() {
-        println!("\ndrifted rule(s) — confidence fell below the drift threshold:");
+        println!("\ndrifted rule(s) — a tuple's confidence fell below the drift threshold:");
         for d in &drifted {
             println!(
-                "  [{}] {}: confidence {:.3} < {:.3} ({} violation(s) in {} matched row(s))",
+                "  [{}] {} tuple {} {}: confidence {:.3} < {:.3} ({} violation(s) in {} matched \
+                 row(s))",
                 store_indices[d.rule],
                 d.dependency,
+                d.tuple,
+                d.pattern,
                 d.confidence,
                 d.min_confidence,
                 d.live_violations,
@@ -651,8 +654,11 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
             let store = RuleStore::open(dir).map_err(|e| format!("opening store {dir}: {e}"))?;
             let dataset = dataset_name(path);
             let mut demoted = 0usize;
-            for d in &drifted {
-                let store_idx = store_indices[d.rule];
+            // A rule goes whole, however many of its tuples decayed.
+            let mut rules: Vec<usize> = drifted.iter().map(|d| d.rule).collect();
+            rules.dedup();
+            for rule in rules {
+                let store_idx = store_indices[rule];
                 if store
                     .set_status(&dataset, store_idx, RuleStatus::Pending)
                     .map_err(|e| format!("demoting rule {store_idx}: {e}"))?

@@ -903,3 +903,123 @@ fn stream_checkpoint_without_store_fails() {
     assert!(stderr(&out).contains("--checkpoint needs --store DIR"));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// What `anmat stream --checkpoint` writes.
+#[derive(serde::Deserialize)]
+struct Checkpoint {
+    epoch: u64,
+    table: Table,
+    violations: Vec<Violation>,
+}
+
+#[test]
+fn stream_checkpoint_renders_current_witnesses_without_witness_events() {
+    let dir = std::env::temp_dir().join(format!("anmat_cli_witness_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    // Block `900`: rows 0–4 hold its majority, rows 5 and 6 disagree
+    // (one with a null city). Block `104`: row 10 disagrees.
+    let csv = dir.join("zips.csv");
+    std::fs::write(
+        &csv,
+        "zip,city\n90001,Los Angeles\n90002,Los Angeles\n90003,Los Angeles\n\
+         90004,Los Angeles\n90005,Los Angeles\n90006,New York\n90007,\n\
+         10401,Boston\n10402,Boston\n10403,Boston\n10404,Salem\n",
+    )
+    .unwrap();
+    let pfds = vec![
+        Pfd::new(
+            "Zip",
+            "zip",
+            "city",
+            vec![PatternTuple::variable(
+                "[\\D{3}]\\D{2}".parse::<ConstrainedPattern>().unwrap(),
+            )],
+        ),
+        Pfd::new(
+            "Zip",
+            "zip",
+            "city",
+            vec![PatternTuple::constant(
+                ConstrainedPattern::unconstrained("900\\D{2}".parse().unwrap()),
+                "Los Angeles",
+            )],
+        ),
+    ];
+    let store_dir = dir.join("store");
+    RuleStore::open(&store_dir)
+        .unwrap()
+        .save(&DatasetRecord {
+            name: "zips".into(),
+            profile: None,
+            rules: pfds
+                .iter()
+                .cloned()
+                .map(|pfd| StoredRule {
+                    pfd,
+                    status: RuleStatus::Confirmed,
+                })
+                .collect(),
+        })
+        .unwrap();
+    // The block's three oldest majority rows — three of its four
+    // witnesses — leave, and a new majority row arrives.
+    let ops = dir.join("expire.ops");
+    std::fs::write(&ops, "-,0\n-,1\n-,2\n+,90008,Los Angeles\n").unwrap();
+    let out = anmat(&[
+        "stream",
+        csv.to_str().unwrap(),
+        "--store",
+        store_dir.to_str().unwrap(),
+        "--ops",
+        ops.to_str().unwrap(),
+        "--checkpoint",
+    ]);
+    assert!(out.status.success(), "stream failed: {}", stderr(&out));
+    let text = stdout(&out);
+    // Witnesses are evidence, not identity: no violation is retracted or
+    // re-created when they move.
+    let after_ops: Vec<&str> = text
+        .lines()
+        .skip_while(|l| !l.starts_with("applying 4 op(s)"))
+        .skip(1)
+        .take_while(|l| !l.starts_with("checkpoint: "))
+        .collect();
+    assert!(
+        after_ops.is_empty(),
+        "witness departures printed events:\n{text}"
+    );
+    // Rows 5 and 6 violate both rules, row 10 the variable one.
+    assert!(
+        text.contains("final: 5 live violation(s) (5 created, 0 retracted)"),
+        "{text}"
+    );
+
+    let checkpoint: Checkpoint = serde_json::from_str(
+        &std::fs::read_to_string(store_dir.join("zips.checkpoint.json")).unwrap(),
+    )
+    .unwrap();
+    assert_eq!(checkpoint.epoch, 0);
+    // The checkpoint's violations are batch detection over its table,
+    // witnesses and repairs included (as sets: the checkpoint breaks
+    // `(row, dependency)` ties by JSON text, batch detection by rule
+    // order): block `900`'s witnesses are now rows 3, 4 and the new 11.
+    let sorted = |mut v: Vec<Violation>| {
+        v.sort();
+        v
+    };
+    assert_eq!(
+        sorted(checkpoint.violations.clone()),
+        sorted(detect_all(&checkpoint.table, &pfds))
+    );
+    let witnesses: Vec<&Vec<RowId>> = checkpoint
+        .violations
+        .iter()
+        .filter_map(|v| match &v.kind {
+            ViolationKind::Variable { key, witnesses, .. } if key == "900" => Some(witnesses),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(witnesses, vec![&vec![3, 4, 11], &vec![3, 4, 11]]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
