@@ -216,20 +216,21 @@ fn derive_key(q: &CompiledConstrained, key_buf: &mut String, lhs: ValueId) -> Op
 }
 
 /// One block of an incrementally maintained partition: the rows sharing a
-/// key, their RHS values, and a delta-maintained RHS distribution.
+/// key and a delta-maintained tally of their RHS values.
 ///
-/// Blocks are *mutable*: a removal (via
-/// [`BlockingPartition::remove`]) is the exact inverse of an insert —
-/// `O(1)` count decrements, with the majority re-derived (same
-/// count-desc/string-asc tie-break, so interning-order-independent) only
-/// when the removed value was the leader.
+/// A block names its rows and does not copy their cells: the table holds
+/// each row's RHS, and the caller hands it in as the row arrives and
+/// again as it leaves ([`BlockingPartition::remove`]). A removal is the
+/// exact inverse of an insert — `O(1)` count decrements, with the
+/// majority re-derived (same count-desc/string-asc tie-break, so
+/// interning-order-independent) only when the removed value was the
+/// leader.
 #[derive(Debug, Clone, Default)]
 pub struct KeyBlock {
-    /// `(row, rhs)` pairs in ascending `RowId` order ([`ValueId::NULL`] =
-    /// null RHS), stored as ascending runs: an append is `O(1)`, and a
-    /// removal or an update re-inserting an older id is
+    /// Row ids in ascending order, stored as ascending runs: an append is
+    /// `O(1)`, and a removal or an update re-inserting an older id is
     /// `O(log block + RUN_CAP)`, whatever the block's size.
-    entries: Runs<ValueId>,
+    rows: Runs,
     /// RHS value → row count (null tracked separately).
     counts: FxHashMap<ValueId, usize>,
     /// Rows whose RHS is null.
@@ -244,29 +245,19 @@ pub struct KeyBlock {
 impl KeyBlock {
     /// The rows of this block, in ascending row order.
     pub fn rows(&self) -> impl Iterator<Item = RowId> + Clone + '_ {
-        self.entries.rows()
-    }
-
-    /// `(row, rhs)` pairs in ascending row order.
-    pub fn rows_with_rhs(&self) -> impl Iterator<Item = (RowId, Option<&'static str>)> + '_ {
-        self.rows_with_rhs_ids().map(|(r, v)| (r, v.as_str()))
-    }
-
-    /// `(row, rhs id)` pairs in ascending row order (the `Copy` hot path).
-    pub fn rows_with_rhs_ids(&self) -> impl Iterator<Item = (RowId, ValueId)> + '_ {
-        self.entries.iter()
+        self.rows.rows()
     }
 
     /// Number of rows.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.rows.len()
     }
 
     /// Is the block empty?
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.len() == 0
+        self.rows.len() == 0
     }
 
     /// The majority RHS value (most rows; ties break to the
@@ -303,7 +294,7 @@ impl KeyBlock {
     }
 
     fn push(&mut self, row: RowId, rhs: ValueId) {
-        self.entries.insert(row, rhs);
+        self.rows.insert(row);
         if rhs.is_null() {
             self.null_rhs += 1;
             return;
@@ -326,21 +317,24 @@ impl KeyBlock {
         }
     }
 
-    /// Remove one row; returns its RHS id, or `None` if the row was not
-    /// in this block. Count decrements are `O(1)`; the majority is
-    /// re-derived (in `O(distinct RHS)`, with the same deterministic
-    /// count-desc/string-asc tie-break as inserts and batch detection)
-    /// only when the removed value was the current leader.
-    fn remove(&mut self, row: RowId) -> Option<ValueId> {
-        let rhs = self.entries.remove(row)?;
+    /// Remove one row whose RHS is `rhs` (the value it was inserted
+    /// with); a row not in this block is ignored. Count decrements are
+    /// `O(1)`; the majority is re-derived (in `O(distinct RHS)`, with the
+    /// same deterministic count-desc/string-asc tie-break as inserts and
+    /// batch detection) only when the removed value was the current
+    /// leader.
+    fn remove(&mut self, row: RowId, rhs: ValueId) {
+        if !self.rows.remove(row) {
+            return;
+        }
         if rhs.is_null() {
             self.null_rhs -= 1;
-            return Some(rhs);
+            return;
         }
         let count = self
             .counts
             .get_mut(&rhs)
-            .expect("non-null rhs was counted on insert");
+            .expect("a member's rhs was counted on insert");
         *count -= 1;
         if *count == 0 {
             self.counts.remove(&rhs);
@@ -354,14 +348,13 @@ impl KeyBlock {
                 .map(|(v, c)| (*v, *c))
                 .max_by(|(va, ca), (vb, cb)| ca.cmp(cb).then_with(|| vb.render().cmp(va.render())));
         }
-        Some(rhs)
     }
 
     /// Rewrite the block's row ids through a compaction remap. The RHS
-    /// values, counts, and majority are row-id-free and stay untouched;
-    /// monotonicity keeps the entries ascending.
+    /// counts and majority are row-id-free and stay untouched;
+    /// monotonicity keeps the rows ascending.
     fn remap(&mut self, remap: &RowIdRemap) {
-        self.entries.remap(remap);
+        self.rows.remap(remap);
     }
 }
 
@@ -392,22 +385,24 @@ impl BlockingPartition {
     }
 
     /// Remove one row from the block of `key` — the exact inverse of
-    /// [`BlockingPartition::insert`], in `O(log block + RUN_CAP)`. Empty
-    /// blocks are dropped, so [`BlockingPartition::freeze`] keeps
-    /// agreeing with batch blocking.
-    pub fn remove(&mut self, row: RowId, key: ValueId) {
+    /// [`BlockingPartition::insert`], in `O(log block + RUN_CAP)`. `rhs` is
+    /// the RHS the row was inserted with: the block keeps only row ids,
+    /// so the caller reads it from the row's cell before the slot is
+    /// tombstoned or overwritten. Empty blocks are dropped, so
+    /// [`BlockingPartition::freeze`] keeps agreeing with batch blocking.
+    pub fn remove(&mut self, row: RowId, key: ValueId, rhs: ValueId) {
         if let Some(block) = self.blocks.get_mut(&key) {
-            block.remove(row);
+            block.remove(row, rhs);
             if block.is_empty() {
                 self.blocks.remove(&key);
             }
         }
     }
 
-    /// Iterate the keys of all live blocks (arbitrary order) — the ids a
-    /// string-reclamation sweep must keep alive.
-    pub fn block_keys(&self) -> impl Iterator<Item = ValueId> + '_ {
-        self.blocks.keys().copied()
+    /// Iterate the live blocks with their keys (arbitrary order): a
+    /// string-reclamation sweep must keep each key and majority alive.
+    pub fn blocks(&self) -> impl Iterator<Item = (ValueId, &KeyBlock)> + '_ {
+        self.blocks.iter().map(|(key, block)| (*key, block))
     }
 
     /// The block for a key, if any row produced it.
@@ -504,10 +499,11 @@ mod tests {
             Some(key)
         }
 
-        /// Withdraw a row placed under `lhs`; returns its key.
-        fn remove(&mut self, row: RowId, lhs: ValueId) -> Option<ValueId> {
+        /// Withdraw a row placed under `lhs` with RHS `rhs`; returns its
+        /// key.
+        fn remove(&mut self, row: RowId, lhs: ValueId, rhs: ValueId) -> Option<ValueId> {
             let key = self.memo.key(lhs)?;
-            self.partition.remove(row, key);
+            self.partition.remove(row, key, rhs);
             Some(key)
         }
     }
@@ -621,9 +617,9 @@ mod tests {
             "a null LHS has no key"
         );
         assert_eq!(p.block_count(), 1);
-        assert!(p.block_by_str("x").unwrap().rows().eq([0, 1]));
-        let pairs: Vec<_> = p.block_by_str("x").unwrap().rows_with_rhs().collect();
-        assert_eq!(pairs, vec![(0, Some("1")), (1, Some("2"))]);
+        let block = p.block_by_str("x").unwrap();
+        assert!(block.rows().eq([0, 1]));
+        assert_eq!(block.stats().rhs_counts, vec![(id("1"), 1), (id("2"), 1)]);
     }
 
     #[test]
@@ -670,7 +666,7 @@ mod tests {
         p.insert(0, id("90001"), id("Los Angeles"));
         p.insert(1, id("90002"), id("New York"));
         p.insert(2, id("90003"), id("Los Angeles"));
-        assert_eq!(p.remove(1, id("90002")), Some(id("900")));
+        assert_eq!(p.remove(1, id("90002"), id("New York")), Some(id("900")));
         let block = p.block_by_str("900").unwrap();
         assert!(block.rows().eq([0, 2]));
         assert_eq!(block.majority(), Some("Los Angeles"));
@@ -679,8 +675,8 @@ mod tests {
         assert_eq!(stats.support, 2);
         assert_eq!(stats.rhs_counts, vec![(id("Los Angeles"), 2)]);
         // Draining the block drops it entirely (freeze parity with batch).
-        p.remove(0, id("90001"));
-        p.remove(2, id("90003"));
+        p.remove(0, id("90001"), id("Los Angeles"));
+        p.remove(2, id("90003"), id("Los Angeles"));
         assert_eq!(p.block_count(), 0);
         assert!(p.block_by_str("900").is_none());
     }
@@ -693,12 +689,11 @@ mod tests {
         for row in 0..5 {
             p.insert(row, id("k"), id("v1"));
         }
-        p.remove(2, id("k"));
+        p.remove(2, id("k"), id("v1"));
         p.insert(2, id("k"), id("v2"));
         let block = p.block_by_str("k").unwrap();
         assert!(block.rows().eq([0, 1, 2, 3, 4]));
-        let pairs: Vec<_> = block.rows_with_rhs().collect();
-        assert_eq!(pairs[2], (2, Some("v2")));
+        assert_eq!(block.stats().rhs_counts, vec![(id("v1"), 4), (id("v2"), 1)]);
         assert_eq!(block.majority(), Some("v1"));
     }
 
@@ -712,13 +707,13 @@ mod tests {
         p.insert(4, id("k"), id("beta"));
         assert_eq!(p.block_by_str("k").unwrap().majority(), Some("alpha"));
         // Two leader removals: 1–2, beta takes over.
-        p.remove(0, id("k"));
-        p.remove(1, id("k"));
+        p.remove(0, id("k"), id("alpha"));
+        p.remove(1, id("k"), id("alpha"));
         let block = p.block_by_str("k").unwrap();
         assert_eq!(block.majority(), Some("beta"));
         assert_eq!(block.majority_id().and_then(ValueId::as_str), Some("beta"));
         // Removing the last alpha leaves a consistent beta block.
-        p.remove(2, id("k"));
+        p.remove(2, id("k"), id("alpha"));
         assert!(p.block_by_str("k").unwrap().is_consistent());
     }
 
@@ -728,7 +723,7 @@ mod tests {
         p.insert(0, id("k"), id("v"));
         p.insert(1, id("k"), ValueId::NULL);
         assert!(!p.block_by_str("k").unwrap().is_consistent());
-        p.remove(1, id("k"));
+        p.remove(1, id("k"), ValueId::NULL);
         let block = p.block_by_str("k").unwrap();
         assert!(block.is_consistent());
         assert_eq!(block.majority(), Some("v"));
@@ -750,7 +745,7 @@ mod tests {
             assert_eq!(p.block_by_str("k").unwrap().majority(), Some(first));
             // Delete one leader row: 2–2 tie → lexicographically smaller
             // string wins, in both interning orders.
-            p.remove(0, id("k"));
+            p.remove(0, id("k"), id(first));
             let block = p.block_by_str("k").unwrap();
             assert_eq!(block.majority(), Some("b-del-tie"));
             assert_eq!(
@@ -789,8 +784,11 @@ mod tests {
         }
         // Delete rows 1 (a block member) and 3 (unmatched, so no key):
         // partition first, then table, then compact + remap.
-        assert_eq!(p.remove(1, t.cell_id(1, 0)), Some(id("900")));
-        assert_eq!(p.remove(3, t.cell_id(3, 0)), None);
+        assert_eq!(
+            p.remove(1, t.cell_id(1, 0), t.cell_id(1, 1)),
+            Some(id("900"))
+        );
+        assert_eq!(p.remove(3, t.cell_id(3, 0), t.cell_id(3, 1)), None);
         t.delete_row(1).unwrap();
         t.delete_row(3).unwrap();
         let evals_before = p.memo.evals();
@@ -896,18 +894,33 @@ mod tests {
             best.map(|(_, rhs)| rhs)
         }
 
-        /// Same iteration, `len`, majority, and stats as the model, and
-        /// the block's run list structurally sound.
+        /// The model's support and RHS tally of `rows`, in
+        /// [`KeyBlock::stats`] order.
+        fn model_stats(rows: &[(RowId, ValueId)]) -> EntryStats {
+            let mut counts: FxHashMap<ValueId, usize> = FxHashMap::default();
+            for &(_, rhs) in rows.iter().filter(|(_, rhs)| !rhs.is_null()) {
+                *counts.entry(rhs).or_insert(0) += 1;
+            }
+            let mut rhs_counts: Vec<_> = counts.into_iter().collect();
+            sort_rhs_counts(&mut rhs_counts);
+            EntryStats {
+                support: rows.len(),
+                rhs_counts,
+            }
+        }
+
+        /// Same rows, RHS tally (nulls are the support it leaves) and
+        /// majority as the model, and the block's run list structurally
+        /// sound.
         fn check(p: &Keyed, model: &Model) {
             let expected = block_rows(model);
             match p.block(id("900")) {
                 None => assert!(expected.is_empty(), "block vanished early"),
                 Some(block) => {
-                    block.entries.assert_invariants();
-                    assert_eq!(block.len(), expected.len());
-                    assert!(block.rows_with_rhs_ids().eq(expected.iter().copied()));
+                    block.rows.assert_invariants();
+                    assert!(block.rows().eq(expected.iter().map(|&(row, _)| row)));
+                    assert_eq!(block.stats(), model_stats(&expected));
                     assert_eq!(block.majority_id(), model_majority(&expected));
-                    assert_eq!(block.stats().support, expected.len());
                 }
             }
         }
@@ -938,7 +951,7 @@ mod tests {
         }
 
         fn block_runs(p: &Keyed) -> usize {
-            p.block(id("900")).map_or(0, |b| b.entries.run_count())
+            p.block(id("900")).map_or(0, |b| b.rows.run_count())
         }
 
         fn insert(p: &mut Keyed, model: &mut Model, row: RowId, l: ValueId, r: ValueId) {
@@ -947,8 +960,8 @@ mod tests {
         }
 
         fn remove(p: &mut Keyed, model: &mut Model, row: RowId) {
-            let (l, _) = model.remove(&row).expect("row is live");
-            p.remove(row, l);
+            let (l, r) = model.remove(&row).expect("row is live");
+            p.remove(row, l, r);
         }
 
         /// Appends across three runs, then each structural path in turn:
@@ -1056,9 +1069,9 @@ mod tests {
 
             /// One block through thousands of in-order inserts,
             /// out-of-order re-inserts, removals, and a compaction remap,
-            /// against a `BTreeMap` model of the live rows (the block's
-            /// share of it is a `RowId → rhs` map): same iteration,
-            /// `len`, and majority, `freeze()` parity with
+            /// against a `BTreeMap` model of the live rows (`RowId →
+            /// (lhs, rhs)`): same rows, RHS tally and majority, `freeze()`
+            /// parity with
             /// [`BlockingIndex::block`], and the run invariant (non-empty,
             /// within the cap, ascending, disjoint) after every check.
             #[test]

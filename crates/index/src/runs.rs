@@ -1,4 +1,4 @@
-//! Ascending runs: a row-keyed sequence stored as short sorted chunks.
+//! Ascending runs: a set of row ids stored as short sorted chunks.
 //!
 //! A block of a [`BlockingPartition`](crate::BlockingPartition) can hold
 //! hundreds of thousands of rows, and it must stay in ascending row order
@@ -19,7 +19,8 @@
 //!   half-full runs, so each needs another `RUN_CAP / 2` inserts to split
 //!   again, or `RUN_CAP / 4` removals to merge.
 //!
-//! Row ids are stored as `u32`, halving the per-entry cost of a `RowId`.
+//! An entry is one 4-byte row: ids are stored as `u32`, and nothing rides
+//! along with them.
 
 use anmat_table::{RowId, RowIdRemap};
 
@@ -32,25 +33,16 @@ pub(crate) const SPLIT_AT: usize = RUN_CAP / 2;
 /// A run shorter than this after a removal merges into a neighbour.
 pub(crate) const MERGE_BELOW: usize = RUN_CAP / 4;
 
-/// Entries `(row, value)` in strictly ascending row order, stored as
-/// ascending runs (see the module docs).
+/// Row ids in strictly ascending order, stored as ascending runs (see the
+/// module docs).
 ///
 /// Invariant: every run is non-empty and holds at most [`RUN_CAP`]
 /// entries, and the last row of each run is below the first row of the
 /// next.
-#[derive(Debug, Clone)]
-pub(crate) struct Runs<V> {
-    runs: Vec<Vec<(u32, V)>>,
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Runs {
+    runs: Vec<Vec<u32>>,
     len: usize,
-}
-
-impl<V> Default for Runs<V> {
-    fn default() -> Runs<V> {
-        Runs {
-            runs: Vec::new(),
-            len: 0,
-        }
-    }
 }
 
 /// Row ids are slot positions in one table; a table never holds `2³²`
@@ -59,70 +51,68 @@ fn narrow(row: RowId) -> u32 {
     u32::try_from(row).expect("row ids fit in u32")
 }
 
-impl<V: Copy> Runs<V> {
-    /// Number of entries.
+impl Runs {
+    /// Number of rows.
     pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// Entries in ascending row order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (RowId, V)> + Clone + '_ {
-        self.runs
-            .iter()
-            .flatten()
-            .map(|&(row, v)| (row as RowId, v))
-    }
-
     /// Row ids in ascending order.
     pub(crate) fn rows(&self) -> impl Iterator<Item = RowId> + Clone + '_ {
-        self.iter().map(|(row, _)| row)
+        self.runs.iter().flatten().map(|&row| row as RowId)
     }
 
     /// Index of the run holding `row`, or the run it belongs in: the
     /// first whose tail is not below it.
     fn locate(&self, row: u32) -> usize {
-        self.runs.partition_point(|run| run[run.len() - 1].0 < row)
+        self.runs.partition_point(|run| run[run.len() - 1] < row)
     }
 
-    /// Insert an entry at its sorted position.
-    pub(crate) fn insert(&mut self, row: RowId, value: V) {
+    /// Insert a row at its sorted position.
+    pub(crate) fn insert(&mut self, row: RowId) {
         let row = narrow(row);
         self.len += 1;
         let i = match self.runs.last_mut() {
-            Some(last) if last[last.len() - 1].0 < row => {
+            Some(last) if last[last.len() - 1] < row => {
                 if last.len() < RUN_CAP {
-                    last.push((row, value));
+                    last.push(row);
                 } else {
-                    self.runs.push(vec![(row, value)]);
+                    self.runs.push(vec![row]);
                 }
                 return;
             }
             Some(_) => self.locate(row),
             None => {
-                self.runs.push(vec![(row, value)]);
+                self.runs.push(vec![row]);
                 return;
             }
         };
         let i = if self.runs[i].len() == RUN_CAP {
             let upper = self.runs[i].split_off(SPLIT_AT);
-            let goes_up = upper[0].0 <= row;
+            let goes_up = upper[0] <= row;
             self.runs.insert(i + 1, upper);
             i + usize::from(goes_up)
         } else {
             i
         };
         let run = &mut self.runs[i];
-        let pos = run.partition_point(|&(r, _)| r < row);
-        run.insert(pos, (row, value));
+        let pos = run.partition_point(|&r| r < row);
+        run.insert(pos, row);
     }
 
-    /// Remove the entry for `row`; returns its value, or `None` if absent.
-    pub(crate) fn remove(&mut self, row: RowId) -> Option<V> {
-        let row = u32::try_from(row).ok()?;
+    /// Remove `row`; returns whether it was present.
+    pub(crate) fn remove(&mut self, row: RowId) -> bool {
+        let Ok(row) = u32::try_from(row) else {
+            return false;
+        };
         let i = self.locate(row);
-        let run = self.runs.get_mut(i)?;
-        let pos = run.binary_search_by_key(&row, |&(r, _)| r).ok()?;
-        let (_, value) = run.remove(pos);
+        let Some(run) = self.runs.get_mut(i) else {
+            return false;
+        };
+        let Ok(pos) = run.binary_search(&row) else {
+            return false;
+        };
+        run.remove(pos);
         self.len -= 1;
         let left = run.len();
         if left == 0 {
@@ -130,7 +120,7 @@ impl<V: Copy> Runs<V> {
         } else if left < MERGE_BELOW {
             self.merge_underfull(i);
         }
-        Some(value)
+        true
     }
 
     /// Fold the short run `i` into its left neighbour, or take in its
@@ -149,7 +139,7 @@ impl<V: Copy> Runs<V> {
     /// Rewrite every row id through a compaction remap. Remaps are
     /// monotone, so order and run boundaries survive unchanged.
     pub(crate) fn remap(&mut self, remap: &RowIdRemap) {
-        for (row, _) in self.runs.iter_mut().flatten() {
+        for row in self.runs.iter_mut().flatten() {
             *row = narrow(remap.live_id(*row as RowId));
         }
     }
@@ -170,7 +160,7 @@ impl<V: Copy> Runs<V> {
         for (i, run) in self.runs.iter().enumerate() {
             assert!(!run.is_empty(), "run {i} is empty");
             assert!(run.len() <= RUN_CAP, "run {i} holds {} > cap", run.len());
-            for &(row, _) in run {
+            for &row in run {
                 assert!(
                     prev.is_none_or(|p| p < row),
                     "row {row} in run {i} is not above its predecessor {prev:?}"
@@ -188,7 +178,7 @@ mod tests {
     use super::*;
     use anmat_table::{Schema, Table};
 
-    fn rows(runs: &Runs<u8>) -> Vec<RowId> {
+    fn rows(runs: &Runs) -> Vec<RowId> {
         runs.rows().collect()
     }
 
@@ -196,7 +186,7 @@ mod tests {
     fn appends_fill_runs_to_the_cap() {
         let mut runs = Runs::default();
         for row in 0..RUN_CAP * 2 + 1 {
-            runs.insert(row, 0u8);
+            runs.insert(row);
         }
         runs.assert_invariants();
         assert_eq!(runs.run_count(), 3);
@@ -207,14 +197,14 @@ mod tests {
     fn an_insert_into_a_full_run_splits_it() {
         let mut runs = Runs::default();
         for row in (0..RUN_CAP * 2).map(|r| r * 2) {
-            runs.insert(row, 0u8);
+            runs.insert(row);
         }
         assert_eq!(runs.run_count(), 2);
         // Odd ids fall between even ones inside the first, full run.
-        runs.insert(1, 1);
+        runs.insert(1);
         runs.assert_invariants();
         assert_eq!(runs.run_count(), 3);
-        runs.insert(2 * SPLIT_AT + 1, 1);
+        runs.insert(2 * SPLIT_AT + 1);
         runs.assert_invariants();
         assert_eq!(runs.run_count(), 3);
         assert_eq!(rows(&runs)[..4], [0, 1, 2, 4]);
@@ -224,32 +214,32 @@ mod tests {
     fn emptied_runs_drop_and_short_runs_merge() {
         let mut runs = Runs::default();
         for row in 0..=RUN_CAP {
-            runs.insert(row, 0u8);
+            runs.insert(row);
         }
         assert_eq!(runs.run_count(), 2);
         // The lone tail run cannot merge into the full run before it: it
         // drops once empty.
-        assert_eq!(runs.remove(RUN_CAP), Some(0));
+        assert!(runs.remove(RUN_CAP));
         assert_eq!(runs.run_count(), 1);
-        assert_eq!(runs.remove(RUN_CAP), None);
+        assert!(!runs.remove(RUN_CAP));
 
         let mut runs = Runs::default();
         for row in (0..RUN_CAP * 2).map(|r| r * 2) {
-            runs.insert(row, 0u8);
+            runs.insert(row);
         }
-        runs.insert(1, 1);
+        runs.insert(1);
         assert_eq!(runs.run_count(), 3);
         // Thin the upper half of the split run below a quarter of the
         // cap: it merges into the lower half.
         let upper: Vec<RowId> = (SPLIT_AT..RUN_CAP).map(|r| r * 2).collect();
         for &row in &upper[..SPLIT_AT - MERGE_BELOW] {
-            assert_eq!(runs.remove(row), Some(0));
+            assert!(runs.remove(row));
         }
         assert_eq!(runs.run_count(), 3);
         runs.remove(upper[SPLIT_AT - MERGE_BELOW]);
         runs.assert_invariants();
         assert_eq!(runs.run_count(), 2);
-        assert_eq!(runs.remove(usize::MAX), None);
+        assert!(!runs.remove(usize::MAX));
     }
 
     #[test]
@@ -261,7 +251,7 @@ mod tests {
             if row % 3 == 0 {
                 table.delete_row(row).unwrap();
             } else {
-                runs.insert(row, 0u8);
+                runs.insert(row);
             }
         }
         let remap = table.compact();

@@ -218,3 +218,65 @@ proptest! {
         }
     }
 }
+
+/// Pieces of pattern syntax: class escapes, escaped specials, brackets,
+/// braces, quantifiers, and counts at and past `u32::MAX`.
+const SYNTAX: &[&str] = &[
+    "\\A",
+    "\\LU",
+    "\\LL",
+    "\\D",
+    "\\S",
+    "\\",
+    "\\\\",
+    "\\{",
+    "\\[",
+    "\\ ",
+    "[",
+    "]",
+    "{",
+    "}",
+    ",",
+    "*",
+    "+",
+    "?",
+    "0",
+    "7",
+    "{3}",
+    "{2,}",
+    "{1,4}",
+    "{4,1}",
+    "{0}",
+    "4294967295",
+    "4294967296",
+    "18446744073709551616",
+    " ",
+    "é",
+];
+
+/// Text biased towards pattern syntax, mixed with any other character.
+fn pattern_noise() -> impl Strategy<Value = String> {
+    let token = prop_oneof![
+        (0..SYNTAX.len()).prop_map(|i| SYNTAX[i].to_string()),
+        any::<char>().prop_map(String::from),
+    ];
+    prop::collection::vec(token, 0..16).prop_map(|tokens| tokens.concat())
+}
+
+proptest! {
+    /// Hostile text: both parsers return `Ok` or `Err`, never panic, and
+    /// what either accepts prints to text that parses back to it.
+    #[test]
+    fn parsers_never_panic(text in pattern_noise()) {
+        if let Ok(p) = text.parse::<Pattern>() {
+            let printed = p.to_string();
+            let reparsed = printed.parse::<Pattern>().map(|p| p.to_string());
+            prop_assert_eq!(reparsed, Ok(printed), "text {:?}", text);
+        }
+        if let Ok(q) = text.parse::<ConstrainedPattern>() {
+            let printed = q.to_string();
+            let reparsed = printed.parse::<ConstrainedPattern>().map(|q| q.to_string());
+            prop_assert_eq!(reparsed, Ok(printed), "text {:?}", text);
+        }
+    }
+}

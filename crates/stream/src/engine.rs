@@ -22,13 +22,18 @@
 //! * each **variable** tableau tuple keeps an incremental
 //!   [`BlockingPartition`] keyed by the constrained captures, which it
 //!   derives through its own [`KeyMemo`] (so capture extraction runs at
-//!   most once per distinct LHS value), and the majority each block's
-//!   assertions name. A block asserts exactly its rows whose RHS differs
-//!   from the majority, so a new row joins one block and moves one
-//!   assertion — its own — unless it flips the majority, when the block
-//!   is re-derived in `O(block)`. A majority row coming or going moves
-//!   no assertion, only, if a live violation cites the block, its
-//!   witnesses, which the ledger keeps once per block as evidence.
+//!   most once per distinct LHS value). A block holds its row ids, a
+//!   tally of their RHS values and the majority of that tally; the RHS
+//!   cells stay in the table. A row's own RHS is read from its cell as
+//!   it arrives and, before the slot is tombstoned or overwritten, as it
+//!   leaves; other rows' RHS cells are read only by a majority flip's
+//!   re-derivation and by the witness scan. A block asserts exactly its
+//!   rows whose RHS differs from the majority, so a new row joins one
+//!   block and moves one assertion — its own — unless it flips the
+//!   majority, when the block is re-derived in `O(block)`. A majority row
+//!   coming or going moves no assertion, only, if a live violation cites
+//!   the block, its witnesses, which the ledger keeps once per block as
+//!   evidence.
 //!
 //! No op costs `O(table)`, and no op visits a constant tuple its row
 //! does not match. A batch is validated in `O(batch)` (`validate_ops`).
@@ -58,7 +63,7 @@ use anmat_table::{
     Op, ReclaimStats, RowId, RowIdRemap, RowOp, Schema, Table, TableError, TableSnapshot, ValueId,
     ValuePool,
 };
-use fxhash::{FxHashMap, FxHashSet};
+use fxhash::FxHashSet;
 use std::sync::Arc;
 
 /// Engine thresholds: the drift monitor's discovery-style knobs, the
@@ -298,6 +303,12 @@ impl ConstantTuple {
 }
 
 /// Incremental state for one variable tableau tuple.
+///
+/// Invariant: each block asserts exactly its rows whose RHS differs from
+/// the block's majority (null RHS rows included), which is what batch
+/// detection's `flag_block_minority` flags; an all-null block has no
+/// majority and asserts nothing. The blocks keep only row ids and their
+/// RHS tally, so a member's RHS is read from the table.
 #[derive(Debug)]
 struct VariableTuple {
     /// Tableau index (orders it among the rule's constant tuples).
@@ -309,27 +320,12 @@ struct VariableTuple {
     /// Blocks keyed by constrained capture (whole value for wildcard
     /// LHS), as `keys` derived them.
     partition: BlockingPartition,
-    /// Per key of a block with a majority: the majority its assertions
-    /// name. Invariant: a block asserts exactly its rows whose RHS
-    /// differs from this majority (null RHS rows included), which is what
-    /// batch detection's `flag_block_minority` flags; an all-null block
-    /// has no entry and asserts nothing.
-    majorities: FxHashMap<ValueId, ValueId>,
-}
-
-/// A block's majority rows, in row order: its witnesses are the first
-/// [`MAX_WITNESSES`](anmat_core::detect::variable::MAX_WITNESSES).
-fn majority_rows(block: &KeyBlock, majority: ValueId) -> impl Iterator<Item = RowId> + '_ {
-    block
-        .rows_with_rhs_ids()
-        .filter(move |&(_, rhs)| rhs == majority)
-        .map(|(row, _)| row)
 }
 
 impl VariableTuple {
-    /// `row` (LHS `lhs`, RHS `rhs`) has just joined `key`'s block, or
-    /// with `removal` just left it: bring the block's assertions up to
-    /// date. Arrivals and departures are symmetric:
+    /// `row` (LHS `lhs`, RHS `rhs`) joins `key`'s block, or with
+    /// `removal` leaves it: move it, and bring the block's assertions up
+    /// to date. Arrivals and departures are symmetric:
     ///
     /// 1. **majority flip** (the first non-null RHS, a new leader, a
     ///    drained block): every assertion names the majority, so the
@@ -339,11 +335,14 @@ impl VariableTuple {
     ///    retracted (`O(log live)` — the hot path);
     /// 3. **majority row**: no assertion moves; if a live violation
     ///    cites the block, its witnesses are refreshed.
+    ///
+    /// A departing row is still in the table, so every member's cells,
+    /// its own included, are read there.
     #[allow(clippy::too_many_arguments)]
     fn transition(
         &mut self,
         table: &Table,
-        lhs_col: usize,
+        (lhs_col, rhs_col): (usize, usize),
         key: ValueId,
         row: RowId,
         lhs: ValueId,
@@ -351,12 +350,19 @@ impl VariableTuple {
         removal: bool,
         sink: &mut Sink,
     ) {
+        let old = self.partition.block(key).and_then(KeyBlock::majority_id);
+        if removal {
+            self.partition.remove(row, key, rhs);
+        } else {
+            self.partition.insert(row, key, rhs);
+        }
         let block = self.partition.block(key);
         let majority = block.and_then(KeyBlock::majority_id);
-        let old = match majority {
-            Some(m) => self.majorities.insert(key, m),
-            None => self.majorities.remove(&key),
-        };
+        let rows = block.into_iter().flat_map(KeyBlock::rows);
+        let rhs_of = |r: RowId| table.cell_id(r, rhs_col);
+        // The block's rows holding `m`, in row order: its witnesses are the
+        // first `MAX_WITNESSES`.
+        let majority_rows = |m: ValueId| rows.clone().filter(move |&r| rhs_of(r) == m);
         let assertion = |row, lhs, found, expected| Assertion {
             signature: self.signature,
             key,
@@ -369,29 +375,29 @@ impl VariableTuple {
             // Retract what the old majority asserted over the block as it
             // was before this op, in row order …
             if let Some(old) = old {
-                let mut members: Vec<(RowId, ValueId)> = block
-                    .into_iter()
-                    .flat_map(KeyBlock::rows_with_rhs_ids)
-                    .filter(|&(r, _)| removal || r != row)
-                    .collect();
-                if removal {
-                    let at = members.partition_point(|&(r, _)| r < row);
-                    members.insert(at, (row, rhs));
-                }
-                for (r, found) in members.into_iter().filter(|&(_, v)| v != old) {
-                    sink.retract(&assertion(r, table.cell_id(r, lhs_col), found, old));
+                let members = (rows.clone().take_while(|&r| r < row))
+                    .chain(removal.then_some(row))
+                    .chain(rows.clone().skip_while(|&r| r <= row));
+                for r in members {
+                    let found = rhs_of(r);
+                    if found != old {
+                        sink.retract(&assertion(r, table.cell_id(r, lhs_col), found, old));
+                    }
                 }
             }
             // … and assert what the new one does.
-            if let (Some(new), Some(block)) = (majority, block) {
-                for (r, found) in block.rows_with_rhs_ids().filter(|&(_, v)| v != new) {
-                    let a = assertion(r, table.cell_id(r, lhs_col), found, new);
-                    sink.create(a, || majority_rows(block, new));
+            if let Some(new) = majority {
+                for r in rows.clone() {
+                    let found = rhs_of(r);
+                    if found != new {
+                        let a = assertion(r, table.cell_id(r, lhs_col), found, new);
+                        sink.create(a, || majority_rows(new));
+                    }
                 }
             }
             return;
         }
-        let (Some(majority), Some(block)) = (majority, block) else {
+        let Some(majority) = majority else {
             return; // an all-null block asserts nothing
         };
         if rhs != majority {
@@ -399,13 +405,11 @@ impl VariableTuple {
             if removal {
                 sink.retract(&a);
             } else {
-                sink.create(a, || majority_rows(block, majority));
+                sink.create(a, || majority_rows(majority));
             }
         } else {
             sink.ledger
-                .refresh_witnesses(self.signature, key, majority, || {
-                    majority_rows(block, majority)
-                });
+                .refresh_witnesses(self.signature, key, majority, || majority_rows(majority));
         }
     }
 }
@@ -462,7 +466,6 @@ impl RuleState {
                         LhsCell::Wildcard => None,
                     }),
                     partition: BlockingPartition::default(),
-                    majorities: FxHashMap::default(),
                 }),
             }
         }
@@ -526,7 +529,7 @@ impl RuleState {
         ledger: &mut ViolationLedger,
         events: &mut Vec<LedgerEvent>,
     ) {
-        let Some((lhs_col, rhs_col)) = self.cols else {
+        let Some(cols @ (lhs_col, rhs_col)) = self.cols else {
             return;
         };
         let RuleState {
@@ -558,13 +561,8 @@ impl RuleState {
             let Some(key) = vt.keys.key(lhs) else {
                 continue;
             };
-            if removal {
-                vt.partition.remove(row, key);
-            } else {
-                vt.partition.insert(row, key, rhs);
-            }
             let mut sink = Sink::new(ledger, events);
-            vt.transition(table, lhs_col, key, row, lhs, rhs, removal, &mut sink);
+            vt.transition(table, cols, key, row, lhs, rhs, removal, &mut sink);
             sink.finish(&mut health[vt.tuple], removal);
         }
         for ct in matched {
@@ -594,9 +592,9 @@ impl RuleState {
     ///   may never appear in the data at all, or only in since-deleted
     ///   rows);
     /// * variable tuples' block keys (derived captures: `"90001" →
-    ///   "900"` interns a string no cell holds) and asserted majority
-    ///   ids (transitively live via block rows today, listed
-    ///   belt-and-braces so the invariant doesn't depend on it).
+    ///   "900"` interns a string no cell holds) and block majorities
+    ///   (each held by a live row of its block, listed belt-and-braces
+    ///   so the invariant doesn't depend on it).
     ///
     /// Together with the live cells these are every id a live assertion
     /// in the ledger names, so the ledger always renders.
@@ -608,9 +606,9 @@ impl RuleState {
         for ct in &self.constants {
             out.insert(ct.expected);
         }
-        for vt in &self.variables {
-            out.extend(vt.partition.block_keys());
-            out.extend(vt.majorities.values().copied());
+        for (key, block) in self.variables.iter().flat_map(|vt| vt.partition.blocks()) {
+            out.insert(key);
+            out.extend(block.majority_id());
         }
     }
 

@@ -26,7 +26,9 @@
 //!   its own [`KeyMemo`](anmat_index::KeyMemo): an
 //!   insert or removal touches exactly the affected key's block, in
 //!   `O(log block + run cap)` (blocks keep their rows as short ascending
-//!   runs), and moves at most the row's own violation. `O(block)` work
+//!   runs of 4-byte row ids and leave each RHS in the table: about 5.4
+//!   bytes of heap per row, bounded by `tests/block_heap.rs`), and moves
+//!   at most the row's own violation. `O(block)` work
 //!   happens only when the block's majority flips and its violations are
 //!   re-derived. A batch is validated in `O(batch)`, so no op costs
 //!   `O(table)`.

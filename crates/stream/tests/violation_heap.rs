@@ -13,58 +13,11 @@
 //! The test binary holds this one test, so no other test allocates
 //! while it measures.
 
+mod counting;
+
 use anmat_core::{PatternTuple, Pfd};
 use anmat_stream::StreamEngine;
 use anmat_table::{Op, Schema, ValuePool};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
-
-/// Bytes currently allocated through the global allocator.
-static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
-
-struct Counting;
-
-fn count(bytes: usize, sign: isize) {
-    let bytes = isize::try_from(bytes).expect("allocation sizes fit isize");
-    LIVE_BYTES.fetch_add(sign * bytes, Ordering::Relaxed);
-}
-
-// SAFETY: every call forwards to `System` unchanged; the counter only
-// observes the sizes.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc(layout);
-        if !ptr.is_null() {
-            count(layout.size(), 1);
-        }
-        ptr
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc_zeroed(layout);
-        if !ptr.is_null() {
-            count(layout.size(), 1);
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        count(layout.size(), -1);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let moved = System.realloc(ptr, layout, new_size);
-        if !moved.is_null() {
-            count(layout.size(), -1);
-            count(new_size, 1);
-        }
-        moved
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
 
 const BLOCKS: usize = 400;
 const ROWS_PER_BLOCK: usize = 30;
@@ -117,9 +70,9 @@ fn engine(ops: &[Op]) -> StreamEngine {
 
 /// The heap an engine over `ops` holds, and its live violations.
 fn measure(ops: &[Op]) -> (isize, usize) {
-    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    let before = counting::live_bytes();
     let engine = engine(ops);
-    let held = LIVE_BYTES.load(Ordering::Relaxed) - before;
+    let held = counting::live_bytes() - before;
     (held, engine.ledger().live_count())
 }
 

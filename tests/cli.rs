@@ -742,6 +742,50 @@ fn stream_without_rules_source_fails() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `--rules` file cut off inside a literal, and one that is not UTF-8:
+/// `stream` and `detect` both exit 1 with a message naming the file and
+/// what is wrong with it, and print nothing on stdout.
+#[test]
+fn truncated_and_non_utf8_rules_files_are_rejected() {
+    let dir = std::env::temp_dir().join(format!("anmat_cli_hostile_rules_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (csv, rules) = zips_fixture(&dir);
+    let text = std::fs::read_to_string(&rules).unwrap();
+    let cut = text.find(":false").expect("the fixture has a `false`") + ":fa".len();
+    let trunc = dir.join("trunc.json");
+    std::fs::write(&trunc, &text[..cut]).unwrap();
+    let garbage = dir.join("garbage.json");
+    std::fs::write(&garbage, b"[{\"relation\":\"\xff\xfe\"}]").unwrap();
+    let (csv, trunc, garbage) = (
+        csv.to_str().unwrap(),
+        trunc.to_str().unwrap(),
+        garbage.to_str().unwrap(),
+    );
+    for (file, want) in [
+        (
+            trunc,
+            format!("error: parsing {trunc}: invalid literal at line 1 column 263\n"),
+        ),
+        (
+            garbage,
+            format!("error: reading {garbage}: stream did not contain valid UTF-8\n"),
+        ),
+    ] {
+        for command in ["stream", "detect"] {
+            let out = anmat(&[command, csv, "--rules", file]);
+            assert_eq!(
+                out.status.code(),
+                Some(1),
+                "`anmat {command} --rules {file}`"
+            );
+            assert_eq!(stderr(&out), want, "`anmat {command} --rules {file}`");
+            assert!(stdout(&out).is_empty(), "`anmat {command} --rules {file}`");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The `pool:` summary line's byte total equals the sum of the four
 /// parts it prints (chunk, entry, string and map bytes).
 fn assert_pool_line_adds_up(text: &str) {
