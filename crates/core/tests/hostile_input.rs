@@ -131,3 +131,30 @@ proptest! {
         std::fs::remove_dir_all(&dir).expect("store removed");
     }
 }
+
+/// Text nested far past the JSON parser's 128 levels is rejected with
+/// an error, not a stack overflow: a `--rules` text, and a store record
+/// whose rules are wrapped in 50,000 brackets.
+#[test]
+fn deep_nesting_is_rejected() {
+    let deep = "[".repeat(50_000);
+    let rules = format!("{deep}{}", String::from_utf8(rules_json()).expect("UTF-8"));
+    let err = serde_json::from_str::<Vec<Pfd>>(&rules).expect_err("nested rules rejected");
+    assert!(
+        err.to_string().contains("recursion limit exceeded"),
+        "{err}"
+    );
+
+    let mut record = String::from_utf8(record_json()).expect("UTF-8");
+    let at = record.find("\"rules\":").expect("a rules field") + "\"rules\":".len();
+    record.insert_str(at, &deep);
+    let dir = std::env::temp_dir().join(format!("anmat_nested_store_{}", std::process::id()));
+    let store = RuleStore::open(&dir).expect("store opens");
+    std::fs::write(dir.join("zips.json"), &record).expect("record written");
+    let err = store.load("zips").expect_err("nested record rejected");
+    assert!(
+        err.to_string().contains("recursion limit exceeded"),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&dir).expect("store removed");
+}

@@ -1,9 +1,10 @@
 //! A counting global allocator for the heap-bound tests.
 //!
-//! A test binary that declares `mod counting;` runs every allocation
-//! through [`Counting`], which forwards it to `System` and keeps a
-//! running total of the bytes held. Each such binary holds one test, so
-//! no other test allocates while it measures.
+//! A test binary that declares `mod counting;` (another crate's tests
+//! reach it through `#[path]`) runs every allocation through
+//! [`Counting`], which forwards it to `System` and keeps a running total
+//! of the bytes held. Each such binary holds one test, so no other test
+//! allocates while it measures.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};

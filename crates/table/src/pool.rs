@@ -12,11 +12,14 @@
 //!
 //! The pool is a **process-global** interner, append-mostly:
 //!
-//! * The first time a string is interned, it is copied once into the pool
-//!   and handed out as `&'static str` (`Box::leak`). Every later sighting
-//!   of the same string resolves to the same [`ValueId`] with a hash
-//!   lookup and *zero* allocation.
-//! * By default ids are never recycled and strings are never dropped: a
+//! * The first time a string is interned, it is copied once into a
+//!   *record*: one allocation laid out as `[id: u32][len: u32][bytes]`.
+//!   The record is the string's only owner. The id's store slot and the
+//!   string → id index hold the same thin pointer to it, and
+//!   [`ValueId::as_str`] hands out `&'static str` borrowed from it. Every
+//!   later sighting of the same string resolves to the same [`ValueId`]
+//!   with a hash lookup and *zero* allocation.
+//! * By default ids are never recycled and records are never freed: a
 //!   `ValueId` obtained anywhere in the process stays valid (and
 //!   resolvable) for the process lifetime. This is what lets
 //!   [`ValueId::as_str`] hand out `&'static str` without borrowing the
@@ -26,21 +29,33 @@
 //! * For long-running, high-cardinality streams the leak is no longer
 //!   acceptable, so the pool supports **explicit reclamation**
 //!   ([`ValuePool::reclaim`]): a caller that can prove a set of ids is
-//!   unreferenced hands them back, their strings are unpublished and
-//!   freed, and the ids are recycled through a free list. The stream
-//!   engine proves it with a mark at a compaction barrier: it hands
-//!   back the ids its deletes and updates displaced, less every id a
-//!   live cell or its rule state still holds (see `anmat_stream`).
+//!   unreferenced hands them back, their records leave the index and
+//!   their slots, and the ids are recycled through a free list. The
+//!   stream engine proves it with a mark at a compaction barrier: it
+//!   hands back the ids its deletes and updates displaced, less every id
+//!   a live cell or its rule state still holds (see `anmat_stream`).
 //!   Resolving a freed-and-not-yet-reused id panics (fail-stop, never a
-//!   dangle): the slot is nulled before the string is dropped, and the
-//!   drop itself is deferred one reclaim round as a grace period for
-//!   racing lock-free readers.
+//!   dangle): the slot is nulled before the record is freed, and the
+//!   free itself is deferred one reclaim round as a grace period for
+//!   racing lock-free readers. A record is never written after it is
+//!   published, so a recycled id gets a new record.
 //!
 //! Id `0` is reserved for the null cell ([`ValueId::NULL`]); real strings
 //! get ids from 1 upward in first-sighting order (or from the free list
 //! after reclamation). The empty string, when interned explicitly (e.g.
 //! via `Value::text("")`), gets an ordinary non-null id — nullness is a
 //! property of the *cell*, not of string content.
+//!
+//! # What a string costs
+//!
+//! A distinct string of `n` bytes costs one record of `8 + n` bytes, one
+//! 8-byte store slot, and one index bucket: an 8-byte record pointer and
+//! a control byte. Slots come in doubling chunks and buckets at the hash
+//! set's load factor, so each is partly empty. Interning 100,000
+//! distinct 10-byte strings requests about 40 bytes of heap per string
+//! (`tests/pool_heap.rs` bounds it at 48). The allocator rounds each
+//! record up to its own chunk size, 32 bytes for records of up to 24
+//! bytes on glibc.
 //!
 //! # Concurrency: lock-free resolution
 //!
@@ -50,25 +65,28 @@
 //!   doubling-capacity chunks (64, 128, 256, … slots) whose addresses
 //!   never change once allocated, plus an atomic length watermark.
 //!   [`ValuePool::resolve`] is therefore **lock-free**: a relaxed
-//!   watermark bounds check and two pointer chases (chunk, then the
-//!   published entry), with acquire loads pairing against the publishing
-//!   release stores. Resolution never blocks and is never blocked — not
-//!   by other resolvers, and not by concurrent interning, so threads
-//!   render strings without contending on the pool.
-//! * **string → id** (interning) keeps an `RwLock`ed hash map: lookups of
-//!   already-interned strings take the shared read lock; only a genuine
-//!   *miss* — the first sighting of a string — takes the write lock to
-//!   allocate and publish. [`ValuePool::intern_batch`] amortizes further:
-//!   a whole record is looked up under one read-lock acquisition, and
-//!   whatever missed is interned under one write-lock acquisition — the
-//!   CSV ingest path pays two lock operations per *record*, not two per
-//!   cell.
+//!   watermark bounds check, an acquire load of the chunk, and one
+//!   pointer chase from the slot to the record, whose header holds the
+//!   length and whose bytes follow it. The acquire loads pair with the
+//!   publishing release stores. Resolution never blocks and is never
+//!   blocked — not by other resolvers, and not by concurrent interning,
+//!   so threads render strings without contending on the pool.
+//! * **string → id** (interning) keeps an `RwLock`ed hash set of the
+//!   records themselves, hashed and compared as their strings, so a
+//!   lookup by `&str` finds the record and reads the id from its header.
+//!   Lookups of already-interned strings take the shared read lock; only
+//!   a genuine *miss* — the first sighting of a string — takes the write
+//!   lock to allocate and publish. [`ValuePool::intern_batch`] amortizes
+//!   further: a whole record is looked up under one read-lock
+//!   acquisition, and whatever missed is interned under one write-lock
+//!   acquisition — the CSV ingest path pays two lock operations per
+//!   *record*, not two per cell.
 //!
-//! Publishing protocol (single writer at a time — the map write lock
-//! doubles as the store's append lock): write the entry pointer into its
+//! Publishing protocol (single writer at a time — the index write lock
+//! doubles as the store's append lock): write the record pointer into its
 //! slot with `Release`, then advance the watermark with `Release`.
 //! Readers load the slot with `Acquire`; a non-null pointer therefore
-//! carries a happens-before edge to the entry's contents. A legitimate
+//! carries a happens-before edge to the record's contents. A legitimate
 //! id always finds a non-null slot, because the id itself can only have
 //! reached the resolving thread through the intern that published it (or
 //! a synchronizing handoff downstream of it) — unless the id was
@@ -76,7 +94,11 @@
 
 use crate::value::Value;
 use anmat_obs as obs;
-use fxhash::FxHashMap;
+use fxhash::FxHashSet;
+use std::alloc::{self, Layout};
+use std::borrow::Borrow;
+use std::hash::{Hash, Hasher};
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, RwLock};
 
@@ -94,12 +116,12 @@ static RECLAIMED_STRINGS: AtomicUsize = AtomicUsize::new(0);
 /// Cumulative bytes of string payload reclaimed over the process
 /// lifetime.
 static RECLAIMED_BYTES: AtomicUsize = AtomicUsize::new(0);
-/// The interning map's capacity, mirrored out of the `RwLock` so
+/// The interning index's capacity, mirrored out of the `RwLock` so
 /// [`ValuePool::mem_footprint`] never takes the lock. A high-water mark,
-/// raised by every path that inserts: `HashMap::remove` lowers
-/// `capacity()` without freeing a bucket, and nothing shrinks the map,
-/// so the largest capacity seen is what the map still holds.
-static MAP_CAPACITY: AtomicUsize = AtomicUsize::new(0);
+/// raised by every path that inserts: `HashSet::remove` lowers
+/// `capacity()` without freeing a bucket, and nothing shrinks the set,
+/// so the largest capacity seen is what the set still holds.
+static INDEX_CAPACITY: AtomicUsize = AtomicUsize::new(0);
 /// Lock-free hint: number of ids parked on the free list (so intern
 /// misses skip the reclaimer mutex entirely until a reclaim happens).
 static FREE_HINT: AtomicUsize = AtomicUsize::new(0);
@@ -167,6 +189,117 @@ impl std::fmt::Display for ValueId {
     }
 }
 
+/// Bytes of a record's header: its id, then its string's length, each a
+/// native-endian `u32`.
+const HEADER: usize = 8;
+
+/// One interned string in one allocation, `[id: u32][len: u32][bytes]`,
+/// behind a thin pointer (a `&str` is a fat pointer and cannot be stored
+/// atomically). The id's store slot and the interning index both hold
+/// the pointer. In the index it hashes and compares as its string, so a
+/// lookup by `&str` finds it and reads the id from its header.
+///
+/// Holding a `Record` claims that its allocation is live, which is why
+/// `id` and `as_str` are safe: this module makes one only in
+/// `Record::new` or from a slot a publish filled, and calls `free` only
+/// after every copy has left the index, the store and the readers'
+/// grace period.
+#[derive(Clone, Copy)]
+struct Record(NonNull<u8>);
+
+// SAFETY: a record is immutable once published, and it is freed only
+// under the interning write lock, a full reclaim round after its key
+// left the index and its slot was nulled. A thread that reaches a record
+// through the index (under the lock), through a published slot, or
+// through the reclaimer's deferred list (under its mutex) therefore
+// reads initialized bytes that no thread writes or frees meanwhile.
+unsafe impl Send for Record {}
+// SAFETY: as for `Send` — shared access only ever reads.
+unsafe impl Sync for Record {}
+
+impl Record {
+    /// The allocation layout of a record holding `len` string bytes.
+    fn layout(len: usize) -> Layout {
+        Layout::from_size_align(HEADER + len, std::mem::align_of::<u32>())
+            .expect("a string's record fits the address space")
+    }
+
+    /// Copy `s` into a new record under `id`.
+    fn new(id: u32, s: &str) -> Record {
+        let len = u32::try_from(s.len()).expect("an interned string is under 4 GiB");
+        let layout = Record::layout(s.len());
+        // SAFETY: `layout` has a non-zero size: the header alone is 8
+        // bytes.
+        let ptr = unsafe { alloc::alloc(layout) };
+        let Some(ptr) = NonNull::new(ptr) else {
+            alloc::handle_alloc_error(layout)
+        };
+        // SAFETY: the fresh allocation is `HEADER + s.len()` bytes,
+        // aligned for `u32`, so both header words and the string bytes
+        // are in bounds and aligned, and it overlaps nothing of `s`.
+        unsafe {
+            ptr.as_ptr().cast::<u32>().write(id);
+            ptr.as_ptr().add(4).cast::<u32>().write(len);
+            std::ptr::copy_nonoverlapping(s.as_ptr(), ptr.as_ptr().add(HEADER), s.len());
+        }
+        Record(ptr)
+    }
+
+    /// The id in the record's header.
+    fn id(self) -> u32 {
+        // SAFETY: the record is live (see the `Send` impl), and
+        // `Record::new` wrote its first word before anyone saw it.
+        unsafe { self.0.as_ptr().cast::<u32>().read() }
+    }
+
+    /// The record's string. `'static` is the pool's promise (module
+    /// docs): under [`ValuePool::reclaim`]'s contract no reader holds a
+    /// record's string past its free.
+    fn as_str(self) -> &'static str {
+        // SAFETY: the record is live (see the `Send` impl). Its second
+        // header word is the length `Record::new` wrote, and that many
+        // bytes after the header are a copy of a `&str`, so valid UTF-8.
+        unsafe {
+            let len = self.0.as_ptr().add(4).cast::<u32>().read() as usize;
+            let bytes = std::slice::from_raw_parts(self.0.as_ptr().add(HEADER), len);
+            std::str::from_utf8_unchecked(bytes)
+        }
+    }
+
+    /// Free the record.
+    ///
+    /// # Safety
+    /// No thread may read the record again: its key left the index and
+    /// its slot was nulled a full reclaim round ago.
+    unsafe fn free(self) {
+        let layout = Record::layout(self.as_str().len());
+        // SAFETY: `Record::new` allocated the record with this layout
+        // (same length), and the caller guarantees no reader remains.
+        unsafe { alloc::dealloc(self.0.as_ptr(), layout) };
+    }
+}
+
+impl Borrow<str> for Record {
+    fn borrow(&self) -> &str {
+        self.as_str()
+    }
+}
+
+/// Hashes as its string, as `Borrow<str>` requires.
+impl Hash for Record {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl PartialEq for Record {
+    fn eq(&self, other: &Record) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for Record {}
+
 /// log2 of the first chunk's slot count.
 const FIRST_CHUNK_BITS: u32 = 6;
 /// Chunk `k` holds `64 << k` slots; 27 chunks cover the full `u32` id
@@ -182,17 +315,13 @@ fn locate(id: u32) -> (usize, usize) {
     (level as usize, offset as usize)
 }
 
-/// A published pool entry. Slots hold a *thin* pointer to one of these
-/// (a `&'static str` is a fat pointer and cannot be stored atomically),
-/// so a resolve is two pointer chases: slot → entry → bytes.
-struct Entry(&'static str);
-
-type Slot = AtomicPtr<Entry>;
+/// A store slot: a published record's pointer, or null.
+type Slot = AtomicPtr<u8>;
 
 /// The append-only id → string store. Chunk addresses never change once
 /// allocated, so readers need no lock — only acquire loads pairing with
-/// the writer's release stores. Entries are dropped only through
-/// [`ValuePool::reclaim`]'s deferred-drop protocol.
+/// the writer's release stores. Records are freed only through
+/// [`ValuePool::reclaim`]'s deferred-free protocol.
 struct Store {
     chunks: [AtomicPtr<Slot>; CHUNK_COUNT],
     /// Number of initialized slots (including the reserved null slot 0).
@@ -226,52 +355,49 @@ impl Store {
         chunk
     }
 
-    /// Append one leaked string at the watermark. Must only be called
-    /// while holding the interning write lock (single writer), which
-    /// makes the plain read-modify-write of `len` and the chunk
-    /// allocation race-free.
-    fn push(&self, s: &'static str) -> u32 {
+    /// The id at the watermark, which the next publish takes unless a
+    /// freed id is waiting.
+    fn next_id(&self) -> u32 {
         let id = self.len.load(Ordering::Relaxed);
         assert!(id < u32::MAX, "value pool exhausted u32 ids");
-        let (level, offset) = locate(id);
-        let chunk = self.chunk(level);
-        let entry = Box::into_raw(Box::new(Entry(s)));
-        // SAFETY: `offset` < the chunk's capacity by construction of
-        // `locate`, and the chunk allocation above (or by an earlier
-        // push) is visible to this sole writer.
-        unsafe { (*chunk.add(offset)).store(entry, Ordering::Release) };
-        self.len.store(id + 1, Ordering::Release);
         id
     }
 
-    /// Republish a recycled id (below the watermark, slot currently
-    /// null). Must only be called while holding the interning write
-    /// lock.
-    fn put(&self, id: u32, s: &'static str) {
-        debug_assert!(id < self.len.load(Ordering::Relaxed));
+    /// Publish `record` in its id's slot: a recycled id below the
+    /// watermark (its slot null), or the watermark itself, which then
+    /// advances. Must only be called while holding the interning write
+    /// lock (single writer), which makes the plain read-modify-write of
+    /// `len` and the chunk allocation race-free.
+    fn publish(&self, record: Record) {
+        let id = record.id();
         let (level, offset) = locate(id);
         let chunk = self.chunk(level);
-        let entry = Box::into_raw(Box::new(Entry(s)));
-        // SAFETY: as in `push` — in-bounds slot of a live chunk.
-        unsafe { (*chunk.add(offset)).store(entry, Ordering::Release) };
+        // SAFETY: `offset` < the chunk's capacity by construction of
+        // `locate`, and the chunk allocation above (or by an earlier
+        // publish) is visible to this sole writer.
+        unsafe { (*chunk.add(offset)).store(record.0.as_ptr(), Ordering::Release) };
+        if id == self.len.load(Ordering::Relaxed) {
+            self.len.store(id + 1, Ordering::Release);
+        }
     }
 
-    /// Unpublish a slot: swap it to null and return the old entry
-    /// pointer (null if the slot was never published or already
-    /// reclaimed). Must only be called while holding the interning write
-    /// lock. Racing lock-free readers that loaded the old pointer first
-    /// are the reason the caller defers the actual drop.
-    fn take(&self, id: u32) -> *mut Entry {
+    /// Unpublish a slot: swap it to null and return the record it held
+    /// (`None` if the slot was never published or already reclaimed).
+    /// Must only be called while holding the interning write lock.
+    /// Racing lock-free readers that loaded the old pointer first are
+    /// the reason the caller defers the free.
+    fn take(&self, id: u32) -> Option<Record> {
         if id == 0 || id >= self.len.load(Ordering::Relaxed) {
-            return std::ptr::null_mut();
+            return None;
         }
         let (level, offset) = locate(id);
         let chunk = self.chunks[level].load(Ordering::Acquire);
         if chunk.is_null() {
-            return std::ptr::null_mut();
+            return None;
         }
         // SAFETY: in-bounds slot of a live chunk (see `get`).
-        unsafe { (*chunk.add(offset)).swap(std::ptr::null_mut(), Ordering::AcqRel) }
+        let record = unsafe { (*chunk.add(offset)).swap(std::ptr::null_mut(), Ordering::AcqRel) };
+        NonNull::new(record).map(Record)
     }
 
     /// Lock-free id → string. `None` for ids this pool never produced
@@ -289,16 +415,13 @@ impl Store {
         }
         // SAFETY: non-null chunks are live for the process lifetime and
         // `offset` is within the chunk's capacity.
-        let entry = unsafe { (*chunk.add(offset)).load(Ordering::Acquire) };
-        if entry.is_null() {
-            return None;
-        }
-        // SAFETY: a non-null entry pointer was acquire-loaded, pairing
-        // with the release store that published the fully-initialized
-        // entry; reclaimed entries are dropped one full reclaim round
-        // after being unpublished (and only for ids the caller proved
-        // unreferenced), so a pointer read here is live.
-        Some(unsafe { (*entry).0 })
+        let record = unsafe { (*chunk.add(offset)).load(Ordering::Acquire) };
+        // A non-null pointer was acquire-loaded, pairing with the
+        // release store that published the fully written record; a
+        // reclaimed record is freed one full reclaim round after its
+        // slot was nulled (and only for ids the caller proved
+        // unreferenced), so the record read here is live.
+        NonNull::new(record).map(|record| Record(record).as_str())
     }
 }
 
@@ -308,16 +431,12 @@ fn store() -> &'static Store {
 }
 
 /// Reclamation bookkeeping: the free list of recycled ids and the
-/// allocations unpublished last round whose drop was deferred (grace
-/// period for racing lock-free readers).
+/// records unpublished last round whose free was deferred (grace period
+/// for racing lock-free readers).
 struct Reclaimer {
     free: Vec<u32>,
-    deferred: Vec<(*mut Entry, *mut str)>,
+    deferred: Vec<Record>,
 }
-
-// SAFETY: the raw pointers are owned allocations in transit between
-// unpublish and drop; they are only touched under the mutex.
-unsafe impl Send for Reclaimer {}
 
 fn reclaimer() -> &'static Mutex<Reclaimer> {
     static RECLAIMER: OnceLock<Mutex<Reclaimer>> = OnceLock::new();
@@ -329,34 +448,32 @@ fn reclaimer() -> &'static Mutex<Reclaimer> {
     })
 }
 
-/// String → id map. Keys borrow the leaked `'static` storage. Read locks
-/// serve intern *hits*; the write lock serves misses and doubles as the
-/// store's single-writer append lock.
-fn map() -> &'static RwLock<FxHashMap<&'static str, u32>> {
-    static MAP: OnceLock<RwLock<FxHashMap<&'static str, u32>>> = OnceLock::new();
-    MAP.get_or_init(|| RwLock::new(FxHashMap::default()))
+/// The string → id index: the published records, keyed by their
+/// strings. Read locks serve intern *hits*; the write lock serves misses
+/// and doubles as the store's single-writer append lock.
+fn index() -> &'static RwLock<FxHashSet<Record>> {
+    static INDEX: OnceLock<RwLock<FxHashSet<Record>>> = OnceLock::new();
+    INDEX.get_or_init(|| RwLock::new(FxHashSet::default()))
 }
 
-/// Leak `s` and publish it, recycling a free-listed id when one is
-/// available. Must be called with the map write lock held.
-fn publish(map: &mut FxHashMap<&'static str, u32>, s: &str) -> u32 {
-    let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
-    STRING_BYTES.fetch_add(leaked.len(), Ordering::Relaxed);
-    LIVE_STRINGS.fetch_add(1, Ordering::Relaxed);
-    let id = if FREE_HINT.load(Ordering::Relaxed) > 0 {
+/// Copy `s` into a record and publish it, recycling a free-listed id
+/// when one is available. Must be called with the index write lock
+/// held.
+fn publish(index: &mut FxHashSet<Record>, s: &str) -> u32 {
+    let recycled = if FREE_HINT.load(Ordering::Relaxed) > 0 {
         let mut rec = reclaimer().lock().expect("pool reclaimer poisoned");
-        match rec.free.pop() {
-            Some(id) => {
-                FREE_HINT.fetch_sub(1, Ordering::Relaxed);
-                store().put(id, leaked);
-                id
-            }
-            None => store().push(leaked),
-        }
+        let id = rec.free.pop();
+        FREE_HINT.store(rec.free.len(), Ordering::Relaxed);
+        id
     } else {
-        store().push(leaked)
+        None
     };
-    map.insert(leaked, id);
+    let id = recycled.unwrap_or_else(|| store().next_id());
+    let record = Record::new(id, s);
+    store().publish(record);
+    index.insert(record);
+    STRING_BYTES.fetch_add(s.len(), Ordering::Relaxed);
+    LIVE_STRINGS.fetch_add(1, Ordering::Relaxed);
     id
 }
 
@@ -374,21 +491,21 @@ impl ValuePool {
     #[must_use]
     pub fn intern(s: &str) -> ValueId {
         {
-            let map = map().read().expect("value pool poisoned");
-            if let Some(&id) = map.get(s) {
+            let index = index().read().expect("value pool poisoned");
+            if let Some(record) = index.get(s) {
                 obs::counter!("pool.intern.hits").incr();
-                return ValueId(id);
+                return ValueId(record.id());
             }
         }
-        let mut map = map().write().expect("value pool poisoned");
+        let mut index = index().write().expect("value pool poisoned");
         // Re-check: another thread may have interned `s` between locks.
-        if let Some(&id) = map.get(s) {
+        if let Some(record) = index.get(s) {
             obs::counter!("pool.intern.hits").incr();
-            return ValueId(id);
+            return ValueId(record.id());
         }
         obs::counter!("pool.intern.misses").incr();
-        let id = publish(&mut map, s);
-        MAP_CAPACITY.fetch_max(map.capacity(), Ordering::Relaxed);
+        let id = publish(&mut index, s);
+        INDEX_CAPACITY.fetch_max(index.capacity(), Ordering::Relaxed);
         ValueId(id)
     }
 
@@ -437,12 +554,12 @@ impl ValuePool {
         let mut misses: Vec<usize> = Vec::new();
         let mut hits = 0u64;
         {
-            let map = map().read().expect("value pool poisoned");
+            let index = index().read().expect("value pool poisoned");
             for (i, field) in fields.iter().enumerate() {
                 let Some(s) = field else { continue };
-                match map.get(s) {
-                    Some(&id) => {
-                        out[i] = ValueId(id);
+                match index.get(*s) {
+                    Some(record) => {
+                        out[i] = ValueId(record.id());
                         hits += 1;
                     }
                     None => misses.push(i),
@@ -451,21 +568,21 @@ impl ValuePool {
         }
         let mut inserted = 0u64;
         if !misses.is_empty() {
-            let mut map = map().write().expect("value pool poisoned");
+            let mut index = index().write().expect("value pool poisoned");
             for i in misses {
                 let s = fields[i].expect("only non-null fields miss");
-                out[i] = match map.get(s) {
-                    Some(&id) => {
+                out[i] = match index.get(s) {
+                    Some(record) => {
                         hits += 1;
-                        ValueId(id)
+                        ValueId(record.id())
                     }
                     None => {
                         inserted += 1;
-                        ValueId(publish(&mut map, s))
+                        ValueId(publish(&mut index, s))
                     }
                 };
             }
-            MAP_CAPACITY.fetch_max(map.capacity(), Ordering::Relaxed);
+            INDEX_CAPACITY.fetch_max(index.capacity(), Ordering::Relaxed);
         }
         // One add per record, not per cell — the batch entry points stay
         // two lock operations and two counter bumps per record.
@@ -479,21 +596,22 @@ impl ValuePool {
     /// lookups that must not grow the pool.
     #[must_use]
     pub fn lookup(s: &str) -> Option<ValueId> {
-        let map = map().read().expect("value pool poisoned");
-        map.get(s).map(|&id| ValueId(id))
+        let index = index().read().expect("value pool poisoned");
+        index.get(s).map(|record| ValueId(record.id()))
     }
 
     /// Resolve a non-null id to its interned string.
     ///
-    /// **Lock-free**: a relaxed watermark check plus two acquire pointer
-    /// chases — no `RwLock` is touched, so resolution never blocks (and
-    /// is never blocked by) concurrent interning.
+    /// **Lock-free**: a relaxed watermark check, then acquire loads of
+    /// the id's chunk and slot, and one pointer chase to the record that
+    /// holds the string — no `RwLock` is touched, so resolution never
+    /// blocks (and is never blocked by) concurrent interning.
     ///
     /// # Panics
     /// Panics on [`ValueId::NULL`] (nulls have no string), on an id not
     /// produced by this process's pool, or on an id whose string was
     /// [`ValuePool::reclaim`]ed and not yet reused (fail-stop staleness
-    /// detection — the slot is nulled before the string is freed).
+    /// detection — the slot is nulled before the record is freed).
     #[must_use]
     pub fn resolve(id: ValueId) -> &'static str {
         assert!(!id.is_null(), "ValueId::NULL has no string");
@@ -532,12 +650,11 @@ impl ValuePool {
     }
 
     /// Reclaim a set of ids the caller has proven unreferenced: each
-    /// id has its string unpublished from the interning map, its store
-    /// slot nulled (so a stale resolve panics instead of dangling), and
-    /// its id pushed onto the free list for recycling. The string and
-    /// entry allocations are dropped at the *next* reclaim call — a
-    /// one-round grace period for lock-free readers that raced the
-    /// unpublish.
+    /// id's record leaves the interning index, its store slot is nulled
+    /// (so a stale resolve panics instead of dangling), and the id is
+    /// pushed onto the free list for recycling. The records are freed at
+    /// the *next* reclaim call — a one-round grace period for lock-free
+    /// readers that raced the unpublish.
     ///
     /// Returns how many strings (and payload bytes) were reclaimed. Every
     /// id given is freed, except null ids, ids already reclaimed and ids
@@ -555,36 +672,27 @@ impl ValuePool {
     /// contract; it waits until the benchmark harness stops loading ids
     /// from the global pool.
     pub fn reclaim(ids: impl IntoIterator<Item = ValueId>) -> ReclaimStats {
-        let mut map = map().write().expect("value pool poisoned");
+        let mut index = index().write().expect("value pool poisoned");
         let mut rec = reclaimer().lock().expect("pool reclaimer poisoned");
         // The previous round's grace period is over: anything still
         // parked was unpublished a full barrier ago.
-        for (entry, string) in rec.deferred.drain(..) {
-            // SAFETY: both pointers are owned allocations unpublished at
-            // the previous reclaim; by the caller contract no reader can
-            // still hold them.
-            unsafe {
-                drop(Box::from_raw(entry));
-                drop(Box::from_raw(string));
-            }
+        for record in rec.deferred.drain(..) {
+            // SAFETY: the record left the index and its slot at the
+            // previous reclaim; by the caller contract no reader can
+            // still hold it.
+            unsafe { record.free() };
         }
         let mut stats = ReclaimStats::default();
         for vid in ids {
-            let id = vid.raw();
-            let entry = store().take(id);
-            if entry.is_null() {
+            let Some(record) = store().take(vid.raw()) else {
                 continue; // null, never interned, or already reclaimed
-            }
-            // SAFETY: `entry` was just unpublished by this sole writer;
-            // the pointed-to Entry stays valid until dropped from the
-            // deferred list.
-            let s: &'static str = unsafe { (*entry).0 };
-            map.remove(s);
+            };
+            let s = record.as_str();
+            index.remove(s);
             stats.strings += 1;
             stats.bytes += s.len();
-            rec.deferred
-                .push((entry, std::ptr::from_ref::<str>(s).cast_mut()));
-            rec.free.push(id);
+            rec.deferred.push(record);
+            rec.free.push(vid.raw());
         }
         FREE_HINT.store(rec.free.len(), Ordering::Relaxed);
         STRING_BYTES.fetch_sub(stats.bytes, Ordering::Relaxed);
@@ -603,20 +711,21 @@ impl ValuePool {
     /// process, not per table).
     ///
     /// Counts every owned allocation: the chunk-ladder slot arrays, the
-    /// published `Entry` cells, the live string bytes themselves, and the
-    /// string → id map (its bucket array estimated from the largest
-    /// capacity it has had). **Lock-free** — every figure is an atomic
-    /// read, so snapshotting never contends with interning.
+    /// published records (headers and string bytes), and the interning
+    /// index (its bucket array estimated from the largest capacity it has
+    /// had). Records parked for their deferred free are not counted.
+    /// **Lock-free** — every figure is an atomic read, so snapshotting
+    /// never contends with interning.
     #[must_use]
     pub fn mem_footprint() -> PoolFootprint {
         let strings = LIVE_STRINGS.load(Ordering::Relaxed);
         let chunk_bytes = CHUNK_BYTES.load(Ordering::Relaxed);
-        let entry_bytes = strings * std::mem::size_of::<Entry>();
+        let entry_bytes = strings * HEADER;
         let string_bytes = STRING_BYTES.load(Ordering::Relaxed);
-        // Swiss-table layout: one (key, value) slot plus one control
-        // byte per bucket of capacity.
+        // Swiss-table layout: one record pointer plus one control byte
+        // per bucket of capacity.
         let map_bytes =
-            MAP_CAPACITY.load(Ordering::Relaxed) * (std::mem::size_of::<(&'static str, u32)>() + 1);
+            INDEX_CAPACITY.load(Ordering::Relaxed) * (std::mem::size_of::<Record>() + 1);
         PoolFootprint {
             bytes: chunk_bytes + entry_bytes + string_bytes + map_bytes,
             strings,
@@ -638,14 +747,17 @@ pub struct PoolFootprint {
     pub bytes: usize,
     /// Distinct strings currently published (live, not reclaimed).
     pub strings: usize,
-    /// Allocated chunk-ladder slot arrays.
+    /// Allocated chunk-ladder slot arrays (8 bytes per slot).
     pub chunk_bytes: usize,
-    /// Published entry cells (one thin-pointer box per live string).
+    /// The live records' headers: 8 bytes per string (its id and its
+    /// length).
     pub entry_bytes: usize,
-    /// The live string payloads themselves.
+    /// The live string payloads themselves, which follow each record's
+    /// header in the same allocation.
     pub string_bytes: usize,
-    /// The string → id interning map (estimated from its high-water
-    /// capacity: reclaiming frees no bucket).
+    /// The string → id interning index: 9 bytes per bucket (a record
+    /// pointer and a control byte) at the largest capacity it has had,
+    /// since reclaiming frees no bucket.
     pub map_bytes: usize,
     /// Cumulative strings reclaimed over the process lifetime.
     pub reclaimed_strings: usize,

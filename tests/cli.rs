@@ -742,9 +742,11 @@ fn stream_without_rules_source_fails() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A `--rules` file cut off inside a literal, and one that is not UTF-8:
-/// `stream` and `detect` both exit 1 with a message naming the file and
-/// what is wrong with it, and print nothing on stdout.
+/// A `--rules` file cut off inside a literal, one that is not UTF-8, and
+/// one nested far past the JSON parser's 128 levels (an error at the
+/// first bracket too deep, not a stack overflow): `stream` and `detect`
+/// both exit 1 with a message naming the file and what is wrong with it,
+/// and print nothing on stdout.
 #[test]
 fn truncated_and_non_utf8_rules_files_are_rejected() {
     let dir = std::env::temp_dir().join(format!("anmat_cli_hostile_rules_{}", std::process::id()));
@@ -757,10 +759,13 @@ fn truncated_and_non_utf8_rules_files_are_rejected() {
     std::fs::write(&trunc, &text[..cut]).unwrap();
     let garbage = dir.join("garbage.json");
     std::fs::write(&garbage, b"[{\"relation\":\"\xff\xfe\"}]").unwrap();
-    let (csv, trunc, garbage) = (
+    let nested = dir.join("nested.json");
+    std::fs::write(&nested, "[".repeat(50_000)).unwrap();
+    let (csv, trunc, garbage, nested) = (
         csv.to_str().unwrap(),
         trunc.to_str().unwrap(),
         garbage.to_str().unwrap(),
+        nested.to_str().unwrap(),
     );
     for (file, want) in [
         (
@@ -770,6 +775,10 @@ fn truncated_and_non_utf8_rules_files_are_rejected() {
         (
             garbage,
             format!("error: reading {garbage}: stream did not contain valid UTF-8\n"),
+        ),
+        (
+            nested,
+            format!("error: parsing {nested}: recursion limit exceeded at line 1 column 129\n"),
         ),
     ] {
         for command in ["stream", "detect"] {
