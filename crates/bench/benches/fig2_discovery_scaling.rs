@@ -28,21 +28,6 @@ fn bench(c: &mut Criterion) {
         });
     }
     g.finish();
-
-    // Parallel vs sequential on the widest table.
-    let data = employee::generate(&anmat_bench::gen(10_000, 0xF4));
-    let mut g = c.benchmark_group("fig2_parallel");
-    g.bench_function("sequential_10k", |b| {
-        b.iter(|| discover(black_box(&data.table), &cfg));
-    });
-    let par = anmat_core::DiscoveryConfig {
-        parallel: true,
-        ..cfg.clone()
-    };
-    g.bench_function("parallel_10k", |b| {
-        b.iter(|| discover(black_box(&data.table), &par));
-    });
-    g.finish();
 }
 
 fn main() {

@@ -18,6 +18,21 @@ use anmat_pattern::{contains, ConstrainedPattern, Pattern};
 use anmat_table::{Table, TableProfile};
 use std::collections::HashMap;
 
+/// n of the n-gram extraction mode.
+const NGRAM_LEN: usize = 3;
+/// Longest key of the prefix extraction mode.
+const PREFIX_MAX: usize = 4;
+/// Cap on tableau size per PFD (the most-supported tuples win).
+const MAX_TABLEAU: usize = 64;
+/// Significance level α for accepting an entry. With thousands of
+/// candidate n-gram keys, a handful of rows agreeing on the RHS *by
+/// chance* passes the confidence gate; an entry is kept only if
+/// `base_rate^(support−1) · #keys ≤ α`, where `base_rate` is the dominant
+/// RHS value's global frequency. Only applied to pairs with at least 100
+/// considered rows: on demo-sized tables the statistic is meaningless and
+/// every confident entry is kept.
+const SIGNIFICANCE: f64 = 0.05;
+
 /// A validated candidate tuple with bookkeeping for minimization.
 struct Candidate {
     pattern: Pattern,
@@ -37,8 +52,8 @@ pub(crate) fn mine_constant(
     let lhs_profile = &profile.columns[lhs];
     let modes: Vec<ExtractionMode> = if lhs_profile.is_single_token() {
         vec![
-            ExtractionMode::Prefixes(config.prefix_max),
-            ExtractionMode::NGrams(config.ngram_len),
+            ExtractionMode::Prefixes(PREFIX_MAX),
+            ExtractionMode::NGrams(NGRAM_LEN),
         ]
     } else {
         vec![ExtractionMode::Tokens]
@@ -58,14 +73,10 @@ pub(crate) fn mine_constant(
 
     for mode in modes {
         let inv = InvertedIndex::build(table, lhs, rhs, mode, ExtractionMode::Tokens);
-        let considered = inv.considered_rows.max(1);
         let key_count = inv.key_count();
         let mut keys: Vec<(&str, usize)> = inv.frequent_keys(config.min_support);
         keys.truncate(10_000); // cost cap on pathological columns
-        for (key, support) in keys {
-            if support as f64 / considered as f64 > config.max_key_frequency {
-                continue; // stop-word key: determines nothing
-            }
+        for (key, _) in keys {
             for (pos, group_rows) in group_rows_by_pos(&inv, key) {
                 if group_rows.len() < config.min_support {
                     continue;
@@ -96,7 +107,7 @@ pub(crate) fn mine_constant(
                     let base =
                         rhs_global.get(dominant).copied().unwrap_or(0) as f64 / pair_rows as f64;
                     let chance = base.powi(dom_count.saturating_sub(1) as i32) * key_count as f64;
-                    if chance > config.significance {
+                    if chance > SIGNIFICANCE {
                         continue;
                     }
                 }
@@ -132,7 +143,7 @@ pub(crate) fn mine_constant(
         }
     }
 
-    let tableau = minimize(candidates, config.max_tableau);
+    let tableau = minimize(candidates);
     if tableau.is_empty() {
         return Vec::new();
     }
@@ -166,7 +177,7 @@ fn group_rows_by_pos(inv: &InvertedIndex, key: &str) -> Vec<(usize, Vec<usize>)>
 /// Split `value` into (before, after) around the key occurrence at `pos`.
 ///
 /// Positions are token indices for token mode and char offsets otherwise
-/// (matching [`ExtractionMode::extract`]). Returns `None` when the
+/// (matching [`ExtractionMode::for_each_key`]). Returns `None` when the
 /// occurrence cannot be located (value changed shape).
 fn split_at_occurrence<'v>(
     value: &'v str,
@@ -235,7 +246,7 @@ fn validate(
 
 /// Keep the most general pattern per RHS value; drop contained duplicates;
 /// cap the tableau size by support.
-fn minimize(mut candidates: Vec<Candidate>, max_tableau: usize) -> Vec<PatternTuple> {
+fn minimize(mut candidates: Vec<Candidate>) -> Vec<PatternTuple> {
     // Most general first (lower specificity = more general), then higher
     // support.
     candidates.sort_by(|a, b| {
@@ -259,7 +270,7 @@ fn minimize(mut candidates: Vec<Candidate>, max_tableau: usize) -> Vec<PatternTu
             .cmp(&a.support)
             .then_with(|| a.pattern.to_string().cmp(&b.pattern.to_string()))
     });
-    kept.truncate(max_tableau);
+    kept.truncate(MAX_TABLEAU);
     kept.into_iter()
         .map(|c| PatternTuple::constant(ConstrainedPattern::unconstrained(c.pattern), c.rhs))
         .collect()

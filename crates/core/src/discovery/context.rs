@@ -9,7 +9,7 @@
 //! style), depending on [`ContextStyle`].
 
 use super::ContextStyle;
-use anmat_pattern::{induce, InduceConfig, Pattern};
+use anmat_pattern::{induce, loosen, Pattern};
 
 /// The (before, after) character context of each supporting occurrence.
 #[derive(Debug, Clone, Default)]
@@ -68,12 +68,7 @@ fn context_pattern(parts: &[String], style: ContextStyle, side: Side) -> Pattern
             // (Range/AtLeast). Exact counts are structural — the `\D{2}`
             // of a zip suffix or the `\D{7}` of a phone tail must stay
             // exact, as in the paper's Table 3 patterns.
-            let cfg = InduceConfig {
-                loosen: true,
-                loosen_threshold: u32::MAX,
-                ..InduceConfig::default()
-            };
-            induce(&refs, &cfg)
+            loosen(&induce(&refs), u32::MAX)
         }
         ContextStyle::AnyString => {
             // Preserve the separator characters adjacent to the key; the

@@ -48,15 +48,22 @@ pub enum ContextStyle {
     AnyString,
 }
 
-/// User-facing knobs of the discovery algorithm.
+/// The settings of the discovery algorithm.
 ///
 /// The two parameters the demo exposes (§4) are [`min_coverage`] and
-/// [`max_violation_ratio`]; the rest have sensible defaults and control
-/// the extraction modes and cost caps.
+/// [`max_violation_ratio`]. The other fields are the ones a caller sets:
+/// the relation name, the support floor (the CLI's `--min-support`) and
+/// the context style (its `--paper-style`).
+///
+/// The miner's other settings are constants ([`constant`]), since no
+/// caller needs another value and each value is one the tests and the
+/// benchmark run: n = 3 for n-grams, prefixes up to 4 characters, at most
+/// 64 tuples per tableau, and a significance level of 0.05. Constant and
+/// variable PFDs are both mined, one column pair at a time.
 ///
 /// [`min_coverage`]: DiscoveryConfig::min_coverage
 /// [`max_violation_ratio`]: DiscoveryConfig::max_violation_ratio
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiscoveryConfig {
     /// Relation name stamped on discovered PFDs.
     pub relation: String,
@@ -70,35 +77,8 @@ pub struct DiscoveryConfig {
     /// Minimum number of rows supporting an inverted-list entry before it
     /// can become a pattern tuple.
     pub min_support: usize,
-    /// n for the n-gram extraction mode.
-    pub ngram_len: usize,
-    /// Maximum prefix length for the prefix extraction mode.
-    pub prefix_max: usize,
-    /// Cap on tableau size per PFD (most-supported tuples win).
-    pub max_tableau: usize,
     /// Context rendering style for constant-tuple LHS patterns.
     pub context_style: ContextStyle,
-    /// Mine constant PFDs?
-    pub mine_constant: bool,
-    /// Mine variable PFDs?
-    pub mine_variable: bool,
-    /// Spread candidate pairs across threads (scoped std threads).
-    pub parallel: bool,
-    /// Skip keys occurring in more than this fraction of rows. Off (1.0)
-    /// by default: a ubiquitous *prefix* is precisely what a rule like
-    /// `900\D{2} → Los Angeles` needs on a single-city extract, and the
-    /// confidence gate already rejects keys that determine nothing. Lower
-    /// it to prune stop-word tokens in free-text columns.
-    pub max_key_frequency: f64,
-    /// Significance level α for accepting a constant entry. With
-    /// thousands of candidate n-gram keys, a handful of rows agreeing on
-    /// the RHS *by chance* passes the confidence gate; an entry is kept
-    /// only if `base_rate^(support−1) · #keys ≤ α`, where `base_rate` is
-    /// the dominant RHS value's global frequency. Only applied to pairs
-    /// with at least 100 considered rows — on demo-sized tables the
-    /// statistic is meaningless and every confident entry is kept. Set to
-    /// 1.0 to disable entirely.
-    pub significance: f64,
 }
 
 impl Default for DiscoveryConfig {
@@ -108,15 +88,7 @@ impl Default for DiscoveryConfig {
             min_coverage: 0.6,
             max_violation_ratio: 0.3,
             min_support: 2,
-            ngram_len: 3,
-            prefix_max: 4,
-            max_tableau: 64,
             context_style: ContextStyle::Induced,
-            mine_constant: true,
-            mine_variable: true,
-            parallel: false,
-            max_key_frequency: 1.0,
-            significance: 0.05,
         }
     }
 }
@@ -137,15 +109,11 @@ impl DiscoveryConfig {
 #[must_use]
 pub fn discover(table: &Table, config: &DiscoveryConfig) -> Vec<Pfd> {
     let profile = TableProfile::profile(table);
-    let pairs = profile.candidate_pairs();
-    let mut out: Vec<Pfd> = if config.parallel && pairs.len() > 1 {
-        discover_parallel(table, &profile, &pairs, config)
-    } else {
-        pairs
-            .iter()
-            .flat_map(|&(a, b)| discover_pair_profiled(table, &profile, a, b, config))
-            .collect()
-    };
+    let mut out: Vec<Pfd> = profile
+        .candidate_pairs()
+        .iter()
+        .flat_map(|&(a, b)| discover_pair_profiled(table, &profile, a, b, config))
+        .collect();
     sort_pfds(&mut out);
     out
 }
@@ -167,45 +135,9 @@ fn discover_pair_profiled(
     rhs: usize,
     config: &DiscoveryConfig,
 ) -> Vec<Pfd> {
-    let mut out = Vec::new();
-    if config.mine_constant {
-        out.extend(constant::mine_constant(table, profile, lhs, rhs, config));
-    }
-    if config.mine_variable {
-        out.extend(variable::mine_variable(table, profile, lhs, rhs, config));
-    }
+    let mut out = constant::mine_constant(table, profile, lhs, rhs, config);
+    out.extend(variable::mine_variable(table, profile, lhs, rhs, config));
     out
-}
-
-fn discover_parallel(
-    table: &Table,
-    profile: &TableProfile,
-    pairs: &[(usize, usize)],
-    config: &DiscoveryConfig,
-) -> Vec<Pfd> {
-    let n_threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4)
-        .min(pairs.len());
-    let chunks: Vec<&[(usize, usize)]> = pairs.chunks(pairs.len().div_ceil(n_threads)).collect();
-    let mut results: Vec<Vec<Pfd>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .flat_map(|&(a, b)| discover_pair_profiled(table, profile, a, b, config))
-                        .collect::<Vec<Pfd>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            results.push(h.join().expect("discovery worker panicked"));
-        }
-    });
-    results.into_iter().flatten().collect()
 }
 
 fn sort_pfds(pfds: &mut [Pfd]) {

@@ -24,7 +24,7 @@ use super::DiscoveryConfig;
 use crate::pfd::{PatternTuple, Pfd};
 use anmat_index::BlockingIndex;
 use anmat_pattern::{
-    induce, ConstrainedPattern, Element, InduceConfig, Pattern, PatternLevel, Quantifier, Segment,
+    induce, loosen, ConstrainedPattern, Element, Pattern, PatternLevel, Quantifier, Segment,
 };
 use anmat_table::{tokenize, Table, TableProfile};
 use std::collections::HashMap;
@@ -189,16 +189,11 @@ fn token_anchor_candidates(table: &Table, lhs: usize) -> Vec<ConstrainedPattern>
     }
     // Widen only variance-showing intervals; keep exact counts structural
     // (see `context::context_pattern` for the rationale).
-    let induce_cfg = InduceConfig {
-        loosen: true,
-        loosen_threshold: u32::MAX,
-        ..InduceConfig::default()
-    };
     let sigs: Vec<Pattern> = samples
         .iter()
         .map(|toks| {
             let refs: Vec<&str> = toks.iter().map(String::as_str).collect();
-            induce(&refs, &induce_cfg)
+            loosen(&induce(&refs), u32::MAX)
         })
         .collect();
     let space = Pattern::literal(" ");

@@ -50,17 +50,6 @@ impl ExtractionMode {
             ExtractionMode::Prefixes(max) => for_each_prefix(s, max, f),
         }
     }
-
-    /// Decompose one cell string into owned `(key text, position)` pairs.
-    ///
-    /// Convenience wrapper over [`ExtractionMode::for_each_key`] for
-    /// callers that want owned keys; hot paths use the callback form.
-    #[must_use]
-    pub fn extract(&self, s: &str) -> Vec<(String, usize)> {
-        let mut out = Vec::new();
-        self.for_each_key(s, |key, pos| out.push((key.to_string(), pos)));
-        out
-    }
 }
 
 /// One posting: where a key occurred and what the RHS held there.

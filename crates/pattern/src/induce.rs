@@ -12,9 +12,13 @@
 //!    [`generalize_patterns`](crate::containment::generalize_patterns),
 //!    which joins aligned characters in the generalization tree and unions
 //!    repetition intervals;
-//! 3. an optional *loosening* step widens exact repetition ranges that show
-//!    cross-string variance into `+`/`*`, so the learned pattern covers
-//!    unseen values of the same shape.
+//! 3. the folded pattern is normalized (adjacent runs of one class
+//!    merge).
+//!
+//! Loosening is the caller's step: [`loosen`] widens repetition ranges
+//! that show cross-string variance into `+`/`*`, so the learned pattern
+//! covers unseen values of the same shape. Discovery writes
+//! `loosen(&induce(&values), u32::MAX)`.
 //!
 //! [`PatternLevel`] also exposes the fixed per-string generalization ladder
 //! (literal → classed-exact → classed-unbounded → `\A*`) that the profiler
@@ -24,6 +28,10 @@ use crate::ast::{Element, Pattern, Quantifier};
 use crate::containment::generalize_patterns_raw;
 use crate::symbol::SymbolClass;
 use serde::{Deserialize, Serialize};
+
+/// The most distinct strings [`induce`] folds; a larger sample is
+/// thinned to this many, evenly across its sorted order, to bound cost.
+const MAX_SAMPLES: usize = 64;
 
 /// A rung on the per-string generalization ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -98,37 +106,14 @@ fn classed(s: &str, unbounded: bool) -> Pattern {
     }
 }
 
-/// Configuration for [`induce`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct InduceConfig {
-    /// Cap on the number of distinct strings folded; larger samples are
-    /// deterministically truncated (sorted order) to bound cost.
-    pub max_samples: usize,
-    /// Widen `Range`/large-`Exactly` repetitions into `+`/`*` after folding,
-    /// so the pattern covers unseen same-shape values.
-    pub loosen: bool,
-    /// `Exactly(n)` with `n >= loosen_threshold` becomes `+` when
-    /// loosening; smaller exact counts are structural (e.g. `\D{2}` in a
-    /// zip suffix) and kept.
-    pub loosen_threshold: u32,
-}
-
-impl Default for InduceConfig {
-    fn default() -> Self {
-        InduceConfig {
-            max_samples: 64,
-            loosen: false,
-            loosen_threshold: 2,
-        }
-    }
-}
-
-/// Induce the least-general pattern (within alignment) covering `strings`.
+/// Induce the least-general pattern (within alignment) covering `strings`,
+/// normalized.
 ///
-/// Returns [`Pattern::empty`] for an empty sample. The fold order is
+/// Folds at most 64 distinct strings (`MAX_SAMPLES`). Returns
+/// [`Pattern::empty`] for an empty sample. The fold order is
 /// deterministic (sorted, deduplicated sample).
 #[must_use]
-pub fn induce(strings: &[&str], config: &InduceConfig) -> Pattern {
+pub fn induce(strings: &[&str]) -> Pattern {
     let mut sample: Vec<&str> = strings.to_vec();
     sample.sort_unstable();
     sample.dedup();
@@ -136,9 +121,9 @@ pub fn induce(strings: &[&str], config: &InduceConfig) -> Pattern {
     // prefix truncation would bias toward lexicographically small strings
     // (e.g. every sampled suffix of an id column starting `-1-…`), making
     // shared leading characters look constant when they are not.
-    if sample.len() > config.max_samples && config.max_samples > 0 {
-        let stride = sample.len() as f64 / config.max_samples as f64;
-        sample = (0..config.max_samples)
+    if sample.len() > MAX_SAMPLES {
+        let stride = sample.len() as f64 / MAX_SAMPLES as f64;
+        sample = (0..MAX_SAMPLES)
             .map(|i| sample[((i as f64 * stride) as usize).min(sample.len() - 1)])
             .collect();
     }
@@ -152,15 +137,12 @@ pub fn induce(strings: &[&str], config: &InduceConfig) -> Pattern {
     for s in iter {
         acc = generalize_patterns_raw(&acc, &Pattern::literal(s));
     }
-    // Normalize BEFORE loosening: merging happens on exact intervals
-    // (`\LL\LL\LL\LL{0,1}` → `\LL{3,4}`), and only then do variance-showing
-    // ranges widen to `+`/`*`. The reverse order would widen the trailing
-    // optional first and merge into an ugly `\LL{3,}`.
-    acc = acc.normalized();
-    if config.loosen {
-        acc = loosen(&acc, config.loosen_threshold);
-    }
-    acc
+    // Normalized here, so a caller's `loosen` runs after merging:
+    // merging happens on exact intervals (`\LL\LL\LL\LL{0,1}` → `\LL{3,4}`),
+    // and only then do variance-showing ranges widen to `+`/`*`. The
+    // reverse order would widen the trailing optional first and merge
+    // into an ugly `\LL{3,}`.
+    acc.normalized()
 }
 
 /// Widen repetition intervals that show variance into `+` / `*`.
@@ -219,10 +201,6 @@ fn loosen_once(p: &Pattern, threshold: u32) -> Pattern {
 mod tests {
     use super::*;
 
-    fn ind(strings: &[&str]) -> Pattern {
-        induce(strings, &InduceConfig::default())
-    }
-
     #[test]
     fn signature_literal() {
         assert_eq!(
@@ -276,14 +254,14 @@ mod tests {
 
     #[test]
     fn induce_singleton_is_literal() {
-        let p = ind(&["90001"]);
+        let p = induce(&["90001"]);
         assert_eq!(p, Pattern::literal("90001").normalized());
     }
 
     #[test]
     fn induce_zip_codes_paper_shape() {
         // Table 2: 90001–90003 share the 900 prefix.
-        let p = ind(&["90001", "90002", "90003"]);
+        let p = induce(&["90001", "90002", "90003"]);
         assert!(p.matches("90001"));
         assert!(p.matches("90004")); // generalizes the varying suffix
         assert!(!p.matches("10001")); // keeps the literal prefix
@@ -292,13 +270,13 @@ mod tests {
 
     #[test]
     fn induce_empty_sample() {
-        assert!(ind(&[]).is_empty());
+        assert!(induce(&[]).is_empty());
     }
 
     #[test]
     fn induce_covers_all_inputs() {
         let strings = ["John Charles", "John Bosco", "Susan Orlean", "Susan Boyle"];
-        let p = ind(&strings);
+        let p = induce(&strings);
         for s in strings {
             assert!(p.matches(s), "{p} should match {s}");
         }
@@ -306,24 +284,20 @@ mod tests {
 
     #[test]
     fn induce_first_name_shared_prefix() {
-        let p = ind(&["John Charles", "John Bosco"]);
+        let p = induce(&["John Charles", "John Bosco"]);
         assert!(p.matches("John Charles"));
         assert!(p.matches("John Bosco"));
         assert!(!p.matches("Susan Boyle"), "{p} should keep the John prefix");
         // Covering *unseen* values of the same shape needs loosening.
-        let cfg = InduceConfig {
-            loosen: true,
-            ..InduceConfig::default()
-        };
-        let l = induce(&["John Charles", "John Bosco"], &cfg);
+        let l = loosen(&induce(&["John Charles", "John Bosco"]), 2);
         assert!(l.matches("John Albert"), "{l} should cover unseen names");
         assert!(!l.matches("Susan Boyle"), "{l} should keep the John prefix");
     }
 
     #[test]
     fn induce_dedups_and_is_deterministic() {
-        let a = ind(&["90002", "90001", "90001", "90003"]);
-        let b = ind(&["90001", "90003", "90002"]);
+        let a = induce(&["90002", "90001", "90001", "90003"]);
+        let b = induce(&["90001", "90003", "90002"]);
         assert_eq!(a, b);
     }
 
@@ -336,11 +310,7 @@ mod tests {
 
     #[test]
     fn induce_with_loosening() {
-        let cfg = InduceConfig {
-            loosen: true,
-            ..InduceConfig::default()
-        };
-        let p = induce(&["Holloway, Donald E.", "Kimbell, Donald"], &cfg);
+        let p = loosen(&induce(&["Holloway, Donald E.", "Kimbell, Donald"]), 2);
         assert!(p.matches("Holloway, Donald E."));
         assert!(p.matches("Kimbell, Donald"));
         // Should also cover a new last name with the same shape.
@@ -351,11 +321,8 @@ mod tests {
     fn induce_respects_max_samples() {
         let strings: Vec<String> = (0..200).map(|i| format!("{i:05}")).collect();
         let refs: Vec<&str> = strings.iter().map(String::as_str).collect();
-        let cfg = InduceConfig {
-            max_samples: 16,
-            ..InduceConfig::default()
-        };
-        let p = induce(&refs, &cfg);
+        assert!(refs.len() > MAX_SAMPLES);
+        let p = induce(&refs);
         assert!(!p.is_empty());
     }
 }

@@ -67,7 +67,7 @@ pub use compile::{AsciiSet, ClassSet, CompiledConstrained, CompiledPattern, Op};
 pub use constrained::{ConstrainedPattern, Segment};
 pub use containment::{contains, equivalent, generalize_patterns};
 pub use error::PatternError;
-pub use induce::{induce, loosen, signature, InduceConfig, PatternLevel};
+pub use induce::{induce, loosen, signature, PatternLevel};
 pub use matcher::{match_pattern, match_spans, MatchSpans};
 pub use scan::ScanKind;
 pub use symbol::SymbolClass;

@@ -1,8 +1,8 @@
 //! Property-based tests for the pattern language invariants.
 
 use anmat_pattern::{
-    contains, generalize_patterns, induce, match_spans, signature, ConstrainedPattern, Element,
-    InduceConfig, Pattern, PatternLevel, Quantifier, SymbolClass,
+    contains, generalize_patterns, induce, loosen, match_spans, signature, ConstrainedPattern,
+    Element, Pattern, PatternLevel, Quantifier, SymbolClass,
 };
 use proptest::prelude::*;
 
@@ -182,7 +182,7 @@ proptest! {
     #[test]
     fn induction_covers_sample(strings in prop::collection::vec(any_string(), 1..8)) {
         let refs: Vec<&str> = strings.iter().map(String::as_str).collect();
-        let p = induce(&refs, &InduceConfig::default());
+        let p = induce(&refs);
         for s in &strings {
             prop_assert!(p.matches(s), "induced {} must match sample element {:?}", p, s);
         }
@@ -192,8 +192,7 @@ proptest! {
     #[test]
     fn loosened_induction_covers_sample(strings in prop::collection::vec(any_string(), 1..8)) {
         let refs: Vec<&str> = strings.iter().map(String::as_str).collect();
-        let cfg = InduceConfig { loosen: true, ..InduceConfig::default() };
-        let p = induce(&refs, &cfg);
+        let p = loosen(&induce(&refs), 2);
         for s in &strings {
             prop_assert!(p.matches(s));
         }

@@ -50,4 +50,4 @@ pub use table::{MemFootprint, Op, RowId, RowIdRemap, RowOp, Table, TableSnapshot
 pub use tokenize::{
     for_each_ngram, for_each_prefix, for_each_token, ngrams, prefixes, tokenize, NGram, Token,
 };
-pub use value::{NullPolicy, Value};
+pub use value::{is_null_field, Value};

@@ -10,16 +10,16 @@
 //!
 //! [`parse`] walks borrowed [`RawRecords`] and interns each record's
 //! cells straight from the input buffer, one [`ValuePool`] batch per
-//! record, under [`NullPolicy::shared_default`] — the ids
+//! record, with [`is_null_field`] naming the null cells — the ids
 //! `Value::from_field` would give — so no `String` or `Value` is built
 //! per cell.
 //!
+//! [`is_null_field`]: crate::value::is_null_field
 //! [`ValuePool`]: crate::pool::ValuePool
 
 use crate::csv::{intern_fields, RawRecords};
 use crate::error::TableError;
 use crate::table::{Op, RowId};
-use crate::value::NullPolicy;
 
 /// Parse a whole op-log into [`Op`]s, in file order.
 ///
@@ -35,8 +35,7 @@ use crate::value::NullPolicy;
 /// wrong shape for its op ([`TableError::OpLog`], with its 1-based
 /// record number; blank lines are not records).
 pub fn parse(text: &str) -> Result<Vec<Op>, TableError> {
-    let policy = NullPolicy::shared_default();
-    let mut records = RawRecords::new(text, ',');
+    let mut records = RawRecords::new(text);
     let mut ops = Vec::new();
     let mut record = 0;
     while let Some(rec) = records.next_record()? {
@@ -47,7 +46,7 @@ pub fn parse(text: &str) -> Result<Vec<Op>, TableError> {
                 .parse::<RowId>()
                 .map_err(|_| bad(format!("bad row id `{field}`")))
         };
-        let cells = |skip: usize| intern_fields(rec.iter().skip(skip), policy);
+        let cells = |skip: usize| intern_fields(rec.iter().skip(skip));
         ops.push(match (rec.field(0), rec.len()) {
             ("+", _) => Op::Insert(cells(1)),
             ("-", 2) => Op::Delete(row_id(rec.field(1))?),

@@ -125,6 +125,11 @@ static INDEX_CAPACITY: AtomicUsize = AtomicUsize::new(0);
 /// Lock-free hint: number of ids parked on the free list (so intern
 /// misses skip the reclaimer mutex entirely until a reclaim happens).
 static FREE_HINT: AtomicUsize = AtomicUsize::new(0);
+/// Bytes the reclaimer holds: the records parked for their deferred free
+/// and the capacity of its two lists. Stored by each reclaim while it
+/// holds the reclaimer lock (a publish's `pop` moves neither), so
+/// [`ValuePool::mem_footprint`] reads it without the lock.
+static RECLAIMER_BYTES: AtomicUsize = AtomicUsize::new(0);
 
 /// A dictionary-encoded cell value: `0` = null, otherwise an index into
 /// the global [`ValuePool`].
@@ -695,6 +700,15 @@ impl ValuePool {
             rec.free.push(vid.raw());
         }
         FREE_HINT.store(rec.free.len(), Ordering::Relaxed);
+        // The parked records are exactly this round's: the drain above
+        // emptied the list.
+        RECLAIMER_BYTES.store(
+            stats.strings * HEADER
+                + stats.bytes
+                + rec.free.capacity() * std::mem::size_of::<u32>()
+                + rec.deferred.capacity() * std::mem::size_of::<Record>(),
+            Ordering::Relaxed,
+        );
         STRING_BYTES.fetch_sub(stats.bytes, Ordering::Relaxed);
         LIVE_STRINGS.fetch_sub(stats.strings, Ordering::Relaxed);
         RECLAIMED_STRINGS.fetch_add(stats.strings, Ordering::Relaxed);
@@ -711,9 +725,10 @@ impl ValuePool {
     /// process, not per table).
     ///
     /// Counts every owned allocation: the chunk-ladder slot arrays, the
-    /// published records (headers and string bytes), and the interning
-    /// index (its bucket array estimated from the largest capacity it has
-    /// had). Records parked for their deferred free are not counted.
+    /// published records (headers and string bytes), the interning index
+    /// (its bucket array estimated from the largest capacity it has had),
+    /// and what reclamation holds (the records parked for their deferred
+    /// free and the reclaimer's two lists).
     /// **Lock-free** — every figure is an atomic read, so snapshotting
     /// never contends with interning.
     #[must_use]
@@ -726,13 +741,15 @@ impl ValuePool {
         // per bucket of capacity.
         let map_bytes =
             INDEX_CAPACITY.load(Ordering::Relaxed) * (std::mem::size_of::<Record>() + 1);
+        let reclaimer_bytes = RECLAIMER_BYTES.load(Ordering::Relaxed);
         PoolFootprint {
-            bytes: chunk_bytes + entry_bytes + string_bytes + map_bytes,
+            bytes: chunk_bytes + entry_bytes + string_bytes + map_bytes + reclaimer_bytes,
             strings,
             chunk_bytes,
             entry_bytes,
             string_bytes,
             map_bytes,
+            reclaimer_bytes,
             reclaimed_strings: RECLAIMED_STRINGS.load(Ordering::Relaxed),
             reclaimed_bytes: RECLAIMED_BYTES.load(Ordering::Relaxed),
         }
@@ -759,6 +776,11 @@ pub struct PoolFootprint {
     /// pointer and a control byte) at the largest capacity it has had,
     /// since reclaiming frees no bucket.
     pub map_bytes: usize,
+    /// What reclamation holds: the records the last reclaim parked for
+    /// their deferred free (headers and string bytes), and the capacity
+    /// of the reclaimer's free-id list (4 bytes a slot) and deferred list
+    /// (8). Zero until the first reclaim.
+    pub reclaimer_bytes: usize,
     /// Cumulative strings reclaimed over the process lifetime.
     pub reclaimed_strings: usize,
     /// Cumulative string payload bytes reclaimed over the process

@@ -10,98 +10,36 @@
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
-use std::sync::OnceLock;
 
-/// Which field strings denote an absent value.
+/// Does the field string `s` denote an absent value?
 ///
-/// The CSV reader and [`Value::from_field`] share one policy, so "what
-/// counts as null" is decided in exactly one place. The default covers
-/// the conventional tokens (`NULL`, `null`, `NA`, `N/A`, `\N`); datasets
-/// with other disguised-missing markers (`nan`, `-`, `?`, …) extend it
-/// with [`NullPolicy::extend`] or replace it with
-/// [`NullPolicy::with_tokens`]. The empty field is always null,
-/// independent of the token list.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NullPolicy {
-    tokens: Vec<String>,
-}
-
-impl Default for NullPolicy {
-    fn default() -> NullPolicy {
-        NullPolicy {
-            tokens: ["NULL", "null", "NA", "N/A", "\\N"]
-                .iter()
-                .map(ToString::to_string)
-                .collect(),
-        }
-    }
-}
-
-impl NullPolicy {
-    /// A policy recognizing exactly `tokens` (plus the empty field).
-    #[must_use]
-    pub fn with_tokens<I, S>(tokens: I) -> NullPolicy
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        NullPolicy {
-            tokens: tokens.into_iter().map(Into::into).collect(),
-        }
-    }
-
-    /// Add tokens to the policy (e.g. `nan`, `-`).
-    pub fn extend<I, S>(&mut self, tokens: I) -> &mut Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        self.tokens.extend(tokens.into_iter().map(Into::into));
-        self
-    }
-
-    /// Does `s` denote an absent value under this policy?
-    #[must_use]
-    pub fn is_null(&self, s: &str) -> bool {
-        s.is_empty() || self.tokens.iter().any(|t| t == s)
-    }
-
-    /// The recognized null tokens (not counting the empty field).
-    #[must_use]
-    pub fn tokens(&self) -> &[String] {
-        &self.tokens
-    }
-
-    /// The process-shared default policy (what [`Value::from_field`]
-    /// uses). Built once, never reallocated per cell.
-    #[must_use]
-    pub fn shared_default() -> &'static NullPolicy {
-        static DEFAULT: OnceLock<NullPolicy> = OnceLock::new();
-        DEFAULT.get_or_init(NullPolicy::default)
-    }
+/// The empty field and the conventional null tokens `NULL`, `null`,
+/// `NA`, `N/A` and `\N` do, matched exactly (no trimming, no case
+/// folding). The CSV reader, the op-log reader and [`Value::from_field`]
+/// all ask this one function, so "what counts as null" is decided in
+/// exactly one place.
+#[must_use]
+pub fn is_null_field(s: &str) -> bool {
+    matches!(s, "" | "NULL" | "null" | "NA" | "N/A" | "\\N")
 }
 
 /// One table cell.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Value {
-    /// An absent value (empty CSV field or declared null token).
+    /// An absent value: the empty field or a null token
+    /// ([`is_null_field`]).
     Null,
     /// A textual value, stored verbatim.
     Text(String),
 }
 
 impl Value {
-    /// Construct from a CSV field under the default [`NullPolicy`]: empty
-    /// fields and the conventional null tokens become [`Value::Null`].
+    /// Construct from a CSV field: the fields [`is_null_field`] names
+    /// (the empty field and the conventional null tokens) become
+    /// [`Value::Null`].
     #[must_use]
     pub fn from_field(s: &str) -> Value {
-        Value::from_field_with(s, NullPolicy::shared_default())
-    }
-
-    /// Construct from a CSV field under an explicit [`NullPolicy`].
-    #[must_use]
-    pub fn from_field_with(s: &str, policy: &NullPolicy) -> Value {
-        if policy.is_null(s) {
+        if is_null_field(s) {
             Value::Null
         } else {
             Value::Text(s.to_string())
@@ -167,6 +105,7 @@ impl From<String> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::Op;
 
     #[test]
     fn from_field_null_tokens() {
@@ -198,40 +137,31 @@ mod tests {
         assert!(v.is_null());
     }
 
+    /// The null tokens are a fixed set, matched exactly: near misses
+    /// stay text through the CSV reader and the op-log reader alike.
     #[test]
     fn null_policy_default_tokens() {
-        let p = NullPolicy::default();
         for s in ["", "NULL", "null", "NA", "N/A", "\\N"] {
-            assert!(p.is_null(s), "{s:?} should be null");
+            assert!(is_null_field(s), "{s:?} should be null");
         }
-        assert!(!p.is_null("nan"));
-        assert!(!p.is_null("-"));
-        assert!(!p.is_null("0"));
-        assert_eq!(p.tokens().len(), 5);
-    }
+        let near_misses = ["Null", " NULL", "n/a", "nan"];
+        for s in near_misses.iter().chain(&["-", "0"]) {
+            assert!(!is_null_field(s), "{s:?} should be text");
+        }
 
-    #[test]
-    fn null_policy_extendable() {
-        let mut p = NullPolicy::default();
-        p.extend(["nan", "-"]);
-        assert!(p.is_null("nan"));
-        assert!(p.is_null("-"));
-        assert!(p.is_null("NULL")); // defaults kept
-        assert!(Value::from_field_with("nan", &p).is_null());
-        assert!(!Value::from_field("nan").is_null()); // default unaffected
-    }
-
-    #[test]
-    fn null_policy_replacement() {
-        let p = NullPolicy::with_tokens(["?"]);
-        assert!(p.is_null("?"));
-        assert!(p.is_null("")); // empty is always null
-        assert!(!p.is_null("NULL")); // defaults replaced
-        assert!(Value::from_field_with("NULL", &p).as_str() == Some("NULL"));
-    }
-
-    #[test]
-    fn shared_default_matches_default() {
-        assert_eq!(*NullPolicy::shared_default(), NullPolicy::default());
+        let csv = crate::csv::read_str("a,b,c,d,e\nNULL,null,NA,N/A,\\N\nNull, NULL,n/a,nan,x\n")
+            .unwrap();
+        let log = crate::oplog::parse("+,NULL,null,NA,N/A,\\N\n+,Null, NULL,n/a,nan,x\n").unwrap();
+        let [Op::Insert(nulls), Op::Insert(texts)] = log.as_slice() else {
+            panic!("two inserts, got {log:?}");
+        };
+        for (c, id) in nulls.iter().enumerate() {
+            assert!(csv.cell(0, c).is_null(), "CSV cell {c}");
+            assert!(id.is_null(), "op-log cell {c}");
+        }
+        for (c, s) in near_misses.into_iter().enumerate() {
+            assert_eq!(csv.cell_str(1, c), Some(s), "CSV cell {c}");
+            assert_eq!(texts[c].as_str(), Some(s), "op-log cell {c}");
+        }
     }
 }

@@ -143,6 +143,15 @@ fn positionals(command: &str, args: Vec<String>, names: &[&str]) -> Result<Vec<S
     Ok(args)
 }
 
+/// Parse the value of a ratio flag: a number in [0, 1].
+fn parse_ratio(flag: &str, value: &str) -> Result<f64, String> {
+    value
+        .parse()
+        .ok()
+        .filter(|r: &f64| (0.0..=1.0).contains(r))
+        .ok_or(format!("bad {flag} `{value}` (want a ratio in [0, 1])"))
+}
+
 fn dataset_name(path: &str) -> String {
     std::path::Path::new(path)
         .file_stem()
@@ -174,10 +183,10 @@ fn cmd_discover(args: &[String]) -> Result<(), String> {
         ..DiscoveryConfig::default()
     };
     if let Some(c) = coverage {
-        config.min_coverage = c.parse().map_err(|_| format!("bad --coverage `{c}`"))?;
+        config.min_coverage = parse_ratio("--coverage", &c)?;
     }
     if let Some(v) = violations {
-        config.max_violation_ratio = v.parse().map_err(|_| format!("bad --violations `{v}`"))?;
+        config.max_violation_ratio = parse_ratio("--violations", &v)?;
     }
     if let Some(s) = min_support {
         config.min_support = s.parse().map_err(|_| format!("bad --min-support `{s}`"))?;
@@ -257,7 +266,8 @@ fn cmd_rules(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Load the active rules for a dataset from a store dir or a rules file.
+/// Load the active rules for a dataset from a store dir or a rules file
+/// (exactly one of the two).
 ///
 /// Alongside each rule, returns its index in the *stored* rule list
 /// (identity for a rules file), so callers that write back — drift
@@ -269,6 +279,11 @@ fn load_rules(
     rules_file: Option<&str>,
     confirmed_only: bool,
 ) -> Result<(Vec<Pfd>, Vec<usize>), String> {
+    if store_dir.is_some() && rules_file.is_some() {
+        return Err(format!(
+            "{command}: give --store DIR or --rules FILE, not both"
+        ));
+    }
     let (pfds, indices): (Vec<Pfd>, Vec<usize>) = if let Some(dir) = store_dir {
         let store = RuleStore::open(dir).map_err(|e| format!("opening store {dir}: {e}"))?;
         let record = store
@@ -404,8 +419,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         ..StreamConfig::default()
     };
     if let Some(v) = take_flag(&mut args, "--violations")? {
-        stream_config.max_violation_ratio =
-            v.parse().map_err(|_| format!("bad --violations `{v}`"))?;
+        stream_config.max_violation_ratio = parse_ratio("--violations", &v)?;
     }
     if let Some(s) = take_flag(&mut args, "--min-support")? {
         stream_config.min_support = s.parse().map_err(|_| format!("bad --min-support `{s}`"))?;
@@ -559,11 +573,17 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         footprint.live_slots
     );
     // The interning pool is process-global, shared with every other
-    // pool user in the process.
+    // pool user in the process. What reclamation holds is named only
+    // once a reclaim has run.
     let pool = ValuePool::mem_footprint();
+    let reclaimer = if pool.reclaimer_bytes > 0 {
+        format!(", {} reclaimer", pool.reclaimer_bytes)
+    } else {
+        String::new()
+    };
     println!(
         "pool: {} byte(s) interned over {} string(s) ({} chunk, {} entry, {} string, \
-         {} map byte(s); shared process-wide)",
+         {} map{reclaimer} byte(s); shared process-wide)",
         pool.bytes,
         pool.strings,
         pool.chunk_bytes,

@@ -97,7 +97,7 @@ pub mod prelude {
         CompactionStats, DriftReport, EngineSnapshot, StreamConfig, StreamEngine,
     };
     pub use anmat_table::{
-        csv, oplog, MemFootprint, NullPolicy, Op, ReclaimStats, RowId, RowIdRemap, RowOp, Schema,
-        Table, TableProfile, Value, ValueId, ValuePool,
+        csv, oplog, MemFootprint, Op, ReclaimStats, RowId, RowIdRemap, RowOp, Schema, Table,
+        TableProfile, Value, ValueId, ValuePool,
     };
 }

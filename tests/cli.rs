@@ -742,6 +742,101 @@ fn stream_without_rules_source_fails() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `--store DIR` and `--rules FILE` are alternative rule sources:
+/// `detect` and `stream` given both exit 1 rather than use one and
+/// ignore the other (here an unparsable rules file), and print nothing
+/// on stdout.
+#[test]
+fn store_and_rules_together_are_rejected() {
+    let dir = std::env::temp_dir().join(format!("anmat_cli_two_sources_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (csv, rules) = zips_fixture(&dir);
+    let pfds: Vec<Pfd> = serde_json::from_str(&std::fs::read_to_string(&rules).unwrap()).unwrap();
+    let store_dir = dir.join("store");
+    RuleStore::open(&store_dir)
+        .unwrap()
+        .save(&DatasetRecord {
+            name: "zips".into(),
+            profile: None,
+            rules: pfds
+                .into_iter()
+                .map(|pfd| StoredRule {
+                    pfd,
+                    status: RuleStatus::Confirmed,
+                })
+                .collect(),
+        })
+        .unwrap();
+    let garbage = dir.join("garbage.json");
+    std::fs::write(&garbage, "not json").unwrap();
+    let (csv, store, garbage) = (
+        csv.to_str().unwrap(),
+        store_dir.to_str().unwrap(),
+        garbage.to_str().unwrap(),
+    );
+    for command in ["detect", "stream"] {
+        // The store alone is a valid source.
+        assert!(anmat(&[command, csv, "--store", store]).status.success());
+        let out = anmat(&[command, csv, "--store", store, "--rules", garbage]);
+        assert_eq!(out.status.code(), Some(1), "`anmat {command}` with both");
+        assert_eq!(
+            stderr(&out),
+            format!("error: {command}: give --store DIR or --rules FILE, not both\n")
+        );
+        assert!(
+            stdout(&out).is_empty(),
+            "`anmat {command}`: {}",
+            stdout(&out)
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `discover --coverage`, `discover --violations` and `stream
+/// --violations` take a ratio: a number outside [0, 1], NaN or an
+/// infinity exits 1 naming the flag and the value, before any output;
+/// both ends of the range are accepted.
+#[test]
+fn ratio_flags_take_ratios() {
+    let dir = std::env::temp_dir().join(format!("anmat_cli_ratios_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (csv, rules) = zips_fixture(&dir);
+    let (csv, rules) = (csv.to_str().unwrap(), rules.to_str().unwrap());
+    let discover = ["discover", csv];
+    let stream = ["stream", csv, "--rules", rules];
+    for (base, flag) in [
+        (&discover[..], "--coverage"),
+        (&discover[..], "--violations"),
+        (&stream[..], "--violations"),
+    ] {
+        for bad in ["7", "-0.1", "NaN", "inf"] {
+            let args = [base, &[flag, bad]].concat();
+            let out = anmat(&args);
+            assert_eq!(out.status.code(), Some(1), "`anmat {}`", args.join(" "));
+            assert_eq!(
+                stderr(&out),
+                format!("error: bad {flag} `{bad}` (want a ratio in [0, 1])\n"),
+                "`anmat {}`",
+                args.join(" ")
+            );
+            assert!(stdout(&out).is_empty(), "`anmat {}`", args.join(" "));
+        }
+        for good in ["0", "1"] {
+            let args = [base, &[flag, good]].concat();
+            let out = anmat(&args);
+            assert!(
+                out.status.success(),
+                "`anmat {}`: {}",
+                args.join(" "),
+                stderr(&out)
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A `--rules` file cut off inside a literal, one that is not UTF-8, and
 /// one nested far past the JSON parser's 128 levels (an error at the
 /// first bracket too deep, not a stack overflow): `stream` and `detect`
@@ -795,9 +890,11 @@ fn truncated_and_non_utf8_rules_files_are_rejected() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The `pool:` summary line's byte total equals the sum of the four
-/// parts it prints (chunk, entry, string and map bytes).
-fn assert_pool_line_adds_up(text: &str) {
+/// The `pool:` summary line's byte total equals the sum of the parts it
+/// prints: chunk, entry, string and map bytes, and the reclaimer's bytes
+/// exactly when `reclaimed` (a run that never reclaims does not name
+/// them).
+fn assert_pool_line_adds_up(text: &str, reclaimed: bool) {
     let line = text
         .lines()
         .find(|l| l.starts_with("pool: "))
@@ -807,8 +904,9 @@ fn assert_pool_line_adds_up(text: &str) {
         .filter(|t| !t.is_empty())
         .map(|t| t.parse().unwrap())
         .collect();
-    // total, strings, then the four parts.
-    assert_eq!(numbers.len(), 6, "{line}");
+    // total, strings, then the four or five parts.
+    assert_eq!(numbers.len(), 6 + usize::from(reclaimed), "{line}");
+    assert_eq!(line.contains(" reclaimer "), reclaimed, "{line}");
     assert_eq!(numbers[0], numbers[2..].iter().sum::<usize>(), "{line}");
 }
 
@@ -888,8 +986,8 @@ fn stream_reclaim_is_output_invariant_and_checkpoint_writes_json() {
         stderr(&swept)
     );
     let text = stdout(&swept);
-    assert_pool_line_adds_up(&stdout(&plain));
-    assert_pool_line_adds_up(&text);
+    assert_pool_line_adds_up(&stdout(&plain), false);
+    assert_pool_line_adds_up(&text, true);
     assert!(
         text.contains("reclaim: ") && !text.contains("reclaim: 0 string(s)"),
         "the sweep must free the stranded unique cities:\n{text}"

@@ -188,27 +188,6 @@ fn pfd_serde_roundtrip_preserves_detection() {
 }
 
 #[test]
-fn parallel_discovery_matches_sequential() {
-    let data = zipcity::generate(
-        &GenConfig {
-            rows: 800,
-            seed: 29,
-            error_rate: 0.01,
-        },
-        zipcity::ZipTarget::City,
-    );
-    let sequential = discover(&data.table, &config());
-    let parallel = discover(
-        &data.table,
-        &DiscoveryConfig {
-            parallel: true,
-            ..config()
-        },
-    );
-    assert_eq!(sequential, parallel);
-}
-
-#[test]
 fn reports_render_on_real_pipeline() {
     let data = names::generate(&GenConfig {
         rows: 300,
