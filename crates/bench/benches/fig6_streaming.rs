@@ -125,7 +125,8 @@ fn churn_ops(data: &Dataset) -> Vec<RowOp> {
 /// Sustained-churn memory sweep: a 50% delete workload (every op is a
 /// coin flip between inserting the next dataset row and deleting a
 /// random live one) run for `total_ops` ops in 256-op batches, with and
-/// without `compact_ratio` 0.3. The artifact prints peak total slots vs
+/// without compacting at tombstone ratio 0.3 after each batch
+/// (`StreamEngine::compact_if`). The artifact prints peak total slots vs
 /// peak live rows, the worst observed slots/live ratio at a batch
 /// boundary, and the final table footprint — the bounded-growth claim:
 /// with the ratio trigger, slots stay within 2× live for the whole run
@@ -133,13 +134,8 @@ fn churn_ops(data: &Dataset) -> Vec<RowOp> {
 fn churn_memory_artifact(data: &Dataset, rules: &[Pfd], total_ops: usize) {
     println!("── E16 artifact: sustained-churn memory (50% delete mix, {total_ops} ops) ──");
     let rows = rows_of(&data.table);
-    for ratio in [0.0f64, 0.3] {
-        let config = StreamConfig {
-            compact_ratio: ratio,
-            ..StreamConfig::default()
-        };
-        let mut engine =
-            StreamEngine::with_config(data.table.schema().clone(), rules.to_vec(), config);
+    for ratio in [None, Some(0.3)] {
+        let mut engine = StreamEngine::new(data.table.schema().clone(), rules.to_vec());
         let mut rng = StdRng::seed_from_u64(0x3AC7);
         let mut live: Vec<usize> = Vec::new();
         let (mut peak_slots, mut peak_live) = (0usize, 0usize);
@@ -149,7 +145,6 @@ fn churn_memory_artifact(data: &Dataset, rules: &[Pfd], total_ops: usize) {
         let start = Instant::now();
         while done < total_ops {
             let mut slots = engine.row_count();
-            let epoch = engine.epoch();
             let batch = 256.min(total_ops - done);
             let mut ops = Vec::with_capacity(batch);
             for _ in 0..batch {
@@ -165,7 +160,7 @@ fn churn_memory_artifact(data: &Dataset, rules: &[Pfd], total_ops: usize) {
             }
             done += ops.len();
             engine.apply(ops).expect("ops are valid");
-            if engine.epoch() != epoch {
+            if ratio.and_then(|r| engine.compact_if(r)).is_some() {
                 // Compaction renumbered the slots: refresh the id cache.
                 live = engine.table().iter_live().collect();
             }
@@ -183,11 +178,7 @@ fn churn_memory_artifact(data: &Dataset, rules: &[Pfd], total_ops: usize) {
             "  compact-ratio {:>4}: peak {peak_slots:>6} slot(s) vs {peak_live:>6} peak live \
              (worst slots/live {worst_ratio:.2}×); {} epoch(s), {} slot(s) reclaimed; final \
              {} slot(s) / {} live, {} B table; {:.0} ops/s",
-            if ratio > 0.0 {
-                format!("{ratio}")
-            } else {
-                "off".to_string()
-            },
+            ratio.map_or("off".to_string(), |r| r.to_string()),
             stats.epochs,
             stats.reclaimed_slots,
             footprint.total_slots,
@@ -315,7 +306,6 @@ fn reclaim_churn_artifact(data: &Dataset, rules: &[Pfd], total_ops: usize) -> St
     }
     let run_leg = |tag: &str, reclaim: bool, ops_budget: usize| -> Leg {
         let config = StreamConfig {
-            compact_ratio: 0.3,
             reclaim,
             ..StreamConfig::default()
         };
@@ -335,7 +325,6 @@ fn reclaim_churn_artifact(data: &Dataset, rules: &[Pfd], total_ops: usize) -> St
         let start = Instant::now();
         while done < ops_budget {
             let mut slots = engine.row_count();
-            let epoch = engine.epoch();
             let batch = 256.min(ops_budget - done);
             let mut ops = Vec::with_capacity(batch);
             for _ in 0..batch {
@@ -353,7 +342,7 @@ fn reclaim_churn_artifact(data: &Dataset, rules: &[Pfd], total_ops: usize) -> St
             }
             done += ops.len();
             engine.apply(ops).expect("ops are valid");
-            if engine.epoch() != epoch {
+            if engine.compact_if(0.3).is_some() {
                 // Compaction renumbered the slots: refresh the id cache.
                 live = engine.table().iter_live().skip(base).collect();
             }

@@ -109,45 +109,19 @@ impl DiscoveryConfig {
 #[must_use]
 pub fn discover(table: &Table, config: &DiscoveryConfig) -> Vec<Pfd> {
     let profile = TableProfile::profile(table);
-    let mut out: Vec<Pfd> = profile
-        .candidate_pairs()
-        .iter()
-        .flat_map(|&(a, b)| discover_pair_profiled(table, &profile, a, b, config))
-        .collect();
-    sort_pfds(&mut out);
-    out
-}
-
-/// Discover PFDs for one column pair (both directions are *not* implied;
-/// call twice to mine both).
-#[must_use]
-pub fn discover_pair(table: &Table, lhs: usize, rhs: usize, config: &DiscoveryConfig) -> Vec<Pfd> {
-    let profile = TableProfile::profile(table);
-    let mut out = discover_pair_profiled(table, &profile, lhs, rhs, config);
-    sort_pfds(&mut out);
-    out
-}
-
-fn discover_pair_profiled(
-    table: &Table,
-    profile: &TableProfile,
-    lhs: usize,
-    rhs: usize,
-    config: &DiscoveryConfig,
-) -> Vec<Pfd> {
-    let mut out = constant::mine_constant(table, profile, lhs, rhs, config);
-    out.extend(variable::mine_variable(table, profile, lhs, rhs, config));
-    out
-}
-
-fn sort_pfds(pfds: &mut [Pfd]) {
-    pfds.sort_by(|a, b| {
+    let mut out = Vec::new();
+    for (lhs, rhs) in profile.candidate_pairs() {
+        out.extend(constant::mine_constant(table, &profile, lhs, rhs, config));
+        out.extend(variable::mine_variable(table, &profile, lhs, rhs, config));
+    }
+    out.sort_by(|a, b| {
         (&a.lhs_attr, &a.rhs_attr, kind_rank(a.kind())).cmp(&(
             &b.lhs_attr,
             &b.rhs_attr,
             kind_rank(b.kind()),
         ))
     });
+    out
 }
 
 fn kind_rank(k: PfdKind) -> u8 {

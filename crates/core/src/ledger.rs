@@ -31,9 +31,9 @@
 //! witness leaving (a retention window expiring a block's oldest rows)
 //! changes no violation's liveness. A full [`Violation`] is built only
 //! where one is shown: [`ViolationLedger::render`] and
-//! [`ViolationLedger::snapshot`]. An event carries its violation's
-//! identity as owned strings, with an empty witness list, so it stays
-//! readable after the ids it was built from are reclaimed.
+//! [`ViolationLedger::snapshot`]. An event is the assertion it creates
+//! or retracts, and [`ViolationLedger::describe`] renders it where it is
+//! shown, so a create or a retract allocates nothing for it.
 //!
 //! Two orders are visible. [`ViolationLedger::live`] iterates in the
 //! derived `Ord` order of [`Assertion`] (signature, block, expected
@@ -45,11 +45,10 @@
 //! The ledger also participates in the **compaction remap protocol**:
 //! when the backing table compacts (renumbering `RowId`s),
 //! [`ViolationLedger::remap`] rewrites every live assertion's row and
-//! every block's witnesses in place and adopts the remap's epoch. Event
-//! *history* is never rewritten — each [`LedgerEvent`] carries the
-//! [`epoch`](LedgerEvent::epoch) it was emitted in, so a consumer
-//! replaying an event log knows which id space every row reference
-//! lives in, and replay stays bit-exact across compactions.
+//! every block's witnesses in place. Events already emitted are not
+//! rewritten: their rows stay in the id space they were emitted in, and
+//! their ids may be reclaimed at the compaction, so a consumer that
+//! keeps events past one describes them first.
 
 use crate::detect::variable::MAX_WITNESSES;
 use crate::detect::{Repair, Violation, ViolationKind};
@@ -60,50 +59,34 @@ use fxhash::FxHashMap;
 use std::collections::{btree_map, hash_map, BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// What a liveness change is about.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LedgerChange {
+/// A change to the set of live violations: the assertion that became
+/// live or stopped being live.
+///
+/// [`ViolationLedger::describe`] renders it. Describe it before the next
+/// compaction, which renumbers its row and may reclaim the values it
+/// names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LedgerEvent {
     /// A violation became live.
-    Created(Violation),
+    Created(Assertion),
     /// A previously live violation was withdrawn (e.g. the block majority
     /// flipped, or the flagged row left).
-    Retracted(Violation),
-}
-
-/// A change to the set of live violations, stamped with the compaction
-/// epoch it was emitted in.
-///
-/// The violation is the assertion's identity, rendered when the event was
-/// emitted: every field but the witnesses, which are evidence that moves
-/// without events (see the module docs), so its witness list is empty
-/// and a retraction equals the creation it cancels.
-///
-/// Row ids inside the change are meaningful relative to `epoch`: a
-/// compaction renumbers rows, remaps the *live* set silently (no
-/// events), and bumps the ledger's epoch — so already-emitted events
-/// keep their original ids and their original epoch stamp, verbatim.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LedgerEvent {
-    /// The ledger's compaction epoch at emission time (0 before any
-    /// compaction).
-    pub epoch: u64,
-    /// The liveness change itself.
-    pub change: LedgerChange,
+    Retracted(Assertion),
 }
 
 impl LedgerEvent {
-    /// The violation the event concerns (its identity; no witnesses).
+    /// The assertion the event creates or retracts.
     #[must_use]
-    pub fn violation(&self) -> &Violation {
-        match &self.change {
-            LedgerChange::Created(v) | LedgerChange::Retracted(v) => v,
+    pub fn assertion(&self) -> &Assertion {
+        match self {
+            LedgerEvent::Created(a) | LedgerEvent::Retracted(a) => a,
         }
     }
 
     /// Is this a creation?
     #[must_use]
     pub fn is_created(&self) -> bool {
-        matches!(self.change, LedgerChange::Created(_))
+        matches!(self, LedgerEvent::Created(_))
     }
 }
 
@@ -278,9 +261,6 @@ pub struct ViolationLedger {
     live: Arc<Live>,
     created_total: usize,
     retracted_total: usize,
-    /// Compaction epoch stamped onto emitted events; follows the backing
-    /// table's epoch via [`ViolationLedger::remap`].
-    epoch: u64,
 }
 
 /// A frozen, read-only view of a [`ViolationLedger`] captured by
@@ -391,10 +371,7 @@ impl ViolationLedger {
         }
         self.created_total += 1;
         obs::counter!("ledger.created").incr();
-        Some(LedgerEvent {
-            epoch: self.epoch,
-            change: LedgerChange::Created(self.identity(&assertion)),
-        })
+        Some(LedgerEvent::Created(assertion))
     }
 
     /// Withdraw an assertion. Returns the `Retracted` event once the last
@@ -429,10 +406,7 @@ impl ViolationLedger {
         }
         self.retracted_total += 1;
         obs::counter!("ledger.retracted").incr();
-        Some(LedgerEvent {
-            epoch: self.epoch,
-            change: LedgerChange::Retracted(self.identity(assertion)),
-        })
+        Some(LedgerEvent::Retracted(*assertion))
     }
 
     /// Bring a block's witnesses up to date after a majority row came or
@@ -461,27 +435,18 @@ impl ViolationLedger {
         }
     }
 
-    /// The ledger's current compaction epoch (0 before any
-    /// [`ViolationLedger::remap`]).
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Apply a compaction [`RowIdRemap`]: rewrite every live assertion's
-    /// row and every block's witnesses into the new id space and adopt
-    /// the remap's epoch.
+    /// row and every block's witnesses into the new id space.
     ///
     /// Deliberately silent — no `Created`/`Retracted` events are
     /// emitted and the lifetime counters do not move, because no
-    /// violation's liveness changed; only its coordinates did. Event
-    /// history stays verbatim (see [`LedgerEvent::epoch`]). Reference
-    /// counts survive: the remap is injective on live rows and touches
-    /// nothing else, so distinct entries stay distinct. It is also
-    /// monotone, so the remapped keys keep their order: `collect` finds
-    /// them already sorted and bulk-loads the new tree.
+    /// violation's liveness changed; only its coordinates did. Events
+    /// already emitted keep their rows. Reference counts survive: the
+    /// remap is injective on live rows and touches nothing else, so
+    /// distinct entries stay distinct. It is also monotone, so the
+    /// remapped keys keep their order: `collect` finds them already
+    /// sorted and bulk-loads the new tree.
     pub fn remap(&mut self, remap: &RowIdRemap) {
-        self.epoch = remap.epoch();
         let live = self.live_mut();
         let moved = |mut key: Packed| {
             key.row = narrow(remap.live_id(key.row as RowId));
@@ -520,7 +485,7 @@ impl ViolationLedger {
     /// included.
     #[must_use]
     pub fn render(&self, assertion: &Assertion) -> Violation {
-        let mut v = self.identity(assertion);
+        let mut v = self.describe(assertion);
         if let ViolationKind::Variable { witnesses, .. } = &mut v.kind {
             let block = Packed::from(assertion).block();
             if let Some(evidence) = self.live.evidence.get(&block) {
@@ -530,9 +495,12 @@ impl ViolationLedger {
         v
     }
 
-    /// An assertion rendered with an empty witness list: what events
-    /// carry.
-    fn identity(&self, a: &Assertion) -> Violation {
+    /// The violation `a` stands for, with an empty witness list: its
+    /// identity, as an event line shows it. `a` need not be live, but
+    /// its ids must still resolve: describe an event before the
+    /// compaction after it, which may reclaim them.
+    #[must_use]
+    pub fn describe(&self, a: &Assertion) -> Violation {
         let signature = self.signature_of(a.signature);
         let found = a.found.as_str().map(str::to_string);
         let expected = a.expected.render().to_string();
@@ -678,13 +646,12 @@ mod tests {
         let (mut ledger, c, _) = ledger();
         let a = constant(c, 3, "Los Angeles");
         let created = ledger.create(a, no_witnesses).expect("fresh violation");
+        assert_eq!(created, LedgerEvent::Created(a));
         assert!(created.is_created());
-        assert_eq!(created.epoch, 0, "pre-compaction events carry epoch 0");
-        assert_eq!(created.violation().row, 3);
         assert_eq!(ledger.live_count(), 1);
         let retracted = ledger.retract(&a).expect("was live");
         assert!(!retracted.is_created());
-        assert_eq!(retracted.violation(), created.violation());
+        assert_eq!(retracted.assertion(), created.assertion());
         assert!(ledger.is_empty());
         assert_eq!(ledger.created_total(), 1);
         assert_eq!(ledger.retracted_total(), 1);
@@ -779,12 +746,13 @@ mod tests {
             }),
         };
         assert_eq!(ledger.render(&variable(v, 4)), want);
-        // The event names the identity: everything but the witnesses.
+        // The event describes as the identity: everything but the
+        // witnesses.
         let mut identity = want.clone();
         if let ViolationKind::Variable { witnesses, .. } = &mut identity.kind {
             witnesses.clear();
         }
-        assert_eq!(event.violation(), &identity);
+        assert_eq!(ledger.describe(event.assertion()), identity);
         let constant = ledger.render(&constant(c, 4, "Los Angeles"));
         assert!(matches!(
             constant.kind,
@@ -886,7 +854,6 @@ mod tests {
         ledger.create(variable(v, 4), || [1, 3]);
         ledger.create(constant(c, 3, "Los Angeles"), no_witnesses);
         ledger.remap(&sample_remap());
-        assert_eq!(ledger.epoch(), 1);
         let snap = ledger.snapshot();
         assert_eq!(snap.len(), 2);
         // Constant violation on old row 3 → new row 1.
@@ -906,7 +873,7 @@ mod tests {
     }
 
     #[test]
-    fn remap_preserves_refcounts_and_stamps_later_events() {
+    fn remap_preserves_refcounts() {
         let (mut ledger, c, _) = ledger();
         let a = constant(c, 3, "Los Angeles");
         ledger.create(a, no_witnesses);
@@ -916,15 +883,10 @@ mod tests {
         let moved = constant(c, 1, "Los Angeles");
         assert!(ledger.retract(&moved).is_none());
         assert_eq!(ledger.live_count(), 1);
-        // … and the final retraction's event carries the new epoch.
+        // … and the final retraction names the new row.
         let ev = ledger.retract(&moved).expect("last refcount");
-        assert_eq!(ev.epoch, 1);
-        assert!(!ev.is_created());
-        // New creations are stamped with the adopted epoch too.
-        let ev = ledger
-            .create(constant(c, 0, "X"), no_witnesses)
-            .expect("fresh");
-        assert_eq!(ev.epoch, 1);
+        assert_eq!(ev, LedgerEvent::Retracted(moved));
+        assert!(ledger.is_empty());
     }
 
     #[test]
@@ -942,12 +904,10 @@ mod tests {
         ledger.refresh_witnesses(v, id("900"), id("Los Angeles"), || [3]);
         ledger.remap(&sample_remap());
         assert_eq!(snap.snapshot(), frozen);
-        assert_eq!(snap.epoch(), 0);
         assert_eq!(snap.created_total(), 2);
         assert_eq!(snap.retracted_total(), 0);
         // The live ledger moved on.
         assert_eq!(ledger.live_count(), 2);
-        assert_eq!(ledger.epoch(), 1);
         assert_eq!(ledger.snapshot()[0].row, 1, "old row 3 compacts to 1");
         assert_eq!(ledger.retracted_total(), 1);
     }

@@ -76,10 +76,9 @@ pub use detect::{
     apply_repairs, detect_all, detect_pfd, repair_to_fixpoint, Detector, Repair, RepairReport,
     Violation, ViolationKind,
 };
-pub use discovery::{discover, discover_pair, ContextStyle, DiscoveryConfig};
+pub use discovery::{discover, ContextStyle, DiscoveryConfig};
 pub use ledger::{
-    Assertion, LedgerChange, LedgerEvent, LedgerSnapshot, SignatureId, TupleSignature,
-    ViolationLedger,
+    Assertion, LedgerEvent, LedgerSnapshot, SignatureId, TupleSignature, ViolationLedger,
 };
 pub use pfd::{LhsCell, PatternTuple, Pfd, PfdKind, RhsCell};
 
@@ -90,10 +89,9 @@ pub mod prelude {
         apply_repairs, detect_all, detect_pfd, repair_to_fixpoint, Detector, RepairReport,
         Violation, ViolationKind,
     };
-    pub use crate::discovery::{discover, discover_pair, ContextStyle, DiscoveryConfig};
+    pub use crate::discovery::{discover, ContextStyle, DiscoveryConfig};
     pub use crate::ledger::{
-        Assertion, LedgerChange, LedgerEvent, LedgerSnapshot, SignatureId, TupleSignature,
-        ViolationLedger,
+        Assertion, LedgerEvent, LedgerSnapshot, SignatureId, TupleSignature, ViolationLedger,
     };
     pub use crate::pfd::{LhsCell, PatternTuple, Pfd, PfdKind, RhsCell};
     pub use crate::report;

@@ -8,13 +8,12 @@
 //! violation by the JSON text of its identity (the violation less its
 //! witnesses) and each block's witnesses by the JSON text of the block:
 //! random scripts of creates, retracts, witness refreshes, compaction
-//! remaps and freezes must produce the same events, counters and
-//! snapshots from both.
+//! remaps and freezes must produce the same events (as the ledger
+//! describes them), counters and snapshots from both.
 
 use anmat_core::detect::{Repair, Violation, ViolationKind};
 use anmat_core::{
-    Assertion, LedgerChange, LedgerEvent, LedgerSnapshot, PatternTuple, Pfd, SignatureId,
-    TupleSignature, ViolationLedger,
+    Assertion, LedgerSnapshot, PatternTuple, Pfd, SignatureId, TupleSignature, ViolationLedger,
 };
 use anmat_pattern::ConstrainedPattern;
 use anmat_table::{RowId, RowIdRemap, Schema, Table, Value, ValueId, ValuePool};
@@ -234,11 +233,14 @@ struct JsonLedger {
     evidence: BTreeMap<String, (usize, Vec<RowId>)>,
     created_total: usize,
     retracted_total: usize,
-    epoch: u64,
 }
 
+/// An event as the reference emits it: whether it is a creation, and the
+/// identity it names.
+type Event = (bool, Violation);
+
 impl JsonLedger {
-    fn create(&mut self, m: &Member, witnesses: &[RowId]) -> Option<LedgerEvent> {
+    fn create(&mut self, m: &Member, witnesses: &[RowId]) -> Option<Event> {
         let entry = self
             .live
             .entry(json(&m.identity))
@@ -255,13 +257,10 @@ impl JsonLedger {
             cited.0 += 1;
         }
         self.created_total += 1;
-        Some(LedgerEvent {
-            epoch: self.epoch,
-            change: LedgerChange::Created(m.identity.clone()),
-        })
+        Some((true, m.identity.clone()))
     }
 
-    fn retract(&mut self, m: &Member) -> Option<LedgerEvent> {
+    fn retract(&mut self, m: &Member) -> Option<Event> {
         let key = json(&m.identity);
         let entry = self.live.get_mut(&key)?;
         entry.0 -= 1;
@@ -277,10 +276,7 @@ impl JsonLedger {
             }
         }
         self.retracted_total += 1;
-        Some(LedgerEvent {
-            epoch: self.epoch,
-            change: LedgerChange::Retracted(v),
-        })
+        Some((false, v))
     }
 
     fn refresh(&mut self, block: &Violation, witnesses: &[RowId]) {
@@ -291,7 +287,6 @@ impl JsonLedger {
     }
 
     fn remap(&mut self, remap: &RowIdRemap) {
-        self.epoch = remap.epoch();
         for (_, (refcount, mut a, mut v)) in std::mem::take(&mut self.live) {
             a.row = remap.live_id(a.row);
             v.row = a.row;
@@ -363,15 +358,14 @@ const CREATABLE: usize = 8;
 struct Frozen {
     view: LedgerSnapshot,
     snapshot: Vec<Violation>,
-    counts: (usize, usize, usize, u64),
+    counts: (usize, usize, usize),
 }
 
-fn counts(ledger: &ViolationLedger) -> (usize, usize, usize, u64) {
+fn counts(ledger: &ViolationLedger) -> (usize, usize, usize) {
     (
         ledger.live_count(),
         ledger.created_total(),
         ledger.retracted_total(),
-        ledger.epoch(),
     )
 }
 
@@ -456,6 +450,7 @@ proptest! {
                     (None, None)
                 }
             };
+            let got = got.map(|e| (e.is_created(), ledger.describe(e.assertion())));
             prop_assert_eq!(got, want);
             prop_assert_eq!(
                 counts(&ledger),
@@ -463,7 +458,6 @@ proptest! {
                     reference.live.len(),
                     reference.created_total,
                     reference.retracted_total,
-                    reference.epoch,
                 )
             );
             prop_assert_eq!(ledger.snapshot(), reference.snapshot());

@@ -136,8 +136,6 @@ pub struct InvertedIndex {
     /// Scratch buffer for the RHS keys of the row being inserted (reused
     /// across inserts so the hot path performs no allocation once warm).
     rhs_scratch: Vec<(ValueId, usize)>,
-    /// Number of rows with non-null values on both sides.
-    pub considered_rows: usize,
 }
 
 impl InvertedIndex {
@@ -150,7 +148,6 @@ impl InvertedIndex {
             rows_by_key: FxHashMap::default(),
             rhs_counts_by_key: FxHashMap::default(),
             rhs_scratch: Vec::new(),
-            considered_rows: 0,
         }
     }
 
@@ -180,7 +177,6 @@ impl InvertedIndex {
     /// arrive in nondecreasing `RowId` order (`build` walks the table in
     /// row order).
     fn insert_row(&mut self, row: RowId, lhs: &str, rhs: &str) {
-        self.considered_rows += 1;
         obs::counter!("index.insert").incr();
         let rhs_full = ValuePool::intern(rhs);
         let mut rhs_keys = std::mem::take(&mut self.rhs_scratch);
@@ -341,7 +337,6 @@ mod tests {
     fn token_extraction_builds_postings() {
         let t = name_gender_table();
         let idx = InvertedIndex::build(&t, 0, 1, ExtractionMode::Tokens, ExtractionMode::Tokens);
-        assert_eq!(idx.considered_rows, 4);
         assert_eq!(idx.rows("John"), &[0, 1]);
         assert_eq!(idx.rows("Susan"), &[2, 3]);
         let p = idx.postings("John");
@@ -419,8 +414,9 @@ mod tests {
         let schema = Schema::new(["a", "b"]).unwrap();
         let t = Table::from_str_rows(schema, [["x", "1"], ["", "2"], ["y", ""]]).unwrap();
         let idx = InvertedIndex::build(&t, 0, 1, ExtractionMode::Tokens, ExtractionMode::Tokens);
-        assert_eq!(idx.considered_rows, 1);
+        assert_eq!(idx.rows("x"), &[0]);
         assert!(idx.rows("y").is_empty());
+        assert_eq!(idx.key_count(), 1);
     }
 
     #[test]
@@ -440,7 +436,6 @@ mod tests {
         for (row, a, b) in t.iter_pair(0, 1) {
             inc.insert_row(row, a, b);
         }
-        assert_eq!(inc.considered_rows, batch.considered_rows);
         assert_eq!(inc.key_count(), batch.key_count());
         for (key, stats) in batch.iter_stats() {
             assert_eq!(inc.stats(key), stats, "stats diverge for key {key:?}");

@@ -107,12 +107,6 @@ impl Recorder {
     pub fn disable() {
         ENABLED.store(false, Ordering::SeqCst);
     }
-
-    /// Is capture currently on?
-    #[must_use]
-    pub fn is_enabled() -> bool {
-        enabled()
-    }
 }
 
 /// A monotonically increasing `u64` event count.

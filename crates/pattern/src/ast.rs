@@ -66,18 +66,6 @@ impl Quantifier {
             }),
         }
     }
-
-    /// Can this quantifier repeat zero times (i.e. admit `ϵ`)?
-    #[must_use]
-    pub fn admits_empty(&self) -> bool {
-        self.interval().0 == 0
-    }
-
-    /// Is the repetition count unbounded?
-    #[must_use]
-    pub fn is_unbounded(&self) -> bool {
-        self.interval().1.is_none()
-    }
 }
 
 impl fmt::Display for Quantifier {
@@ -247,23 +235,6 @@ impl Pattern {
             .all(|e| e.class.is_literal() && e.quant == Quantifier::One)
     }
 
-    /// If [`Pattern::is_literal`], the single matching string.
-    #[must_use]
-    pub fn as_literal(&self) -> Option<String> {
-        if !self.is_literal() {
-            return None;
-        }
-        Some(
-            self.elements
-                .iter()
-                .map(|e| match e.class {
-                    SymbolClass::Literal(c) => c,
-                    _ => unreachable!("is_literal checked"),
-                })
-                .collect(),
-        )
-    }
-
     /// Does the string `s` match (satisfy) this pattern? (`s ⊨ P`.)
     #[must_use]
     pub fn matches(&self, s: &str) -> bool {
@@ -402,7 +373,6 @@ mod tests {
         assert_eq!(p.max_len(), Some(3));
         assert!(p.is_fixed_length());
         assert!(p.is_literal());
-        assert_eq!(p.as_literal().as_deref(), Some("abc"));
     }
 
     #[test]

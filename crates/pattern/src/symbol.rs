@@ -132,15 +132,6 @@ impl SymbolClass {
         }
     }
 
-    /// Is this one of the four interior classes (not a literal, not `\A`)?
-    #[must_use]
-    pub fn is_interior(&self) -> bool {
-        matches!(
-            self,
-            SymbolClass::Upper | SymbolClass::Lower | SymbolClass::Digit | SymbolClass::Symbol
-        )
-    }
-
     /// Is this a leaf (concrete character)?
     #[must_use]
     pub fn is_literal(&self) -> bool {

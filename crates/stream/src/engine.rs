@@ -49,6 +49,9 @@
 //! update) rule by rule in index order on the calling thread. Each rule
 //! writes its creations and retractions straight into the one ledger, in
 //! tableau order, and each tuple tallies its own for the drift monitor.
+//! The events are the assertions themselves, rendered by the caller.
+//! `apply` never compacts: the caller does, between batches, once it has
+//! rendered what it shows ([`StreamEngine::compact_if`]).
 
 use crate::drift::{DriftMonitor, DriftReport, TupleHealth};
 use anmat_core::discovery::DiscoveryConfig;
@@ -66,8 +69,9 @@ use anmat_table::{
 use fxhash::FxHashSet;
 use std::sync::Arc;
 
-/// Engine thresholds: the drift monitor's discovery-style knobs, the
-/// compaction trigger, and string reclamation.
+/// Engine thresholds: the drift monitor's discovery-style knobs and
+/// string reclamation. When to compact is the caller's choice
+/// ([`StreamEngine::compact_if`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamConfig {
     /// Rows a tableau tuple must match before its drift is judged.
@@ -81,13 +85,6 @@ pub struct StreamConfig {
     /// (`perfbench/harness/src/measure.rs`) sets it; the next change to
     /// the benchmark drops all three.
     pub shards: usize,
-    /// Tombstone ratio (`dead slots / total slots`) above which the
-    /// engine compacts automatically at the end of an
-    /// [`StreamEngine::apply`] batch (never mid-batch: a batch is
-    /// validated against one id space). `<= 0.0` (the default) disables
-    /// auto-compaction;
-    /// [`StreamEngine::compact`] stays available manually either way.
-    pub compact_ratio: f64,
     /// Read by nothing, like [`StreamConfig::shards`], and kept for the
     /// same reason.
     pub shard_by: ShardBy,
@@ -121,7 +118,6 @@ impl Default for StreamConfig {
             min_support: 8,
             max_violation_ratio: 0.3,
             shards: 1,
-            compact_ratio: 0.0,
             shard_by: ShardBy::Key,
             run_ahead: 0,
             reclaim: false,
@@ -144,7 +140,7 @@ impl StreamConfig {
 /// Lifetime compaction counters — what the CLI summary reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactionStats {
-    /// Compaction epochs run (manual and automatic).
+    /// Compaction epochs run.
     pub epochs: usize,
     /// Tombstoned slots reclaimed across all epochs.
     pub reclaimed_slots: usize,
@@ -491,7 +487,10 @@ impl RuleState {
     /// paid on first sighting, so [`RuleState::pattern_evals`] is
     /// invariant — priming is a locality optimization (the batch's
     /// evaluations run together, ahead of the per-row dispatch), never
-    /// extra work.
+    /// extra work. It is not a second copy of the lazy fill: without it,
+    /// perfbench's `churn` (seed 7, a shared 2-vCPU host) peaked 0.14 to
+    /// 0.51 MB higher in 10 of 10 alternating pairs (32.92 against 32.54
+    /// MB, medians).
     fn prime_batch(&mut self, ops: &[Op]) {
         let Some((lhs, _)) = self.cols else {
             return;
@@ -712,8 +711,6 @@ pub struct StreamEngine {
     rules: Vec<RuleState>,
     ledger: ViolationLedger,
     drift: DriftMonitor,
-    /// Auto-compaction threshold (see [`StreamConfig::compact_ratio`]).
-    compact_ratio: f64,
     compaction: CompactionStats,
     /// Epoch-tied string reclamation (see [`StreamConfig::reclaim`]).
     reclaim: bool,
@@ -749,7 +746,6 @@ impl StreamEngine {
             rules,
             ledger,
             drift: DriftMonitor::new(config.min_support, config.max_violation_ratio),
-            compact_ratio: config.compact_ratio,
             compaction: CompactionStats::default(),
             reclaim: config.reclaim,
             displaced: Vec::new(),
@@ -768,13 +764,14 @@ impl StreamEngine {
     ///    (`RuleState::apply_remap` — no pattern re-evaluation,
     ///    [`StreamEngine::pattern_evals`] is invariant; the memos and the
     ///    block majorities hold no row ids);
-    /// 3. the ledger rewrites its live assertions and block witnesses
-    ///    and adopts the epoch (event history stays verbatim; see
-    ///    [`LedgerEvent::epoch`](anmat_core::LedgerEvent)).
+    /// 3. the ledger rewrites its live assertions and block witnesses.
     ///
     /// Silent by design: no events are emitted, no drift counter moves —
     /// only coordinates change. Callers holding pre-compaction `RowId`s
-    /// must translate them through the returned remap.
+    /// must translate them through the returned remap, and with
+    /// [`StreamConfig::reclaim`] the sweep may free the ids earlier
+    /// events name, so describe those first
+    /// ([`ViolationLedger::describe`]).
     pub fn compact(&mut self) -> RowIdRemap {
         let remap = self.table.compact();
         for rule in &mut self.rules {
@@ -865,17 +862,14 @@ impl StreamEngine {
         }
     }
 
-    /// Auto-compaction hook, checked after every batch — never
-    /// mid-batch, since a validated op batch addresses one id space.
-    /// Fires when the tombstone ratio reaches
-    /// [`StreamConfig::compact_ratio`].
-    fn maybe_compact(&mut self) {
+    /// [`StreamEngine::compact`] if the table has a tombstone and
+    /// tombstones make up at least fraction `ratio` of its slots: the
+    /// tombstone-ratio trigger. Run it between batches, after reading
+    /// the last batch's events. Returns the remap if it compacted.
+    pub fn compact_if(&mut self, ratio: f64) -> Option<RowIdRemap> {
         let slots = self.table.row_count();
         let dead = slots - self.table.live_rows();
-        let ratio = self.compact_ratio;
-        if ratio > 0.0 && dead > 0 && dead as f64 >= ratio * slots as f64 {
-            self.compact();
-        }
+        (dead > 0 && dead as f64 >= ratio * slots as f64).then(|| self.compact())
     }
 
     /// The engine's compaction epoch (0 until the first compaction).
@@ -893,11 +887,16 @@ impl StreamEngine {
     }
 
     /// Apply a batch of ops — the engine's one write entry. Returns the
-    /// batch's violation events (creations and retractions, each naming
-    /// its violation's identity): op by op, and within each op phase in
+    /// batch's violation events (creations and retractions, each the
+    /// [`Assertion`] it changes): op by op, and within each op phase in
     /// rule/tableau order, retractions first within each affected block.
     /// Witnesses moving is not an event; the ledger renders the current
     /// ones ([`ViolationLedger::snapshot`]).
+    ///
+    /// `apply` never compacts: the batch and all its events live in the
+    /// epoch [`StreamEngine::epoch`] reports when it returns, and each
+    /// event renders ([`ViolationLedger::describe`]) until the caller's
+    /// next [`StreamEngine::compact`].
     ///
     /// `ops` are [`Op`]s, whose cells are already interned (what the
     /// op-log reader yields), or anything that converts into one: a
@@ -916,10 +915,7 @@ impl StreamEngine {
     /// *fused on one slot*, so every other `RowId` stays valid. No op
     /// costs `O(table)`: one memo probe plus the matched tuples for
     /// constant tuples, `O(log block + run cap)` for variable tuples,
-    /// plus `O(block)` only where an op flips a block's majority. The
-    /// whole batch addresses one id space, so the auto-compaction check
-    /// ([`StreamConfig::compact_ratio`]) waits until after it; a
-    /// compaction renumbers the slots, so watch [`StreamEngine::epoch`].
+    /// plus `O(block)` only where an op flips a block's majority.
     pub fn apply(
         &mut self,
         ops: impl IntoIterator<Item = impl Into<Op>>,
@@ -933,7 +929,6 @@ impl StreamEngine {
         obs::counter!("engine.ops").add(ops.len() as u64);
         let events = self.run(ops);
         obs::counter!("engine.events").add(events.len() as u64);
-        self.maybe_compact();
         Ok(events)
     }
 
@@ -1195,7 +1190,7 @@ mod tests {
         let events = insert(&mut engine, ["90004", "New York"]);
         assert_eq!(events.len(), 1);
         assert!(events[0].is_created());
-        assert_eq!(events[0].violation().row, 1);
+        assert_eq!(events[0].assertion().row, 1);
         // Non-matching zips are ignored.
         assert!(insert(&mut engine, ["10001", "New York"]).is_empty());
         assert_eq!(engine.ledger().live_count(), 1);
@@ -1225,7 +1220,7 @@ mod tests {
         let events = insert(&mut engine, ["90003", "New York"]);
         let retractions: Vec<_> = events.iter().filter(|e| !e.is_created()).collect();
         assert_eq!(retractions.len(), 1);
-        assert_eq!(retractions[0].violation().row, 1);
+        assert_eq!(retractions[0].assertion().row, 1);
         let live = engine.ledger().snapshot();
         assert_eq!(live.len(), 1);
         assert_eq!(live[0].row, 0);
@@ -1356,7 +1351,7 @@ mod tests {
         let events = engine.apply([Op::Delete(1)]).unwrap();
         assert_eq!(events.len(), 1);
         assert!(!events[0].is_created());
-        assert_eq!(events[0].violation().row, 1);
+        assert_eq!(events[0].assertion().row, 1);
         assert!(engine.ledger().is_empty());
         assert_eq!(engine.live_rows(), 1);
         assert_eq!(engine.row_count(), 2);
@@ -1530,7 +1525,6 @@ mod tests {
         // Survivors 1, 3 → 0, 1; no pattern work was repeated.
         assert_eq!(remap.reclaimed(), 2);
         assert_eq!(engine.epoch(), 1);
-        assert_eq!(engine.ledger().epoch(), 1);
         assert_eq!(
             engine.pattern_evals(),
             evals_before,
@@ -1553,32 +1547,35 @@ mod tests {
         // The engine keeps working in the new id space: deleting the
         // remapped minority row retracts both rules' violations.
         let events = engine.apply([Op::Delete(1)]).unwrap();
-        assert!(events.iter().all(|e| !e.is_created()));
-        assert_eq!(events.iter().map(|e| e.epoch).max(), Some(1));
+        assert!(events
+            .iter()
+            .all(|e| !e.is_created() && e.assertion().row == 1));
         assert!(engine.ledger().is_empty());
         assert_eq!(engine.live_rows(), 1);
     }
 
     #[test]
     fn auto_compaction_triggers_on_the_configured_ratio() {
-        let config = StreamConfig {
-            compact_ratio: 0.5,
-            ..StreamConfig::default()
-        };
-        let mut engine = StreamEngine::with_config(schema(), vec![zip_variable_pfd()], config);
+        let mut engine = StreamEngine::new(schema(), vec![zip_variable_pfd()]);
         for i in 0..8 {
             let zip = format!("900{i:02}");
             insert(&mut engine, [zip.as_str(), "Los Angeles"]);
         }
+        // Nothing is dead yet: the trigger waits for a tombstone.
+        assert!(engine.compact_if(0.0).is_none());
         // Three deletes: 3/8 < 0.5, no compaction yet.
         for row in 0..3 {
             engine.apply([Op::Delete(row)]).unwrap();
+            assert!(engine.compact_if(0.5).is_none());
         }
         assert_eq!(engine.epoch(), 0);
         assert_eq!(engine.row_count(), 8);
-        // Fourth delete crosses 4/8 >= 0.5: compaction runs at the end
-        // of the call, slots shrink to the live rows.
+        // Fourth delete crosses 4/8 >= 0.5: the trigger compacts, and
+        // slots shrink to the live rows.
         engine.apply([Op::Delete(3)]).unwrap();
+        assert_eq!(engine.epoch(), 0, "apply never compacts");
+        let remap = engine.compact_if(0.5).expect("4/8 dead");
+        assert_eq!(remap.reclaimed(), 4);
         assert_eq!(engine.epoch(), 1);
         assert_eq!(engine.row_count(), 4);
         assert_eq!(engine.live_rows(), 4);
@@ -1589,11 +1586,7 @@ mod tests {
 
     #[test]
     fn auto_compaction_waits_for_the_batch_boundary() {
-        let config = StreamConfig {
-            compact_ratio: 0.3,
-            ..StreamConfig::default()
-        };
-        let mut engine = StreamEngine::with_config(schema(), vec![zip_variable_pfd()], config);
+        let mut engine = StreamEngine::new(schema(), vec![zip_variable_pfd()]);
         let mut ops: Vec<RowOp> = (0..6)
             .map(|i| RowOp::Insert(vec![Value::text(format!("900{i:02}")), Value::text("LA")]))
             .collect();
@@ -1601,7 +1594,9 @@ mod tests {
         // crosses the threshold partway through.
         ops.extend([RowOp::Delete(0), RowOp::Delete(2), RowOp::Delete(4)]);
         engine.apply(ops).unwrap();
+        assert_eq!(engine.epoch(), 0, "apply never compacts");
         // One compaction, after the whole batch.
+        assert!(engine.compact_if(0.3).is_some());
         assert_eq!(engine.epoch(), 1);
         assert_eq!(engine.compaction_stats().epochs, 1);
         assert_eq!(engine.row_count(), 3);

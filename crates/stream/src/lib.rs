@@ -11,10 +11,13 @@
 //!   over interned cells, as the op-log reader
 //!   ([`anmat_table::oplog`]) yields them — through one write entry,
 //!   [`StreamEngine::apply`], which validates each batch whole before
-//!   any op runs. It emits [`LedgerEvent`]s: newly created violations
-//!   *and retractions* of earlier ones (a late burst of agreeing rows
-//!   can flip a block's majority RHS, withdrawing what used to look
-//!   like an error; a delete can do the same in reverse).
+//!   any op runs, and does nothing more. It emits [`LedgerEvent`]s:
+//!   newly created violations *and retractions* of earlier ones (a late
+//!   burst of agreeing rows can flip a block's majority RHS, withdrawing
+//!   what used to look like an error; a delete can do the same in
+//!   reverse). An event is the [`Assertion`](anmat_core::Assertion) it
+//!   changes, ids only; [`ViolationLedger::describe`] renders it where it
+//!   is shown.
 //! * A rule's constant tableau tuples cost one memo probe per op plus
 //!   the tuples the row's LHS matches, independent of table and tableau
 //!   size: a [`TableauMemo`](anmat_index::TableauMemo) per rule maps each
@@ -42,18 +45,19 @@
 //!   `RowId` (the table tombstones deleted slots rather than moving
 //!   rows, so ids embedded in violations and ledgers never dangle) and
 //!   the caller gets one coherent event batch.
-//! * Tombstones are reclaimed by **compaction epochs**:
-//!   [`StreamEngine::compact`] (or the automatic
-//!   [`StreamConfig::compact_ratio`] trigger, checked at batch
-//!   boundaries) drops dead slots and threads the resulting
-//!   [`RowIdRemap`](anmat_table::RowIdRemap) through every consumer —
-//!   blocking partitions, and the ledger's live assertions and block
-//!   witnesses all translate in place, with zero pattern
-//!   re-evaluation and zero events. Each [`LedgerEvent`] carries the
-//!   epoch it was emitted in, so event history stays valid verbatim
-//!   across renumberings. Memory is thereby proportional to *live*
-//!   rows, not to history (`tests/harness.rs` pins the whole protocol
-//!   after every step: compacted runs are observably identical to a
+//! * Tombstones are reclaimed by **compaction epochs**, which the
+//!   caller runs between batches, after reading a batch's events:
+//!   [`StreamEngine::compact`], or the tombstone-ratio trigger
+//!   [`StreamEngine::compact_if`]. Compaction drops dead slots and
+//!   threads the resulting [`RowIdRemap`](anmat_table::RowIdRemap)
+//!   through every consumer — blocking partitions, and the ledger's live
+//!   assertions and block witnesses all translate in place, with zero
+//!   pattern re-evaluation and zero events. `apply` never compacts, so
+//!   every event one call returns is in the epoch
+//!   [`StreamEngine::epoch`] reports on return, and renders until the
+//!   next compaction. Memory is thereby proportional to *live* rows,
+//!   not to history (`tests/harness.rs` pins the whole protocol after
+//!   every step: compacted runs are observably identical to a
 //!   never-compacting twin modulo the remap, and slots stay within 2×
 //!   live rows at ratio 0.3 —
 //!   `forced_and_ratio_triggered_compaction_are_invisible`).
@@ -126,4 +130,4 @@ pub type ShardedEngine = StreamEngine;
 
 // Re-exported so downstream users of the engine's event stream don't need
 // a direct anmat-core dependency.
-pub use anmat_core::{LedgerChange, LedgerEvent, Pfd, ViolationLedger};
+pub use anmat_core::{LedgerEvent, Pfd, ViolationLedger};

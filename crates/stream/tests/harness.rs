@@ -1,7 +1,8 @@
 //! One model-based harness for the stream engine's contracts.
 //!
-//! A case is a schema, its rules, the rows its ops draw cells from, and
-//! the engine's settings. A seeded script of the engine's public
+//! A case is a schema, its rules, the rows its ops draw cells from, the
+//! engine's settings, and the tombstone ratio, if any, at which the
+//! engine compacts after a batch. A seeded script of the engine's public
 //! operations runs against it: op batches of inserts, deletes and updates
 //! (some with one invalid op injected), `compact`, and taking and
 //! dropping snapshots. After every step, [`check`] holds the engine to a
@@ -10,8 +11,9 @@
 //! * the ledger, rendered with its witnesses and repairs, equals
 //!   `detect_all` over a mirror `Table` that applies the same ops,
 //!   compared sorted;
-//! * the step's events, applied to the previous live set, give the new
-//!   live set as a multiset of identities (a violation less its
+//! * `apply` leaves the epoch unchanged, and the step's events, described
+//!   as soon as it returns and applied to the previous live set, give the
+//!   new live set as a multiset of identities (a violation less its
 //!   witnesses, which move without events), so a duplicated creation
 //!   shows;
 //! * a rejected batch leaves the table, ledger, health, drift and the
@@ -28,7 +30,8 @@
 //! reclaiming case interns only strings of its own tag (cells, rule
 //! constants, block keys) that no other test here produces, and the twin
 //! runs its whole script before the engine under test, so none of its
-//! memos can answer for a recycled id.
+//! memos can answer for a recycled id. The twin's events are described
+//! as they are recorded, for the same reason.
 //!
 //! A failing case prints its schema, its rules as JSON and its op script
 //! in op-log syntax, in the twin's id space, so it replays through
@@ -36,8 +39,8 @@
 //! vendored proptest does not shrink.)
 
 use anmat_core::{
-    detect_all, discover, DiscoveryConfig, LedgerChange, LhsCell, PatternTuple, Pfd, RhsCell,
-    Violation, ViolationKind, ViolationLedger,
+    detect_all, discover, DiscoveryConfig, LhsCell, PatternTuple, Pfd, RhsCell, Violation,
+    ViolationKind, ViolationLedger,
 };
 use anmat_datagen::zipcity::{self, ZipTarget};
 use anmat_datagen::{chembl, employee, names, phone, GenConfig};
@@ -69,6 +72,9 @@ struct Case {
     /// random.
     rows: Vec<Vec<Value>>,
     config: StreamConfig,
+    /// The tombstone ratio at which the engine under test compacts after
+    /// each batch ([`StreamEngine::compact_if`]); `None` never triggers.
+    compact_ratio: Option<f64>,
 }
 
 /// A datagen table under the rules discovery finds on it.
@@ -88,6 +94,7 @@ fn case_of(table: &Table, rules: Vec<Pfd>) -> Case {
         rules,
         rows: table.iter_live().map(|r| table.row(r)).collect(),
         config: StreamConfig::default(),
+        compact_ratio: None,
     }
 }
 
@@ -197,6 +204,7 @@ fn tie_case(tag: &str, seed: u64, rows: usize, reclaim: bool) -> Case {
             reclaim,
             ..StreamConfig::default()
         },
+        compact_ratio: None,
     }
 }
 
@@ -413,19 +421,25 @@ fn to_current(ops: &[RowOp], twin_of: &mut Vec<RowId>, twin_slots: &mut usize) -
     ops.into_iter().map(Op::from).collect()
 }
 
-/// An event's violation with its row ids moved into the twin's space (an
-/// event names no witnesses).
-fn to_twin(event: &LedgerEvent, twin_of: &[RowId]) -> LedgerEvent {
-    let mut v = event.violation().clone();
+/// An event as described when it was emitted: whether it is a creation,
+/// and the violation it names (no witnesses).
+type Described = (bool, Violation);
+
+/// `events`, described by the ledger that emitted them before anything
+/// compacts.
+fn describe(ledger: &ViolationLedger, events: &[LedgerEvent]) -> Vec<Described> {
+    let describe = |e: &LedgerEvent| (e.is_created(), ledger.describe(e.assertion()));
+    events.iter().map(describe).collect()
+}
+
+/// A described event with its row ids moved into the twin's space.
+fn to_twin((created, v): &Described, twin_of: &[RowId]) -> Described {
+    let mut v = v.clone();
     v.row = twin_of[v.row];
     if let Some(repair) = &mut v.repair {
         repair.row = twin_of[repair.row];
     }
-    let change = match event.change {
-        LedgerChange::Created(_) => LedgerChange::Created(v),
-        LedgerChange::Retracted(_) => LedgerChange::Retracted(v),
-    };
-    LedgerEvent { epoch: 0, change }
+    (*created, v)
 }
 
 /// A violation's identity, what an event names: everything but its
@@ -445,14 +459,13 @@ fn identities(live: &[Violation]) -> Vec<Violation> {
 }
 
 /// The identities of `live` with `events` applied, as a sorted multiset.
-fn carry(live: &[Violation], events: &[LedgerEvent]) -> Vec<Violation> {
+fn carry(live: &[Violation], events: &[Described]) -> Vec<Violation> {
     let mut bag: BTreeMap<Violation, usize> = BTreeMap::new();
     for v in identities(live) {
         *bag.entry(v).or_default() += 1;
     }
-    for e in events {
-        let v = e.violation();
-        if e.is_created() {
+    for (created, v) in events {
+        if *created {
             *bag.entry(v.clone()).or_default() += 1;
         } else {
             let n = bag.get_mut(v).filter(|n| **n > 0);
@@ -474,8 +487,8 @@ fn model(table: &Table, rules: &[Pfd]) -> Vec<Violation> {
 /// What the engine under test left behind.
 struct Run {
     engine: StreamEngine,
-    /// Every event it emitted, in order.
-    events: Vec<LedgerEvent>,
+    /// Every event it emitted, in order, described.
+    events: Vec<Described>,
     /// Strings it had freed when the last snapshot was dropped.
     freed_at_release: usize,
 }
@@ -486,21 +499,21 @@ fn check(case: &Case, script: &[Step]) -> Run {
     let _print = PrintOnPanic(case, script);
     let (schema, rules) = (&case.schema, &case.rules);
     let config = StreamConfig {
-        compact_ratio: 0.0,
         reclaim: false,
         ..case.config
     };
     let mut twin = StreamEngine::with_config(schema.clone(), rules.clone(), config);
-    let expected: Vec<(Vec<LedgerEvent>, Observed)> = script
+    let expected: Vec<(Vec<Described>, Observed)> = script
         .iter()
         .map(|step| {
             let ops = match step {
                 Step::Batch(ops) => ops.as_slice(),
                 _ => &[],
             };
-            let events = ops
-                .iter()
-                .flat_map(|op| twin.apply([op.clone()]).expect("valid"));
+            let events = ops.iter().flat_map(|op| {
+                let events = twin.apply([op.clone()]).expect("valid");
+                describe(twin.ledger(), &events)
+            });
             (events.collect(), observe(&twin))
         })
         .collect();
@@ -512,7 +525,7 @@ fn check(case: &Case, script: &[Step]) -> Run {
     let (mut events, mut freed_at_release) = (Vec::new(), 0);
     for (step, (twin_events, twin)) in script.iter().zip(&expected) {
         let epoch = engine.epoch();
-        let mut forced = None;
+        let mut compacted = None;
         match step {
             Step::Rejected(ops) => {
                 let ops = to_current(ops, &mut twin_of.clone(), &mut twin_slots.clone());
@@ -525,19 +538,18 @@ fn check(case: &Case, script: &[Step]) -> Run {
                     before,
                     "a rejected batch moved the engine"
                 );
+                assert_eq!(engine.epoch(), epoch, "apply changed the epoch");
             }
             Step::Batch(ops) => {
                 let ops = to_current(ops, &mut twin_of, &mut twin_slots);
                 let got = engine
                     .apply(ops.clone())
                     .expect("the script's batches are valid");
+                assert_eq!(engine.epoch(), epoch, "apply changed the epoch");
+                let got = describe(engine.ledger(), &got);
                 for op in ops {
                     mirror.apply(op).expect("the mirror takes every valid op");
                 }
-                assert!(
-                    got.iter().all(|e| e.epoch == epoch),
-                    "events carry their epoch"
-                );
                 let translated: Vec<_> = got.iter().map(|e| to_twin(e, &twin_of)).collect();
                 assert_eq!(&translated, twin_events, "events diverged from the twin's");
                 let carried = carry(&live, &got);
@@ -548,8 +560,9 @@ fn check(case: &Case, script: &[Step]) -> Run {
                     "the events do not carry the live set to the model"
                 );
                 events.extend(got);
+                compacted = case.compact_ratio.and_then(|r| engine.compact_if(r));
             }
-            Step::Compact => forced = Some(engine.compact()),
+            Step::Compact => compacted = Some(engine.compact()),
             Step::Snapshot => {
                 let frozen = freeze(engine.epoch(), engine.table(), engine.ledger());
                 held.push((engine.snapshot(), frozen, engine.reclaim_stats().strings));
@@ -559,12 +572,14 @@ fn check(case: &Case, script: &[Step]) -> Run {
                 freed_at_release = engine.reclaim_stats().strings;
             }
         }
-        if engine.epoch() != epoch {
+        assert_eq!(
+            engine.epoch() - epoch,
+            u64::from(compacted.is_some()),
+            "the engine compacted outside `compact`"
+        );
+        if let Some(compacted) = compacted {
             let remap = mirror.compact();
-            assert!(
-                forced.is_none_or(|forced| forced == remap),
-                "the engine's remap is not its table's"
-            );
+            assert_eq!(compacted, remap, "the engine's remap is not its table's");
             twin_of = (0..remap.old_slots())
                 .filter(|&slot| remap.new_id(slot).is_some())
                 .map(|slot| twin_of[slot])
@@ -588,7 +603,7 @@ fn check(case: &Case, script: &[Step]) -> Run {
             &now, twin,
             "health, drift or counters diverged from the twin's"
         );
-        if case.config.compact_ratio > 0.0 {
+        if case.compact_ratio.is_some() {
             assert!(
                 engine.row_count() <= 2 * engine.live_rows().max(1),
                 "slots past 2× live"
@@ -679,10 +694,7 @@ fn forced_and_ratio_triggered_compaction_are_invisible() {
     // About half the churn ops delete; the harness bounds slots at 2×
     // live rows after every step.
     let case = Case {
-        config: StreamConfig {
-            compact_ratio: 0.3,
-            ..StreamConfig::default()
-        },
+        compact_ratio: Some(0.3),
         ..datagen(&dataset(2, 260, 0x3AC7))
     };
     let run = check(
@@ -746,6 +758,7 @@ fn overlapping_rules_match_the_model() {
             })
             .collect(),
         config: StreamConfig::default(),
+        compact_ratio: None,
     };
     let shape = Shape {
         batch: 6,
@@ -768,6 +781,7 @@ fn drift_reports_sort_by_rule_index() {
             .map(|i| vec![Value::text(format!("900{i:02}")), Value::text("Delta")])
             .collect(),
         config: StreamConfig::default(),
+        compact_ratio: None,
     };
     let run = check(&case, &script(&case, REPLAY, 3));
     let order: Vec<usize> = run.engine.drift_report().iter().map(|d| d.rule).collect();
@@ -860,7 +874,7 @@ proptest! {
         if seed % 3 == 0 {
             case = overlap(case, seed / 3);
         }
-        case.config.compact_ratio = if flags & 2 == 2 { 0.3 } else { 0.0 };
+        case.compact_ratio = (flags & 2 == 2).then_some(0.3);
         let compact = if flags & 4 == 4 { 0.3 } else { 0.0 };
         let churn = 0.05 + (seed % 40) as f64 / 100.0;
         let shape = Shape { batch: 16, churn, compact, snapshot: 0.2 };

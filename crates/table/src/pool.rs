@@ -699,6 +699,10 @@ impl ValuePool {
             rec.deferred.push(record);
             rec.free.push(vid.raw());
         }
+        // Neither list keeps room it no longer needs: the drain above may
+        // have emptied the deferred one, and interning pops the free one.
+        rec.free.shrink_to_fit();
+        rec.deferred.shrink_to_fit();
         FREE_HINT.store(rec.free.len(), Ordering::Relaxed);
         // The parked records are exactly this round's: the drain above
         // emptied the list.
@@ -777,9 +781,10 @@ pub struct PoolFootprint {
     /// since reclaiming frees no bucket.
     pub map_bytes: usize,
     /// What reclamation holds: the records the last reclaim parked for
-    /// their deferred free (headers and string bytes), and the capacity
-    /// of the reclaimer's free-id list (4 bytes a slot) and deferred list
-    /// (8). Zero until the first reclaim.
+    /// their deferred free (headers and string bytes), and the
+    /// reclaimer's free-id list (4 bytes an id) and deferred list (8
+    /// bytes a record), each shrunk to its length by every reclaim. Zero
+    /// until the first reclaim.
     pub reclaimer_bytes: usize,
     /// Cumulative strings reclaimed over the process lifetime.
     pub reclaimed_strings: usize,

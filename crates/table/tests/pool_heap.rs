@@ -83,8 +83,10 @@ fn heap_per_distinct_string_is_bounded() {
     assert_eq!(ValuePool::reclaim(ids.iter().copied()).strings, STRINGS);
     let reclaimed = measure();
     assert_footprint_tracks_heap("reclaim", interned, reclaimed);
-    // The next reclaim frees the parked records; the lists keep their
-    // capacity.
+    // The next reclaim frees the parked records, and each list shrinks to
+    // its length: the deferred list to nothing, the free list to the
+    // 4-byte ids it holds.
     assert_eq!(ValuePool::reclaim([]).strings, 0);
     assert_footprint_tracks_heap("second reclaim", reclaimed, measure());
+    assert_eq!(ValuePool::mem_footprint().reclaimer_bytes, 4 * STRINGS);
 }

@@ -79,9 +79,9 @@ fn usage() -> String {
      \x20                [--stats-every N] [--metrics-out FILE]\n\
      \x20                (drift thresholds: pass the values the rules were\n\
      \x20                discovered with;\n\
-     \x20                --compact-ratio R reclaims tombstoned slots once\n\
-     \x20                they exceed fraction R of the table, renumbering\n\
-     \x20                rows via an epoch-stamped remap;\n\
+     \x20                --compact-ratio R compacts between batches, after\n\
+     \x20                printing a batch's events, once tombstoned slots\n\
+     \x20                make up fraction R of the table (rows renumber);\n\
      \x20                --reclaim additionally sweeps interned strings no\n\
      \x20                longer referenced by any live row at each\n\
      \x20                compaction barrier, recycling their pool ids —\n\
@@ -424,14 +424,11 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     if let Some(s) = take_flag(&mut args, "--min-support")? {
         stream_config.min_support = s.parse().map_err(|_| format!("bad --min-support `{s}`"))?;
     }
+    let mut compact_ratio = None;
     if let Some(r) = take_flag(&mut args, "--compact-ratio")? {
-        stream_config.compact_ratio =
-            r.parse()
-                .ok()
-                .filter(|&r: &f64| r > 0.0 && r < 1.0)
-                .ok_or(format!(
-                    "bad --compact-ratio `{r}` (want a tombstone ratio in (0, 1))"
-                ))?;
+        compact_ratio = Some(r.parse().ok().filter(|&r: &f64| r > 0.0 && r < 1.0).ok_or(
+            format!("bad --compact-ratio `{r}` (want a tombstone ratio in (0, 1))"),
+        )?);
     }
     if demote_drifted && store_dir.is_none() {
         return Err("--demote-drifted needs --store DIR".into());
@@ -466,6 +463,17 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         "streaming {} row(s) from {path} through {rule_count} rule(s), batch size {batch}",
         table.row_count()
     );
+    // After each batch: print its events, then compact if the ratio says
+    // so. Printing comes first, since a compaction may reclaim the ids
+    // the events name.
+    let after_batch = |engine: &mut StreamEngine, events: &[LedgerEvent]| {
+        if !quiet {
+            print_events(engine.ledger(), events);
+        }
+        if let Some(ratio) = compact_ratio {
+            engine.compact_if(ratio);
+        }
+    };
     // Rows are already interned by the CSV read; stream them as ids so
     // replay is clone-free. A batch never holds more than the table's
     // rows, so neither does its buffer.
@@ -479,9 +487,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         if pending.len() == batch || r + 1 == table.row_count() {
             let full = std::mem::replace(&mut pending, Vec::with_capacity(capacity));
             let events = engine.apply(full).map_err(|e| format!("row {r}: {e}"))?;
-            if !quiet {
-                print_events(&events);
-            }
+            after_batch(&mut engine, &events);
             batches_done += 1;
             if stats_every.is_some_and(|every| batches_done.is_multiple_of(every)) {
                 print_stats_line(&engine, started, timing);
@@ -515,9 +521,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("applying ops: {e}"))?;
         obs::histogram!("cli.apply_ns")
             .record(u64::try_from(ops_started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        if !quiet {
-            print_events(&events);
-        }
+        after_batch(&mut engine, &events);
     }
 
     // Snapshot-backed checkpoint: the capture is O(chunks) chunk-handle
@@ -695,17 +699,17 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn print_events(events: &[LedgerEvent]) {
+/// One line per event, each described by `ledger` (which emitted them,
+/// with no compaction since).
+fn print_events(ledger: &ViolationLedger, events: &[LedgerEvent]) {
     for event in events {
-        println!("{}", render_event(event));
+        println!("{}", render_event(event, ledger));
     }
 }
 
-fn render_event(event: &LedgerEvent) -> String {
-    let (sign, v) = match &event.change {
-        LedgerChange::Created(v) => ('+', v),
-        LedgerChange::Retracted(v) => ('-', v),
-    };
+fn render_event(event: &LedgerEvent, ledger: &ViolationLedger) -> String {
+    let sign = if event.is_created() { '+' } else { '-' };
+    let v = ledger.describe(event.assertion());
     let detail = match &v.kind {
         ViolationKind::Constant {
             expected, found, ..
