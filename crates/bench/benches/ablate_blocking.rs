@@ -6,7 +6,7 @@
 //! measures the gap as rows grow.
 
 use anmat_bench::criterion;
-use anmat_core::{detect_pfd, Detector, PatternTuple, Pfd};
+use anmat_core::{detect_pfd, detect_variable_bruteforce, PatternTuple, Pfd};
 use anmat_datagen::names;
 use anmat_pattern::ConstrainedPattern;
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
@@ -34,8 +34,7 @@ fn bench(c: &mut Criterion) {
         .iter()
         .map(|v| v.row)
         .collect();
-    let brute_rows: Vec<usize> = Detector::new(&small.table)
-        .detect_variable_bruteforce(&pfd)
+    let brute_rows: Vec<usize> = detect_variable_bruteforce(&small.table, &pfd)
         .iter()
         .map(|v| v.row)
         .collect();
@@ -52,7 +51,7 @@ fn bench(c: &mut Criterion) {
         // Brute force is quadratic: cap the sizes it runs at.
         if rows <= 4_000 {
             g.bench_with_input(BenchmarkId::new("bruteforce", rows), &data, |b, d| {
-                b.iter(|| Detector::new(black_box(&d.table)).detect_variable_bruteforce(&pfd));
+                b.iter(|| detect_variable_bruteforce(black_box(&d.table), &pfd));
             });
         }
     }

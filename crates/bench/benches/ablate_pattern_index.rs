@@ -6,8 +6,11 @@
 //! This bench compares the index's lookup — the compiled matcher over
 //! the sorted distinct values that start with the pattern's literal
 //! prefix — against the interpreter scanning every distinct value, and
-//! times building the index. Lookups only: production callers build an
-//! index per call, so their cost is `build_index` plus lookups.
+//! times building the index. Production detection no longer builds the
+//! index: it dispatches each distinct LHS value to its tuples through a
+//! `TableauMemo`. The index serves discovery's candidate validation,
+//! which builds one per candidate dependency and looks up many patterns
+//! in it, so its cost there is `build_index` plus lookups.
 
 use anmat_bench::criterion;
 use anmat_datagen::phone;

@@ -5,41 +5,52 @@
 //! violation. … For better performance, we create an index supporting
 //! regular expressions for each column present on the LHS of the PFDs",
 //! limiting the scan to tuples matching `tp[A]`.
+//!
+//! Here the scan asks the transposed question, as the stream engine does:
+//! not "which rows match this tuple" but "which tuples does this row
+//! match". A rule's constant tuples form one [`TableauMemo`], which
+//! classifies each distinct LHS value once, evaluating only the tuples
+//! whose literal prefix the value starts with; the walk over the LHS
+//! column then costs a memo probe and an id comparison per matched
+//! tuple. The paper's per-column index,
+//! [`PatternIndex`](anmat_index::PatternIndex), serves discovery's
+//! candidate validation, which asks many patterns of one column.
 
-use super::{Detector, Repair, Violation, ViolationKind};
+use super::{Repair, Violation, ViolationKind};
 use crate::pfd::{LhsCell, Pfd, RhsCell};
+use anmat_index::TableauMemo;
 use anmat_table::{RowId, Table, ValueId, ValuePool};
 
-/// Detect violations of the constant tuples of `pfd`.
-pub(crate) fn detect(
-    detector: &mut Detector<'_>,
-    pfd: &Pfd,
-    lhs: usize,
-    rhs: usize,
-) -> Vec<Violation> {
+/// Detect violations of the constant tuples of `pfd`, in ascending row
+/// order and, within a row, in tableau order.
+pub(crate) fn detect(table: &Table, pfd: &Pfd, lhs: usize, rhs: usize) -> Vec<Violation> {
+    // Member `m` of the memo is `tuples[m]`, expecting `expected[m]`.
+    let (tuples, expected): (Vec<&LhsCell>, Vec<ValueId>) = pfd
+        .constant_tuples()
+        .filter_map(|t| match &t.rhs {
+            RhsCell::Constant(c) => Some((&t.lhs, ValuePool::intern(c))),
+            RhsCell::Wildcard => None,
+        })
+        .unzip();
+    let mut memo = TableauMemo::new(tuples.iter().map(|lhs| match lhs {
+        LhsCell::Pattern(q) => Some(q.embedded()),
+        LhsCell::Wildcard => None,
+    }));
+    // A tuple's display form, rendered at its first violation.
+    let mut displays: Vec<Option<String>> = vec![None; tuples.len()];
     let mut out = Vec::new();
-    let table = detector.table();
-    for tuple in pfd.constant_tuples() {
-        let RhsCell::Constant(expected) = &tuple.rhs else {
-            continue;
-        };
-        let expected = ValuePool::intern(expected);
-        let rows: Vec<usize> = match &tuple.lhs {
-            LhsCell::Pattern(q) => {
-                // The index limits the check to tuples matching tp[A].
-                let index = detector.index_for(lhs);
-                index.lookup(q.embedded())
+    for (row, value) in table.iter_column(lhs) {
+        for &m in memo.matches(value) {
+            let m = m as usize;
+            if table.cell_id(row, rhs) == expected[m] {
+                continue;
             }
-            // Live rows only: tombstoned slots can no longer violate.
-            LhsCell::Wildcard => table.iter_live().collect(),
-        };
-        let pattern_display = tuple.lhs.to_string();
-        for row in rows {
+            let display = displays[m].get_or_insert_with(|| tuples[m].to_string());
             out.extend(violation_at(
                 table,
                 pfd,
-                &pattern_display,
-                expected,
+                display,
+                expected[m],
                 lhs,
                 rhs,
                 row,
@@ -56,8 +67,9 @@ pub(crate) fn detect(
 /// its harness): a non-null LHS row whose RHS differs from `expected` is a
 /// violation; the suggested repair assumes the LHS is correct and sets
 /// the RHS to `tp[B]`. The caller guarantees the row's LHS matches the
-/// tuple pattern. The agreement check is an interned-id comparison, so
-/// the hot path never touches string bytes.
+/// tuple pattern. The agreement check is an interned-id comparison made
+/// before any string is resolved, so a row that agrees never touches
+/// string bytes.
 #[must_use]
 pub fn violation_at(
     table: &Table,
@@ -68,11 +80,11 @@ pub fn violation_at(
     rhs: usize,
     row: RowId,
 ) -> Option<Violation> {
-    let lhs_value = table.cell_str(row, lhs)?;
     let found = table.cell_id(row, rhs);
     if found == expected {
         return None;
     }
+    let lhs_value = table.cell_str(row, lhs)?;
     let found = found.as_str();
     Some(Violation {
         dependency: pfd.embedded_fd(),

@@ -2,16 +2,20 @@
 //!
 //! * **Constant PFDs** — scan the tuples matching `tp[A]` and flag those
 //!   with `t[B] ≠ tp[B]`; the suggested repair, "if we assume that the
-//!   LHS value is correct", is `tp[B]`. The per-column [`PatternIndex`]
-//!   finds the tuples by running `tp[A]`'s compiled matcher once per
-//!   distinct value in the range that starts with its literal prefix.
+//!   LHS value is correct", is `tp[B]`. A rule's constant tuples share one
+//!   [`TableauMemo`](anmat_index::TableauMemo), the stream engine's
+//!   dispatch: each distinct LHS value is classified once, against only
+//!   the tuples whose literal prefix it starts with, and a row is checked
+//!   against the tuples its value matched. The per-column
+//!   [`PatternIndex`](anmat_index::PatternIndex) serves discovery's
+//!   candidate validation, not detection.
 //! * **Variable PFDs** — block rows by the constrained-capture key
 //!   (lossless for `≡_Q`), then within each block flag the rows whose RHS
 //!   disagrees with the block majority; the violation records the
 //!   witnessing cells, four per conflicting pair in the paper's
 //!   formulation. A brute-force pair enumeration
-//!   ([`Detector::detect_variable_bruteforce`]) is kept for the
-//!   blocking-vs-quadratic ablation.
+//!   ([`detect_variable_bruteforce`]) is kept for the blocking-vs-quadratic
+//!   ablation.
 
 pub mod constant;
 pub mod repair_apply;
@@ -20,10 +24,8 @@ pub mod variable;
 pub use repair_apply::{apply_repairs, repair_to_fixpoint, RepairReport};
 
 use crate::pfd::{Pfd, PfdKind};
-use anmat_index::PatternIndex;
 use anmat_table::{RowId, Table};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A suggested cell repair.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -117,86 +119,54 @@ impl Violation {
     }
 }
 
-/// Detection engine with a per-column pattern-index cache, for running
-/// many PFDs over one table.
-pub struct Detector<'t> {
-    table: &'t Table,
-    index_cache: HashMap<usize, PatternIndex>,
-}
-
-impl<'t> Detector<'t> {
-    /// Create a detector for a table.
-    #[must_use]
-    pub fn new(table: &'t Table) -> Detector<'t> {
-        Detector {
-            table,
-            index_cache: HashMap::new(),
-        }
-    }
-
-    /// The pattern index for a column, built on first use.
-    pub fn index_for(&mut self, col: usize) -> &PatternIndex {
-        self.index_cache
-            .entry(col)
-            .or_insert_with(|| PatternIndex::build(self.table, col))
-    }
-
-    /// Run one PFD, dispatching on tableau-tuple kind.
-    pub fn detect(&mut self, pfd: &Pfd) -> Vec<Violation> {
-        let mut out = Vec::new();
-        let Some(lhs) = self.table.schema().index_of(&pfd.lhs_attr) else {
-            return out;
-        };
-        let Some(rhs) = self.table.schema().index_of(&pfd.rhs_attr) else {
-            return out;
-        };
-        match pfd.kind() {
-            PfdKind::Constant => {
-                out.extend(constant::detect(self, pfd, lhs, rhs));
-            }
-            PfdKind::Variable => {
-                out.extend(variable::detect(self.table, pfd, lhs, rhs));
-            }
-            PfdKind::Mixed => {
-                out.extend(constant::detect(self, pfd, lhs, rhs));
-                out.extend(variable::detect(self.table, pfd, lhs, rhs));
-            }
-        }
-        out.sort_by(|a, b| {
-            a.row
-                .cmp(&b.row)
-                .then_with(|| a.dependency.cmp(&b.dependency))
-        });
-        out
-    }
-
-    /// Variable detection via explicit pair enumeration (quadratic) —
-    /// kept for the blocking ablation (E13). Produces the same flagged
-    /// rows as the blocking path.
-    pub fn detect_variable_bruteforce(&mut self, pfd: &Pfd) -> Vec<Violation> {
-        let Some(lhs) = self.table.schema().index_of(&pfd.lhs_attr) else {
-            return Vec::new();
-        };
-        let Some(rhs) = self.table.schema().index_of(&pfd.rhs_attr) else {
-            return Vec::new();
-        };
-        variable::detect_bruteforce(self.table, pfd, lhs, rhs)
-    }
-
-    /// The underlying table.
-    #[must_use]
-    pub fn table(&self) -> &'t Table {
-        self.table
-    }
-}
-
-/// Run one PFD over a table (convenience; builds indexes internally).
+/// Run one PFD over a table, dispatching on tableau-tuple kind.
+///
+/// Sorted stably by row: within a row, constant tuples come first in
+/// tableau order, then variable tuples.
 #[must_use]
 pub fn detect_pfd(table: &Table, pfd: &Pfd) -> Vec<Violation> {
-    Detector::new(table).detect(pfd)
+    let mut out = Vec::new();
+    let Some(lhs) = table.schema().index_of(&pfd.lhs_attr) else {
+        return out;
+    };
+    let Some(rhs) = table.schema().index_of(&pfd.rhs_attr) else {
+        return out;
+    };
+    match pfd.kind() {
+        PfdKind::Constant => {
+            out.extend(constant::detect(table, pfd, lhs, rhs));
+        }
+        PfdKind::Variable => {
+            out.extend(variable::detect(table, pfd, lhs, rhs));
+        }
+        PfdKind::Mixed => {
+            out.extend(constant::detect(table, pfd, lhs, rhs));
+            out.extend(variable::detect(table, pfd, lhs, rhs));
+        }
+    }
+    out.sort_by(|a, b| {
+        a.row
+            .cmp(&b.row)
+            .then_with(|| a.dependency.cmp(&b.dependency))
+    });
+    out
 }
 
-/// Run a set of PFDs over a table, sharing per-column indexes.
+/// Variable detection via explicit pair enumeration (quadratic) — kept
+/// for the blocking ablation (E13). Produces the same flagged rows as the
+/// blocking path.
+#[must_use]
+pub fn detect_variable_bruteforce(table: &Table, pfd: &Pfd) -> Vec<Violation> {
+    let Some(lhs) = table.schema().index_of(&pfd.lhs_attr) else {
+        return Vec::new();
+    };
+    let Some(rhs) = table.schema().index_of(&pfd.rhs_attr) else {
+        return Vec::new();
+    };
+    variable::detect_bruteforce(table, pfd, lhs, rhs)
+}
+
+/// Run a set of PFDs over a table.
 ///
 /// The result is a set: two rules (or two tuples) that imply the same
 /// violation report it once, as the stream engine's ledger holds it once.
@@ -204,8 +174,7 @@ pub fn detect_pfd(table: &Table, pfd: &Pfd) -> Vec<Violation> {
 /// the first occurrence of every distinct violation is kept.
 #[must_use]
 pub fn detect_all(table: &Table, pfds: &[Pfd]) -> Vec<Violation> {
-    let mut detector = Detector::new(table);
-    let mut found: Vec<Violation> = pfds.iter().flat_map(|p| detector.detect(p)).collect();
+    let mut found: Vec<Violation> = pfds.iter().flat_map(|p| detect_pfd(table, p)).collect();
     found.sort_by(|a, b| {
         a.row
             .cmp(&b.row)

@@ -311,8 +311,7 @@ mod tests {
     fn bruteforce_agrees_with_blocking() {
         let t = name_table();
         let blocking = super::super::detect_pfd(&t, &lambda4());
-        let mut detector = super::super::Detector::new(&t);
-        let brute = detector.detect_variable_bruteforce(&lambda4());
+        let brute = super::super::detect_variable_bruteforce(&t, &lambda4());
         let rows_a: Vec<_> = blocking.iter().map(|v| v.row).collect();
         let rows_b: Vec<_> = brute.iter().map(|v| v.row).collect();
         assert_eq!(rows_a, rows_b);

@@ -15,7 +15,7 @@ use super::DiscoveryConfig;
 use crate::pfd::{PatternTuple, Pfd};
 use anmat_index::{ExtractionMode, InvertedIndex, PatternIndex};
 use anmat_pattern::{contains, ConstrainedPattern, Pattern};
-use anmat_table::{Table, TableProfile};
+use anmat_table::{for_each_token, Table, TableProfile};
 use std::collections::HashMap;
 
 /// n of the n-gram extraction mode.
@@ -178,36 +178,29 @@ fn group_rows_by_pos(inv: &InvertedIndex, key: &str) -> Vec<(usize, Vec<usize>)>
 ///
 /// Positions are token indices for token mode and char offsets otherwise
 /// (matching [`ExtractionMode::for_each_key`]). Returns `None` when the
-/// occurrence cannot be located (value changed shape).
+/// occurrence cannot be located (value changed shape). Allocates nothing:
+/// it finds the occurrence's byte start and compares the key there.
 fn split_at_occurrence<'v>(
     value: &'v str,
     key: &str,
     pos: usize,
     mode: ExtractionMode,
 ) -> Option<(&'v str, &'v str)> {
-    let char_start = match mode {
+    let start = match mode {
         ExtractionMode::Tokens => {
-            let toks = anmat_table::tokenize(value);
-            let tok = toks.iter().find(|t| t.index == pos)?;
-            if tok.text != key {
-                return None;
-            }
-            tok.char_start
+            let mut start = None;
+            for_each_token(value, |token, index| {
+                if index == pos && token == key {
+                    // Tokens are slices of `value`.
+                    start = Some(token.as_ptr() as usize - value.as_ptr() as usize);
+                }
+            });
+            start?
         }
-        ExtractionMode::NGrams(_) | ExtractionMode::Prefixes(_) => pos,
+        ExtractionMode::NGrams(_) | ExtractionMode::Prefixes(_) => value.char_indices().nth(pos)?.0,
     };
-    let chars: Vec<(usize, char)> = value.char_indices().collect();
-    let key_chars = key.chars().count();
-    let start_byte = chars.get(char_start).map(|(b, _)| *b)?;
-    let end_byte = match chars.get(char_start + key_chars) {
-        Some((b, _)) => *b,
-        None if char_start + key_chars == chars.len() => value.len(),
-        None => return None,
-    };
-    if &value[start_byte..end_byte] != key {
-        return None;
-    }
-    Some((&value[..start_byte], &value[end_byte..]))
+    let end = start + key.len();
+    (value.get(start..end)? == key).then(|| (&value[..start], &value[end..]))
 }
 
 /// Check a candidate pattern against the whole table.

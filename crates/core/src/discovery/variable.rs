@@ -26,7 +26,7 @@ use anmat_index::BlockingIndex;
 use anmat_pattern::{
     induce, loosen, ConstrainedPattern, Element, Pattern, PatternLevel, Quantifier, Segment,
 };
-use anmat_table::{tokenize, Table, TableProfile};
+use anmat_table::{for_each_token, Table, TableProfile};
 use std::collections::HashMap;
 
 /// Mine variable PFDs for one column pair.
@@ -173,16 +173,20 @@ fn token_anchor_candidates(table: &Table, lhs: usize) -> Vec<ConstrainedPattern>
     for (_, v) in table.iter_column(lhs) {
         let Some(s) = v.as_str() else { continue };
         rows_seen += 1;
-        let toks = tokenize(s);
-        min_tokens = min_tokens.min(toks.len());
-        for t in toks.into_iter().take(MAX_ANCHOR) {
-            if samples.len() <= t.index {
-                samples.resize_with(t.index + 1, Vec::new);
+        let mut tokens = 0;
+        for_each_token(s, |token, index| {
+            tokens += 1;
+            if index >= MAX_ANCHOR {
+                return;
             }
-            if samples[t.index].len() < 64 {
-                samples[t.index].push(t.text);
+            if samples.len() <= index {
+                samples.resize_with(index + 1, Vec::new);
             }
-        }
+            if samples[index].len() < 64 {
+                samples[index].push(token.to_string());
+            }
+        });
+        min_tokens = min_tokens.min(tokens);
     }
     if rows_seen == 0 || min_tokens == usize::MAX || min_tokens == 0 {
         return Vec::new();

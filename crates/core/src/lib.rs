@@ -11,8 +11,9 @@
 //!   n-grams / prefixes, apply a decision function to each entry, and keep
 //!   tableaux whose coverage passes the user's minimum-coverage threshold
 //!   γ, tolerating the user's allowed-violation ratio.
-//! * **Error detection** ([`detect`]) — constant PFDs are checked with a
-//!   pattern-index-assisted scan; variable PFDs with lossless blocking on
+//! * **Error detection** ([`detect`]) — constant PFDs are checked by
+//!   classifying each distinct LHS value once against the tableau's
+//!   patterns; variable PFDs with lossless blocking on
 //!   the constrained-capture key (avoiding the quadratic pair
 //!   enumeration). Violations carry the cells involved and repair
 //!   suggestions.
@@ -73,8 +74,8 @@ pub mod report;
 pub mod store;
 
 pub use detect::{
-    apply_repairs, detect_all, detect_pfd, repair_to_fixpoint, Detector, Repair, RepairReport,
-    Violation, ViolationKind,
+    apply_repairs, detect_all, detect_pfd, detect_variable_bruteforce, repair_to_fixpoint, Repair,
+    RepairReport, Violation, ViolationKind,
 };
 pub use discovery::{discover, ContextStyle, DiscoveryConfig};
 pub use ledger::{
@@ -86,8 +87,8 @@ pub use pfd::{LhsCell, PatternTuple, Pfd, PfdKind, RhsCell};
 pub mod prelude {
     pub use crate::baselines::{cfd::CfdMiner, fd::FdMiner};
     pub use crate::detect::{
-        apply_repairs, detect_all, detect_pfd, repair_to_fixpoint, Detector, RepairReport,
-        Violation, ViolationKind,
+        apply_repairs, detect_all, detect_pfd, detect_variable_bruteforce, repair_to_fixpoint,
+        RepairReport, Violation, ViolationKind,
     };
     pub use crate::discovery::{discover, ContextStyle, DiscoveryConfig};
     pub use crate::ledger::{

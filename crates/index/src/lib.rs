@@ -10,10 +10,11 @@
 //!   each column present on the LHS of the PFDs": distinct values are
 //!   sorted once by string, and a pattern lookup runs its compiled
 //!   matcher over the range of values that start with the pattern's
-//!   literal prefix. Its streaming counterpart, [`TableauMemo`], maps
-//!   each distinct LHS value to the constant tableau tuples it matches,
-//!   evaluating on first sighting only the tuples whose literal prefix
-//!   the value starts with;
+//!   literal prefix (discovery validates its candidates this way). Its
+//!   transpose, [`TableauMemo`], maps each distinct LHS value to the
+//!   constant tableau tuples it matches, evaluating on first sighting
+//!   only the tuples whose literal prefix the value starts with; batch
+//!   and streaming detection both dispatch constant tuples through it;
 //! * [`blocking`] — the blocking strategy (cf. BigDansing) that avoids the
 //!   quadratic tuple-pair enumeration for variable PFDs: rows are grouped
 //!   by their constrained-capture key, and pairs are enumerated within

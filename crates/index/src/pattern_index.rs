@@ -1,32 +1,37 @@
-//! The per-column pattern index of §3.
+//! The per-column pattern index of §3, and the tableau memo that
+//! dispatches a value to the constant tuples it matches.
 //!
-//! For constant-PFD detection the paper "create\[s\] an index supporting
-//! regular expressions for each column present on the LHS of the PFDs", so
-//! that the violation scan only touches tuples matching `tp[A]`. This
-//! implementation:
+//! The paper "create\[s\] an index supporting regular expressions for
+//! each column present on the LHS of the PFDs", so that the violation
+//! scan only touches tuples matching `tp[A]`. [`PatternIndex`] answers
+//! that question — which rows match this pattern — for discovery's
+//! candidate validation, which asks it of one column for many candidate
+//! patterns:
 //!
-//! * deduplicates the column into distinct values with row postings
+//! * it deduplicates the column into distinct values with row postings
 //!   (low-cardinality columns collapse dramatically);
-//! * sorts the distinct values once by string;
-//! * answers a pattern lookup by compiling the pattern once, narrowing the
-//!   sorted values to the range that starts with the pattern's literal
-//!   prefix (`900` for `900\D{2}`; the whole array when there is none)
-//!   with two binary searches, and running the compiled matcher on each
-//!   value in that range.
+//! * it sorts the distinct values once by string;
+//! * it answers a pattern lookup by compiling the pattern once, narrowing
+//!   the sorted values to the range that starts with the pattern's
+//!   literal prefix (`900` for `900\D{2}`; the whole array when there is
+//!   none) with two binary searches, and running the compiled matcher on
+//!   each value in that range.
 //!
 //! The range is the only pruning. A compiled match costs tens of
 //! nanoseconds per distinct value, while an exact language test that
 //! could accept or reject a group of values at once (an NFA product)
 //! costs microseconds, more than matching the values it would decide at
-//! the table sizes batch detection sees.
+//! the table sizes discovery sees.
 //!
-//! Streaming detection asks the transposed question: not "which values
-//! match this pattern" but "which of a rule's constant tuples does this
-//! new value match". A [`TableauMemo`] answers it once per distinct value
-//! with the same literal prefixes, turned into a map from prefix to the
-//! tuples that carry it: a value is matched only against the tuples whose
-//! prefix it starts with (plus those with none), so a tableau of a
-//! thousand area codes costs one eval per new value, not a thousand.
+//! Detection asks the transposed question: not "which values match this
+//! pattern" but "which of a rule's constant tuples does this value
+//! match". A [`TableauMemo`] answers it once per distinct value with the
+//! same literal prefixes, turned into a map from prefix to the tuples
+//! that carry it: a value is matched only against the tuples whose prefix
+//! it starts with (plus those with none), so a tableau of a thousand area
+//! codes costs one eval per new value, not a thousand. The stream engine
+//! keeps one per rule across ops; batch detection builds one per rule per
+//! call and walks the LHS column through it.
 
 use anmat_pattern::{match_pattern, CompiledPattern, Pattern, SymbolClass};
 use anmat_table::{RowId, Table, ValueId, ValuePool};

@@ -11,7 +11,8 @@
 //!   count / unbounded at-least / bounded range), so dispatch is a small
 //!   `match` on a copy-sized struct instead of pointer-chasing the AST;
 //! * each class is precomputed into a [`ClassSet`]: a 128-bit ASCII
-//!   membership bitset ([`AsciiSet`], scanned 8 bytes per step by
+//!   membership bitset ([`AsciiSet`], read from a per-process table of
+//!   the five class sets and scanned 8 bytes per step by
 //!   [`crate::scan`]) plus a constant-size *spillover* descriptor that
 //!   resolves codepoints ≥ 128 against lazily built sorted range tables
 //!   — so the compiled tiers are exact on **any** UTF-8 input and the
@@ -23,7 +24,9 @@
 //!   matcher — no backtrack stack, no visited set, inline span capture;
 //! * everything else runs on the non-recursive backtracking VM
 //!   ([`crate::vm`]) — no `Vec<char>` collection, no recursion, scratch
-//!   reused thread-locally.
+//!   reused thread-locally — behind a *literal screen*: an input that
+//!   lacks the program's longest run of literal bytes is rejected before
+//!   the VM starts.
 //!
 //! A program's tier is thus fixed when it is compiled; no caller picks
 //! one. The AST interpreter is the property-tested semantic oracle; at
@@ -55,16 +58,55 @@ pub struct AsciiSet {
 
 impl AsciiSet {
     /// The exact ASCII slice of `class.matches(..)`.
+    ///
+    /// A literal's set is its one bit (none for a non-ASCII literal). The
+    /// five class sets (`\LU`, `\LL`, `\D`, `\S`, `\A`) are swept from
+    /// `matches` over the 128 ASCII characters once per process and read
+    /// from that table afterwards, so compiling an element costs no
+    /// sweep.
     #[must_use]
     pub fn of_class(class: SymbolClass) -> AsciiSet {
-        let mut bits = [0u64; 2];
-        for b in 0u8..128 {
-            if class.matches(b as char) {
-                bits[usize::from(b >> 6)] |= 1u64 << (b & 63);
+        static CLASSES: OnceLock<[AsciiSet; 5]> = OnceLock::new();
+        let slot = match class {
+            SymbolClass::Literal(c) => {
+                let mut bits = [0u64; 2];
+                if c.is_ascii() {
+                    let b = c as u8;
+                    bits[usize::from(b >> 6)] |= 1u64 << (b & 63);
+                }
+                return AsciiSet::of_bits(bits);
             }
+            SymbolClass::Upper => 0,
+            SymbolClass::Lower => 1,
+            SymbolClass::Digit => 2,
+            SymbolClass::Symbol => 3,
+            SymbolClass::Any => 4,
+        };
+        CLASSES.get_or_init(|| {
+            [
+                SymbolClass::Upper,
+                SymbolClass::Lower,
+                SymbolClass::Digit,
+                SymbolClass::Symbol,
+                SymbolClass::Any,
+            ]
+            .map(|class| {
+                let mut bits = [0u64; 2];
+                for b in 0u8..128 {
+                    if class.matches(b as char) {
+                        bits[usize::from(b >> 6)] |= 1u64 << (b & 63);
+                    }
+                }
+                AsciiSet::of_bits(bits)
+            })
+        })[slot]
+    }
+
+    fn of_bits(bits: [u64; 2]) -> AsciiSet {
+        AsciiSet {
+            bits,
+            kind: scan::classify(&bits),
         }
-        let kind = scan::classify(&bits);
-        AsciiSet { bits, kind }
     }
 
     /// Does the set contain the (ASCII) byte `b`?
@@ -300,19 +342,30 @@ impl Op {
 /// A [`Pattern`] compiled to flat bytecode, with the fused-tier plan
 /// probed up front and the source AST retained for inputs too long for
 /// the compiled tiers.
+///
+/// A program that runs on the VM also keeps a *literal screen*: its
+/// longest run of at least two consecutive [`Op::Byte`]s. Consecutive
+/// byte ops match consecutive input bytes on the ASCII and the UTF-8
+/// path alike, so an input that does not contain the run cannot match,
+/// and it is rejected before the VM starts (and backtracks through the
+/// variable ops ahead of the run). Fused programs keep none: they run in
+/// one pass and reject at the first wrong byte.
 #[derive(Debug, Clone)]
 pub struct CompiledPattern {
     ops: Vec<Op>,
     min_len: usize,
     max_len: Option<usize>,
     fused: Option<FusePlan>,
+    /// The literal screen (VM programs only).
+    screen: Option<Box<str>>,
     source: Pattern,
 }
 
 impl CompiledPattern {
-    /// Compile `pattern` into bytecode. The cost is `O(|P|)` plus one
-    /// 128-entry class sweep per element, paid once per tableau pattern
-    /// (recorded in the `pattern.compile_ns` histogram).
+    /// Compile `pattern` into bytecode. The cost is `O(|P|)`, paid once
+    /// per tableau pattern (recorded in the `pattern.compile_ns`
+    /// histogram); class sets come from a table built once per process
+    /// (see [`AsciiSet::of_class`]).
     #[must_use]
     pub fn compile(pattern: &Pattern) -> CompiledPattern {
         let _span = anmat_obs::span!("pattern.compile_ns");
@@ -341,6 +394,11 @@ impl CompiledPattern {
             .collect();
         let fused = fuse::plan(&ops);
         CompiledPattern {
+            screen: if fused.is_some() {
+                None
+            } else {
+                literal_run(&ops)
+            },
             ops,
             min_len: pattern.min_len(),
             max_len: pattern.max_len(),
@@ -355,9 +413,11 @@ impl CompiledPattern {
     /// uses [`CompiledPattern::compile`].
     #[must_use]
     pub fn compile_unfused(pattern: &Pattern) -> CompiledPattern {
+        let program = CompiledPattern::compile(pattern);
         CompiledPattern {
             fused: None,
-            ..CompiledPattern::compile(pattern)
+            screen: literal_run(&program.ops),
+            ..program
         }
     }
 
@@ -424,8 +484,8 @@ impl CompiledPattern {
         true
     }
 
-    /// Run the compiled program (length screens included) on its tier:
-    /// the fused matcher when compilation planned one, the VM
+    /// Run the compiled program (length and literal screens included) on
+    /// its tier: the fused matcher when compilation planned one, the VM
     /// otherwise. On success, spans are **byte** offsets into `s`.
     #[inline]
     fn exec(&self, s: &str, spans: Option<&mut Vec<(usize, usize)>>) -> bool {
@@ -433,6 +493,9 @@ impl CompiledPattern {
         // Chars ≤ bytes, so a byte count below the char minimum screens
         // any input without counting chars.
         if n < self.min_len {
+            return false;
+        }
+        if self.screen.as_deref().is_some_and(|run| lacks(s, run)) {
             return false;
         }
         if s.is_ascii() {
@@ -454,6 +517,34 @@ impl CompiledPattern {
             }
         }
     }
+}
+
+/// Does `s` lack `run`? Kept out of line: the substring search is large,
+/// and inlined into [`CompiledPattern::exec`] it would weigh on every
+/// fused evaluation too.
+#[inline(never)]
+fn lacks(s: &str, run: &str) -> bool {
+    !s.contains(run)
+}
+
+/// The longest run of at least two consecutive [`Op::Byte`]s in `ops`
+/// (the first of equal length), as text: every byte op is an ASCII
+/// literal.
+fn literal_run(ops: &[Op]) -> Option<Box<str>> {
+    let mut best: &[Op] = &[];
+    for run in ops.split(|op| !matches!(op, Op::Byte(_))) {
+        if run.len() > best.len() {
+            best = run;
+        }
+    }
+    (best.len() >= 2).then(|| {
+        best.iter()
+            .filter_map(|op| match *op {
+                Op::Byte(b) => Some(char::from(b)),
+                _ => None,
+            })
+            .collect()
+    })
 }
 
 /// Convert contiguous byte spans (as the VM and fused tiers emit) into
@@ -759,6 +850,29 @@ mod tests {
         assert!(!CompiledPattern::compile(&pat("a*b*c")).is_fused());
         // The unfused constructor never plans, fusible or not.
         assert!(!CompiledPattern::compile_unfused(&pat("900\\D{2}")).is_fused());
+    }
+
+    #[test]
+    fn literal_screen_is_the_longest_byte_run_of_vm_programs() {
+        let screen = |c: CompiledPattern| c.screen.as_deref().map(str::to_string);
+        let vm = CompiledPattern::compile(&pat("\\LU\\LL+,\\ John\\S*\\LU*\\S*"));
+        assert!(!vm.is_fused());
+        assert_eq!(screen(vm).as_deref(), Some(", John"));
+        // The first of two equally long runs; a run needs two bytes.
+        let equal = pat("\\A*ab\\A*cd\\A*");
+        assert_eq!(
+            screen(CompiledPattern::compile(&equal)).as_deref(),
+            Some("ab")
+        );
+        assert_eq!(screen(CompiledPattern::compile(&pat("a*b*c"))), None);
+        assert_eq!(screen(CompiledPattern::compile(&pat("\\A*x\\D*"))), None);
+        // Fused programs keep none; the same program forced onto the VM
+        // does.
+        assert_eq!(screen(CompiledPattern::compile(&pat("900\\D{2}"))), None);
+        assert_eq!(
+            screen(CompiledPattern::compile_unfused(&pat("900\\D{2}"))).as_deref(),
+            Some("900")
+        );
     }
 
     #[test]

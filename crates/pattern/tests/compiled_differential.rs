@@ -155,6 +155,40 @@ fn any_constrained() -> impl Strategy<Value = ConstrainedPattern> {
     })
 }
 
+/// Strategy: a pattern in which a run of two to four literal bytes
+/// follows a variable-width element (the shape of `\LU\LL+,\ John\S*`,
+/// where the VM's literal screen rejects before backtracking), with that
+/// run. A VM program screens on its longest literal run; here that is
+/// this run unless the generated head or tail holds a longer one.
+fn any_screened_pattern() -> impl Strategy<Value = (Pattern, String)> {
+    (
+        any_pattern(),
+        any_class(),
+        0u32..3,
+        "[a-z0-9-]{2,4}",
+        any_pattern(),
+    )
+        .prop_map(|(head, class, min, run, tail)| {
+            let variable = Quantifier::from_interval(min, None).expect("unbounded interval");
+            let mut elements = head.elements().to_vec();
+            elements.push(Element::new(class, variable));
+            elements.extend_from_slice(Pattern::literal(&run).elements());
+            elements.extend_from_slice(tail.elements());
+            (Pattern::new(elements), run)
+        })
+}
+
+/// `run` as the screen meets it: whole (0), without its last byte (1),
+/// absent (2), or split by a multibyte scalar (3).
+fn run_variant(run: &str, variant: usize) -> String {
+    match variant {
+        0 => run.to_string(),
+        1 => run[..run.len() - 1].to_string(),
+        2 => String::new(),
+        _ => format!("{}é{}", &run[..1], &run[1..]),
+    }
+}
+
 /// Assert match + span parity of every compiled tier against the
 /// interpreter on one (pattern, string) pair.
 fn assert_tiers_agree(p: &Pattern, s: &str) -> Result<(), String> {
@@ -227,6 +261,34 @@ proptest! {
     #[test]
     fn tier_spans_agree_on_unicode_witnesses(p in any_pattern(), seed in any::<u64>()) {
         let s = string_matching(&p, seed, true);
+        prop_assert!(match_pattern(&p, &s), "witness {:?} must match {}", s, p);
+        assert_tiers_agree(&p, &s)?;
+    }
+
+    /// The literal screen changes no decision: patterns whose literal run
+    /// follows a variable-width element, on strings that hold the run,
+    /// hold all of it but its last byte, lack it, or hold it split by a
+    /// multibyte scalar, amid ASCII or multibyte text.
+    #[test]
+    fn screened_patterns_agree_around_their_run(
+        (p, run) in any_screened_pattern(),
+        before in any_unicode_string(),
+        after in any_unicode_string(),
+        variant in 0usize..4,
+    ) {
+        let s = format!("{before}{}{after}", run_variant(&run, variant));
+        assert_tiers_agree(&p, &s)?;
+    }
+
+    /// Positive-case parity for screened patterns: witnesses always hold
+    /// the run, on ASCII and multibyte expansions alike.
+    #[test]
+    fn screened_patterns_agree_on_witnesses(
+        (p, _run) in any_screened_pattern(),
+        seed in any::<u64>(),
+        unicode in any::<bool>(),
+    ) {
+        let s = string_matching(&p, seed, unicode);
         prop_assert!(match_pattern(&p, &s), "witness {:?} must match {}", s, p);
         assert_tiers_agree(&p, &s)?;
     }

@@ -128,3 +128,51 @@ fn tier_counters_follow_each_evaluation() {
     assert_eq!(spans.0 - keys.0, 10, "fused span captures tick fused_evals");
     assert_eq!(spans.2 - before.2, 0, "no call reaches the interpreter");
 }
+
+#[test]
+fn screened_rejections_tick_their_tier_once() {
+    // Both programs run on the VM behind the literal screen `, John`: an
+    // input without that run is rejected before the VM starts, and must
+    // still count as one VM evaluation, as a rejection by the VM would.
+    let program: CompiledPattern =
+        CompiledPattern::compile(&"\\LU\\LL+,\\ John\\S*".parse().unwrap());
+    let keyer = CompiledConstrained::compile(
+        &"\\LU\\LL+,\\ [John]\\S*"
+            .parse::<ConstrainedPattern>()
+            .unwrap(),
+    );
+    assert!(!program.is_fused(), "two variable-width ops cannot fuse");
+    assert!(
+        !keyer.program().is_fused(),
+        "two variable-width ops cannot fuse"
+    );
+    let inputs = [
+        ("Smith, Jane", false),
+        ("Smith, Joh", false),
+        ("Smith,John", false),
+        ("中文", false),
+        ("", false),
+        ("Smith, John", true),
+        ("Ångström, John!", true),
+    ];
+
+    let _serial = RECORDER.lock().unwrap();
+    obs::Recorder::enable();
+    let before = counters();
+    let mut buf = String::new();
+    for (s, matches) in inputs {
+        assert_eq!(program.matches(s), matches, "{s:?}");
+        assert_eq!(keyer.key_into(s, &mut buf), matches, "{s:?}");
+    }
+    let after = counters();
+    obs::Recorder::disable();
+
+    let n = inputs.len() as u64;
+    assert_eq!(
+        after.1 - before.1,
+        2 * n,
+        "one vm eval per call, screened or not"
+    );
+    assert_eq!(after.0 - before.0, 0, "no fused program ran");
+    assert_eq!(after.2 - before.2, 0, "no call reaches the interpreter");
+}

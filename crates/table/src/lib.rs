@@ -20,8 +20,8 @@
 //!   types, distinct/null statistics, and per-level pattern histograms; it
 //!   also implements the `CandidateDependencies` pruning of the discovery
 //!   algorithm (line 1 of Figure 2);
-//! * [`tokenize`](mod@tokenize) — the `Tokenize` and `NGrams` functions
-//!   of Figure 2, with token/char positions;
+//! * [`tokenize`] — the `Tokenize` and `NGrams` functions of Figure 2,
+//!   as visitors over borrowed slices with token/char positions;
 //! * [`pool`] — the dictionary-encoding layer: a process-global string
 //!   interner ([`ValuePool`]) and the `Copy` cell handle ([`ValueId`])
 //!   every downstream index and engine keys on;
@@ -47,7 +47,5 @@ pub use pool::{PoolFootprint, ReclaimStats, ValueId, ValuePool};
 pub use profile::{ColumnProfile, InferredType, PatternHistogram, TableProfile};
 pub use schema::Schema;
 pub use table::{MemFootprint, Op, RowId, RowIdRemap, RowOp, Table, TableSnapshot};
-pub use tokenize::{
-    for_each_ngram, for_each_prefix, for_each_token, ngrams, prefixes, tokenize, NGram, Token,
-};
+pub use tokenize::{for_each_ngram, for_each_prefix, for_each_token};
 pub use value::{is_null_field, Value};

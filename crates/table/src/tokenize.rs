@@ -1,43 +1,23 @@
 //! The `Tokenize` and `NGrams` functions of the discovery algorithm
 //! (Figure 2, lines 6–7).
 //!
-//! Discovery feeds each cell through one of two extractors:
+//! Discovery feeds each cell through one of three visitors, each handing
+//! out borrowed slices of the cell with a position, so extraction
+//! allocates nothing:
 //!
-//! * [`tokenize`] splits on whitespace, yielding [`Token`]s with their
-//!   token index and starting character offset — the paper's pattern
-//!   display `pattern::position, frequency` uses the *token number* as the
-//!   position for tokenized columns;
-//! * [`ngrams`] yields all character n-grams with their starting character
-//!   offset — per the paper, "n-grams are mainly used to extract patterns
-//!   from attributes that contain a single token which could be a code or
-//!   id" (e.g. `F-9-107`, `CHEMBL25`).
-
-use serde::{Deserialize, Serialize};
-
-/// A whitespace-delimited token with position metadata.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Token {
-    /// The token text.
-    pub text: String,
-    /// 0-based token number within the cell.
-    pub index: usize,
-    /// 0-based character (not byte) offset of the token's first character.
-    pub char_start: usize,
-}
-
-/// A character n-gram with position metadata.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct NGram {
-    /// The n-gram text (exactly `n` characters).
-    pub text: String,
-    /// 0-based character offset at which the n-gram starts.
-    pub char_start: usize,
-}
+//! * [`for_each_token`] splits on whitespace, with each token's number —
+//!   the paper's pattern display `pattern::position, frequency` uses the
+//!   *token number* as the position for tokenized columns;
+//! * [`for_each_ngram`] yields all character n-grams with their starting
+//!   character offset — per the paper, "n-grams are mainly used to
+//!   extract patterns from attributes that contain a single token which
+//!   could be a code or id" (e.g. `F-9-107`, `CHEMBL25`);
+//! * [`for_each_prefix`] yields the leading characters, for determining
+//!   prefixes such as the `900` of `90001`.
 
 /// Visit each whitespace-delimited token as a borrowed slice of `s`,
-/// with its 0-based token index — the allocation-free counterpart of
-/// [`tokenize`] for hot loops (index construction) that never need owned
-/// token text.
+/// with its 0-based token index. Runs of whitespace are a single
+/// separator; leading and trailing whitespace produce no empty tokens.
 pub fn for_each_token(s: &str, mut f: impl FnMut(&str, usize)) {
     let mut index = 0usize;
     let mut start: Option<usize> = None;
@@ -57,9 +37,9 @@ pub fn for_each_token(s: &str, mut f: impl FnMut(&str, usize)) {
 }
 
 /// Visit each character n-gram as a borrowed slice of `s`, with its
-/// 0-based starting character offset — the allocation-free counterpart
-/// of [`ngrams`]. Yields the whole string once when it is shorter than
-/// `n`, and nothing for an empty string or `n == 0`.
+/// 0-based starting character offset. Yields the whole string once when
+/// it is shorter than `n` (so short codes still produce a key), and
+/// nothing for an empty string or `n == 0`.
 pub fn for_each_ngram(s: &str, n: usize, mut f: impl FnMut(&str, usize)) {
     if n == 0 || s.is_empty() {
         return;
@@ -79,8 +59,8 @@ pub fn for_each_ngram(s: &str, n: usize, mut f: impl FnMut(&str, usize)) {
 }
 
 /// Visit each prefix of up to `max_len` characters as a borrowed slice
-/// of `s` — the allocation-free counterpart of [`prefixes`]. The position
-/// is always 0 (prefixes start at the beginning by construction).
+/// of `s`, shortest first. The position is always 0 (prefixes start at
+/// the beginning by construction).
 pub fn for_each_prefix(s: &str, max_len: usize, mut f: impl FnMut(&str, usize)) {
     let mut emitted = 0usize;
     for (byte, _) in s.char_indices().skip(1) {
@@ -95,160 +75,9 @@ pub fn for_each_prefix(s: &str, max_len: usize, mut f: impl FnMut(&str, usize)) 
     }
 }
 
-/// Split a cell into whitespace-delimited tokens.
-///
-/// Runs of whitespace are a single separator; leading/trailing whitespace
-/// produces no empty tokens. Positions are character offsets, safe for any
-/// UTF-8 input.
-#[must_use]
-pub fn tokenize(s: &str) -> Vec<Token> {
-    // One pass via the borrowed visitor; only the kept tokens allocate.
-    // `for_each_token` reports byte starts implicitly (it slices), so
-    // recover the *character* offset incrementally: count chars from the
-    // previous token's end to this token's start.
-    let mut out = Vec::new();
-    let mut scanned_bytes = 0usize;
-    let mut scanned_chars = 0usize;
-    for_each_token(s, |tok, index| {
-        let start_byte = offset_of(s, tok);
-        scanned_chars += s[scanned_bytes..start_byte].chars().count();
-        out.push(Token {
-            text: tok.to_string(),
-            index,
-            char_start: scanned_chars,
-        });
-        scanned_chars += tok.chars().count();
-        scanned_bytes = start_byte + tok.len();
-    });
-    out
-}
-
-/// Byte offset of a subslice within its parent string.
-fn offset_of(parent: &str, sub: &str) -> usize {
-    (sub.as_ptr() as usize) - (parent.as_ptr() as usize)
-}
-
-/// All character n-grams of length `n`.
-///
-/// Returns the whole string as a single pseudo-n-gram when it is shorter
-/// than `n` (so short codes still produce a key), and nothing for an empty
-/// string or `n == 0`.
-#[must_use]
-pub fn ngrams(s: &str, n: usize) -> Vec<NGram> {
-    // Delegates to the borrowed visitor — no intermediate `Vec<char>`;
-    // each gram is sliced by byte offset and owned only on output.
-    let mut out = Vec::new();
-    for_each_ngram(s, n, |gram, char_start| {
-        out.push(NGram {
-            text: gram.to_string(),
-            char_start,
-        });
-    });
-    out
-}
-
-/// All prefixes of the string up to length `max_len` (inclusive), with
-/// positions — used by discovery to find determining *prefixes* like the
-/// `900` of `90001` or the `F-` of `F-9-107`.
-#[must_use]
-pub fn prefixes(s: &str, max_len: usize) -> Vec<NGram> {
-    // Delegates to the borrowed visitor — prefixes are byte slices of
-    // `s`, owned only on output.
-    let mut out = Vec::new();
-    for_each_prefix(s, max_len, |prefix, char_start| {
-        out.push(NGram {
-            text: prefix.to_string(),
-            char_start,
-        });
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tokenize_simple() {
-        let toks = tokenize("John Charles");
-        assert_eq!(toks.len(), 2);
-        assert_eq!(toks[0].text, "John");
-        assert_eq!(toks[0].index, 0);
-        assert_eq!(toks[0].char_start, 0);
-        assert_eq!(toks[1].text, "Charles");
-        assert_eq!(toks[1].index, 1);
-        assert_eq!(toks[1].char_start, 5);
-    }
-
-    #[test]
-    fn tokenize_punctuation_stays_attached() {
-        let toks = tokenize("Holloway, Donald E.");
-        let texts: Vec<&str> = toks.iter().map(|t| t.text.as_str()).collect();
-        assert_eq!(texts, vec!["Holloway,", "Donald", "E."]);
-    }
-
-    #[test]
-    fn tokenize_collapses_whitespace() {
-        let toks = tokenize("  a \t b  ");
-        assert_eq!(toks.len(), 2);
-        assert_eq!(toks[0].text, "a");
-        assert_eq!(toks[0].char_start, 2);
-        assert_eq!(toks[1].index, 1);
-    }
-
-    #[test]
-    fn tokenize_empty() {
-        assert!(tokenize("").is_empty());
-        assert!(tokenize("   ").is_empty());
-    }
-
-    #[test]
-    fn tokenize_unicode_offsets() {
-        let toks = tokenize("Édouard Manet");
-        assert_eq!(toks[1].char_start, 8);
-    }
-
-    #[test]
-    fn ngrams_basic() {
-        let gs = ngrams("90001", 3);
-        let texts: Vec<&str> = gs.iter().map(|g| g.text.as_str()).collect();
-        assert_eq!(texts, vec!["900", "000", "001"]);
-        assert_eq!(gs[0].char_start, 0);
-        assert_eq!(gs[2].char_start, 2);
-    }
-
-    #[test]
-    fn ngrams_short_string() {
-        let gs = ngrams("ab", 3);
-        assert_eq!(gs.len(), 1);
-        assert_eq!(gs[0].text, "ab");
-    }
-
-    #[test]
-    fn ngrams_degenerate() {
-        assert!(ngrams("", 3).is_empty());
-        assert!(ngrams("abc", 0).is_empty());
-    }
-
-    #[test]
-    fn ngrams_full_length() {
-        let gs = ngrams("abc", 3);
-        assert_eq!(gs.len(), 1);
-        assert_eq!(gs[0].text, "abc");
-    }
-
-    #[test]
-    fn prefixes_basic() {
-        let ps = prefixes("90001", 3);
-        let texts: Vec<&str> = ps.iter().map(|g| g.text.as_str()).collect();
-        assert_eq!(texts, vec!["9", "90", "900"]);
-    }
-
-    #[test]
-    fn prefixes_capped_by_length() {
-        assert_eq!(prefixes("ab", 5).len(), 2);
-        assert!(prefixes("", 5).is_empty());
-    }
 
     fn collect_cb(f: impl Fn(&mut dyn FnMut(&str, usize))) -> Vec<(String, usize)> {
         let mut out = Vec::new();
@@ -256,51 +85,100 @@ mod tests {
         out
     }
 
-    #[test]
-    fn for_each_token_matches_tokenize() {
-        for s in [
-            "John Charles",
-            "  a \t b  ",
-            "",
-            "   ",
-            "Édouard Manet",
-            "one",
-        ] {
-            let expected: Vec<(String, usize)> =
-                tokenize(s).into_iter().map(|t| (t.text, t.index)).collect();
-            let got = collect_cb(|f| for_each_token(s, f));
-            assert_eq!(got, expected, "input {s:?}");
-        }
+    fn tokens(s: &str) -> Vec<(String, usize)> {
+        collect_cb(|f| for_each_token(s, f))
+    }
+
+    fn owned(pairs: &[(&str, usize)]) -> Vec<(String, usize)> {
+        pairs.iter().map(|&(s, p)| (s.to_string(), p)).collect()
     }
 
     #[test]
-    fn for_each_ngram_matches_ngrams() {
-        for (s, n) in [
-            ("90001", 3),
-            ("ab", 3),
-            ("", 3),
-            ("abc", 0),
-            ("abc", 3),
-            ("Édouard", 2),
-        ] {
-            let expected: Vec<(String, usize)> = ngrams(s, n)
-                .into_iter()
-                .map(|g| (g.text, g.char_start))
-                .collect();
-            let got = collect_cb(|f| for_each_ngram(s, n, f));
-            assert_eq!(got, expected, "input {s:?} n={n}");
-        }
+    fn tokens_simple() {
+        assert_eq!(
+            tokens("John Charles"),
+            owned(&[("John", 0), ("Charles", 1)])
+        );
+        assert_eq!(tokens("one"), owned(&[("one", 0)]));
     }
 
     #[test]
-    fn for_each_prefix_matches_prefixes() {
-        for (s, max) in [("90001", 3), ("ab", 5), ("", 5), ("Édouard", 3), ("x", 1)] {
-            let expected: Vec<(String, usize)> = prefixes(s, max)
-                .into_iter()
-                .map(|g| (g.text, g.char_start))
-                .collect();
-            let got = collect_cb(|f| for_each_prefix(s, max, f));
-            assert_eq!(got, expected, "input {s:?} max={max}");
-        }
+    fn tokens_punctuation_stays_attached() {
+        assert_eq!(
+            tokens("Holloway, Donald E."),
+            owned(&[("Holloway,", 0), ("Donald", 1), ("E.", 2)])
+        );
+    }
+
+    #[test]
+    fn tokens_collapse_whitespace() {
+        assert_eq!(tokens("  a \t b  "), owned(&[("a", 0), ("b", 1)]));
+    }
+
+    #[test]
+    fn tokens_empty() {
+        assert!(tokens("").is_empty());
+        assert!(tokens("   ").is_empty());
+    }
+
+    #[test]
+    fn tokens_unicode() {
+        assert_eq!(
+            tokens("Édouard Manet"),
+            owned(&[("Édouard", 0), ("Manet", 1)])
+        );
+    }
+
+    #[test]
+    fn ngrams_basic() {
+        let grams = collect_cb(|f| for_each_ngram("90001", 3, f));
+        assert_eq!(grams, owned(&[("900", 0), ("000", 1), ("001", 2)]));
+        let grams = collect_cb(|f| for_each_ngram("Édouard", 2, f));
+        assert_eq!(grams[0], ("Éd".to_string(), 0));
+        assert_eq!(grams.len(), 6);
+    }
+
+    #[test]
+    fn ngrams_short_string() {
+        assert_eq!(
+            collect_cb(|f| for_each_ngram("ab", 3, f)),
+            owned(&[("ab", 0)])
+        );
+    }
+
+    #[test]
+    fn ngrams_degenerate() {
+        assert!(collect_cb(|f| for_each_ngram("", 3, f)).is_empty());
+        assert!(collect_cb(|f| for_each_ngram("abc", 0, f)).is_empty());
+    }
+
+    #[test]
+    fn ngrams_full_length() {
+        assert_eq!(
+            collect_cb(|f| for_each_ngram("abc", 3, f)),
+            owned(&[("abc", 0)])
+        );
+    }
+
+    #[test]
+    fn prefixes_basic() {
+        assert_eq!(
+            collect_cb(|f| for_each_prefix("90001", 3, f)),
+            owned(&[("9", 0), ("90", 0), ("900", 0)])
+        );
+        assert_eq!(
+            collect_cb(|f| for_each_prefix("Édouard", 3, f)),
+            owned(&[("É", 0), ("Éd", 0), ("Édo", 0)])
+        );
+        assert_eq!(
+            collect_cb(|f| for_each_prefix("x", 1, f)),
+            owned(&[("x", 0)])
+        );
+    }
+
+    #[test]
+    fn prefixes_capped_by_length() {
+        assert_eq!(collect_cb(|f| for_each_prefix("ab", 5, f)).len(), 2);
+        assert!(collect_cb(|f| for_each_prefix("", 5, f)).is_empty());
     }
 }

@@ -79,36 +79,50 @@ proptest! {
         let _ = csv::read_str(&s);
     }
 
-    /// Tokenization covers all non-whitespace characters, in order.
+    /// Tokens cover all non-whitespace characters, in order, numbered
+    /// from 0.
     #[test]
-    fn tokenize_covers_non_whitespace(s in "[a-zA-Z0-9 .,-]*") {
-        let toks = anmat_table::tokenize(&s);
-        let joined: String = toks.iter().map(|t| t.text.as_str()).collect::<Vec<_>>().join("");
+    fn tokens_cover_non_whitespace(s in "[a-zA-Z0-9 .,-]*") {
+        let mut joined = String::new();
+        let mut count = 0;
+        anmat_table::for_each_token(&s, |tok, index| {
+            assert_eq!(index, count);
+            count += 1;
+            joined.push_str(tok);
+        });
         let expected: String = s.chars().filter(|c| !c.is_whitespace()).collect();
         prop_assert_eq!(joined, expected);
     }
 
-    /// Token char offsets index the right characters.
+    /// Each token is a maximal whitespace-free run of the cell: a slice
+    /// of it with whitespace or a cell boundary on either side.
     #[test]
-    fn tokenize_offsets_correct(s in "[a-z ]*") {
-        let chars: Vec<char> = s.chars().collect();
-        for t in anmat_table::tokenize(&s) {
-            let at: String = chars[t.char_start..t.char_start + t.text.chars().count()]
-                .iter().collect();
-            prop_assert_eq!(at, t.text);
+    fn tokens_are_maximal_runs(s in "[a-zé ]*") {
+        let mut runs = Vec::new();
+        anmat_table::for_each_token(&s, |tok, _| {
+            let start = tok.as_ptr() as usize - s.as_ptr() as usize;
+            runs.push((start, start + tok.len()));
+        });
+        for (start, end) in runs {
+            let token = &s[start..end];
+            prop_assert!(!token.is_empty() && !token.contains(char::is_whitespace));
+            prop_assert!(s[..start].chars().next_back().is_none_or(char::is_whitespace));
+            prop_assert!(s[end..].chars().next().is_none_or(char::is_whitespace));
         }
     }
 
     /// N-grams tile the string with stride 1.
     #[test]
-    fn ngrams_tile(s in "[a-z0-9]{3,20}", n in 1usize..5) {
-        let gs = anmat_table::ngrams(&s, n);
-        let len = s.chars().count();
-        if len >= n {
-            prop_assert_eq!(gs.len(), len - n + 1);
-            for (i, g) in gs.iter().enumerate() {
-                prop_assert_eq!(g.char_start, i);
-                prop_assert_eq!(g.text.chars().count(), n);
+    fn ngrams_tile(s in "[a-z0-9é]{3,20}", n in 1usize..5) {
+        let chars: Vec<char> = s.chars().collect();
+        let mut grams = Vec::new();
+        anmat_table::for_each_ngram(&s, n, |gram, start| grams.push((gram.to_string(), start)));
+        if chars.len() >= n {
+            prop_assert_eq!(grams.len(), chars.len() - n + 1);
+            for (i, (gram, start)) in grams.iter().enumerate() {
+                prop_assert_eq!(*start, i);
+                let expected: String = chars[i..i + n].iter().collect();
+                prop_assert_eq!(gram, &expected);
             }
         }
     }

@@ -26,6 +26,7 @@
 use anmat::obs;
 use anmat::prelude::*;
 use anmat::table::{write_atomic, TableError};
+use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -468,11 +469,12 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     // the events name.
     let after_batch = |engine: &mut StreamEngine, events: &[LedgerEvent]| {
         if !quiet {
-            print_events(engine.ledger(), events);
+            print_events(engine.ledger(), events)?;
         }
         if let Some(ratio) = compact_ratio {
             engine.compact_if(ratio);
         }
+        Ok::<(), String>(())
     };
     // Rows are already interned by the CSV read; stream them as ids so
     // replay is clone-free. A batch never holds more than the table's
@@ -487,7 +489,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         if pending.len() == batch || r + 1 == table.row_count() {
             let full = std::mem::replace(&mut pending, Vec::with_capacity(capacity));
             let events = engine.apply(full).map_err(|e| format!("row {r}: {e}"))?;
-            after_batch(&mut engine, &events);
+            after_batch(&mut engine, &events)?;
             batches_done += 1;
             if stats_every.is_some_and(|every| batches_done.is_multiple_of(every)) {
                 print_stats_line(&engine, started, timing);
@@ -521,7 +523,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("applying ops: {e}"))?;
         obs::histogram!("cli.apply_ns")
             .record(u64::try_from(ops_started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        after_batch(&mut engine, &events);
+        after_batch(&mut engine, &events)?;
     }
 
     // Snapshot-backed checkpoint: the capture is O(chunks) chunk-handle
@@ -700,11 +702,16 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
 }
 
 /// One line per event, each described by `ledger` (which emitted them,
-/// with no compaction since).
-fn print_events(ledger: &ViolationLedger, events: &[LedgerEvent]) {
+/// with no compaction since). Stdout is line-buffered, so the lines go
+/// through one buffer on the locked stdout instead of a write each; a
+/// failed write is the command's error.
+fn print_events(ledger: &ViolationLedger, events: &[LedgerEvent]) -> Result<(), String> {
+    let failed = |e: std::io::Error| format!("writing events: {e}");
+    let mut out = BufWriter::new(std::io::stdout().lock());
     for event in events {
-        println!("{}", render_event(event, ledger));
+        writeln!(out, "{}", render_event(event, ledger)).map_err(failed)?;
     }
+    out.flush().map_err(failed)
 }
 
 fn render_event(event: &LedgerEvent, ledger: &ViolationLedger) -> String {

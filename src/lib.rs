@@ -88,9 +88,10 @@ pub mod prelude {
     pub use anmat_core::baselines::fd::{FdConfig, FdMiner};
     pub use anmat_core::store::{DatasetRecord, RuleStatus, RuleStore, StoredRule};
     pub use anmat_core::{
-        apply_repairs, detect_all, detect_pfd, discover, repair_to_fixpoint, report, ContextStyle,
-        Detector, DiscoveryConfig, LedgerEvent, LhsCell, PatternTuple, Pfd, PfdKind, RepairReport,
-        RhsCell, Violation, ViolationKind, ViolationLedger,
+        apply_repairs, detect_all, detect_pfd, detect_variable_bruteforce, discover,
+        repair_to_fixpoint, report, ContextStyle, DiscoveryConfig, LedgerEvent, LhsCell,
+        PatternTuple, Pfd, PfdKind, RepairReport, RhsCell, Violation, ViolationKind,
+        ViolationLedger,
     };
     pub use anmat_pattern::{ConstrainedPattern, Pattern};
     pub use anmat_stream::{

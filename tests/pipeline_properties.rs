@@ -40,8 +40,7 @@ proptest! {
         );
         let blocking: Vec<usize> =
             detect_pfd(&data.table, &pfd).iter().map(|v| v.row).collect();
-        let brute: Vec<usize> = Detector::new(&data.table)
-            .detect_variable_bruteforce(&pfd)
+        let brute: Vec<usize> = detect_variable_bruteforce(&data.table, &pfd)
             .iter()
             .map(|v| v.row)
             .collect();
