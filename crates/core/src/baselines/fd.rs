@@ -100,7 +100,7 @@ impl StrippedPartition {
     }
 
     /// Product refinement `self · other` (the TANE partition product).
-    fn product(&self, other_class_of: &[usize], n_rows: usize) -> StrippedPartition {
+    fn product(&self, other_class_of: &[usize]) -> StrippedPartition {
         let mut groups: HashMap<(usize, usize), Vec<RowId>> = HashMap::new();
         for (ci, class) in self.classes.iter().enumerate() {
             for &row in class {
@@ -113,7 +113,6 @@ impl StrippedPartition {
                 groups.entry((ci, oc)).or_default().push(row);
             }
         }
-        let _ = n_rows;
         Self::strip(groups.into_values())
     }
 
@@ -227,7 +226,7 @@ impl FdMiner {
                         continue;
                     }
                     let class_of = single.class_of(n_slots);
-                    let product = part.product(&class_of, n_slots);
+                    let product = part.product(&class_of);
                     if product.stripped_rows == 0 {
                         continue; // superkey: nothing non-trivial below
                     }

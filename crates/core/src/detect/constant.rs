@@ -12,9 +12,8 @@
 //! classifies each distinct LHS value once, evaluating only the tuples
 //! whose literal prefix the value starts with; the walk over the LHS
 //! column then costs a memo probe and an id comparison per matched
-//! tuple. The paper's per-column index,
-//! [`PatternIndex`](anmat_index::PatternIndex), serves discovery's
-//! candidate validation, which asks many patterns of one column.
+//! tuple. Discovery's candidate validation, `Pfd::coverage` and the
+//! tableau report ask their own lists of patterns through the same type.
 
 use super::{Repair, Violation, ViolationKind};
 use crate::pfd::{LhsCell, Pfd, RhsCell};
@@ -32,10 +31,7 @@ pub(crate) fn detect(table: &Table, pfd: &Pfd, lhs: usize, rhs: usize) -> Vec<Vi
             RhsCell::Wildcard => None,
         })
         .unzip();
-    let mut memo = TableauMemo::new(tuples.iter().map(|lhs| match lhs {
-        LhsCell::Pattern(q) => Some(q.embedded()),
-        LhsCell::Wildcard => None,
-    }));
+    let mut memo = TableauMemo::new(tuples.iter().map(|lhs| lhs.embedded()));
     // A tuple's display form, rendered at its first violation.
     let mut displays: Vec<Option<String>> = vec![None; tuples.len()];
     let mut out = Vec::new();

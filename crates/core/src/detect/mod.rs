@@ -6,9 +6,9 @@
 //!   [`TableauMemo`](anmat_index::TableauMemo), the stream engine's
 //!   dispatch: each distinct LHS value is classified once, against only
 //!   the tuples whose literal prefix it starts with, and a row is checked
-//!   against the tuples its value matched. The per-column
-//!   [`PatternIndex`](anmat_index::PatternIndex) serves discovery's
-//!   candidate validation, not detection.
+//!   against the tuples its value matched. Discovery's candidate
+//!   validation, `Pfd::coverage` and the tableau report ask their own
+//!   lists of patterns through `TableauMemo` too.
 //! * **Variable PFDs** — block rows by the constrained-capture key
 //!   (lossless for `≡_Q`), then within each block flag the rows whose RHS
 //!   disagrees with the block majority; the violation records the

@@ -4,19 +4,20 @@
 //! (token, n-gram or prefix of `t[A]`) at a consistent position — is
 //! scored by the decision function: enough supporting rows, and a dominant
 //! full RHS value with confidence at least `1 − allowed-violation-ratio`.
-//! Passing entries become tableau tuples `(context ⧺ key ⧺ context → rhs)`;
-//! tuples are re-validated against the table (induced contexts can widen
-//! the match set), minimized under language containment (keep the most
-//! general pattern per RHS), and the tableau is emitted as a PFD if its
-//! coverage reaches γ.
+//! Passing entries propose tableau tuples `(context ⧺ key ⧺ context →
+//! rhs)`. A column pair's proposals are re-validated against the whole
+//! table (induced contexts can widen the match set) in one walk of the
+//! LHS column through one [`TableauMemo`] over their patterns, minimized
+//! under language containment (keep the most general pattern per RHS),
+//! and the tableau is emitted as a PFD if its coverage reaches γ.
 
 use super::context::{build_lhs_pattern, KeyContexts};
 use super::DiscoveryConfig;
 use crate::pfd::{PatternTuple, Pfd};
-use anmat_index::{ExtractionMode, InvertedIndex, PatternIndex};
+use anmat_index::{ExtractionMode, InvertedIndex, TableauMemo};
 use anmat_pattern::{contains, ConstrainedPattern, Pattern};
-use anmat_table::{for_each_token, Table, TableProfile};
-use std::collections::HashMap;
+use anmat_table::{for_each_token, Table, TableProfile, ValueId, ValuePool};
+use std::collections::{HashMap, HashSet};
 
 /// n of the n-gram extraction mode.
 const NGRAM_LEN: usize = 3;
@@ -32,6 +33,30 @@ const MAX_TABLEAU: usize = 64;
 /// considered rows: on demo-sized tables the statistic is meaningless and
 /// every confident entry is kept.
 const SIGNIFICANCE: f64 = 0.05;
+
+/// A proposed tuple: an LHS pattern and the dominant RHS value of the
+/// entry that induced it.
+type Proposal = (Pattern, ValueId);
+
+/// What validation counts for one proposal over the live rows.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Tally {
+    /// Rows whose LHS value matches the pattern.
+    matched: usize,
+    /// Those whose RHS is not null.
+    with_rhs: usize,
+    /// Those whose RHS is the proposal's dominant value.
+    agreeing: usize,
+}
+
+impl Tally {
+    /// The decision function over the whole table: enough rows bear an
+    /// RHS, and enough of them agree with the dominant value.
+    fn passes(&self, config: &DiscoveryConfig) -> bool {
+        self.with_rhs >= config.min_support
+            && (self.agreeing as f64) >= config.min_confidence() * self.with_rhs as f64
+    }
+}
 
 /// A validated candidate tuple with bookkeeping for minimization.
 struct Candidate {
@@ -59,9 +84,10 @@ pub(crate) fn mine_constant(
         vec![ExtractionMode::Tokens]
     };
 
-    let index = PatternIndex::build(table, lhs);
-    let mut candidates: Vec<Candidate> = Vec::new();
-    let mut seen: HashMap<(String, String), ()> = HashMap::new();
+    // Proposals in the order first proposed, one per (pattern text,
+    // dominant) signature.
+    let mut proposals: Vec<Proposal> = Vec::new();
+    let mut seen: HashSet<(String, String)> = HashSet::new();
 
     // Global RHS distribution for the significance test.
     let mut rhs_global: HashMap<&str, usize> = HashMap::new();
@@ -72,7 +98,7 @@ pub(crate) fn mine_constant(
     }
 
     for mode in modes {
-        let inv = InvertedIndex::build(table, lhs, rhs, mode, ExtractionMode::Tokens);
+        let inv = InvertedIndex::build(table, lhs, rhs, mode);
         let key_count = inv.key_count();
         let mut keys: Vec<(&str, usize)> = inv.frequent_keys(config.min_support);
         keys.truncate(10_000); // cost cap on pathological columns
@@ -129,21 +155,16 @@ pub(crate) fn mine_constant(
                     continue;
                 }
                 let pattern = build_lhs_pattern(key, &contexts, config.context_style);
-                let sig = (pattern.to_string(), dominant.to_string());
-                if seen.contains_key(&sig) {
-                    continue;
-                }
-                // Re-validate against the full table: the induced pattern
-                // may match rows outside the supporting set.
-                if let Some(cand) = validate(table, &index, rhs, pattern, dominant, config) {
-                    seen.insert(sig, ());
-                    candidates.push(cand);
+                if seen.insert((pattern.to_string(), dominant.to_string())) {
+                    proposals.push((pattern, ValuePool::intern(dominant)));
                 }
             }
         }
     }
 
-    let tableau = minimize(candidates);
+    // Re-validate against the full table: an induced pattern may match
+    // rows outside its supporting set.
+    let tableau = minimize(validate(table, lhs, rhs, proposals, config));
     if tableau.is_empty() {
         return Vec::new();
     }
@@ -203,38 +224,51 @@ fn split_at_occurrence<'v>(
     (value.get(start..end)? == key).then(|| (&value[..start], &value[end..]))
 }
 
-/// Check a candidate pattern against the whole table.
-fn validate(
-    table: &Table,
-    index: &PatternIndex,
-    rhs: usize,
-    pattern: Pattern,
-    dominant: &str,
-    config: &DiscoveryConfig,
-) -> Option<Candidate> {
-    let rows = index.lookup(&pattern);
-    let mut agree = 0usize;
-    let mut total = 0usize;
-    for &row in &rows {
-        let Some(v) = table.cell_str(row, rhs) else {
+/// Count, for every proposal at once, the live rows its pattern matches
+/// and their RHS: one walk of the LHS column through one memo over the
+/// proposals' patterns, which classifies each distinct value once
+/// against only the patterns whose literal prefix it starts with.
+fn tally(table: &Table, lhs: usize, rhs: usize, proposals: &[Proposal]) -> Vec<Tally> {
+    let mut memo = TableauMemo::new(proposals.iter().map(|(pattern, _)| Some(pattern)));
+    let mut tallies = vec![Tally::default(); proposals.len()];
+    for (row, value) in table.iter_column(lhs) {
+        let members = memo.matches(value);
+        if members.is_empty() {
             continue;
-        };
-        total += 1;
-        if v == dominant {
-            agree += 1;
+        }
+        let found = table.cell_id(row, rhs);
+        for &m in members {
+            let tally = &mut tallies[m as usize];
+            tally.matched += 1;
+            if !found.is_null() {
+                tally.with_rhs += 1;
+                tally.agreeing += usize::from(found == proposals[m as usize].1);
+            }
         }
     }
-    if total < config.min_support {
-        return None;
-    }
-    if (agree as f64) < config.min_confidence() * total as f64 {
-        return None;
-    }
-    Some(Candidate {
-        pattern,
-        rhs: dominant.to_string(),
-        support: rows.len(),
-    })
+    tallies
+}
+
+/// The proposals that pass the decision function over the whole table,
+/// in proposal order.
+fn validate(
+    table: &Table,
+    lhs: usize,
+    rhs: usize,
+    proposals: Vec<Proposal>,
+    config: &DiscoveryConfig,
+) -> Vec<Candidate> {
+    let tallies = tally(table, lhs, rhs, &proposals);
+    proposals
+        .into_iter()
+        .zip(tallies)
+        .filter(|(_, tally)| tally.passes(config))
+        .map(|((pattern, dominant), tally)| Candidate {
+            pattern,
+            rhs: dominant.render().to_string(),
+            support: tally.matched,
+        })
+        .collect()
 }
 
 /// Keep the most general pattern per RHS value; drop contained duplicates;
@@ -442,5 +476,138 @@ mod tests {
             s.contains("\\A*,\\ Donald\\A*") || s.contains("\\A*,\\ Donald"),
             "expected paper-style pattern, got: {s}"
         );
+    }
+
+    /// An independent oracle for candidate validation: each proposal's
+    /// tally and verdict, held to a scan that asks the AST interpreter
+    /// (`match_pattern`) about every live row for that proposal alone,
+    /// with no memo, prefix or compiled code.
+    mod validation_oracle {
+        use super::*;
+        use anmat_pattern::match_pattern;
+        use anmat_table::Value;
+        use proptest::prelude::*;
+
+        /// Literal heads: equal (drawn more than once), nested (`a` ⊂
+        /// `ab` ⊂ `abc`, `é` ⊂ `éa`), multibyte, and none.
+        const HEADS: [&str; 6] = ["", "a", "ab", "abc", "é", "éa"];
+        /// What follows a head: fixed, variable and empty tails.
+        const TAILS: [&str; 5] = ["", "\\A*", "\\LL+", "\\D{1,2}", "\\LL*\\D*"];
+        /// Dominant RHS values.
+        const DOMINANTS: [&str; 3] = ["x", "y", "zé"];
+
+        fn any_proposal() -> impl Strategy<Value = Proposal> {
+            (0..HEADS.len(), 0..TAILS.len(), 0..DOMINANTS.len()).prop_map(|(h, t, d)| {
+                let pattern = format!("{}{}", HEADS[h], TAILS[t]);
+                (
+                    pattern.parse().expect("fixture pattern parses"),
+                    ValuePool::intern(DOMINANTS[d]),
+                )
+            })
+        }
+
+        /// 1..8 proposals, then the first one's pattern again under
+        /// another dominant value.
+        fn any_proposals() -> impl Strategy<Value = Vec<Proposal>> {
+            prop::collection::vec(any_proposal(), 1..8).prop_map(|mut proposals| {
+                let (pattern, dominant) = proposals[0].clone();
+                let other = DOMINANTS
+                    .iter()
+                    .map(|d| ValuePool::intern(d))
+                    .find(|&d| d != dominant)
+                    .expect("several dominants");
+                proposals.push((pattern, other));
+                proposals
+            })
+        }
+
+        /// One cell: null, the empty (non-null) string, a value built on
+        /// a head, or a dominant.
+        fn any_cell() -> impl Strategy<Value = Value> {
+            prop_oneof![
+                Just(Value::Null),
+                Just(Value::text("")),
+                (0..HEADS.len(), "[abcé1 -]{0,3}")
+                    .prop_map(|(h, tail)| Value::text(format!("{}{tail}", HEADS[h]))),
+                (0..DOMINANTS.len()).prop_map(|d| Value::text(DOMINANTS[d])),
+            ]
+        }
+
+        /// Rows of `(lhs, rhs)` cells, some of them deleted.
+        fn any_table() -> impl Strategy<Value = Table> {
+            (
+                prop::collection::vec((any_cell(), any_cell()), 0..24),
+                prop::collection::vec(0usize..24, 0..6),
+            )
+                .prop_map(|(rows, deletes)| {
+                    let mut table = Table::empty(Schema::new(["code", "label"]).unwrap());
+                    for (lhs, rhs) in rows {
+                        table.push_row(vec![lhs, rhs]).unwrap();
+                    }
+                    for row in deletes {
+                        if row < table.row_count() && table.is_live(row) {
+                            table.delete_row(row).unwrap();
+                        }
+                    }
+                    table
+                })
+        }
+
+        /// The interpreter's tally of one proposal over the live rows.
+        fn scan(table: &Table, (pattern, dominant): &Proposal) -> Tally {
+            let mut tally = Tally::default();
+            for row in table.iter_live() {
+                let Some(value) = table.cell_str(row, 0) else {
+                    continue;
+                };
+                if !match_pattern(pattern, value) {
+                    continue;
+                }
+                tally.matched += 1;
+                if let Some(found) = table.cell_str(row, 1) {
+                    tally.with_rhs += 1;
+                    if found == dominant.render() {
+                        tally.agreeing += 1;
+                    }
+                }
+            }
+            tally
+        }
+
+        proptest! {
+            /// Every proposal's matched, RHS-bearing and agreeing rows
+            /// equal the interpreter's scan, and validation keeps exactly
+            /// the proposals whose scan passes, in order, with the matched
+            /// rows as their support.
+            #[test]
+            fn validation_equals_a_per_candidate_interpreter_scan(
+                proposals in any_proposals(),
+                table in any_table(),
+                min_support in 1usize..4,
+                slack in 0usize..4,
+            ) {
+                let config = DiscoveryConfig {
+                    min_support,
+                    max_violation_ratio: slack as f64 / 4.0,
+                    ..DiscoveryConfig::default()
+                };
+                let scanned: Vec<Tally> = proposals.iter().map(|p| scan(&table, p)).collect();
+                prop_assert_eq!(tally(&table, 0, 1, &proposals), scanned.clone());
+                let expected: Vec<(String, String, usize)> = proposals
+                    .iter()
+                    .zip(&scanned)
+                    .filter(|(_, t)| {
+                        t.with_rhs >= min_support
+                            && t.agreeing as f64 >= (1.0 - config.max_violation_ratio) * t.with_rhs as f64
+                    })
+                    .map(|((p, d), t)| (p.to_string(), d.render().to_string(), t.matched))
+                    .collect();
+                let kept: Vec<(String, String, usize)> = validate(&table, 0, 1, proposals, &config)
+                    .into_iter()
+                    .map(|c| (c.pattern.to_string(), c.rhs, c.support))
+                    .collect();
+                prop_assert_eq!(kept, expected);
+            }
+        }
     }
 }

@@ -14,6 +14,14 @@
 //! 13–14. if coverage(Tp) ≥ γ: Ψ := Ψ ∪ {ψ}
 //! ```
 //!
+//! Lines 5–8 here post each key of `t[A]` with its row and position
+//! only. `f` scores an entry by the whole values of `t[B]`, never by
+//! their tokens, so the miner reads them from the table by row id, and
+//! no RHS token is extracted or interned. The tuples lines 9–12 propose
+//! for one column pair are validated together, in one walk of the LHS
+//! column through a memo over their patterns, and coverage (line 13)
+//! counts through a memo over the tableau's.
+//!
 //! The decision function `f` is support/confidence over an entry's RHS
 //! distribution, with the user's *allowed-violation ratio* as the
 //! confidence slack (§4 "Parameter Setting"): an entry becomes a constant

@@ -7,16 +7,24 @@
 //! implements the two halves of the demo:
 //!
 //! * **Discovery** ([`discovery`]) — the algorithm of Figure 2: profile
-//!   the table to prune candidates, build inverted lists over tokens /
-//!   n-grams / prefixes, apply a decision function to each entry, and keep
-//!   tableaux whose coverage passes the user's minimum-coverage threshold
-//!   γ, tolerating the user's allowed-violation ratio.
+//!   the table to prune candidates, build inverted lists of the LHS's
+//!   tokens / n-grams / prefixes with their rows and positions, apply a
+//!   decision function to each entry, validate a column pair's proposed
+//!   tuples against the whole table, and keep tableaux whose coverage
+//!   passes the user's minimum-coverage threshold γ, tolerating the
+//!   user's allowed-violation ratio.
 //! * **Error detection** ([`detect`]) — constant PFDs are checked by
 //!   classifying each distinct LHS value once against the tableau's
 //!   patterns; variable PFDs with lossless blocking on
 //!   the constrained-capture key (avoiding the quadratic pair
 //!   enumeration). Violations carry the cells involved and repair
 //!   suggestions.
+//!
+//! One structure answers "which tuples admit this value":
+//! `anmat_index::TableauMemo`, which classifies each distinct LHS value
+//! once, against only the patterns whose literal prefix it starts with.
+//! Constant detection, discovery's candidate validation,
+//! [`Pfd::coverage`] and [`report::tableau_view`] all count through one.
 //!
 //! [`baselines`] implements the prior art the paper positions against —
 //! exact/approximate FD discovery (TANE-style partition refinement) and

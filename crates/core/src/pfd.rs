@@ -16,8 +16,9 @@
 //!
 //! A mixed tableau is allowed; [`Pfd::kind`] reports what it holds.
 
-use anmat_pattern::{CompiledPattern, ConstrainedPattern};
-use anmat_table::{Table, ValueId};
+use anmat_index::TableauMemo;
+use anmat_pattern::{ConstrainedPattern, Pattern};
+use anmat_table::Table;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -31,12 +32,12 @@ pub enum LhsCell {
 }
 
 impl LhsCell {
-    /// This cell's admission test as a compiled program (`None` for the
-    /// wildcard, which admits every value), for callers that match many
-    /// values against it.
-    pub(crate) fn compile(&self) -> Option<CompiledPattern> {
+    /// The pattern a value must match to be admitted (the constrained
+    /// pattern's embedded one), or `None` for the wildcard, which admits
+    /// every value: this cell as a [`TableauMemo`] member.
+    pub(crate) fn embedded(&self) -> Option<&Pattern> {
         match self {
-            LhsCell::Pattern(q) => Some(CompiledPattern::compile(q.embedded())),
+            LhsCell::Pattern(q) => Some(q.embedded()),
             LhsCell::Wildcard => None,
         }
     }
@@ -146,32 +147,28 @@ impl Pfd {
         format!("{} → {}", self.lhs_attr, self.rhs_attr)
     }
 
-    /// Fraction of rows (non-null on the LHS) whose LHS value matches at
-    /// least one tableau pattern — the paper's *coverage*, the quantity
-    /// compared against the minimum-coverage threshold γ.
+    /// A memo over every tableau tuple's LHS cell: member `i` is tuple
+    /// `i`.
+    pub(crate) fn lhs_memo(&self) -> TableauMemo {
+        TableauMemo::new(self.tableau.iter().map(|t| t.lhs.embedded()))
+    }
+
+    /// Fraction of live rows (non-null on the LHS) whose LHS value matches
+    /// at least one tableau pattern — the paper's *coverage*, the quantity
+    /// compared against the minimum-coverage threshold γ. Each distinct
+    /// value is classified once, through a [`TableauMemo`] over every
+    /// tuple's LHS cell.
     #[must_use]
     pub fn coverage(&self, table: &Table) -> f64 {
         let Some(col) = table.schema().index_of(&self.lhs_attr) else {
             return 0.0;
         };
-        let mut total = 0usize;
-        let mut covered = 0usize;
-        // Admission depends only on the cell string: compile each tableau
-        // pattern once and memoize per distinct interned value, so each
-        // program matches at most `distinct(column)` times.
-        let programs: Vec<Option<CompiledPattern>> =
-            self.tableau.iter().map(|t| t.lhs.compile()).collect();
-        let mut memo: fxhash::FxHashMap<ValueId, bool> = fxhash::FxHashMap::default();
+        let mut memo = self.lhs_memo();
+        let (mut total, mut covered) = (0usize, 0usize);
         for (_, v) in table.iter_column(col) {
-            let Some(s) = v.as_str() else { continue };
-            total += 1;
-            let admits = *memo.entry(v).or_insert_with(|| {
-                programs
-                    .iter()
-                    .any(|p| p.as_ref().is_none_or(|c| c.matches(s)))
-            });
-            if admits {
-                covered += 1;
+            if !v.is_null() {
+                total += 1;
+                covered += usize::from(!memo.matches(v).is_empty());
             }
         }
         if total == 0 {
@@ -235,7 +232,7 @@ impl fmt::Display for Pfd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anmat_table::Schema;
+    use anmat_table::{Schema, ValuePool};
 
     fn q(s: &str) -> ConstrainedPattern {
         s.parse().unwrap()
@@ -338,15 +335,12 @@ mod tests {
         assert_eq!(zip.key("90001").as_deref(), Some("900"));
         assert_eq!(zip.key("9000x"), None);
         assert_eq!(q("\\D{5}").key("90001").as_deref(), Some(""));
-        let program = LhsCell::Pattern(zip)
-            .compile()
-            .expect("a pattern cell compiles");
-        assert!(program.matches("90001"));
-        assert!(!program.matches("9000x"));
-        assert!(
-            LhsCell::Wildcard.compile().is_none(),
-            "⊥ admits every value"
-        );
+        // A pattern cell admits what its embedded pattern matches, and
+        // ⊥ every non-null value.
+        let cells = [LhsCell::Pattern(zip), LhsCell::Wildcard];
+        let mut memo = TableauMemo::new(cells.iter().map(LhsCell::embedded));
+        assert_eq!(memo.matches(ValuePool::intern("90001")), &[0, 1]);
+        assert_eq!(memo.matches(ValuePool::intern("9000x")), &[1]);
     }
 
     #[test]

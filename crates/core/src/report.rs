@@ -1,5 +1,4 @@
-//! Text renderings of the demo's three views (Figures 3–5) and the
-//! Table 3 summary.
+//! Text renderings of the demo's three views (Figures 3–5).
 //!
 //! The paper's GUI shows: a profiling view listing each column's patterns
 //! as `pattern::position, frequency` (Figure 3); the tableau of each
@@ -9,7 +8,7 @@
 //! benchmark harness can display what the demo displayed.
 
 use crate::detect::{Violation, ViolationKind};
-use crate::pfd::{LhsCell, Pfd, RhsCell};
+use crate::pfd::{Pfd, RhsCell};
 use anmat_pattern::PatternLevel;
 use anmat_table::{Table, TableProfile};
 use std::fmt::Write as _;
@@ -73,34 +72,24 @@ pub fn tableau_view(table: &Table, pfd: &Pfd) -> String {
         pfd.kind(),
         pfd.coverage(table)
     );
-    let lhs_col = table.schema().index_of(&pfd.lhs_attr);
-    for (i, t) in pfd.tableau.iter().enumerate() {
-        let lhs = match &t.lhs {
-            LhsCell::Pattern(q) => q.to_string(),
-            LhsCell::Wildcard => "⊥".to_string(),
-        };
+    // Per-tuple frequency, as in the Figure 4 display: one walk of the
+    // LHS column through a memo over every tuple credits each tuple its
+    // value matches.
+    let mut frequency = vec![0usize; pfd.tableau.len()];
+    if let Some(col) = table.schema().index_of(&pfd.lhs_attr) {
+        let mut memo = pfd.lhs_memo();
+        for (_, v) in table.iter_column(col) {
+            for &m in memo.matches(v) {
+                frequency[m as usize] += 1;
+            }
+        }
+    }
+    for (i, (t, freq)) in pfd.tableau.iter().zip(frequency).enumerate() {
         let rhs = match &t.rhs {
-            RhsCell::Constant(c) => c.clone(),
-            RhsCell::Wildcard => "⊥".to_string(),
+            RhsCell::Constant(c) => c.as_str(),
+            RhsCell::Wildcard => "⊥",
         };
-        // Per-tuple frequency, as in the Figure 4 display (the pattern
-        // compiled once, admission memoized per distinct interned value).
-        let freq = lhs_col.map_or(0, |col| {
-            let program = t.lhs.compile();
-            let mut memo: fxhash::FxHashMap<anmat_table::ValueId, bool> =
-                fxhash::FxHashMap::default();
-            table
-                .iter_column(col)
-                .filter(|(_, v)| {
-                    v.as_str().is_some_and(|s| {
-                        *memo
-                            .entry(*v)
-                            .or_insert_with(|| program.as_ref().is_none_or(|c| c.matches(s)))
-                    })
-                })
-                .count()
-        });
-        let _ = writeln!(out, "  tp{i}: {lhs} → {rhs}   (frequency {freq})");
+        let _ = writeln!(out, "  tp{i}: {} → {rhs}   (frequency {freq})", t.lhs);
     }
     out
 }
@@ -173,36 +162,6 @@ pub fn violations_view(table: &Table, violations: &[Violation]) -> String {
     out
 }
 
-/// One row of the paper's Table 3: dependency, tableau patterns, and the
-/// errors detected.
-#[must_use]
-pub fn table3_row(dataset: &str, table: &Table, pfd: &Pfd, violations: &[Violation]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{dataset}  {}", pfd.embedded_fd());
-    for t in &pfd.tableau {
-        let lhs = match &t.lhs {
-            LhsCell::Pattern(q) => q.to_string(),
-            LhsCell::Wildcard => "⊥".to_string(),
-        };
-        let rhs = match &t.rhs {
-            RhsCell::Constant(c) => c.clone(),
-            RhsCell::Wildcard => "⊥".to_string(),
-        };
-        let _ = writeln!(out, "    {lhs} → {rhs}");
-    }
-    for v in violations.iter().take(8) {
-        let lhs_val = &v.lhs_value;
-        let found = match &v.kind {
-            ViolationKind::Constant { found, .. } | ViolationKind::Variable { found, .. } => {
-                found.as_deref().unwrap_or("∅")
-            }
-        };
-        let _ = writeln!(out, "    error: {lhs_val} | {found}");
-    }
-    let _ = table;
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,15 +222,5 @@ mod tests {
         assert!(view.contains("1 violation(s)"), "{view}");
         assert!(view.contains("90004 | New York"), "{view}");
         assert!(view.contains("suggested repair"), "{view}");
-    }
-
-    #[test]
-    fn table3_row_format() {
-        let t = zip_table();
-        let violations = detect_pfd(&t, &lambda3());
-        let row = table3_row("D5", &t, &lambda3(), &violations);
-        assert!(row.contains("D5  zip → city"), "{row}");
-        assert!(row.contains("900\\D{2} → Los Angeles"), "{row}");
-        assert!(row.contains("error: 90004 | New York"), "{row}");
     }
 }

@@ -1,4 +1,5 @@
-//! An independent oracle for batch constant detection.
+//! An independent oracle for batch constant detection, coverage and the
+//! tableau report.
 //!
 //! Batch detection and the stream engine both reach a rule's constant
 //! tuples through one `TableauMemo` (a value is evaluated only against the
@@ -7,14 +8,17 @@
 //! This test does: it asks the AST interpreter (`match_pattern`) about
 //! every live row and every tableau tuple, with no prefix, memo or
 //! compiled code, and holds `detect_pfd` and `detect_all` to that scan,
-//! order included.
+//! order included. `Pfd::coverage` and `report::tableau_view` count
+//! through a memo over every tuple's LHS cell; they are held to the same
+//! interpreter: the share of non-null live LHS values some tuple admits,
+//! and each tuple's count of the values it admits.
 //!
 //! Tableaux draw their LHS patterns from literal prefixes that are equal,
 //! nested, absent or multibyte, plus wildcards and duplicated tuples;
 //! tables hold nulls, empty strings, multibyte values and deleted rows.
 
 use anmat_core::detect::{Repair, Violation, ViolationKind};
-use anmat_core::{detect_all, detect_pfd, LhsCell, PatternTuple, Pfd, RhsCell};
+use anmat_core::{detect_all, detect_pfd, report, LhsCell, PatternTuple, Pfd, RhsCell};
 use anmat_pattern::{match_pattern, ConstrainedPattern, Pattern};
 use anmat_table::{Schema, Table, Value};
 use proptest::prelude::*;
@@ -95,6 +99,22 @@ fn any_table() -> impl Strategy<Value = Table> {
         })
 }
 
+/// Does the interpreter say `lhs` admits `value`?
+fn admits(lhs: &LhsCell, value: &str) -> bool {
+    match lhs {
+        LhsCell::Pattern(q) => match_pattern(q.embedded(), value),
+        LhsCell::Wildcard => true,
+    }
+}
+
+/// The non-null LHS values of the live rows.
+fn live_values(table: &Table) -> Vec<&str> {
+    table
+        .iter_live()
+        .filter_map(|row| table.cell_str(row, 0))
+        .collect()
+}
+
 /// The interpreter's violation of `tuple` at `row`, if any.
 fn oracle_violation(
     table: &Table,
@@ -106,10 +126,7 @@ fn oracle_violation(
         return None;
     };
     let value = table.cell_str(row, 0)?;
-    let matched = match &tuple.lhs {
-        LhsCell::Pattern(q) => match_pattern(q.embedded(), value),
-        LhsCell::Wildcard => true,
-    };
+    let matched = admits(&tuple.lhs, value);
     let found = table.cell_str(row, 1);
     if !matched || found == Some(expected.as_str()) {
         return None;
@@ -185,5 +202,50 @@ proptest! {
     ) {
         let rules = [rule(first), rule(second)];
         prop_assert_eq!(detect_all(&table, &rules), oracle(&table, &rules));
+    }
+
+    /// `Pfd::coverage` is the share of non-null live LHS values that some
+    /// tuple admits, and 0 when there are none.
+    #[test]
+    fn coverage_equals_the_interpreter_share(tableau in any_tableau(), table in any_table()) {
+        let pfd = rule(tableau);
+        let values = live_values(&table);
+        let covered = values
+            .iter()
+            .filter(|v| pfd.tableau.iter().any(|t| admits(&t.lhs, v)))
+            .count();
+        let expected = if values.is_empty() {
+            0.0
+        } else {
+            covered as f64 / values.len() as f64
+        };
+        prop_assert_eq!(pfd.coverage(&table), expected);
+    }
+
+    /// `report::tableau_view` prints, for each tuple in order, how many
+    /// non-null live LHS values it admits: a value counts once for every
+    /// tuple that admits it.
+    #[test]
+    fn tableau_view_frequencies_equal_the_interpreter_counts(
+        tableau in any_tableau(),
+        table in any_table(),
+    ) {
+        let pfd = rule(tableau);
+        let values = live_values(&table);
+        let expected: Vec<usize> = pfd
+            .tableau
+            .iter()
+            .map(|t| values.iter().filter(|v| admits(&t.lhs, v)).count())
+            .collect();
+        let view = report::tableau_view(&table, &pfd);
+        let printed: Vec<usize> = view
+            .lines()
+            .filter(|line| line.starts_with("  tp"))
+            .map(|line| {
+                let (_, frequency) = line.rsplit_once("(frequency ").expect("a frequency");
+                frequency.trim_end_matches(')').parse().expect("a count")
+            })
+            .collect();
+        prop_assert_eq!(printed, expected);
     }
 }

@@ -17,7 +17,6 @@
 //! incremental engine's variable tuples share — and every map in this module
 //! hashes a 4-byte id instead of a string.
 
-use crate::inverted::{sort_rhs_counts, EntryStats};
 use crate::runs::Runs;
 use anmat_pattern::{CompiledConstrained, ConstrainedPattern};
 use anmat_table::{RowId, RowIdRemap, Table, ValueId, ValuePool};
@@ -280,19 +279,6 @@ impl KeyBlock {
         self.counts.len() <= 1 && self.null_rhs == 0
     }
 
-    /// The block's aggregate statistics, assembled from the maintained
-    /// deltas in `O(distinct RHS values)`.
-    #[must_use]
-    pub fn stats(&self) -> EntryStats {
-        let mut rhs_counts: Vec<(ValueId, usize)> =
-            self.counts.iter().map(|(v, c)| (*v, *c)).collect();
-        sort_rhs_counts(&mut rhs_counts);
-        EntryStats {
-            support: self.len(),
-            rhs_counts,
-        }
-    }
-
     fn push(&mut self, row: RowId, rhs: ValueId) {
         self.rows.insert(row);
         if rhs.is_null() {
@@ -366,8 +352,8 @@ impl KeyBlock {
 /// [`BlockingPartition::remove`]; each op touches exactly one block
 /// (`O(1)` amortized for appends, `O(log block + RUN_CAP)` for removals
 /// and out-of-order re-inserts, since rows are kept as ascending runs of
-/// at most `RUN_CAP` = 1024 — never `O(block)`), and per-key
-/// [`EntryStats`] deltas are maintained as rows come and go. Rows whose
+/// at most `RUN_CAP` = 1024 — never `O(block)`), and each block's RHS
+/// tally and majority are maintained as rows come and go. Rows whose
 /// LHS is null or does not match have no key and never reach a
 /// partition.
 #[derive(Debug, Clone, Default)]
@@ -475,6 +461,11 @@ mod tests {
 
     fn id(s: &str) -> ValueId {
         ValuePool::intern(s)
+    }
+
+    /// A block's RHS tally: value → rows, nulls left out.
+    fn tally(counts: &[(&str, usize)]) -> FxHashMap<ValueId, usize> {
+        counts.iter().map(|&(v, c)| (id(v), c)).collect()
     }
 
     /// A partition fed through its own key memo — what one variable tuple
@@ -594,9 +585,9 @@ mod tests {
         assert_eq!(block.len(), 4);
         assert_eq!(block.majority(), Some("Los Angeles"));
         assert!(!block.is_consistent());
-        let stats = block.stats();
-        assert_eq!(stats.support, 4);
-        assert_eq!(stats.rhs_counts[0], (id("Los Angeles"), 2));
+        assert_eq!(block.counts, tally(&[("Los Angeles", 2), ("New York", 1)]));
+        assert_eq!(block.null_rhs, 1);
+        assert_eq!(block.majority, Some((id("Los Angeles"), 2)));
         // Majority tie breaks to the lexicographically smaller value,
         // matching batch detection's vote.
         p.insert(4, id("90005"), id("New York"));
@@ -619,7 +610,7 @@ mod tests {
         assert_eq!(p.block_count(), 1);
         let block = p.block_by_str("x").unwrap();
         assert!(block.rows().eq([0, 1]));
-        assert_eq!(block.stats().rhs_counts, vec![(id("1"), 1), (id("2"), 1)]);
+        assert_eq!(block.counts, tally(&[("1", 1), ("2", 1)]));
     }
 
     #[test]
@@ -671,9 +662,8 @@ mod tests {
         assert!(block.rows().eq([0, 2]));
         assert_eq!(block.majority(), Some("Los Angeles"));
         assert!(block.is_consistent());
-        let stats = block.stats();
-        assert_eq!(stats.support, 2);
-        assert_eq!(stats.rhs_counts, vec![(id("Los Angeles"), 2)]);
+        assert_eq!(block.counts, tally(&[("Los Angeles", 2)]));
+        assert_eq!(block.majority, Some((id("Los Angeles"), 2)));
         // Draining the block drops it entirely (freeze parity with batch).
         p.remove(0, id("90001"), id("Los Angeles"));
         p.remove(2, id("90003"), id("Los Angeles"));
@@ -693,7 +683,7 @@ mod tests {
         p.insert(2, id("k"), id("v2"));
         let block = p.block_by_str("k").unwrap();
         assert!(block.rows().eq([0, 1, 2, 3, 4]));
-        assert_eq!(block.stats().rhs_counts, vec![(id("v1"), 4), (id("v2"), 1)]);
+        assert_eq!(block.counts, tally(&[("v1", 4), ("v2", 1)]));
         assert_eq!(block.majority(), Some("v1"));
     }
 
@@ -753,8 +743,8 @@ mod tests {
                 block.majority(),
                 "majority and majority_id must agree after decrements"
             );
-            // And the derived stats order agrees with the vote.
-            assert_eq!(block.stats().rhs_counts[0].0, id("b-del-tie"));
+            // The leader's count is the tie's.
+            assert_eq!(block.majority, Some((id("b-del-tie"), 2)));
         }
     }
 
@@ -805,10 +795,14 @@ mod tests {
             fresh.insert(row, v, t.cell_id(row, 1));
         }
         assert_eq!(p.freeze(), fresh.freeze());
-        // Per-block stats survived the renumbering untouched.
+        // The block's tally survived the renumbering untouched.
         let block = p.block_by_str("900").unwrap();
         assert_eq!(block.majority(), Some("Los Angeles"));
-        assert_eq!(block.stats(), fresh.block_by_str("900").unwrap().stats());
+        let fresh_block = fresh.block_by_str("900").unwrap();
+        assert_eq!(block.len(), fresh_block.len());
+        assert_eq!(block.counts, fresh_block.counts);
+        assert_eq!(block.null_rhs, fresh_block.null_rhs);
+        assert_eq!(block.majority, fresh_block.majority);
     }
 
     #[test]
@@ -894,24 +888,22 @@ mod tests {
             best.map(|(_, rhs)| rhs)
         }
 
-        /// The model's support and RHS tally of `rows`, in
-        /// [`KeyBlock::stats`] order.
-        fn model_stats(rows: &[(RowId, ValueId)]) -> EntryStats {
+        /// The model's RHS tally of `rows` and its null count.
+        fn model_tally(rows: &[(RowId, ValueId)]) -> (FxHashMap<ValueId, usize>, usize) {
             let mut counts: FxHashMap<ValueId, usize> = FxHashMap::default();
-            for &(_, rhs) in rows.iter().filter(|(_, rhs)| !rhs.is_null()) {
-                *counts.entry(rhs).or_insert(0) += 1;
+            let mut nulls = 0;
+            for &(_, rhs) in rows {
+                if rhs.is_null() {
+                    nulls += 1;
+                } else {
+                    *counts.entry(rhs).or_insert(0) += 1;
+                }
             }
-            let mut rhs_counts: Vec<_> = counts.into_iter().collect();
-            sort_rhs_counts(&mut rhs_counts);
-            EntryStats {
-                support: rows.len(),
-                rhs_counts,
-            }
+            (counts, nulls)
         }
 
-        /// Same rows, RHS tally (nulls are the support it leaves) and
-        /// majority as the model, and the block's run list structurally
-        /// sound.
+        /// Same rows, RHS tally, null count and majority as the model,
+        /// and the block's run list structurally sound.
         fn check(p: &Keyed, model: &Model) {
             let expected = block_rows(model);
             match p.block(id("900")) {
@@ -919,7 +911,10 @@ mod tests {
                 Some(block) => {
                     block.rows.assert_invariants();
                     assert!(block.rows().eq(expected.iter().map(|&(row, _)| row)));
-                    assert_eq!(block.stats(), model_stats(&expected));
+                    assert_eq!(
+                        (block.counts.clone(), block.null_rhs),
+                        model_tally(&expected)
+                    );
                     assert_eq!(block.majority_id(), model_majority(&expected));
                 }
             }

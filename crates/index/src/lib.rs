@@ -3,29 +3,27 @@
 //! Three access paths from §3 of the paper:
 //!
 //! * [`inverted`] — the hash-based inverted list `H` of the discovery
-//!   algorithm (Figure 2, lines 4–12): LHS token/n-gram → postings of
-//!   `(tuple id, LHS position, RHS token, RHS position)`, with per-entry
-//!   support/confidence statistics that feed the decision function `f`;
-//! * [`pattern_index`] — the "index supporting regular expressions for
-//!   each column present on the LHS of the PFDs": distinct values are
-//!   sorted once by string, and a pattern lookup runs its compiled
-//!   matcher over the range of values that start with the pattern's
-//!   literal prefix (discovery validates its candidates this way). Its
-//!   transpose, [`TableauMemo`], maps each distinct LHS value to the
-//!   constant tableau tuples it matches, evaluating on first sighting
-//!   only the tuples whose literal prefix the value starts with; batch
-//!   and streaming detection both dispatch constant tuples through it;
+//!   algorithm (Figure 2, lines 4–12): each LHS token, n-gram or prefix
+//!   → its postings `(tuple id, LHS position)` and its support, the
+//!   distinct rows holding it. Discovery builds one per column pair and
+//!   extraction mode, and reads each group's RHS values from the table;
+//! * [`pattern_index`] — the paper's "index supporting regular
+//!   expressions for each column present on the LHS of the PFDs", asked
+//!   the transposed way: a [`TableauMemo`] maps each distinct LHS value
+//!   to the patterns it matches, evaluating on first sighting only the
+//!   patterns whose literal prefix the value starts with. It is the one
+//!   answer to "which tuples admit this value": batch and streaming
+//!   detection dispatch constant tuples through it, discovery validates
+//!   a column pair's candidate patterns in one walk through it, and
+//!   coverage and the tableau report count through it;
 //! * [`blocking`] — the blocking strategy (cf. BigDansing) that avoids the
 //!   quadratic tuple-pair enumeration for variable PFDs: rows are grouped
 //!   by their constrained-capture key, and pairs are enumerated within
 //!   blocks only.
 //!
-//! The inverted list is built in one pass per candidate dependency
-//! ([`InvertedIndex::build`]), each row adding its per-key
-//! [`EntryStats`] deltas in `O(keys per row)`. Blocking keys are derived
-//! in one place, a [`KeyMemo`] per keyer: batch blocking and each
-//! variable tuple of the `anmat-stream` engine memoize captures through
-//! it.
+//! Blocking keys are derived in one place, a [`KeyMemo`] per keyer:
+//! batch blocking and each variable tuple of the `anmat-stream` engine
+//! memoize captures through it.
 //! The [`BlockingPartition`] that holds the blocks is handed those keys
 //! and is *incrementally updatable in both directions* — mutable
 //! streams, not just appends: [`BlockingPartition::insert`] /
@@ -34,7 +32,7 @@
 //! only when a removal dethrones the leader — the substrate of the
 //! engine's variable-PFD delta pipeline.
 //!
-//! All three indexes key their maps on interned
+//! All three key their maps on interned
 //! [`ValueId`](anmat_table::ValueId)s from the global
 //! [`ValuePool`](anmat_table::ValuePool): probes hash a 4-byte `Copy` id
 //! under the vendored `FxHasher` rather than re-hashing strings, and
@@ -49,5 +47,5 @@ pub mod pattern_index;
 mod runs;
 
 pub use blocking::{BlockingIndex, BlockingPartition, Blocks, KeyBlock, KeyMemo};
-pub use inverted::{EntryStats, ExtractionMode, InvertedIndex, Posting};
-pub use pattern_index::{PatternIndex, TableauMemo};
+pub use inverted::{ExtractionMode, InvertedIndex, Posting};
+pub use pattern_index::TableauMemo;

@@ -1,159 +1,50 @@
-//! The per-column pattern index of §3, and the tableau memo that
-//! dispatches a value to the constant tuples it matches.
+//! The tableau memo: the one answer to "which tuples admit this value".
 //!
 //! The paper "create\[s\] an index supporting regular expressions for
 //! each column present on the LHS of the PFDs", so that the violation
-//! scan only touches tuples matching `tp[A]`. [`PatternIndex`] answers
-//! that question — which rows match this pattern — for discovery's
-//! candidate validation, which asks it of one column for many candidate
-//! patterns:
+//! scan only touches tuples matching `tp[A]`. A [`TableauMemo`] asks the
+//! transposed question of a column's values: not "which rows match this
+//! pattern" but "which of these patterns does this value match". It
+//! answers once per distinct value, with the patterns' literal prefixes
+//! turned into a map from prefix to the members that carry it: a value is
+//! matched only against the members whose prefix it starts with (plus
+//! those with none), so a tableau of a thousand area codes costs one eval
+//! per new value, not a thousand. Every match starts with its pattern's
+//! literal prefix, so the map prunes nothing a match needs.
 //!
-//! * it deduplicates the column into distinct values with row postings
-//!   (low-cardinality columns collapse dramatically);
-//! * it sorts the distinct values once by string;
-//! * it answers a pattern lookup by compiling the pattern once, narrowing
-//!   the sorted values to the range that starts with the pattern's
-//!   literal prefix (`900` for `900\D{2}`; the whole array when there is
-//!   none) with two binary searches, and running the compiled matcher on
-//!   each value in that range.
-//!
-//! The range is the only pruning. A compiled match costs tens of
+//! The prefix is the only pruning. A compiled match costs tens of
 //! nanoseconds per distinct value, while an exact language test that
 //! could accept or reject a group of values at once (an NFA product)
-//! costs microseconds, more than matching the values it would decide at
-//! the table sizes discovery sees.
+//! costs microseconds, more than matching the values it would decide.
 //!
-//! Detection asks the transposed question: not "which values match this
-//! pattern" but "which of a rule's constant tuples does this value
-//! match". A [`TableauMemo`] answers it once per distinct value with the
-//! same literal prefixes, turned into a map from prefix to the tuples
-//! that carry it: a value is matched only against the tuples whose prefix
-//! it starts with (plus those with none), so a tableau of a thousand area
-//! codes costs one eval per new value, not a thousand. The stream engine
-//! keeps one per rule across ops; batch detection builds one per rule per
-//! call and walks the LHS column through it.
+//! Each caller walks a column through one memo:
+//!
+//! * the stream engine keeps one per rule across ops;
+//! * batch detection builds one per rule per call, over its constant
+//!   tuples;
+//! * discovery builds one per column pair over every candidate pattern
+//!   it proposes, and validates them all in one walk of the LHS column;
+//! * `Pfd::coverage` and the tableau report build one over every tuple's
+//!   LHS cell, and count the rows each value's members admit.
 
-use anmat_pattern::{match_pattern, CompiledPattern, Pattern, SymbolClass};
-use anmat_table::{RowId, Table, ValueId, ValuePool};
+use anmat_pattern::{CompiledPattern, Pattern, SymbolClass};
+use anmat_table::ValueId;
 use fxhash::FxHashMap;
 use std::sync::Arc;
 
-/// An index over one column supporting pattern lookups.
+/// A list of LHS patterns, matched once per distinct LHS value: LHS
+/// [`ValueId`] → the members (in list order) whose pattern accepts the
+/// value.
 ///
-/// The column is deduplicated into interned distinct values
-/// ([`ValueId`]-keyed postings), so a pattern is ever matched against at
-/// most `distinct(column)` strings, and row-posting probes hash a 4-byte
-/// id. The index stores ids, not strings: an id that outlives its string
-/// fails loudly when resolved rather than dangling.
-#[derive(Debug)]
-pub struct PatternIndex {
-    /// Distinct value → rows holding it.
-    values: FxHashMap<ValueId, Vec<RowId>>,
-    /// Distinct values in ascending string order.
-    sorted: Vec<ValueId>,
-    /// Rows with a non-null value.
-    pub indexed_rows: usize,
-}
-
-impl PatternIndex {
-    /// Build the index over column `col` of `table`.
-    #[must_use]
-    pub fn build(table: &Table, col: usize) -> PatternIndex {
-        let mut values: FxHashMap<ValueId, Vec<RowId>> = FxHashMap::default();
-        let mut indexed_rows = 0usize;
-        for (row, v) in table.iter_column(col) {
-            if v.is_null() {
-                continue;
-            }
-            indexed_rows += 1;
-            values.entry(v).or_default().push(row);
-        }
-        let mut sorted: Vec<ValueId> = values.keys().copied().collect();
-        sorted.sort_by_cached_key(|v| v.render());
-        PatternIndex {
-            values,
-            sorted,
-            indexed_rows,
-        }
-    }
-
-    /// Number of distinct values.
-    #[must_use]
-    pub fn distinct_count(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Rows whose value matches `pattern`, sorted ascending.
-    #[must_use]
-    pub fn lookup(&self, pattern: &Pattern) -> Vec<RowId> {
-        let mut rows: Vec<RowId> = Vec::new();
-        for v in self.matching_ids(pattern) {
-            rows.extend_from_slice(&self.values[&v]);
-        }
-        rows.sort_unstable();
-        rows
-    }
-
-    /// Interned distinct values matching `pattern`, in ascending string
-    /// order.
-    #[must_use]
-    pub fn matching_ids(&self, pattern: &Pattern) -> Vec<ValueId> {
-        let compiled = CompiledPattern::compile(pattern);
-        let prefix = literal_prefix(pattern);
-        // Every match starts with `prefix`, and the values that do form
-        // one contiguous run of the sorted array.
-        let start = self
-            .sorted
-            .partition_point(|v| v.render() < prefix.as_str());
-        let run = &self.sorted[start..];
-        let len = run.partition_point(|v| v.render().starts_with(prefix.as_str()));
-        run[..len]
-            .iter()
-            .copied()
-            .filter(|v| compiled.matches(v.render()))
-            .collect()
-    }
-
-    /// Rows holding exactly `value`.
-    #[must_use]
-    pub fn rows_for_value(&self, value: &str) -> &[RowId] {
-        ValuePool::lookup(value).map_or(&[], |id| self.rows_for_id(id))
-    }
-
-    /// Rows holding exactly the interned value.
-    #[must_use]
-    pub fn rows_for_id(&self, value: ValueId) -> &[RowId] {
-        self.values.get(&value).map_or(&[], Vec::as_slice)
-    }
-
-    /// Full scan fallback (the ablation benchmark's baseline and the
-    /// tests' oracle): match every distinct value with the AST
-    /// interpreter, with no prefix range and no compiled code.
-    #[must_use]
-    pub fn lookup_scan(&self, pattern: &Pattern) -> Vec<RowId> {
-        let mut rows: Vec<RowId> = Vec::new();
-        for (v, ids) in &self.values {
-            if match_pattern(pattern, v.render()) {
-                rows.extend_from_slice(ids);
-            }
-        }
-        rows.sort_unstable();
-        rows
-    }
-}
-
-/// The constant tuples of one rule's tableau, matched once per distinct
-/// LHS value: LHS [`ValueId`] → the members (tableau order) whose pattern
-/// accepts the value.
-///
-/// Members are the rule's constant tuples in tableau order, each a
-/// pattern or a wildcard (`None`, which matches every non-null value
-/// without an eval). An entry is filled on the first sighting of a value
-/// by evaluating only its *candidates*: the members whose literal prefix
-/// (the one [`PatternIndex`] narrows a lookup by) the value starts with,
-/// found with one prefix-map probe per distinct prefix byte length, plus
-/// every member with no literal prefix. Every match starts with its
-/// pattern's literal prefix, so no other member can accept the value.
+/// Members are a rule's constant tuples in tableau order, every tuple of
+/// a tableau, or a column pair's candidate patterns, each a pattern or a
+/// wildcard (`None`, which matches every non-null value without an
+/// eval). An entry is filled on the first sighting of a value by
+/// evaluating only its *candidates*: the members whose literal prefix the
+/// value starts with, found with one prefix-map probe per distinct prefix
+/// byte length, plus every member with no literal prefix. Every match
+/// starts with its pattern's literal prefix, so no other member can
+/// accept the value.
 ///
 /// An entry is a 4-byte index into the memo's interned match sets, which
 /// are few (almost always the empty set or one member), so the memo's
@@ -421,71 +312,10 @@ fn literal_prefix(p: &Pattern) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anmat_table::Schema;
-
-    fn zip_table() -> Table {
-        let schema = Schema::new(["zip"]).unwrap();
-        Table::from_str_rows(
-            schema,
-            [
-                ["90001"],
-                ["90002"],
-                ["90003"],
-                ["60601"],
-                ["60601"],
-                ["606-01"],
-                ["abcde"],
-                [""],
-            ],
-        )
-        .unwrap()
-    }
+    use anmat_table::ValuePool;
 
     fn pat(s: &str) -> Pattern {
         s.parse().unwrap()
-    }
-
-    #[test]
-    fn build_stats() {
-        let t = zip_table();
-        let idx = PatternIndex::build(&t, 0);
-        assert_eq!(idx.indexed_rows, 7);
-        assert_eq!(idx.distinct_count(), 6);
-    }
-
-    #[test]
-    fn lookup_with_literal_prefix() {
-        let t = zip_table();
-        let idx = PatternIndex::build(&t, 0);
-        assert_eq!(idx.lookup(&pat("900\\D{2}")), vec![0, 1, 2]);
-        assert_eq!(idx.lookup(&pat("606\\D{2}")), vec![3, 4]);
-    }
-
-    #[test]
-    fn lookup_class_pattern() {
-        let t = zip_table();
-        let idx = PatternIndex::build(&t, 0);
-        assert_eq!(idx.lookup(&pat("\\D{5}")), vec![0, 1, 2, 3, 4]);
-        assert_eq!(idx.lookup(&pat("\\LL{5}")), vec![6]);
-        assert_eq!(idx.lookup(&pat("\\D{3}-\\D{2}")), vec![5]);
-    }
-
-    #[test]
-    fn lookup_agrees_with_scan() {
-        let t = zip_table();
-        let idx = PatternIndex::build(&t, 0);
-        for p in ["900\\D{2}", "\\D{5}", "\\A*", "\\D+", "x\\D*"] {
-            let p = pat(p);
-            assert_eq!(idx.lookup(&p), idx.lookup_scan(&p), "pattern {p}");
-        }
-    }
-
-    #[test]
-    fn rows_for_value_duplicates() {
-        let t = zip_table();
-        let idx = PatternIndex::build(&t, 0);
-        assert_eq!(idx.rows_for_value("60601"), &[3, 4]);
-        assert!(idx.rows_for_value("nope").is_empty());
     }
 
     #[test]
@@ -594,13 +424,5 @@ mod tests {
         assert_eq!(memo.evals(), 2);
         assert_eq!(memo.matches(v[0]), &[0]);
         assert_eq!(memo.evals(), 3); // re-evaluated after the purge
-    }
-
-    #[test]
-    fn empty_pattern_lookup() {
-        let schema = Schema::new(["x"]).unwrap();
-        let t = Table::from_str_rows(schema, [["a"], [""]]).unwrap();
-        let idx = PatternIndex::build(&t, 0);
-        assert!(idx.lookup(&Pattern::empty()).is_empty());
     }
 }

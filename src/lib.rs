@@ -18,8 +18,9 @@
 //!   matching, containment, induction, constrained patterns);
 //! * [`table`] — the relational substrate (columnar tables, CSV,
 //!   profiling, tokenization);
-//! * [`index`] — inverted lists, the pattern index, and blocking (batch
-//!   and incrementally updatable);
+//! * [`index`] — discovery's inverted lists, the tableau memo (which
+//!   patterns of a list a value matches), and blocking (batch and
+//!   incrementally updatable);
 //! * [`core`] — PFD model, discovery, detection, FD/CFD baselines,
 //!   violation ledger, report rendering;
 //! * [`stream`] — the incremental violation engine for *mutable*
