@@ -14,10 +14,11 @@
 use super::context::{build_lhs_pattern, KeyContexts};
 use super::DiscoveryConfig;
 use crate::pfd::{PatternTuple, Pfd};
-use anmat_index::{ExtractionMode, InvertedIndex, TableauMemo};
+use anmat_index::{ExtractionMode, InvertedIndex, Posting, TableauMemo};
 use anmat_pattern::{contains, ConstrainedPattern, Pattern};
-use anmat_table::{for_each_token, Table, TableProfile, ValueId, ValuePool};
-use std::collections::{HashMap, HashSet};
+use anmat_table::{for_each_token, Table, TableProfile, ValueId};
+use fxhash::{FxHashMap, FxHashSet};
+use std::cmp::Reverse;
 
 /// n of the n-gram extraction mode.
 const NGRAM_LEN: usize = 3;
@@ -61,6 +62,9 @@ impl Tally {
 /// A validated candidate tuple with bookkeeping for minimization.
 struct Candidate {
     pattern: Pattern,
+    /// The pattern's specificity and text, computed once for the sorts.
+    specificity: u32,
+    text: String,
     rhs: String,
     /// Rows matching the pattern (from validation).
     support: usize,
@@ -87,43 +91,50 @@ pub(crate) fn mine_constant(
     // Proposals in the order first proposed, one per (pattern text,
     // dominant) signature.
     let mut proposals: Vec<Proposal> = Vec::new();
-    let mut seen: HashSet<(String, String)> = HashSet::new();
+    let mut seen: FxHashSet<(String, ValueId)> = FxHashSet::default();
 
     // Global RHS distribution for the significance test.
-    let mut rhs_global: HashMap<&str, usize> = HashMap::new();
+    let mut rhs_global: FxHashMap<ValueId, usize> = FxHashMap::default();
     let mut pair_rows = 0usize;
-    for (_, _, b) in table.iter_pair(lhs, rhs) {
-        *rhs_global.entry(b).or_insert(0) += 1;
-        pair_rows += 1;
+    for (row, found) in table.iter_column(rhs) {
+        if !found.is_null() && !table.cell_id(row, lhs).is_null() {
+            *rhs_global.entry(found).or_insert(0) += 1;
+            pair_rows += 1;
+        }
     }
 
+    // Scratch reused across groups: a key's postings by position, one
+    // group's RHS counts, and its agreeing rows' distinct LHS values.
+    let mut by_pos: Vec<Posting> = Vec::new();
+    let mut rhs_counts: FxHashMap<ValueId, usize> = FxHashMap::default();
+    let mut values: Vec<ValueId> = Vec::new();
     for mode in modes {
         let inv = InvertedIndex::build(table, lhs, rhs, mode);
         let key_count = inv.key_count();
         let mut keys: Vec<(&str, usize)> = inv.frequent_keys(config.min_support);
         keys.truncate(10_000); // cost cap on pathological columns
         for (key, _) in keys {
-            for (pos, group_rows) in group_rows_by_pos(&inv, key) {
-                if group_rows.len() < config.min_support {
+            // Postings are in row order; the stable sort keeps each
+            // position's rows ascending. A key occurs at most once per
+            // (row, position), so a group's postings are distinct rows.
+            by_pos.clear();
+            by_pos.extend_from_slice(inv.postings(key));
+            by_pos.sort_by_key(|p| p.lhs_pos);
+            for group in by_pos.chunk_by(|a, b| a.lhs_pos == b.lhs_pos) {
+                if group.len() < config.min_support {
                     continue;
                 }
-                // RHS distribution over distinct rows of this (key, pos).
-                let mut rhs_counts: HashMap<&str, usize> = HashMap::new();
-                for &row in &group_rows {
-                    if let Some(v) = table.cell_str(row, rhs) {
-                        *rhs_counts.entry(v).or_insert(0) += 1;
-                    }
+                let pos = group[0].lhs_pos;
+                // RHS distribution over the group's rows, all of which
+                // bear an RHS (the list skips rows null on either side).
+                rhs_counts.clear();
+                for p in group {
+                    *rhs_counts.entry(table.cell_id(p.row, rhs)).or_insert(0) += 1;
                 }
-                let total: usize = rhs_counts.values().sum();
-                let Some((&dominant, &dom_count)) = rhs_counts
-                    .iter()
-                    .max_by(|(va, ca), (vb, cb)| ca.cmp(cb).then_with(|| vb.cmp(va)))
-                else {
+                let Some((dominant, dom_count)) = most_frequent(&rhs_counts) else {
                     continue;
                 };
-                if total < config.min_support
-                    || (dom_count as f64) < config.min_confidence() * total as f64
-                {
+                if (dom_count as f64) < config.min_confidence() * group.len() as f64 {
                     continue;
                 }
                 // Significance: with many candidate keys, small groups can
@@ -131,22 +142,26 @@ pub(crate) fn mine_constant(
                 // for this entry ≈ base_rate^(support−1) · #keys.
                 if pair_rows >= 100 {
                     let base =
-                        rhs_global.get(dominant).copied().unwrap_or(0) as f64 / pair_rows as f64;
+                        rhs_global.get(&dominant).copied().unwrap_or(0) as f64 / pair_rows as f64;
                     let chance = base.powi(dom_count.saturating_sub(1) as i32) * key_count as f64;
                     if chance > SIGNIFICANCE {
                         continue;
                     }
                 }
                 // Contexts from the agreeing rows only, so injected errors
-                // cannot distort the learned pattern.
+                // cannot distort the learned pattern; one per distinct LHS
+                // value (see `context` for why that is exact).
+                values.clear();
+                values.extend(
+                    group
+                        .iter()
+                        .filter(|p| table.cell_id(p.row, rhs) == dominant)
+                        .map(|p| table.cell_id(p.row, lhs)),
+                );
+                values.sort_unstable();
+                values.dedup();
                 let mut contexts = KeyContexts::default();
-                for &row in &group_rows {
-                    if table.cell_str(row, rhs) != Some(dominant) {
-                        continue;
-                    }
-                    let Some(value) = table.cell_str(row, lhs) else {
-                        continue;
-                    };
+                for value in values.iter().map(|v| v.render()) {
                     if let Some((before, after)) = split_at_occurrence(value, key, pos, mode) {
                         contexts.push(before, after);
                     }
@@ -155,8 +170,8 @@ pub(crate) fn mine_constant(
                     continue;
                 }
                 let pattern = build_lhs_pattern(key, &contexts, config.context_style);
-                if seen.insert((pattern.to_string(), dominant.to_string())) {
-                    proposals.push((pattern, ValuePool::intern(dominant)));
+                if seen.insert((pattern.to_string(), dominant)) {
+                    proposals.push((pattern, dominant));
                 }
             }
         }
@@ -181,18 +196,14 @@ pub(crate) fn mine_constant(
     }
 }
 
-/// Group the distinct rows of a key by the LHS position of the occurrence.
-fn group_rows_by_pos(inv: &InvertedIndex, key: &str) -> Vec<(usize, Vec<usize>)> {
-    let mut by_pos: HashMap<usize, Vec<usize>> = HashMap::new();
-    for p in inv.postings(key) {
-        let rows = by_pos.entry(p.lhs_pos).or_default();
-        if rows.last() != Some(&p.row) {
-            rows.push(p.row);
-        }
-    }
-    let mut out: Vec<(usize, Vec<usize>)> = by_pos.into_iter().collect();
-    out.sort_by_key(|(pos, _)| *pos);
-    out
+/// The most frequent value of a group, with its count. A tie goes to
+/// the lexicographically smallest string, never to the smallest id
+/// (which is only the order values were first interned in).
+fn most_frequent(counts: &FxHashMap<ValueId, usize>) -> Option<(ValueId, usize)> {
+    counts
+        .iter()
+        .map(|(&value, &count)| (value, count))
+        .max_by(|(va, ca), (vb, cb)| ca.cmp(cb).then_with(|| vb.render().cmp(va.render())))
 }
 
 /// Split `value` into (before, after) around the key occurrence at `pos`.
@@ -264,6 +275,8 @@ fn validate(
         .zip(tallies)
         .filter(|(_, tally)| tally.passes(config))
         .map(|((pattern, dominant), tally)| Candidate {
+            specificity: pattern.specificity(),
+            text: pattern.to_string(),
             pattern,
             rhs: dominant.render().to_string(),
             support: tally.matched,
@@ -277,11 +290,11 @@ fn minimize(mut candidates: Vec<Candidate>) -> Vec<PatternTuple> {
     // Most general first (lower specificity = more general), then higher
     // support.
     candidates.sort_by(|a, b| {
-        a.pattern
-            .specificity()
-            .cmp(&b.pattern.specificity())
-            .then_with(|| b.support.cmp(&a.support))
-            .then_with(|| a.pattern.to_string().cmp(&b.pattern.to_string()))
+        (a.specificity, Reverse(a.support), &a.text).cmp(&(
+            b.specificity,
+            Reverse(b.support),
+            &b.text,
+        ))
     });
     let mut kept: Vec<Candidate> = Vec::new();
     'outer: for c in candidates {
@@ -292,11 +305,7 @@ fn minimize(mut candidates: Vec<Candidate>) -> Vec<PatternTuple> {
         }
         kept.push(c);
     }
-    kept.sort_by(|a, b| {
-        b.support
-            .cmp(&a.support)
-            .then_with(|| a.pattern.to_string().cmp(&b.pattern.to_string()))
-    });
+    kept.sort_by(|a, b| (Reverse(a.support), &a.text).cmp(&(Reverse(b.support), &b.text)));
     kept.truncate(MAX_TABLEAU);
     kept.into_iter()
         .map(|c| PatternTuple::constant(ConstrainedPattern::unconstrained(c.pattern), c.rhs))
@@ -307,7 +316,8 @@ fn minimize(mut candidates: Vec<Candidate>) -> Vec<PatternTuple> {
 mod tests {
     use super::*;
     use crate::discovery::ContextStyle;
-    use anmat_table::Schema;
+    use crate::pfd::RhsCell;
+    use anmat_table::{Schema, ValuePool};
 
     fn cfg() -> DiscoveryConfig {
         DiscoveryConfig {
@@ -427,6 +437,37 @@ mod tests {
         assert!(mine(&t, &c).is_empty());
         c.min_coverage = 0.3;
         assert_eq!(mine(&t, &c).len(), 1);
+    }
+
+    #[test]
+    fn count_ties_break_to_the_smaller_string_not_the_smaller_id() {
+        // Interned first, so the larger string holds the smaller id.
+        let larger = ValuePool::intern("tie-break pin: zulu");
+        let smaller = ValuePool::intern("tie-break pin: alpha");
+        assert!(smaller > larger);
+        let t = Table::from_str_rows(
+            Schema::new(["code", "label"]).unwrap(),
+            [
+                ["tok one", "tie-break pin: zulu"],
+                ["tok two", "tie-break pin: alpha"],
+                ["tok three", "tie-break pin: zulu"],
+                ["tok four", "tie-break pin: alpha"],
+            ],
+        )
+        .unwrap();
+        let mut c = cfg();
+        c.max_violation_ratio = 0.5;
+        // "tok" at position 0 is the one group with support; its two
+        // labels tie 2–2.
+        let pfds = mine(&t, &c);
+        assert_eq!(pfds.len(), 1, "{pfds:?}");
+        let rhs: Vec<&RhsCell> = pfds[0].tableau.iter().map(|t| &t.rhs).collect();
+        assert_eq!(
+            rhs,
+            [&RhsCell::Constant("tie-break pin: alpha".into())],
+            "{}",
+            pfds[0]
+        );
     }
 
     #[test]

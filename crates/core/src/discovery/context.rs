@@ -7,24 +7,34 @@
 //! and after it — `Donald` in `Holloway, Donald E.` becomes
 //! `\A*,\ Donald\A*` (paper style) or `\LU\LL+,\ Donald\ \LU.` (induced
 //! style), depending on [`ContextStyle`].
+//!
+//! The contexts are slices of the supporting values themselves, one
+//! (before, after) pair per *distinct* value rather than per row. That
+//! is exact: each side is read only as a set. Induction folds its
+//! sample sorted and deduplicated ([`induce()`]), and the `AnyString`
+//! helpers (all empty, all equal to the separator, the longest common
+//! symbol prefix or suffix) give the same answer for any order or
+//! multiplicity of their parts. A value repeated on a thousand rows
+//! would only add copies that the fold discards.
 
 use super::ContextStyle;
 use anmat_pattern::{induce, loosen, Pattern};
 
-/// The (before, after) character context of each supporting occurrence.
+/// The (before, after) character context of each supporting occurrence,
+/// borrowed from the values that hold it.
 #[derive(Debug, Clone, Default)]
-pub struct KeyContexts {
+pub struct KeyContexts<'v> {
     /// Text before the key occurrence, per supporting value.
-    pub befores: Vec<String>,
+    pub befores: Vec<&'v str>,
     /// Text after the key occurrence, per supporting value.
-    pub afters: Vec<String>,
+    pub afters: Vec<&'v str>,
 }
 
-impl KeyContexts {
+impl<'v> KeyContexts<'v> {
     /// Record one occurrence: `value = before ⧺ key ⧺ after`.
-    pub fn push(&mut self, before: &str, after: &str) {
-        self.befores.push(before.to_string());
-        self.afters.push(after.to_string());
+    pub fn push(&mut self, before: &'v str, after: &'v str) {
+        self.befores.push(before);
+        self.afters.push(after);
     }
 
     /// Number of recorded occurrences.
@@ -57,18 +67,17 @@ enum Side {
     After,
 }
 
-fn context_pattern(parts: &[String], style: ContextStyle, side: Side) -> Pattern {
-    if parts.iter().all(String::is_empty) {
+fn context_pattern(parts: &[&str], style: ContextStyle, side: Side) -> Pattern {
+    if parts.iter().all(|p| p.is_empty()) {
         return Pattern::empty();
     }
     match style {
         ContextStyle::Induced => {
-            let refs: Vec<&str> = parts.iter().map(String::as_str).collect();
             // Loosen only intervals that showed cross-string variance
             // (Range/AtLeast). Exact counts are structural — the `\D{2}`
             // of a zip suffix or the `\D{7}` of a phone tail must stay
             // exact, as in the paper's Table 3 patterns.
-            loosen(&induce(&refs), u32::MAX)
+            loosen(&induce(parts), u32::MAX)
         }
         ContextStyle::AnyString => {
             // Preserve the separator characters adjacent to the key; the
@@ -78,7 +87,7 @@ fn context_pattern(parts: &[String], style: ContextStyle, side: Side) -> Pattern
             match side {
                 Side::Before => {
                     let sep = common_symbol_suffix(parts);
-                    let all_sep = parts.iter().all(|p| p == &sep);
+                    let all_sep = parts.iter().all(|p| *p == sep);
                     if all_sep {
                         Pattern::literal(&sep)
                     } else {
@@ -87,7 +96,7 @@ fn context_pattern(parts: &[String], style: ContextStyle, side: Side) -> Pattern
                 }
                 Side::After => {
                     let sep = common_symbol_prefix(parts);
-                    let all_sep = parts.iter().all(|p| p == &sep);
+                    let all_sep = parts.iter().all(|p| *p == sep);
                     if all_sep {
                         Pattern::literal(&sep)
                     } else {
@@ -101,7 +110,7 @@ fn context_pattern(parts: &[String], style: ContextStyle, side: Side) -> Pattern
 
 /// Longest common suffix of all parts consisting only of non-alphanumeric
 /// characters.
-fn common_symbol_suffix(parts: &[String]) -> String {
+fn common_symbol_suffix(parts: &[&str]) -> String {
     let mut suffix: Option<Vec<char>> = None;
     for p in parts {
         let tail: Vec<char> = p
@@ -127,7 +136,7 @@ fn common_symbol_suffix(parts: &[String]) -> String {
 
 /// Longest common prefix of all parts consisting only of non-alphanumeric
 /// characters.
-fn common_symbol_prefix(parts: &[String]) -> String {
+fn common_symbol_prefix(parts: &[&str]) -> String {
     let mut prefix: Option<Vec<char>> = None;
     for p in parts {
         let head: Vec<char> = p.chars().take_while(|c| !c.is_alphanumeric()).collect();
@@ -148,9 +157,9 @@ fn common_symbol_prefix(parts: &[String]) -> String {
 mod tests {
     use super::*;
 
-    fn ctx(pairs: &[(&str, &str)]) -> KeyContexts {
+    fn ctx<'v>(pairs: &[(&'v str, &'v str)]) -> KeyContexts<'v> {
         let mut c = KeyContexts::default();
-        for (b, a) in pairs {
+        for &(b, a) in pairs {
             c.push(b, a);
         }
         c
@@ -215,13 +224,10 @@ mod tests {
 
     #[test]
     fn symbol_suffix_helpers() {
-        assert_eq!(
-            common_symbol_suffix(&["Holloway, ".into(), "Kimbell, ".into()]),
-            ", "
-        );
-        assert_eq!(common_symbol_suffix(&["abc".into()]), "");
-        assert_eq!(common_symbol_prefix(&[" E.".into(), " R.".into()]), " ");
-        assert_eq!(common_symbol_prefix(&[String::new()]), "");
+        assert_eq!(common_symbol_suffix(&["Holloway, ", "Kimbell, "]), ", ");
+        assert_eq!(common_symbol_suffix(&["abc"]), "");
+        assert_eq!(common_symbol_prefix(&[" E.", " R."]), " ");
+        assert_eq!(common_symbol_prefix(&[""]), "");
     }
 
     #[test]

@@ -15,12 +15,16 @@
 //! ```
 //!
 //! Lines 5–8 here post each key of `t[A]` with its row and position
-//! only. `f` scores an entry by the whole values of `t[B]`, never by
-//! their tokens, so the miner reads them from the table by row id, and
-//! no RHS token is extracted or interned. The tuples lines 9–12 propose
-//! for one column pair are validated together, in one walk of the LHS
-//! column through a memo over their patterns, and coverage (line 13)
-//! counts through a memo over the tableau's.
+//! only, and the key is a slice of the cell it came from: the list
+//! borrows the table and interns nothing. `f` scores an entry by the
+//! whole values of `t[B]`, never by their tokens, so the miner reads
+//! each row's RHS id from the table and counts the ids (a tie still
+//! goes to the smaller string); no RHS token is extracted. An accepted
+//! entry's context is read in place from its agreeing rows' values, one
+//! slice pair per distinct value. The tuples lines 9–12 propose for one
+//! column pair are validated together, in one walk of the LHS column
+//! through a memo over their patterns, and coverage (line 13) counts
+//! through a memo over the tableau's.
 //!
 //! The decision function `f` is support/confidence over an entry's RHS
 //! distribution, with the user's *allowed-violation ratio* as the

@@ -26,8 +26,8 @@ use anmat_index::BlockingIndex;
 use anmat_pattern::{
     induce, loosen, ConstrainedPattern, Element, Pattern, PatternLevel, Quantifier, Segment,
 };
-use anmat_table::{for_each_token, Table, TableProfile};
-use std::collections::HashMap;
+use anmat_table::{for_each_token, Table, TableProfile, ValueId};
+use fxhash::FxHashMap;
 
 /// Mine variable PFDs for one column pair.
 pub(crate) fn mine_variable(
@@ -166,8 +166,8 @@ fn split_fixed(sig: &Pattern, k: usize) -> Option<(Pattern, Pattern)> {
 /// with their induced signatures, free tail.
 fn token_anchor_candidates(table: &Table, lhs: usize) -> Vec<ConstrainedPattern> {
     const MAX_ANCHOR: usize = 3;
-    // Collect per-position token samples.
-    let mut samples: Vec<Vec<String>> = Vec::new();
+    // Collect per-position token samples, borrowed from the cells.
+    let mut samples: Vec<Vec<&str>> = Vec::new();
     let mut min_tokens = usize::MAX;
     let mut rows_seen = 0usize;
     for (_, v) in table.iter_column(lhs) {
@@ -183,7 +183,7 @@ fn token_anchor_candidates(table: &Table, lhs: usize) -> Vec<ConstrainedPattern>
                 samples.resize_with(index + 1, Vec::new);
             }
             if samples[index].len() < 64 {
-                samples[index].push(token.to_string());
+                samples[index].push(token);
             }
         });
         min_tokens = min_tokens.min(tokens);
@@ -195,10 +195,7 @@ fn token_anchor_candidates(table: &Table, lhs: usize) -> Vec<ConstrainedPattern>
     // (see `context::context_pattern` for the rationale).
     let sigs: Vec<Pattern> = samples
         .iter()
-        .map(|toks| {
-            let refs: Vec<&str> = toks.iter().map(String::as_str).collect();
-            loosen(&induce(&refs), u32::MAX)
-        })
+        .map(|toks| loosen(&induce(toks), u32::MAX))
         .collect();
     let space = Pattern::literal(" ");
     let tail = Pattern::any_string();
@@ -249,15 +246,17 @@ fn evaluate(
     }
     let mut multi_rows = 0usize;
     let mut violations = 0usize;
+    let mut counts: FxHashMap<ValueId, usize> = FxHashMap::default();
     for (_, rows) in &blocks.blocks {
         if rows.len() < 2 {
             continue;
         }
-        let mut counts: HashMap<&str, usize> = HashMap::new();
+        counts.clear();
         let mut with_rhs = 0usize;
         for &row in rows {
-            if let Some(v) = table.cell_str(row, rhs) {
-                *counts.entry(v).or_insert(0) += 1;
+            let found = table.cell_id(row, rhs);
+            if !found.is_null() {
+                *counts.entry(found).or_insert(0) += 1;
                 with_rhs += 1;
             }
         }

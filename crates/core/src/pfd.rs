@@ -147,12 +147,6 @@ impl Pfd {
         format!("{} → {}", self.lhs_attr, self.rhs_attr)
     }
 
-    /// A memo over every tableau tuple's LHS cell: member `i` is tuple
-    /// `i`.
-    pub(crate) fn lhs_memo(&self) -> TableauMemo {
-        TableauMemo::new(self.tableau.iter().map(|t| t.lhs.embedded()))
-    }
-
     /// Fraction of live rows (non-null on the LHS) whose LHS value matches
     /// at least one tableau pattern — the paper's *coverage*, the quantity
     /// compared against the minimum-coverage threshold γ. Each distinct
@@ -160,15 +154,27 @@ impl Pfd {
     /// tuple's LHS cell.
     #[must_use]
     pub fn coverage(&self, table: &Table) -> f64 {
+        self.walk_lhs(table, |_| {})
+    }
+
+    /// One walk of the live LHS column through a [`TableauMemo`] over
+    /// every tuple's LHS cell (member `i` is tuple `i`): `on_row` gets
+    /// the members each non-null value matches, none included, and the
+    /// walk returns the coverage, a row being covered when it matches
+    /// any member. 0 when the table lacks the LHS column or it holds no
+    /// non-null live value.
+    pub(crate) fn walk_lhs(&self, table: &Table, mut on_row: impl FnMut(&[u32])) -> f64 {
         let Some(col) = table.schema().index_of(&self.lhs_attr) else {
             return 0.0;
         };
-        let mut memo = self.lhs_memo();
+        let mut memo = TableauMemo::new(self.tableau.iter().map(|t| t.lhs.embedded()));
         let (mut total, mut covered) = (0usize, 0usize);
         for (_, v) in table.iter_column(col) {
             if !v.is_null() {
+                let members = memo.matches(v);
                 total += 1;
-                covered += usize::from(!memo.matches(v).is_empty());
+                covered += usize::from(!members.is_empty());
+                on_row(members);
             }
         }
         if total == 0 {

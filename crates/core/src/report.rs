@@ -64,26 +64,23 @@ pub fn profiling_view(table: &Table, profile: &TableProfile) -> String {
 /// coverage so the user can confirm or reject it.
 #[must_use]
 pub fn tableau_view(table: &Table, pfd: &Pfd) -> String {
+    // Per-tuple frequency, as in the Figure 4 display, and the header's
+    // coverage, from one walk of the LHS column through a memo over every
+    // tuple: each tuple is credited every value it matches.
+    let mut frequency = vec![0usize; pfd.tableau.len()];
+    let coverage = pfd.walk_lhs(table, |members| {
+        for &m in members {
+            frequency[m as usize] += 1;
+        }
+    });
     let mut out = String::new();
     let _ = writeln!(
         out,
         "=== Dependency {} ({:?}) — coverage {:.2} ===",
         pfd.embedded_fd(),
         pfd.kind(),
-        pfd.coverage(table)
+        coverage
     );
-    // Per-tuple frequency, as in the Figure 4 display: one walk of the
-    // LHS column through a memo over every tuple credits each tuple its
-    // value matches.
-    let mut frequency = vec![0usize; pfd.tableau.len()];
-    if let Some(col) = table.schema().index_of(&pfd.lhs_attr) {
-        let mut memo = pfd.lhs_memo();
-        for (_, v) in table.iter_column(col) {
-            for &m in memo.matches(v) {
-                frequency[m as usize] += 1;
-            }
-        }
-    }
     for (i, (t, freq)) in pfd.tableau.iter().zip(frequency).enumerate() {
         let rhs = match &t.rhs {
             RhsCell::Constant(c) => c.as_str(),

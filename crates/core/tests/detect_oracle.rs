@@ -115,6 +115,19 @@ fn live_values(table: &Table) -> Vec<&str> {
         .collect()
 }
 
+/// The share of `values` that some tuple of `pfd` admits, 0 for none.
+fn oracle_coverage(pfd: &Pfd, values: &[&str]) -> f64 {
+    let covered = values
+        .iter()
+        .filter(|v| pfd.tableau.iter().any(|t| admits(&t.lhs, v)))
+        .count();
+    if values.is_empty() {
+        0.0
+    } else {
+        covered as f64 / values.len() as f64
+    }
+}
+
 /// The interpreter's violation of `tuple` at `row`, if any.
 fn oracle_violation(
     table: &Table,
@@ -209,22 +222,12 @@ proptest! {
     #[test]
     fn coverage_equals_the_interpreter_share(tableau in any_tableau(), table in any_table()) {
         let pfd = rule(tableau);
-        let values = live_values(&table);
-        let covered = values
-            .iter()
-            .filter(|v| pfd.tableau.iter().any(|t| admits(&t.lhs, v)))
-            .count();
-        let expected = if values.is_empty() {
-            0.0
-        } else {
-            covered as f64 / values.len() as f64
-        };
-        prop_assert_eq!(pfd.coverage(&table), expected);
+        prop_assert_eq!(pfd.coverage(&table), oracle_coverage(&pfd, &live_values(&table)));
     }
 
     /// `report::tableau_view` prints, for each tuple in order, how many
     /// non-null live LHS values it admits: a value counts once for every
-    /// tuple that admits it.
+    /// tuple that admits it. Its header prints the coverage.
     #[test]
     fn tableau_view_frequencies_equal_the_interpreter_counts(
         tableau in any_tableau(),
@@ -238,6 +241,8 @@ proptest! {
             .map(|t| values.iter().filter(|v| admits(&t.lhs, v)).count())
             .collect();
         let view = report::tableau_view(&table, &pfd);
+        let header = format!("coverage {:.2} ===", oracle_coverage(&pfd, &values));
+        prop_assert!(view.lines().next().is_some_and(|line| line.ends_with(&header)), "{}", view);
         let printed: Vec<usize> = view
             .lines()
             .filter(|line| line.starts_with("  tp"))

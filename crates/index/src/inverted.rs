@@ -11,13 +11,12 @@
 //! tokenizing and interning every RHS cell would only build postings
 //! nobody reads.
 //!
-//! Keys are interned [`ValueId`]s: probing hashes a 4-byte `Copy` id
-//! under `FxHasher` instead of re-hashing strings per row.
+//! Keys are slices of the table's own cells, borrowed for the list's
+//! lifetime: building interns nothing, so a key that occurs in one
+//! column pair does not outlive the list that holds it.
 
 use anmat_obs as obs;
-use anmat_table::{
-    for_each_ngram, for_each_prefix, for_each_token, RowId, Table, ValueId, ValuePool,
-};
+use anmat_table::{for_each_ngram, for_each_prefix, for_each_token, RowId, Table};
 use fxhash::FxHashMap;
 
 /// How LHS strings are decomposed into inverted-list keys.
@@ -36,13 +35,12 @@ pub enum ExtractionMode {
 
 impl ExtractionMode {
     /// Visit each `(key text, position)` pair of one cell string, with the
-    /// key borrowed from `s` — the allocation-free path
-    /// [`InvertedIndex::build`] interns each key from, so no per-cell
-    /// `Vec<String>` is built.
+    /// key a slice of `s` that lives as long as `s` does — the
+    /// allocation-free path [`InvertedIndex::build`] keys its list on.
     ///
     /// Positions follow the paper's display convention: token index for
     /// token mode, character offset for n-gram/prefix modes.
-    pub fn for_each_key(&self, s: &str, f: impl FnMut(&str, usize)) {
+    pub fn for_each_key<'s>(&self, s: &'s str, f: impl FnMut(&'s str, usize)) {
         match *self {
             ExtractionMode::Tokens => for_each_token(s, f),
             ExtractionMode::NGrams(n) => for_each_ngram(s, n, f),
@@ -73,26 +71,32 @@ struct Entry {
 /// `t[A]` with its postings and support.
 ///
 /// [`InvertedIndex::build`] appends the table's rows one at a time, each
-/// in `O(keys in the row)`. The list is read-only once built, and
+/// in `O(keys in the row)`. Each key is a slice of a cell of the table,
+/// so the list borrows the table. It is read-only once built, and
 /// discovery drops it after mining its column pair.
 #[derive(Debug, Clone)]
-pub struct InvertedIndex {
-    entries: FxHashMap<ValueId, Entry>,
+pub struct InvertedIndex<'t> {
+    entries: FxHashMap<&'t str, Entry>,
 }
 
-impl InvertedIndex {
+impl<'t> InvertedIndex<'t> {
     /// Build the inverted list for the column pair `(lhs, rhs)` of `table`,
     /// decomposing each LHS cell with `lhs_mode`.
     ///
     /// Implements lines 4–8 of Figure 2. Rows with a null on either side
     /// are skipped (they can neither support nor violate a PFD).
     #[must_use]
-    pub fn build(table: &Table, lhs: usize, rhs: usize, lhs_mode: ExtractionMode) -> InvertedIndex {
-        let mut entries: FxHashMap<ValueId, Entry> = FxHashMap::default();
+    pub fn build(
+        table: &'t Table,
+        lhs: usize,
+        rhs: usize,
+        lhs_mode: ExtractionMode,
+    ) -> InvertedIndex<'t> {
+        let mut entries: FxHashMap<&'t str, Entry> = FxHashMap::default();
         for (row, value, _) in table.iter_pair(lhs, rhs) {
             obs::counter!("index.insert").incr();
             lhs_mode.for_each_key(value, |key, lhs_pos| {
-                let entry = entries.entry(ValuePool::intern(key)).or_default();
+                let entry = entries.entry(key).or_default();
                 if entry.postings.last().map(|p| p.row) != Some(row) {
                     entry.support += 1;
                 }
@@ -111,20 +115,20 @@ impl InvertedIndex {
     /// The postings for a key, in row order, then position order.
     #[must_use]
     pub fn postings(&self, key: &str) -> &[Posting] {
-        ValuePool::lookup(key)
-            .and_then(|id| self.entries.get(&id))
+        self.entries
+            .get(key)
             .map_or(&[], |entry| entry.postings.as_slice())
     }
 
     /// Keys whose support is at least `min_support`, sorted by descending
     /// support (ties: ascending key).
     #[must_use]
-    pub fn frequent_keys(&self, min_support: usize) -> Vec<(&'static str, usize)> {
-        let mut out: Vec<(&'static str, usize)> = self
+    pub fn frequent_keys(&self, min_support: usize) -> Vec<(&'t str, usize)> {
+        let mut out: Vec<(&'t str, usize)> = self
             .entries
             .iter()
             .filter(|(_, entry)| entry.support >= min_support)
-            .map(|(k, entry)| (k.render(), entry.support))
+            .map(|(&k, entry)| (k, entry.support))
             .collect();
         out.sort_by(|(ka, sa), (kb, sb)| sb.cmp(sa).then_with(|| ka.cmp(kb)));
         out

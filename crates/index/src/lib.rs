@@ -32,14 +32,17 @@
 //! only when a removal dethrones the leader — the substrate of the
 //! engine's variable-PFD delta pipeline.
 //!
-//! All three key their maps on interned
+//! The memos and blocks key their maps on interned
 //! [`ValueId`](anmat_table::ValueId)s from the global
 //! [`ValuePool`](anmat_table::ValuePool): probes hash a 4-byte `Copy` id
 //! under the vendored `FxHasher` rather than re-hashing strings, and
 //! per-value work (pattern matching, capture extraction) is bounded by
 //! the column's *distinct-value* count via id-keyed memos
 //! ([`KeyMemo::evals`] and [`TableauMemo::evals`] count the actual
-//! evaluations).
+//! evaluations). The inverted list keys on slices of the table's cells
+//! under the same hasher: its keys are parts of values, which discovery
+//! reads once per column pair, so interning them would only grow the
+//! pool.
 
 pub mod blocking;
 pub mod inverted;

@@ -23,7 +23,8 @@
 
 use crate::ast::{Element, Pattern, Quantifier};
 use crate::symbol::SymbolClass;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use fxhash::FxHashSet;
+use std::collections::{BTreeSet, VecDeque};
 
 /// Is `L(p) ⊆ L(q)` — every string matching `p` also matches `q`?
 ///
@@ -48,11 +49,11 @@ pub fn contains(q: &Pattern, p: &Pattern) -> bool {
     // BFS over (p-state, q-state-set).
     let start_p = np.eps_closure(&[np.start]);
     let start_q = nq.eps_closure(&[nq.start]);
-    let mut seen: HashMap<(BTreeSet<usize>, BTreeSet<usize>), ()> = HashMap::new();
+    let mut seen: FxHashSet<(BTreeSet<usize>, BTreeSet<usize>)> = FxHashSet::default();
     let mut queue = VecDeque::new();
     queue.push_back((start_p, start_q));
     while let Some((ps, qs)) = queue.pop_front() {
-        if seen.contains_key(&(ps.clone(), qs.clone())) {
+        if seen.contains(&(ps.clone(), qs.clone())) {
             continue;
         }
         if np.accepts_set(&ps) && !nq.accepts_set(&qs) {
@@ -64,11 +65,11 @@ pub fn contains(q: &Pattern, p: &Pattern) -> bool {
                 continue; // p dies; nothing to contain
             }
             let qs2 = nq.step(&qs, c);
-            if !seen.contains_key(&(ps2.clone(), qs2.clone())) {
+            if !seen.contains(&(ps2.clone(), qs2.clone())) {
                 queue.push_back((ps2, qs2));
             }
         }
-        seen.insert((ps, qs), ());
+        seen.insert((ps, qs));
     }
     true
 }

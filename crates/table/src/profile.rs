@@ -13,10 +13,12 @@
 //!    signatures present in the data with their frequencies. That view is
 //!    [`PatternHistogram`], computed at every [`PatternLevel`].
 
+use crate::pool::ValueId;
 use crate::table::Table;
 use anmat_pattern::{signature, Pattern, PatternLevel};
+use fxhash::FxHashMap;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::cmp::Reverse;
 
 /// Coarse type inferred for a column from its non-null cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -215,7 +217,7 @@ fn profile_column(table: &Table, col: usize) -> ColumnProfile {
     // Live rows only: tombstoned slots are not data.
     let row_count = table.live_rows();
     let mut null_count = 0usize;
-    let mut distinct: HashMap<&str, usize> = HashMap::new();
+    let mut distinct: FxHashMap<ValueId, usize> = FxHashMap::default();
     let mut min_len = usize::MAX;
     let mut max_len = 0usize;
     let mut len_sum = 0usize;
@@ -227,7 +229,7 @@ fn profile_column(table: &Table, col: usize) -> ColumnProfile {
             null_count += 1;
             continue;
         };
-        *distinct.entry(s).or_insert(0) += 1;
+        *distinct.entry(v).or_insert(0) += 1;
         let len = s.chars().count();
         min_len = min_len.min(len);
         max_len = max_len.max(len);
@@ -266,19 +268,17 @@ fn profile_column(table: &Table, col: usize) -> ColumnProfile {
     let histograms = [PatternLevel::ClassExact, PatternLevel::ClassUnbounded]
         .into_iter()
         .map(|level| {
-            let mut counts: HashMap<Pattern, usize> = HashMap::new();
-            for (s, n) in &distinct {
-                *counts.entry(signature(s, level)).or_insert(0) += n;
+            let mut counts: FxHashMap<Pattern, usize> = FxHashMap::default();
+            for (v, n) in &distinct {
+                *counts.entry(signature(v.render(), level)).or_insert(0) += n;
             }
             let mut entries: Vec<(Pattern, usize)> = counts.into_iter().collect();
-            entries.sort_by(|(pa, ca), (pb, cb)| {
-                cb.cmp(ca).then_with(|| pa.to_string().cmp(&pb.to_string()))
-            });
+            entries.sort_by_cached_key(|(p, count)| (Reverse(*count), p.to_string()));
             PatternHistogram { level, entries }
         })
         .collect();
 
-    let mut samples: Vec<String> = distinct.keys().map(|s| s.to_string()).collect();
+    let mut samples: Vec<String> = distinct.keys().map(|v| v.render().to_string()).collect();
     samples.sort_unstable();
     samples.truncate(SAMPLE_LIMIT);
 

@@ -2,8 +2,9 @@
 //! (Figure 2, lines 6–7).
 //!
 //! Discovery feeds each cell through one of three visitors, each handing
-//! out borrowed slices of the cell with a position, so extraction
-//! allocates nothing:
+//! out slices of the cell, with the cell's lifetime, and a position, so
+//! extraction allocates nothing and a caller may keep the slices as long
+//! as it borrows the cell:
 //!
 //! * [`for_each_token`] splits on whitespace, with each token's number —
 //!   the paper's pattern display `pattern::position, frequency` uses the
@@ -18,7 +19,7 @@
 /// Visit each whitespace-delimited token as a borrowed slice of `s`,
 /// with its 0-based token index. Runs of whitespace are a single
 /// separator; leading and trailing whitespace produce no empty tokens.
-pub fn for_each_token(s: &str, mut f: impl FnMut(&str, usize)) {
+pub fn for_each_token<'s>(s: &'s str, mut f: impl FnMut(&'s str, usize)) {
     let mut index = 0usize;
     let mut start: Option<usize> = None;
     for (b, c) in s.char_indices() {
@@ -40,7 +41,7 @@ pub fn for_each_token(s: &str, mut f: impl FnMut(&str, usize)) {
 /// 0-based starting character offset. Yields the whole string once when
 /// it is shorter than `n` (so short codes still produce a key), and
 /// nothing for an empty string or `n == 0`.
-pub fn for_each_ngram(s: &str, n: usize, mut f: impl FnMut(&str, usize)) {
+pub fn for_each_ngram<'s>(s: &'s str, n: usize, mut f: impl FnMut(&'s str, usize)) {
     if n == 0 || s.is_empty() {
         return;
     }
@@ -61,7 +62,7 @@ pub fn for_each_ngram(s: &str, n: usize, mut f: impl FnMut(&str, usize)) {
 /// Visit each prefix of up to `max_len` characters as a borrowed slice
 /// of `s`, shortest first. The position is always 0 (prefixes start at
 /// the beginning by construction).
-pub fn for_each_prefix(s: &str, max_len: usize, mut f: impl FnMut(&str, usize)) {
+pub fn for_each_prefix<'s>(s: &'s str, max_len: usize, mut f: impl FnMut(&'s str, usize)) {
     let mut emitted = 0usize;
     for (byte, _) in s.char_indices().skip(1) {
         if emitted >= max_len {
